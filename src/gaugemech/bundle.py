@@ -290,10 +290,6 @@ class BundleSpec:
         u_inv = np.linalg.inv(point.fiber)
         return self.group.Ad(u_inv) @ (a_mat @ dbase) + xi
 
-    def horizontal(self, point: Point, tangent: Array) -> Array:
-        """Horizontal part of a tangent vector: subtract the vertical lift of alpha."""
-        return tangent - self.vertical_lift(self.alpha(point, tangent))
-
     # -- canonical one-form, momentum map ----------------------------------------
 
     def gamma(self, sample: CotangentSample, tangent: Array) -> float:
@@ -341,10 +337,6 @@ class BundleSpec:
         )
 
     # -- dual Atiyah sequence maps ----------------------------------------------
-
-    def i_star(self, sample: CotangentSample) -> tuple[Point, Array]:
-        """I*(phi) = (pi*(phi), J(phi)): the bundle epimorphism T*P -> P x g*."""
-        return sample.point, self.momentum(sample)
 
     def iota_star(self, cls: QuotientClass) -> tuple[Array, Array]:
         """iota* on a quotient class: gauge-fixed pair (base, J(rep))."""

@@ -1,4 +1,8 @@
-"""Hamiltonian vector fields from Poisson brackets, RK4 integration, drift monitors."""
+"""Hamiltonian vector fields from Poisson brackets, RK4 integration, drift monitors.
+
+Every integrator (``integrate`` on a Poisson space, ``integrate_cotangent`` on
+T*G in body coordinates) advances through the single RK4 stepper ``_rk4``.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .liealg import LieGroupSpec, expm
+from .liealg import LieGroupSpec
 from .poisson import PoissonSpace, ScalarField
 
 Array = np.ndarray
@@ -42,41 +46,50 @@ def ham_vector_field(space: PoissonSpace, hamiltonian: ScalarField, point: Array
     return space.bivector(point) @ hamiltonian.gradient(point)
 
 
-def integrate(space: PoissonSpace, hamiltonian: ScalarField, x0: Array, h: float, n_steps: int,
-              monitors: dict[str, ScalarField] | None = None) -> Trajectory:
-    """Classical fixed-step RK4 on the coordinate chart; monitors at every step."""
+def _rk4(rhs: Callable[[Array], Array], x0: Array, h: float, n_steps: int) -> Trajectory:
+    """Classical fixed-step RK4: the one stepper behind every integrator here.
+
+    Raises DivergenceError, carrying the trajectory up to the last finite
+    state, as soon as a step leaves the finite reals.
+    """
     if h <= 0:
         raise ValueError("step size must be positive")
     x = np.asarray(x0, dtype=float).copy()
-    monitors = monitors or {}
-    times = np.empty(n_steps + 1)
     states = np.empty((n_steps + 1, x.size))
-    mon = {name: np.empty(n_steps + 1) for name in monitors}
+    states[0] = x
 
-    def rhs(y: Array) -> Array:
+    def stage(y: Array) -> Array:
         # an overflowed stage propagates as NaN and trips the divergence check
         if not np.all(np.isfinite(y)):
             return np.full_like(y, np.nan)
-        return ham_vector_field(space, hamiltonian, y)
+        return rhs(y)
 
-    def record(idx: int, t: float, y: Array) -> None:
-        times[idx] = t
-        states[idx] = y
-        for name, q in monitors.items():
-            mon[name][idx] = q(y)
-
-    record(0, 0.0, x)
     for step in range(1, n_steps + 1):
-        k1 = rhs(x)
-        k2 = rhs(x + 0.5 * h * k1)
-        k3 = rhs(x + 0.5 * h * k2)
-        k4 = rhs(x + h * k3)
+        k1 = stage(x)
+        k2 = stage(x + 0.5 * h * k1)
+        k3 = stage(x + 0.5 * h * k2)
+        k4 = stage(x + h * k3)
         x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         if not np.all(np.isfinite(x)):
-            partial = Trajectory(times[:step], states[:step], {k: v[:step] for k, v in mon.items()})
-            raise DivergenceError(step, partial)
-        record(step, step * h, x)
-    return Trajectory(times, states, mon)
+            raise DivergenceError(step, Trajectory(np.arange(step) * h, states[:step]))
+        states[step] = x
+    return Trajectory(np.arange(n_steps + 1) * h, states)
+
+
+def integrate(space: PoissonSpace, hamiltonian: ScalarField, x0: Array, h: float, n_steps: int,
+              monitors: dict[str, ScalarField] | None = None) -> Trajectory:
+    """Classical fixed-step RK4 on the coordinate chart; monitors at every step."""
+    monitors = monitors or {}
+
+    def record(traj: Trajectory) -> Trajectory:
+        traj.monitors = {name: np.array([q(y) for y in traj.states]) for name, q in monitors.items()}
+        return traj
+
+    try:
+        return record(_rk4(lambda y: ham_vector_field(space, hamiltonian, y), x0, h, n_steps))
+    except DivergenceError as exc:
+        record(exc.trajectory)
+        raise
 
 
 def monitor_drift(trajectory: Trajectory, quantities: dict[str, ScalarField] | None = None) -> dict[str, float]:
@@ -113,18 +126,10 @@ def group_cotangent_field(group: LieGroupSpec, reduced_h: ScalarField, u: Array,
     field reads xi = grad_b f, b' = ad*_xi b - d_u f, with the u-derivative of
     the lift given exactly by the coadjoint chain rule.
     """
-    u_inv = np.linalg.inv(u)
-    trans = group.Ad_star(u_inv)
-    mu = trans @ b
-    grad_h = reduced_h.gradient(mu)
+    trans = group.Ad_star(np.linalg.inv(u))
+    grad_h = reduced_h.gradient(trans @ b)
     xi = trans.T @ grad_h
-    du = np.empty(group.dim)
-    for j in range(group.dim):
-        e = np.zeros(group.dim)
-        e[j] = 1.0
-        du[j] = float(grad_h @ (-(trans @ (group.ad_star(e) @ b))))
-    b_dot = group.ad_star(xi) @ b - du
-    return xi, b_dot
+    return xi, group.ad_star(xi) @ b - group.coadjoint_chain_rule(trans, grad_h, b)
 
 
 def body_cotangent_field(group: LieGroupSpec, F: Callable[[Array, Array], float], u: Array, b: Array,
@@ -148,62 +153,28 @@ def body_cotangent_field(group: LieGroupSpec, F: Callable[[Array, Array], float]
     return grad_b, group.ad_star(grad_b) @ b - du
 
 
-def integrate_body_cotangent(group: LieGroupSpec, F: Callable[[Array, Array], float], u0: Array, b0: Array,
-                             h: float, n_steps: int) -> tuple[list[Array], Array]:
-    """RK4 on T*G in body coordinates for a general Hamiltonian F(u, b)."""
+def integrate_cotangent(group: LieGroupSpec, field: Callable[[Array, Array], tuple[Array, Array]],
+                        u0: Array, b0: Array, h: float, n_steps: int) -> tuple[list[Array], Array]:
+    """RK4 on T*G in body coordinates (u, b), the matrix part advanced through the embedding.
+
+    ``field(u, b)`` returns (xi, b'), with u' = u xi: for example
+    ``partial(group_cotangent_field, group, reduced_h)`` or
+    ``partial(body_cotangent_field, group, F)``.
+    """
     m = group.embed
 
     def rhs(state: Array) -> Array:
         uu = state[: m * m].reshape(m, m)
-        bb = state[m * m :]
-        xi, b_dot = body_cotangent_field(group, F, uu, bb)
+        xi, b_dot = field(uu, state[m * m :])
         return np.concatenate([(uu @ group.from_coords(xi)).reshape(-1), b_dot])
 
-    state = np.concatenate([np.asarray(u0, dtype=float).reshape(-1), np.asarray(b0, dtype=float)])
-    us = [np.asarray(u0, dtype=float).copy()]
-    bs = np.empty((n_steps + 1, group.dim))
-    bs[0] = b0
-    for step in range(1, n_steps + 1):
-        k1 = rhs(state)
-        k2 = rhs(state + 0.5 * h * k1)
-        k3 = rhs(state + 0.5 * h * k2)
-        k4 = rhs(state + h * k3)
-        state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(state)):
-            raise DivergenceError(step, Trajectory(np.arange(step) * h, bs[:step]))
-        us.append(state[: m * m].reshape(m, m).copy())
-        bs[step] = state[m * m :]
-    return us, bs
-
-
-def integrate_group_cotangent(group: LieGroupSpec, reduced_h: ScalarField, u0: Array, b0: Array,
-                              h: float, n_steps: int) -> tuple[list[Array], Array]:
-    """RK4 on (u, b) with the matrix part advanced through the embedding."""
-    m = group.embed
-    u = np.asarray(u0, dtype=float).copy()
-    b = np.asarray(b0, dtype=float).copy()
-    us = [u.copy()]
-    bs = np.empty((n_steps + 1, group.dim))
-    bs[0] = b
-
-    def rhs(state: Array) -> Array:
-        uu = state[: m * m].reshape(m, m)
-        bb = state[m * m :]
-        xi, b_dot = group_cotangent_field(group, reduced_h, uu, bb)
-        return np.concatenate([(uu @ group.from_coords(xi)).reshape(-1), b_dot])
-
-    state = np.concatenate([u.reshape(-1), b])
-    for step in range(1, n_steps + 1):
-        k1 = rhs(state)
-        k2 = rhs(state + 0.5 * h * k1)
-        k3 = rhs(state + 0.5 * h * k2)
-        k4 = rhs(state + h * k3)
-        state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(state)):
-            raise DivergenceError(step, Trajectory(np.arange(step) * h, bs[:step]))
-        us.append(state[: m * m].reshape(m, m).copy())
-        bs[step] = state[m * m :]
-    return us, bs
+    x0 = np.concatenate([np.asarray(u0, dtype=float).reshape(-1), np.asarray(b0, dtype=float)])
+    try:
+        states = _rk4(rhs, x0, h, n_steps).states
+    except DivergenceError as exc:
+        exc.trajectory.states = exc.trajectory.states[:, m * m :]
+        raise
+    return [s[: m * m].reshape(m, m) for s in states], states[:, m * m :]
 
 
 # ---------------------------------------------------------------------------

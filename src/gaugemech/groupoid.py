@@ -530,30 +530,6 @@ def _with_target(ops: SpaceOps, el: VBElement, side) -> VBElement:
 
 
 # ---------------------------------------------------------------------------
-# cotangent pair structure (spec-facing dispatcher)
-# ---------------------------------------------------------------------------
-
-
-def cotangent_pair_structure(bundle: BundleSpec, el: VBElement, op: str, other: VBElement | None = None):
-    """Structure maps of T*P x T*P => T*P per the twisted conventions."""
-    ops = CotangentPairOps(bundle)
-    if op == "source":
-        return ops.source(el)
-    if op == "target":
-        return ops.target(el)
-    if op == "identity":
-        phi = el if isinstance(el, CotangentSample) else el.data[0]
-        return ops.identity(phi)
-    if op == "inverse":
-        return ops.inverse(el)
-    if op == "product":
-        if other is None:
-            raise ValueError("product needs a second element")
-        return ops.product(el, other)
-    raise KeyError(f"unknown op {op!r}")
-
-
-# ---------------------------------------------------------------------------
 # Pradines dual of T(PxP), from the defining pairings
 # ---------------------------------------------------------------------------
 
@@ -828,24 +804,6 @@ def core_suite(bundle: BundleSpec, fibers: int = 50, seed: int = 0) -> SuiteRepo
 # ---------------------------------------------------------------------------
 # the groupoid P x g* x P and the momentum morphism I_2*
 # ---------------------------------------------------------------------------
-
-
-def gauge_dual_groupoid(bundle: BundleSpec, el: VBElement, op: str, other: VBElement | None = None):
-    """Structure maps of P x g* x P => P."""
-    ops = CoalgebraTripleOps(bundle)
-    if op == "source":
-        return ops.source(el)
-    if op == "target":
-        return ops.target(el)
-    if op == "identity":
-        return ops.identity(el if isinstance(el, Point) else el.data[0])
-    if op == "inverse":
-        return ops.inverse(el)
-    if op == "product":
-        if other is None:
-            raise ValueError("product needs a second element")
-        return ops.product(el, other)
-    raise KeyError(f"unknown op {op!r}")
 
 
 def i2_star(bundle: BundleSpec, el: VBElement) -> VBElement:

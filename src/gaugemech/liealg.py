@@ -16,12 +16,18 @@ Ad_{g^-1}, and the tangent-group product reads
 Coadjoint conventions (fixed package-wide): <Ad*_g mu, x> = <mu, Ad_g x>
 and <ad*_x mu, y> = <mu, [x, y]>, i.e. transposes of Ad_g and ad_x in
 coordinates.  Note Ad*: g -> Ad*_g is then an anti-homomorphism.
+
+The linear and quadratic Casimirs of the Lie-Poisson structure on g* are
+derived from the structure constants alone (``LieGroupSpec.casimirs``), never
+from the group's name (Marsden & Ratiu, Introduction to Mechanics and
+Symmetry, ch. 14).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -31,6 +37,7 @@ Array = np.ndarray
 EXP_TAYLOR_CUTOFF = 1e-24
 LOG_SERIES_RADIUS = 0.5
 MAX_SQUARE_ROOTS = 48
+CASIMIR_DECIMALS = 12
 
 
 class LieDomainError(ValueError):
@@ -186,6 +193,49 @@ class LieGroupSpec:
         """Matrix of Ad*_g on coalgebra coordinates: <Ad*_g mu, x> = <mu, Ad_g x>."""
         return self.Ad(g).T
 
+    def coadjoint_chain_rule(self, trans: Array, grad: Array, b: Array) -> Array:
+        """Derivatives of u -> H(Ad*_{u^-1} b) along the curves u exp(t e_j).
+
+        ``trans`` is Ad*_{u^-1} and ``grad`` the gradient of H at trans @ b;
+        component j is <grad, -trans ad*_{e_j} b>.
+        """
+        return -np.einsum("jlk,l,k->j", self.structure, trans.T @ grad, b)
+
+    # -- Casimirs of the Lie-Poisson structure ------------------------------
+
+    @cached_property
+    def casimirs(self) -> tuple[Array, Array]:
+        """Linear and quadratic Casimirs of g*, derived once from the structure constants.
+
+        Returns ``(linear, quadratic)``: rows x of ``linear`` give the Casimirs
+        mu -> <mu, x>, with x spanning the centre of g; the symmetric matrices
+        Q of ``quadratic`` give mu -> mu^T Q mu, spanning the ad-invariant
+        quadratic forms modulo products of the linear Casimirs.  Both are in
+        reduced row-echelon form with unit pivots (quadratics in the monomial
+        coefficients of mu_a mu_b, a <= b), rounded to CASIMIR_DECIMALS, so
+        the standard bases give exact coefficients such as |mu|^2 for so3.
+        """
+        n = self.dim
+        c = self.structure
+        # centre: [e_i, x] = sum_j x_j c^k_ij = 0 for all i, k
+        linear = _rref(_null_rows(np.transpose(c, (0, 2, 1)).reshape(n * n, n)))
+
+        # d/dt C along every Hamiltonian flow: sum_{i,k,l} c^k_ij Q_il mu_k mu_l = 0 for all j, mu
+        rows, cols = np.triu_indices(n)
+        mono = np.zeros((rows.size, n, n))
+        mono[np.arange(rows.size), rows, cols] = 0.5
+        mono[np.arange(rows.size), cols, rows] += 0.5
+        m = np.einsum("ijk,pil->pjkl", c, mono)
+        invariance = (m + np.transpose(m, (0, 1, 3, 2))).reshape(rows.size, -1).T
+        # exclude products of linear Casimirs: orthogonal to their monomial coefficients
+        prods = [np.outer(x, y) for a, x in enumerate(linear) for y in linear[a:]]
+        prod_rows = [(p + p.T - np.diag(np.diag(p)))[rows, cols] for p in prods]
+        coef = _rref(_null_rows(np.vstack([invariance, *prod_rows])))
+        quadratic = np.zeros((coef.shape[0], n, n))
+        quadratic[:, rows, cols] = coef
+        quadratic = 0.5 * (quadratic + np.transpose(quadratic, (0, 2, 1)))
+        return linear, quadratic
+
     # -- exponential map ------------------------------------------------------
 
     def exp(self, x: Array) -> Array:
@@ -222,6 +272,30 @@ class LieGroupSpec:
 
     def random_element(self, rng: np.random.Generator, scale: float = 0.5) -> Array:
         return self.exp(self.random_algebra(rng, scale))
+
+
+def _null_rows(a: Array, tol: float = 1e-10) -> Array:
+    """Orthonormal rows spanning the null space of a."""
+    _, s, vt = np.linalg.svd(a)
+    rank = int(np.sum(s > tol * max(float(s[0]), 1.0)))
+    return vt[rank:]
+
+
+def _rref(rows: Array, tol: float = 1e-9) -> Array:
+    """Reduced row-echelon form, unit pivots, of linearly independent rows."""
+    r = np.array(rows, dtype=float)
+    lead = 0
+    for i in range(r.shape[0]):
+        while np.max(np.abs(r[i:, lead])) <= tol:
+            lead += 1
+        p = i + int(np.argmax(np.abs(r[i:, lead])))
+        r[[i, p]] = r[[p, i]]
+        r[i] /= r[i, lead]
+        for j in range(r.shape[0]):
+            if j != i:
+                r[j] -= r[j, lead] * r[i]
+        lead += 1
+    return np.round(r, CASIMIR_DECIMALS)
 
 
 # ---------------------------------------------------------------------------

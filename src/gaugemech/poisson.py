@@ -18,6 +18,10 @@ Bracket conventions (fixed package-wide, matching the Lie-Poisson structure
 Two-form computations (leaf symplectic forms, magnetic terms, isotropy of
 action graphs) use the exterior derivative of the tautological one-form,
 d gamma, in the same trivialized coordinates.
+
+Casimirs of a coalgebra (``casimir_fields``) and the rotation rule of
+``coadjoint_transport`` follow from the structure constants and basis of the
+group, never from its name.
 """
 
 from __future__ import annotations
@@ -265,7 +269,7 @@ class PoissonSpace:
 
     def _lift(self, f: ScalarField) -> CotangentFn:
         bundle = self.bundle
-        d, n = bundle.d, bundle.n
+        d = bundle.d
 
         def fn(s: CotangentSample) -> float:
             return f(self.class_coords(s))
@@ -279,12 +283,7 @@ class PoissonSpace:
             x = np.concatenate([s.point.base, s.a, m_u @ s.b])
             g = f.gradient(x)
             gm, ga, gb = g[:d], g[d : 2 * d], g[2 * d :]
-            du = np.empty(n)
-            for j in range(n):
-                e = np.zeros(n)
-                e[j] = 1.0
-                du[j] = float(gb @ (-(m_u @ (bundle.group.ad_star(e) @ s.b))))
-            return gm, du, ga, m_u.T @ gb
+            return gm, bundle.group.coadjoint_chain_rule(m_u, gb, s.b), ga, m_u.T @ gb
 
         return CotangentFn(fn, grads)
 
@@ -393,6 +392,7 @@ def dual_pair_check(bundle: BundleSpec, trials: int = 100, seed: int = 0, tol: f
     rep = SuiteReport(f"poisson.dual_pair[{bundle.name}]")
     rng = stream(seed, f"poisson.dual_pair/{bundle.name}")
     quot = quotient_cotangent(bundle)
+    cas = casimir_fields(bundle.group)
     worst = w_cas = 0.0
     for _ in range(trials):
         s = bundle.random_cotangent(rng)
@@ -403,7 +403,6 @@ def dual_pair_check(bundle: BundleSpec, trials: int = 100, seed: int = 0, tol: f
         worst = max(worst, abs(cotangent_bracket(bundle, F, H, s)))
 
         # a Casimir of the coalgebra Poisson-commutes with other J-pullbacks too
-        cas = _casimir_fields(bundle.group)
         if cas:
             c = cas[0]
             C = CotangentFn(lambda ss, c=c: c(ss.b), lambda ss, c=c: (np.zeros(bundle.d), np.zeros(bundle.n), np.zeros(bundle.d), c.gradient(ss.b)))
@@ -412,7 +411,7 @@ def dual_pair_check(bundle: BundleSpec, trials: int = 100, seed: int = 0, tol: f
             w_cas = max(w_cas, abs(cotangent_bracket(bundle, C, H2, s)))
             w_cas = max(w_cas, abs(cotangent_bracket(bundle, F, C, s)))
     rep.add("polarity", worst, tol)
-    if _casimir_fields(bundle.group):
+    if cas:
         rep.add("casimir_commutes", w_cas, tol)
     rep.extras["trials"] = trials
     return rep
@@ -423,34 +422,18 @@ def dual_pair_check(bundle: BundleSpec, trials: int = 100, seed: int = 0, tol: f
 # ---------------------------------------------------------------------------
 
 
-def _casimir_fields(group: LieGroupSpec) -> list[ScalarField]:
-    n = group.dim
-    if group.name == "so3":
-        return [ScalarField(lambda mu: float(mu @ mu), lambda mu: 2.0 * mu, name="|mu|^2")]
-    if group.name == "heisenberg3":
-        return [coordinate_field(2, n)]
-    if np.allclose(group.structure, 0.0):
-        return [coordinate_field(i, n) for i in range(n)]
-    if group.name.startswith("sd:"):
-        # semidirect K x| R^k built by the semidirect module: Casimirs of the
-        # classic form |Gamma|^2 and <Pi, Gamma> when K = so3, N = r3
-        if group.name == "sd:so3|r3":
-            def c1(mu):
-                return float(mu[3:] @ mu[3:])
+def casimir_fields(group: LieGroupSpec) -> list[ScalarField]:
+    """Linear, then quadratic, Casimirs of the Lie-Poisson structure on g*.
 
-            def g1(mu):
-                out = np.zeros(6)
-                out[3:] = 2.0 * mu[3:]
-                return out
-
-            def c2(mu):
-                return float(mu[:3] @ mu[3:])
-
-            def g2(mu):
-                return np.concatenate([mu[3:], mu[:3]])
-
-            return [ScalarField(c1, g1, name="|Gamma|^2"), ScalarField(c2, g2, name="<Pi,Gamma>")]
-    return []
+    The coefficients come from ``group.casimirs``, derived once per spec from
+    the structure constants.
+    """
+    linear, quadratic = group.casimirs
+    fields = [ScalarField(lambda mu, x=x: float(x @ mu), lambda mu, x=x: x.copy(), name=f"linear{i}")
+              for i, x in enumerate(linear)]
+    fields += [ScalarField(lambda mu, q=q: float(mu @ q @ mu), lambda mu, q=q: 2.0 * (q @ mu), name=f"quadratic{i}")
+               for i, q in enumerate(quadratic)]
+    return fields
 
 
 @dataclass
@@ -468,7 +451,7 @@ class CoadjointOrbit:
         return np.stack([self.group.ad_star(np.eye(n)[i]) @ mu for i in range(n)], axis=1)
 
     def membership_residual(self, mu: Array) -> float:
-        cas = _casimir_fields(self.group)
+        cas = casimir_fields(self.group)
         if cas:
             return max(abs(c(mu) - c(self.mu0)) for c in cas)
         if not self.samples:
@@ -490,6 +473,24 @@ def coadjoint_orbit(group: LieGroupSpec, mu0: Array, n_samples: int = 40, seed: 
     return orbit
 
 
+def _acts_by_rotation(group: LieGroupSpec) -> bool:
+    """Whether Ad*_{w^-1} mu = w mu, so that the coadjoint orbits are spheres.
+
+    Holds when the 3x3 basis matrices are antisymmetric and basis[i] equals
+    -ad*_{e_i} (whose matrix is structure[i]): the embedding is then the
+    contragredient of Ad, and the group is SO(3).
+    """
+    return (group.dim == group.embed == 3
+            and np.allclose(group.basis, -np.transpose(group.basis, (0, 2, 1)))
+            and np.allclose(group.basis, -group.structure))
+
+
+def _rotation(axis: Array, angle: float) -> Array:
+    """Rotation of R^3 by angle about the unit axis (Rodrigues)."""
+    k = np.array([[0.0, -axis[2], axis[1]], [axis[2], 0.0, -axis[0]], [-axis[1], axis[0], 0.0]])
+    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+
+
 def coadjoint_transport(group: LieGroupSpec, mu_from: Array, mu_to: Array) -> Array:
     """A group element w with Ad*_{w^-1} mu_from = mu_to (orbit alignment)."""
     mu_from = np.asarray(mu_from, dtype=float)
@@ -498,12 +499,12 @@ def coadjoint_transport(group: LieGroupSpec, mu_from: Array, mu_to: Array) -> Ar
         if np.linalg.norm(mu_from - mu_to) > 1e-9:
             raise ValueError("points on distinct orbits of an abelian group")
         return group.identity()
-    if group.name == "so3":
-        # Ad*_{w^-1} mu = w mu in the vector representation: rotate mu_from onto mu_to
+    if _acts_by_rotation(group):
+        # rotate mu_from onto mu_to
         a, b = mu_from, mu_to
         na, nb = np.linalg.norm(a), np.linalg.norm(b)
         if abs(na - nb) > 1e-8 * max(1.0, na):
-            raise ValueError("points on distinct so3* orbits")
+            raise ValueError(f"points on distinct {group.name}* orbits")
         if na < 1e-14:
             return group.identity()
         axis = np.cross(a, b)
@@ -515,24 +516,14 @@ def coadjoint_transport(group: LieGroupSpec, mu_from: Array, mu_to: Array) -> Ar
             # antipodal: rotate by pi around any axis orthogonal to a
             perp = np.eye(3)[int(np.argmin(np.abs(a)))]
             perp = perp - (perp @ a) / (na * na) * a
-            perp = perp / np.linalg.norm(perp)
-            return group.exp(np.pi * perp * (1 - 1e-12))
-        angle = float(np.arctan2(s, c))
-        return group.exp(angle * axis / np.linalg.norm(axis))
+            return _rotation(perp / np.linalg.norm(perp), np.pi * (1 - 1e-12))
+        return _rotation(axis / np.linalg.norm(axis), float(np.arctan2(s, c)))
     raise NotImplementedError(f"no coadjoint transport rule for group {group.name!r}")
 
 
 # ---------------------------------------------------------------------------
 # symplectic two-forms in trivialized coordinates
 # ---------------------------------------------------------------------------
-
-
-def dgamma(bundle: BundleSpec, s: CotangentSample, v1: Array, v2: Array) -> float:
-    """d gamma of T*P on trivialized tangents (dm, xi, da, db)."""
-    d, n = bundle.d, bundle.n
-    dm1, xi1, da1, db1 = v1[:d], v1[d : d + n], v1[d + n : 2 * d + n], v1[2 * d + n :]
-    dm2, xi2, da2, db2 = v2[:d], v2[d : d + n], v2[d + n : 2 * d + n], v2[2 * d + n :]
-    return float(da1 @ dm2 - da2 @ dm1 + db1 @ xi2 - db2 @ xi1 - s.b @ bundle.group.bracket(xi1, xi2))
 
 
 def dexp_left(group: LieGroupSpec, xi: Array, dxi: Array, terms: int = 24) -> Array:

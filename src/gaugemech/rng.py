@@ -22,6 +22,3 @@ def stream(seed: int, label: str) -> np.random.Generator:
     key = (int(seed) ^ int.from_bytes(digest[:8], "little")) & _MASK64
     return np.random.Generator(np.random.Philox(key=key))
 
-
-def substreams(seed: int, label: str, count: int) -> list[np.random.Generator]:
-    return [stream(seed, f"{label}/{i}") for i in range(count)]

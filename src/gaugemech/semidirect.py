@@ -669,8 +669,7 @@ def heavy_top_model(inertia, mgl: float, axis) -> HeavyTopModel:
     if inertia.shape != (3,) or np.any(inertia <= 0):
         raise ValueError("inertia must be three positive moments")
     sd = so3_r3()
-    H = sd.group_spec()
-    space = lie_poisson(H)
+    space = lie_poisson(sd.group_spec())
 
     inv_i = 1.0 / inertia
 
@@ -681,9 +680,12 @@ def heavy_top_model(inertia, mgl: float, axis) -> HeavyTopModel:
     def grad(x: Array) -> Array:
         return np.concatenate([inv_i * x[:3], mgl * axis])
 
-    from .poisson import _casimir_fields
-
-    return HeavyTopModel(sd, space, ScalarField(ham, grad, name="heavy_top"), _casimir_fields(H), inertia, float(mgl), axis)
+    # the two Casimirs that poisson.casimir_fields derives for so3 x| r3, named
+    casimirs = [
+        ScalarField(lambda x: float(x[3:] @ x[3:]), lambda x: np.concatenate([np.zeros(3), 2.0 * x[3:]]), name="|Gamma|^2"),
+        ScalarField(lambda x: float(x[:3] @ x[3:]), lambda x: np.concatenate([x[3:], x[:3]]), name="<Pi,Gamma>"),
+    ]
+    return HeavyTopModel(sd, space, ScalarField(ham, grad, name="heavy_top"), casimirs, inertia, float(mgl), axis)
 
 
 # ---------------------------------------------------------------------------
@@ -702,9 +704,10 @@ def sd_to_json(sd: SemidirectSpec) -> dict:
 
 
 def sd_from_json(doc: dict) -> SemidirectSpec:
-    from .liealg import spec_from_json
+    """Inverse of sd_to_json; ``K`` and ``N`` may also name built-in groups."""
+    from .liealg import builtin_group, spec_from_json
 
-    k = spec_from_json(doc["K"]) if isinstance(doc["K"], dict) else None
-    n = spec_from_json(doc["N"]) if isinstance(doc["N"], dict) else None
-    gens = np.asarray(doc["rho"], dtype=float)
-    return SemidirectSpec(k, n, gens)
+    def group(ref) -> LieGroupSpec:
+        return spec_from_json(ref) if isinstance(ref, dict) else builtin_group(str(ref))
+
+    return SemidirectSpec(group(doc["K"]), group(doc["N"]), np.asarray(doc["rho"], dtype=float))

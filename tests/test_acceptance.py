@@ -5,6 +5,7 @@ pass/fail lines.
 """
 
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -148,7 +149,7 @@ def test_criterion_9_heavy_top():
     ratio_ok = 12.0 <= ratio <= 20.0
 
     grp = model.sd.group_spec()
-    us, bs = dynamics.integrate_group_cotangent(grp, model.hamiltonian, grp.identity(), x0, 1e-3, 1000)
+    us, bs = dynamics.integrate_cotangent(grp, partial(dynamics.group_cotangent_field, grp, model.hamiltonian), grp.identity(), x0, 1e-3, 1000)
     mu_up = grp.Ad_star(np.linalg.inv(us[-1])) @ bs[-1]
     reduced = dynamics.integrate(model.space, model.hamiltonian, x0, 1e-3, 1000)
     agree = float(np.linalg.norm(mu_up - reduced.final))

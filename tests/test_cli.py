@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaugemech import cli, liealg
+from gaugemech import cli, liealg, semidirect
 
 
 def run(args):
@@ -66,6 +66,17 @@ class TestVerify:
         path = tmp_path / "broken.json"
         path.write_text(json.dumps(doc))
         assert run(["verify", str(path), "--out", str(tmp_path)]) == cli.EXIT_CONFIG_ERROR
+
+    def test_semidirect_name_refs(self, tmp_path):
+        sd_doc = semidirect.sd_to_json(semidirect.so3_r3())
+        sd_doc["K"], sd_doc["N"] = "so3", "r3"
+        doc = {"name": "sd-names", "kind": "verify", "seed": 1, "semidirect": sd_doc, "suites": ["semidirect.spec"]}
+        path = tmp_path / "sd.json"
+        path.write_text(json.dumps(doc))
+        assert run(["verify", str(path), "--out", str(tmp_path / "ok")]) == cli.EXIT_PASS
+        sd_doc["N"] = "r33x"
+        path.write_text(json.dumps(doc))
+        assert run(["verify", str(path), "--out", str(tmp_path / "bad")]) == cli.EXIT_CONFIG_ERROR
 
     def test_unknown_suite_exit_2(self, tmp_path):
         doc = {"name": "x", "kind": "verify", "seed": 1, "group": "so3", "suites": ["frobnicate"]}

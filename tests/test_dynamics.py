@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -55,15 +57,29 @@ class TestIntegrate:
         ratio, d1, d2 = convergence_ratio(sp, h, np.array([1.0, 0.7, -0.3]), h=2e-2, t_final=5.0, quantity=h)
         assert 12.0 <= ratio <= 20.0, (ratio, d1, d2)
 
+    def test_linear_field_matches_rk4_propagator(self):
+        # x' = A x with A = J S for H = x^T S x / 2: n RK4 steps apply P^n exactly
+        sp = canonical_cotangent(2)
+        rng = np.random.default_rng(3)
+        s = rng.standard_normal((4, 4))
+        s = s + s.T
+        h_fn = ScalarField(lambda x: float(0.5 * x @ s @ x), lambda x: s @ x)
+        x0, h, n = rng.standard_normal(4), 0.02, 50
+        ha = h * (sp.bivector(x0) @ s)
+        prop = np.eye(4) + ha + ha @ ha / 2 + ha @ ha @ ha / 6 + ha @ ha @ ha @ ha / 24
+        traj = integrate(sp, h_fn, x0, h, n)
+        np.testing.assert_allclose(traj.final, np.linalg.matrix_power(prop, n) @ x0, rtol=0, atol=1e-13)
+
     def test_divergence_aborts_with_step_index(self):
         sp = canonical_cotangent(1)
         # H = (q p)^2 / 2 has superexponential flow; large steps overflow fast
         h = ScalarField(lambda x: 0.5 * (x[0] * x[1]) ** 2,
                         lambda x: np.array([x[0] * x[1] ** 2, x[0] ** 2 * x[1]]))
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as err:
-            integrate(sp, h, np.array([3.0, 3.0]), 0.5, 400)
+            integrate(sp, h, np.array([3.0, 3.0]), 0.5, 400, monitors={"H": h})
         assert err.value.step >= 1
         assert err.value.trajectory.states.shape[0] == err.value.step
+        assert err.value.trajectory.monitors["H"].shape[0] == err.value.step
 
     def test_rejects_nonpositive_step(self):
         sp = canonical_cotangent(1)
@@ -100,7 +116,7 @@ class TestReductionConsistency:
         q = quotient_cotangent(b)
         h_red = free_body([1.0, 2.0, 3.0])
         mu0 = np.array([0.9, -0.4, 0.3])
-        us, bs = dynamics.integrate_group_cotangent(g, h_red, g.identity(), mu0, 1e-2, 100)
+        us, bs = dynamics.integrate_cotangent(g, partial(dynamics.group_cotangent_field, g, h_red), g.identity(), mu0, 1e-2, 100)
         traj = integrate(q, h_red, mu0, 1e-2, 100)
         for idx in (25, 50, 100):
             mu_up = g.Ad_star(np.linalg.inv(us[idx])) @ bs[idx]
@@ -110,7 +126,7 @@ class TestReductionConsistency:
         m = semidirect.heavy_top_model([1.0, 2.0, 3.0], 1.0, [0.0, 0.0, 1.0])
         grp = m.sd.group_spec()
         x0 = np.array([0.8, -0.3, 0.6, 0.2, 0.1, 0.9])
-        us, bs = dynamics.integrate_group_cotangent(grp, m.hamiltonian, grp.identity(), x0, 1e-3, 1000)
+        us, bs = dynamics.integrate_cotangent(grp, partial(dynamics.group_cotangent_field, grp, m.hamiltonian), grp.identity(), x0, 1e-3, 1000)
         traj = integrate(m.space, m.hamiltonian, x0, 1e-3, 1000)
         mu_up = grp.Ad_star(np.linalg.inv(us[-1])) @ bs[-1]
         assert np.linalg.norm(mu_up - traj.final) <= 1e-6

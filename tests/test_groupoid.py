@@ -4,6 +4,7 @@ import pytest
 from gaugemech import bundle, groupoid, liealg
 from gaugemech.bundle import BundleSpec, ConnectionData, CotangentSample, Point
 from gaugemech.groupoid import (
+    CoalgebraTripleOps,
     CotangentPairOps,
     DualOfPairTangent,
     PairTangentOps,
@@ -11,9 +12,7 @@ from gaugemech.groupoid import (
     VBElement,
     core_compute,
     core_suite,
-    cotangent_pair_structure,
     dual_structure_suite,
-    gauge_dual_groupoid,
     i2_star,
     j2,
     momentum_morphism_suite,
@@ -91,8 +90,8 @@ class TestCotangentPairStructure:
     def test_source_target_of_identity(self, b):
         rng = np.random.default_rng(6)
         phi = b.random_cotangent(rng)
-        eps = cotangent_pair_structure(b, VBElement("T*PxT*P", (phi, phi)), "identity")
         ops = CotangentPairOps(b)
+        eps = ops.identity(phi)
         assert ops.side_distance(ops.source(eps), phi) <= 1e-14
         assert ops.side_distance(ops.target(eps), phi) <= 1e-14
         # eps(phi) = (phi, -phi)
@@ -174,9 +173,9 @@ class TestGaugeDualGroupoid:
         rng = np.random.default_rng(15)
         p, q = b.random_point(rng), b.random_point(rng)
         el = VBElement("Pxg*xP", (p, rng.standard_normal(3), q))
-        prod = gauge_dual_groupoid(b, el, "product", gauge_dual_groupoid(b, el, "inverse"))
-        ident = gauge_dual_groupoid(b, el, "identity")
-        ops = space_ops(b, "Pxg*xP")
+        ops = CoalgebraTripleOps(b)
+        prod = ops.product(el, ops.inverse(el))
+        ident = ops.identity(el.data[0])
         assert ops.distance(prod, ident) <= 1e-14
 
     def test_i2_star_morphism_on_composable_pairs(self, b):

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from gaugemech import liealg
+from gaugemech import liealg, semidirect
 from gaugemech.liealg import (
     LieDomainError,
     TangentGroupPoint,
@@ -183,6 +185,35 @@ class TestValidate:
 
     def test_jacobi_defect_zero_for_so3(self, so3):
         assert liealg.jacobi_defect(so3) <= 1e-12
+
+
+class TestCasimirs:
+    @pytest.mark.parametrize("factory, n_linear, n_quadratic", [
+        (liealg.so3, 0, 1),
+        (liealg.heisenberg3, 1, 0),
+        (lambda: liealg.translation_group(3), 3, 0),
+        (lambda: liealg.torus(2), 2, 0),
+        (lambda: semidirect.so3_r3().group_spec(), 0, 2),
+    ])
+    def test_counts(self, factory, n_linear, n_quadratic):
+        linear, quadratic = factory().casimirs
+        assert (len(linear), len(quadratic)) == (n_linear, n_quadratic)
+
+    def test_exact_normal_forms(self, so3):
+        np.testing.assert_array_equal(so3.casimirs[1], [np.eye(3)])
+        np.testing.assert_array_equal(liealg.heisenberg3().casimirs[0], [[0.0, 0.0, 1.0]])
+        np.testing.assert_array_equal(liealg.translation_group(3).casimirs[0], np.eye(3))
+        pi_gamma = np.zeros((6, 6))
+        pi_gamma[:3, 3:] = pi_gamma[3:, :3] = 0.5 * np.eye(3)
+        gamma_sq = np.diag([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
+        np.testing.assert_array_equal(semidirect.so3_r3().group_spec().casimirs[1], [pi_gamma, gamma_sq])
+
+    def test_independent_of_name(self, so3):
+        heis = liealg.heisenberg3()
+        renamed = dataclasses.replace(heis, name="so3")
+        np.testing.assert_array_equal(renamed.casimirs[0], heis.casimirs[0])
+        assert renamed.casimirs[1].shape[0] == 0
+        np.testing.assert_array_equal(dataclasses.replace(so3, name="rot").casimirs[1], [np.eye(3)])
 
 
 class TestSerialization:

@@ -1,13 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from gaugemech import bundle, liealg, poisson
+from gaugemech import bundle, liealg, poisson, semidirect
 from gaugemech.bundle import BundleSpec, ConnectionData
 from gaugemech.poisson import (
     ChartError,
     ScalarField,
     bracket_property_suite,
     canonical_cotangent,
+    casimir_fields,
     coadjoint_orbit,
     coadjoint_transport,
     coordinate_field,
@@ -148,6 +151,16 @@ class TestOrbits:
             mu0 = rng.standard_normal(3)
             assert coadjoint_orbit(liealg.so3(), mu0, seed=15).dim % 2 == 0
 
+    def test_transport_rescaled_basis(self):
+        so3 = liealg.so3()
+        g = liealg.LieGroupSpec("rot", 3, 3, 2.0 * so3.basis, 2.0 * so3.structure, so3.membership_residual)
+        rng = np.random.default_rng(16)
+        mu1 = rng.standard_normal(3)
+        for mu2 in (g.Ad_star(np.linalg.inv(g.random_element(rng))) @ mu1, -mu1):
+            w = coadjoint_transport(g, mu1, mu2)
+            assert g.contains(w)
+            assert np.linalg.norm(g.Ad_star(np.linalg.inv(w)) @ mu1 - mu2) <= 1e-10
+
     def test_transport(self):
         g = liealg.so3()
         rng = np.random.default_rng(16)
@@ -156,6 +169,34 @@ class TestOrbits:
         mu2 = g.Ad_star(np.linalg.inv(rot)) @ mu1
         w = coadjoint_transport(g, mu1, mu2)
         assert np.linalg.norm(g.Ad_star(np.linalg.inv(w)) @ mu1 - mu2) <= 1e-10
+
+
+class TestCasimirs:
+    @pytest.mark.parametrize("factory", [
+        liealg.so3,
+        liealg.heisenberg3,
+        lambda: liealg.translation_group(3),
+        lambda: liealg.torus(2),
+        lambda: semidirect.so3_r3().group_spec(),
+    ])
+    def test_commute_with_random_polynomials(self, factory):
+        g = factory()
+        lp = lie_poisson(g)
+        rng = np.random.default_rng(40)
+        for c in casimir_fields(g):
+            for _ in range(10):
+                f = random_polynomial(rng, g.dim, degree=3)
+                assert abs(lp.bracket(c, f, rng.standard_normal(g.dim))) <= 1e-8
+
+    def test_follow_structure_not_name(self):
+        heis_as_so3 = dataclasses.replace(liealg.heisenberg3(), name="so3")
+        (c,) = casimir_fields(heis_as_so3)
+        mu = np.array([0.3, -1.2, 0.7])
+        assert c(mu) == mu[2]
+        (c,) = casimir_fields(dataclasses.replace(liealg.so3(), name="rot"))
+        assert c(mu) == mu @ mu
+        orbit = coadjoint_orbit(heis_as_so3, np.array([1.0, 0.0, 0.5]), seed=41)
+        assert orbit.membership_residual(np.array([5.0, -3.0, 0.5])) == 0.0
 
 
 class TestLeafStructure:

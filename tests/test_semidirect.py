@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -213,7 +215,7 @@ class TestPullbackForm:
         fc0 = semidirect.FactoredCotangent(k0, theta0, u0, chi0)
         beta0 = semidirect.tstar_sigma(sd, fc0)
         h_step, n_steps = 5e-3, 200
-        us, betas = dynamics.integrate_body_cotangent(H, f_full, sd.embed(k0, u0), beta0, h_step, n_steps)
+        us, betas = dynamics.integrate_cotangent(H, partial(dynamics.body_cotangent_field, H, f_full), sd.embed(k0, u0), beta0, h_step, n_steps)
         k_t, u_t = sd.split(us[-1])
         fc_t = semidirect.tstar_sigma_inverse(sd, k_t, u_t, betas[-1])
 
@@ -321,7 +323,32 @@ class TestErrors:
         assert "skipped" in rep.extras.get("leaf_check", "")
 
 
+class TestHeavyTopCasimirs:
+    def test_equal_derived(self):
+        model = heavy_top_model([1.0, 2.0, 3.0], 1.0, [0.0, 0.0, 1.0])
+        derived = poisson.casimir_fields(model.sd.group_spec())
+        assert [c.name for c in model.casimirs] == ["|Gamma|^2", "<Pi,Gamma>"]
+        rng = np.random.default_rng(42)
+        for _ in range(5):
+            x = rng.standard_normal(6)
+            for own, der in zip(model.casimirs, reversed(derived)):
+                assert abs(own(x) - der(x)) <= 1e-14
+                np.testing.assert_allclose(own.gradient(x), der.gradient(x), rtol=0, atol=1e-14)
+
+
 class TestSerialization:
+    def test_builtin_name_roundtrip(self, sd):
+        doc = semidirect.sd_to_json(sd)
+        doc["K"], doc["N"] = sd.K.name, sd.N.name
+        back = semidirect.sd_from_json(doc)
+        assert (back.K.name, back.N.name) == ("so3", "r3")
+        rng = np.random.default_rng(30)
+        l, u = sd.K.random_element(rng, 0.4), sd.N.random_element(rng)
+        np.testing.assert_allclose(back.rho(l, u), sd.rho(l, u), atol=1e-10)
+        doc["K"] = "so4"
+        with pytest.raises(KeyError):
+            semidirect.sd_from_json(doc)
+
     def test_json_roundtrip(self, sd):
         doc = semidirect.sd_to_json(sd)
         back = semidirect.sd_from_json(doc)
