@@ -328,8 +328,12 @@ class BundleSpec:
         rep = CotangentSample(Point(rep.point.base, self.group.identity()), rep.a, rep.b)
         return QuotientClass(rep)
 
-    def class_coords(self, cls: QuotientClass) -> Array:
-        return cls.rep.coords
+    def class_coords(self, sample: CotangentSample) -> Array:
+        """Coordinates (m, a, bbar) of the class of a sample: its gauge-fixed representative."""
+        if self.kind != "TrivialProduct":
+            raise ValueError("class coordinates require a TrivialProduct bundle chart")
+        rep = self.quotient_rep(sample).rep
+        return np.concatenate([rep.point.base, rep.a, rep.b])
 
     def class_distance(self, c1: QuotientClass, c2: QuotientClass) -> float:
         return self.base_distance(c1.rep.point.base, c2.rep.point.base) + float(
@@ -553,16 +557,6 @@ def anchor_pullback_suite(b: BundleSpec, samples: int = 40, seed: int = 0, tol: 
     rep.add("pullback_matches_canonical", worst, tol)
     rep.extras["trials"] = samples
     return rep
-
-
-def full_suite(b: BundleSpec, seed: int = 0, samples: int = 40) -> list[SuiteReport]:
-    return [
-        action_suite(b, samples=samples, seed=seed),
-        connection_suite(b, samples=samples, seed=seed),
-        momentum_suite(b, samples=max(60, samples), seed=seed),
-        dual_sequence_suite(b, samples=max(50, samples), seed=seed),
-        anchor_pullback_suite(b, samples=samples, seed=seed),
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ import numpy as np
 from . import bundle as bundle_mod
 from . import dynamics, groupoid, liealg, poisson, semidirect
 from .report import SuiteReport, dump_json
+from .rng import stream
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
@@ -326,8 +327,6 @@ def _suite_registry() -> dict[str, Callable[[dict, int], list[SuiteReport]]]:
 
 def _momentum_cross_check(sd: semidirect.SemidirectSpec, b: bundle_mod.BundleSpec, seed: int) -> SuiteReport:
     """bundle.momentum on the total space matches the factor momentum J_N."""
-    from .rng import stream
-
     rep = SuiteReport(f"semidirect.momentum_cross_check[{sd.name}]")
     rng = stream(seed, f"semidirect.momentum_cross/{sd.name}")
     worst = 0.0
@@ -347,6 +346,17 @@ def _momentum_cross_check(sd: semidirect.SemidirectSpec, b: bundle_mod.BundleSpe
 # ---------------------------------------------------------------------------
 # runners
 # ---------------------------------------------------------------------------
+
+
+def _vector(cfg: dict, key: str, length: int) -> np.ndarray:
+    """A finite vector of the given length from a scenario section, or ConfigError."""
+    try:
+        v = np.asarray(cfg.get(key), dtype=float)
+    except (TypeError, ValueError):
+        v = None
+    if v is None or v.shape != (length,) or not np.all(np.isfinite(v)):
+        raise ConfigError(f"{key!r} must be a list of {length} finite numbers, got {cfg.get(key)!r}")
+    return v
 
 
 def run_verify(scenario: dict, basedir: Path, seed: int, tol_scale: float, out_dir: Path) -> int:
@@ -382,7 +392,10 @@ def run_leaves(scenario: dict, basedir: Path, seed: int, tol_scale: float, out_d
     if cfg is None:
         raise ConfigError("leaves scenario needs a 'leaves' section")
     b = _resolve_bundle(scenario["bundle"], basedir)
-    mu0 = np.asarray(cfg["mu0"], dtype=float)
+    if b.kind != "TrivialProduct":
+        raise ConfigError("leaves need a TrivialProduct bundle (class coordinates on a base box)")
+    mu0 = _vector(cfg, "mu0", b.n)
+    chi = _vector(cfg, "chi", b.n) if "chi" in cfg else None
     orbit = poisson.coadjoint_orbit(b.group, mu0, n_samples=int(cfg.get("orbit_samples", 40)), seed=seed)
     reports = [poisson.leaf_structure(b, orbit, samples=int(cfg.get("samples", 20)), seed=seed)]
     extras: dict[str, Any] = {"orbit_dim": orbit.dim, "leaf_dim": 2 * b.d + orbit.dim}
@@ -390,8 +403,8 @@ def run_leaves(scenario: dict, basedir: Path, seed: int, tol_scale: float, out_d
     if cfg.get("groupoid_action"):
         reports.append(poisson.groupoid_action_suite(b, orbit, samples=8, seed=seed))
 
-    if "chi" in cfg:
-        _, mag_rep = poisson.magnetic_term(b, np.asarray(cfg["chi"], dtype=float), samples=int(cfg.get("samples", 12)), seed=seed)
+    if chi is not None:
+        _, mag_rep = poisson.magnetic_term(b, chi, samples=int(cfg.get("samples", 12)), seed=seed)
         reports.append(mag_rep)
         extras["magnetic_closedness_residual"] = mag_rep.extras.get("magnetic_closedness_residual")
 
@@ -411,19 +424,16 @@ def run_leaves(scenario: dict, basedir: Path, seed: int, tol_scale: float, out_d
     dump_json(doc, str(out_dir / "report.json"))
 
     # sampled leaf points as CSV: class coordinates (m, a, bbar)
-    if b.kind == "TrivialProduct":
-        from .rng import stream
-
-        rng = stream(seed, "cli.leaf_points")
-        rows = []
-        for mu in orbit.samples[: int(cfg.get("samples", 20))]:
-            m = b.random_base(rng)
-            cls = b.sigma(m, mu)
-            rows.append(np.concatenate([m, cls.rep.a + rng.standard_normal(b.d), cls.rep.b]))
-        with (out_dir / "leaf_points.csv").open("w", encoding="utf-8") as fh:
-            fh.write(",".join([f"m{i+1}" for i in range(b.d)] + [f"a{i+1}" for i in range(b.d)] + [f"b{i+1}" for i in range(b.n)]) + "\n")
-            for row in rows:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    rng = stream(seed, "cli.leaf_points")
+    rows = []
+    for mu in orbit.samples[: int(cfg.get("samples", 20))]:
+        m = b.random_base(rng)
+        cls = b.sigma(m, mu)
+        rows.append(np.concatenate([m, cls.rep.a + rng.standard_normal(b.d), cls.rep.b]))
+    with (out_dir / "leaf_points.csv").open("w", encoding="utf-8") as fh:
+        fh.write(",".join([f"m{i+1}" for i in range(b.d)] + [f"a{i+1}" for i in range(b.d)] + [f"b{i+1}" for i in range(b.n)]) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
     return EXIT_PASS if doc["pass"] else EXIT_CHECK_FAILURE
 
 
@@ -433,10 +443,18 @@ def run_simulate(scenario: dict, basedir: Path, seed: int, tol_scale: float, out
         raise ConfigError("simulate scenario needs a 'simulate' section")
     if cfg.get("model", "heavy_top") != "heavy_top":
         raise ConfigError(f"unknown model {cfg.get('model')!r}")
-    model = semidirect.heavy_top_model(cfg["inertia"], float(cfg["mgl"]), cfg["axis"])
-    x0 = np.asarray(cfg["x0"], dtype=float)
-    h = float(cfg["h"])
-    n_steps = int(cfg["n_steps"])
+    x0, axis, inertia = _vector(cfg, "x0", 6), _vector(cfg, "axis", 3), _vector(cfg, "inertia", 3)
+    if np.any(inertia <= 0):
+        raise ConfigError(f"'inertia' must hold three positive moments, got {cfg['inertia']!r}")
+    try:
+        h, n_steps, mgl = float(cfg["h"]), int(cfg["n_steps"]), float(cfg["mgl"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"'h', 'n_steps' and 'mgl' must be numbers: {exc}") from None
+    if not 0 < h < np.inf:
+        raise ConfigError(f"step size 'h' must be positive and finite, got {cfg['h']!r}")
+    if n_steps < 1:
+        raise ConfigError(f"'n_steps' must be at least 1, got {cfg['n_steps']!r}")
+    model = semidirect.heavy_top_model(inertia, mgl, axis)
     monitors = {"energy": model.hamiltonian}
     for c in model.casimirs:
         monitors[c.name] = c

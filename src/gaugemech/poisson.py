@@ -8,12 +8,14 @@ Bracket conventions (fixed package-wide, matching the Lie-Poisson structure
               {f,g} = dm_f.da_g - dm_g.da_f + du_f.db_g - du_g.db_f
                       + <b, [grad_b g, grad_b f]>
               where du is the left-trivialized fiber derivative.  This is the
-              canonical cotangent bracket of T*(M x G); its reduction by the
-              right G-action through gauge-fixed representatives reproduces
-              the (plus) Lie-Poisson bracket on the coalgebra.
-  quotient    functions of the gauge-fixed class coordinates (m, a, bbar),
-              bracketed by lifting to G-invariant functions on T*P and
-              evaluating the canonical bracket at the gauge slice.
+              canonical cotangent bracket of T*(M x G).
+  quotient    T*P/G in the gauge-fixed class coordinates (m, a, bbar) is
+              T*M x g*: the canonical bracket plus the Lie-Poisson bracket
+              (cotangent bundle reduction).  ``dual_pair_check`` keeps the
+              route through G-invariant lifts to T*P as a check.
+
+Every ``PoissonSpace`` bivector is affine in the coordinates, B(x) = const +
+linear.x, and one formula, {f,g} = grad f . B(x) . grad g, serves them all.
 
 Two-form computations (leaf symplectic forms, magnetic terms, isotropy of
 action graphs) use the exterior derivative of the tautological one-form,
@@ -26,12 +28,12 @@ group, never from its name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .bundle import BundleSpec, CotangentSample, Point
+from .bundle import BundleSpec, CotangentSample, Point, QuotientClass
 from .liealg import LieGroupSpec
 from .report import SuiteReport
 from .rng import stream
@@ -171,13 +173,17 @@ def cotangent_bracket(bundle: BundleSpec, F: CotangentFn, G: CotangentFn, s: Cot
 
 @dataclass
 class PoissonSpace:
-    """A bracket-evaluating coordinate description of a Poisson manifold."""
+    """A Poisson manifold in coordinates where its bivector is affine.
+
+    B_ij(x) = {x_i, x_j}(x) = const_ij + sum_k linear_ijk x_k.  ``const`` is
+    None when the constant part vanishes; ``box`` (shape (k, 2)) bounds the
+    first k coordinates of the chart and is None for all of R^dim.
+    """
 
     kind: str  # canonical | lie_poisson | quotient | product
-    dim: int
-    group: LieGroupSpec | None = None
-    bundle: BundleSpec | None = None
-    factors: tuple["PoissonSpace", ...] = ()
+    linear: Array
+    const: Array | None = None
+    box: Array | None = None
     name: str = ""
 
     def __post_init__(self) -> None:
@@ -186,141 +192,93 @@ class PoissonSpace:
         if not self.name:
             self.name = self.kind
 
-    # -- chart -----------------------------------------------------------------
+    @property
+    def dim(self) -> int:
+        return self.linear.shape[0]
 
     def check_chart(self, x: Array) -> None:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,) or not np.all(np.isfinite(x)):
             raise ChartError(f"point of shape {x.shape} invalid for {self.name} (dim {self.dim})")
-        if self.kind == "quotient":
-            d = self.bundle.d
-            box = self.bundle.base_box
-            if np.any(x[:d] < box[:, 0] - 1e-9) or np.any(x[:d] > box[:, 1] + 1e-9):
-                raise ChartError("base point outside the bundle chart")
-
-    # -- bracket ---------------------------------------------------------------
+        if self.box is not None:
+            k = self.box.shape[0]
+            if np.any(x[:k] < self.box[:, 0] - 1e-9) or np.any(x[:k] > self.box[:, 1] + 1e-9):
+                raise ChartError(f"point outside the chart box of {self.name}")
 
     def bracket(self, f: ScalarField, g: ScalarField, x: Array) -> float:
+        """{f, g}(x) = grad f . B(x) . grad g."""
         self.check_chart(x)
         x = np.asarray(x, dtype=float)
-        if self.kind == "canonical":
-            nq = self.dim // 2
-            gf, gg = f.gradient(x), g.gradient(x)
-            return float(gf[:nq] @ gg[nq:] - gf[nq:] @ gg[:nq])
-        if self.kind == "lie_poisson":
-            gf, gg = f.gradient(x), g.gradient(x)
-            return float(x @ self.group.bracket(gf, gg))
-        if self.kind == "quotient":
-            s = self._gauge_state(x)
-            return cotangent_bracket(self.bundle, self._lift(f), self._lift(g), s)
-        # product: sum of the factor brackets on coordinate slices
-        total = 0.0
-        off = 0
-        for fac in self.factors:
-            sl = slice(off, off + fac.dim)
-            f_r = _restrict(f, x, sl)
-            g_r = _restrict(g, x, sl)
-            total += fac.bracket(f_r, g_r, x[sl])
-            off += fac.dim
-        return total
+        return float(f.gradient(x) @ self.bivector(x) @ g.gradient(x))
 
     def bivector(self, x: Array) -> Array:
         """Matrix B_ij = {x_i, x_j} at the point."""
-        x = np.asarray(x, dtype=float)
-        if self.kind == "canonical":
-            nq = self.dim // 2
-            b = np.zeros((self.dim, self.dim))
-            b[:nq, nq:] = np.eye(nq)
-            b[nq:, :nq] = -np.eye(nq)
-            return b
-        if self.kind == "lie_poisson":
-            return np.einsum("ijk,k->ij", self.group.structure, x)
-        if self.kind == "product":
-            blocks = []
-            off = 0
-            for fac in self.factors:
-                blocks.append(fac.bivector(x[off : off + fac.dim]))
-                off += fac.dim
-            out = np.zeros((self.dim, self.dim))
-            off = 0
-            for blk in blocks:
-                k = blk.shape[0]
-                out[off : off + k, off : off + k] = blk
-                off += k
-            return out
-        # quotient: coordinate-function brackets through the invariant lift
-        b = np.zeros((self.dim, self.dim))
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                b[i, j] = self.bracket(coordinate_field(i, self.dim), coordinate_field(j, self.dim), x)
-                b[j, i] = -b[i, j]
-        return b
-
-    # -- quotient plumbing -------------------------------------------------------
-
-    def _gauge_state(self, x: Array) -> CotangentSample:
-        d, n = self.bundle.d, self.bundle.n
-        return CotangentSample(Point(x[:d], self.bundle.group.identity()), x[d : 2 * d], x[2 * d :])
-
-    def class_coords(self, s: CotangentSample) -> Array:
-        """Coordinates (m, a, bbar) of the class of an arbitrary T*P sample."""
-        rep = self.bundle.quotient_rep(s).rep
-        return np.concatenate([rep.point.base, rep.a, rep.b])
-
-    def _lift(self, f: ScalarField) -> CotangentFn:
-        bundle = self.bundle
-        d = bundle.d
-
-        def fn(s: CotangentSample) -> float:
-            return f(self.class_coords(s))
-
-        if f.grad is None:
-            return CotangentFn(fn)
-
-        def grads(s: CotangentSample):
-            u_inv = np.linalg.inv(s.point.fiber)
-            m_u = bundle.group.Ad_star(u_inv)
-            x = np.concatenate([s.point.base, s.a, m_u @ s.b])
-            g = f.gradient(x)
-            gm, ga, gb = g[:d], g[d : 2 * d], g[2 * d :]
-            return gm, bundle.group.coadjoint_chain_rule(m_u, gb, s.b), ga, m_u.T @ gb
-
-        return CotangentFn(fn, grads)
-
-
-def _restrict(f: ScalarField, x: Array, sl: slice) -> ScalarField:
-    def fn(y: Array) -> float:
-        z = x.copy()
-        z[sl] = y
-        return f(z)
-
-    grad = None
-    if f.grad is not None:
-        def grad(y: Array) -> Array:
-            z = x.copy()
-            z[sl] = y
-            return f.gradient(z)[sl]
-
-    return ScalarField(fn, grad)
+        b = np.einsum("ijk,k->ij", self.linear, np.asarray(x, dtype=float))
+        return b if self.const is None else b + self.const
 
 
 def canonical_cotangent(nq: int, name: str = "") -> PoissonSpace:
-    return PoissonSpace("canonical", 2 * nq, name=name or f"T*R{nq}")
+    """T*R^nq in coordinates (q, p): the constant bivector J."""
+    const = np.zeros((2 * nq, 2 * nq))
+    const[:nq, nq:] = np.eye(nq)
+    const[nq:, :nq] = -np.eye(nq)
+    return PoissonSpace("canonical", np.zeros((2 * nq,) * 3), const, name=name or f"T*R{nq}")
 
 
 def lie_poisson(group: LieGroupSpec, name: str = "") -> PoissonSpace:
-    return PoissonSpace("lie_poisson", group.dim, group=group, name=name or f"{group.name}*")
-
-
-def quotient_cotangent(bundle: BundleSpec, name: str = "") -> PoissonSpace:
-    if bundle.kind != "TrivialProduct":
-        raise ValueError("quotient coordinates require a TrivialProduct bundle chart")
-    return PoissonSpace("quotient", 2 * bundle.d + bundle.n, bundle=bundle, name=name or f"T*P/G[{bundle.name}]")
+    """g* with {f,g}(mu) = <mu, [grad f, grad g]>: the structure constants are the linear part."""
+    return PoissonSpace("lie_poisson", group.structure, name=name or f"{group.name}*")
 
 
 def product_space(factors: Sequence[PoissonSpace], name: str = "") -> PoissonSpace:
+    """Block-diagonal product; only the leading factor may carry a chart box."""
     facs = tuple(factors)
-    return PoissonSpace("product", sum(f.dim for f in facs), factors=facs, name=name or "x".join(f.name for f in facs))
+    if any(f.box is not None for f in facs[1:]):
+        raise ValueError("only the leading factor of a product may carry a chart box")
+    dim = sum(f.dim for f in facs)
+    linear = np.zeros((dim, dim, dim))
+    const = np.zeros((dim, dim))
+    off = 0
+    for f in facs:
+        sl = slice(off, off + f.dim)
+        linear[sl, sl, sl] = f.linear
+        if f.const is not None:
+            const[sl, sl] = f.const
+        off += f.dim
+    return PoissonSpace("product", linear, const, facs[0].box if facs else None, name or "x".join(f.name for f in facs))
+
+
+def quotient_cotangent(bundle: BundleSpec, name: str = "") -> PoissonSpace:
+    """T*P/G in the class coordinates (m, a, bbar): T*M x g*, chart box on m."""
+    if bundle.kind != "TrivialProduct":
+        raise ValueError("quotient coordinates require a TrivialProduct bundle chart")
+    space = product_space([canonical_cotangent(bundle.d), lie_poisson(bundle.group)])
+    return replace(space, kind="quotient", box=bundle.base_box, name=name or f"T*P/G[{bundle.name}]")
+
+
+def invariant_lift(bundle: BundleSpec, f: ScalarField) -> CotangentFn:
+    """The G-invariant function f o class_coords on T*P.
+
+    Block gradients are exact when f has an exact gradient, and come from
+    ``cotangent_grads``' central differences otherwise.
+    """
+    d = bundle.d
+
+    def fn(s: CotangentSample) -> float:
+        return f(bundle.class_coords(s))
+
+    if f.grad is None:
+        return CotangentFn(fn)
+
+    def grads(s: CotangentSample):
+        u_inv = np.linalg.inv(s.point.fiber)
+        m_u = bundle.group.Ad_star(u_inv)
+        x = np.concatenate([s.point.base, s.a, m_u @ s.b])
+        g = f.gradient(x)
+        gm, ga, gb = g[:d], g[d : 2 * d], g[2 * d :]
+        return gm, bundle.group.coadjoint_chain_rule(m_u, gb, s.b), ga, m_u.T @ gb
+
+    return CotangentFn(fn, grads)
 
 
 # ---------------------------------------------------------------------------
@@ -343,20 +301,18 @@ def bracket_property_suite(space: PoissonSpace, trials: int = 200, seed: int = 0
         lhs = space.bracket(prod, k, x)
         rhs = f(x) * space.bracket(g, k, x) + g(x) * space.bracket(f, k, x)
         w_leib = max(w_leib, abs(lhs - rhs))
-    rep.add("antisymmetry", w_anti, 1e-12 if space.kind in ("canonical", "lie_poisson") else 1e-9)
+    rep.add("antisymmetry", w_anti, 1e-12)
     rep.add("leibniz", w_leib, 1e-8)
     rep.extras["trials"] = trials
     return rep
 
 
 def _sample_point(space: PoissonSpace, rng: np.random.Generator) -> Array:
-    if space.kind == "quotient":
-        b = space.bundle
-        m = b.random_base(rng)
-        return np.concatenate([m, rng.standard_normal(b.d), rng.standard_normal(b.n)])
-    if space.kind == "product":
-        return np.concatenate([_sample_point(f, rng) for f in space.factors])
-    return rng.standard_normal(space.dim)
+    """Uniform on the inner part of the chart box, as BundleSpec.random_base draws; normal elsewhere."""
+    if space.box is None:
+        return rng.standard_normal(space.dim)
+    lo, hi = space.box[:, 0], space.box[:, 1]
+    return np.concatenate([lo + (hi - lo) * rng.uniform(0.1, 0.9, size=lo.size), rng.standard_normal(space.dim - lo.size)])
 
 
 def jacobi_check(space: PoissonSpace, point: Array | None = None, trials: int = 20, seed: int = 0,
@@ -388,7 +344,11 @@ def jacobi_check(space: PoissonSpace, point: Array | None = None, trials: int = 
 
 
 def dual_pair_check(bundle: BundleSpec, trials: int = 100, seed: int = 0, tol: float = 1e-7) -> SuiteReport:
-    """Polarity of the dual pair: {f o pi_G, h o J} = 0 on T*P."""
+    """Polarity of the dual pair, {f o pi_G, h o J} = 0 on T*P, and the quotient bracket.
+
+    ``quotient_matches_lift`` compares the closed-form bracket of T*P/G with
+    the T*P bracket of invariant lifts at samples in an arbitrary gauge.
+    """
     rep = SuiteReport(f"poisson.dual_pair[{bundle.name}]")
     rng = stream(seed, f"poisson.dual_pair/{bundle.name}")
     quot = quotient_cotangent(bundle)
@@ -398,7 +358,7 @@ def dual_pair_check(bundle: BundleSpec, trials: int = 100, seed: int = 0, tol: f
         s = bundle.random_cotangent(rng)
         f = random_polynomial(rng, quot.dim)
         h = random_polynomial(rng, bundle.n)
-        F = quot._lift(f)
+        F = invariant_lift(bundle, f)
         H = CotangentFn(lambda ss, h=h: h(ss.b), lambda ss, h=h: (np.zeros(bundle.d), np.zeros(bundle.n), np.zeros(bundle.d), h.gradient(ss.b)))
         worst = max(worst, abs(cotangent_bracket(bundle, F, H, s)))
 
@@ -410,9 +370,18 @@ def dual_pair_check(bundle: BundleSpec, trials: int = 100, seed: int = 0, tol: f
             H2 = CotangentFn(lambda ss, h2=h2: h2(ss.b), lambda ss, h2=h2: (np.zeros(bundle.d), np.zeros(bundle.n), np.zeros(bundle.d), h2.gradient(ss.b)))
             w_cas = max(w_cas, abs(cotangent_bracket(bundle, C, H2, s)))
             w_cas = max(w_cas, abs(cotangent_bracket(bundle, F, C, s)))
+
+    rng = stream(seed, f"poisson.dual_pair.lift/{bundle.name}")
+    w_lift = 0.0
+    for _ in range(trials):
+        s = bundle.random_cotangent(rng)
+        f, g = random_polynomial(rng, quot.dim), random_polynomial(rng, quot.dim)
+        lifted = cotangent_bracket(bundle, invariant_lift(bundle, f), invariant_lift(bundle, g), s)
+        w_lift = max(w_lift, abs(quot.bracket(f, g, bundle.class_coords(s)) - lifted))
     rep.add("polarity", worst, tol)
     if cas:
         rep.add("casimir_commutes", w_cas, tol)
+    rep.add("quotient_matches_lift", w_lift, 1e-9)
     rep.extras["trials"] = trials
     return rep
 
@@ -573,7 +542,6 @@ def leaf_structure(bundle: BundleSpec, orbit: CoadjointOrbit, samples: int = 25,
     """Membership, dimension, affine fibration, and section checks for J^{-1}(O)/G."""
     rep = SuiteReport(f"poisson.leaf[{bundle.name}|orbit({orbit.group.name})]")
     rng = stream(seed, f"poisson.leaf/{bundle.name}")
-    quot = quotient_cotangent(bundle)
     d, n = bundle.d, bundle.n
     G = bundle.group
 
@@ -602,7 +570,7 @@ def leaf_structure(bundle: BundleSpec, orbit: CoadjointOrbit, samples: int = 25,
 
         # (b) leaf dimension: rank of the tangent span of the parametrization
         # (m, rho, orbit direction) -> a*(rho) + sigma(m, transported chi)
-        x0 = quot.class_coords(phi)
+        x0 = bundle.class_coords(phi)
         m0, chi0 = x0[:d], x0[2 * d :]
 
         def embed(mm: Array, rho: Array, svec: Array) -> Array:
@@ -628,7 +596,7 @@ def leaf_structure(bundle: BundleSpec, orbit: CoadjointOrbit, samples: int = 25,
         dim_ok = dim_ok and (leaf_dim == 2 * d + orbit.dim)
 
         # (c) the affine action is free and transitive on iota*-fibers
-        cls1 = quot.class_coords(phi)
+        cls1 = bundle.class_coords(phi)
         rho2 = rng.standard_normal(d)
         cls2 = np.concatenate([cls1[:d], cls1[d : 2 * d] + rho2, cls1[2 * d :]])
         diff_rho = cls2[d : 2 * d] - cls1[d : 2 * d]
@@ -637,16 +605,14 @@ def leaf_structure(bundle: BundleSpec, orbit: CoadjointOrbit, samples: int = 25,
         w_aff = max(w_aff, float(np.linalg.norm(moved - cls2)))
 
         # (d) pi_sigma: gauge-choice independence and constructive surjectivity
-        cls_a = quot.class_coords(phi)
-        cls_b = quot.class_coords(bundle.cot_act(phi, G.random_element(rng)))
+        cls_a = bundle.class_coords(phi)
+        cls_b = bundle.class_coords(bundle.cot_act(phi, G.random_element(rng)))
         pis_a = cls_a[d : 2 * d] - bundle.sigma(cls_a[:d], cls_a[2 * d :]).rep.a
         pis_b = cls_b[d : 2 * d] - bundle.sigma(cls_b[:d], cls_b[2 * d :]).rep.a
         w_pis = max(w_pis, float(np.linalg.norm(pis_a - pis_b)))
         # preimage of a random rho: sigma(m, chi) + a*(rho) maps back to rho
         rho_target = rng.standard_normal(d)
         sec = bundle.sigma(m0, chi0)
-        from .bundle import QuotientClass
-
         preimage = QuotientClass(CotangentSample(sec.rep.point, sec.rep.a + rho_target, sec.rep.b))
         w_surj = max(w_surj, float(np.linalg.norm(bundle.sigma_tilde(preimage) - rho_target)))
 

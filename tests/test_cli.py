@@ -152,6 +152,44 @@ class TestSimulate:
         assert report["divergence_step"] >= 1
 
 
+OUTPUT_FILES = {
+    "verify": {"report.json"},
+    "leaves": {"report.json", "leaf_points.csv"},
+    "simulate": {"report.json", "trajectory.csv", "trajectory.meta.json"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(cli.BUILTIN_SCENARIOS))
+def test_builtin_scenario_runs_clean(tmp_path, name):
+    kind = cli.BUILTIN_SCENARIOS[name]["kind"]
+    assert run([kind, name, "--out", str(tmp_path)]) == cli.EXIT_PASS
+    assert {f.name for f in tmp_path.iterdir()} == OUTPUT_FILES[kind]
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["pass"] is True
+    assert report.get("failures", []) == []
+
+
+@pytest.mark.parametrize("name, key, value", [
+    ("heavy-top-lagrange", "x0", [0.8, -0.3, 0.6]),
+    ("heavy-top-lagrange", "h", -1e-3),
+    ("heavy-top-lagrange", "n_steps", 0),
+    ("heavy-top-lagrange", "inertia", [1.0, 0.0, 0.5]),
+    ("heavy-top-lagrange", "axis", [0.0, 1.0]),
+    ("so3-leaves", "mu0", [0.0, 1.0]),
+    ("so3-leaves", "mu0", None),
+    ("u1-magnetic", "chi", [1.0, 2.0]),
+])
+def test_malformed_scenario_exits_2(tmp_path, capsys, name, key, value):
+    doc = json.loads(json.dumps(cli.BUILTIN_SCENARIOS[name]))
+    doc[doc["kind"]][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run([doc["kind"], str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and repr(key) in err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 class TestDeterminism:
     def test_repeated_runs_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -66,17 +66,29 @@ class TestBracketEval:
         x = np.array([0.7, -0.3])
         assert abs(sp.bracket(f, g, x) - 2 * x[0]) <= 1e-14
 
-    def test_quotient_reduces_to_lie_poisson(self):
-        # P = G: the faithful quotient bracket must reproduce the coalgebra bracket
-        g = liealg.so3()
-        b = BundleSpec("TrivialProduct", g, ConnectionData.flat(0, 3), base_box=np.zeros((0, 2)))
-        q = quotient_cotangent(b)
-        lp = lie_poisson(g)
-        rng = np.random.default_rng(3)
-        for _ in range(5):
-            f, h = random_polynomial(rng, 3), random_polynomial(rng, 3)
-            x = rng.standard_normal(3)
-            assert abs(q.bracket(f, h, x) - lp.bracket(f, h, x)) <= 1e-10
+    def test_quotient_matches_invariant_lift(self):
+        # the closed-form T*M x g* bracket equals the T*P bracket of invariant
+        # lifts at samples in a random, non-identity gauge
+        heis = BundleSpec("TrivialProduct", liealg.heisenberg3(), ConnectionData.from_matrix(np.array([[0.2, 0.0], [0.1, -0.3], [0.0, 0.4]])),
+                          base_box=[[-1.0, 1.0], [-1.0, 1.0]])
+        for b in (so3_bundle(), heis):
+            q = quotient_cotangent(b)
+            rng = np.random.default_rng(3)
+            for _ in range(20):
+                s = b.random_cotangent(rng)
+                assert np.linalg.norm(s.point.fiber - b.group.identity()) > 1e-3
+                f, h = random_polynomial(rng, q.dim), random_polynomial(rng, q.dim)
+                closed = q.bracket(f, h, b.class_coords(s))
+                exact = poisson.cotangent_bracket(b, poisson.invariant_lift(b, f), poisson.invariant_lift(b, h), s)
+                fd = poisson.cotangent_bracket(b, poisson.invariant_lift(b, ScalarField(f.fn)), poisson.invariant_lift(b, ScalarField(h.fn)), s)
+                assert abs(closed - exact) <= 1e-12
+                assert abs(closed - fd) <= 1e-8
+
+    def test_product_box_only_on_leading_factor(self):
+        q = quotient_cotangent(so3_bundle())
+        assert product_space([q, canonical_cotangent(1)]).box is q.box
+        with pytest.raises(ValueError):
+            product_space([canonical_cotangent(1), q])
 
     def test_product_space(self):
         sp = product_space([canonical_cotangent(1), lie_poisson(liealg.so3())])
@@ -114,12 +126,11 @@ class TestJacobi:
 class TestDualPair:
     def test_constant_functions_commute_exactly(self):
         b = so3_bundle()
-        quot = quotient_cotangent(b)
-        const_f = ScalarField(lambda x: 3.0, lambda x: np.zeros(quot.dim))
+        const_f = ScalarField(lambda x: 3.0, lambda x: np.zeros(7))
         const_h = ScalarField(lambda x: -1.0, lambda x: np.zeros(3))
         rng = np.random.default_rng(9)
         s = b.random_cotangent(rng)
-        F = quot._lift(const_f)
+        F = poisson.invariant_lift(b, const_f)
         H = poisson.CotangentFn(lambda ss: const_h(ss.b), lambda ss: (np.zeros(2), np.zeros(3), np.zeros(2), np.zeros(3)))
         assert abs(poisson.cotangent_bracket(b, F, H, s)) == 0.0
 
@@ -127,6 +138,7 @@ class TestDualPair:
         rep = dual_pair_check(so3_bundle(), trials=100, seed=10)
         assert rep.passed, rep.failures()
         assert rep.max_residual <= 1e-7
+        assert [c.name for c in rep.checks] == ["polarity", "casimir_commutes", "quotient_matches_lift"]
 
 
 class TestOrbits:
