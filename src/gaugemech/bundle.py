@@ -106,7 +106,7 @@ class ConnectionData:
                 parsed = [(float(c), tuple(int(x) for x in e)) for c, e in monos]
                 for _, exps in parsed:
                     if sum(exps) > 3:
-                        raise ValueError("connection coefficients are restricted to polynomial degree <= 3")
+                        raise ValueError(f"'connection' coefficients must have degree <= 3, got exponents {exps}")
                 terms[i][k] = parsed
         return ConnectionData(base_dim, fiber_dim, terms)
 

@@ -223,7 +223,10 @@ def _resolve_bundle(doc: Any, basedir: Path) -> bundle_mod.BundleSpec:
             doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ConfigError(f"cannot resolve bundle reference {doc!r}")
-    return bundle_mod.bundle_from_json(doc, group_resolver=lambda g: _resolve_group(g, basedir))
+    try:
+        return bundle_mod.bundle_from_json(doc, group_resolver=lambda g: _resolve_group(g, basedir))
+    except ValueError as exc:  # unparsable fields, connection degree above 3
+        raise ConfigError(f"bundle spec: {exc}") from None
 
 
 def _resolve_semidirect(ref: Any, basedir: Path) -> semidirect.SemidirectSpec:
@@ -359,6 +362,14 @@ def _vector(cfg: dict, key: str, length: int) -> np.ndarray:
     return v
 
 
+def _count(cfg: dict, key: str, default: int | None = None) -> int:
+    """A positive integer from a scenario section (``default`` when absent), or ConfigError."""
+    v = cfg.get(key, default)
+    if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+        raise ConfigError(f"{key!r} must be a positive integer, got {v!r}")
+    return v
+
+
 def run_verify(scenario: dict, basedir: Path, seed: int, tol_scale: float, out_dir: Path) -> int:
     ctx = {
         "group": _resolve_group(scenario["group"], basedir) if "group" in scenario else None,
@@ -396,15 +407,16 @@ def run_leaves(scenario: dict, basedir: Path, seed: int, tol_scale: float, out_d
         raise ConfigError("leaves need a TrivialProduct bundle (class coordinates on a base box)")
     mu0 = _vector(cfg, "mu0", b.n)
     chi = _vector(cfg, "chi", b.n) if "chi" in cfg else None
-    orbit = poisson.coadjoint_orbit(b.group, mu0, n_samples=int(cfg.get("orbit_samples", 40)), seed=seed)
-    reports = [poisson.leaf_structure(b, orbit, samples=int(cfg.get("samples", 20)), seed=seed)]
+    orbit_samples, samples = _count(cfg, "orbit_samples", 40), _count(cfg, "samples", 20)
+    orbit = poisson.coadjoint_orbit(b.group, mu0, n_samples=orbit_samples, seed=seed)
+    reports = [poisson.leaf_structure(b, orbit, samples=samples, seed=seed)]
     extras: dict[str, Any] = {"orbit_dim": orbit.dim, "leaf_dim": 2 * b.d + orbit.dim}
 
     if cfg.get("groupoid_action"):
         reports.append(poisson.groupoid_action_suite(b, orbit, samples=8, seed=seed))
 
     if chi is not None:
-        _, mag_rep = poisson.magnetic_term(b, chi, samples=int(cfg.get("samples", 12)), seed=seed)
+        _, mag_rep = poisson.magnetic_term(b, chi, samples=_count(cfg, "samples", 12), seed=seed)
         reports.append(mag_rep)
         extras["magnetic_closedness_residual"] = mag_rep.extras.get("magnetic_closedness_residual")
 
@@ -426,7 +438,7 @@ def run_leaves(scenario: dict, basedir: Path, seed: int, tol_scale: float, out_d
     # sampled leaf points as CSV: class coordinates (m, a, bbar)
     rng = stream(seed, "cli.leaf_points")
     rows = []
-    for mu in orbit.samples[: int(cfg.get("samples", 20))]:
+    for mu in orbit.samples[:samples]:
         m = b.random_base(rng)
         cls = b.sigma(m, mu)
         rows.append(np.concatenate([m, cls.rep.a + rng.standard_normal(b.d), cls.rep.b]))
@@ -446,14 +458,13 @@ def run_simulate(scenario: dict, basedir: Path, seed: int, tol_scale: float, out
     x0, axis, inertia = _vector(cfg, "x0", 6), _vector(cfg, "axis", 3), _vector(cfg, "inertia", 3)
     if np.any(inertia <= 0):
         raise ConfigError(f"'inertia' must hold three positive moments, got {cfg['inertia']!r}")
+    n_steps = _count(cfg, "n_steps")
     try:
-        h, n_steps, mgl = float(cfg["h"]), int(cfg["n_steps"]), float(cfg["mgl"])
+        h, mgl = float(cfg["h"]), float(cfg["mgl"])
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"'h', 'n_steps' and 'mgl' must be numbers: {exc}") from None
+        raise ConfigError(f"'h' and 'mgl' must be numbers: {exc}") from None
     if not 0 < h < np.inf:
         raise ConfigError(f"step size 'h' must be positive and finite, got {cfg['h']!r}")
-    if n_steps < 1:
-        raise ConfigError(f"'n_steps' must be at least 1, got {cfg['n_steps']!r}")
     model = semidirect.heavy_top_model(inertia, mgl, axis)
     monitors = {"energy": model.hamiltonian}
     for c in model.casimirs:

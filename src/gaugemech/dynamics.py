@@ -19,6 +19,8 @@ from .poisson import PoissonSpace, ScalarField
 
 Array = np.ndarray
 
+CSV_BLOCK = 512  # trajectory rows formatted per write
+
 
 class DivergenceError(RuntimeError):
     """Integration produced a non-finite state."""
@@ -41,8 +43,12 @@ class Trajectory:
 
 
 def ham_vector_field(space: PoissonSpace, hamiltonian: ScalarField, point: Array) -> Array:
-    """Velocity v_i = {x_i, H}(point) = sum_j B_ij dH/dx_j."""
-    space.check_chart(point)
+    """Velocity v_i = {x_i, H}(point) = sum_j B_ij dH/dx_j.
+
+    This is the per-stage right-hand side of ``integrate`` and does not check
+    the chart: ``integrate`` checks the initial and accepted states, and
+    ``PoissonSpace.bracket`` checks its point.
+    """
     return space.bivector(point) @ hamiltonian.gradient(point)
 
 
@@ -60,7 +66,7 @@ def _rk4(rhs: Callable[[Array], Array], x0: Array, h: float, n_steps: int) -> Tr
 
     def stage(y: Array) -> Array:
         # an overflowed stage propagates as NaN and trips the divergence check
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             return np.full_like(y, np.nan)
         return rhs(y)
 
@@ -70,7 +76,7 @@ def _rk4(rhs: Callable[[Array], Array], x0: Array, h: float, n_steps: int) -> Tr
         k3 = stage(x + 0.5 * h * k2)
         k4 = stage(x + h * k3)
         x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise DivergenceError(step, Trajectory(np.arange(step) * h, states[:step]))
         states[step] = x
     return Trajectory(np.arange(n_steps + 1) * h, states)
@@ -78,11 +84,22 @@ def _rk4(rhs: Callable[[Array], Array], x0: Array, h: float, n_steps: int) -> Tr
 
 def integrate(space: PoissonSpace, hamiltonian: ScalarField, x0: Array, h: float, n_steps: int,
               monitors: dict[str, ScalarField] | None = None) -> Trajectory:
-    """Classical fixed-step RK4 on the coordinate chart; monitors at every step."""
+    """Classical fixed-step RK4 on the coordinate chart; monitors at every step.
+
+    The chart of ``x0`` is checked once. On a space with a chart box every
+    accepted state is checked as well, once the steps are done: the affine
+    bivector is defined off the box too, so steps past a state outside it
+    waste work before the ChartError but cannot fail.
+    """
+    space.check_chart(x0)
     monitors = monitors or {}
 
     def record(traj: Trajectory) -> Trajectory:
-        traj.monitors = {name: np.array([q(y) for y in traj.states]) for name, q in monitors.items()}
+        if space.box is not None:
+            for y in traj.states[1:]:
+                space.check_chart(y)
+        # the rows are already float vectors, so the fields' fn skip ScalarField.__call__
+        traj.monitors = {name: np.array([q.fn(y) for y in traj.states], dtype=float) for name, q in monitors.items()}
         return traj
 
     try:
@@ -183,18 +200,22 @@ def integrate_cotangent(group: LieGroupSpec, field: Callable[[Array, Array], tup
 
 
 def write_trajectory_csv(trajectory: Trajectory, path: str | Path) -> None:
-    """CSV with header time,x1..xn plus one column per monitor."""
+    """CSV with header time,x1..xn plus one column per monitor, floats as %.17g.
+
+    The header goes through csv.writer, which quotes names such as <Pi,Gamma>.
+    The body holds only numbers, which csv.writer would never quote; it is
+    formatted CSV_BLOCK rows at a time with the same \\r\\n line endings.
+    """
     path = Path(path)
     names = [f"x{i+1}" for i in range(trajectory.states.shape[1])]
     mon_names = sorted(trajectory.monitors)
+    columns = [trajectory.times[:, None], trajectory.states, *(trajectory.monitors[m][:, None] for m in mon_names)]
+    row_fmt = ",".join(["%.17g"] * (1 + len(names) + len(mon_names))) + "\r\n"
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", *names, *mon_names])
-        for idx in range(trajectory.times.size):
-            row = [f"{trajectory.times[idx]:.17g}"]
-            row += [f"{v:.17g}" for v in trajectory.states[idx]]
-            row += [f"{trajectory.monitors[m][idx]:.17g}" for m in mon_names]
-            writer.writerow(row)
+        csv.writer(fh).writerow(["time", *names, *mon_names])
+        for start in range(0, trajectory.times.size, CSV_BLOCK):
+            block = np.hstack([c[start : start + CSV_BLOCK] for c in columns])
+            fh.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 def write_run_metadata(path: str | Path, space: str, hamiltonian: str, h: float, n_steps: int, seed: int) -> None:

@@ -213,7 +213,7 @@ class PoissonSpace:
 
     def bivector(self, x: Array) -> Array:
         """Matrix B_ij = {x_i, x_j} at the point."""
-        b = np.einsum("ijk,k->ij", self.linear, np.asarray(x, dtype=float))
+        b = self.linear @ np.asarray(x, dtype=float)
         return b if self.const is None else b + self.const
 
 

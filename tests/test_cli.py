@@ -178,10 +178,16 @@ def test_builtin_scenario_runs_clean(tmp_path, name):
     ("so3-leaves", "mu0", [0.0, 1.0]),
     ("so3-leaves", "mu0", None),
     ("u1-magnetic", "chi", [1.0, 2.0]),
+    ("so3-leaves", "samples", "x"),
+    ("so3-leaves", "samples", 0),
+    ("so3-leaves", "orbit_samples", 0),
+    ("so3-leaves", "orbit_samples", 2.5),
+    ("so3-trivial-bundle", "connection", {"A": [[[[0.1, [4, 0]]], [], []], [[], [], []]]}),
 ])
 def test_malformed_scenario_exits_2(tmp_path, capsys, name, key, value):
     doc = json.loads(json.dumps(cli.BUILTIN_SCENARIOS[name]))
-    doc[doc["kind"]][key] = value
+    # a verify scenario has no section of its own kind; its field is in the bundle spec
+    doc["bundle" if doc["kind"] == "verify" else doc["kind"]][key] = value
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert run([doc["kind"], str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG_ERROR

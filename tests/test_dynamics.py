@@ -1,11 +1,12 @@
+import csv
 from functools import partial
 
 import numpy as np
 import pytest
 
 from gaugemech import bundle, dynamics, liealg, poisson, semidirect
-from gaugemech.dynamics import DivergenceError, convergence_ratio, ham_vector_field, integrate, monitor_drift
-from gaugemech.poisson import ScalarField, canonical_cotangent, lie_poisson, quotient_cotangent
+from gaugemech.dynamics import DivergenceError, Trajectory, convergence_ratio, ham_vector_field, integrate, monitor_drift
+from gaugemech.poisson import ChartError, PoissonSpace, ScalarField, canonical_cotangent, lie_poisson, quotient_cotangent
 
 
 def free_body(inertia):
@@ -81,6 +82,30 @@ class TestIntegrate:
         assert err.value.trajectory.states.shape[0] == err.value.step
         assert err.value.trajectory.monitors["H"].shape[0] == err.value.step
 
+    def test_rejects_x0_of_wrong_shape(self):
+        sp = lie_poisson(liealg.so3())
+        with pytest.raises(ChartError):
+            integrate(sp, free_body([1.0, 2.0, 3.0]), np.array([0.1, 0.2]), 1e-2, 10)
+
+    def test_unboxed_space_checks_chart_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(PoissonSpace, "check_chart", lambda self, x: calls.append(x))
+        integrate(lie_poisson(liealg.so3()), free_body([1.0, 2.0, 3.0]), np.array([0.1, 0.2, 0.3]), 1e-2, 50)
+        assert len(calls) == 1
+
+    def test_boxed_space_rejects_state_leaving_the_box(self):
+        # H = a on T*P/G over the base [-1, 1]: m' = 1, so m = 0.5 + t leaves the box after t = 0.5
+        b = bundle.BundleSpec("TrivialProduct", liealg.so3(), bundle.ConnectionData.flat(1, 3), base_box=[[-1.0, 1.0]])
+        q = quotient_cotangent(b)
+        h_a = ScalarField(lambda x: float(x[1]), lambda x: np.eye(5)[1], name="a")
+        x0 = np.array([0.5, 0.0, 0.1, 0.2, 0.3])
+        traj = integrate(q, h_a, x0, 0.1, 4)
+        np.testing.assert_allclose(traj.final[0], 0.9, atol=1e-12)
+        with pytest.raises(ChartError):
+            integrate(q, h_a, x0, 0.1, 6)
+        with pytest.raises(ChartError):
+            integrate(q, h_a, np.array([1.5, 0.0, 0.1, 0.2, 0.3]), 0.1, 1)
+
     def test_rejects_nonpositive_step(self):
         sp = canonical_cotangent(1)
         with pytest.raises(ValueError):
@@ -145,3 +170,25 @@ class TestOutput:
         meta = tmp_path / "traj.meta.json"
         dynamics.write_run_metadata(meta, sp.name, "kinetic", 1e-2, 10, seed=7)
         assert meta.exists()
+
+    def test_csv_matches_csv_writer_bytes(self, tmp_path):
+        # the block writer must reproduce csv.writer with f"{v:.17g}" cells byte for byte,
+        # across a block boundary and with a quoted monitor name
+        rows = dynamics.CSV_BLOCK + 77
+        rng = np.random.default_rng(5)
+        states = rng.standard_normal((rows, 3)) * 10.0 ** rng.uniform(-300, 300, (rows, 3))
+        states[0] = [-0.0, 1e-300, 1e300]
+        states[dynamics.CSV_BLOCK] = [1e300, -0.0, 1e-300]
+        traj = Trajectory(np.arange(rows) * 1e-3, states,
+                          {"<Pi,Gamma>": rng.standard_normal(rows), "energy": np.full(rows, -0.0)})
+        expected = tmp_path / "expected.csv"
+        with expected.open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["time", "x1", "x2", "x3", "<Pi,Gamma>", "energy"])
+            for idx in range(rows):
+                row = [f"{traj.times[idx]:.17g}"] + [f"{v:.17g}" for v in traj.states[idx]]
+                writer.writerow(row + [f"{traj.monitors[m][idx]:.17g}" for m in ("<Pi,Gamma>", "energy")])
+        got = tmp_path / "got.csv"
+        dynamics.write_trajectory_csv(traj, got)
+        assert got.read_bytes() == expected.read_bytes()
+        assert got.read_bytes().startswith(b'time,x1,x2,x3,"<Pi,Gamma>",energy\r\n0,-0,1e-300,')

@@ -101,6 +101,24 @@ class TestBracketEval:
         manual = float(f.gradient(x) @ bvec @ g.gradient(x))
         assert abs(sp.bracket(f, g, x) - manual) <= 1e-9
 
+    def test_bivector_equals_einsum_reference(self):
+        # the matmul form must reproduce einsum("ijk,k->ij") bit for bit
+        spaces = [
+            canonical_cotangent(2),
+            lie_poisson(semidirect.heavy_top_model([1.0, 2.0, 3.0], 1.0, [0.0, 0.0, 1.0]).sd.group_spec()),
+            quotient_cotangent(so3_bundle()),
+            product_space([canonical_cotangent(1), lie_poisson(liealg.heisenberg3())]),
+        ]
+        assert [sp.kind for sp in spaces] == ["canonical", "lie_poisson", "quotient", "product"]
+        rng = np.random.default_rng(12)
+        for sp in spaces:
+            for _ in range(200):
+                x = rng.standard_normal(sp.dim) * 10.0 ** rng.uniform(-6, 6, sp.dim)
+                ref = np.einsum("ijk,k->ij", sp.linear, x)
+                if sp.const is not None:
+                    ref = ref + sp.const
+                assert np.array_equal(sp.bivector(x), ref), sp.name
+
     def test_out_of_chart(self):
         q = quotient_cotangent(so3_bundle())
         with pytest.raises(ChartError):
