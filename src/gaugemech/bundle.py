@@ -100,6 +100,8 @@ class ConnectionData:
     @staticmethod
     def from_json(doc: dict, base_dim: int, fiber_dim: int) -> "ConnectionData":
         raw = doc.get("A", [])
+        if len(raw) > base_dim or any(len(per_base) > fiber_dim for per_base in raw):
+            raise ValueError(f"'connection' A needs at most {base_dim} base entries of at most {fiber_dim} fibre entries, got {raw!r}")
         terms: list[list[list[Monomial]]] = [[[] for _ in range(fiber_dim)] for _ in range(base_dim)]
         for i, per_base in enumerate(raw):
             for k, monos in enumerate(per_base):

@@ -198,8 +198,6 @@ BUILTIN_SCENARIOS: dict[str, dict] = {
 def _resolve_group(ref: Any, basedir: Path) -> liealg.LieGroupSpec:
     if isinstance(ref, liealg.LieGroupSpec):
         return ref
-    if isinstance(ref, dict):
-        return liealg.spec_from_json(ref)
     if isinstance(ref, str):
         try:
             return liealg.builtin_group(ref)
@@ -208,8 +206,12 @@ def _resolve_group(ref: Any, basedir: Path) -> liealg.LieGroupSpec:
         path = (basedir / ref).resolve() if not Path(ref).is_absolute() else Path(ref)
         if not path.exists():
             raise ConfigError(f"group spec {ref!r} is neither builtin nor an existing file")
-        return liealg.load_spec(str(path))
-    raise ConfigError(f"cannot resolve group reference {ref!r}")
+    elif not isinstance(ref, dict):
+        raise ConfigError(f"cannot resolve group reference {ref!r}")
+    try:
+        return liealg.spec_from_json(ref) if isinstance(ref, dict) else liealg.load_spec(str(path))
+    except (ValueError, TypeError) as exc:  # malformed dim, basis or structure
+        raise ConfigError(f"'group' spec: {exc}") from None
 
 
 def _resolve_bundle(doc: Any, basedir: Path) -> bundle_mod.BundleSpec:
@@ -238,7 +240,10 @@ def _resolve_semidirect(ref: Any, basedir: Path) -> semidirect.SemidirectSpec:
         except KeyError:
             raise ConfigError(f"unknown semidirect spec {ref!r}")
     if isinstance(ref, dict):
-        return semidirect.sd_from_json(ref)
+        try:
+            return semidirect.sd_from_json(ref)
+        except (ValueError, TypeError) as exc:  # malformed K, N or rho
+            raise ConfigError(f"'semidirect' spec: {exc}") from None
     raise ConfigError(f"cannot resolve semidirect reference {ref!r}")
 
 

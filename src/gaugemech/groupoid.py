@@ -1,13 +1,24 @@
 """Concrete VB-groupoids over the pair groupoid P x P => P and their duals.
 
-Four spaces are instantiated over a trivialized bundle P:
+A VB-groupoid over P x P is fixed by linear maps on its fibres, so one engine,
+``VBGroupoid``, runs all four spaces.  An element is an arrow (p, q) with one
+fibre vector x; a side element is a point with one side vector.  Each space
+is six matrices: the side maps ``src`` and ``tgt``, the identity ``unit``, the
+inverse ``inv``, and the two halves of the product
 
-    T(PxP)    tangent pair groupoid, elements (v_p, w_q), side bundle TP
-    PxgxP     triples (p, X, q) with X in the structure algebra, side P x g
-    T*PxT*P   cotangent pair groupoid with the twisted structure
+    (p, q, x)(q, r, y) = (p, r, left x + right y).
+
+The four spaces over a trivialized bundle P:
+
+    T(PxP)    x = (v, w), side bundle TP:
+                  s(v,w) = w, t = v, eps(v) = (v,v), i(v,w) = (w,v), (v,w)(w,z) = (v,z)
+    PxgxP     x = X in g, side bundle P x g:
+                  s = t = X, eps(X) = X, i = id, (p,X,q)(q,X,r) = (p,X,r)
+    T*PxT*P   x = (phi, psi), side bundle T*P, with the twisted structure
                   s(phi,psi) = -psi, t = phi, eps(phi) = (phi,-phi),
                   i(phi,psi) = (-psi,-phi), (phi,psi)(-psi,lam) = (phi,lam)
-    Pxg*xP    triples (p, Xs, q) with product (p,Xs,q)(q,Ys,r) = (p,Xs+Ys,r)
+    Pxg*xP    x = Xs in g*, side bundle the zero bundle over P:
+                  eps = 0, i(Xs) = -Xs, (p,Xs,q)(q,Ys,r) = (p,Xs+Ys,r)
 
 plus the annihilator subspace TV0(PxP) inside T*PxT*P and the quotient
 (TPxTP)/g with gauge-fixed representatives resolved through the connection.
@@ -21,7 +32,7 @@ cotangent structure, which is the independent ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -37,363 +48,121 @@ RANK_CUT = 1e-8
 
 
 @dataclass(frozen=True)
-class TangentVec:
-    """Tangent sample of P: base point plus (dbase, xi) coordinates."""
+class VBElement:
+    """An arrow (p, q) of a VB-groupoid with its fibre vector x."""
+
+    p: Point
+    q: Point
+    x: Array
+
+
+@dataclass(frozen=True)
+class SideElement:
+    """An element of a side bundle: a point and its side vector (empty for the zero bundle)."""
 
     point: Point
-    coords: Array
-
-
-@dataclass(frozen=True)
-class VBElement:
-    """An arrow of one of the concrete VB-groupoid fibers."""
-
-    space: str
-    data: tuple
-
-
-@dataclass(frozen=True)
-class CoreElement:
-    """A core fiber element: projects to an identity arrow and a zero side element."""
-
-    space: str
-    data: tuple
+    x: Array
 
 
 # ---------------------------------------------------------------------------
-# space engines
+# the engine
 # ---------------------------------------------------------------------------
 
 
-class SpaceOps:
-    """Groupoid + vector bundle operations for one concrete space."""
+class VBGroupoid:
+    """Groupoid and vector bundle operations of one space, from six structure matrices.
 
-    tag = ""
+    ``src`` and ``tgt`` (side x fibre) give the source and target side vectors,
+    ``unit`` (fibre x side) the identity, ``inv`` (fibre x fibre) the inverse,
+    and ``left``, ``right`` (fibre x fibre) the product.  Every entry is 0 or
+    +-1 with at most two nonzeros per row, so every structure map is exact.
+    """
 
-    def __init__(self, bundle: BundleSpec):
-        self.bundle = bundle
+    def __init__(self, bundle: BundleSpec, tag: str, src: Array, tgt: Array, unit: Array, inv: Array, left: Array, right: Array):
+        self.bundle, self.tag = bundle, tag
+        self.src, self.tgt, self.unit, self.inv, self.left, self.right = src, tgt, unit, inv, left, right
+        # snap keeps the part of b that tgt does not read and writes source(a) into the rest
+        self.keep = np.eye(inv.shape[0]) - tgt.T @ tgt
+        self.carry = tgt.T @ src
 
-    # vector bundle fiber dimension over an arrow
-    def fiber_dim(self) -> int:
-        raise NotImplementedError
+    def source(self, el: VBElement) -> SideElement:
+        return SideElement(el.q, self.src @ el.x)
 
-    def arrow(self, el: VBElement) -> tuple[Point, Point]:
-        raise NotImplementedError
+    def target(self, el: VBElement) -> SideElement:
+        return SideElement(el.p, self.tgt @ el.x)
 
-    def coords(self, el: VBElement) -> Array:
-        raise NotImplementedError
-
-    def source(self, el: VBElement):
-        raise NotImplementedError
-
-    def target(self, el: VBElement):
-        raise NotImplementedError
-
-    def identity(self, side) -> VBElement:
-        raise NotImplementedError
+    def identity(self, side: SideElement) -> VBElement:
+        return VBElement(side.point, side.point, self.unit @ side.x)
 
     def inverse(self, el: VBElement) -> VBElement:
-        raise NotImplementedError
-
-    def _product(self, a: VBElement, b: VBElement) -> VBElement:
-        raise NotImplementedError
-
-    def composability_residual(self, a: VBElement, b: VBElement) -> float:
-        sa, tb = self.source(a), self.target(b)
-        return self.side_distance(sa, tb)
+        return VBElement(el.q, el.p, self.inv @ el.x)
 
     def snap(self, a: VBElement, b: VBElement) -> VBElement:
         """Replace b's target side by source(a) (projection onto composability)."""
-        raise NotImplementedError
+        return VBElement(a.q, b.q, self.keep @ b.x + self.carry @ a.x)
 
     def product(self, a: VBElement, b: VBElement, snap_tol: float = COMPOSE_TOL) -> VBElement:
-        resid = self.composability_residual(a, b)
+        resid = self.side_distance(self.source(a), self.target(b))
         if resid > snap_tol:
             raise ValueError(f"non-composable elements in {self.tag} (residual {resid:.2e})")
-        return self._product(a, self.snap(a, b))
+        # right never reads the part of b that snap would overwrite
+        return VBElement(a.p, b.q, self.left @ a.x + self.right @ b.x)
 
     def add(self, a: VBElement, b: VBElement) -> VBElement:
-        raise NotImplementedError
-
-    def scale(self, t: float, a: VBElement) -> VBElement:
-        raise NotImplementedError
+        return VBElement(a.p, a.q, a.x + b.x)
 
     def neg(self, a: VBElement) -> VBElement:
-        return self.scale(-1.0, a)
+        return VBElement(a.p, a.q, -1.0 * a.x)
 
     def zero(self, p: Point, q: Point) -> VBElement:
-        raise NotImplementedError
+        return VBElement(p, q, np.zeros(self.inv.shape[0]))
 
     def random(self, rng: np.random.Generator, p: Point, q: Point) -> VBElement:
-        raise NotImplementedError
+        return VBElement(p, q, rng.standard_normal(self.inv.shape[0]))
 
-    def side_distance(self, s1, s2) -> float:
-        raise NotImplementedError
+    def side_distance(self, s1: SideElement, s2: SideElement) -> float:
+        return self.bundle.point_distance(s1.point, s2.point) + float(np.linalg.norm(s1.x - s2.x))
 
-    def side_add(self, s1, s2):
-        raise NotImplementedError
+    def side_add(self, s1: SideElement, s2: SideElement) -> SideElement:
+        return SideElement(s1.point, s1.x + s2.x)
 
     def distance(self, a: VBElement, b: VBElement) -> float:
-        pa, qa = self.arrow(a)
-        pb, qb = self.arrow(b)
-        darr = self.bundle.point_distance(pa, pb) + self.bundle.point_distance(qa, qb)
-        return darr + float(np.linalg.norm(self.coords(a) - self.coords(b)))
-
-
-class PairTangentOps(SpaceOps):
-    """T(PxP) identified with TP x TP => TP (pair groupoid of TP)."""
-
-    tag = "T(PxP)"
-
-    def fiber_dim(self) -> int:
-        return 2 * self.bundle.tangent_dim
-
-    def arrow(self, el):
-        v, w = el.data
-        return v.point, w.point
-
-    def coords(self, el):
-        v, w = el.data
-        return np.concatenate([v.coords, w.coords])
-
-    def source(self, el):
-        return el.data[1]
-
-    def target(self, el):
-        return el.data[0]
-
-    def identity(self, side: TangentVec):
-        return VBElement(self.tag, (side, side))
-
-    def inverse(self, el):
-        v, w = el.data
-        return VBElement(self.tag, (w, v))
-
-    def snap(self, a, b):
-        sa = self.source(a)
-        _, z = b.data
-        return VBElement(self.tag, (sa, z))
-
-    def _product(self, a, b):
-        return VBElement(self.tag, (a.data[0], b.data[1]))
-
-    def add(self, a, b):
-        (v1, w1), (v2, w2) = a.data, b.data
-        return VBElement(self.tag, (TangentVec(v1.point, v1.coords + v2.coords), TangentVec(w1.point, w1.coords + w2.coords)))
-
-    def scale(self, t, a):
-        v, w = a.data
-        return VBElement(self.tag, (TangentVec(v.point, t * v.coords), TangentVec(w.point, t * w.coords)))
-
-    def zero(self, p, q):
-        z = np.zeros(self.bundle.tangent_dim)
-        return VBElement(self.tag, (TangentVec(p, z.copy()), TangentVec(q, z.copy())))
-
-    def random(self, rng, p, q):
-        dim = self.bundle.tangent_dim
-        return VBElement(self.tag, (TangentVec(p, rng.standard_normal(dim)), TangentVec(q, rng.standard_normal(dim))))
-
-    def side_distance(self, s1: TangentVec, s2: TangentVec) -> float:
-        return self.bundle.point_distance(s1.point, s2.point) + float(np.linalg.norm(s1.coords - s2.coords))
-
-    def side_add(self, s1: TangentVec, s2: TangentVec) -> TangentVec:
-        return TangentVec(s1.point, s1.coords + s2.coords)
-
-
-class AlgebraTripleOps(SpaceOps):
-    """P x g x P with product (p, X, q)(q, X, r) = (p, X, r); side bundle P x g."""
-
-    tag = "PxgxP"
-
-    def fiber_dim(self) -> int:
-        return self.bundle.n
-
-    def arrow(self, el):
-        p, _, q = el.data
-        return p, q
-
-    def coords(self, el):
-        return np.asarray(el.data[1], dtype=float)
-
-    def source(self, el):
-        p, x, q = el.data
-        return (q, x)
-
-    def target(self, el):
-        p, x, q = el.data
-        return (p, x)
-
-    def identity(self, side):
-        p, x = side
-        return VBElement(self.tag, (p, np.asarray(x, dtype=float).copy(), p))
-
-    def inverse(self, el):
-        p, x, q = el.data
-        return VBElement(self.tag, (q, x.copy(), p))
-
-    def snap(self, a, b):
-        _, xa, qa = a.data
-        _, _, r = b.data
-        return VBElement(self.tag, (qa, xa.copy(), r))
-
-    def _product(self, a, b):
-        p, x, _ = a.data
-        _, _, r = b.data
-        return VBElement(self.tag, (p, x.copy(), r))
-
-    def add(self, a, b):
-        p, x, q = a.data
-        return VBElement(self.tag, (p, x + b.data[1], q))
-
-    def scale(self, t, a):
-        p, x, q = a.data
-        return VBElement(self.tag, (p, t * x, q))
-
-    def zero(self, p, q):
-        return VBElement(self.tag, (p, np.zeros(self.bundle.n), q))
-
-    def random(self, rng, p, q):
-        return VBElement(self.tag, (p, rng.standard_normal(self.bundle.n), q))
-
-    def side_distance(self, s1, s2) -> float:
-        return self.bundle.point_distance(s1[0], s2[0]) + float(np.linalg.norm(s1[1] - s2[1]))
-
-    def side_add(self, s1, s2):
-        return (s1[0], s1[1] + s2[1])
-
-
-class CotangentPairOps(SpaceOps):
-    """T*P x T*P => T*P with the twisted structure matching the dual of T(PxP)."""
-
-    tag = "T*PxT*P"
-
-    def fiber_dim(self) -> int:
-        return 2 * self.bundle.tangent_dim
-
-    def arrow(self, el):
-        phi, psi = el.data
-        return phi.point, psi.point
-
-    def coords(self, el):
-        phi, psi = el.data
-        return np.concatenate([phi.coords, psi.coords])
-
-    def source(self, el):
-        phi, psi = el.data
-        return CotangentSample(psi.point, -psi.a, -psi.b)
-
-    def target(self, el):
-        return el.data[0]
-
-    def identity(self, side: CotangentSample):
-        return VBElement(self.tag, (side, CotangentSample(side.point, -side.a, -side.b)))
-
-    def inverse(self, el):
-        phi, psi = el.data
-        return VBElement(self.tag, (CotangentSample(psi.point, -psi.a, -psi.b), CotangentSample(phi.point, -phi.a, -phi.b)))
-
-    def snap(self, a, b):
-        sa = self.source(a)
-        _, lam = b.data
-        return VBElement(self.tag, (sa, lam))
-
-    def _product(self, a, b):
-        return VBElement(self.tag, (a.data[0], b.data[1]))
-
-    def add(self, a, b):
-        (f1, s1), (f2, s2) = a.data, b.data
-        return VBElement(self.tag, (CotangentSample(f1.point, f1.a + f2.a, f1.b + f2.b), CotangentSample(s1.point, s1.a + s2.a, s1.b + s2.b)))
-
-    def scale(self, t, a):
-        f, s = a.data
-        return VBElement(self.tag, (CotangentSample(f.point, t * f.a, t * f.b), CotangentSample(s.point, t * s.a, t * s.b)))
-
-    def zero(self, p, q):
-        d, n = self.bundle.d, self.bundle.n
-        return VBElement(self.tag, (CotangentSample(p, np.zeros(d), np.zeros(n)), CotangentSample(q, np.zeros(d), np.zeros(n))))
-
-    def random(self, rng, p, q):
-        return VBElement(self.tag, (self.bundle.random_cotangent(rng, point=p), self.bundle.random_cotangent(rng, point=q)))
-
-    def side_distance(self, s1: CotangentSample, s2: CotangentSample) -> float:
-        return self.bundle.point_distance(s1.point, s2.point) + float(np.linalg.norm(s1.coords - s2.coords))
-
-    def side_add(self, s1, s2):
-        return CotangentSample(s1.point, s1.a + s2.a, s1.b + s2.b)
-
-    def delta_involution(self, el: VBElement) -> VBElement:
-        """delta(phi, psi) = (phi, -psi): intertwines (s) with the plain pair groupoid."""
-        phi, psi = el.data
-        return VBElement(self.tag, (phi, CotangentSample(psi.point, -psi.a, -psi.b)))
-
-
-class CoalgebraTripleOps(SpaceOps):
-    """P x g* x P with product (p, Xs, q)(q, Ys, r) = (p, Xs + Ys, r); side P."""
-
-    tag = "Pxg*xP"
-
-    def fiber_dim(self) -> int:
-        return self.bundle.n
-
-    def arrow(self, el):
-        p, _, q = el.data
-        return p, q
-
-    def coords(self, el):
-        return np.asarray(el.data[1], dtype=float)
-
-    def source(self, el):
-        return el.data[2]
-
-    def target(self, el):
-        return el.data[0]
-
-    def identity(self, side: Point):
-        return VBElement(self.tag, (side, np.zeros(self.bundle.n), side))
-
-    def inverse(self, el):
-        p, xs, q = el.data
-        return VBElement(self.tag, (q, -xs, p))
-
-    def snap(self, a, b):
-        _, _, qa = a.data
-        _, ys, r = b.data
-        return VBElement(self.tag, (qa, ys, r))
-
-    def _product(self, a, b):
-        p, xs, _ = a.data
-        _, ys, r = b.data
-        return VBElement(self.tag, (p, xs + ys, r))
-
-    def add(self, a, b):
-        p, xs, q = a.data
-        return VBElement(self.tag, (p, xs + b.data[1], q))
-
-    def scale(self, t, a):
-        p, xs, q = a.data
-        return VBElement(self.tag, (p, t * xs, q))
-
-    def zero(self, p, q):
-        return VBElement(self.tag, (p, np.zeros(self.bundle.n), q))
-
-    def random(self, rng, p, q):
-        return VBElement(self.tag, (p, rng.standard_normal(self.bundle.n), q))
-
-    def side_distance(self, s1: Point, s2: Point) -> float:
-        return self.bundle.point_distance(s1, s2)
-
-    def side_add(self, s1, s2):
-        return s1  # the side bundle is the zero bundle over P
+        darr = self.bundle.point_distance(a.p, b.p) + self.bundle.point_distance(a.q, b.q)
+        return darr + float(np.linalg.norm(a.x - b.x))
 
 
 SPACE_TAGS = ("T(PxP)", "PxgxP", "T*PxT*P", "Pxg*xP")
 
 
-def space_ops(bundle: BundleSpec, tag: str) -> SpaceOps:
-    for cls in (PairTangentOps, AlgebraTripleOps, CotangentPairOps, CoalgebraTripleOps):
-        if cls.tag == tag:
-            return cls(bundle)
+def space_ops(bundle: BundleSpec, tag: str) -> VBGroupoid:
+    """The structure matrices of one of the four spaces over the pair groupoid of P."""
+    if tag in ("T(PxP)", "T*PxT*P"):
+        # fibre (v, w) or (phi, psi); the cotangent pair twists source, identity and inverse by -1
+        sgn = 1.0 if tag == "T(PxP)" else -1.0
+        e, z = np.eye(bundle.tangent_dim), np.zeros((bundle.tangent_dim,) * 2)
+        return VBGroupoid(
+            bundle, tag, src=np.hstack([z, sgn * e]), tgt=np.hstack([e, z]), unit=np.vstack([e, sgn * e]),
+            inv=np.block([[z, sgn * e], [sgn * e, z]]), left=np.block([[e, z], [z, z]]), right=np.block([[z, z], [z, e]]),
+        )
+    e = np.eye(bundle.n)
+    if tag == "PxgxP":
+        return VBGroupoid(bundle, tag, src=e, tgt=e, unit=e, inv=e, left=e, right=np.zeros_like(e))
+    if tag == "Pxg*xP":
+        none = np.zeros((0, bundle.n))
+        return VBGroupoid(bundle, tag, src=none, tgt=none, unit=none.T, inv=-e, left=e, right=e)
     raise KeyError(f"unknown VB-groupoid space {tag!r}")
+
+
+def _pair(u: Array, v: Array) -> float:
+    """<(phi, psi), (v, w)> = phi.v + psi.w, summed leg by leg."""
+    t = u.size // 2
+    return float(u[:t] @ v[:t] + u[t:] @ v[t:])
+
+
+def _covectors(bundle: BundleSpec, el: VBElement) -> tuple[CotangentSample, CotangentSample]:
+    """The legs (phi at p, psi at q) of an element of T*PxT*P."""
+    d, t = bundle.d, bundle.tangent_dim
+    return CotangentSample(el.p, el.x[:d], el.x[d:t]), CotangentSample(el.q, el.x[t : t + d], el.x[t + d :])
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +172,7 @@ def space_ops(bundle: BundleSpec, tag: str) -> SpaceOps:
 
 def j2(bundle: BundleSpec, el: VBElement) -> Array:
     """J_2(phi, psi) = phi o Tkappa_p(e) + psi o Tkappa_q(e)."""
-    phi, psi = el.data
+    phi, psi = _covectors(bundle, el)
     return bundle.momentum(phi) + bundle.momentum(psi)
 
 
@@ -418,11 +187,9 @@ def quot_rep(bundle: BundleSpec, el: VBElement) -> VBElement:
     The algebra acts by X: (v, w) -> (v + vert_p X, w + vert_q X); the
     representative subtracts X = alpha_p(v) so the first leg is horizontal.
     """
-    v, w = el.data
-    x = bundle.alpha(v.point, v.coords)
-    vv = v.coords - bundle.vertical_lift(x)
-    ww = w.coords - bundle.vertical_lift(x)
-    return VBElement("quot(TPxTP)", (TangentVec(v.point, vv), TangentVec(w.point, ww)))
+    t = bundle.tangent_dim
+    shift = bundle.vertical_lift(bundle.alpha(el.p, el.x[:t]))
+    return VBElement(el.p, el.q, np.concatenate([el.x[:t] - shift, el.x[t:] - shift]))
 
 
 # ---------------------------------------------------------------------------
@@ -517,14 +284,14 @@ def groupoid_law_suite(bundle: BundleSpec, space: str, samples: int = 40, seed: 
     return rep
 
 
-def _with_source(ops: SpaceOps, el: VBElement, side) -> VBElement:
+def _with_source(ops: VBGroupoid, el: VBElement, side: SideElement) -> VBElement:
     """Rebuild el so that source(el) equals the given side element."""
     # snap(a, b) replaces target(b) by source(a); apply to the inverse and flip back
     anchor = ops.identity(side)
     return ops.inverse(ops.snap(anchor, ops.inverse(el)))
 
 
-def _with_target(ops: SpaceOps, el: VBElement, side) -> VBElement:
+def _with_target(ops: VBGroupoid, el: VBElement, side: SideElement) -> VBElement:
     anchor = ops.identity(side)
     return ops.snap(anchor, el)
 
@@ -545,40 +312,28 @@ class DualOfPairTangent:
 
     def __init__(self, bundle: BundleSpec):
         self.bundle = bundle
-        self.omega = PairTangentOps(bundle)
-
-    def pair(self, Phi: VBElement, xi: VBElement) -> float:
-        phi, psi = Phi.data
-        v, w = xi.data
-        return float(phi.coords @ v.coords + psi.coords @ w.coords)
+        self.omega = space_ops(bundle, "T(PxP)")
 
     def core_element(self, x: Point, v: Array) -> VBElement:
         """Core of Omega at x: (v_x, 0_x) over the identity arrow (x, x)."""
-        zero = TangentVec(x, np.zeros(self.bundle.tangent_dim))
-        return VBElement("T(PxP)", (TangentVec(x, np.asarray(v, dtype=float)), zero))
+        return VBElement(x, x, np.concatenate([v, np.zeros(self.bundle.tangent_dim)]))
 
-    def dual_target(self, Phi: VBElement) -> CotangentSample:
+    def dual_target(self, Phi: VBElement) -> SideElement:
         """<beta~*(Phi), k> = <Phi, k 0_gamma> over the core at the target leg."""
-        x, y = self.omega.arrow(Phi)
-        dim = self.bundle.tangent_dim
-        zero = self.omega.zero(x, y)
-        vals = np.empty(dim)
-        for i in range(dim):
-            k = self.core_element(x, np.eye(dim)[i])
-            vals[i] = self.pair(Phi, self.omega.product(k, zero))
-        return CotangentSample(x, vals[: self.bundle.d], vals[self.bundle.d :])
+        zero = self.omega.zero(Phi.p, Phi.q)
+        eye = np.eye(self.bundle.tangent_dim)
+        vals = np.array([_pair(Phi.x, self.omega.product(self.core_element(Phi.p, e), zero).x) for e in eye])
+        return SideElement(Phi.p, vals)
 
-    def dual_source(self, Phi: VBElement) -> CotangentSample:
+    def dual_source(self, Phi: VBElement) -> SideElement:
         """<alpha~*(Phi), k> = <Phi, -0_gamma k^{-1}> over the core at the source leg."""
-        x, y = self.omega.arrow(Phi)
-        dim = self.bundle.tangent_dim
-        zero = self.omega.zero(x, y)
-        vals = np.empty(dim)
-        for i in range(dim):
-            k = self.core_element(y, np.eye(dim)[i])
-            prod = self.omega.product(zero, self.omega.inverse(k))
-            vals[i] = self.pair(Phi, self.omega.neg(prod))
-        return CotangentSample(y, vals[: self.bundle.d], vals[self.bundle.d :])
+        zero = self.omega.zero(Phi.p, Phi.q)
+        eye = np.eye(self.bundle.tangent_dim)
+        vals = np.empty(len(eye))
+        for i, e in enumerate(eye):
+            prod = self.omega.product(zero, self.omega.inverse(self.core_element(Phi.q, e)))
+            vals[i] = _pair(Phi.x, self.omega.neg(prod).x)
+        return SideElement(Phi.q, vals)
 
     def compose(self, Psi: VBElement, Phi: VBElement, middles: Iterable[Array] | None = None, tol: float = COMPOSE_TOL) -> tuple[VBElement, float]:
         """Composition by factorization: <Psi Phi, eta xi> = <Psi, eta> + <Phi, xi>.
@@ -588,94 +343,46 @@ class DualOfPairTangent:
         Returns the composed element and the worst deviation across the supplied
         middle choices (factorization independence).
         """
-        src = self.dual_source(Psi)
-        tgt = self.dual_target(Phi)
-        mismatch = self.bundle.point_distance(src.point, tgt.point) + float(np.linalg.norm(src.coords - tgt.coords))
+        mismatch = self.omega.side_distance(self.dual_source(Psi), self.dual_target(Phi))
         if mismatch > tol:
             raise ValueError(f"dual composition undefined: alpha~*(Psi) != beta~*(Phi) (residual {mismatch:.2e})")
-        z, x = self.omega.arrow(Psi)
-        x2, y = self.omega.arrow(Phi)
         dim = self.bundle.tangent_dim
-        eye = np.eye(dim)
+        eye, zero = np.eye(dim), np.zeros(dim)
 
         def value(zeta_v: Array, zeta_w: Array, mid: Array) -> float:
-            eta = VBElement("T(PxP)", (TangentVec(z, zeta_v), TangentVec(x, mid)))
-            xi = VBElement("T(PxP)", (TangentVec(x2, mid), TangentVec(y, zeta_w)))
-            return self.pair(Psi, eta) + self.pair(Phi, xi)
+            # eta = (zeta_v, mid) over (z, x) and xi = (mid, zeta_w) over (x, y)
+            return _pair(Psi.x, np.concatenate([zeta_v, mid])) + _pair(Phi.x, np.concatenate([mid, zeta_w]))
 
-        base_mid = np.zeros(dim)
         vals = np.empty(2 * dim)
         for i in range(dim):
-            vals[i] = value(eye[i], np.zeros(dim), base_mid)
-            vals[dim + i] = value(np.zeros(dim), eye[i], base_mid)
+            vals[i] = value(eye[i], zero, zero)
+            vals[dim + i] = value(zero, eye[i], zero)
         spread = 0.0
         if middles is not None:
-            probe_v, probe_w = eye[0], np.zeros(dim)
-            ref = value(probe_v, probe_w, base_mid)
+            ref = value(eye[0], zero, zero)
             for mid in middles:
-                spread = max(spread, abs(value(probe_v, probe_w, np.asarray(mid)) - ref))
-        out = VBElement(
-            "T*PxT*P",
-            (
-                CotangentSample(z, vals[: self.bundle.d], vals[self.bundle.d : dim]),
-                CotangentSample(y, vals[dim : dim + self.bundle.d], vals[dim + self.bundle.d :]),
-            ),
-        )
-        return out, spread
+                spread = max(spread, abs(value(eye[0], zero, np.asarray(mid)) - ref))
+        return VBElement(Psi.p, Phi.q, vals), spread
 
-    def dual_identity(self, chi: CotangentSample) -> VBElement:
+    def _from_core_split(self, side: SideElement, value: Callable[[Array, Array], float]) -> VBElement:
+        """A covector over the identity arrow at side.point, from its value on each basis
+        vector xi = 1_b + k split by b = source(xi); ``value`` gets b and beta~(k)."""
+        eye = np.eye(2 * self.bundle.tangent_dim)
+        vals = np.empty(len(eye))
+        for slot, e in enumerate(eye):
+            xi = VBElement(side.point, side.point, e)
+            b = self.omega.source(xi)
+            k = self.omega.add(xi, self.omega.neg(self.omega.identity(b)))
+            vals[slot] = value(b.x, self.omega.target(k).x)
+        return VBElement(side.point, side.point, vals)
+
+    def dual_identity(self, chi: SideElement) -> VBElement:
         """<1_chi, 1_b + k> = <chi, k>: reconstruct the identity covector at chi."""
-        x = chi.point
-        dim = self.bundle.tangent_dim
-        eye = np.eye(dim)
-        vals = np.empty(2 * dim)
-        for slot in range(2 * dim):
-            v = eye[slot % dim]
-            xi = VBElement(
-                "T(PxP)",
-                (
-                    TangentVec(x, v if slot < dim else np.zeros(dim)),
-                    TangentVec(x, np.zeros(dim) if slot < dim else v),
-                ),
-            )
-            b = self.omega.source(xi)
-            k = self.omega.add(xi, self.omega.neg(self.omega.identity(b)))
-            core_part = k.data[0].coords  # core elements are (v, 0)
-            vals[slot] = float(chi.coords @ core_part)
-        return VBElement(
-            "T*PxT*P",
-            (
-                CotangentSample(x, vals[: self.bundle.d], vals[self.bundle.d : dim]),
-                CotangentSample(x, vals[dim : dim + self.bundle.d], vals[dim + self.bundle.d :]),
-            ),
-        )
+        return self._from_core_split(chi, lambda b, k: float(chi.x @ k))
 
-    def side_dual_embedding(self, omega_cov: CotangentSample) -> VBElement:
+    def side_dual_embedding(self, omega_cov: SideElement) -> VBElement:
         """Identify omega in B*_p with omega-bar: <omega-bar, 1_b + k> = <omega, b + beta~(k)>."""
-        x = omega_cov.point
-        dim = self.bundle.tangent_dim
-        eye = np.eye(dim)
-        vals = np.empty(2 * dim)
-        for slot in range(2 * dim):
-            v = eye[slot % dim]
-            xi = VBElement(
-                "T(PxP)",
-                (
-                    TangentVec(x, v if slot < dim else np.zeros(dim)),
-                    TangentVec(x, np.zeros(dim) if slot < dim else v),
-                ),
-            )
-            b = self.omega.source(xi)
-            k = self.omega.add(xi, self.omega.neg(self.omega.identity(b)))
-            beta_k = self.omega.target(k)
-            vals[slot] = float(omega_cov.coords @ (b.coords + beta_k.coords))
-        return VBElement(
-            "T*PxT*P",
-            (
-                CotangentSample(x, vals[: self.bundle.d], vals[self.bundle.d : dim]),
-                CotangentSample(x, vals[dim : dim + self.bundle.d], vals[dim + self.bundle.d :]),
-            ),
-        )
+        return self._from_core_split(omega_cov, lambda b, k: float(omega_cov.x @ (b + k)))
 
 
 def dual_structure_suite(bundle: BundleSpec, samples: int = 30, seed: int = 0, taus: int = 100, tol: float = 1e-11, match_tol: float = 1e-10) -> SuiteReport:
@@ -683,44 +390,35 @@ def dual_structure_suite(bundle: BundleSpec, samples: int = 30, seed: int = 0, t
     rep = SuiteReport(f"groupoid.dual_structure[{bundle.name}]")
     rng = stream(seed, f"groupoid.dual_structure/{bundle.name}")
     dual = DualOfPairTangent(bundle)
-    cot = CotangentPairOps(bundle)
+    cot = space_ops(bundle, "T*PxT*P")
+    t = bundle.tangent_dim
     worst = {k: 0.0 for k in ("target_matches", "source_matches", "compose_matches", "factorization_independence", "identity_matches", "side_dual_embedding", "zero_covector_sides")}
     for _ in range(samples):
         p, q, r = _sample_arrow_chain(bundle, rng)
         Phi = cot.random(rng, p, q)
 
-        t_dual = dual.dual_target(Phi)
-        t_closed = cot.target(Phi)
-        worst["target_matches"] = max(worst["target_matches"], cot.side_distance(t_dual, t_closed))
+        worst["target_matches"] = max(worst["target_matches"], cot.side_distance(dual.dual_target(Phi), cot.target(Phi)))
+        worst["source_matches"] = max(worst["source_matches"], cot.side_distance(dual.dual_source(Phi), cot.source(Phi)))
 
-        s_dual = dual.dual_source(Phi)
-        s_closed = cot.source(Phi)
-        worst["source_matches"] = max(worst["source_matches"], cot.side_distance(s_dual, s_closed))
-
-        # composable pair: Psi over (r, p) with alpha~*(Psi) = beta~*(Phi)
-        lam = bundle.random_cotangent(rng, point=r)
-        phi0 = Phi.data[0]
-        Psi = VBElement("T*PxT*P", (lam, CotangentSample(phi0.point, -phi0.a, -phi0.b)))
-        middles = [rng.standard_normal(bundle.tangent_dim) for _ in range(taus)]
+        # composable pair: Psi = (lam, -phi) over (r, p) with alpha~*(Psi) = beta~*(Phi)
+        lam = rng.standard_normal(t)
+        Psi = VBElement(r, p, np.concatenate([lam, -Phi.x[:t]]))
+        middles = [rng.standard_normal(t) for _ in range(taus)]
         composed, spread = dual.compose(Psi, Phi, middles=middles)
         worst["factorization_independence"] = max(worst["factorization_independence"], spread)
-        closed = cot.product(Psi, Phi)
-        worst["compose_matches"] = max(worst["compose_matches"], cot.distance(composed, closed))
+        worst["compose_matches"] = max(worst["compose_matches"], cot.distance(composed, cot.product(Psi, Phi)))
 
-        chi = bundle.random_cotangent(rng, point=p)
-        ident_dual = dual.dual_identity(chi)
-        ident_closed = cot.identity(chi)
-        worst["identity_matches"] = max(worst["identity_matches"], cot.distance(ident_dual, ident_closed))
+        chi = SideElement(p, rng.standard_normal(t))
+        worst["identity_matches"] = max(worst["identity_matches"], cot.distance(dual.dual_identity(chi), cot.identity(chi)))
 
-        omega_cov = bundle.random_cotangent(rng, point=p)
-        bar = dual.side_dual_embedding(omega_cov)
-        expected = VBElement("T*PxT*P", (omega_cov, CotangentSample(omega_cov.point, np.zeros(bundle.d), np.zeros(bundle.n))))
-        worst["side_dual_embedding"] = max(worst["side_dual_embedding"], cot.distance(bar, expected))
+        omega_cov = SideElement(p, rng.standard_normal(t))
+        expected = VBElement(p, p, np.concatenate([omega_cov.x, np.zeros(t)]))
+        worst["side_dual_embedding"] = max(worst["side_dual_embedding"], cot.distance(dual.side_dual_embedding(omega_cov), expected))
 
         zero = cot.zero(p, q)
         worst["zero_covector_sides"] = max(
             worst["zero_covector_sides"],
-            float(np.linalg.norm(dual.dual_target(zero).coords)) + float(np.linalg.norm(dual.dual_source(zero).coords)),
+            float(np.linalg.norm(dual.dual_target(zero).x)) + float(np.linalg.norm(dual.dual_source(zero).x)),
         )
     for name, resid in sorted(worst.items()):
         rep.add(name, resid, match_tol if name.endswith("matches") or name in ("side_dual_embedding", "zero_covector_sides") else tol)
@@ -808,16 +506,16 @@ def core_suite(bundle: BundleSpec, fibers: int = 50, seed: int = 0) -> SuiteRepo
 
 def i2_star(bundle: BundleSpec, el: VBElement) -> VBElement:
     """I_2*(phi, psi) = (p, J(phi) + J(psi), q)."""
-    phi, psi = el.data
-    return VBElement("Pxg*xP", (phi.point, j2(bundle, el), psi.point))
+    return VBElement(el.p, el.q, j2(bundle, el))
 
 
 def momentum_morphism_suite(bundle: BundleSpec, samples: int = 60, seed: int = 0, tol: float = AXIOM_TOL) -> SuiteReport:
     """I_2* is a groupoid morphism; J_2 = 0 cuts out the annihilator subgroupoid."""
     rep = SuiteReport(f"groupoid.momentum_morphism[{bundle.name}]")
     rng = stream(seed, f"groupoid.momentum_morphism/{bundle.name}")
-    cot = CotangentPairOps(bundle)
-    coal = CoalgebraTripleOps(bundle)
+    cot = space_ops(bundle, "T*PxT*P")
+    coal = space_ops(bundle, "Pxg*xP")
+    t = bundle.tangent_dim
     w_mor = w_inv = w_eps = w_tv0 = 0.0
     for _ in range(samples):
         p, q, r = _sample_arrow_chain(bundle, rng)
@@ -829,24 +527,18 @@ def momentum_morphism_suite(bundle: BundleSpec, samples: int = 60, seed: int = 0
 
         w_inv = max(w_inv, coal.distance(i2_star(bundle, cot.inverse(a)), coal.inverse(i2_star(bundle, a))))
 
-        phi = bundle.random_cotangent(rng, point=p)
-        w_eps = max(w_eps, coal.distance(i2_star(bundle, cot.identity(phi)), coal.identity(p)))
+        phi = SideElement(p, rng.standard_normal(t))
+        w_eps = max(w_eps, coal.distance(i2_star(bundle, cot.identity(phi)), coal.identity(SideElement(p, np.zeros(0)))))
 
         # (p, Xs, q)(q, -Xs, p) = eps(p)
         trip = coal.random(rng, p, q)
-        w_inv = max(w_inv, coal.distance(coal.product(trip, coal.inverse(trip)), coal.identity(p)))
+        w_inv = max(w_inv, coal.distance(coal.product(trip, coal.inverse(trip)), coal.identity(coal.target(trip))))
 
         # J_2 = 0 iff the pair annihilates the diagonal vertical subspace
-        psi0 = CotangentSample(a.data[1].point, a.data[1].a, -bundle.momentum(a.data[0]))
-        el0 = VBElement("T*PxT*P", (a.data[0], psi0))
+        el0 = VBElement(p, q, np.concatenate([a.x[: t + bundle.d], -bundle.momentum(_covectors(bundle, a)[0])]))
         w_tv0 = max(w_tv0, tv0_membership_residual(bundle, el0))
-        x = bundle.group.random_algebra(rng)
-        diag_vert = VBElement(
-            "T(PxP)",
-            (TangentVec(a.data[0].point, bundle.vertical_lift(x)), TangentVec(psi0.point, bundle.vertical_lift(x))),
-        )
-        pairing = float(el0.data[0].coords @ diag_vert.data[0].coords + el0.data[1].coords @ diag_vert.data[1].coords)
-        w_tv0 = max(w_tv0, abs(pairing))
+        vert = bundle.vertical_lift(bundle.group.random_algebra(rng))
+        w_tv0 = max(w_tv0, abs(_pair(el0.x, np.concatenate([vert, vert]))))
     rep.add("i2_star_morphism", w_mor, tol)
     rep.add("i2_star_inverse_identity", w_inv, tol)
     rep.add("i2_star_identity_section", w_eps, tol)
@@ -886,8 +578,10 @@ def _seq_matrices(bundle: BundleSpec, sequence_id: str, p: Point, q: Point) -> t
         h[d:, td:] = np.eye(td)
         h[d + d :, :td] -= a_p
         info = {"dims": [n, 2 * td, d + td]}
-    elif sequence_id == "duzyVdual":
-        # TV0(PxP) --A2*--> T*P x T*P --I2*--> P x g* x P
+    elif sequence_id in ("duzyVdual", "quotiented"):
+        # TV0(PxP) --A2*--> T*P x T*P --I2*--> P x g* x P, and its quotient
+        # T*((PxP)/G) --a2*--> (T*P x T*P)/G --iota2*--> (P x g* x P)/G in the
+        # gauge-fixed fibers (source leg at fiber identity): the same matrices.
         # TV0 basis: (a1, b, a2, -b)
         f = np.zeros((2 * td, 2 * d + n))
         f[:d, :d] = np.eye(d)
@@ -905,18 +599,6 @@ def _seq_matrices(bundle: BundleSpec, sequence_id: str, p: Point, q: Point) -> t
         h = np.zeros((n, td))
         h[:, d:] = np.eye(n)
         info = {"dims": [d, td, n]}
-    elif sequence_id == "quotiented":
-        # T*((PxP)/G) --a2*--> (T*P x T*P)/G --iota2*--> (P x g* x P)/G
-        # gauge-fixed fibers: source leg at fiber identity
-        f = np.zeros((2 * td, 2 * d + n))
-        f[:d, :d] = np.eye(d)  # a1
-        f[d : d + n, d : d + n] = np.eye(n)  # b at the target leg
-        f[td : td + d, d + n :] = np.eye(d)  # a2
-        f[td + d :, d : d + n] = -np.eye(n)
-        h = np.zeros((n, 2 * td))
-        h[:, d : d + n] = np.eye(n)
-        h[:, td + d :] = np.eye(n)
-        info = {"dims": [2 * d + n, 2 * td, n]}
     else:
         raise KeyError(f"unknown sequence {sequence_id!r}")
     return f, h, info
@@ -963,8 +645,9 @@ def ses_fiber_check(bundle: BundleSpec, sequence_id: str, samples: int = 50, see
 def _quotient_dual_commutation(bundle: BundleSpec, rep: SuiteReport, samples: int, seed: int) -> None:
     """Contragredient pairing identity and Omega*/G ~ (Omega/G)* fiber isomorphism."""
     rng = stream(seed, f"groupoid.quotient_dual/{bundle.name}")
-    cot = CotangentPairOps(bundle)
-    tan = PairTangentOps(bundle)
+    cot = space_ops(bundle, "T*PxT*P")
+    tan = space_ops(bundle, "T(PxP)")
+    t = bundle.tangent_dim
     w_pair = 0.0
     w_iso = 0.0
     conds = []
@@ -974,33 +657,17 @@ def _quotient_dual_commutation(bundle: BundleSpec, rep: SuiteReport, samples: in
         Phi = cot.random(rng, p, q)
         xi = tan.random(rng, p, q)
 
-        def pair(Phi_el, xi_el):
-            (f, s), (v, w) = Phi_el.data, xi_el.data
-            return float(f.coords @ v.coords + s.coords @ w.coords)
-
         # <Phi g, xi g> = <Phi, xi>: the contragredient action makes the pairing invariant
-        Phi_g = VBElement("T*PxT*P", (bundle.cot_act(Phi.data[0], g), bundle.cot_act(Phi.data[1], g)))
+        Phi_g = np.concatenate([bundle.cot_act(leg, g).coords for leg in _covectors(bundle, Phi)])
         tk = bundle.tk_g(g)
-        xi_g = VBElement(
-            "T(PxP)",
-            (
-                TangentVec(bundle.act(xi.data[0].point, g), tk @ xi.data[0].coords),
-                TangentVec(bundle.act(xi.data[1].point, g), tk @ xi.data[1].coords),
-            ),
-        )
-        w_pair = max(w_pair, abs(pair(Phi_g, xi_g) - pair(Phi, xi)))
+        xi_g = np.concatenate([tk @ xi.x[:t], tk @ xi.x[t:]])
+        w_pair = max(w_pair, abs(_pair(Phi_g, xi_g) - _pair(Phi.x, xi.x)))
 
         # <Phi g, xi'> = <Phi, xi' g^{-1}> for xi' over the shifted arrow
         xi2 = tan.random(rng, bundle.act(p, g), bundle.act(q, g))
         tki = bundle.tk_g(np.linalg.inv(g))
-        xi2_back = VBElement(
-            "T(PxP)",
-            (
-                TangentVec(p, tki @ xi2.data[0].coords),
-                TangentVec(q, tki @ xi2.data[1].coords),
-            ),
-        )
-        w_pair = max(w_pair, abs(pair(Phi_g, xi2) - pair(Phi, xi2_back)))
+        xi2_back = np.concatenate([tki @ xi2.x[:t], tki @ xi2.x[t:]])
+        w_pair = max(w_pair, abs(_pair(Phi_g, xi2.x) - _pair(Phi.x, xi2_back)))
 
         # induced fiberwise map Omega*/G -> (Omega/G)*: classes given by basis
         # representatives at a translated arrow, paired after aligning both to
@@ -1020,7 +687,7 @@ def _quotient_dual_commutation(bundle: BundleSpec, rep: SuiteReport, samples: in
         tan_back = np.kron(np.eye(2), bundle.tk_g(gi))
         mat = cot_back.T @ tan_back
         conds.append(float(np.linalg.cond(mat)))
-        w_iso = max(w_iso, float(np.max(np.abs(mat - np.eye(2 * bundle.tangent_dim)))))
+        w_iso = max(w_iso, float(np.max(np.abs(mat - np.eye(2 * t)))))
     rep.add("contragredient_pairing", w_pair, 1e-12)
     rep.add("quotient_dual_iso_residual", w_iso, 1e-10)
     rep.extras["iso_condition_number"] = max(conds) if conds else 1.0

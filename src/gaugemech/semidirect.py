@@ -672,13 +672,14 @@ def heavy_top_model(inertia, mgl: float, axis) -> HeavyTopModel:
     space = lie_poisson(sd.group_spec())
 
     inv_i = 1.0 / inertia
+    force = mgl * axis  # dH/dGamma, constant
 
     def ham(x: Array) -> float:
         pi, gam = x[:3], x[3:]
         return float(0.5 * pi @ (inv_i * pi) + mgl * (gam @ axis))
 
     def grad(x: Array) -> Array:
-        return np.concatenate([inv_i * x[:3], mgl * axis])
+        return np.concatenate([inv_i * x[:3], force])
 
     # the two Casimirs that poisson.casimir_fields derives for so3 x| r3, named
     casimirs = [

@@ -169,6 +169,9 @@ def test_builtin_scenario_runs_clean(tmp_path, name):
     assert report.get("failures", []) == []
 
 
+_SO3_JSON = liealg.spec_to_json(liealg.so3())
+
+
 @pytest.mark.parametrize("name, key, value", [
     ("heavy-top-lagrange", "x0", [0.8, -0.3, 0.6]),
     ("heavy-top-lagrange", "h", -1e-3),
@@ -183,11 +186,16 @@ def test_builtin_scenario_runs_clean(tmp_path, name):
     ("so3-leaves", "orbit_samples", 0),
     ("so3-leaves", "orbit_samples", 2.5),
     ("so3-trivial-bundle", "connection", {"A": [[[[0.1, [4, 0]]], [], []], [[], [], []]]}),
+    ("so3-trivial-bundle", "connection", {"A": [[[], [], []], [[], [], []], [[[0.1, [0, 0]]], [], []]]}),
+    ("so3-trivial-bundle", "group", _SO3_JSON | {"basis": _SO3_JSON["basis"][:2]}),
+    ("so3-trivial-bundle", "group", _SO3_JSON | {"dim": "three"}),
+    ("se3-verify", "semidirect", {"K": "so3", "N": "r3", "rho": [[0.0] * 4] * 3}),
 ])
 def test_malformed_scenario_exits_2(tmp_path, capsys, name, key, value):
     doc = json.loads(json.dumps(cli.BUILTIN_SCENARIOS[name]))
-    # a verify scenario has no section of its own kind; its field is in the bundle spec
-    doc["bundle" if doc["kind"] == "verify" else doc["kind"]][key] = value
+    # a top-level field is replaced in place; any other field goes into the section
+    # of the scenario's kind, which for a verify scenario is the bundle spec
+    (doc if key in doc else doc["bundle" if doc["kind"] == "verify" else doc["kind"]])[key] = value
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert run([doc["kind"], str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG_ERROR

@@ -4,11 +4,8 @@ import pytest
 from gaugemech import bundle, groupoid, liealg
 from gaugemech.bundle import BundleSpec, ConnectionData, CotangentSample, Point
 from gaugemech.groupoid import (
-    CoalgebraTripleOps,
-    CotangentPairOps,
     DualOfPairTangent,
-    PairTangentOps,
-    TangentVec,
+    SideElement,
     VBElement,
     core_compute,
     core_suite,
@@ -43,7 +40,7 @@ class TestAxioms:
         assert rep.passed, rep.failures()
 
     def test_all_zero_elements_exact(self, b):
-        ops = PairTangentOps(b)
+        ops = space_ops(b, "T(PxP)")
         rng = np.random.default_rng(3)
         p, q, r = b.random_point(rng), b.random_point(rng), b.random_point(rng)
         z_pq, z_qr = ops.zero(p, q), ops.zero(q, r)
@@ -59,9 +56,9 @@ class TestAxioms:
         for _ in range(10):
             p, q, r = b.random_point(rng), b.random_point(rng), b.random_point(rng)
             v, w, z = (rng.standard_normal(b.tangent_dim) for _ in range(3))
-            ops = PairTangentOps(b)
-            xi = VBElement("T(PxP)", (TangentVec(p, v), TangentVec(q, w)))
-            eta = VBElement("T(PxP)", (TangentVec(q, w), TangentVec(r, z)))
+            ops = space_ops(b, "T(PxP)")
+            xi = VBElement(p, q, np.concatenate([v, w]))
+            eta = VBElement(q, r, np.concatenate([w, z]))
             prod = ops.product(xi, eta)
 
             def fd(point, coords):
@@ -70,8 +67,8 @@ class TestAxioms:
                 dfib = b.group.log(np.linalg.inv(minus.fiber) @ plus.fiber) / (2 * h)
                 return np.concatenate([dbase, dfib])
 
-            np.testing.assert_allclose(prod.data[0].coords, v, atol=1e-13)
-            np.testing.assert_allclose(prod.data[1].coords, z, atol=1e-13)
+            np.testing.assert_allclose(prod.x[: b.tangent_dim], v, atol=1e-13)
+            np.testing.assert_allclose(prod.x[b.tangent_dim :], z, atol=1e-13)
             # the finite-difference representation reproduces the stored coordinates
             assert np.max(np.abs(fd(p, v) - v)) <= 1e-9
             assert np.max(np.abs(fd(r, z) - z)) <= 1e-9
@@ -81,24 +78,60 @@ class TestAxioms:
         rng = np.random.default_rng(5)
         p, q, r = b.random_point(rng), b.random_point(rng), b.random_point(rng)
         x = rng.standard_normal(3)
-        prod = ops.product(VBElement("PxgxP", (p, x, q)), VBElement("PxgxP", (q, x, r)))
-        assert prod.data[0] is p and prod.data[2] is r
-        np.testing.assert_allclose(prod.data[1], x)
+        prod = ops.product(VBElement(p, q, x), VBElement(q, r, x))
+        assert prod.p is p and prod.q is r
+        np.testing.assert_allclose(prod.x, x)
+
+
+def _closed_forms(tag, t, n):
+    """(source, target, identity, inverse, product) on fibre vectors, as in the module docstring."""
+    cat = np.concatenate
+    if tag == "T(PxP)":  # s(v,w) = w, t = v, eps(v) = (v,v), i(v,w) = (w,v), (v,w)(w,z) = (v,z)
+        return (lambda x: x[t:], lambda x: x[:t], lambda s: cat([s, s]), lambda x: cat([x[t:], x[:t]]), lambda x, y: cat([x[:t], y[t:]]))
+    if tag == "PxgxP":  # s = t = X, eps(X) = X, i = id, (p,X,q)(q,X,r) = (p,X,r)
+        return (lambda x: x, lambda x: x, lambda s: s, lambda x: x, lambda x, y: x)
+    if tag == "T*PxT*P":  # s(phi,psi) = -psi, t = phi, eps(phi) = (phi,-phi), i(phi,psi) = (-psi,-phi)
+        return (lambda x: -x[t:], lambda x: x[:t], lambda s: cat([s, -s]), lambda x: cat([-x[t:], -x[:t]]), lambda x, y: cat([x[:t], y[t:]]))
+    # Pxg*xP: zero side bundle, eps = 0, i(Xs) = -Xs, (p,Xs,q)(q,Ys,r) = (p,Xs+Ys,r)
+    return (lambda x: x[:0], lambda x: x[:0], lambda s: np.zeros(n), lambda x: -x, lambda x, y: x + y)
+
+
+@pytest.mark.parametrize("tag", groupoid.SPACE_TAGS)
+def test_structure_matrices_equal_closed_forms(b, tag):
+    # the axiom suites cannot tell a consistently mistyped matrix from the right one
+    ops = space_ops(b, tag)
+    source, target, identity, inverse, product = _closed_forms(tag, b.tangent_dim, b.n)
+    rng = np.random.default_rng(24)
+    for _ in range(10):
+        p, q, r = b.random_point(rng), b.random_point(rng), b.random_point(rng)
+        a = ops.random(rng, p, q)
+        s, t = ops.source(a), ops.target(a)
+        assert s.point is q and np.array_equal(s.x, source(a.x))
+        assert t.point is p and np.array_equal(t.x, target(a.x))
+        side = SideElement(p, rng.standard_normal(t.x.size))
+        eps = ops.identity(side)
+        assert eps.p is p and eps.q is p and np.array_equal(eps.x, identity(side.x))
+        inv = ops.inverse(a)
+        assert inv.p is q and inv.q is p and np.array_equal(inv.x, inverse(a.x))
+        bb = groupoid._with_target(ops, ops.random(rng, q, r), ops.source(a))
+        prod = ops.product(a, bb)
+        assert prod.p is p and prod.q is r and np.array_equal(prod.x, product(a.x, bb.x))
 
 
 class TestCotangentPairStructure:
     def test_source_target_of_identity(self, b):
         rng = np.random.default_rng(6)
-        phi = b.random_cotangent(rng)
-        ops = CotangentPairOps(b)
+        cov = b.random_cotangent(rng)
+        phi = SideElement(cov.point, cov.coords)
+        ops = space_ops(b, "T*PxT*P")
         eps = ops.identity(phi)
         assert ops.side_distance(ops.source(eps), phi) <= 1e-14
         assert ops.side_distance(ops.target(eps), phi) <= 1e-14
         # eps(phi) = (phi, -phi)
-        np.testing.assert_allclose(eps.data[1].coords, -phi.coords, atol=1e-14)
+        np.testing.assert_allclose(eps.x[b.tangent_dim :], -phi.x, atol=1e-14)
 
     def test_identity_times_inverse(self, b):
-        ops = CotangentPairOps(b)
+        ops = space_ops(b, "T*PxT*P")
         rng = np.random.default_rng(7)
         el = ops.random(rng, b.random_point(rng), b.random_point(rng))
         prod = ops.product(el, ops.inverse(el))
@@ -107,28 +140,32 @@ class TestCotangentPairStructure:
 
     def test_delta_involution_intertwines(self, b):
         # delta(phi, psi) = (phi, -psi) maps (s)-structure to the plain pair groupoid
-        ops = CotangentPairOps(b)
-        plain = PairTangentOps(b)  # used only for the structural pattern
+        ops = space_ops(b, "T*PxT*P")
+        t = b.tangent_dim
+
+        def delta(el):
+            return VBElement(el.p, el.q, np.concatenate([el.x[:t], -el.x[t:]]))
+
         rng = np.random.default_rng(8)
         p, q, r = b.random_point(rng), b.random_point(rng), b.random_point(rng)
         a = ops.random(rng, p, q)
         bb = groupoid._with_target(ops, ops.random(rng, q, r), ops.source(a))
-        prod = ops.delta_involution(ops.product(a, bb))
-        da, db = ops.delta_involution(a), ops.delta_involution(bb)
+        prod = delta(ops.product(a, bb))
+        da, db = delta(a), delta(bb)
         # plain pair product: (phi, psi)(psi, lam) = (phi, lam) with matching middles
-        assert np.max(np.abs(da.data[1].coords - (-db.data[0].coords) * -1)) <= 1e-13
-        np.testing.assert_allclose(prod.data[0].coords, da.data[0].coords, atol=1e-13)
-        np.testing.assert_allclose(prod.data[1].coords, db.data[1].coords, atol=1e-13)
+        assert np.max(np.abs(da.x[t:] - (-db.x[:t]) * -1)) <= 1e-13
+        np.testing.assert_allclose(prod.x[:t], da.x[:t], atol=1e-13)
+        np.testing.assert_allclose(prod.x[t:], db.x[t:], atol=1e-13)
 
 
 class TestDualStructure:
     def test_zero_covector_has_zero_sides(self, b):
         dual = DualOfPairTangent(b)
-        ops = CotangentPairOps(b)
+        ops = space_ops(b, "T*PxT*P")
         rng = np.random.default_rng(9)
         zero = ops.zero(b.random_point(rng), b.random_point(rng))
-        assert np.linalg.norm(dual.dual_target(zero).coords) == 0.0
-        assert np.linalg.norm(dual.dual_source(zero).coords) == 0.0
+        assert np.linalg.norm(dual.dual_target(zero).x) == 0.0
+        assert np.linalg.norm(dual.dual_source(zero).x) == 0.0
 
     def test_suite(self, b):
         rep = dual_structure_suite(b, samples=15, seed=10, taus=100)
@@ -138,8 +175,8 @@ class TestDualStructure:
         dual = DualOfPairTangent(b)
         rng = np.random.default_rng(11)
         p, q, r = b.random_point(rng), b.random_point(rng), b.random_point(rng)
-        Phi = VBElement("T*PxT*P", (b.random_cotangent(rng, point=p), b.random_cotangent(rng, point=q)))
-        Psi = VBElement("T*PxT*P", (b.random_cotangent(rng, point=r), b.random_cotangent(rng, point=p)))
+        Phi = VBElement(p, q, rng.standard_normal(2 * b.tangent_dim))
+        Psi = VBElement(r, p, rng.standard_normal(2 * b.tangent_dim))
         with pytest.raises(ValueError):
             dual.compose(Psi, Phi)
 
@@ -163,7 +200,7 @@ class TestCores:
         rng = np.random.default_rng(14)
         p = b.random_point(rng)
         phi = CotangentSample(p, rng.standard_normal(b.d), np.zeros(b.n))
-        el = VBElement("T*PxT*P", (phi, CotangentSample(p, np.zeros(b.d), np.zeros(b.n))))
+        el = VBElement(p, p, np.concatenate([phi.coords, np.zeros(b.tangent_dim)]))
         assert tv0_membership_residual(b, el) == 0.0
         assert np.linalg.norm(b.momentum(phi)) == 0.0
 
@@ -172,14 +209,14 @@ class TestGaugeDualGroupoid:
     def test_inverse_law(self, b):
         rng = np.random.default_rng(15)
         p, q = b.random_point(rng), b.random_point(rng)
-        el = VBElement("Pxg*xP", (p, rng.standard_normal(3), q))
-        ops = CoalgebraTripleOps(b)
+        el = VBElement(p, q, rng.standard_normal(3))
+        ops = space_ops(b, "Pxg*xP")
         prod = ops.product(el, ops.inverse(el))
-        ident = ops.identity(el.data[0])
+        ident = ops.identity(ops.target(el))
         assert ops.distance(prod, ident) <= 1e-14
 
     def test_i2_star_morphism_on_composable_pairs(self, b):
-        ops = CotangentPairOps(b)
+        ops = space_ops(b, "T*PxT*P")
         coal = space_ops(b, "Pxg*xP")
         rng = np.random.default_rng(16)
         for _ in range(10):
@@ -195,7 +232,7 @@ class TestGaugeDualGroupoid:
         p, q = b.random_point(rng), b.random_point(rng)
         phi = b.random_cotangent(rng, point=p)
         psi = CotangentSample(q, rng.standard_normal(b.d), -b.momentum(phi))
-        el = VBElement("T*PxT*P", (phi, psi))
+        el = VBElement(p, q, np.concatenate([phi.coords, psi.coords]))
         assert np.linalg.norm(j2(b, el)) <= 1e-14
         assert tv0_membership_residual(b, el) <= 1e-14
 
@@ -228,11 +265,12 @@ class TestSES:
         p, q = b.random_point(rng), b.random_point(rng)
         v, w = rng.standard_normal(b.tangent_dim), rng.standard_normal(b.tangent_dim)
         x = b.group.random_algebra(rng)
-        el = VBElement("T(PxP)", (TangentVec(p, v), TangentVec(q, w)))
-        shifted = VBElement("T(PxP)", (TangentVec(p, v + b.vertical_lift(x)), TangentVec(q, w + b.vertical_lift(x))))
+        el = VBElement(p, q, np.concatenate([v, w]))
+        shifted = VBElement(p, q, np.concatenate([v + b.vertical_lift(x), w + b.vertical_lift(x)]))
         r1, r2 = quot_rep(b, el), quot_rep(b, shifted)
-        assert np.max(np.abs(r1.data[0].coords - r2.data[0].coords)) <= 1e-12
-        assert np.max(np.abs(r1.data[1].coords - r2.data[1].coords)) <= 1e-12
+        t = b.tangent_dim
+        assert np.max(np.abs(r1.x[:t] - r2.x[:t])) <= 1e-12
+        assert np.max(np.abs(r1.x[t:] - r2.x[t:])) <= 1e-12
 
     def test_core_alternating_sum(self, b):
         rep = core_suite(b, fibers=5, seed=23)
