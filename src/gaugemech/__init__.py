@@ -2,7 +2,7 @@
 
 Subpackages by theme:
 
-- ``liealg``     matrix Lie groups/algebras, exp/log, adjoints, tangent group
+- ``liealg``     matrix Lie groups/algebras, exp/log, adjoints, Casimirs
 - ``bundle``     principal bundle actions, momentum map, dual Atiyah maps
 - ``groupoid``   VB-groupoids over pair groupoids and their duals
 - ``poisson``    Poisson brackets, coadjoint orbits, symplectic leaves

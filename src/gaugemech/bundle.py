@@ -100,16 +100,16 @@ class ConnectionData:
     @staticmethod
     def from_json(doc: dict, base_dim: int, fiber_dim: int) -> "ConnectionData":
         raw = doc.get("A", [])
-        if len(raw) > base_dim or any(len(per_base) > fiber_dim for per_base in raw):
-            raise ValueError(f"'connection' A needs at most {base_dim} base entries of at most {fiber_dim} fibre entries, got {raw!r}")
         terms: list[list[list[Monomial]]] = [[[] for _ in range(fiber_dim)] for _ in range(base_dim)]
-        for i, per_base in enumerate(raw):
-            for k, monos in enumerate(per_base):
-                parsed = [(float(c), tuple(int(x) for x in e)) for c, e in monos]
-                for _, exps in parsed:
-                    if sum(exps) > 3:
-                        raise ValueError(f"'connection' coefficients must have degree <= 3, got exponents {exps}")
-                terms[i][k] = parsed
+        try:
+            for i, per_base in enumerate(raw):
+                for k, monos in enumerate(per_base):
+                    terms[i][k] = [(float(c), tuple(int(x) for x in e)) for c, e in monos]
+        except (TypeError, ValueError, IndexError):  # not nested lists, or more entries than dimensions
+            raise ValueError(f"'connection' A needs at most {base_dim} base entries of at most {fiber_dim} [coefficient, exponents] lists, got {raw!r}") from None
+        for exps in (e for per_base in terms for monos in per_base for _, e in monos):
+            if len(exps) != base_dim or any(x < 0 for x in exps) or sum(exps) > 3:
+                raise ValueError(f"'connection' exponents must be {base_dim} nonnegative integers of degree <= 3, got {exps}")
         return ConnectionData(base_dim, fiber_dim, terms)
 
 

@@ -6,9 +6,11 @@ Usage:
 
 A scenario is a single JSON document naming specs (built-in or inline or by
 file path), the suites to run, and a mandatory seed.  Exit codes: 0 pass,
-1 check failure, 2 configuration error, 3 numerical divergence.  Reports are
-written as `report.json` with 17-significant-digit floats; a fixed seed
-reproduces them byte for byte.
+1 check failure, 2 configuration error, 3 numerical divergence.  A verify
+suite that raises becomes one failed `suite_error` check naming the
+exception, and the remaining suites still run.  Reports are written as
+`report.json` with 17-significant-digit floats; a fixed seed reproduces them
+byte for byte.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import bundle as bundle_mod
 from . import dynamics, groupoid, liealg, poisson, semidirect
-from .report import SuiteReport, dump_json
+from .report import Check, SuiteReport, dump_json
 from .rng import stream
 
 EXIT_PASS = 0
@@ -227,7 +229,7 @@ def _resolve_bundle(doc: Any, basedir: Path) -> bundle_mod.BundleSpec:
         raise ConfigError(f"cannot resolve bundle reference {doc!r}")
     try:
         return bundle_mod.bundle_from_json(doc, group_resolver=lambda g: _resolve_group(g, basedir))
-    except ValueError as exc:  # unparsable fields, connection degree above 3
+    except (ValueError, TypeError) as exc:  # unparsable fields, connection degree above 3
         raise ConfigError(f"bundle spec: {exc}") from None
 
 
@@ -375,6 +377,22 @@ def _count(cfg: dict, key: str, default: int | None = None) -> int:
     return v
 
 
+def _suites_doc(scenario: dict, kind: str, seed: int, tol_scale: float, reports: list[SuiteReport]) -> dict[str, Any]:
+    """The report document of a verify or leaves run, every tolerance scaled by ``tol_scale``."""
+    for rep in reports:
+        for check in rep.checks:
+            check.tol *= tol_scale
+    return {
+        "scenario": scenario.get("name", "unnamed"),
+        "kind": kind,
+        "seed": seed,
+        "tol_scale": tol_scale,
+        "pass": all(r.passed for r in reports),
+        "suites": [r.to_dict() for r in sorted(reports, key=lambda r: r.name)],
+        "failures": sorted(f"{r.name}:{c.name}" for r in reports for c in r.failures()),
+    }
+
+
 def run_verify(scenario: dict, basedir: Path, seed: int, tol_scale: float, out_dir: Path) -> int:
     ctx = {
         "group": _resolve_group(scenario["group"], basedir) if "group" in scenario else None,
@@ -386,19 +404,15 @@ def run_verify(scenario: dict, basedir: Path, seed: int, tol_scale: float, out_d
     for name in scenario.get("suites", []):
         if name not in registry:
             raise ConfigError(f"unknown suite {name!r}")
-        reports.extend(registry[name](ctx, seed))
-    for rep in reports:
-        for check in rep.checks:
-            check.tol *= tol_scale
-    doc = {
-        "scenario": scenario.get("name", "unnamed"),
-        "kind": "verify",
-        "seed": seed,
-        "tol_scale": tol_scale,
-        "pass": all(r.passed for r in reports),
-        "suites": [r.to_dict() for r in sorted(reports, key=lambda r: r.name)],
-        "failures": sorted(f"{r.name}:{c.name}" for r in reports for c in r.failures()),
-    }
+        try:
+            reports.extend(registry[name](ctx, seed))
+        except ConfigError:
+            raise
+        except Exception as exc:  # a crashing suite fails one check; the remaining suites still run
+            import traceback  # only on a fault: a module-level import adds about 0.3 MB to every run's peak RSS
+            traceback.print_exc()
+            reports.append(SuiteReport(name, [Check("suite_error", float("inf"), 0.0, {"error": type(exc).__name__, "message": str(exc)})]))
+    doc = _suites_doc(scenario, "verify", seed, tol_scale, reports)
     dump_json(doc, str(out_dir / "report.json"))
     return EXIT_PASS if doc["pass"] else EXIT_CHECK_FAILURE
 
@@ -425,18 +439,7 @@ def run_leaves(scenario: dict, basedir: Path, seed: int, tol_scale: float, out_d
         reports.append(mag_rep)
         extras["magnetic_closedness_residual"] = mag_rep.extras.get("magnetic_closedness_residual")
 
-    for rep in reports:
-        for check in rep.checks:
-            check.tol *= tol_scale
-    doc = {
-        "scenario": scenario.get("name", "unnamed"),
-        "kind": "leaves",
-        "seed": seed,
-        "tol_scale": tol_scale,
-        "pass": all(r.passed for r in reports),
-        "suites": [r.to_dict() for r in sorted(reports, key=lambda r: r.name)],
-        "failures": sorted(f"{r.name}:{c.name}" for r in reports for c in r.failures()),
-    }
+    doc = _suites_doc(scenario, "leaves", seed, tol_scale, reports)
     doc.update(extras)
     dump_json(doc, str(out_dir / "report.json"))
 

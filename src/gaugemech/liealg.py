@@ -8,10 +8,8 @@ the pairing between them is the coordinate dot product.
 
 Tangent data on a group is kept in left trivialization: a tangent vector at
 g is stored as the algebra coordinates xi of the curve t -> g exp(t xi).
-In this trivialization TL_g is the identity on coordinates, TR_g acts as
-Ad_{g^-1}, and the tangent-group product reads
-
-    (g, xi) . (h, eta) = (g h, Ad_{h^-1} xi + eta).
+In this trivialization TL_g is the identity on coordinates and TR_g acts as
+Ad_{g^-1}.
 
 Coadjoint conventions (fixed package-wide): <Ad*_g mu, x> = <mu, Ad_g x>
 and <ad*_x mu, y> = <mu, [x, y]>, i.e. transposes of Ad_g and ad_x in
@@ -26,6 +24,7 @@ Symmetry, ch. 14).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -34,7 +33,7 @@ import numpy as np
 
 Array = np.ndarray
 
-EXP_TAYLOR_CUTOFF = 1e-24
+LOG_SERIES_CUTOFF = 1e-24
 LOG_SERIES_RADIUS = 0.5
 MAX_SQUARE_ROOTS = 48
 CASIMIR_DECIMALS = 12
@@ -49,19 +48,52 @@ class LieDomainError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+# Higham (2005): the largest 1-norm theta_m for which the diagonal Pade
+# approximant r_m, m = 3, 5, 7, 9, 13, is accurate to unit roundoff, and the
+# coefficients b_0..b_m of its numerator p_m(x) = sum_j b_j x^j.
+_PADE_THETA = (1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1, 2.097847961257068, 5.371920351148152)
+_PADE_COEFFS = tuple(np.array(b, dtype=float) for b in (
+    (120, 60, 12, 1),
+    (30240, 15120, 3360, 420, 30, 1),
+    (17297280, 8648640, 1995840, 277200, 25200, 1512, 56, 1),
+    (17643225600, 8821612800, 2075673600, 302702400, 30270240, 2162160, 110880, 3960, 90, 1),
+    (64764752532480000, 32382376266240000, 7771770303897600, 1187353796428800, 129060195264000,
+     10559470521600, 670442572800, 33522128640, 1323241920, 40840800, 960960, 16380, 182, 1),
+))
+
+
 def expm(a: Array) -> Array:
-    """Matrix exponential by scaling-and-squaring with a full Taylor tail."""
+    """Matrix exponential by scaling and squaring with a Pade approximant.
+
+    Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005: the 1-norm of ``a`` selects
+    the diagonal Pade degree 3, 5, 7, 9 or 13; above theta_13 the argument is
+    halved s = ceil(log2(|a|_1 / theta_13)) times and the result squared s
+    times.  With p_m = U + V split into odd and even parts, r_m = (V - U)^-1 (V + U).
+    When a^3 is exactly zero (heisenberg3, abelian translations) the series
+    I + a + a^2/2 is returned exactly.
+    """
     a = np.asarray(a, dtype=float)
-    norm = np.linalg.norm(a)
-    s = 0 if norm <= 0.5 else int(np.ceil(np.log2(norm / 0.5)))
-    t = a / (2.0**s)
-    out = np.eye(a.shape[0])
-    term = np.eye(a.shape[0])
-    for k in range(1, 80):
-        term = term @ t / k
-        out = out + term
-        if np.linalg.norm(term) < EXP_TAYLOR_CUTOFF:
-            break
+    n = a.shape[0]
+    eye = np.eye(n)
+    norm = float(np.abs(a).sum(axis=0).max())
+    if not math.isfinite(norm):
+        raise LieDomainError("matrix exponential of a non-finite matrix")
+    a2 = a @ a
+    if not (a2 @ a).any():
+        return eye + a + 0.5 * a2
+    b = next((c for theta, c in zip(_PADE_THETA, _PADE_COEFFS) if norm <= theta), _PADE_COEFFS[-1])
+    s = max(0, math.ceil(math.log2(norm / _PADE_THETA[-1])))
+    if s:
+        a, a2 = a / 2.0**s, a2 / 4.0**s
+    # even powers I, a^2, ..., a^(m-1) stacked, so U and V are one matmul each
+    evens = np.empty((b.size // 2, n, n))
+    evens[0], evens[1] = eye, a2
+    for j in range(2, b.size // 2):
+        np.matmul(evens[j - 1], a2, out=evens[j])
+    flat = evens.reshape(b.size // 2, -1)
+    u = a @ (b[1::2] @ flat).reshape(n, n)
+    v = (b[0::2] @ flat).reshape(n, n)
+    out = np.linalg.solve(v - u, v + u)
     for _ in range(s):
         out = out @ out
     return out
@@ -109,7 +141,7 @@ def logm(g: Array) -> Array:
     for j in range(1, 120):
         term = term @ w
         out = out + ((-1.0) ** (j + 1)) * term / j
-        if np.linalg.norm(term) < EXP_TAYLOR_CUTOFF:
+        if np.linalg.norm(term) < LOG_SERIES_CUTOFF:
             break
     return (2.0**k) * out
 
@@ -151,7 +183,7 @@ class LieGroupSpec:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise ValueError(f"dimension mismatch: expected ({self.dim},), got {x.shape}")
-        return np.tensordot(x, self.basis, axes=1)
+        return (x @ self.basis.reshape(self.dim, -1)).reshape(self.embed, self.embed)
 
     def to_coords(self, mat: Array, check: bool = True, tol: float = 1e-8) -> Array:
         mat = np.asarray(mat, dtype=float)
@@ -184,10 +216,14 @@ class LieGroupSpec:
         return self.ad(x).T
 
     def Ad(self, g: Array) -> Array:
-        """Matrix of Ad_g (conjugation) on algebra coordinates."""
-        gi = np.linalg.inv(g)
-        cols = [self.to_coords(g @ self.basis[i] @ gi, check=False) for i in range(self.dim)]
-        return np.stack(cols, axis=1)
+        """Matrix of Ad_g (conjugation) on algebra coordinates.
+
+        Column i holds the coordinates of g e_i g^-1: all basis matrices are
+        conjugated in one batched product and projected with the cached basis
+        pseudo-inverse in one matmul.
+        """
+        conj = g @ self.basis @ np.linalg.inv(g)
+        return (conj.reshape(self.dim, -1) @ self._basis_pinv).T
 
     def Ad_star(self, g: Array) -> Array:
         """Matrix of Ad*_g on coalgebra coordinates: <Ad*_g mu, x> = <mu, Ad_g x>."""
@@ -249,9 +285,6 @@ class LieGroupSpec:
 
     # -- membership and sampling ---------------------------------------------
 
-    def contains(self, g: Array, tol: float | None = None) -> bool:
-        return self.membership_defect(g) <= (self.membership_tol if tol is None else tol)
-
     def membership_defect(self, g: Array) -> float:
         g = np.asarray(g, dtype=float)
         if g.shape != (self.embed, self.embed):
@@ -296,39 +329,6 @@ def _rref(rows: Array, tol: float = 1e-9) -> Array:
                 r[j] -= r[j, lead] * r[i]
         lead += 1
     return np.round(r, CASIMIR_DECIMALS)
-
-
-# ---------------------------------------------------------------------------
-# tangent group TG = G x| T_e G (left trivialization)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TangentGroupPoint:
-    """Tangent vector X_g = TL_g(e) xi stored as (g, xi)."""
-
-    base: Array
-    left: Array
-
-
-def tangent_group_product(spec: LieGroupSpec, a: TangentGroupPoint, b: TangentGroupPoint) -> TangentGroupPoint:
-    """Tangent-group product X_g . Y_h = TL_g Y_h + TR_h X_g."""
-    base = a.base @ b.base
-    left = spec.Ad(np.linalg.inv(b.base)) @ a.left + b.left
-    return TangentGroupPoint(base, left)
-
-
-def tangent_group_inverse(spec: LieGroupSpec, a: TangentGroupPoint) -> TangentGroupPoint:
-    return TangentGroupPoint(np.linalg.inv(a.base), -(spec.Ad(a.base) @ a.left))
-
-
-def tangent_group_identity(spec: LieGroupSpec) -> TangentGroupPoint:
-    return TangentGroupPoint(spec.identity(), np.zeros(spec.dim))
-
-
-def tangent_embed(spec: LieGroupSpec, a: TangentGroupPoint) -> Array:
-    """The tangent vector as an embedded matrix, g @ xi_matrix."""
-    return a.base @ spec.from_coords(a.left)
 
 
 # ---------------------------------------------------------------------------

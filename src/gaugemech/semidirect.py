@@ -7,7 +7,7 @@ a matrix R(l), with R itself an anti-homomorphism of K.
 
 H embeds faithfully as block matrices
 
-    Psi(k, u) = diag( E_K(k),  E_N(rho(k^-1)(u)) . R(k^-1) ),
+    Psi(k, u) = diag( E_K(k),  E_N(rho(k^-1)(u)) . R(k^-1) ) = diag( E_K(k),  R(k^-1) . E_N(u) ),
 
 which turns the whole of the trivialization/momentum machinery into exact
 matrix algebra on tiny matrices: the tangent trivialization reads
@@ -71,11 +71,8 @@ class SemidirectSpec:
         return r @ u @ np.linalg.inv(r)
 
     def rho_inf(self, l: Array) -> Array:
-        """Matrix of the induced algebra action of rho(l) on n-coordinates."""
-        r = self.R(l)
-        ri = np.linalg.inv(r)
-        cols = [self.N.to_coords(r @ self.N.basis[j] @ ri, check=False) for j in range(self.N.dim)]
-        return np.stack(cols, axis=1)
+        """Matrix of the induced algebra action of rho(l) on n-coordinates: Ad of R(l)."""
+        return self.N.Ad(self.R(l))
 
     # -- group operations in pair coordinates ------------------------------------
 
@@ -97,19 +94,20 @@ class SemidirectSpec:
     # -- the total group H as a matrix group --------------------------------------
 
     def embed(self, k: Array, u: Array) -> Array:
+        """Psi(k, u) = diag(k, R(k^-1) u): the N-block rho(k^-1)(u) R(k^-1) collapses
+        because R is an anti-homomorphism, so R(k^-1) = R(k)^-1 (in closed form,
+        and as exp(r(log k)) inside the log domain of K)."""
         mk, mn = self.K.embed, self.N.embed
         out = np.zeros((mk + mn, mk + mn))
         out[:mk, :mk] = k
-        c = self.R(np.linalg.inv(k))
-        out[mk:, mk:] = self.rho(np.linalg.inv(k), u) @ c
+        out[mk:, mk:] = self.R(np.linalg.inv(k)) @ u
         return out
 
     def split(self, h: Array) -> tuple[Array, Array]:
+        """Inverse of embed on its image: (k, R(k) h_N), using R(k^-1) = R(k)^-1."""
         mk = self.K.embed
         k = h[:mk, :mk]
-        c = self.R(np.linalg.inv(k))
-        v = h[mk:, mk:] @ np.linalg.inv(c)
-        return k, self.rho(k, v)
+        return k, self.R(k) @ h[mk:, mk:]
 
     def group_spec(self) -> LieGroupSpec:
         """H as a LieGroupSpec; basis = K-inclusions then N-inclusions."""
@@ -133,12 +131,9 @@ class SemidirectSpec:
                 structure[i, j] = comm.reshape(-1) @ pinv
 
         def membership(h: Array) -> float:
-            try:
-                k, u = self.split(h)
-            except np.linalg.LinAlgError:
-                return float("inf")
-            defect = self.K.membership_defect(k) + self.N.membership_defect(u)
-            return float(defect + np.linalg.norm(self.embed(k, u) - h))
+            k, u = self.split(h)
+            off_diagonal = np.linalg.norm(h[:mk, mk:]) + np.linalg.norm(h[mk:, :mk])
+            return float(self.K.membership_defect(k) + self.N.membership_defect(u) + off_diagonal)
 
         self._H = LieGroupSpec(self.name, n, m, basis, structure, membership)
         return self._H
@@ -308,9 +303,8 @@ def connection_form(sd: SemidirectSpec, k: Array, u: Array, h_velocity: Array, f
 
     fp, hp = vertical_block(fd)
     fm, hm = vertical_block(-fd)
-    u_block = sd.embed(sd.K.identity(), u)[sd.K.embed :, sd.K.embed :]
     vel = (fp - fm) / (2 * fd) - (hp - hm) / (2 * fd)
-    return sd.N.to_coords(np.linalg.inv(u_block) @ vel, check=False)
+    return sd.N.to_coords(np.linalg.inv(u) @ vel, check=False)
 
 
 def pullback_form_suite(sd: SemidirectSpec, samples: int = 30, seed: int = 0, tol: float = 1e-8, fd: float = 1e-6) -> SuiteReport:

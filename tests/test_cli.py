@@ -190,6 +190,9 @@ _SO3_JSON = liealg.spec_to_json(liealg.so3())
     ("so3-trivial-bundle", "group", _SO3_JSON | {"basis": _SO3_JSON["basis"][:2]}),
     ("so3-trivial-bundle", "group", _SO3_JSON | {"dim": "three"}),
     ("se3-verify", "semidirect", {"K": "so3", "N": "r3", "rho": [[0.0] * 4] * 3}),
+    ("so3-trivial-bundle", "connection", {"A": [5]}),
+    ("so3-trivial-bundle", "connection", {"A": [[5]]}),
+    ("so3-trivial-bundle", "connection", {"A": [[[[0.1, [1]]], [], []]]}),
 ])
 def test_malformed_scenario_exits_2(tmp_path, capsys, name, key, value):
     doc = json.loads(json.dumps(cli.BUILTIN_SCENARIOS[name]))
@@ -202,6 +205,30 @@ def test_malformed_scenario_exits_2(tmp_path, capsys, name, key, value):
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and repr(key) in err
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_suite_exception_becomes_failed_check(tmp_path, monkeypatch):
+    registry = cli._suite_registry
+
+    def with_faulty_suite():
+        suites = registry()
+
+        def boom(ctx, seed):
+            raise RuntimeError("injected fault")
+
+        suites["groupoid.cores"] = boom
+        return suites
+
+    monkeypatch.setattr(cli, "_suite_registry", with_faulty_suite)
+    assert run(["verify", "heisenberg-verify", "--out", str(tmp_path)]) == cli.EXIT_CHECK_FAILURE
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["failures"] == ["groupoid.cores:suite_error"]
+    suites = {s["suite"]: s for s in report["suites"]}
+    (check,) = suites["groupoid.cores"]["checks"]
+    assert check["info"] == {"error": "RuntimeError", "message": "injected fault"}
+    # every other suite of the scenario ran after the fault and still reports its checks
+    assert "poisson.dual_pair[TrivialProduct[heisenberg3]]" in suites
+    assert sum(len(s["checks"]) for s in suites.values()) > 20
 
 
 class TestDeterminism:

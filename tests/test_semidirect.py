@@ -83,6 +83,50 @@ class TestGroupStructure:
         np.testing.assert_allclose(H.bracket(e[3], e[4]), np.zeros(6), atol=1e-12)
 
 
+def generic_route(sd):
+    """The same product with R(l) = exp(r(log l)) in place of the closed form."""
+    return SemidirectSpec(sd.K, sd.N, sd.rho_generators)
+
+
+@pytest.mark.parametrize("route", [so3_r3, lambda: generic_route(so3_r3())], ids=["closed", "generic"])
+class TestEmbedding:
+    def test_embed_is_homomorphism(self, route):
+        spec = route()
+        rng = np.random.default_rng(23)
+        for _ in range(10):
+            a, b = spec.random_pair(rng), spec.random_pair(rng)
+            err = spec.embed(*spec.product(a, b)) - spec.embed(*a) @ spec.embed(*b)
+            assert np.max(np.abs(err)) <= 1e-13
+
+    def test_split_inverts_embed(self, route):
+        spec = route()
+        rng = np.random.default_rng(24)
+        for _ in range(10):
+            k, u = spec.random_pair(rng)
+            k_back, u_back = spec.split(spec.embed(k, u))
+            assert np.max(np.abs(k_back - k)) <= 1e-14
+            assert np.max(np.abs(u_back - u)) <= 1e-13
+
+    def test_rho_inf_is_derivative_of_rho(self, route):
+        # oracle: rho(l) is an automorphism of N, so rho(l)(exp x) = exp(rho_inf(l) x)
+        spec = route()
+        rng = np.random.default_rng(25)
+        for _ in range(10):
+            l, x = spec.K.random_element(rng), spec.N.random_algebra(rng)
+            rho_inf = spec.rho_inf(l)
+            assert np.max(np.abs(rho_inf - spec.N.Ad(spec.R(l)))) <= 1e-14
+            assert np.max(np.abs(spec.N.log(spec.rho(l, spec.N.exp(x))) - rho_inf @ x)) <= 1e-12
+
+
+def test_generic_route_matches_closed_form():
+    closed = so3_r3()
+    generic = generic_route(closed)
+    rng = np.random.default_rng(26)
+    for _ in range(10):
+        l = closed.K.random_element(rng)
+        assert np.max(np.abs(generic.R(l) - closed.R(l))) <= 1e-13
+
+
 class TestTrivialization:
     def test_identity_pair_embeds_to_identity(self, sd):
         np.testing.assert_allclose(sd.embed(*sd.identity_pair()), np.eye(7), atol=1e-14)
