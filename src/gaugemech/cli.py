@@ -474,14 +474,6 @@ def run_simulate(scenario: dict, basedir: Path, seed: int, tol_scale: float, out
     if not 0 < h < np.inf:
         raise ConfigError(f"step size 'h' must be positive and finite, got {cfg['h']!r}")
     model = semidirect.heavy_top_model(inertia, mgl, axis)
-    monitors = {"energy": model.hamiltonian}
-    for c in model.casimirs:
-        monitors[c.name] = c
-    if model.inertia[0] == model.inertia[1] and np.allclose(model.axis, [0, 0, 1]):
-        monitors["Pi3"] = poisson.coordinate_field(2, 6)
-    if model.mgl == 0.0:
-        monitors["|Pi|^2"] = poisson.ScalarField(lambda x: float(x[:3] @ x[:3]), lambda x: np.concatenate([2 * x[:3], np.zeros(3)]))
-
     doc: dict[str, Any] = {
         "scenario": scenario.get("name", "unnamed"),
         "kind": "simulate",
@@ -491,12 +483,13 @@ def run_simulate(scenario: dict, basedir: Path, seed: int, tol_scale: float, out
         "n_steps": n_steps,
     }
     try:
-        traj = dynamics.integrate(model.space, model.hamiltonian, x0, h, n_steps, monitors=monitors)
+        traj = dynamics.integrate(model.space, model.hamiltonian, x0, h, n_steps, monitors=model.monitors())
     except dynamics.DivergenceError as exc:
         doc["pass"] = False
         doc["divergence_step"] = exc.step
         doc["last_valid_time"] = float(exc.trajectory.times[-1]) if exc.trajectory.times.size else 0.0
         dump_json(doc, str(out_dir / "report.json"))
+        print(f"simulation diverged: {exc}; see report.json", file=sys.stderr)
         return EXIT_DIVERGENCE
 
     drift = dynamics.monitor_drift(traj)

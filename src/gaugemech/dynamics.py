@@ -37,48 +37,75 @@ class Trajectory:
     states: Array
     monitors: dict[str, Array] = field(default_factory=dict)
 
-    @property
-    def final(self) -> Array:
-        return self.states[-1]
-
 
 def ham_vector_field(space: PoissonSpace, hamiltonian: ScalarField, point: Array) -> Array:
-    """Velocity v_i = {x_i, H}(point) = sum_j B_ij dH/dx_j.
+    """Velocity v_i = {x_i, H}(point) = sum_j B_ij dH/dx_j, for a float vector ``point``.
 
+    The same arithmetic as ``space.bivector(point) @ hamiltonian.gradient(point)``,
+    bit for bit, without those two calls' conversions: the exact ``grad`` is
+    called directly when the field has one, the FD ``gradient`` otherwise.
     This is the per-stage right-hand side of ``integrate`` and does not check
     the chart: ``integrate`` checks the initial and accepted states, and
     ``PoissonSpace.bracket`` checks its point.
     """
-    return space.bivector(point) @ hamiltonian.gradient(point)
+    b = space.linear @ point
+    if space.const is not None:
+        b = b + space.const
+    grad = hamiltonian.grad
+    return b @ (grad(point) if grad is not None else hamiltonian.gradient(point))
 
 
 def _rk4(rhs: Callable[[Array], Array], x0: Array, h: float, n_steps: int) -> Trajectory:
     """Classical fixed-step RK4: the one stepper behind every integrator here.
 
-    Raises DivergenceError, carrying the trajectory up to the last finite
-    state, as soon as a step leaves the finite reals.
+    The steps run with numpy floating-point warnings off, and finiteness is
+    checked once per block of CSV_BLOCK stored states, not per stage. A
+    non-finite state stays non-finite under later steps, so the first
+    non-finite state of a block is the first of the run: DivergenceError
+    names that step and carries the trajectory up to the last finite state.
+    After divergence ``rhs`` may still be evaluated on non-finite states, up
+    to the end of the block. If ``rhs`` raises on a non-finite state or
+    stage, the run ends in DivergenceError as well.
     """
     if h <= 0:
         raise ValueError("step size must be positive")
     x = np.asarray(x0, dtype=float).copy()
     states = np.empty((n_steps + 1, x.size))
     states[0] = x
+    half, sixth = 0.5 * h, h / 6.0
 
-    def stage(y: Array) -> Array:
-        # an overflowed stage propagates as NaN and trips the divergence check
-        if not np.isfinite(y).all():
-            return np.full_like(y, np.nan)
-        return rhs(y)
+    def divergence(lo: int, hi: int) -> DivergenceError | None:
+        """DivergenceError at the first non-finite stored state of steps lo..hi-1, if any."""
+        bad = ~np.isfinite(states[lo:hi]).all(axis=1)
+        if not bad.any():
+            return None
+        step = lo + int(np.argmax(bad))
+        return DivergenceError(step, Trajectory(np.arange(step) * h, states[:step]))
 
-    for step in range(1, n_steps + 1):
-        k1 = stage(x)
-        k2 = stage(x + 0.5 * h * k1)
-        k3 = stage(x + 0.5 * h * k2)
-        k4 = stage(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.isfinite(x).all():
-            raise DivergenceError(step, Trajectory(np.arange(step) * h, states[:step]))
-        states[step] = x
+    with np.errstate(all="ignore"):
+        for start in range(1, n_steps + 1, CSV_BLOCK):
+            stop = min(start + CSV_BLOCK, n_steps + 1)
+            for step in range(start, stop):
+                y = x
+                try:
+                    k1 = rhs(y)
+                    y = x + half * k1
+                    k2 = rhs(y)
+                    y = x + half * k2
+                    k3 = rhs(y)
+                    y = x + h * k3
+                    k4 = rhs(y)
+                except Exception:
+                    if np.isfinite(y).all():
+                        raise
+                    # a non-finite stage makes this step's state non-finite, unless an earlier one already was
+                    states[step] = np.nan
+                    raise divergence(start, step + 1) from None
+                x = x + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+                states[step] = x
+            exc = divergence(start, stop)
+            if exc is not None:
+                raise exc
     return Trajectory(np.arange(n_steps + 1) * h, states)
 
 
@@ -86,10 +113,21 @@ def integrate(space: PoissonSpace, hamiltonian: ScalarField, x0: Array, h: float
               monitors: dict[str, ScalarField] | None = None) -> Trajectory:
     """Classical fixed-step RK4 on the coordinate chart; monitors at every step.
 
+    Each stage calls ``ham_vector_field`` once. Finiteness is checked per
+    block of stored states, as in ``_rk4``, so after a divergence the
+    Hamiltonian's gradient may be evaluated on non-finite states for up to
+    one block; DivergenceError names the first non-finite state.
+
     The chart of ``x0`` is checked once. On a space with a chart box every
     accepted state is checked as well, once the steps are done: the affine
     bivector is defined off the box too, so steps past a state outside it
     waste work before the ChartError but cannot fail.
+
+    Monitors are evaluated over the whole stored trajectory with
+    ``ScalarField.evaluate_rows``: one ``batch_fn`` call per monitor when the
+    field has one, ``fn`` per row otherwise. On a diverged trajectory they
+    run with numpy floating-point warnings off, since its last finite states
+    may overflow a quadratic monitor.
     """
     space.check_chart(x0)
     monitors = monitors or {}
@@ -98,14 +136,14 @@ def integrate(space: PoissonSpace, hamiltonian: ScalarField, x0: Array, h: float
         if space.box is not None:
             for y in traj.states[1:]:
                 space.check_chart(y)
-        # the rows are already float vectors, so the fields' fn skip ScalarField.__call__
-        traj.monitors = {name: np.array([q.fn(y) for y in traj.states], dtype=float) for name, q in monitors.items()}
+        traj.monitors = {name: q.evaluate_rows(traj.states) for name, q in monitors.items()}
         return traj
 
     try:
         return record(_rk4(lambda y: ham_vector_field(space, hamiltonian, y), x0, h, n_steps))
     except DivergenceError as exc:
-        record(exc.trajectory)
+        with np.errstate(all="ignore"):
+            record(exc.trajectory)
         raise
 
 
@@ -116,7 +154,7 @@ def monitor_drift(trajectory: Trajectory, quantities: dict[str, ScalarField] | N
         out[name] = float(np.max(np.abs(series - series[0])))
     if quantities:
         for name, q in quantities.items():
-            series = np.array([q(s) for s in trajectory.states])
+            series = q.evaluate_rows(trajectory.states)
             out[name] = float(np.max(np.abs(series - series[0])))
     return out
 

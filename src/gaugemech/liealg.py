@@ -60,6 +60,8 @@ _PADE_COEFFS = tuple(np.array(b, dtype=float) for b in (
     (64764752532480000, 32382376266240000, 7771770303897600, 1187353796428800, 129060195264000,
      10559470521600, 670442572800, 33522128640, 1323241920, 40840800, 960960, 16380, 182, 1),
 ))
+# above this 1-norm the a^3 = 0 test in expm can overflow (|a^3|_1 <= |a|_1^3)
+_EXPM_MAX_NORM = float(np.finfo(float).max) ** (1.0 / 3.0)
 
 
 def expm(a: Array) -> Array:
@@ -71,6 +73,10 @@ def expm(a: Array) -> Array:
     times.  With p_m = U + V split into odd and even parts, r_m = (V - U)^-1 (V + U).
     When a^3 is exactly zero (heisenberg3, abelian translations) the series
     I + a + a^2/2 is returned exactly.
+
+    Raises LieDomainError for a non-finite matrix, for a 1-norm above
+    _EXPM_MAX_NORM, and when the squarings overflow (the exponential, or the
+    rounding error of a huge rotation angle, leaves the floating-point range).
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
@@ -78,6 +84,8 @@ def expm(a: Array) -> Array:
     norm = float(np.abs(a).sum(axis=0).max())
     if not math.isfinite(norm):
         raise LieDomainError("matrix exponential of a non-finite matrix")
+    if norm > _EXPM_MAX_NORM:
+        raise LieDomainError(f"matrix exponential of a matrix with 1-norm {norm:.3g} would overflow")
     a2 = a @ a
     if not (a2 @ a).any():
         return eye + a + 0.5 * a2
@@ -94,8 +102,13 @@ def expm(a: Array) -> Array:
     u = a @ (b[1::2] @ flat).reshape(n, n)
     v = (b[0::2] @ flat).reshape(n, n)
     out = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
-        out = out @ out
+    if s:
+        # the Pade phase cannot overflow at 1-norm <= theta_13; the squarings can
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(s):
+                out = out @ out
+        if not np.isfinite(out).all():
+            raise LieDomainError(f"matrix exponential overflowed after {s} squarings (1-norm {norm:.3g})")
     return out
 
 

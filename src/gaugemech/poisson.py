@@ -61,12 +61,18 @@ class ScalarField:
     ``fd_step`` is the central-difference step used when no exact gradient is
     attached; fields built from already-noisy evaluators (nested brackets)
     should carry a coarser step.
+
+    ``batch_fn``, when attached, evaluates the field on every row of an
+    (m, dim) float array at once and returns shape (m,). Its entry i must
+    equal ``fn(rows[i])`` bit for bit, so a report or CSV does not depend on
+    which of the two evaluated it.
     """
 
     fn: Callable[[Array], float]
     grad: Callable[[Array], Array] | None = None
     name: str = ""
     fd_step: float = GRAD_STEP
+    batch_fn: Callable[[Array], Array] | None = None
 
     def __call__(self, x: Array) -> float:
         return float(self.fn(np.asarray(x, dtype=float)))
@@ -83,11 +89,17 @@ class ScalarField:
             out[i] = (self.fn(x + e) - self.fn(x - e)) / (2 * h)
         return out
 
+    def evaluate_rows(self, rows: Array) -> Array:
+        """The field on each row of a float array: ``batch_fn`` if attached, else ``fn`` per row."""
+        if self.batch_fn is not None:
+            return np.asarray(self.batch_fn(rows), dtype=float)
+        return np.array([self.fn(y) for y in rows], dtype=float)
+
 
 def coordinate_field(i: int, dim: int) -> ScalarField:
     e = np.zeros(dim)
     e[i] = 1.0
-    return ScalarField(lambda x, i=i: float(x[i]), lambda x, e=e: e.copy(), name=f"x{i}")
+    return ScalarField(lambda x, i=i: float(x[i]), lambda x, e=e: e.copy(), name=f"x{i}", batch_fn=lambda rows, i=i: rows[:, i].copy())
 
 
 def random_polynomial(rng: np.random.Generator, dim: int, degree: int = 2, scale: float = 1.0, exact_grad: bool = True) -> ScalarField:

@@ -154,7 +154,7 @@ def test_criterion_9_heavy_top():
     us, bs = dynamics.integrate_cotangent(grp, partial(dynamics.group_cotangent_field, grp, model.hamiltonian), grp.identity(), x0, 1e-3, 1000)
     mu_up = grp.Ad_star(np.linalg.inv(us[-1])) @ bs[-1]
     reduced = dynamics.integrate(model.space, model.hamiltonian, x0, 1e-3, 1000)
-    agree = float(np.linalg.norm(mu_up - reduced.final))
+    agree = float(np.linalg.norm(mu_up - reduced.states[-1]))
     elapsed = time.perf_counter() - t0
     ok = casimir_ok and ratio_ok and agree <= 1e-6 and elapsed < 30.0
     _line(9, ok, f"Casimir drifts ({drift['|Gamma|^2']:.1e}, {drift['<Pi,Gamma>']:.1e}) at T=10 h=1e-3, RK4 ratio {ratio:.1f}, upstairs-vs-reduced {agree:.1e}, {elapsed:.1f}s")

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -150,6 +151,21 @@ class TestSimulate:
         assert code == cli.EXIT_DIVERGENCE
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["divergence_step"] >= 1
+
+    def test_divergence_exits_with_one_line_and_no_warnings(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(cli.BUILTIN_SCENARIOS["heavy-top-lagrange"]))
+        doc["simulate"]["h"] = 5.0
+        doc["simulate"]["x0"] = [100.0 * v for v in doc["simulate"]["x0"]]
+        path = tmp_path / "blowup.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["simulate", str(path), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_DIVERGENCE
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        step = json.loads((tmp_path / "out" / "report.json").read_text())["divergence_step"]
+        err = capsys.readouterr().err
+        assert err == f"simulation diverged: non-finite state at step {step}; see report.json\n"
 
 
 OUTPUT_FILES = {

@@ -1,4 +1,5 @@
 import csv
+import warnings
 from functools import partial
 
 import numpy as np
@@ -12,6 +13,16 @@ from gaugemech.poisson import ChartError, PoissonSpace, ScalarField, canonical_c
 def free_body(inertia):
     inv_i = 1.0 / np.asarray(inertia, dtype=float)
     return ScalarField(lambda x: float(0.5 * x @ (inv_i * x)), lambda x: inv_i * x, name="kinetic")
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+# H = (q p)^2 / 2 on T*R: q p is conserved and q grows like exp(q0 p0 t), so
+# RK4 with a large step overflows once q**2 leaves the float range
+QP_SQUARED = ScalarField(lambda x: 0.5 * (x[0] * x[1]) ** 2, lambda x: np.array([x[0] * x[1] ** 2, x[0] ** 2 * x[1]]))
 
 
 class TestVectorField:
@@ -69,18 +80,60 @@ class TestIntegrate:
         ha = h * (sp.bivector(x0) @ s)
         prop = np.eye(4) + ha + ha @ ha / 2 + ha @ ha @ ha / 6 + ha @ ha @ ha @ ha / 24
         traj = integrate(sp, h_fn, x0, h, n)
-        np.testing.assert_allclose(traj.final, np.linalg.matrix_power(prop, n) @ x0, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(traj.states[-1], np.linalg.matrix_power(prop, n) @ x0, rtol=0, atol=1e-13)
 
     def test_divergence_aborts_with_step_index(self):
         sp = canonical_cotangent(1)
-        # H = (q p)^2 / 2 has superexponential flow; large steps overflow fast
-        h = ScalarField(lambda x: 0.5 * (x[0] * x[1]) ** 2,
-                        lambda x: np.array([x[0] * x[1] ** 2, x[0] ** 2 * x[1]]))
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as err:
-            integrate(sp, h, np.array([3.0, 3.0]), 0.5, 400, monitors={"H": h})
+            integrate(sp, QP_SQUARED, np.array([3.0, 3.0]), 0.5, 400, monitors={"H": QP_SQUARED})
         assert err.value.step >= 1
         assert err.value.trajectory.states.shape[0] == err.value.step
         assert err.value.trajectory.monitors["H"].shape[0] == err.value.step
+
+    @pytest.mark.parametrize("x0, h", [([3.0, 3.0], 0.5), ([1.0, 1.0], 0.3), ([2.0, 0.5], 0.2)])
+    def test_divergence_matches_per_step_reference(self, x0, h):
+        # the reference checks every stage and every step, as a guarded stepper would;
+        # the last two cases diverge past the first block of stored states
+        sp = canonical_cotangent(1)
+
+        def stage(y):
+            return sp.bivector(y) @ QP_SQUARED.gradient(y) if np.isfinite(y).all() else np.full(2, np.nan)
+
+        x, ref_states, ref_step = np.array(x0), [np.array(x0)], None
+        with np.errstate(all="ignore"):
+            for step in range(1, 4001):
+                k1 = stage(x)
+                k2 = stage(x + 0.5 * h * k1)
+                k3 = stage(x + 0.5 * h * k2)
+                k4 = stage(x + h * k3)
+                x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+                if not np.isfinite(x).all():
+                    ref_step = step
+                    break
+                ref_states.append(x)
+        assert ref_step is not None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as err:
+                integrate(sp, QP_SQUARED, np.array(x0), h, 4000, monitors={"H": QP_SQUARED})
+        traj = err.value.trajectory
+        assert err.value.step == ref_step
+        assert same_bits(traj.states, np.array(ref_states))
+        assert same_bits(traj.times, np.arange(ref_step) * h)
+        assert same_bits(traj.monitors["H"], [QP_SQUARED.fn(y) for y in ref_states])
+
+    def test_rhs_error_past_divergence_is_divergence(self):
+        # an rhs that rejects non-finite input (as expm does) must not mask the divergence
+        def rhs(y):
+            if not np.isfinite(y).all():
+                raise ValueError("non-finite input")
+            return y * y
+
+        with pytest.raises(DivergenceError) as err:
+            dynamics._rk4(rhs, np.array([1.0]), 0.5, 100)
+        assert np.isfinite(err.value.trajectory.states).all()
+        with pytest.raises(ZeroDivisionError):
+            dynamics._rk4(lambda y: 1 / 0, np.array([1.0]), 0.5, 10)
 
     def test_rejects_x0_of_wrong_shape(self):
         sp = lie_poisson(liealg.so3())
@@ -100,7 +153,7 @@ class TestIntegrate:
         h_a = ScalarField(lambda x: float(x[1]), lambda x: np.eye(5)[1], name="a")
         x0 = np.array([0.5, 0.0, 0.1, 0.2, 0.3])
         traj = integrate(q, h_a, x0, 0.1, 4)
-        np.testing.assert_allclose(traj.final[0], 0.9, atol=1e-12)
+        np.testing.assert_allclose(traj.states[-1, 0], 0.9, atol=1e-12)
         with pytest.raises(ChartError):
             integrate(q, h_a, x0, 0.1, 6)
         with pytest.raises(ChartError):
@@ -110,6 +163,46 @@ class TestIntegrate:
         sp = canonical_cotangent(1)
         with pytest.raises(ValueError):
             integrate(sp, free_body([1.0, 1.0]), np.zeros(2), -0.1, 10)
+
+
+class TestFastPaths:
+    def test_ham_vector_field_matches_bivector_times_gradient(self):
+        rng = np.random.default_rng(11)
+        top = semidirect.heavy_top_model([1.0, 2.0, 3.0], 0.7, [0.3, -0.2, 0.9])
+        so3 = lie_poisson(liealg.so3())
+        fd_kinetic = ScalarField(free_body([1.0, 2.0, 3.0]).fn)  # no exact gradient: the FD fallback
+        cases = [(top.space, top.hamiltonian, 6), (so3, fd_kinetic, 3), (canonical_cotangent(1), QP_SQUARED, 2)]
+        for space, ham, dim in cases:
+            for _ in range(50):
+                x = rng.standard_normal(dim) * 10.0 ** rng.uniform(-3, 3)
+                assert same_bits(ham_vector_field(space, ham, x), space.bivector(x) @ ham.gradient(x))
+
+    @pytest.mark.parametrize("mgl, axis", [(0.7, [0.3, 0.0, 0.9]), (-0.7, [0.0, -0.0, 1.0]), (0.0, [0.0, 0.0, 1.0])])
+    def test_heavy_top_gradient_matches_blockwise_formula(self, mgl, axis):
+        # signed zeros included: dH/dGamma = mgl * axis may hold -0.0
+        inertia, axis = np.array([1.0, 2.0, 3.0]), np.array(axis)
+        grad = semidirect.heavy_top_model(inertia, mgl, axis).hamiltonian.grad
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            x = rng.standard_normal(6)
+            x[rng.integers(6)] = -0.0
+            assert same_bits(grad(x), np.concatenate([(1.0 / inertia) * x[:3], mgl * axis]))
+
+    @pytest.mark.parametrize("name", ["heavy-top-lagrange", "heavy-top-free"])
+    def test_builtin_monitors_batched_equal_per_row(self, name):
+        from gaugemech.cli import BUILTIN_SCENARIOS
+
+        cfg = BUILTIN_SCENARIOS[name]["simulate"]
+        m = semidirect.heavy_top_model(cfg["inertia"], cfg["mgl"], cfg["axis"])
+        monitors = m.monitors()
+        assert {"energy", "|Gamma|^2", "<Pi,Gamma>"} <= set(monitors)
+        assert ("Pi3" in monitors) == (name == "heavy-top-lagrange")
+        assert ("|Pi|^2" in monitors) == (name == "heavy-top-free")
+        states = integrate(m.space, m.hamiltonian, np.array(cfg["x0"]), cfg["h"], cfg["n_steps"]).states
+        assert states.shape == (10001, 6)
+        for q in monitors.values():
+            assert q.batch_fn is not None
+            assert same_bits(q.batch_fn(states), [q.fn(y) for y in states])
 
 
 class TestMonitors:
@@ -154,7 +247,7 @@ class TestReductionConsistency:
         us, bs = dynamics.integrate_cotangent(grp, partial(dynamics.group_cotangent_field, grp, m.hamiltonian), grp.identity(), x0, 1e-3, 1000)
         traj = integrate(m.space, m.hamiltonian, x0, 1e-3, 1000)
         mu_up = grp.Ad_star(np.linalg.inv(us[-1])) @ bs[-1]
-        assert np.linalg.norm(mu_up - traj.final) <= 1e-6
+        assert np.linalg.norm(mu_up - traj.states[-1]) <= 1e-6
 
 
 class TestOutput:

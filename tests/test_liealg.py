@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -118,6 +119,19 @@ class TestExpm:
         a[0, 1] = bad
         with pytest.raises(LieDomainError):
             expm(a)
+
+    @pytest.mark.parametrize("coords", [(1e200, 2e200, -1e200), (1e150, 0.0, 0.0), (1e90, -1e90, 0.0)])
+    def test_huge_finite_norm_raises_without_warnings(self, so3, coords):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LieDomainError):
+                expm(so3.from_coords(np.array(coords)))
+
+    def test_overflowing_exponential_raises(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LieDomainError):
+                expm(np.diag([1000.0, 0.0, 0.0]))
 
 
 def ad_by_columns(spec, g):
