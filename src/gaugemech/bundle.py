@@ -190,6 +190,8 @@ class BundleSpec:
             raise ValueError(f"unknown bundle kind {self.kind!r}")
         if self.kind == "TrivialProduct":
             self.base_box = np.asarray(self.base_box, dtype=float).reshape(-1, 2)
+            if not (np.isfinite(self.base_box).all() and (self.base_box[:, 0] < self.base_box[:, 1]).all()):
+                raise ValueError(f"'base_box' rows must be finite [lo, hi] with lo < hi, got {self.base_box.tolist()}")
         else:
             if self.base_group is None:
                 raise ValueError("SemidirectTotal requires base_group")
@@ -261,7 +263,7 @@ class BundleSpec:
     def tk_g(self, g: Array) -> Array:
         """Matrix of T kappa_g(p) on tangent coordinates: diag(I, Ad_{g^-1})."""
         out = np.eye(self.tangent_dim)
-        out[self.d :, self.d :] = self.group.Ad(np.linalg.inv(g))
+        out[self.d :, self.d :] = self.group.Ad_inv(g)
         return out
 
     def tk_p_e(self) -> Array:
@@ -289,8 +291,7 @@ class BundleSpec:
         """Connection one-form alpha_p in the trivialized frame."""
         dbase, xi = tangent[: self.d], tangent[self.d :]
         a_mat = self.connection.matrix(self.base_coords_for_connection(point.base))
-        u_inv = np.linalg.inv(point.fiber)
-        return self.group.Ad(u_inv) @ (a_mat @ dbase) + xi
+        return self.group.Ad_inv(point.fiber) @ (a_mat @ dbase) + xi
 
     # -- canonical one-form, momentum map ----------------------------------------
 
@@ -421,7 +422,7 @@ def action_suite(b: BundleSpec, samples: int = 25, seed: int = 0, tol: float = A
         # equivariance of the vertical trivialization: Tkappa_g (0, X) = (0, Ad_{g^-1} X)
         x = G.random_algebra(rng)
         lhs_v = b.tk_g(g) @ b.vertical_lift(x)
-        rhs_v = b.vertical_lift(G.Ad(gi) @ x)
+        rhs_v = b.vertical_lift(G.Ad_inv(g) @ x)
         w["vert_equivariance"] = max(w["vert_equivariance"], float(np.max(np.abs(lhs_v - rhs_v))))
 
     for name, resid in sorted(w.items()):
@@ -443,7 +444,7 @@ def connection_suite(b: BundleSpec, samples: int = 25, seed: int = 0, tol: float
         g = G.random_element(rng)
         v = b.random_tangent(rng)
         lhs = b.alpha(b.act(p, g), b.tk_g(g) @ v)
-        rhs = G.Ad(np.linalg.inv(g)) @ b.alpha(p, v)
+        rhs = G.Ad_inv(g) @ b.alpha(p, v)
         r2 = max(r2, float(np.linalg.norm(lhs - rhs)))
     rep.add("reproduces_vertical", r1, tol)
     rep.add("Ad_equivariance", r2, tol)

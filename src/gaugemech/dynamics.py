@@ -181,7 +181,7 @@ def group_cotangent_field(group: LieGroupSpec, reduced_h: ScalarField, u: Array,
     field reads xi = grad_b f, b' = ad*_xi b - d_u f, with the u-derivative of
     the lift given exactly by the coadjoint chain rule.
     """
-    trans = group.Ad_star(np.linalg.inv(u))
+    trans = group.Ad_star_inv(u)
     grad_h = reduced_h.gradient(trans @ b)
     xi = trans.T @ grad_h
     return xi, group.ad_star(xi) @ b - group.coadjoint_chain_rule(trans, grad_h, b)

@@ -37,6 +37,11 @@ LOG_SERIES_CUTOFF = 1e-24
 LOG_SERIES_RADIUS = 0.5
 MAX_SQUARE_ROOTS = 48
 CASIMIR_DECIMALS = 12
+# closed-form rotation exp/log: Taylor coefficients below this theta^2; the log
+# only for g with max|g^T g - I| <= ROTATION_ORTHO_TOL and angle <= pi - margin
+ROTATION_TAYLOR_THETA2 = 1e-8
+ROTATION_ORTHO_TOL = 1e-12
+ROTATION_LOG_PI_MARGIN = 1e-6
 
 
 class LieDomainError(ValueError):
@@ -112,6 +117,51 @@ def expm(a: Array) -> Array:
     return out
 
 
+def rodrigues(a: Array) -> Array:
+    """exp(a) of an antisymmetric 3x3 matrix a by Rodrigues' formula.
+
+    With theta^2 = a_21^2 + a_02^2 + a_10^2, exp(a) = I + sin(theta)/theta a +
+    (1 - cos theta)/theta^2 a^2 (Gallier & Xu, Int. J. Robotics and Automation
+    17(4), 2002); the second coefficient is formed as 2 sin^2(theta/2)/theta^2,
+    which keeps its relative accuracy at small angles.  For theta^2 < 1e-8 both
+    coefficients are their Taylor polynomials 1 - theta^2/6 and 1/2 -
+    theta^2/24, truncated below unit roundoff.  The result is orthogonal to
+    rounding at any angle.  Raises LieDomainError when theta^2 is not finite.
+    """
+    x, y, z = float(a[2, 1]), float(a[0, 2]), float(a[1, 0])
+    theta2 = x * x + y * y + z * z
+    if not math.isfinite(theta2):
+        raise LieDomainError(f"rotation exponential of a non-finite or overflowing angle (theta^2 = {theta2})")
+    if theta2 < ROTATION_TAYLOR_THETA2:
+        c1, c2 = 1.0 - theta2 / 6.0, 0.5 - theta2 / 24.0
+    else:
+        theta = math.sqrt(theta2)
+        half = math.sin(0.5 * theta) / (0.5 * theta)
+        c1, c2 = math.sin(theta) / theta, 0.5 * half * half
+    return np.eye(3) + c1 * a + c2 * (a @ a)
+
+
+def rotation_log(g: Array) -> Array | None:
+    """log(g) of a 3x3 rotation in closed form, or None to defer to ``logm``.
+
+    log(g) = theta / (2 sin theta) (g - g^T) with theta = atan2(sin, cos) from
+    the antisymmetric part and the trace (Gallier & Xu 2002).  Returns None
+    when g is not orthogonal to ROTATION_ORTHO_TOL with positive determinant
+    (a non-rotation is never projected onto one) and when theta lies within
+    ROTATION_LOG_PI_MARGIN of pi, where the domain verdict belongs to ``logm``.
+    """
+    if not np.abs(g.T @ g - np.eye(3)).max() <= ROTATION_ORTHO_TOL or not np.linalg.det(g) > 0.0:
+        return None
+    anti = g - g.T
+    sin = 0.5 * math.sqrt(float(anti[2, 1] ** 2 + anti[0, 2] ** 2 + anti[1, 0] ** 2))
+    theta = math.atan2(sin, 0.5 * (float(g[0, 0] + g[1, 1] + g[2, 2]) - 1.0))
+    if theta > math.pi - ROTATION_LOG_PI_MARGIN:
+        return None
+    theta2 = theta * theta
+    factor = 0.5 + theta2 / 12.0 if theta2 < ROTATION_TAYLOR_THETA2 else 0.5 * theta / sin
+    return factor * anti
+
+
 def _sqrtm(a: Array, tol: float = 1e-13, iters: int = 80) -> Array:
     """Principal square root via the Denman-Beavers iteration."""
     y = np.asarray(a, dtype=float)
@@ -137,19 +187,24 @@ def logm(g: Array) -> Array:
     by pi, whose principal square root does not exist).
     """
     a = np.asarray(g, dtype=float)
-    m = a.shape[0]
-    eigs = np.linalg.eigvals(a)
-    on_negative_axis = (eigs.real <= 0.0) & (np.abs(eigs.imag) <= 1e-12 * np.abs(eigs) + 1e-14)
-    if np.any(on_negative_axis):
-        raise LieDomainError("logarithm outside injectivity radius (eigenvalue on the negative real axis)")
+    eye = np.eye(a.shape[0])
+    dist = np.linalg.norm(a - eye)
+    # within Frobenius distance LOG_SERIES_RADIUS < 1 of I every eigenvalue lies in
+    # that disc around 1, off the negative axis; a NaN distance takes the eigvals path
+    if not dist < LOG_SERIES_RADIUS:
+        eigs = np.linalg.eigvals(a)
+        on_negative_axis = (eigs.real <= 0.0) & (np.abs(eigs.imag) <= 1e-12 * np.abs(eigs) + 1e-14)
+        if np.any(on_negative_axis):
+            raise LieDomainError("logarithm outside injectivity radius (eigenvalue on the negative real axis)")
     k = 0
-    while np.linalg.norm(a - np.eye(m)) >= LOG_SERIES_RADIUS:
+    while dist >= LOG_SERIES_RADIUS:
         if k >= MAX_SQUARE_ROOTS:
             raise LieDomainError("logarithm outside injectivity radius")
         a = _sqrtm(a)
         k += 1
-    w = a - np.eye(m)
-    term = np.eye(m)
+        dist = np.linalg.norm(a - eye)
+    w = a - eye
+    term = eye
     out = np.zeros_like(a)
     for j in range(1, 120):
         term = term @ w
@@ -183,12 +238,15 @@ class LieGroupSpec:
     membership_residual: Callable[[Array], float] | None = None
     membership_tol: float = 1e-8
     _basis_pinv: Array = field(init=False, repr=False)
+    _rotation_basis: bool = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.basis = np.asarray(self.basis, dtype=float).reshape(self.dim, self.embed, self.embed)
         self.structure = np.asarray(self.structure, dtype=float).reshape(self.dim, self.dim, self.dim)
         flat = self.basis.reshape(self.dim, -1)
         self._basis_pinv = np.linalg.pinv(flat)
+        # 3x3 antisymmetric basis matrices: exp and log have closed forms (Rodrigues)
+        self._rotation_basis = self.embed == 3 and np.array_equal(self.basis, -np.transpose(self.basis, (0, 2, 1)))
 
     # -- coordinates --------------------------------------------------------
 
@@ -235,12 +293,23 @@ class LieGroupSpec:
         conjugated in one batched product and projected with the cached basis
         pseudo-inverse in one matmul.
         """
-        conj = g @ self.basis @ np.linalg.inv(g)
+        return self._conjugate(g, np.linalg.inv(g))
+
+    def Ad_inv(self, g: Array) -> Array:
+        """Matrix of Ad_{g^-1}, formed as g^-1 e_i g with one inverse."""
+        return self._conjugate(np.linalg.inv(g), g)
+
+    def _conjugate(self, left: Array, right: Array) -> Array:
+        conj = left @ self.basis @ right
         return (conj.reshape(self.dim, -1) @ self._basis_pinv).T
 
     def Ad_star(self, g: Array) -> Array:
         """Matrix of Ad*_g on coalgebra coordinates: <Ad*_g mu, x> = <mu, Ad_g x>."""
         return self.Ad(g).T
+
+    def Ad_star_inv(self, g: Array) -> Array:
+        """Matrix of Ad*_{g^-1}, with one inverse (see ``Ad_inv``)."""
+        return self.Ad_inv(g).T
 
     def coadjoint_chain_rule(self, trans: Array, grad: Array, b: Array) -> Array:
         """Derivatives of u -> H(Ad*_{u^-1} b) along the curves u exp(t e_j).
@@ -288,10 +357,13 @@ class LieGroupSpec:
     # -- exponential map ------------------------------------------------------
 
     def exp(self, x: Array) -> Array:
-        return expm(self.from_coords(x))
+        a = self.from_coords(x)
+        return rodrigues(a) if self._rotation_basis else expm(a)
 
     def log(self, g: Array) -> Array:
-        return self.to_coords(logm(np.asarray(g, dtype=float)))
+        g = np.asarray(g, dtype=float)
+        a = rotation_log(g) if self._rotation_basis and g.shape == (3, 3) else None
+        return self.to_coords(logm(g) if a is None else a)
 
     def identity(self) -> Array:
         return np.eye(self.embed)

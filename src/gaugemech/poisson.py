@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bundle import BundleSpec, CotangentSample, Point, QuotientClass
-from .liealg import LieGroupSpec
+from .liealg import LieGroupSpec, rodrigues
 from .report import SuiteReport
 from .rng import stream
 
@@ -283,8 +283,7 @@ def invariant_lift(bundle: BundleSpec, f: ScalarField) -> CotangentFn:
         return CotangentFn(fn)
 
     def grads(s: CotangentSample):
-        u_inv = np.linalg.inv(s.point.fiber)
-        m_u = bundle.group.Ad_star(u_inv)
+        m_u = bundle.group.Ad_star_inv(s.point.fiber)
         x = np.concatenate([s.point.base, s.a, m_u @ s.b])
         g = f.gradient(x)
         gm, ga, gb = g[:d], g[d : 2 * d], g[2 * d :]
@@ -446,7 +445,7 @@ def coadjoint_orbit(group: LieGroupSpec, mu0: Array, n_samples: int = 40, seed: 
     orbit = CoadjointOrbit(group, mu0)
     for _ in range(n_samples):
         g = group.random_element(rng, scale=0.8)
-        orbit.samples.append(group.Ad_star(np.linalg.inv(g)) @ mu0)
+        orbit.samples.append(group.Ad_star_inv(g) @ mu0)
     span = orbit.tangent_span(mu0)
     svals = np.linalg.svd(span, compute_uv=False)
     cut = 1e-8 * max(svals[0], 1.0)
@@ -469,7 +468,7 @@ def _acts_by_rotation(group: LieGroupSpec) -> bool:
 def _rotation(axis: Array, angle: float) -> Array:
     """Rotation of R^3 by angle about the unit axis (Rodrigues)."""
     k = np.array([[0.0, -axis[2], axis[1]], [axis[2], 0.0, -axis[0]], [-axis[1], axis[0], 0.0]])
-    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+    return rodrigues(angle * k)
 
 
 def coadjoint_transport(group: LieGroupSpec, mu_from: Array, mu_to: Array) -> Array:
@@ -510,7 +509,9 @@ def coadjoint_transport(group: LieGroupSpec, mu_from: Array, mu_to: Array) -> Ar
 def dexp_left(group: LieGroupSpec, xi: Array, dxi: Array, terms: int = 24) -> Array:
     """Left-trivialized velocity of t -> exp(xi + t dxi) at t = 0.
 
-    The standard series sum_k (-ad_xi)^k / (k+1)! applied to dxi.
+    The standard series sum_k (-ad_xi)^k / (k+1)! applied to dxi; it stops at
+    the first term that is exactly zero, after which every term vanishes (ad_xi
+    nilpotent on dxi, as for abelian and Heisenberg algebras).
     """
     acc = np.asarray(dxi, dtype=float).copy()
     out = acc.copy()
@@ -518,6 +519,8 @@ def dexp_left(group: LieGroupSpec, xi: Array, dxi: Array, terms: int = 24) -> Ar
     fact = 1.0
     for k in range(1, terms):
         acc = neg_ad @ acc
+        if not acc.any():
+            break
         fact *= k + 1
         out = out + acc / fact
     return out
@@ -563,7 +566,7 @@ def leaf_structure(bundle: BundleSpec, orbit: CoadjointOrbit, samples: int = 25,
     for _ in range(samples):
         # on-orbit sample upstairs, arbitrary gauge
         g = G.random_element(rng, scale=0.8)
-        chi = G.Ad_star(np.linalg.inv(g)) @ orbit.mu0
+        chi = G.Ad_star_inv(g) @ orbit.mu0
         phi = bundle.random_cotangent(rng)
         phi = CotangentSample(phi.point, phi.a, G.Ad_star(phi.point.fiber) @ chi)
 
@@ -767,7 +770,7 @@ def _pair_omega(bundle: BundleSpec, z: PairClassPoint, v1: Array, v2: Array) -> 
 
 def _pair_t(bundle: BundleSpec, z: PairClassPoint) -> Array:
     """Target map to T*P/G coordinates: class of the first leg."""
-    m_w = bundle.group.Ad_star(np.linalg.inv(z.w))
+    m_w = bundle.group.Ad_star_inv(z.w)
     return np.concatenate([z.m1, z.a1, m_w @ z.b1])
 
 
@@ -849,8 +852,8 @@ def groupoid_action_suite(bundle: BundleSpec, orbit: CoadjointOrbit, samples: in
 
         # orbit connectivity: any two leaf points of J^{-1}(O)/G are joined by an arrow
         g1, g2 = G.random_element(rng, 0.8), G.random_element(rng, 0.8)
-        b_from = G.Ad_star(np.linalg.inv(g1)) @ orbit.mu0
-        b_to = G.Ad_star(np.linalg.inv(g2)) @ orbit.mu0
+        b_from = G.Ad_star_inv(g1) @ orbit.mu0
+        b_to = G.Ad_star_inv(g2) @ orbit.mu0
         z_from = np.concatenate([bundle.random_base(rng), rng.standard_normal(d), b_from])
         z_to = np.concatenate([bundle.random_base(rng), rng.standard_normal(d), b_to])
         try:
@@ -881,13 +884,13 @@ def _graph_isotropy_sample(bundle: BundleSpec, orbit: CoadjointOrbit, rng: np.ra
 
     # composable pair: y in the leaf, lam with s(lam) = t(y)
     g1, g2 = G.random_element(rng, 0.8), G.random_element(rng, 0.8)
-    bsum = G.Ad_star(np.linalg.inv(g1)) @ orbit.mu0
+    bsum = G.Ad_star_inv(g1) @ orbit.mu0
     b1 = rng.standard_normal(n)
     y = PairClassPoint(bundle.random_base(rng), G.random_element(rng), bundle.random_base(rng),
                        rng.standard_normal(d), b1, rng.standard_normal(d), bsum - b1)
 
     def lam_for(y: PairClassPoint, m1, w, a1) -> PairClassPoint:
-        beta = G.Ad_star(np.linalg.inv(y.w)) @ y.b1
+        beta = G.Ad_star_inv(y.w) @ y.b1
         return PairClassPoint(m1, w, y.m1, a1, beta, -y.a1, -beta)
 
     m1_0, w_0, a1_0 = bundle.random_base(rng), G.random_element(rng), rng.standard_normal(d)

@@ -203,7 +203,7 @@ class FactoredCotangent:
 def tsigma_matrix(sd: SemidirectSpec, k: Array, u: Array) -> Array:
     """T Sigma_(k,u) as a matrix on left-trivialized coordinates (xi, nu) -> h-coords."""
     H = sd.group_spec()
-    ad_u = H.Ad(sd.embed(sd.K.identity(), np.linalg.inv(u)))
+    ad_u = H.Ad_inv(sd.embed(sd.K.identity(), u))
     return np.hstack([ad_u @ sd.sigma_dot(), sd.iota_dot()])
 
 
@@ -256,7 +256,7 @@ def lifted_action_formula(sd: SemidirectSpec, fc: FactoredCotangent, g: tuple[Ar
     k2 = fc.k @ l
     u2 = sd.rho(l, fc.u) @ w
     theta2 = sd.K.Ad_star(l) @ fc.theta
-    tf = sd.N.Ad(np.linalg.inv(w)) @ sd.rho_inf(l)
+    tf = sd.N.Ad_inv(w) @ sd.rho_inf(l)
     chi2 = np.linalg.solve(tf, np.eye(sd.N.dim)).T @ fc.chi
     return FactoredCotangent(k2, theta2, u2, chi2)
 

@@ -209,12 +209,15 @@ _SO3_JSON = liealg.spec_to_json(liealg.so3())
     ("so3-trivial-bundle", "connection", {"A": [5]}),
     ("so3-trivial-bundle", "connection", {"A": [[5]]}),
     ("so3-trivial-bundle", "connection", {"A": [[[[0.1, [1]]], [], []]]}),
+    ("so3-leaves", "base_box", [[1.0, -1.0], [-1.0, 1.0]]),
+    ("so3-trivial-bundle", "base_box", [[0.0, 0.0], [-1.0, 1.0]]),
 ])
 def test_malformed_scenario_exits_2(tmp_path, capsys, name, key, value):
     doc = json.loads(json.dumps(cli.BUILTIN_SCENARIOS[name]))
-    # a top-level field is replaced in place; any other field goes into the section
-    # of the scenario's kind, which for a verify scenario is the bundle spec
-    (doc if key in doc else doc["bundle" if doc["kind"] == "verify" else doc["kind"]])[key] = value
+    # a top-level or bundle field is replaced in place; any other field goes into the
+    # section of the scenario's kind
+    section = doc if key in doc else doc["bundle"] if key in doc.get("bundle", {}) else doc[doc["kind"]]
+    section[key] = value
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert run([doc["kind"], str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG_ERROR
@@ -248,11 +251,15 @@ def test_suite_exception_becomes_failed_check(tmp_path, monkeypatch):
 
 
 class TestDeterminism:
-    def test_repeated_runs_byte_identical(self, tmp_path):
+    @pytest.mark.parametrize("name", ["heisenberg-verify", "so3-trivial-bundle", "se3-verify",
+                                      "so3-leaves", "so3-zero-leaf", "u1-magnetic"])
+    def test_repeated_runs_byte_identical(self, tmp_path, name):
+        kind = cli.BUILTIN_SCENARIOS[name]["kind"]
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
-            assert run(["verify", "heisenberg-verify", "--out", str(out)]) == cli.EXIT_PASS
-        assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
+            assert run([kind, name, "--out", str(out)]) == cli.EXIT_PASS
+        for file in ["report.json"] + (["leaf_points.csv"] if kind == "leaves" else []):
+            assert (a / file).read_bytes() == (b / file).read_bytes()
 
     def test_seed_override_changes_report(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

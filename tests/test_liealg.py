@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from gaugemech import liealg, semidirect
-from gaugemech.liealg import LieDomainError, expm, validate_spec
+from gaugemech.liealg import LieDomainError, expm, logm, validate_spec
+from gaugemech.poisson import dexp_left
 
 
 def rodrigues(w):
@@ -134,6 +135,104 @@ class TestExpm:
                 expm(np.diag([1000.0, 0.0, 0.0]))
 
 
+class TestClosedFormRotations:
+    """The Rodrigues exp and closed-form log of 3x3 antisymmetric bases against the generic kernels."""
+
+    @pytest.mark.parametrize("norm", [1e-6, 2e-4, 0.01, 0.2, 0.9, 2.0, 5.0, 40.0])
+    def test_exp_matches_pade(self, so3, norm):
+        # the small-angle Taylor branch (theta^2 < 1e-8), just above it, and every Pade branch
+        assert so3._rotation_basis
+        rng = np.random.default_rng(19)
+        for _ in range(10):
+            w = rng.standard_normal(3)
+            w *= norm / np.abs(so3.from_coords(w)).sum(axis=0).max()
+            err = np.max(np.abs(so3.exp(w) - expm(so3.from_coords(w))))
+            assert err <= 1e-15 * max(1.0, norm)
+
+    def test_only_antisymmetric_3x3_bases(self):
+        assert not liealg.heisenberg3()._rotation_basis
+        assert not liealg.torus(1)._rotation_basis
+        assert not semidirect.so3_r3().group_spec()._rotation_basis
+
+    @pytest.mark.parametrize("angle", [1e6, 1e10, 1e16])
+    def test_large_angle_stays_orthogonal(self, so3, angle):
+        for axis in (np.array([1.0, 0.0, 0.0]), np.array([0.6, -0.8, 0.0]), np.array([2.0, 3.0, 6.0]) / 7.0):
+            r = so3.exp(angle * axis)
+            assert np.max(np.abs(r.T @ r - np.eye(3))) <= 1e-14
+            assert abs(np.linalg.det(r) - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize("coords", [(np.nan, 0.0, 0.0), (0.0, np.inf, 0.0), (0.0, 0.0, -np.inf)])
+    def test_non_finite_angle_raises(self, so3, coords):
+        with np.errstate(invalid="ignore"):  # inf * 0 in the coordinate map itself
+            with pytest.raises(LieDomainError):
+                so3.exp(np.array(coords))
+
+    @pytest.mark.parametrize("coords", [(1e200, 0.0, 0.0), (1e155, -1e155, 0.0), (0.0, 1e300, 1e300)])
+    def test_overflowing_angle_raises_without_warnings(self, so3, coords):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LieDomainError):
+                so3.exp(np.array(coords))
+
+    def test_log_roundtrip(self, so3):
+        rng = np.random.default_rng(23)
+        for angle in (0.0, 1e-9, 1e-5, 0.3, 2.0, 3.0, np.pi - 1e-3, np.pi - 2e-6):
+            x = rng.standard_normal(3)
+            x *= angle / np.linalg.norm(x)
+            g = so3.exp(x)
+            # the log of a rotation near pi is ill-conditioned: about eps / (pi - angle)
+            assert np.max(np.abs(so3.log(g) - x)) <= 1e-15 * max(1.0, 1.0 / (np.pi - angle))
+            if angle <= 3.0:  # nearer pi the generic logm itself fails to converge
+                assert np.max(np.abs(so3.log(g) - so3.to_coords(logm(g)))) <= 1e-14
+
+    def test_log_of_exact_half_turn_raises(self, so3):
+        for g in (np.diag([1.0, -1.0, -1.0]), np.diag([-1.0, 1.0, -1.0]), so3.exp(np.array([0.0, 0.0, np.pi]))):
+            with pytest.raises(LieDomainError):
+                so3.log(g)
+
+    def test_non_rotation_defers_to_logm(self, so3):
+        # inputs failing the orthogonality or determinant guard take the generic path unchanged
+        r = so3.exp(np.array([0.3, -0.2, 0.5]))
+        inputs = [
+            np.diag([2.0, 1.0, 1.0]),
+            np.diag([-1.0, 1.0, 1.0]),
+            -r,
+            r @ np.diag([1.0 + 1e-10, 1.0, 1.0]),
+            r + 1e-9 * np.arange(9.0).reshape(3, 3),
+            np.full((3, 3), np.nan),
+        ]
+        for g in inputs:
+            try:
+                expected = so3.to_coords(logm(g))
+            except (LieDomainError, np.linalg.LinAlgError) as exc:
+                with pytest.raises(type(exc)):
+                    so3.log(g)
+            else:
+                assert np.array_equal(so3.log(g), expected)
+
+
+def _dexp_full_series(group, xi, dxi, terms=24):
+    """All terms of sum_k (-ad_xi)^k / (k+1)! dxi, with no early exit."""
+    acc = np.asarray(dxi, dtype=float).copy()
+    out = acc.copy()
+    neg_ad = -group.ad(xi)
+    fact = 1.0
+    for k in range(1, terms):
+        acc = neg_ad @ acc
+        fact *= k + 1
+        out = out + acc / fact
+    return out
+
+
+@pytest.mark.parametrize("factory", [lambda: liealg.torus(1), lambda: liealg.translation_group(3), liealg.heisenberg3, liealg.so3])
+def test_dexp_left_matches_full_series_bitwise(factory):
+    g = factory()
+    rng = np.random.default_rng(24)
+    for _ in range(10):
+        xi, dxi = rng.standard_normal(g.dim), rng.standard_normal(g.dim)
+        assert dexp_left(g, xi, dxi).tobytes() == _dexp_full_series(g, xi, dxi).tobytes()
+
+
 def ad_by_columns(spec, g):
     """Reference Ad: one to_coords projection per conjugated basis matrix."""
     gi = np.linalg.inv(g)
@@ -148,6 +247,16 @@ class TestAdjoint:
         for _ in range(10):
             h = g.random_element(rng, scale=1.0)
             assert np.max(np.abs(g.Ad(h) - ad_by_columns(g, h))) <= 1e-14
+
+    @pytest.mark.parametrize("factory", [liealg.so3, liealg.heisenberg3, lambda: liealg.torus(2),
+                                         lambda: semidirect.so3_r3().group_spec()])
+    def test_inverse_variants_match_inverted_argument(self, factory):
+        g = factory()
+        rng = np.random.default_rng(25)
+        for _ in range(10):
+            h = g.random_element(rng, scale=1.0)
+            assert np.max(np.abs(g.Ad_star_inv(h) - g.Ad_star(np.linalg.inv(h)))) <= 1e-14
+            assert np.max(np.abs(g.Ad_inv(h) - g.Ad(np.linalg.inv(h)))) <= 1e-14
 
     def test_identity_element(self, so3):
         rng = np.random.default_rng(6)
