@@ -23,13 +23,13 @@ map of the product phase space is J(theta, chi) = (theta, chi).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .bundle import BundleSpec, ConnectionData, CotangentSample, Point
 from .liealg import LieGroupSpec, expm, so3, translation_group
-from .poisson import ScalarField, coordinate_field, lie_poisson
+from .poisson import ScalarField, canonical_two_form, coordinate_field, dexp_left, lie_poisson
 from .report import SuiteReport
 from .rng import stream
 
@@ -534,8 +534,8 @@ def reduced_sequence_suite(sd: SemidirectSpec, samples: int = 25, seed: int = 0,
             dth1, dth2 = rng.standard_normal(nk), rng.standard_normal(nk)
             v1 = np.concatenate([xi1, np.zeros(nn), dth1, np.zeros(nn)])
             v2 = np.concatenate([xi2, np.zeros(nn), dth2, np.zeros(nn)])
-            leaf_val = _product_dgamma_fd(sd, k, theta, a_char, v1, v2)
-            k_only = float(dth1 @ xi2 - dth2 @ xi1 - theta @ sd.K.bracket(xi1, xi2))
+            leaf_val = _product_dgamma_fd([sd.K, sd.N], np.concatenate([theta, a_char]), v1, v2)
+            k_only = float(np.concatenate([xi1, dth1]) @ canonical_two_form([sd.K], theta) @ np.concatenate([xi2, dth2]))
             w_omega = max(w_omega, abs(leaf_val - k_only))
         rep.add("gamma_star_n_invariant", w_gamma_star, 1e-10)
         rep.add("omega_a_equals_dgamma_K", w_omega, 1e-7)
@@ -577,13 +577,14 @@ def momentum_form_suite(sd: SemidirectSpec, samples: int = 20, seed: int = 0, to
             return _fc_tangent(sd, flow(fd), flow(-fd), fd)
 
         # full H generator against the group momentum <beta, X>
-        lhs = _product_dgamma_fd(sd, fc.k, fc.theta, fc.chi, generator(x_h), v)
+        omega = canonical_two_form([sd.K, sd.N], np.concatenate([fc.theta, fc.chi]))
+        lhs = float(generator(x_h) @ omega @ v)
         djx = (float(tstar_sigma(sd, fp) @ x_h) - float(tstar_sigma(sd, fm) @ x_h)) / (2 * fd)
         worst_h = max(worst_h, abs(lhs + djx))
 
         # normal-subgroup generator against the factored component J_N = chi
         x_hn = sd.iota_dot() @ x_n
-        lhs_n = _product_dgamma_fd(sd, fc.k, fc.theta, fc.chi, generator(x_hn), v)
+        lhs_n = float(generator(x_hn) @ omega @ v)
         djn = float((fp.chi - fm.chi) @ x_n) / (2 * fd)
         worst_n = max(worst_n, abs(lhs_n + djn))
     rep.add("contraction_identity_group_momentum", worst_h, tol)
@@ -610,25 +611,22 @@ def _fc_tangent(sd: SemidirectSpec, plus: FactoredCotangent, minus: FactoredCota
     return np.concatenate([xi, nu, dth, dch])
 
 
-def _product_dgamma_fd(sd: SemidirectSpec, k: Array, theta: Array, chi: Array, v1: Array, v2: Array, h: float = 1e-5) -> float:
-    """d(gamma_K + gamma_N) in left-trivialized coordinates, by FD in exp charts.
+def _product_dgamma_fd(factors: Sequence[LieGroupSpec], covector: Array, v1: Array, v2: Array, h: float = 1e-5) -> float:
+    """d gamma on T*(G_1 x ... x G_r) in left-trivialized coordinates, by FD in exp charts.
 
-    Tangent layout (xi_K, nu_N, dtheta, dchi); the charts are centered at the
-    evaluation point, so chart directions at the center are the left-trivialized
-    tangents, and the value does not depend on the point itself.
+    The finite-difference oracle for ``canonical_two_form``, with the same
+    factors, covector and tangent layout (velocities | covector changes).  The
+    charts are centered at the evaluation point, so chart directions at the
+    center are the left-trivialized tangents.
     """
-    from .poisson import dexp_left
-
-    nk, nn = sd.K.dim, sd.N.dim
+    dims = [f.dim for f in factors]
+    cuts, dim = np.cumsum(dims)[:-1], sum(dims)
 
     def gamma_at(z: Array, v: Array) -> float:
-        xk, xn = z[:nk], z[nk : nk + nn]
-        th, ch = z[nk + nn : 2 * nk + nn], z[2 * nk + nn :]
-        zk = dexp_left(sd.K, xk, v[:nk])
-        zn = dexp_left(sd.N, xn, v[nk : nk + nn])
-        return float(th @ zk + ch @ zn)
+        parts = zip(factors, np.split(z[:dim], cuts), np.split(v[:dim], cuts), np.split(z[dim:], cuts))
+        return float(sum(mu @ dexp_left(f, x, dx) for f, x, dx, mu in parts))
 
-    z0 = np.concatenate([np.zeros(nk), np.zeros(nn), theta, chi])
+    z0 = np.concatenate([np.zeros(dim), covector])
     t1 = (gamma_at(z0 + h * v1, v2) - gamma_at(z0 - h * v1, v2)) / (2 * h)
     t2 = (gamma_at(z0 + h * v2, v1) - gamma_at(z0 - h * v2, v1)) / (2 * h)
     return float(t1 - t2)

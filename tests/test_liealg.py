@@ -182,7 +182,7 @@ class TestClosedFormRotations:
             g = so3.exp(x)
             # the log of a rotation near pi is ill-conditioned: about eps / (pi - angle)
             assert np.max(np.abs(so3.log(g) - x)) <= 1e-15 * max(1.0, 1.0 / (np.pi - angle))
-            if angle <= 3.0:  # nearer pi the generic logm itself fails to converge
+            if angle <= 3.0:  # nearer pi the generic logm is accurate only to about eps / (pi - angle)
                 assert np.max(np.abs(so3.log(g) - so3.to_coords(logm(g)))) <= 1e-14
 
     def test_log_of_exact_half_turn_raises(self, so3):
@@ -355,3 +355,25 @@ class TestSerialization:
         rng = np.random.default_rng(18)
         assert spec.membership_defect(spec.random_element(rng)) <= spec.membership_tol
         assert spec.membership_defect(np.diag([2.0, 1.0, 1.0])) > spec.membership_tol
+
+
+@pytest.mark.parametrize("gap", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7])
+def test_logm_converges_near_half_turn(gap):
+    # near pi the best square-root residual is about eps / gap, above the 1e-13 target
+    so3, se3 = liealg.so3(), semidirect.so3_r3().group_spec()
+    rng = np.random.default_rng(25)
+    for _ in range(20):
+        axis = rng.standard_normal(3)
+        x = (np.pi - gap) * axis / np.linalg.norm(axis)
+        assert np.max(np.abs(so3.to_coords(logm(so3.exp(x))) - x)) <= 1e-8
+        y = np.concatenate([x, rng.standard_normal(3)])
+        assert np.max(np.abs(se3.log(se3.exp(y)) - y)) <= 1e-8
+
+
+def test_logm_of_half_turn_still_raises():
+    so3 = liealg.so3()
+    rng = np.random.default_rng(26)
+    for _ in range(20):
+        axis = rng.standard_normal(3)
+        with pytest.raises(LieDomainError):
+            logm(so3.exp(np.pi * axis / np.linalg.norm(axis)))

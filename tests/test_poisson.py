@@ -311,3 +311,88 @@ class TestGroupoidAction:
         z = poisson._pair_product(b, lam, y)
         assert np.linalg.norm(poisson._pair_t(b, z) - poisson._pair_t(b, lam)) <= 1e-12
         assert np.linalg.norm(poisson._pair_s(b, z) - poisson._pair_s(b, y)) <= 1e-12
+
+    def test_orbit_connectivity_skipped_without_transport_rule(self):
+        g = liealg.heisenberg3()
+        b = BundleSpec("TrivialProduct", g, ConnectionData.flat(2, 3), base_box=[[-1.0, 1.0], [-1.0, 1.0]])
+        orb = coadjoint_orbit(g, np.array([0.2, -0.4, 1.0]), seed=33)
+        with pytest.raises(NotImplementedError):
+            coadjoint_transport(g, orb.mu0, orb.samples[0])
+        rep = groupoid_action_suite(b, orb, samples=3, seed=34)
+        assert "orbit_connectivity" not in [c.name for c in rep.checks]
+        assert rep.extras["orbit_connectivity"].startswith("skipped")
+        assert rep.passed, rep.failures()
+
+
+GROUP_FACTORS = {
+    "so3": lambda: [liealg.so3()],
+    "heisenberg3": lambda: [liealg.heisenberg3()],
+    "r3": lambda: [liealg.translation_group(3)],
+    "t2": lambda: [liealg.torus(2)],
+    "so3 x r3 factors": lambda: [semidirect.so3_r3().K, semidirect.so3_r3().N],
+    "so3 x| r3 assembled": lambda: [semidirect.so3_r3().group_spec()],
+}
+
+
+class TestCanonicalTwoForm:
+    @pytest.mark.parametrize("name", sorted(GROUP_FACTORS))
+    def test_matches_exp_chart_fd(self, name):
+        # every tangent component is nonzero, N-factor velocities and covector changes included
+        factors = GROUP_FACTORS[name]()
+        dim = sum(f.dim for f in factors)
+        rng = np.random.default_rng(35)
+        for _ in range(10):
+            mu, v1, v2 = rng.standard_normal(dim), rng.standard_normal(2 * dim), rng.standard_normal(2 * dim)
+            closed = v1 @ poisson.canonical_two_form(factors, mu) @ v2
+            assert abs(semidirect._product_dgamma_fd(factors, mu, v1, v2) - closed) <= 1e-7
+
+    def test_vector_factor_is_a_translation_group(self):
+        mu = np.random.default_rng(36).standard_normal(5)
+        by_dim = poisson.canonical_two_form([2, liealg.so3()], mu)
+        by_group = poisson.canonical_two_form([liealg.translation_group(2), liealg.so3()], mu)
+        assert np.array_equal(by_dim, by_group)
+        assert np.array_equal(by_dim, -by_dim.T)
+
+    def test_rejects_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            poisson.canonical_two_form([2, liealg.so3()], np.zeros(4))
+
+
+def _flip_bracket_block(omega):
+    dim = omega.shape[0] // 2
+    omega[:dim, :dim] *= -1.0
+    return omega
+
+
+def _flip_pairing(omega):
+    dim = omega.shape[0] // 2
+    omega[:dim, dim:] *= -1.0
+    omega[dim:, :dim] *= -1.0
+    return omega
+
+
+FORM_CHECKS = {"omega_a_equals_dgamma_K", "contraction_identity_group_momentum",
+               "contraction_identity_factored_n_component", "graph_isotropy"}
+
+
+def _form_check_failures():
+    sd = semidirect.so3_r3()
+    b = so3_bundle()
+    reps = [
+        semidirect.reduced_sequence_suite(sd, samples=4, seed=37),
+        semidirect.momentum_form_suite(sd, samples=4, seed=38),
+        groupoid_action_suite(b, coadjoint_orbit(b.group, np.array([0.3, -0.5, 0.8]), seed=39), samples=2, seed=40),
+    ]
+    checks = [c for r in reps for c in r.checks if c.name in FORM_CHECKS]
+    assert {c.name for c in checks} == FORM_CHECKS
+    return {c.name for c in checks if not c.passed}
+
+
+@pytest.mark.parametrize("mutate", [_flip_bracket_block, _flip_pairing])
+def test_canonical_form_mutant_is_caught(monkeypatch, mutate):
+    assert _form_check_failures() == set()
+    original = poisson.canonical_two_form
+    mutant = lambda factors, covector: mutate(original(factors, covector))
+    monkeypatch.setattr(poisson, "canonical_two_form", mutant)
+    monkeypatch.setattr(semidirect, "canonical_two_form", mutant)
+    assert _form_check_failures()
