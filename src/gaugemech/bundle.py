@@ -139,9 +139,28 @@ def _poly_partial(monos: list[Monomial], i: int) -> list[Monomial]:
 # ---------------------------------------------------------------------------
 
 
+def row_dot(u: Array, v: Array) -> Array:
+    """Dot products over the last axis, broadcast over the leading ones.
+
+    Each row is one BLAS dot, so a single pair gives the bits of ``u @ v``.
+    """
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0][()]
+
+
+def row_norm(x: Array, ndim: int = 1) -> float | Array:
+    """Euclidean norm over the trailing ``ndim`` axes: a float for one vector
+    or matrix, an array for a stack (same bits as ``np.linalg.norm`` per row)."""
+    flat = np.reshape(x, np.shape(x)[: np.ndim(x) - ndim] + (-1,))
+    out = np.sqrt(row_dot(flat, flat))
+    return float(out) if np.ndim(out) == 0 else out
+
+
 @dataclass(frozen=True)
 class Point:
-    """Bundle point: base coordinates (vector) or base group element (matrix), plus fiber element."""
+    """Bundle point: base coordinates (vector) or base group element (matrix), plus fiber element.
+
+    A stack of N points carries one more leading axis of length N on both.
+    """
 
     base: Array
     fiber: Array
@@ -157,7 +176,7 @@ class CotangentSample:
 
     @property
     def coords(self) -> Array:
-        return np.concatenate([self.a, self.b])
+        return np.concatenate([self.a, self.b], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -245,11 +264,12 @@ class BundleSpec:
         dbase, xi = tangent[: self.d], tangent[self.d :]
         return Point(self.base_move(point.base, dbase, t), point.fiber @ expm(t * self.group.from_coords(xi)))
 
-    def base_distance(self, b1: Array, b2: Array) -> float:
-        return float(np.linalg.norm(np.asarray(b1) - np.asarray(b2)))
+    def base_distance(self, b1: Array, b2: Array) -> float | Array:
+        return row_norm(np.asarray(b1) - np.asarray(b2), 1 if self.kind == "TrivialProduct" else 2)
 
-    def point_distance(self, p: Point, q: Point) -> float:
-        return self.base_distance(p.base, q.base) + float(np.linalg.norm(p.fiber - q.fiber))
+    def point_distance(self, p: Point, q: Point) -> float | Array:
+        """Base plus fiber distance, one per point of a stack (a float for single points)."""
+        return self.base_distance(p.base, q.base) + row_norm(p.fiber - q.fiber, 2)
 
     # -- the principal action and its lifts -------------------------------------
 
@@ -273,7 +293,8 @@ class BundleSpec:
         return out
 
     def vertical_lift(self, x: Array) -> Array:
-        return self.tk_p_e() @ np.asarray(x, dtype=float)
+        """(0, X) for X in g, or for each row of a stack of them."""
+        return np.asarray(x, dtype=float) @ self.tk_p_e().T
 
     def cot_act(self, sample: CotangentSample, g: Array) -> CotangentSample:
         """T* kappa_g(p) phi = phi o T kappa_g(p)^{-1} at the moved point."""
@@ -301,16 +322,15 @@ class BundleSpec:
 
     def check_sample(self, sample: CotangentSample) -> None:
         coords = sample.coords
-        if coords.shape != (self.tangent_dim,) or not np.all(np.isfinite(coords)):
+        if coords.shape[-1:] != (self.tangent_dim,) or not np.all(np.isfinite(coords)):
             raise ValueError("invalid cotangent sample: wrong shape or non-finite covector")
         if not np.all(np.isfinite(sample.point.fiber)):
             raise ValueError("invalid cotangent sample: non-finite fiber element")
 
     def momentum(self, sample: CotangentSample) -> Array:
-        """J(phi) = phi o T kappa_p(e), computed as the n vertical pairings."""
+        """J(phi) = phi o T kappa_p(e): the n vertical pairings, for one covector or a stack."""
         self.check_sample(sample)
-        lift = self.tk_p_e()
-        return np.array([float(sample.coords @ lift[:, k]) for k in range(self.n)])
+        return sample.coords @ self.tk_p_e()
 
     def equivariance_residual(self, sample: CotangentSample, g: Array) -> float:
         """|| J(phi . g) - J(phi) o Ad_g ||.

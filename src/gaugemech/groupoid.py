@@ -1,12 +1,18 @@
 """Concrete VB-groupoids over the pair groupoid P x P => P and their duals.
 
 A VB-groupoid over P x P is fixed by linear maps on its fibres, so one engine,
-``VBGroupoid``, runs all four spaces.  An element is an arrow (p, q) with one
-fibre vector x; a side element is a point with one side vector.  Each space
-is six matrices: the side maps ``src`` and ``tgt``, the identity ``unit``, the
-inverse ``inv``, and the two halves of the product
+``VBGroupoid``, runs all four spaces.  Elements are stacks: N arrows (p, q),
+each a stack of points (``bundle.Point`` with a leading axis of length N),
+with fibre vectors x of shape (N, k); a side element is a stack of points
+with side vectors.  Extra leading axes on x broadcast against the arrows.  A
+single element is the batch of one: points without the leading axis and x of
+shape (k,), run through the same code.  Each space is six matrices: the side
+maps ``src`` and ``tgt``, the identity ``unit``, the inverse ``inv``, and the
+two halves of the product
 
-    (p, q, x)(q, r, y) = (p, r, left x + right y).
+    (p, q, x)(q, r, y) = (p, r, left x + right y),
+
+and each structure map is one ``x @ M.T`` over the whole stack.
 
 The four spaces over a trivialized bundle P:
 
@@ -27,16 +33,20 @@ The Pradines dual of T(PxP) is computed from the defining pairings (duality
 of source/target against core products, composition by factorization,
 identity by core decomposition) and cross-validated against the closed-form
 cotangent structure, which is the independent ground truth.
+
+Every suite draws its samples in one loop, in the order of its random stream,
+stacks them, evaluates each check once over the stack and reports the worst
+row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
-from .bundle import BundleSpec, CotangentSample, Point
+from .bundle import BundleSpec, CotangentSample, Point, row_dot, row_norm
 from .report import SuiteReport
 from .rng import stream
 
@@ -49,7 +59,7 @@ RANK_CUT = 1e-8
 
 @dataclass(frozen=True)
 class VBElement:
-    """An arrow (p, q) of a VB-groupoid with its fibre vector x."""
+    """A stack of arrows (p, q) of a VB-groupoid with their fibre vectors x."""
 
     p: Point
     q: Point
@@ -58,10 +68,34 @@ class VBElement:
 
 @dataclass(frozen=True)
 class SideElement:
-    """An element of a side bundle: a point and its side vector (empty for the zero bundle)."""
+    """A stack of side-bundle elements: points and side vectors (empty for the zero bundle)."""
 
     point: Point
     x: Array
+
+
+def _lead(point: Point) -> tuple[int, ...]:
+    """Stack shape of a point: () for a single point, (N,) for N points."""
+    return point.fiber.shape[:-2]
+
+
+def _stack(points: list[Point]) -> Point:
+    return Point(np.stack([p.base for p in points]), np.stack([p.fiber for p in points]))
+
+
+def _draw(samples: int, draw_one: Callable[[], tuple]) -> list:
+    """Call ``draw_one`` ``samples`` times, in stream order, and stack each of its outputs."""
+    rows = [draw_one() for _ in range(samples)]
+    return [_stack(col) if isinstance(col[0], Point) else np.stack(col) for col in zip(*rows)]
+
+
+def _worst(resid: float | Array) -> float:
+    return float(np.max(resid, initial=0.0))
+
+
+def _basis_stack(dim: int, lead: tuple[int, ...]) -> Array:
+    """The standard basis of R^dim as a stack (dim, 1, ..., 1, dim) that broadcasts against arrows of stack shape lead."""
+    return np.eye(dim).reshape((dim,) + (1,) * len(lead) + (dim,))
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +110,7 @@ class VBGroupoid:
     ``unit`` (fibre x side) the identity, ``inv`` (fibre x fibre) the inverse,
     and ``left``, ``right`` (fibre x fibre) the product.  Every entry is 0 or
     +-1 with at most two nonzeros per row, so every structure map is exact.
+    Distances are per row of the stack.
     """
 
     def __init__(self, bundle: BundleSpec, tag: str, src: Array, tgt: Array, unit: Array, inv: Array, left: Array, right: Array):
@@ -86,27 +121,28 @@ class VBGroupoid:
         self.carry = tgt.T @ src
 
     def source(self, el: VBElement) -> SideElement:
-        return SideElement(el.q, self.src @ el.x)
+        return SideElement(el.q, el.x @ self.src.T)
 
     def target(self, el: VBElement) -> SideElement:
-        return SideElement(el.p, self.tgt @ el.x)
+        return SideElement(el.p, el.x @ self.tgt.T)
 
     def identity(self, side: SideElement) -> VBElement:
-        return VBElement(side.point, side.point, self.unit @ side.x)
+        return VBElement(side.point, side.point, side.x @ self.unit.T)
 
     def inverse(self, el: VBElement) -> VBElement:
-        return VBElement(el.q, el.p, self.inv @ el.x)
+        return VBElement(el.q, el.p, el.x @ self.inv.T)
 
     def snap(self, a: VBElement, b: VBElement) -> VBElement:
         """Replace b's target side by source(a) (projection onto composability)."""
-        return VBElement(a.q, b.q, self.keep @ b.x + self.carry @ a.x)
+        return VBElement(a.q, b.q, b.x @ self.keep.T + a.x @ self.carry.T)
 
     def product(self, a: VBElement, b: VBElement, snap_tol: float = COMPOSE_TOL) -> VBElement:
-        resid = self.side_distance(self.source(a), self.target(b))
-        if resid > snap_tol:
-            raise ValueError(f"non-composable elements in {self.tag} (residual {resid:.2e})")
+        resid = np.ravel(self.side_distance(self.source(a), self.target(b)))
+        row = int(np.argmax(resid))
+        if resid[row] > snap_tol:
+            raise ValueError(f"non-composable elements in {self.tag} (row {row}: residual {resid[row]:.2e})")
         # right never reads the part of b that snap would overwrite
-        return VBElement(a.p, b.q, self.left @ a.x + self.right @ b.x)
+        return VBElement(a.p, b.q, a.x @ self.left.T + b.x @ self.right.T)
 
     def add(self, a: VBElement, b: VBElement) -> VBElement:
         return VBElement(a.p, a.q, a.x + b.x)
@@ -115,20 +151,20 @@ class VBGroupoid:
         return VBElement(a.p, a.q, -1.0 * a.x)
 
     def zero(self, p: Point, q: Point) -> VBElement:
-        return VBElement(p, q, np.zeros(self.inv.shape[0]))
+        return VBElement(p, q, np.zeros(_lead(p) + (self.inv.shape[0],)))
 
     def random(self, rng: np.random.Generator, p: Point, q: Point) -> VBElement:
-        return VBElement(p, q, rng.standard_normal(self.inv.shape[0]))
+        return VBElement(p, q, rng.standard_normal(_lead(p) + (self.inv.shape[0],)))
 
-    def side_distance(self, s1: SideElement, s2: SideElement) -> float:
-        return self.bundle.point_distance(s1.point, s2.point) + float(np.linalg.norm(s1.x - s2.x))
+    def side_distance(self, s1: SideElement, s2: SideElement) -> float | Array:
+        return self.bundle.point_distance(s1.point, s2.point) + row_norm(s1.x - s2.x)
 
     def side_add(self, s1: SideElement, s2: SideElement) -> SideElement:
         return SideElement(s1.point, s1.x + s2.x)
 
-    def distance(self, a: VBElement, b: VBElement) -> float:
+    def distance(self, a: VBElement, b: VBElement) -> float | Array:
         darr = self.bundle.point_distance(a.p, b.p) + self.bundle.point_distance(a.q, b.q)
-        return darr + float(np.linalg.norm(a.x - b.x))
+        return darr + row_norm(a.x - b.x)
 
 
 SPACE_TAGS = ("T(PxP)", "PxgxP", "T*PxT*P", "Pxg*xP")
@@ -153,16 +189,16 @@ def space_ops(bundle: BundleSpec, tag: str) -> VBGroupoid:
     raise KeyError(f"unknown VB-groupoid space {tag!r}")
 
 
-def _pair(u: Array, v: Array) -> float:
-    """<(phi, psi), (v, w)> = phi.v + psi.w, summed leg by leg."""
-    t = u.size // 2
-    return float(u[:t] @ v[:t] + u[t:] @ v[t:])
+def _pair(u: Array, v: Array) -> Array:
+    """<(phi, psi), (v, w)> = phi.v + psi.w, summed leg by leg, per row."""
+    t = u.shape[-1] // 2
+    return row_dot(u[..., :t], v[..., :t]) + row_dot(u[..., t:], v[..., t:])
 
 
 def _covectors(bundle: BundleSpec, el: VBElement) -> tuple[CotangentSample, CotangentSample]:
     """The legs (phi at p, psi at q) of an element of T*PxT*P."""
     d, t = bundle.d, bundle.tangent_dim
-    return CotangentSample(el.p, el.x[:d], el.x[d:t]), CotangentSample(el.q, el.x[t : t + d], el.x[t + d :])
+    return CotangentSample(el.p, el.x[..., :d], el.x[..., d:t]), CotangentSample(el.q, el.x[..., t : t + d], el.x[..., t + d :])
 
 
 # ---------------------------------------------------------------------------
@@ -176,13 +212,13 @@ def j2(bundle: BundleSpec, el: VBElement) -> Array:
     return bundle.momentum(phi) + bundle.momentum(psi)
 
 
-def tv0_membership_residual(bundle: BundleSpec, el: VBElement) -> float:
+def tv0_membership_residual(bundle: BundleSpec, el: VBElement) -> float | Array:
     """Membership defect of T^{V0}(PxP): the annihilator condition J_2 = 0."""
-    return float(np.linalg.norm(j2(bundle, el)))
+    return row_norm(j2(bundle, el))
 
 
 def quot_rep(bundle: BundleSpec, el: VBElement) -> VBElement:
-    """Gauge-fixed representative of a class in (TP x TP)/g.
+    """Gauge-fixed representative of a class in (TP x TP)/g, for a single element.
 
     The algebra acts by X: (v, w) -> (v + vert_p X, w + vert_q X); the
     representative subtracts X = alpha_p(v) so the first leg is horizontal.
@@ -206,46 +242,38 @@ def vb_axiom_suite(bundle: BundleSpec, space: str, samples: int = 60, seed: int 
     ops = space_ops(bundle, space)
     rep = SuiteReport(f"groupoid.vb_axioms[{space}]")
     rng = stream(seed, f"groupoid.vb_axioms/{space}/{bundle.name}")
-    worst = {k: 0.0 for k in ("interchange", "identity_additive", "inverse_additive", "zero_multiplicative", "zero_inverse", "neg_product")}
-    for _ in range(samples):
-        p, q, r = _sample_arrow_chain(bundle, rng)
+    k = ops.inv.shape[0]
+    # per sample: an arrow chain p, q, r and nine fibre vectors
+    P, Q, R, X = _draw(samples, lambda: (*_sample_arrow_chain(bundle, rng), rng.standard_normal((9, k))))
+    x_eta1, x_eta2, x_xi1, x_xi2, x_b1, x_b2, x_a1, x_a2, x_eta = np.moveaxis(X, 1, 0)
+    worst = {}
 
-        eta1 = ops.random(rng, q, r)
-        eta2 = ops.random(rng, q, r)
-        # build xi_i over (p, q) with source snapped to target(eta_i)
-        xi1 = _with_source(ops, ops.random(rng, p, q), ops.target(eta1))
-        xi2 = _with_source(ops, ops.random(rng, p, q), ops.target(eta2))
+    eta1, eta2 = VBElement(Q, R, x_eta1), VBElement(Q, R, x_eta2)
+    # xi_i over (p, q) with source snapped to target(eta_i)
+    xi1 = _with_source(ops, VBElement(P, Q, x_xi1), ops.target(eta1))
+    xi2 = _with_source(ops, VBElement(P, Q, x_xi2), ops.target(eta2))
+    lhs = ops.product(ops.add(xi1, xi2), ops.add(eta1, eta2))
+    rhs = ops.add(ops.product(xi1, eta1), ops.product(xi2, eta2))
+    worst["interchange"] = ops.distance(lhs, rhs)
 
-        lhs = ops.product(ops.add(xi1, xi2), ops.add(eta1, eta2))
-        rhs = ops.add(ops.product(xi1, eta1), ops.product(xi2, eta2))
-        worst["interchange"] = max(worst["interchange"], ops.distance(lhs, rhs))
+    # identity section is additive over a common side fiber
+    b1, b2 = ops.source(VBElement(P, Q, x_b1)), ops.source(VBElement(P, Q, x_b2))
+    worst["identity_additive"] = ops.distance(ops.identity(ops.side_add(b1, b2)), ops.add(ops.identity(b1), ops.identity(b2)))
 
-        # identity section is additive over a common side fiber
-        b1, b2 = ops.source(ops.random(rng, p, q)), ops.source(ops.random(rng, p, q))
-        lhs = ops.identity(ops.side_add(b1, b2))
-        rhs = ops.add(ops.identity(b1), ops.identity(b2))
-        worst["identity_additive"] = max(worst["identity_additive"], ops.distance(lhs, rhs))
+    # inversion is additive over a common arrow
+    a1, a2 = VBElement(P, Q, x_a1), VBElement(P, Q, x_a2)
+    worst["inverse_additive"] = ops.distance(ops.inverse(ops.add(a1, a2)), ops.add(ops.inverse(a1), ops.inverse(a2)))
 
-        # inversion is additive over a common arrow
-        a1, a2 = ops.random(rng, p, q), ops.random(rng, p, q)
-        lhs = ops.inverse(ops.add(a1, a2))
-        rhs = ops.add(ops.inverse(a1), ops.inverse(a2))
-        worst["inverse_additive"] = max(worst["inverse_additive"], ops.distance(lhs, rhs))
+    # zero section is multiplicative, and compatible with inversion
+    worst["zero_multiplicative"] = ops.distance(ops.zero(P, R), ops.product(ops.zero(P, Q), ops.zero(Q, R)))
+    worst["zero_inverse"] = ops.distance(ops.zero(Q, P), ops.inverse(ops.zero(P, Q)))
 
-        # zero section is multiplicative, and compatible with inversion
-        lhs = ops.zero(p, r)
-        rhs = ops.product(ops.zero(p, q), ops.zero(q, r))
-        worst["zero_multiplicative"] = max(worst["zero_multiplicative"], ops.distance(lhs, rhs))
-        worst["zero_inverse"] = max(worst["zero_inverse"], ops.distance(ops.zero(q, p), ops.inverse(ops.zero(p, q))))
-
-        # (-eta)(-xi) = -(eta xi)
-        eta = _with_source(ops, ops.random(rng, p, q), ops.target(eta1))
-        lhs = ops.product(ops.neg(eta), ops.neg(eta1))
-        rhs = ops.neg(ops.product(eta, eta1))
-        worst["neg_product"] = max(worst["neg_product"], ops.distance(lhs, rhs))
+    # (-eta)(-xi) = -(eta xi)
+    eta = _with_source(ops, VBElement(P, Q, x_eta), ops.target(eta1))
+    worst["neg_product"] = ops.distance(ops.product(ops.neg(eta), ops.neg(eta1)), ops.neg(ops.product(eta, eta1)))
 
     for name, resid in sorted(worst.items()):
-        rep.add(name, resid, tol)
+        rep.add(name, _worst(resid), tol)
     rep.extras["trials"] = samples
     rep.extras["space"] = space
     return rep
@@ -256,30 +284,26 @@ def groupoid_law_suite(bundle: BundleSpec, space: str, samples: int = 40, seed: 
     ops = space_ops(bundle, space)
     rep = SuiteReport(f"groupoid.laws[{space}]")
     rng = stream(seed, f"groupoid.laws/{space}/{bundle.name}")
-    worst = {k: 0.0 for k in ("identity_source_target", "associativity", "involution", "inverse_product")}
-    for _ in range(samples):
-        p, q, r = _sample_arrow_chain(bundle, rng)
-        s = bundle.random_point(rng)
-        el = ops.random(rng, p, q)
+    k = ops.inv.shape[0]
+    # per sample: arrows p, q, r, s and four fibre vectors
+    P, Q, R, S, X = _draw(samples, lambda: (*_sample_arrow_chain(bundle, rng), bundle.random_point(rng), rng.standard_normal((4, k))))
+    x_el, x_a, x_b, x_c = np.moveaxis(X, 1, 0)
+    worst = {}
 
-        side = ops.source(el)
-        ident = ops.identity(side)
-        resid = ops.side_distance(ops.source(ident), side) + ops.side_distance(ops.target(ident), side)
-        worst["identity_source_target"] = max(worst["identity_source_target"], resid)
+    el = VBElement(P, Q, x_el)
+    side = ops.source(el)
+    ident = ops.identity(side)
+    worst["identity_source_target"] = ops.side_distance(ops.source(ident), side) + ops.side_distance(ops.target(ident), side)
 
-        a = ops.random(rng, p, q)
-        b = _with_target(ops, ops.random(rng, q, r), ops.source(a))
-        c = _with_target(ops, ops.random(rng, r, s), ops.source(b))
-        lhs = ops.product(ops.product(a, b), c)
-        rhs = ops.product(a, ops.product(b, c))
-        worst["associativity"] = max(worst["associativity"], ops.distance(lhs, rhs))
+    a = VBElement(P, Q, x_a)
+    b = _with_target(ops, VBElement(Q, R, x_b), ops.source(a))
+    c = _with_target(ops, VBElement(R, S, x_c), ops.source(b))
+    worst["associativity"] = ops.distance(ops.product(ops.product(a, b), c), ops.product(a, ops.product(b, c)))
 
-        worst["involution"] = max(worst["involution"], ops.distance(ops.inverse(ops.inverse(el)), el))
-
-        prod = ops.product(el, ops.inverse(el))
-        worst["inverse_product"] = max(worst["inverse_product"], ops.distance(prod, ops.identity(ops.target(el))))
+    worst["involution"] = ops.distance(ops.inverse(ops.inverse(el)), el)
+    worst["inverse_product"] = ops.distance(ops.product(el, ops.inverse(el)), ops.identity(ops.target(el)))
     for name, resid in sorted(worst.items()):
-        rep.add(name, resid, tol)
+        rep.add(name, _worst(resid), tol)
     rep.extras["trials"] = samples
     return rep
 
@@ -307,7 +331,9 @@ class DualOfPairTangent:
     Elements of Omega* over an arrow (x, y) are covector pairs (phi_x, psi_y)
     pairing with (v_x, w_y) as phi.v + psi.w.  Source/target, composition and
     identities are evaluated purely through the pairing formulas, so they can
-    be cross-checked against the closed-form structure of T*PxT*P.
+    be cross-checked against the closed-form structure of T*PxT*P.  Each map
+    takes one Omega product over the stack of core (or fibre) basis vectors
+    at every arrow and pairs the result row by row.
     """
 
     def __init__(self, bundle: BundleSpec):
@@ -316,73 +342,68 @@ class DualOfPairTangent:
 
     def core_element(self, x: Point, v: Array) -> VBElement:
         """Core of Omega at x: (v_x, 0_x) over the identity arrow (x, x)."""
-        return VBElement(x, x, np.concatenate([v, np.zeros(self.bundle.tangent_dim)]))
+        return VBElement(x, x, np.concatenate([v, np.zeros_like(v)], axis=-1))
 
     def dual_target(self, Phi: VBElement) -> SideElement:
         """<beta~*(Phi), k> = <Phi, k 0_gamma> over the core at the target leg."""
         zero = self.omega.zero(Phi.p, Phi.q)
-        eye = np.eye(self.bundle.tangent_dim)
-        vals = np.array([_pair(Phi.x, self.omega.product(self.core_element(Phi.p, e), zero).x) for e in eye])
-        return SideElement(Phi.p, vals)
+        cores = self.core_element(Phi.p, _basis_stack(self.bundle.tangent_dim, _lead(Phi.p)))
+        vals = _pair(Phi.x, self.omega.product(cores, zero).x)
+        return SideElement(Phi.p, np.moveaxis(vals, 0, -1))
 
     def dual_source(self, Phi: VBElement) -> SideElement:
         """<alpha~*(Phi), k> = <Phi, -0_gamma k^{-1}> over the core at the source leg."""
         zero = self.omega.zero(Phi.p, Phi.q)
-        eye = np.eye(self.bundle.tangent_dim)
-        vals = np.empty(len(eye))
-        for i, e in enumerate(eye):
-            prod = self.omega.product(zero, self.omega.inverse(self.core_element(Phi.q, e)))
-            vals[i] = _pair(Phi.x, self.omega.neg(prod).x)
-        return SideElement(Phi.q, vals)
+        cores = self.core_element(Phi.q, _basis_stack(self.bundle.tangent_dim, _lead(Phi.q)))
+        prod = self.omega.product(zero, self.omega.inverse(cores))
+        vals = _pair(Phi.x, self.omega.neg(prod).x)
+        return SideElement(Phi.q, np.moveaxis(vals, 0, -1))
 
-    def compose(self, Psi: VBElement, Phi: VBElement, middles: Iterable[Array] | None = None, tol: float = COMPOSE_TOL) -> tuple[VBElement, float]:
+    def compose(self, Psi: VBElement, Phi: VBElement, middles: Array | None = None, tol: float = COMPOSE_TOL) -> tuple[VBElement, float | Array]:
         """Composition by factorization: <Psi Phi, eta xi> = <Psi, eta> + <Phi, xi>.
 
         Every element of Omega over the composed arrow factors as eta xi with an
         arbitrary middle tangent vector; the result must not depend on it.
-        Returns the composed element and the worst deviation across the supplied
-        middle choices (factorization independence).
+        ``middles`` is a stack (taus, *arrows, dim) of middle tangent vectors.
+        Returns the composed element and, per arrow, the worst deviation across
+        the middle choices (factorization independence).
         """
-        mismatch = self.omega.side_distance(self.dual_source(Psi), self.dual_target(Phi))
-        if mismatch > tol:
-            raise ValueError(f"dual composition undefined: alpha~*(Psi) != beta~*(Phi) (residual {mismatch:.2e})")
+        mismatch = np.ravel(self.omega.side_distance(self.dual_source(Psi), self.dual_target(Phi)))
+        row = int(np.argmax(mismatch))
+        if mismatch[row] > tol:
+            raise ValueError(f"dual composition undefined: alpha~*(Psi) != beta~*(Phi) (row {row}: residual {mismatch[row]:.2e})")
         dim = self.bundle.tangent_dim
-        eye, zero = np.eye(dim), np.zeros(dim)
 
-        def value(zeta_v: Array, zeta_w: Array, mid: Array) -> float:
-            # eta = (zeta_v, mid) over (z, x) and xi = (mid, zeta_w) over (x, y)
-            return _pair(Psi.x, np.concatenate([zeta_v, mid])) + _pair(Phi.x, np.concatenate([mid, zeta_w]))
+        def value(zeta_v: Array, zeta_w: Array, mid: Array) -> Array:
+            # <Psi, eta> + <Phi, xi> leg by leg, eta = (zeta_v, mid) over (z, x) and xi = (mid, zeta_w) over (x, y)
+            psi_eta = row_dot(Psi.x[..., :dim], zeta_v) + row_dot(Psi.x[..., dim:], mid)
+            return psi_eta + (row_dot(Phi.x[..., :dim], mid) + row_dot(Phi.x[..., dim:], zeta_w))
 
-        vals = np.empty(2 * dim)
-        for i in range(dim):
-            vals[i] = value(eye[i], zero, zero)
-            vals[dim + i] = value(zero, eye[i], zero)
+        # slot i < dim is (e_i, 0), slot dim + i is (0, e_i)
+        slots = _basis_stack(2 * dim, _lead(Phi.p))
+        vals = value(slots[..., :dim], slots[..., dim:], np.zeros(dim))
         spread = 0.0
         if middles is not None:
-            ref = value(eye[0], zero, zero)
-            for mid in middles:
-                spread = max(spread, abs(value(eye[0], zero, np.asarray(mid)) - ref))
-        return VBElement(Psi.p, Phi.q, vals), spread
+            e0, zero = np.eye(dim)[0], np.zeros(dim)
+            spread = np.max(np.abs(value(e0, zero, np.asarray(middles)) - value(e0, zero, zero)), axis=0)
+        return VBElement(Psi.p, Phi.q, np.moveaxis(vals, 0, -1)), spread
 
-    def _from_core_split(self, side: SideElement, value: Callable[[Array, Array], float]) -> VBElement:
+    def _from_core_split(self, side: SideElement, value: Callable[[Array, Array], Array]) -> VBElement:
         """A covector over the identity arrow at side.point, from its value on each basis
         vector xi = 1_b + k split by b = source(xi); ``value`` gets b and beta~(k)."""
-        eye = np.eye(2 * self.bundle.tangent_dim)
-        vals = np.empty(len(eye))
-        for slot, e in enumerate(eye):
-            xi = VBElement(side.point, side.point, e)
-            b = self.omega.source(xi)
-            k = self.omega.add(xi, self.omega.neg(self.omega.identity(b)))
-            vals[slot] = value(b.x, self.omega.target(k).x)
-        return VBElement(side.point, side.point, vals)
+        xi = VBElement(side.point, side.point, _basis_stack(2 * self.bundle.tangent_dim, _lead(side.point)))
+        b = self.omega.source(xi)
+        k = self.omega.add(xi, self.omega.neg(self.omega.identity(b)))
+        vals = value(b.x, self.omega.target(k).x)
+        return VBElement(side.point, side.point, np.moveaxis(vals, 0, -1))
 
     def dual_identity(self, chi: SideElement) -> VBElement:
         """<1_chi, 1_b + k> = <chi, k>: reconstruct the identity covector at chi."""
-        return self._from_core_split(chi, lambda b, k: float(chi.x @ k))
+        return self._from_core_split(chi, lambda b, k: row_dot(chi.x, k))
 
     def side_dual_embedding(self, omega_cov: SideElement) -> VBElement:
         """Identify omega in B*_p with omega-bar: <omega-bar, 1_b + k> = <omega, b + beta~(k)>."""
-        return self._from_core_split(omega_cov, lambda b, k: float(omega_cov.x @ (b + k)))
+        return self._from_core_split(omega_cov, lambda b, k: row_dot(omega_cov.x, b + k))
 
 
 def dual_structure_suite(bundle: BundleSpec, samples: int = 30, seed: int = 0, taus: int = 100, tol: float = 1e-11, match_tol: float = 1e-10) -> SuiteReport:
@@ -392,36 +413,33 @@ def dual_structure_suite(bundle: BundleSpec, samples: int = 30, seed: int = 0, t
     dual = DualOfPairTangent(bundle)
     cot = space_ops(bundle, "T*PxT*P")
     t = bundle.tangent_dim
-    worst = {k: 0.0 for k in ("target_matches", "source_matches", "compose_matches", "factorization_independence", "identity_matches", "side_dual_embedding", "zero_covector_sides")}
-    for _ in range(samples):
+
+    def draw() -> tuple:
         p, q, r = _sample_arrow_chain(bundle, rng)
-        Phi = cot.random(rng, p, q)
+        # Phi, lam, the taus middles, chi and the side covector omega
+        return p, q, r, rng.standard_normal(2 * t), rng.standard_normal(t), rng.standard_normal((taus, t)), rng.standard_normal(t), rng.standard_normal(t)
 
-        worst["target_matches"] = max(worst["target_matches"], cot.side_distance(dual.dual_target(Phi), cot.target(Phi)))
-        worst["source_matches"] = max(worst["source_matches"], cot.side_distance(dual.dual_source(Phi), cot.source(Phi)))
+    P, Q, R, x_phi, lam, middles, x_chi, x_omega = _draw(samples, draw)
+    worst = {}
+    Phi = VBElement(P, Q, x_phi)
+    worst["target_matches"] = cot.side_distance(dual.dual_target(Phi), cot.target(Phi))
+    worst["source_matches"] = cot.side_distance(dual.dual_source(Phi), cot.source(Phi))
 
-        # composable pair: Psi = (lam, -phi) over (r, p) with alpha~*(Psi) = beta~*(Phi)
-        lam = rng.standard_normal(t)
-        Psi = VBElement(r, p, np.concatenate([lam, -Phi.x[:t]]))
-        middles = [rng.standard_normal(t) for _ in range(taus)]
-        composed, spread = dual.compose(Psi, Phi, middles=middles)
-        worst["factorization_independence"] = max(worst["factorization_independence"], spread)
-        worst["compose_matches"] = max(worst["compose_matches"], cot.distance(composed, cot.product(Psi, Phi)))
+    # composable pair: Psi = (lam, -phi) over (r, p) with alpha~*(Psi) = beta~*(Phi)
+    Psi = VBElement(R, P, np.concatenate([lam, -x_phi[:, :t]], axis=-1))
+    composed, worst["factorization_independence"] = dual.compose(Psi, Phi, middles=np.moveaxis(middles, 1, 0))
+    worst["compose_matches"] = cot.distance(composed, cot.product(Psi, Phi))
 
-        chi = SideElement(p, rng.standard_normal(t))
-        worst["identity_matches"] = max(worst["identity_matches"], cot.distance(dual.dual_identity(chi), cot.identity(chi)))
+    chi = SideElement(P, x_chi)
+    worst["identity_matches"] = cot.distance(dual.dual_identity(chi), cot.identity(chi))
 
-        omega_cov = SideElement(p, rng.standard_normal(t))
-        expected = VBElement(p, p, np.concatenate([omega_cov.x, np.zeros(t)]))
-        worst["side_dual_embedding"] = max(worst["side_dual_embedding"], cot.distance(dual.side_dual_embedding(omega_cov), expected))
+    expected = VBElement(P, P, np.concatenate([x_omega, np.zeros_like(x_omega)], axis=-1))
+    worst["side_dual_embedding"] = cot.distance(dual.side_dual_embedding(SideElement(P, x_omega)), expected)
 
-        zero = cot.zero(p, q)
-        worst["zero_covector_sides"] = max(
-            worst["zero_covector_sides"],
-            float(np.linalg.norm(dual.dual_target(zero).x)) + float(np.linalg.norm(dual.dual_source(zero).x)),
-        )
+    zero = cot.zero(P, Q)
+    worst["zero_covector_sides"] = row_norm(dual.dual_target(zero).x) + row_norm(dual.dual_source(zero).x)
     for name, resid in sorted(worst.items()):
-        rep.add(name, resid, match_tol if name.endswith("matches") or name in ("side_dual_embedding", "zero_covector_sides") else tol)
+        rep.add(name, _worst(resid), match_tol if name.endswith("matches") or name in ("side_dual_embedding", "zero_covector_sides") else tol)
     rep.extras["trials"] = samples
     rep.extras["tau_perturbations"] = taus
     return rep
@@ -432,20 +450,25 @@ def dual_structure_suite(bundle: BundleSpec, samples: int = 30, seed: int = 0, t
 # ---------------------------------------------------------------------------
 
 
-def _nullspace(mat: Array, rank_cut: float = RANK_CUT) -> tuple[Array, bool]:
-    """Kernel basis by SVD; flags an ambiguous spectrum near the threshold."""
-    u, s, vt = np.linalg.svd(mat)
-    smax = s[0] if s.size else 0.0
-    cut = rank_cut * max(smax, 1.0)
-    rank = int(np.sum(s > cut))
-    ambiguous = bool(np.any((s > 0.01 * cut) & (s <= 100 * cut)))
-    return vt[rank:].T, ambiguous
+def _nullspace(mat: Array, rank_cut: float = RANK_CUT) -> tuple[Array, Array, Array]:
+    """Kernels of a stack of matrices by one stacked SVD.
+
+    Returns, per matrix, the kernel dimension, the right singular vectors
+    ``vt`` (the kernel is spanned by the last kernel-dimension rows) and a flag
+    for an ambiguous spectrum near the threshold.
+    """
+    _, s, vt = np.linalg.svd(mat)
+    smax = s[..., 0] if s.shape[-1] else np.zeros(s.shape[:-1])
+    cut = (rank_cut * np.maximum(smax, 1.0))[..., None]
+    rank = np.sum(s > cut, axis=-1)
+    ambiguous = np.any((s > 0.01 * cut) & (s <= 100 * cut), axis=-1)
+    return mat.shape[-1] - rank, vt, ambiguous
 
 
-def core_compute(bundle: BundleSpec, space: str, point: Point) -> tuple[int, Array, bool]:
-    """Core fiber at a point: kernel of the source map over the identity arrow.
+def core_compute(bundle: BundleSpec, space: str, point: Point) -> tuple[Array, Array]:
+    """Core fiber at each point of a stack: kernel of the source map over the identity arrow.
 
-    Returns (dimension, basis columns in fiber coordinates, ambiguity flag).
+    Returns (dimension, ambiguity flag), one per point.
     """
     d, n = bundle.d, bundle.n
     if space == "T(PxP)":
@@ -469,8 +492,8 @@ def core_compute(bundle: BundleSpec, space: str, point: Point) -> tuple[int, Arr
         s_mat[d:, d : d + n] = np.eye(n)
     else:
         raise KeyError(f"no core computation for space {space!r}")
-    basis, ambiguous = _nullspace(s_mat)
-    return basis.shape[1], basis, ambiguous
+    dim, _, ambiguous = _nullspace(np.broadcast_to(s_mat, _lead(point) + s_mat.shape))
+    return dim, ambiguous
 
 
 def core_suite(bundle: BundleSpec, fibers: int = 50, seed: int = 0) -> SuiteReport:
@@ -479,17 +502,13 @@ def core_suite(bundle: BundleSpec, fibers: int = 50, seed: int = 0) -> SuiteRepo
     rng = stream(seed, f"groupoid.cores/{bundle.name}")
     d, n = bundle.d, bundle.n
     expected = {"T(PxP)": d + n, "PxgxP": 0, "quot(TPxTP)": d + n, "T*gauge": d}
-    dims_seen: dict[str, set[int]] = {k: set() for k in expected}
+    (P,) = _draw(fibers, lambda: (bundle.random_point(rng),))
     ambiguous = False
-    for _ in range(fibers):
-        p = bundle.random_point(rng)
-        for space in expected:
-            dim, _, amb = core_compute(bundle, space, p)
-            dims_seen[space].add(dim)
-            ambiguous = ambiguous or amb
     for space, want in expected.items():
-        got = dims_seen[space]
-        rep.add(f"core_dim[{space}]", 0.0 if got == {want} else 1.0, 0.5, expected=want, got=sorted(got))
+        dims, amb = core_compute(bundle, space, P)
+        got = sorted(set(dims.tolist()))
+        ambiguous = ambiguous or bool(np.any(amb))
+        rep.add(f"core_dim[{space}]", 0.0 if got == [want] else 1.0, 0.5, expected=want, got=got)
     rep.add("rank_ambiguity", 1.0 if ambiguous else 0.0, 0.5)
     # alternating sum of core dimensions in the tangent-side sequence
     alt = expected["PxgxP"] - expected["T(PxP)"] + expected["quot(TPxTP)"]
@@ -516,29 +535,32 @@ def momentum_morphism_suite(bundle: BundleSpec, samples: int = 60, seed: int = 0
     cot = space_ops(bundle, "T*PxT*P")
     coal = space_ops(bundle, "Pxg*xP")
     t = bundle.tangent_dim
-    w_mor = w_inv = w_eps = w_tv0 = 0.0
-    for _ in range(samples):
+
+    def draw() -> tuple:
         p, q, r = _sample_arrow_chain(bundle, rng)
-        a = cot.random(rng, p, q)
-        b = _with_target(cot, cot.random(rng, q, r), cot.source(a))
-        lhs = i2_star(bundle, cot.product(a, b))
-        rhs = coal.product(i2_star(bundle, a), i2_star(bundle, b))
-        w_mor = max(w_mor, coal.distance(lhs, rhs))
+        # a, b, the side covector phi, the coalgebra triple and an algebra element
+        return p, q, r, rng.standard_normal(2 * t), rng.standard_normal(2 * t), rng.standard_normal(t), rng.standard_normal(bundle.n), bundle.group.random_algebra(rng)
 
-        w_inv = max(w_inv, coal.distance(i2_star(bundle, cot.inverse(a)), coal.inverse(i2_star(bundle, a))))
+    P, Q, R, x_a, x_b, x_phi, x_trip, alg = _draw(samples, draw)
+    a = VBElement(P, Q, x_a)
+    b = _with_target(cot, VBElement(Q, R, x_b), cot.source(a))
+    lhs = i2_star(bundle, cot.product(a, b))
+    rhs = coal.product(i2_star(bundle, a), i2_star(bundle, b))
+    w_mor = _worst(coal.distance(lhs, rhs))
 
-        phi = SideElement(p, rng.standard_normal(t))
-        w_eps = max(w_eps, coal.distance(i2_star(bundle, cot.identity(phi)), coal.identity(SideElement(p, np.zeros(0)))))
+    w_inv = _worst(coal.distance(i2_star(bundle, cot.inverse(a)), coal.inverse(i2_star(bundle, a))))
 
-        # (p, Xs, q)(q, -Xs, p) = eps(p)
-        trip = coal.random(rng, p, q)
-        w_inv = max(w_inv, coal.distance(coal.product(trip, coal.inverse(trip)), coal.identity(coal.target(trip))))
+    eps = i2_star(bundle, cot.identity(SideElement(P, x_phi)))
+    w_eps = _worst(coal.distance(eps, coal.identity(SideElement(P, np.zeros((samples, 0))))))
 
-        # J_2 = 0 iff the pair annihilates the diagonal vertical subspace
-        el0 = VBElement(p, q, np.concatenate([a.x[: t + bundle.d], -bundle.momentum(_covectors(bundle, a)[0])]))
-        w_tv0 = max(w_tv0, tv0_membership_residual(bundle, el0))
-        vert = bundle.vertical_lift(bundle.group.random_algebra(rng))
-        w_tv0 = max(w_tv0, abs(_pair(el0.x, np.concatenate([vert, vert]))))
+    # (p, Xs, q)(q, -Xs, p) = eps(p)
+    trip = VBElement(P, Q, x_trip)
+    w_inv = max(w_inv, _worst(coal.distance(coal.product(trip, coal.inverse(trip)), coal.identity(coal.target(trip)))))
+
+    # J_2 = 0 iff the pair annihilates the diagonal vertical subspace
+    el0 = VBElement(P, Q, np.concatenate([x_a[:, : t + bundle.d], -bundle.momentum(_covectors(bundle, a)[0])], axis=-1))
+    vert = bundle.vertical_lift(alg)
+    w_tv0 = max(_worst(tv0_membership_residual(bundle, el0)), _worst(np.abs(_pair(el0.x, np.concatenate([vert, vert], axis=-1)))))
     rep.add("i2_star_morphism", w_mor, tol)
     rep.add("i2_star_inverse_identity", w_inv, tol)
     rep.add("i2_star_identity_section", w_eps, tol)
@@ -552,31 +574,32 @@ def momentum_morphism_suite(bundle: BundleSpec, samples: int = 60, seed: int = 0
 # ---------------------------------------------------------------------------
 
 
-def _im_ker_residual(f_mat: Array, h_mat: Array) -> float:
-    """|| (I - proj_im(F)) . basis(ker H) ||: image of F vs kernel of H."""
-    ker, _ = _nullspace(h_mat)
-    if ker.size == 0:
-        return 0.0
+def _im_ker_residual(f_mat: Array, h_mat: Array) -> Array:
+    """|| (I - proj_im(F)) . basis(ker H) ||: image of F vs kernel of H, per matrix of the stacks."""
+    dim, vt, _ = _nullspace(h_mat)
+    cols = h_mat.shape[-1]
+    # the kernel basis as columns; the columns outside the kernel are zeroed
+    ker = vt.swapaxes(-1, -2) * (np.arange(cols) >= cols - dim[..., None])[..., None, :]
     q, _ = np.linalg.qr(f_mat)
-    resid = ker - q @ (q.T @ ker)
-    return float(np.linalg.norm(resid))
+    resid = ker - q @ (q.swapaxes(-1, -2) @ ker)
+    return row_norm(resid, 2)
 
 
 def _seq_matrices(bundle: BundleSpec, sequence_id: str, p: Point, q: Point) -> tuple[Array, Array, dict]:
-    """First and second maps of a short exact sequence at the arrow (p, q)."""
+    """First and second maps of a short exact sequence at each arrow (p, q) of a stack."""
     d, n = bundle.d, bundle.n
     td = d + n
+    lead = _lead(p)
     if sequence_id == "duzyVtrojka":
         # P x g x P --I2--> TP x TP --A2--> (TP x TP)/g
         f = np.zeros((2 * td, n))
         f[d : d + n, :] = np.eye(n)
         f[td + d :, :] = np.eye(n)
-        h = np.zeros((d + td, 2 * td))
-        h[:d, :d] = np.eye(d)  # base part of v
+        h = np.zeros(lead + (d + td, 2 * td))
+        h[..., :d, :d] = np.eye(d)  # base part of v
         # w' = w - vert_q(alpha_p(v))
-        a_p = _alpha_matrix(bundle, p)
-        h[d:, td:] = np.eye(td)
-        h[d + d :, :td] -= a_p
+        h[..., d:, td:] = np.eye(td)
+        h[..., d + d :, :td] -= _alpha_matrix(bundle, p)
         info = {"dims": [n, 2 * td, d + td]}
     elif sequence_id in ("duzyVdual", "quotiented"):
         # TV0(PxP) --A2*--> T*P x T*P --I2*--> P x g* x P, and its quotient
@@ -601,38 +624,38 @@ def _seq_matrices(bundle: BundleSpec, sequence_id: str, p: Point, q: Point) -> t
         info = {"dims": [d, td, n]}
     else:
         raise KeyError(f"unknown sequence {sequence_id!r}")
-    return f, h, info
+    return np.broadcast_to(f, lead + f.shape[-2:]), np.broadcast_to(h, lead + h.shape[-2:]), info
 
 
 def _alpha_matrix(bundle: BundleSpec, p: Point) -> Array:
-    """Matrix of alpha_p on tangent coordinates, as rows of the vertical lift."""
-    out = np.zeros((bundle.n, bundle.tangent_dim))
+    """Matrix of alpha_p on tangent coordinates at each point of a stack.
+
+    ``bundle.alpha`` takes one point, so it runs once per point, on the
+    tangent basis as the columns of the identity.
+    """
+    lead = _lead(p)
+    bases = np.reshape(p.base, (-1,) + p.base.shape[len(lead) :])
+    fibers = np.reshape(p.fiber, (-1,) + p.fiber.shape[len(lead) :])
     eye = np.eye(bundle.tangent_dim)
-    for i in range(bundle.tangent_dim):
-        out[:, i] = bundle.alpha(p, eye[i])
-    return out
+    mats = [bundle.alpha(Point(base, fiber), eye) for base, fiber in zip(bases, fibers)]
+    return np.reshape(mats, lead + (bundle.n, bundle.tangent_dim))
 
 
 def ses_fiber_check(bundle: BundleSpec, sequence_id: str, samples: int = 50, seed: int = 0, tol: float = 1e-10) -> SuiteReport:
     """Injectivity / surjectivity / im = ker at sampled arrows, by rank and residual."""
     rep = SuiteReport(f"groupoid.ses[{sequence_id}]")
     rng = stream(seed, f"groupoid.ses/{sequence_id}/{bundle.name}")
-    w_inj = w_surj = w_imker = w_comp = 0.0
-    dims = None
-    for _ in range(samples):
-        p, q = bundle.random_point(rng), bundle.random_point(rng)
-        f, h, info = _seq_matrices(bundle, sequence_id, p, q)
-        dims = info["dims"]
-        s_f = np.linalg.svd(f, compute_uv=False)
-        s_h = np.linalg.svd(h, compute_uv=False)
-        w_inj = max(w_inj, 0.0 if int(np.sum(s_f > RANK_CUT * s_f[0])) == f.shape[1] else 1.0)
-        w_surj = max(w_surj, 0.0 if int(np.sum(s_h > RANK_CUT * s_h[0])) == h.shape[0] else 1.0)
-        w_comp = max(w_comp, float(np.max(np.abs(h @ f))))
-        w_imker = max(w_imker, _im_ker_residual(f, h))
-    rep.add("first_map_injective", w_inj, 0.5)
-    rep.add("second_map_surjective", w_surj, 0.5)
-    rep.add("composite_zero", w_comp, tol)
-    rep.add("image_equals_kernel", w_imker, tol)
+    P, Q = _draw(samples, lambda: (bundle.random_point(rng), bundle.random_point(rng)))
+    f, h, info = _seq_matrices(bundle, sequence_id, P, Q)
+    dims = info["dims"]
+    s_f = np.linalg.svd(f, compute_uv=False)
+    s_h = np.linalg.svd(h, compute_uv=False)
+    injective = np.sum(s_f > RANK_CUT * s_f[..., :1], axis=-1) == f.shape[-1]
+    surjective = np.sum(s_h > RANK_CUT * s_h[..., :1], axis=-1) == h.shape[-2]
+    rep.add("first_map_injective", 0.0 if np.all(injective) else 1.0, 0.5)
+    rep.add("second_map_surjective", 0.0 if np.all(surjective) else 1.0, 0.5)
+    rep.add("composite_zero", _worst(np.abs(h @ f)), tol)
+    rep.add("image_equals_kernel", _worst(_im_ker_residual(f, h)), tol)
     rep.extras["trials"] = samples
     rep.extras["sequence_id"] = sequence_id
     rep.extras["rank_table"] = {"dims": dims, "rank_first": dims[0], "rank_second": dims[2]}
@@ -642,52 +665,46 @@ def ses_fiber_check(bundle: BundleSpec, sequence_id: str, samples: int = 50, see
     return rep
 
 
+def _cot_transport(bundle: BundleSpec, g: Array) -> Array:
+    """Matrix of T*kappa_g on covector coordinates, diag(I, Ad*_g), as ``bundle.cot_act`` applies it."""
+    out = np.eye(bundle.tangent_dim)
+    out[bundle.d :, bundle.d :] = bundle.group.Ad_star(g)
+    return out
+
+
 def _quotient_dual_commutation(bundle: BundleSpec, rep: SuiteReport, samples: int, seed: int) -> None:
     """Contragredient pairing identity and Omega*/G ~ (Omega/G)* fiber isomorphism."""
     rng = stream(seed, f"groupoid.quotient_dual/{bundle.name}")
-    cot = space_ops(bundle, "T*PxT*P")
-    tan = space_ops(bundle, "T(PxP)")
     t = bundle.tangent_dim
-    w_pair = 0.0
-    w_iso = 0.0
-    conds = []
-    for _ in range(samples):
+
+    def draw() -> tuple:
         p, q = bundle.random_point(rng), bundle.random_point(rng)
         g = bundle.group.random_element(rng)
-        Phi = cot.random(rng, p, q)
-        xi = tan.random(rng, p, q)
+        # Phi and xi over (p, q), and xi' over the arrow (p g, q g)
+        return p, q, g, rng.standard_normal((3, 2 * t))
 
-        # <Phi g, xi g> = <Phi, xi>: the contragredient action makes the pairing invariant
-        Phi_g = np.concatenate([bundle.cot_act(leg, g).coords for leg in _covectors(bundle, Phi)])
-        tk = bundle.tk_g(g)
-        xi_g = np.concatenate([tk @ xi.x[:t], tk @ xi.x[t:]])
-        w_pair = max(w_pair, abs(_pair(Phi_g, xi_g) - _pair(Phi.x, xi.x)))
+    _, _, g, X = _draw(samples, draw)
+    phi, xi, xi2 = np.moveaxis(X, 1, 0)
+    gi = np.linalg.inv(g)
+    # the tangent and cotangent transports of g and g^-1, one matrix per sample, on both legs
+    tan_g, tan_back = (np.kron(np.eye(2), np.stack([bundle.tk_g(h) for h in hs])) for hs in (g, gi))
+    cot_g, cot_back = (np.kron(np.eye(2), np.stack([_cot_transport(bundle, h) for h in hs])) for hs in (g, gi))
 
-        # <Phi g, xi'> = <Phi, xi' g^{-1}> for xi' over the shifted arrow
-        xi2 = tan.random(rng, bundle.act(p, g), bundle.act(q, g))
-        tki = bundle.tk_g(np.linalg.inv(g))
-        xi2_back = np.concatenate([tki @ xi2.x[:t], tki @ xi2.x[t:]])
-        w_pair = max(w_pair, abs(_pair(Phi_g, xi2.x) - _pair(Phi.x, xi2_back)))
+    def apply(m: Array, x: Array) -> Array:
+        return (m @ x[..., None])[..., 0]
 
-        # induced fiberwise map Omega*/G -> (Omega/G)*: classes given by basis
-        # representatives at a translated arrow, paired after aligning both to
-        # the gauge arrow by g^{-1}.  In the gauge-fixed dual bases the matrix
-        # is the identity iff the implemented cotangent transport really is
-        # the contragredient of the tangent one.
-        gi = np.linalg.inv(g)
-        cot_back = np.kron(
-            np.eye(2),
-            np.block(
-                [
-                    [np.eye(bundle.d), np.zeros((bundle.d, bundle.n))],
-                    [np.zeros((bundle.n, bundle.d)), bundle.group.Ad_star(gi)],
-                ]
-            ),
-        )
-        tan_back = np.kron(np.eye(2), bundle.tk_g(gi))
-        mat = cot_back.T @ tan_back
-        conds.append(float(np.linalg.cond(mat)))
-        w_iso = max(w_iso, float(np.max(np.abs(mat - np.eye(2 * t)))))
+    # <Phi g, xi g> = <Phi, xi>: the contragredient action makes the pairing invariant
+    phi_g = apply(cot_g, phi)
+    w_pair = _worst(np.abs(_pair(phi_g, apply(tan_g, xi)) - _pair(phi, xi)))
+    # <Phi g, xi'> = <Phi, xi' g^{-1}> for xi' over the shifted arrow
+    w_pair = max(w_pair, _worst(np.abs(_pair(phi_g, xi2) - _pair(phi, apply(tan_back, xi2)))))
+
+    # induced fiberwise map Omega*/G -> (Omega/G)*: classes given by basis
+    # representatives at a translated arrow, paired after aligning both to
+    # the gauge arrow by g^{-1}.  In the gauge-fixed dual bases the matrix
+    # is the identity iff the implemented cotangent transport really is
+    # the contragredient of the tangent one.
+    mat = cot_back.swapaxes(-1, -2) @ tan_back
     rep.add("contragredient_pairing", w_pair, 1e-12)
-    rep.add("quotient_dual_iso_residual", w_iso, 1e-10)
-    rep.extras["iso_condition_number"] = max(conds) if conds else 1.0
+    rep.add("quotient_dual_iso_residual", _worst(np.abs(mat - np.eye(2 * t))), 1e-10)
+    rep.extras["iso_condition_number"] = float(np.max(np.linalg.cond(mat), initial=1.0))

@@ -258,6 +258,9 @@ class LieGroupSpec:
     def __post_init__(self) -> None:
         self.basis = np.asarray(self.basis, dtype=float).reshape(self.dim, self.embed, self.embed)
         self.structure = np.asarray(self.structure, dtype=float).reshape(self.dim, self.dim, self.dim)
+        for name in ("basis", "structure"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name!r} entries of group {self.name!r} must be finite")
         flat = self.basis.reshape(self.dim, -1)
         self._basis_pinv = np.linalg.pinv(flat)
         # 3x3 antisymmetric basis matrices: exp and log have closed forms (Rodrigues)

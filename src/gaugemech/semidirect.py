@@ -323,7 +323,6 @@ def pullback_form_suite(sd: SemidirectSpec, samples: int = 30, seed: int = 0, to
 
         # LHS: gamma_H paired with the finite-difference velocity of the base curve
         beta = tstar_sigma(sd, fc)
-        h0 = sd.embed(k, u)
 
         def h_at(t: float) -> Array:
             return sd.embed(k @ sd.K.exp(t * xi), u @ sd.N.exp(t * nu))
@@ -515,7 +514,6 @@ def reduced_sequence_suite(sd: SemidirectSpec, samples: int = 25, seed: int = 0,
 
     w_gamma_star = w_omega = 0.0
     if abelian:
-        H = sd.group_spec()
         a_char = rng.standard_normal(nn)
         for _ in range(samples):
             k, u = sd.random_pair(rng)

@@ -186,6 +186,8 @@ def test_builtin_scenario_runs_clean(tmp_path, name):
 
 
 _SO3_JSON = liealg.spec_to_json(liealg.so3())
+# an inline so3 whose first structure coefficient is infinite
+_SO3_INF = _SO3_JSON | {"structure": [_SO3_JSON["structure"][0][:3] + [float("inf")]] + _SO3_JSON["structure"][1:]}
 
 
 @pytest.mark.parametrize("name, key, value", [
@@ -211,12 +213,15 @@ _SO3_JSON = liealg.spec_to_json(liealg.so3())
     ("so3-trivial-bundle", "connection", {"A": [[[[0.1, [1]]], [], []]]}),
     ("so3-leaves", "base_box", [[1.0, -1.0], [-1.0, 1.0]]),
     ("so3-trivial-bundle", "base_box", [[0.0, 0.0], [-1.0, 1.0]]),
+    ("so3-leaves", "group", _SO3_INF),
+    ("heisenberg-verify", "group", _SO3_INF),
 ])
 def test_malformed_scenario_exits_2(tmp_path, capsys, name, key, value):
     doc = json.loads(json.dumps(cli.BUILTIN_SCENARIOS[name]))
-    # a top-level or bundle field is replaced in place; any other field goes into the
-    # section of the scenario's kind
-    section = doc if key in doc else doc["bundle"] if key in doc.get("bundle", {}) else doc[doc["kind"]]
+    # a top-level or bundle field is replaced in place (a leaves run reads its group from
+    # the bundle); any other field goes into the section of the scenario's kind
+    top = key in doc and not (doc["kind"] == "leaves" and key == "group")
+    section = doc if top else doc["bundle"] if key in doc.get("bundle", {}) else doc[doc["kind"]]
     section[key] = value
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))

@@ -275,3 +275,85 @@ class TestSES:
     def test_core_alternating_sum(self, b):
         rep = core_suite(b, fibers=5, seed=23)
         assert any(c.name == "core_alternating_sum" and c.passed for c in rep.checks)
+
+
+class TestBatchedEngine:
+    """Stacks of elements run through the same maps as single elements, row by row."""
+
+    @staticmethod
+    def _stack_elements(els):
+        return VBElement(groupoid._stack([e.p for e in els]), groupoid._stack([e.q for e in els]), np.stack([e.x for e in els]))
+
+    @staticmethod
+    def _rows_equal(stacked, singles):
+        for i, one in enumerate(singles):
+            if isinstance(one, VBElement):
+                pairs = [(stacked.p, one.p), (stacked.q, one.q)]
+            else:
+                pairs = [(stacked.point, one.point)]
+            for sp, op in pairs:
+                assert np.array_equal(sp.base[i], op.base) and np.array_equal(sp.fiber[i], op.fiber)
+            assert np.array_equal(stacked.x[i], one.x)
+
+    def _composable_stack(self, b, ops, rng, n=7):
+        firsts, seconds = [], []
+        for _ in range(n):
+            p, q, r = b.random_point(rng), b.random_point(rng), b.random_point(rng)
+            a = ops.random(rng, p, q)
+            firsts.append(a)
+            seconds.append(groupoid._with_target(ops, ops.random(rng, q, r), ops.source(a)))
+        return firsts, seconds
+
+    @pytest.mark.parametrize("tag", groupoid.SPACE_TAGS)
+    def test_stack_equals_single_calls(self, b, tag):
+        ops = space_ops(b, tag)
+        rng = np.random.default_rng(25)
+        firsts, seconds = self._composable_stack(b, ops, rng)
+        sides = [SideElement(a.p, rng.standard_normal(ops.src.shape[0])) for a in firsts]
+        A, B = self._stack_elements(firsts), self._stack_elements(seconds)
+        S = SideElement(A.p, np.stack([s.x for s in sides]))
+        for name, one in [
+            ("source", lambda a, bb, s: ops.source(a)),
+            ("target", lambda a, bb, s: ops.target(a)),
+            ("identity", lambda a, bb, s: ops.identity(s)),
+            ("inverse", lambda a, bb, s: ops.inverse(a)),
+            ("snap", lambda a, bb, s: ops.snap(a, bb)),
+            ("product", lambda a, bb, s: ops.product(a, bb)),
+            ("add", lambda a, bb, s: ops.add(a, ops.neg(a))),
+        ]:
+            self._rows_equal(one(A, B, S), [one(a, bb, s) for a, bb, s in zip(firsts, seconds, sides)])
+        for distance in (lambda a, bb: ops.distance(a, ops.inverse(bb)), lambda a, bb: ops.side_distance(ops.source(a), ops.target(bb))):
+            assert np.array_equal(distance(A, B), [distance(a, bb) for a, bb in zip(firsts, seconds)])
+
+    @pytest.mark.parametrize("tag", groupoid.SPACE_TAGS)
+    def test_product_rejects_one_bad_row(self, b, tag):
+        ops = space_ops(b, tag)
+        A, B = (self._stack_elements(els) for els in self._composable_stack(b, ops, np.random.default_rng(26)))
+        ops.product(A, B)
+        fiber = B.p.fiber.copy()
+        fiber[3] = fiber[3] @ b.group.exp(np.full(b.n, 0.1))
+        with pytest.raises(ValueError, match="row 3"):
+            ops.product(A, VBElement(Point(B.p.base, fiber), B.q, B.x))
+
+    @pytest.mark.parametrize("tag", groupoid.SPACE_TAGS)
+    def test_suites_see_a_corrupted_last_row(self, b, tag, monkeypatch):
+        # a product that is wrong on the last row of a stack only
+        product = groupoid.VBGroupoid.product
+
+        def last_row_off(self, a, bb, snap_tol=groupoid.COMPOSE_TOL):
+            out = product(self, a, bb, snap_tol)
+            x = out.x.copy()
+            if x.ndim > 1:
+                x[-1] += 1e-6
+            return VBElement(out.p, out.q, x)
+
+        def caught(suite):
+            try:
+                return not suite().passed
+            except ValueError as exc:  # the next product finds the corrupted last row non-composable
+                return "row 9" in str(exc)
+
+        assert vb_axiom_suite(b, tag, samples=10, seed=1).passed
+        monkeypatch.setattr(groupoid.VBGroupoid, "product", last_row_off)
+        assert caught(lambda: vb_axiom_suite(b, tag, samples=10, seed=1))
+        assert caught(lambda: groupoid.groupoid_law_suite(b, tag, samples=10, seed=2))
