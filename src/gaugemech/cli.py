@@ -25,7 +25,7 @@ import numpy as np
 
 from . import bundle as bundle_mod
 from . import dynamics, groupoid, liealg, poisson, semidirect
-from .report import Check, SuiteReport, dump_json
+from .report import Check, SuiteReport, dump_json, worst
 from .rng import stream
 
 EXIT_PASS = 0
@@ -339,16 +339,16 @@ def _momentum_cross_check(sd: semidirect.SemidirectSpec, b: bundle_mod.BundleSpe
     """bundle.momentum on the total space matches the factor momentum J_N."""
     rep = SuiteReport(f"semidirect.momentum_cross_check[{sd.name}]")
     rng = stream(seed, f"semidirect.momentum_cross/{sd.name}")
-    worst = 0.0
+    w_j = 0.0
     for _ in range(40):
         s = b.random_cotangent(rng)
         fc = semidirect.FactoredCotangent(s.point.base, s.a, s.point.fiber, s.b)
         _, jn = semidirect.momentum_factorized(sd, fc)
-        worst = max(worst, float(np.linalg.norm(b.momentum(s) - jn)))
+        w_j = worst(w_j, float(np.linalg.norm(b.momentum(s) - jn)))
         beta = semidirect.tstar_sigma(sd, fc)
         jn_group = sd.iota_dot().T @ beta
-        worst = max(worst, float(np.linalg.norm(jn_group - jn)))
-    rep.add("J_matches_factor_momentum", worst, 1e-10)
+        w_j = worst(w_j, float(np.linalg.norm(jn_group - jn)))
+    rep.add("J_matches_factor_momentum", w_j, 1e-10)
     rep.extras["trials"] = 40
     return rep
 
@@ -419,8 +419,8 @@ def run_verify(scenario: dict, basedir: Path, seed: int, tol_scale: float, out_d
 
 def run_leaves(scenario: dict, basedir: Path, seed: int, tol_scale: float, out_dir: Path) -> int:
     cfg = scenario.get("leaves")
-    if cfg is None:
-        raise ConfigError("leaves scenario needs a 'leaves' section")
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"leaves scenario needs a 'leaves' section (an object), got {cfg!r}")
     b = _resolve_bundle(scenario["bundle"], basedir)
     if b.kind != "TrivialProduct":
         raise ConfigError("leaves need a TrivialProduct bundle (class coordinates on a base box)")
@@ -459,8 +459,8 @@ def run_leaves(scenario: dict, basedir: Path, seed: int, tol_scale: float, out_d
 
 def run_simulate(scenario: dict, basedir: Path, seed: int, tol_scale: float, out_dir: Path) -> int:
     cfg = scenario.get("simulate")
-    if cfg is None:
-        raise ConfigError("simulate scenario needs a 'simulate' section")
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"simulate scenario needs a 'simulate' section (an object), got {cfg!r}")
     if cfg.get("model", "heavy_top") != "heavy_top":
         raise ConfigError(f"unknown model {cfg.get('model')!r}")
     x0, axis, inertia = _vector(cfg, "x0", 6), _vector(cfg, "axis", 3), _vector(cfg, "inertia", 3)
@@ -538,10 +538,12 @@ def main(argv: list[str] | None = None) -> int:
         seed = args.seed if args.seed is not None else scenario.get("seed")
         if seed is None:
             raise ConfigError("a seed is mandatory (scenario 'seed' field or --seed)")
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ConfigError(f"'seed' must be an integer, got {seed!r}")
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         runner = {"verify": run_verify, "leaves": run_leaves, "simulate": run_simulate}[args.command]
-        code = runner(scenario, basedir, int(seed), float(args.tol_scale), out_dir)
+        code = runner(scenario, basedir, seed, float(args.tol_scale), out_dir)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

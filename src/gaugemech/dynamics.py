@@ -14,6 +14,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import fd
 from .liealg import LieGroupSpec
 from .poisson import PoissonSpace, ScalarField
 
@@ -187,24 +188,15 @@ def group_cotangent_field(group: LieGroupSpec, reduced_h: ScalarField, u: Array,
     return xi, group.ad_star(xi) @ b - group.coadjoint_chain_rule(trans, grad_h, b)
 
 
-def body_cotangent_field(group: LieGroupSpec, F: Callable[[Array, Array], float], u: Array, b: Array,
-                         fd: float = 1e-6) -> tuple[Array, Array]:
+def body_cotangent_field(group: LieGroupSpec, F: Callable[[Array, Array], float], u: Array, b: Array) -> tuple[Array, Array]:
     """Canonical field on T*G in body coordinates for a general F(u, b).
 
     xi = grad_b F,  b' = ad*_xi b - d_u F, with both derivatives by central
     differences (d_u along u exp(t e_i)).
     """
-    n = group.dim
-    grad_b = np.empty(n)
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = fd
-        grad_b[i] = (F(u, b + e) - F(u, b - e)) / (2 * fd)
-    du = np.empty(n)
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = fd
-        du[i] = (F(u @ group.exp(e), b) - F(u @ group.exp(-e), b)) / (2 * fd)
+    eye = np.eye(group.dim)
+    grad_b = fd.central(lambda bb: F(u, bb), b, eye, fd.FINE_STEP)
+    du = fd.central(lambda t: F(u @ group.exp(t), b), np.zeros(group.dim), eye, fd.FINE_STEP)
     return grad_b, group.ad_star(grad_b) @ b - du
 
 

@@ -47,7 +47,7 @@ from typing import Callable
 import numpy as np
 
 from .bundle import BundleSpec, CotangentSample, Point, row_dot, row_norm
-from .report import SuiteReport
+from .report import SuiteReport, worst
 from .rng import stream
 
 Array = np.ndarray
@@ -87,10 +87,6 @@ def _draw(samples: int, draw_one: Callable[[], tuple]) -> list:
     """Call ``draw_one`` ``samples`` times, in stream order, and stack each of its outputs."""
     rows = [draw_one() for _ in range(samples)]
     return [_stack(col) if isinstance(col[0], Point) else np.stack(col) for col in zip(*rows)]
-
-
-def _worst(resid: float | Array) -> float:
-    return float(np.max(resid, initial=0.0))
 
 
 def _basis_stack(dim: int, lead: tuple[int, ...]) -> Array:
@@ -246,7 +242,7 @@ def vb_axiom_suite(bundle: BundleSpec, space: str, samples: int = 60, seed: int 
     # per sample: an arrow chain p, q, r and nine fibre vectors
     P, Q, R, X = _draw(samples, lambda: (*_sample_arrow_chain(bundle, rng), rng.standard_normal((9, k))))
     x_eta1, x_eta2, x_xi1, x_xi2, x_b1, x_b2, x_a1, x_a2, x_eta = np.moveaxis(X, 1, 0)
-    worst = {}
+    w = {}
 
     eta1, eta2 = VBElement(Q, R, x_eta1), VBElement(Q, R, x_eta2)
     # xi_i over (p, q) with source snapped to target(eta_i)
@@ -254,26 +250,26 @@ def vb_axiom_suite(bundle: BundleSpec, space: str, samples: int = 60, seed: int 
     xi2 = _with_source(ops, VBElement(P, Q, x_xi2), ops.target(eta2))
     lhs = ops.product(ops.add(xi1, xi2), ops.add(eta1, eta2))
     rhs = ops.add(ops.product(xi1, eta1), ops.product(xi2, eta2))
-    worst["interchange"] = ops.distance(lhs, rhs)
+    w["interchange"] = ops.distance(lhs, rhs)
 
     # identity section is additive over a common side fiber
     b1, b2 = ops.source(VBElement(P, Q, x_b1)), ops.source(VBElement(P, Q, x_b2))
-    worst["identity_additive"] = ops.distance(ops.identity(ops.side_add(b1, b2)), ops.add(ops.identity(b1), ops.identity(b2)))
+    w["identity_additive"] = ops.distance(ops.identity(ops.side_add(b1, b2)), ops.add(ops.identity(b1), ops.identity(b2)))
 
     # inversion is additive over a common arrow
     a1, a2 = VBElement(P, Q, x_a1), VBElement(P, Q, x_a2)
-    worst["inverse_additive"] = ops.distance(ops.inverse(ops.add(a1, a2)), ops.add(ops.inverse(a1), ops.inverse(a2)))
+    w["inverse_additive"] = ops.distance(ops.inverse(ops.add(a1, a2)), ops.add(ops.inverse(a1), ops.inverse(a2)))
 
     # zero section is multiplicative, and compatible with inversion
-    worst["zero_multiplicative"] = ops.distance(ops.zero(P, R), ops.product(ops.zero(P, Q), ops.zero(Q, R)))
-    worst["zero_inverse"] = ops.distance(ops.zero(Q, P), ops.inverse(ops.zero(P, Q)))
+    w["zero_multiplicative"] = ops.distance(ops.zero(P, R), ops.product(ops.zero(P, Q), ops.zero(Q, R)))
+    w["zero_inverse"] = ops.distance(ops.zero(Q, P), ops.inverse(ops.zero(P, Q)))
 
     # (-eta)(-xi) = -(eta xi)
     eta = _with_source(ops, VBElement(P, Q, x_eta), ops.target(eta1))
-    worst["neg_product"] = ops.distance(ops.product(ops.neg(eta), ops.neg(eta1)), ops.neg(ops.product(eta, eta1)))
+    w["neg_product"] = ops.distance(ops.product(ops.neg(eta), ops.neg(eta1)), ops.neg(ops.product(eta, eta1)))
 
-    for name, resid in sorted(worst.items()):
-        rep.add(name, _worst(resid), tol)
+    for name, resid in sorted(w.items()):
+        rep.add(name, worst(resid), tol)
     rep.extras["trials"] = samples
     rep.extras["space"] = space
     return rep
@@ -288,22 +284,22 @@ def groupoid_law_suite(bundle: BundleSpec, space: str, samples: int = 40, seed: 
     # per sample: arrows p, q, r, s and four fibre vectors
     P, Q, R, S, X = _draw(samples, lambda: (*_sample_arrow_chain(bundle, rng), bundle.random_point(rng), rng.standard_normal((4, k))))
     x_el, x_a, x_b, x_c = np.moveaxis(X, 1, 0)
-    worst = {}
+    w = {}
 
     el = VBElement(P, Q, x_el)
     side = ops.source(el)
     ident = ops.identity(side)
-    worst["identity_source_target"] = ops.side_distance(ops.source(ident), side) + ops.side_distance(ops.target(ident), side)
+    w["identity_source_target"] = ops.side_distance(ops.source(ident), side) + ops.side_distance(ops.target(ident), side)
 
     a = VBElement(P, Q, x_a)
     b = _with_target(ops, VBElement(Q, R, x_b), ops.source(a))
     c = _with_target(ops, VBElement(R, S, x_c), ops.source(b))
-    worst["associativity"] = ops.distance(ops.product(ops.product(a, b), c), ops.product(a, ops.product(b, c)))
+    w["associativity"] = ops.distance(ops.product(ops.product(a, b), c), ops.product(a, ops.product(b, c)))
 
-    worst["involution"] = ops.distance(ops.inverse(ops.inverse(el)), el)
-    worst["inverse_product"] = ops.distance(ops.product(el, ops.inverse(el)), ops.identity(ops.target(el)))
-    for name, resid in sorted(worst.items()):
-        rep.add(name, _worst(resid), tol)
+    w["involution"] = ops.distance(ops.inverse(ops.inverse(el)), el)
+    w["inverse_product"] = ops.distance(ops.product(el, ops.inverse(el)), ops.identity(ops.target(el)))
+    for name, resid in sorted(w.items()):
+        rep.add(name, worst(resid), tol)
     rep.extras["trials"] = samples
     return rep
 
@@ -420,26 +416,26 @@ def dual_structure_suite(bundle: BundleSpec, samples: int = 30, seed: int = 0, t
         return p, q, r, rng.standard_normal(2 * t), rng.standard_normal(t), rng.standard_normal((taus, t)), rng.standard_normal(t), rng.standard_normal(t)
 
     P, Q, R, x_phi, lam, middles, x_chi, x_omega = _draw(samples, draw)
-    worst = {}
+    w = {}
     Phi = VBElement(P, Q, x_phi)
-    worst["target_matches"] = cot.side_distance(dual.dual_target(Phi), cot.target(Phi))
-    worst["source_matches"] = cot.side_distance(dual.dual_source(Phi), cot.source(Phi))
+    w["target_matches"] = cot.side_distance(dual.dual_target(Phi), cot.target(Phi))
+    w["source_matches"] = cot.side_distance(dual.dual_source(Phi), cot.source(Phi))
 
     # composable pair: Psi = (lam, -phi) over (r, p) with alpha~*(Psi) = beta~*(Phi)
     Psi = VBElement(R, P, np.concatenate([lam, -x_phi[:, :t]], axis=-1))
-    composed, worst["factorization_independence"] = dual.compose(Psi, Phi, middles=np.moveaxis(middles, 1, 0))
-    worst["compose_matches"] = cot.distance(composed, cot.product(Psi, Phi))
+    composed, w["factorization_independence"] = dual.compose(Psi, Phi, middles=np.moveaxis(middles, 1, 0))
+    w["compose_matches"] = cot.distance(composed, cot.product(Psi, Phi))
 
     chi = SideElement(P, x_chi)
-    worst["identity_matches"] = cot.distance(dual.dual_identity(chi), cot.identity(chi))
+    w["identity_matches"] = cot.distance(dual.dual_identity(chi), cot.identity(chi))
 
     expected = VBElement(P, P, np.concatenate([x_omega, np.zeros_like(x_omega)], axis=-1))
-    worst["side_dual_embedding"] = cot.distance(dual.side_dual_embedding(SideElement(P, x_omega)), expected)
+    w["side_dual_embedding"] = cot.distance(dual.side_dual_embedding(SideElement(P, x_omega)), expected)
 
     zero = cot.zero(P, Q)
-    worst["zero_covector_sides"] = row_norm(dual.dual_target(zero).x) + row_norm(dual.dual_source(zero).x)
-    for name, resid in sorted(worst.items()):
-        rep.add(name, _worst(resid), match_tol if name.endswith("matches") or name in ("side_dual_embedding", "zero_covector_sides") else tol)
+    w["zero_covector_sides"] = row_norm(dual.dual_target(zero).x) + row_norm(dual.dual_source(zero).x)
+    for name, resid in sorted(w.items()):
+        rep.add(name, worst(resid), match_tol if name.endswith("matches") or name in ("side_dual_embedding", "zero_covector_sides") else tol)
     rep.extras["trials"] = samples
     rep.extras["tau_perturbations"] = taus
     return rep
@@ -546,21 +542,21 @@ def momentum_morphism_suite(bundle: BundleSpec, samples: int = 60, seed: int = 0
     b = _with_target(cot, VBElement(Q, R, x_b), cot.source(a))
     lhs = i2_star(bundle, cot.product(a, b))
     rhs = coal.product(i2_star(bundle, a), i2_star(bundle, b))
-    w_mor = _worst(coal.distance(lhs, rhs))
+    w_mor = worst(coal.distance(lhs, rhs))
 
-    w_inv = _worst(coal.distance(i2_star(bundle, cot.inverse(a)), coal.inverse(i2_star(bundle, a))))
+    w_inv = worst(coal.distance(i2_star(bundle, cot.inverse(a)), coal.inverse(i2_star(bundle, a))))
 
     eps = i2_star(bundle, cot.identity(SideElement(P, x_phi)))
-    w_eps = _worst(coal.distance(eps, coal.identity(SideElement(P, np.zeros((samples, 0))))))
+    w_eps = worst(coal.distance(eps, coal.identity(SideElement(P, np.zeros((samples, 0))))))
 
     # (p, Xs, q)(q, -Xs, p) = eps(p)
     trip = VBElement(P, Q, x_trip)
-    w_inv = max(w_inv, _worst(coal.distance(coal.product(trip, coal.inverse(trip)), coal.identity(coal.target(trip)))))
+    w_inv = worst(w_inv, coal.distance(coal.product(trip, coal.inverse(trip)), coal.identity(coal.target(trip))))
 
     # J_2 = 0 iff the pair annihilates the diagonal vertical subspace
     el0 = VBElement(P, Q, np.concatenate([x_a[:, : t + bundle.d], -bundle.momentum(_covectors(bundle, a)[0])], axis=-1))
     vert = bundle.vertical_lift(alg)
-    w_tv0 = max(_worst(tv0_membership_residual(bundle, el0)), _worst(np.abs(_pair(el0.x, np.concatenate([vert, vert], axis=-1)))))
+    w_tv0 = worst(tv0_membership_residual(bundle, el0), np.abs(_pair(el0.x, np.concatenate([vert, vert], axis=-1))))
     rep.add("i2_star_morphism", w_mor, tol)
     rep.add("i2_star_inverse_identity", w_inv, tol)
     rep.add("i2_star_identity_section", w_eps, tol)
@@ -654,8 +650,8 @@ def ses_fiber_check(bundle: BundleSpec, sequence_id: str, samples: int = 50, see
     surjective = np.sum(s_h > RANK_CUT * s_h[..., :1], axis=-1) == h.shape[-2]
     rep.add("first_map_injective", 0.0 if np.all(injective) else 1.0, 0.5)
     rep.add("second_map_surjective", 0.0 if np.all(surjective) else 1.0, 0.5)
-    rep.add("composite_zero", _worst(np.abs(h @ f)), tol)
-    rep.add("image_equals_kernel", _worst(_im_ker_residual(f, h)), tol)
+    rep.add("composite_zero", worst(np.abs(h @ f)), tol)
+    rep.add("image_equals_kernel", worst(_im_ker_residual(f, h)), tol)
     rep.extras["trials"] = samples
     rep.extras["sequence_id"] = sequence_id
     rep.extras["rank_table"] = {"dims": dims, "rank_first": dims[0], "rank_second": dims[2]}
@@ -695,9 +691,9 @@ def _quotient_dual_commutation(bundle: BundleSpec, rep: SuiteReport, samples: in
 
     # <Phi g, xi g> = <Phi, xi>: the contragredient action makes the pairing invariant
     phi_g = apply(cot_g, phi)
-    w_pair = _worst(np.abs(_pair(phi_g, apply(tan_g, xi)) - _pair(phi, xi)))
+    w_pair = worst(np.abs(_pair(phi_g, apply(tan_g, xi)) - _pair(phi, xi)))
     # <Phi g, xi'> = <Phi, xi' g^{-1}> for xi' over the shifted arrow
-    w_pair = max(w_pair, _worst(np.abs(_pair(phi_g, xi2) - _pair(phi, apply(tan_back, xi2)))))
+    w_pair = worst(w_pair, np.abs(_pair(phi_g, xi2) - _pair(phi, apply(tan_back, xi2))))
 
     # induced fiberwise map Omega*/G -> (Omega/G)*: classes given by basis
     # representatives at a translated arrow, paired after aligning both to
@@ -706,5 +702,5 @@ def _quotient_dual_commutation(bundle: BundleSpec, rep: SuiteReport, samples: in
     # the contragredient of the tangent one.
     mat = cot_back.swapaxes(-1, -2) @ tan_back
     rep.add("contragredient_pairing", w_pair, 1e-12)
-    rep.add("quotient_dual_iso_residual", _worst(np.abs(mat - np.eye(2 * t))), 1e-10)
+    rep.add("quotient_dual_iso_residual", worst(np.abs(mat - np.eye(2 * t))), 1e-10)
     rep.extras["iso_condition_number"] = float(np.max(np.linalg.cond(mat), initial=1.0))

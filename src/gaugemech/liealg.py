@@ -31,6 +31,8 @@ from typing import Callable
 
 import numpy as np
 
+from .report import SuiteReport, worst
+
 Array = np.ndarray
 
 LOG_SERIES_CUTOFF = 1e-24
@@ -441,7 +443,7 @@ def _rref(rows: Array, tol: float = 1e-9) -> Array:
 
 def jacobi_defect(spec: LieGroupSpec) -> float:
     """Max norm of sum_cyc [[e_i,e_j],e_k] computed from structure constants."""
-    worst = 0.0
+    w = 0.0
     eye = np.eye(spec.dim)
     for i in range(spec.dim):
         for j in range(spec.dim):
@@ -449,13 +451,12 @@ def jacobi_defect(spec: LieGroupSpec) -> float:
                 s = spec.bracket(spec.bracket(eye[i], eye[j]), eye[k])
                 s = s + spec.bracket(spec.bracket(eye[j], eye[k]), eye[i])
                 s = s + spec.bracket(spec.bracket(eye[k], eye[i]), eye[j])
-                worst = max(worst, float(np.max(np.abs(s))))
-    return worst
+                w = worst(w, float(np.max(np.abs(s))))
+    return w
 
 
-def validate_spec(spec: LieGroupSpec, seed: int = 0) -> "SuiteReport":
+def validate_spec(spec: LieGroupSpec, seed: int = 0) -> SuiteReport:
     """Run all LieGroupSpec invariants; returns residuals, never raises."""
-    from .report import SuiteReport
     from .rng import stream
 
     rep = SuiteReport(f"liealg.validate[{spec.name}]")
@@ -467,16 +468,16 @@ def validate_spec(spec: LieGroupSpec, seed: int = 0) -> "SuiteReport":
     rank = int(np.sum(svals > 1e-10 * svals[0]))
     rep.add("basis_independence", 0.0 if rank == spec.dim else 1.0, 0.5, rank=rank, min_singular_value=float(svals[-1]))
 
-    worst = 0.0
+    w_comm = 0.0
     for i in range(spec.dim):
         for j in range(spec.dim):
             comm = spec.basis[i] @ spec.basis[j] - spec.basis[j] @ spec.basis[i]
-            worst = max(worst, float(np.max(np.abs(comm - spec.from_coords(spec.structure[i, j])))))
-    rep.add("structure_vs_commutator", worst, 1e-12)
+            w_comm = worst(w_comm, float(np.max(np.abs(comm - spec.from_coords(spec.structure[i, j])))))
+    rep.add("structure_vs_commutator", w_comm, 1e-12)
 
     rng = stream(seed, f"liealg.validate/{spec.name}")
-    worst = max(spec.membership_defect(spec.random_element(rng)) for _ in range(8))
-    rep.add("exp_lands_in_group", worst, spec.membership_tol)
+    w_exp = worst(*(spec.membership_defect(spec.random_element(rng)) for _ in range(8)))
+    rep.add("exp_lands_in_group", w_exp, spec.membership_tol)
     return rep
 
 

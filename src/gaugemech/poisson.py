@@ -21,9 +21,9 @@ Every two-form (magnetic terms of leaves, isotropy of action graphs, the
 semidirect momentum and leaf forms) is one matrix, ``canonical_two_form``:
 d gamma of T*Q for a product Q of vector and group factors, left-trivialized,
 <nu1, xi2> - <nu2, xi1> - <mu, [xi1, xi2]> (Abraham & Marsden, Foundations of
-Mechanics, 1978).  Its one finite-difference oracle, through the exp chart
-and ``dexp_left``, is ``semidirect._product_dgamma_fd``, run by the
-``omega_a_equals_dgamma_K`` check.  The bracket on T*((PxP)/G) is
+Mechanics, 1978).  Its oracle is d gamma by central differences (``fd``)
+through the exp chart and ``dexp_left``: ``semidirect._product_dgamma_fd``,
+run by ``omega_a_equals_dgamma_K``.  The bracket on T*((PxP)/G) is
 ``cotangent_bracket`` on T*P' for the trivial bundle P' = (M x M) x G.
 
 Casimirs of a coalgebra (``casimir_fields``) and the rotation rule of
@@ -38,15 +38,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import fd
 from .bundle import BundleSpec, ConnectionData, CotangentSample, Point, QuotientClass
 from .liealg import LieGroupSpec, rodrigues
-from .report import SuiteReport
+from .report import SuiteReport, worst
 from .rng import stream
 
 Array = np.ndarray
 
-GRAD_STEP = 1e-5
-OUTER_STEP = 1e-4
 JACOBI_TOL = 1e-6
 
 
@@ -65,7 +64,7 @@ class ScalarField:
 
     ``fd_step`` is the central-difference step used when no exact gradient is
     attached; fields built from already-noisy evaluators (nested brackets)
-    should carry a coarser step.
+    carry the coarser ``fd.NESTED_STEP``.
 
     ``batch_fn``, when attached, evaluates the field on every row of an
     (m, dim) float array at once and returns shape (m,). Its entry i must
@@ -76,23 +75,17 @@ class ScalarField:
     fn: Callable[[Array], float]
     grad: Callable[[Array], Array] | None = None
     name: str = ""
-    fd_step: float = GRAD_STEP
+    fd_step: float = fd.GRAD_STEP
     batch_fn: Callable[[Array], Array] | None = None
 
     def __call__(self, x: Array) -> float:
         return float(self.fn(np.asarray(x, dtype=float)))
 
-    def gradient(self, x: Array, h: float | None = None) -> Array:
+    def gradient(self, x: Array) -> Array:
         x = np.asarray(x, dtype=float)
         if self.grad is not None:
             return np.asarray(self.grad(x), dtype=float)
-        h = self.fd_step if h is None else h
-        out = np.empty(x.size)
-        for i in range(x.size):
-            e = np.zeros(x.size)
-            e[i] = h
-            out[i] = (self.fn(x + e) - self.fn(x - e)) / (2 * h)
-        return out
+        return fd.central(self.fn, x, np.eye(x.size), self.fd_step)
 
     def evaluate_rows(self, rows: Array) -> Array:
         """The field on each row of a float array: ``batch_fn`` if attached, else ``fn`` per row."""
@@ -137,48 +130,27 @@ class CotangentFn:
     grads: Callable[[CotangentSample], tuple[Array, Array, Array, Array]] | None = None
 
 
-def _shift(bundle: BundleSpec, s: CotangentSample, dm: Array | None = None, du_dir: int | None = None,
-           da: Array | None = None, db: Array | None = None, h: float = 0.0) -> CotangentSample:
-    base = s.point.base if dm is None else bundle.base_move(s.point.base, dm, h)
-    fiber = s.point.fiber
-    if du_dir is not None:
-        step = np.zeros(bundle.n)
-        step[du_dir] = h
-        fiber = fiber @ bundle.group.exp(step)
-    a = s.a if da is None else s.a + h * da
-    b = s.b if db is None else s.b + h * db
-    return CotangentSample(Point(base, fiber), a, b)
+def cotangent_grads(bundle: BundleSpec, F: CotangentFn, s: CotangentSample) -> tuple[Array, Array, Array, Array]:
+    """Block gradients (dm, du, da, db): exact when F has them, else central differences.
 
-
-def cotangent_grads(bundle: BundleSpec, F: CotangentFn, s: CotangentSample, h: float = GRAD_STEP) -> tuple[Array, Array, Array, Array]:
+    The base and fiber blocks differentiate along exp-chart coordinates of
+    the moves ``base_move`` and u -> u exp(t), so du is left-trivialized.
+    """
     if F.grads is not None:
         return F.grads(s)
-    d, n = bundle.d, bundle.n
-    dm = np.empty(d)
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = 1.0
-        dm[i] = (F.fn(_shift(bundle, s, dm=e, h=h)) - F.fn(_shift(bundle, s, dm=e, h=-h))) / (2 * h)
-    du = np.empty(n)
-    for i in range(n):
-        du[i] = (F.fn(_shift(bundle, s, du_dir=i, h=h)) - F.fn(_shift(bundle, s, du_dir=i, h=-h))) / (2 * h)
-    da = np.empty(d)
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = 1.0
-        da[i] = (F.fn(_shift(bundle, s, da=e, h=h)) - F.fn(_shift(bundle, s, da=e, h=-h))) / (2 * h)
-    db = np.empty(n)
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        db[i] = (F.fn(_shift(bundle, s, db=e, h=h)) - F.fn(_shift(bundle, s, db=e, h=-h))) / (2 * h)
+    p, a, b = s.point, s.a, s.b
+    eye_d, eye_n, h = np.eye(bundle.d), np.eye(bundle.n), fd.GRAD_STEP
+    dm = fd.central(lambda t: F.fn(CotangentSample(Point(bundle.base_move(p.base, t), p.fiber), a, b)), np.zeros(bundle.d), eye_d, h)
+    du = fd.central(lambda t: F.fn(CotangentSample(Point(p.base, p.fiber @ bundle.group.exp(t)), a, b)), np.zeros(bundle.n), eye_n, h)
+    da = fd.central(lambda x: F.fn(CotangentSample(p, x, b)), a, eye_d, h)
+    db = fd.central(lambda x: F.fn(CotangentSample(p, a, x)), b, eye_n, h)
     return dm, du, da, db
 
 
-def cotangent_bracket(bundle: BundleSpec, F: CotangentFn, G: CotangentFn, s: CotangentSample, h: float = GRAD_STEP) -> float:
+def cotangent_bracket(bundle: BundleSpec, F: CotangentFn, G: CotangentFn, s: CotangentSample) -> float:
     """Canonical Poisson bracket of T*P in the trivialization-induced frame."""
-    dmF, duF, daF, dbF = cotangent_grads(bundle, F, s, h)
-    dmG, duG, daG, dbG = cotangent_grads(bundle, G, s, h)
+    dmF, duF, daF, dbF = cotangent_grads(bundle, F, s)
+    dmG, duG, daG, dbG = cotangent_grads(bundle, G, s)
     lie = bundle.group.bracket(dbG, dbF)
     return float(dmF @ daG - dmG @ daF + duF @ dbG - duG @ dbF + s.b @ lie)
 
@@ -312,11 +284,11 @@ def bracket_property_suite(space: PoissonSpace, trials: int = 200, seed: int = 0
         f = random_polynomial(rng, space.dim)
         g = random_polynomial(rng, space.dim)
         k = random_polynomial(rng, space.dim)
-        w_anti = max(w_anti, abs(space.bracket(f, g, x) + space.bracket(g, f, x)))
+        w_anti = worst(w_anti, abs(space.bracket(f, g, x) + space.bracket(g, f, x)))
         prod = ScalarField(lambda y: f(y) * g(y), lambda y: f.gradient(y) * g(y) + f(y) * g.gradient(y))
         lhs = space.bracket(prod, k, x)
         rhs = f(x) * space.bracket(g, k, x) + g(x) * space.bracket(f, k, x)
-        w_leib = max(w_leib, abs(lhs - rhs))
+        w_leib = worst(w_leib, abs(lhs - rhs))
     rep.add("antisymmetry", w_anti, 1e-12)
     rep.add("leibniz", w_leib, 1e-8)
     rep.extras["trials"] = trials
@@ -332,15 +304,15 @@ def _sample_point(space: PoissonSpace, rng: np.random.Generator) -> Array:
 
 
 def jacobi_check(space: PoissonSpace, point: Array | None = None, trials: int = 20, seed: int = 0,
-                 degree: int = 2, exact_grad: bool = True, outer_h: float = OUTER_STEP) -> float:
+                 degree: int = 2, exact_grad: bool = True) -> float:
     """Max cyclic-sum residual over random polynomial triples.
 
     The nested brackets are differentiated by central differences at the
-    coarser second-level step, so the result is finite-difference dominated
+    coarser ``fd.NESTED_STEP``, so the result is finite-difference dominated
     regardless of whether the generated polynomials carry exact gradients.
     """
     rng = stream(seed, f"poisson.jacobi/{space.name}")
-    worst = 0.0
+    w_jac = 0.0
     for _ in range(trials):
         x = _sample_point(space, rng) if point is None else np.asarray(point, dtype=float)
         f = random_polynomial(rng, space.dim, degree=degree, exact_grad=exact_grad)
@@ -348,15 +320,15 @@ def jacobi_check(space: PoissonSpace, point: Array | None = None, trials: int = 
         k = random_polynomial(rng, space.dim, degree=degree, exact_grad=exact_grad)
 
         def nest(a: ScalarField, bb: ScalarField) -> ScalarField:
-            return ScalarField(lambda y: space.bracket(a, bb, y), fd_step=outer_h)
+            return ScalarField(lambda y: space.bracket(a, bb, y), fd_step=fd.NESTED_STEP)
 
         total = (
             space.bracket(f, nest(g, k), x)
             + space.bracket(g, nest(k, f), x)
             + space.bracket(k, nest(f, g), x)
         )
-        worst = max(worst, abs(total))
-    return worst
+        w_jac = worst(w_jac, abs(total))
+    return w_jac
 
 
 def dual_pair_check(bundle: BundleSpec, trials: int = 100, seed: int = 0, tol: float = 1e-7) -> SuiteReport:
@@ -369,14 +341,14 @@ def dual_pair_check(bundle: BundleSpec, trials: int = 100, seed: int = 0, tol: f
     rng = stream(seed, f"poisson.dual_pair/{bundle.name}")
     quot = quotient_cotangent(bundle)
     cas = casimir_fields(bundle.group)
-    worst = w_cas = 0.0
+    w_pol = w_cas = 0.0
     for _ in range(trials):
         s = bundle.random_cotangent(rng)
         f = random_polynomial(rng, quot.dim)
         h = random_polynomial(rng, bundle.n)
         F = invariant_lift(bundle, f)
         H = CotangentFn(lambda ss, h=h: h(ss.b), lambda ss, h=h: (np.zeros(bundle.d), np.zeros(bundle.n), np.zeros(bundle.d), h.gradient(ss.b)))
-        worst = max(worst, abs(cotangent_bracket(bundle, F, H, s)))
+        w_pol = worst(w_pol, abs(cotangent_bracket(bundle, F, H, s)))
 
         # a Casimir of the coalgebra Poisson-commutes with other J-pullbacks too
         if cas:
@@ -384,8 +356,8 @@ def dual_pair_check(bundle: BundleSpec, trials: int = 100, seed: int = 0, tol: f
             C = CotangentFn(lambda ss, c=c: c(ss.b), lambda ss, c=c: (np.zeros(bundle.d), np.zeros(bundle.n), np.zeros(bundle.d), c.gradient(ss.b)))
             h2 = random_polynomial(rng, bundle.n)
             H2 = CotangentFn(lambda ss, h2=h2: h2(ss.b), lambda ss, h2=h2: (np.zeros(bundle.d), np.zeros(bundle.n), np.zeros(bundle.d), h2.gradient(ss.b)))
-            w_cas = max(w_cas, abs(cotangent_bracket(bundle, C, H2, s)))
-            w_cas = max(w_cas, abs(cotangent_bracket(bundle, F, C, s)))
+            w_cas = worst(w_cas, abs(cotangent_bracket(bundle, C, H2, s)))
+            w_cas = worst(w_cas, abs(cotangent_bracket(bundle, F, C, s)))
 
     rng = stream(seed, f"poisson.dual_pair.lift/{bundle.name}")
     w_lift = 0.0
@@ -393,8 +365,8 @@ def dual_pair_check(bundle: BundleSpec, trials: int = 100, seed: int = 0, tol: f
         s = bundle.random_cotangent(rng)
         f, g = random_polynomial(rng, quot.dim), random_polynomial(rng, quot.dim)
         lifted = cotangent_bracket(bundle, invariant_lift(bundle, f), invariant_lift(bundle, g), s)
-        w_lift = max(w_lift, abs(quot.bracket(f, g, bundle.class_coords(s)) - lifted))
-    rep.add("polarity", worst, tol)
+        w_lift = worst(w_lift, abs(quot.bracket(f, g, bundle.class_coords(s)) - lifted))
+    rep.add("polarity", w_pol, tol)
     if cas:
         rep.add("casimir_commutes", w_cas, tol)
     rep.add("quotient_matches_lift", w_lift, 1e-9)
@@ -438,7 +410,7 @@ class CoadjointOrbit:
     def membership_residual(self, mu: Array) -> float:
         cas = casimir_fields(self.group)
         if cas:
-            return max(abs(c(mu) - c(self.mu0)) for c in cas)
+            return worst(*(abs(c(mu) - c(self.mu0)) for c in cas))
         if not self.samples:
             return float(np.linalg.norm(mu - self.mu0))
         return min(float(np.linalg.norm(mu - s)) for s in self.samples + [self.mu0])
@@ -585,36 +557,27 @@ def leaf_structure(bundle: BundleSpec, orbit: CoadjointOrbit, samples: int = 25,
         j_member = orbit.membership_residual(j_val) <= membership_tol
         base_r, chi_r = bundle.iota_star(bundle.quotient_rep(phi))
         i_member = orbit.membership_residual(chi_r) <= membership_tol
-        w_member = max(w_member, 0.0 if (j_member and i_member) else 1.0)
+        w_member = worst(w_member, 0.0 if (j_member and i_member) else 1.0)
 
         off = bundle.random_cotangent(rng)  # generic covector: off the orbit unless G is abelian
         if orbit.membership_residual(bundle.momentum(off)) > 10 * membership_tol:
             j_off = orbit.membership_residual(bundle.momentum(off)) <= membership_tol
             i_off = orbit.membership_residual(bundle.iota_star(bundle.quotient_rep(off))[1]) <= membership_tol
-            w_member = max(w_member, 0.0 if (j_off == i_off) else 1.0)
+            w_member = worst(w_member, 0.0 if (j_off == i_off) else 1.0)
 
         # (b) leaf dimension: rank of the tangent span of the parametrization
         # (m, rho, orbit direction) -> a*(rho) + sigma(m, transported chi)
         x0 = bundle.class_coords(phi)
         m0, chi0 = x0[:d], x0[2 * d :]
 
-        def embed(mm: Array, rho: Array, svec: Array) -> Array:
+        def embed(z: Array) -> Array:
+            mm, rho, svec = z[:d], z[d : 2 * d], z[2 * d :]
             chi_s = G.Ad_star(G.exp(-svec)) @ chi0
             cls = bundle.sigma(mm, chi_s)
             return np.concatenate([mm, cls.rep.a + rho, chi_s])
 
-        hstep = 1e-6
-        cols = []
-        for i in range(d):
-            e = np.zeros(d); e[i] = hstep
-            cols.append((embed(m0 + e, np.zeros(d), np.zeros(n)) - embed(m0 - e, np.zeros(d), np.zeros(n))) / (2 * hstep))
-        for i in range(d):
-            e = np.zeros(d); e[i] = hstep
-            cols.append((embed(m0, e, np.zeros(n)) - embed(m0, -e, np.zeros(n))) / (2 * hstep))
-        for i in range(n):
-            e = np.zeros(n); e[i] = hstep
-            cols.append((embed(m0, np.zeros(d), e) - embed(m0, np.zeros(d), -e)) / (2 * hstep))
-        span = np.stack(cols, axis=1)
+        z0 = np.concatenate([m0, np.zeros(d + n)])
+        span = fd.central(embed, z0, np.eye(2 * d + n), fd.FINE_STEP).T
         svals = np.linalg.svd(span, compute_uv=False)
         leaf_dim = int(np.sum(svals > 1e-6 * max(svals[0], 1.0)))
         leaf_dims.add(leaf_dim)
@@ -627,19 +590,19 @@ def leaf_structure(bundle: BundleSpec, orbit: CoadjointOrbit, samples: int = 25,
         diff_rho = cls2[d : 2 * d] - cls1[d : 2 * d]
         recon = bundle.a_star(cls1[:d], diff_rho)
         moved = np.concatenate([cls1[:d], cls1[d : 2 * d] + recon.rep.a, cls1[2 * d :] + recon.rep.b])
-        w_aff = max(w_aff, float(np.linalg.norm(moved - cls2)))
+        w_aff = worst(w_aff, float(np.linalg.norm(moved - cls2)))
 
         # (d) pi_sigma: gauge-choice independence and constructive surjectivity
         cls_a = bundle.class_coords(phi)
         cls_b = bundle.class_coords(bundle.cot_act(phi, G.random_element(rng)))
         pis_a = cls_a[d : 2 * d] - bundle.sigma(cls_a[:d], cls_a[2 * d :]).rep.a
         pis_b = cls_b[d : 2 * d] - bundle.sigma(cls_b[:d], cls_b[2 * d :]).rep.a
-        w_pis = max(w_pis, float(np.linalg.norm(pis_a - pis_b)))
+        w_pis = worst(w_pis, float(np.linalg.norm(pis_a - pis_b)))
         # preimage of a random rho: sigma(m, chi) + a*(rho) maps back to rho
         rho_target = rng.standard_normal(d)
         sec = bundle.sigma(m0, chi0)
         preimage = QuotientClass(CotangentSample(sec.rep.point, sec.rep.a + rho_target, sec.rep.b))
-        w_surj = max(w_surj, float(np.linalg.norm(bundle.sigma_tilde(preimage) - rho_target)))
+        w_surj = worst(w_surj, float(np.linalg.norm(bundle.sigma_tilde(preimage) - rho_target)))
 
     rep.add("membership_equivalence", w_member, 0.5)
     rep.add("leaf_dimension", 0.0 if dim_ok else 1.0, 0.5, expected=2 * d + orbit.dim, got=sorted(leaf_dims))
@@ -653,8 +616,7 @@ def leaf_structure(bundle: BundleSpec, orbit: CoadjointOrbit, samples: int = 25,
     return rep
 
 
-def magnetic_term(bundle: BundleSpec, chi: Array, samples: int = 15, seed: int = 0,
-                  inner_h: float = GRAD_STEP, outer_h: float = 1e-3):
+def magnetic_term(bundle: BundleSpec, chi: Array, samples: int = 15, seed: int = 0):
     """Two-form evaluator for omega_chi - pi_sigma* d(gamma~) plus its report.
 
     Requires a one-point coadjoint orbit (chi fixed by Ad*).  The leaf form
@@ -674,18 +636,19 @@ def magnetic_term(bundle: BundleSpec, chi: Array, samples: int = 15, seed: int =
         cls = bundle.sigma(m, chi)
         return CotangentSample(Point(m, G.identity()), rho + cls.rep.a, chi.copy())
 
+    def leaf_coords(z: Array) -> Array:
+        s = leaf_state(z[:d], z[d:])
+        return np.concatenate([s.point.base, s.a])
+
     def two_form(m: Array, rho: Array, t1: Array, t2: Array) -> float:
         """Evaluate on tangents (dm, drho) of T*(P/G) at (m, rho)."""
-        def push(t: Array) -> Array:
-            # pushforward through the leaf embedding, by central differences
-            sp = leaf_state(m + inner_h * t[:d], rho + inner_h * t[d:])
-            sm = leaf_state(m - inner_h * t[:d], rho - inner_h * t[d:])
-            dm = (np.asarray(sp.point.base) - np.asarray(sm.point.base)) / (2 * inner_h)
-            da = (sp.a - sm.a) / (2 * inner_h)
-            return np.concatenate([dm, np.zeros(n), da, np.zeros(n)])
-
+        # pushforward through the leaf embedding, by central differences;
+        # it has no fiber (u, b) components
+        pushed = fd.central(leaf_coords, np.concatenate([m, rho]), [t1, t2], fd.GRAD_STEP)
+        zero = np.zeros((2, n))
+        p1, p2 = np.hstack([pushed[:, :d], zero, pushed[:, d:], zero])
         s0 = leaf_state(m, rho)
-        wchi = float(push(t1) @ canonical_two_form([d, G], s0.coords) @ push(t2))
+        wchi = float(p1 @ canonical_two_form([d, G], s0.coords) @ p2)
         # canonical d(gamma~) of T*(P/G) on the flat chart
         return wchi - float(t1 @ canonical_two_form([d], rho) @ t2)
 
@@ -701,11 +664,11 @@ def magnetic_term(bundle: BundleSpec, chi: Array, samples: int = 15, seed: int =
         # oracle: the chi-component of the curvature two-form of A
         f2 = bundle.connection.curvature_two_form(bundle.base_coords_for_connection(m))
         oracle = float(t1[:d] @ np.einsum("ijk,k->ij", f2, chi) @ t2[:d])
-        w_match = max(w_match, abs(val - oracle))
+        w_match = worst(w_match, abs(val - oracle))
 
         # basic: vanishes when either argument is a pure fiber direction
         fib = np.concatenate([np.zeros(d), rng.standard_normal(d)])
-        w_basic = max(w_basic, abs(two_form(m, rho, fib, t2)))
+        w_basic = worst(w_basic, abs(two_form(m, rho, fib, t2)))
 
         # closedness: finite-difference exterior derivative on coordinate triples
         # (coordinate directions commute, so the cyclic-derivative formula applies)
@@ -715,14 +678,11 @@ def magnetic_term(bundle: BundleSpec, chi: Array, samples: int = 15, seed: int =
             while len(e) < 3:
                 e.append(np.concatenate([np.zeros(d), np.eye(d)[rng.integers(d)]]))
 
-            def omega_ij(mm: Array, rr: Array, i: int, j: int) -> float:
-                return two_form(mm, rr, e[i], e[j])
-
+            z = np.concatenate([m, rho])
             dval = 0.0
             for a_, b_, c_ in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
-                sm, sr = outer_h * e[a_][:d], outer_h * e[a_][d:]
-                dval += (omega_ij(m + sm, rho + sr, b_, c_) - omega_ij(m - sm, rho - sr, b_, c_)) / (2 * outer_h)
-            w_closed = max(w_closed, abs(dval))
+                dval += fd.central(lambda zz: two_form(zz[:d], zz[d:], e[b_], e[c_]), z, [e[a_]], fd.CLOSED_STEP)[0]
+            w_closed = worst(w_closed, abs(dval))
     if flat or float(np.linalg.norm(chi)) == 0.0:
         rep.add("flat_or_zero_chi_vanishes", w_match, 1e-9)
     rep.add("matches_curvature_oracle", w_match, 1e-7)
@@ -811,11 +771,11 @@ def groupoid_action_suite(bundle: BundleSpec, orbit: CoadjointOrbit, samples: in
         g = random_polynomial(rng, quot.dim)
         lhs = cotangent_bracket(arrows, on_arrows(f, _pair_t), on_arrows(g, _pair_t), s)
         rhs = quot.bracket(f, g, _pair_t(bundle, lam))
-        w_t = max(w_t, abs(lhs - rhs))
+        w_t = worst(w_t, abs(lhs - rhs))
 
         lhs = cotangent_bracket(arrows, on_arrows(f, _pair_s), on_arrows(g, _pair_s), s)
         rhs = quot.bracket(f, g, _pair_s(bundle, lam))
-        w_s = max(w_s, abs(lhs + rhs))
+        w_s = worst(w_s, abs(lhs + rhs))
 
         # orbit connectivity: any two leaf points of J^{-1}(O)/G are joined by an arrow
         g1, g2 = G.random_element(rng, 0.8), G.random_element(rng, 0.8)
@@ -832,10 +792,10 @@ def groupoid_action_suite(bundle: BundleSpec, orbit: CoadjointOrbit, samples: in
             arrow = PairClassPoint(z_to[:d], w_el, z_from[:d], z_to[d : 2 * d],
                                    G.Ad_star(w_el) @ z_to[2 * d :], -z_from[d : 2 * d], -z_from[2 * d :])
             res = float(np.linalg.norm(_pair_s(bundle, arrow) - z_from)) + float(np.linalg.norm(_pair_t(bundle, arrow) - z_to))
-            w_conn = max(w_conn, res)
+            w_conn = worst(w_conn, res)
 
         # graph isotropy of the action map (Lagrangian by dimension count)
-        w_iso = max(w_iso, _graph_isotropy_sample(bundle, orbit, rng))
+        w_iso = worst(w_iso, _graph_isotropy_sample(bundle, orbit, rng))
 
     rep.add("target_poisson", w_t, 1e-6)
     rep.add("source_anti_poisson", w_s, 1e-6)
@@ -848,10 +808,11 @@ def groupoid_action_suite(bundle: BundleSpec, orbit: CoadjointOrbit, samples: in
     return rep
 
 
-def _graph_isotropy_sample(bundle: BundleSpec, orbit: CoadjointOrbit, rng: np.random.Generator, fd_h: float = 1e-6) -> float:
+def _graph_isotropy_sample(bundle: BundleSpec, orbit: CoadjointOrbit, rng: np.random.Generator) -> float:
     """Isotropy of the action-graph tangent space for omega_Gamma + omega_L - omega_L."""
     G = bundle.group
     d, n = bundle.d, bundle.n
+    h = fd.FINE_STEP
 
     # composable pair: y in the leaf, lam with s(lam) = t(y)
     g1, g2 = G.random_element(rng, 0.8), G.random_element(rng, 0.8)
@@ -879,28 +840,28 @@ def _graph_isotropy_sample(bundle: BundleSpec, orbit: CoadjointOrbit, rng: np.ra
         if np.linalg.norm(v) > 1e-10:
             directions.append(("borbit", i, v))
 
-    def move_y(y: PairClassPoint, direction, t: float) -> PairClassPoint:
+    def move(z: PairClassPoint, direction, t: float) -> PairClassPoint:
         slot, i, payload = direction
-        vals = {k: getattr(y, k) for k in ("m1", "w", "m2", "a1", "b1", "a2", "b2")}
+        vals = {k: getattr(z, k) for k in ("m1", "w", "m2", "a1", "b1", "a2", "b2")}
         if slot == "w":
             e = np.zeros(n); e[i] = t
-            vals["w"] = y.w @ G.exp(e)
+            vals["w"] = z.w @ G.exp(e)
         elif slot == "bpair":
             e = np.zeros(n); e[i] = t
-            vals["b1"] = y.b1 + e
-            vals["b2"] = y.b2 - e
+            vals["b1"] = z.b1 + e
+            vals["b2"] = z.b2 - e
         elif slot == "borbit":
-            vals["b2"] = y.b2 + t * payload
+            vals["b2"] = z.b2 + t * payload
         else:
             arr = vals[slot].copy()
             arr[i] += t
             vals[slot] = arr
         return PairClassPoint(**vals)
 
-    def coords_tangent(zp: PairClassPoint, zm: PairClassPoint, h: float) -> Array:
-        dw = G.log(np.linalg.inv(zm.w) @ zp.w) / (2 * h)
-        return np.concatenate([(zp.m1 - zm.m1) / (2 * h), dw, (zp.m2 - zm.m2) / (2 * h), (zp.a1 - zm.a1) / (2 * h),
-                               (zp.b1 - zm.b1) / (2 * h), (zp.a2 - zm.a2) / (2 * h), (zp.b2 - zm.b2) / (2 * h)])
+    def coords_tangent(zm: PairClassPoint, zp: PairClassPoint) -> Array:
+        """Tangent (dm1, eta, dm2, da1, db1, da2, db2) from the points at -h and +h."""
+        dv = fd.quotient(*(np.concatenate([z.m1, z.m2, z.a1, z.b1, z.a2, z.b2]) for z in (zm, zp)), h)
+        return np.concatenate([dv[:d], fd.group_velocity(G, zm.w, zp.w, h), dv[d:]])
 
     # graph tangents: free lam-part (dm1, eta, da1) with y frozen, plus leaf moves
     tangents = []
@@ -908,29 +869,14 @@ def _graph_isotropy_sample(bundle: BundleSpec, orbit: CoadjointOrbit, rng: np.ra
     z0 = _pair_product(bundle, lam0, y)
     for slot, k in (("m1", d), ("w", n), ("a1", d)):
         for i in range(k):
-            def lam_t(t, slot=slot, i=i):
-                if slot == "w":
-                    e = np.zeros(n); e[i] = t
-                    return lam_for(y, m1_0, w_0 @ G.exp(e), a1_0)
-                if slot == "m1":
-                    e = np.zeros(d); e[i] = t
-                    return lam_for(y, m1_0 + e, w_0, a1_0)
-                e = np.zeros(d); e[i] = t
-                return lam_for(y, m1_0, w_0, a1_0 + e)
-
-            lp, lm = lam_t(fd_h), lam_t(-fd_h)
-            dlam = coords_tangent(lp, lm, fd_h)
-            zp, zm = _pair_product(bundle, lp, y), _pair_product(bundle, lm, y)
-            dz = coords_tangent(zp, zm, fd_h)
-            tangents.append((dlam, np.zeros(4 * d + 3 * n), dz))
+            lm, lp = move(lam0, (slot, i, None), -h), move(lam0, (slot, i, None), h)
+            dz = coords_tangent(_pair_product(bundle, lm, y), _pair_product(bundle, lp, y))
+            tangents.append((coords_tangent(lm, lp), np.zeros(4 * d + 3 * n), dz))
     for direction in directions:
-        yp, ym = move_y(y, direction, fd_h), move_y(y, direction, -fd_h)
-        dy = coords_tangent(yp, ym, fd_h)
-        lp, lm = lam_for(yp, m1_0, w_0, a1_0), lam_for(ym, m1_0, w_0, a1_0)
-        dlam = coords_tangent(lp, lm, fd_h)
-        zp, zm = _pair_product(bundle, lp, yp), _pair_product(bundle, lm, ym)
-        dz = coords_tangent(zp, zm, fd_h)
-        tangents.append((dlam, dy, dz))
+        ym, yp = move(y, direction, -h), move(y, direction, h)
+        lm, lp = lam_for(ym, m1_0, w_0, a1_0), lam_for(yp, m1_0, w_0, a1_0)
+        dz = coords_tangent(_pair_product(bundle, lm, ym), _pair_product(bundle, lp, yp))
+        tangents.append((coords_tangent(lm, lp), coords_tangent(ym, yp), dz))
 
     count = len(tangents)
     pair_idx = [(i, j) for i in range(count) for j in range(i + 1, count)]

@@ -7,6 +7,24 @@ import math
 from dataclasses import dataclass, field
 from typing import Any
 
+import numpy as np
+
+
+def worst(*resid: float | np.ndarray) -> float:
+    """The largest of the residuals (scalars or arrays), 0.0 for none; NaN if any is NaN.
+
+    The running maximum of every suite: ``max(w, nan)`` is ``w``, so Python's
+    ``max`` would drop a NaN residual and its check would pass.
+    """
+    out = 0.0
+    for r in resid:
+        r = float(np.max(r, initial=0.0)) if isinstance(r, np.ndarray) else float(r)
+        if r != r:
+            return r
+        if r > out:
+            out = r
+    return out
+
 
 @dataclass
 class Check:
@@ -83,17 +101,12 @@ def _fmt(value: Any) -> Any:
         return [_fmt(v) for v in value]
     if isinstance(value, dict):
         return {str(k): _fmt(v) for k, v in value.items()}
-    try:
-        import numpy as np
-
-        if isinstance(value, np.floating):
-            return _fmt(float(value))
-        if isinstance(value, np.integer):
-            return int(value)
-        if isinstance(value, np.ndarray):
-            return _fmt(value.tolist())
-    except ImportError:  # pragma: no cover
-        pass
+    if isinstance(value, np.floating):
+        return _fmt(float(value))
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.ndarray):
+        return _fmt(value.tolist())
     return value
 
 

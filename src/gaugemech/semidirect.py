@@ -27,10 +27,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import fd
 from .bundle import BundleSpec, ConnectionData, CotangentSample, Point
 from .liealg import LieGroupSpec, expm, so3, translation_group
 from .poisson import ScalarField, canonical_two_form, coordinate_field, dexp_left, lie_poisson
-from .report import SuiteReport
+from .report import SuiteReport, worst
 from .rng import stream
 
 Array = np.ndarray
@@ -278,7 +279,7 @@ def coadjoint_factor_transport(sd: SemidirectSpec, g: tuple[Array, Array]) -> tu
 # ---------------------------------------------------------------------------
 
 
-def connection_form(sd: SemidirectSpec, k: Array, u: Array, h_velocity: Array, fd: float = 1e-6) -> Array:
+def connection_form(sd: SemidirectSpec, k: Array, u: Array, h_velocity: Array) -> Array:
     """alpha(v_h) in n-coordinates via the literal vertical projection.
 
     v_h is given in left-trivialized h-coordinates.  The horizontal projector
@@ -299,19 +300,19 @@ def connection_form(sd: SemidirectSpec, k: Array, u: Array, h_velocity: Array, f
         full = sk_inv @ h_t
         hor = sk_inv @ hor_t
         mk = sd.K.embed
-        return full[mk:, mk:], hor[mk:, mk:]
+        return np.stack([full[mk:, mk:], hor[mk:, mk:]])
 
-    fp, hp = vertical_block(fd)
-    fm, hm = vertical_block(-fd)
-    vel = (fp - fm) / (2 * fd) - (hp - hm) / (2 * fd)
-    return sd.N.to_coords(np.linalg.inv(u) @ vel, check=False)
+    h = fd.FINE_STEP
+    d_full, d_hor = fd.quotient(vertical_block(-h), vertical_block(h), h)
+    return sd.N.to_coords(np.linalg.inv(u) @ (d_full - d_hor), check=False)
 
 
-def pullback_form_suite(sd: SemidirectSpec, samples: int = 30, seed: int = 0, tol: float = 1e-8, fd: float = 1e-6) -> SuiteReport:
+def pullback_form_suite(sd: SemidirectSpec, samples: int = 30, seed: int = 0, tol: float = 1e-8) -> SuiteReport:
     """(T*Sigma)* gamma_H = pr_K* gamma_K + the connection magnetic term."""
     rep = SuiteReport(f"semidirect.pullback_form[{sd.name}]")
     rng = stream(seed, f"semidirect.pullback/{sd.name}")
     H = sd.group_spec()
+    h = fd.FINE_STEP
     w_eq = w_chi0 = w_iso = w_lin = 0.0
     for _ in range(samples):
         k, u = sd.random_pair(rng)
@@ -327,27 +328,27 @@ def pullback_form_suite(sd: SemidirectSpec, samples: int = 30, seed: int = 0, to
         def h_at(t: float) -> Array:
             return sd.embed(k @ sd.K.exp(t * xi), u @ sd.N.exp(t * nu))
 
-        zeta = H.log(np.linalg.inv(h_at(-fd)) @ h_at(fd)) / (2 * fd)
+        zeta = fd.group_velocity(H, h_at(-h), h_at(h), h)
         lhs = float(beta @ zeta)
 
         # RHS: gamma_K term plus the magnetic term through the connection form
         alpha_val = connection_form(sd, k, u, zeta)
         rhs = float(theta @ xi + chi @ alpha_val)
-        w_eq = max(w_eq, abs(lhs - rhs))
+        w_eq = worst(w_eq, abs(lhs - rhs))
 
         # chi = 0 reduces to the gamma_K pullback
         beta0 = tstar_sigma(sd, FactoredCotangent(k, theta, u, np.zeros(sd.N.dim)))
-        w_chi0 = max(w_chi0, abs(float(beta0 @ zeta) - float(theta @ xi)))
+        w_chi0 = worst(w_chi0, abs(float(beta0 @ zeta) - float(theta @ xi)))
 
         # theta = 0 with a pure K-base direction isolates the magnetic term
-        zeta_k = H.log(np.linalg.inv(sd.embed(k @ sd.K.exp(-fd * xi), u)) @ sd.embed(k @ sd.K.exp(fd * xi), u)) / (2 * fd)
+        zeta_k = fd.group_velocity(H, sd.embed(k @ sd.K.exp(-h * xi), u), sd.embed(k @ sd.K.exp(h * xi), u), h)
         beta_n = tstar_sigma(sd, FactoredCotangent(k, np.zeros(sd.K.dim), u, chi))
-        w_iso = max(w_iso, abs(float(beta_n @ zeta_k) - float(chi @ connection_form(sd, k, u, zeta_k))))
+        w_iso = worst(w_iso, abs(float(beta_n @ zeta_k) - float(chi @ connection_form(sd, k, u, zeta_k))))
 
         # linearity: the gamma_K term is linear in theta, the magnetic term in chi
         s1, s2 = 1.7, -0.6
         beta_s = tstar_sigma(sd, FactoredCotangent(k, s1 * theta, u, s2 * chi))
-        w_lin = max(w_lin, abs(float(beta_s @ zeta) - (s1 * float(theta @ xi) + s2 * float(chi @ alpha_val))))
+        w_lin = worst(w_lin, abs(float(beta_s @ zeta) - (s1 * float(theta @ xi) + s2 * float(chi @ alpha_val))))
     rep.add("pullback_identity", w_eq, tol)
     rep.add("chi_zero_reduces_to_gammaK", w_chi0, tol)
     rep.add("magnetic_term_isolated", w_iso, tol)
@@ -369,21 +370,21 @@ def spec_suite(sd: SemidirectSpec, samples: int = 30, seed: int = 0, tol: float 
     for _ in range(samples):
         l, l2 = sd.K.random_element(rng, 0.5), sd.K.random_element(rng, 0.5)
         u, w = sd.N.random_element(rng, 0.5), sd.N.random_element(rng, 0.5)
-        w_auto = max(w_auto, float(np.linalg.norm(sd.rho(l, u @ w) - sd.rho(l, u) @ sd.rho(l, w))))
-        w_anti = max(w_anti, float(np.linalg.norm(sd.rho(l @ l2, u) - sd.rho(l2, sd.rho(l, u)))))
-        w_id = max(w_id, float(np.linalg.norm(sd.rho(sd.K.identity(), u) - u)))
+        w_auto = worst(w_auto, float(np.linalg.norm(sd.rho(l, u @ w) - sd.rho(l, u) @ sd.rho(l, w))))
+        w_anti = worst(w_anti, float(np.linalg.norm(sd.rho(l @ l2, u) - sd.rho(l2, sd.rho(l, u)))))
+        w_id = worst(w_id, float(np.linalg.norm(sd.rho(sd.K.identity(), u) - u)))
 
         a, b, c = sd.random_pair(rng), sd.random_pair(rng), sd.random_pair(rng)
         p1 = sd.product(sd.product(a, b), c)
         p2 = sd.product(a, sd.product(b, c))
-        w_assoc = max(w_assoc, float(np.linalg.norm(p1[0] - p2[0]) + np.linalg.norm(p1[1] - p2[1])))
+        w_assoc = worst(w_assoc, float(np.linalg.norm(p1[0] - p2[0]) + np.linalg.norm(p1[1] - p2[1])))
 
         # the block embedding is multiplicative and splits back
         e1 = sd.embed(*a) @ sd.embed(*b)
         e2 = sd.embed(*sd.product(a, b))
-        w_embed = max(w_embed, float(np.linalg.norm(e1 - e2)))
+        w_embed = worst(w_embed, float(np.linalg.norm(e1 - e2)))
         k_back, u_back = sd.split(sd.embed(*a))
-        w_embed = max(w_embed, float(np.linalg.norm(k_back - a[0]) + np.linalg.norm(u_back - a[1])))
+        w_embed = worst(w_embed, float(np.linalg.norm(k_back - a[0]) + np.linalg.norm(u_back - a[1])))
     rep.add("rho_automorphism", w_auto, tol)
     rep.add("rho_anti_homomorphism", w_anti, tol)
     rep.add("rho_identity", w_id, tol)
@@ -404,19 +405,19 @@ def trivialization_suite(sd: SemidirectSpec, samples: int = 30, seed: int = 0, t
         fc = FactoredCotangent(k, rng.standard_normal(sd.K.dim), u, rng.standard_normal(sd.N.dim))
         beta = tstar_sigma(sd, fc)
         back = tstar_sigma_inverse(sd, k, u, beta)
-        w_rt = max(w_rt, float(np.linalg.norm(back.theta - fc.theta) + np.linalg.norm(back.chi - fc.chi)))
+        w_rt = worst(w_rt, float(np.linalg.norm(back.theta - fc.theta) + np.linalg.norm(back.chi - fc.chi)))
 
         # Sigma(e, e) = e and T*Sigma(theta, 0) = theta o T mu
-        w_sig = max(w_sig, float(np.linalg.norm(sd.embed(*sd.identity_pair()) - np.eye(H.embed))))
+        w_sig = worst(w_sig, float(np.linalg.norm(sd.embed(*sd.identity_pair()) - np.eye(H.embed))))
         beta_h = tstar_sigma(sd, FactoredCotangent(k, fc.theta, u, np.zeros(sd.N.dim)))
-        w_mu = max(w_mu, float(np.linalg.norm(beta_h - sd.mu_dot().T @ fc.theta)))
+        w_mu = worst(w_mu, float(np.linalg.norm(beta_h - sd.mu_dot().T @ fc.theta)))
 
         # N-momentum agreement everywhere; K-momentum agreement at u = e
         jk, jn = group_momentum(sd, fc)
-        w_mn = max(w_mn, float(np.linalg.norm(jn - fc.chi)))
+        w_mn = worst(w_mn, float(np.linalg.norm(jn - fc.chi)))
         fce = FactoredCotangent(k, fc.theta, sd.N.identity(), fc.chi)
         jke, jne = group_momentum(sd, fce)
-        w_me = max(w_me, float(np.linalg.norm(jke - fc.theta) + np.linalg.norm(jne - fc.chi)))
+        w_me = worst(w_me, float(np.linalg.norm(jke - fc.theta) + np.linalg.norm(jne - fc.chi)))
     rep.add("tstar_sigma_roundtrip", w_rt, 1e-11)
     rep.add("sigma_identity", w_sig, tol)
     rep.add("chi_zero_is_mu_pullback", w_mu, tol)
@@ -438,13 +439,13 @@ def action_suite(sd: SemidirectSpec, samples: int = 30, seed: int = 0, tol: floa
 
         lifted = lifted_action(sd, fc, g1)
         closed = lifted_action_formula(sd, fc, g1)
-        w_formula = max(w_formula, _fc_distance(lifted, closed))
+        w_formula = worst(w_formula, _fc_distance(lifted, closed))
 
         two_step = lifted_action(sd, lifted_action(sd, fc, g1), g2)
         one_step = lifted_action(sd, fc, sd.product(g1, g2))
-        w_law = max(w_law, _fc_distance(two_step, one_step))
+        w_law = worst(w_law, _fc_distance(two_step, one_step))
 
-        w_id = max(w_id, _fc_distance(lifted_action(sd, fc, sd.identity_pair()), fc))
+        w_id = worst(w_id, _fc_distance(lifted_action(sd, fc, sd.identity_pair()), fc))
     rep.add("closed_formula_matches_lift", w_formula, tol)
     rep.add("right_action_law", w_law, tol)
     rep.add("identity_acts_trivially", w_id, 1e-12)
@@ -465,14 +466,14 @@ def equivariance_suite(sd: SemidirectSpec, samples: int = 200, seed: int = 0, to
         jk, jn = momentum_factorized(sd, moved)
         t_k, t_n = coadjoint_factor_transport(sd, g)
         jk0, jn0 = momentum_factorized(sd, fc)
-        w_eq = max(w_eq, float(np.linalg.norm(jk - t_k @ jk0) + np.linalg.norm(jn - t_n @ jn0)))
+        w_eq = worst(w_eq, float(np.linalg.norm(jk - t_k @ jk0) + np.linalg.norm(jn - t_n @ jn0)))
 
         # the transport factors compose contravariantly (anti-homomorphism)
         g2 = sd.random_pair(rng)
         tk12, tn12 = coadjoint_factor_transport(sd, sd.product(g, g2))
         tk1, tn1 = coadjoint_factor_transport(sd, g)
         tk2, tn2 = coadjoint_factor_transport(sd, g2)
-        w_anti = max(w_anti, float(np.linalg.norm(tk12 - tk2 @ tk1) + np.linalg.norm(tn12 - tn2 @ tn1)))
+        w_anti = worst(w_anti, float(np.linalg.norm(tk12 - tk2 @ tk1) + np.linalg.norm(tn12 - tn2 @ tn1)))
     rep.add("momentum_equivariance", w_eq, tol)
     rep.add("transport_anti_homomorphism", w_anti, tol)
     rep.extras["trials"] = samples
@@ -523,8 +524,8 @@ def reduced_sequence_suite(sd: SemidirectSpec, samples: int = 25, seed: int = 0,
             # [Gamma*] is N-invariant and returns the theta coordinates
             w_el = sd.N.random_element(rng, 0.5)
             moved = lifted_action(sd, fc, (sd.K.identity(), w_el))
-            w_gamma_star = max(w_gamma_star, float(np.linalg.norm(moved.theta - fc.theta)))
-            w_gamma_star = max(w_gamma_star, float(np.linalg.norm(moved.k - fc.k)))
+            w_gamma_star = worst(w_gamma_star, float(np.linalg.norm(moved.theta - fc.theta)))
+            w_gamma_star = worst(w_gamma_star, float(np.linalg.norm(moved.k - fc.k)))
 
             # omega_a = d(gamma_K + (pi_K*)A) with A = 0 for the homomorphic
             # section: compare the leaf form against d gamma_K on the slice u = e
@@ -534,7 +535,7 @@ def reduced_sequence_suite(sd: SemidirectSpec, samples: int = 25, seed: int = 0,
             v2 = np.concatenate([xi2, np.zeros(nn), dth2, np.zeros(nn)])
             leaf_val = _product_dgamma_fd([sd.K, sd.N], np.concatenate([theta, a_char]), v1, v2)
             k_only = float(np.concatenate([xi1, dth1]) @ canonical_two_form([sd.K], theta) @ np.concatenate([xi2, dth2]))
-            w_omega = max(w_omega, abs(leaf_val - k_only))
+            w_omega = worst(w_omega, abs(leaf_val - k_only))
         rep.add("gamma_star_n_invariant", w_gamma_star, 1e-10)
         rep.add("omega_a_equals_dgamma_K", w_omega, 1e-7)
     else:
@@ -543,7 +544,7 @@ def reduced_sequence_suite(sd: SemidirectSpec, samples: int = 25, seed: int = 0,
     return rep
 
 
-def momentum_form_suite(sd: SemidirectSpec, samples: int = 20, seed: int = 0, tol: float = 1e-6, fd: float = 1e-5) -> SuiteReport:
+def momentum_form_suite(sd: SemidirectSpec, samples: int = 20, seed: int = 0, tol: float = 1e-6) -> SuiteReport:
     """Momentum maps generate the lifted action for d(gamma_K + gamma_N).
 
     For each algebra element X the contraction identity
@@ -558,6 +559,7 @@ def momentum_form_suite(sd: SemidirectSpec, samples: int = 20, seed: int = 0, to
     rng = stream(seed, f"semidirect.momentum_form/{sd.name}")
     H = sd.group_spec()
     nk, nn = sd.K.dim, sd.N.dim
+    h = fd.GRAD_STEP
     worst_h = worst_n = 0.0
     for _ in range(samples):
         fc = FactoredCotangent(sd.K.random_element(rng, 0.4), rng.standard_normal(nk),
@@ -565,26 +567,26 @@ def momentum_form_suite(sd: SemidirectSpec, samples: int = 20, seed: int = 0, to
         x_k, x_n = 0.7 * rng.standard_normal(nk), 0.7 * rng.standard_normal(nn)
         x_h = sd.sigma_dot() @ x_k + sd.iota_dot() @ x_n
         v = rng.standard_normal(2 * (nk + nn))
-        fp, fm = _fc_move(sd, fc, v, fd), _fc_move(sd, fc, v, -fd)
+        fp, fm = _fc_move(sd, fc, v, h), _fc_move(sd, fc, v, -h)
 
         def generator(xvec: Array) -> Array:
             def flow(t: float) -> FactoredCotangent:
                 g = sd.split(expm(t * np.tensordot(xvec, H.basis, axes=1)))
                 return lifted_action(sd, fc, g)
 
-            return _fc_tangent(sd, flow(fd), flow(-fd), fd)
+            return _fc_tangent(sd, flow(-h), flow(h), h)
 
         # full H generator against the group momentum <beta, X>
         omega = canonical_two_form([sd.K, sd.N], np.concatenate([fc.theta, fc.chi]))
         lhs = float(generator(x_h) @ omega @ v)
-        djx = (float(tstar_sigma(sd, fp) @ x_h) - float(tstar_sigma(sd, fm) @ x_h)) / (2 * fd)
-        worst_h = max(worst_h, abs(lhs + djx))
+        djx = fd.quotient(float(tstar_sigma(sd, fm) @ x_h), float(tstar_sigma(sd, fp) @ x_h), h)
+        worst_h = worst(worst_h, abs(lhs + djx))
 
         # normal-subgroup generator against the factored component J_N = chi
         x_hn = sd.iota_dot() @ x_n
         lhs_n = float(generator(x_hn) @ omega @ v)
-        djn = float((fp.chi - fm.chi) @ x_n) / (2 * fd)
-        worst_n = max(worst_n, abs(lhs_n + djn))
+        djn = fd.quotient(float(fm.chi @ x_n), float(fp.chi @ x_n), h)
+        worst_n = worst(worst_n, abs(lhs_n + djn))
     rep.add("contraction_identity_group_momentum", worst_h, tol)
     rep.add("contraction_identity_factored_n_component", worst_n, tol)
     rep.extras["trials"] = samples
@@ -601,15 +603,14 @@ def _fc_move(sd: SemidirectSpec, fc: FactoredCotangent, v: Array, t: float) -> F
     )
 
 
-def _fc_tangent(sd: SemidirectSpec, plus: FactoredCotangent, minus: FactoredCotangent, t: float) -> Array:
-    xi = sd.K.log(np.linalg.inv(minus.k) @ plus.k) / (2 * t)
-    nu = sd.N.log(np.linalg.inv(minus.u) @ plus.u) / (2 * t)
-    dth = (plus.theta - minus.theta) / (2 * t)
-    dch = (plus.chi - minus.chi) / (2 * t)
-    return np.concatenate([xi, nu, dth, dch])
+def _fc_tangent(sd: SemidirectSpec, minus: FactoredCotangent, plus: FactoredCotangent, h: float) -> Array:
+    """Left-trivialized tangent (xi, nu, dtheta, dchi) from the points at -h and +h."""
+    xi = fd.group_velocity(sd.K, minus.k, plus.k, h)
+    nu = fd.group_velocity(sd.N, minus.u, plus.u, h)
+    return np.concatenate([xi, nu, fd.quotient(minus.theta, plus.theta, h), fd.quotient(minus.chi, plus.chi, h)])
 
 
-def _product_dgamma_fd(factors: Sequence[LieGroupSpec], covector: Array, v1: Array, v2: Array, h: float = 1e-5) -> float:
+def _product_dgamma_fd(factors: Sequence[LieGroupSpec], covector: Array, v1: Array, v2: Array) -> float:
     """d gamma on T*(G_1 x ... x G_r) in left-trivialized coordinates, by FD in exp charts.
 
     The finite-difference oracle for ``canonical_two_form``, with the same
@@ -625,8 +626,8 @@ def _product_dgamma_fd(factors: Sequence[LieGroupSpec], covector: Array, v1: Arr
         return float(sum(mu @ dexp_left(f, x, dx) for f, x, dx, mu in parts))
 
     z0 = np.concatenate([np.zeros(dim), covector])
-    t1 = (gamma_at(z0 + h * v1, v2) - gamma_at(z0 - h * v1, v2)) / (2 * h)
-    t2 = (gamma_at(z0 + h * v2, v1) - gamma_at(z0 - h * v2, v1)) / (2 * h)
+    t1 = fd.central(lambda z: gamma_at(z, v2), z0, [v1], fd.GRAD_STEP)[0]
+    t2 = fd.central(lambda z: gamma_at(z, v1), z0, [v2], fd.GRAD_STEP)[0]
     return float(t1 - t2)
 
 

@@ -184,6 +184,15 @@ class TestConnection:
         rep = bundle.connection_suite(so3_bundle(), samples=30, seed=21)
         assert rep.passed, rep.failures()
 
+    def test_nan_coefficient_fails(self):
+        # a NaN residual must fail its check, not vanish from the running maximum
+        mat = np.array([[0.3, -0.1], [0.0, 0.2], [0.1, 0.4]])
+        mat[1, 0] = np.nan
+        rep = bundle.connection_suite(so3_bundle(ConnectionData.from_matrix(mat)), samples=10, seed=21)
+        assert not rep.passed
+        assert {c.name for c in rep.failures()} == {"reproduces_vertical", "Ad_equivariance"}
+        assert all(np.isnan(c.residual) for c in rep.checks)
+
     def test_curvature_oracle_u1(self):
         b = u1_bundle()
         f2 = b.connection.curvature_two_form(np.array([0.3, 0.4]))

@@ -215,6 +215,14 @@ _SO3_INF = _SO3_JSON | {"structure": [_SO3_JSON["structure"][0][:3] + [float("in
     ("so3-trivial-bundle", "base_box", [[0.0, 0.0], [-1.0, 1.0]]),
     ("so3-leaves", "group", _SO3_INF),
     ("heisenberg-verify", "group", _SO3_INF),
+    ("so3-trivial-bundle", "seed", "x"),
+    ("so3-trivial-bundle", "seed", 1.5),
+    ("so3-trivial-bundle", "seed", True),
+    ("so3-leaves", "leaves", 5),
+    ("heavy-top-lagrange", "simulate", 5),
+    ("so3-leaves", "base_box", 5),
+    ("u1-magnetic", "connection", {"A": [[[[float("nan"), [0, 1]]]], [[[0.5, [1, 0]]]]]}),
+    ("u1-magnetic", "connection", {"A": [[[[float("inf"), [0, 1]]]], [[[0.5, [1, 0]]]]]}),
 ])
 def test_malformed_scenario_exits_2(tmp_path, capsys, name, key, value):
     doc = json.loads(json.dumps(cli.BUILTIN_SCENARIOS[name]))

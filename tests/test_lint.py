@@ -39,6 +39,36 @@ def unused_locals(source: str, filename: str = "<src>") -> list[str]:
     return found
 
 
+def central_difference_sites(source: str, filename: str = "<src>") -> list[str]:
+    """Divisions by ``2 * <name>``: the hand-written central differences that belong in ``fd.py``."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)):
+            continue
+        den = node.right
+        if (isinstance(den, ast.BinOp) and isinstance(den.op, ast.Mult) and isinstance(den.left, ast.Constant)
+                and den.left.value == 2 and isinstance(den.right, ast.Name)):
+            found.append(f"{filename}:{node.lineno}")
+    return found
+
+
+def test_central_difference_detector():
+    src = (
+        "d = (f(x + h) - f(x - h)) / (2 * h)\n"
+        "v = G.log(inv(a) @ b) / (2 * t)\n"
+        "half = y / 2\n"
+        "ok = y / (2 * 3.0)\n"
+        "ok2 = y / (h * 2)\n"
+    )
+    assert central_difference_sites(src) == ["<src>:1", "<src>:2"]
+
+
+def test_central_differences_only_in_fd():
+    found = [hit for path in sorted(SRC.glob("*.py")) if path.name != "fd.py"
+             for hit in central_difference_sites(path.read_text(encoding="utf-8"), path.name)]
+    assert found == []
+
+
 def test_unused_locals_detector():
     src = (
         "def f(a):\n"
