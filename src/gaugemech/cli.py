@@ -339,15 +339,12 @@ def _momentum_cross_check(sd: semidirect.SemidirectSpec, b: bundle_mod.BundleSpe
     """bundle.momentum on the total space matches the factor momentum J_N."""
     rep = SuiteReport(f"semidirect.momentum_cross_check[{sd.name}]")
     rng = stream(seed, f"semidirect.momentum_cross/{sd.name}")
-    w_j = 0.0
-    for _ in range(40):
-        s = b.random_cotangent(rng)
-        fc = semidirect.FactoredCotangent(s.point.base, s.a, s.point.fiber, s.b)
-        _, jn = semidirect.momentum_factorized(sd, fc)
-        w_j = worst(w_j, float(np.linalg.norm(b.momentum(s) - jn)))
-        beta = semidirect.tstar_sigma(sd, fc)
-        jn_group = sd.iota_dot().T @ beta
-        w_j = worst(w_j, float(np.linalg.norm(jn_group - jn)))
+    base, fiber, a, chi = bundle_mod.draw_samples(40, lambda: (*b.random_point_coords(rng), *b.random_covector(rng)))
+    s = bundle_mod.CotangentSample(b.point_at(base, fiber), a, chi)
+    fc = semidirect.FactoredCotangent(s.point.base, s.a, s.point.fiber, s.b)
+    _, jn = semidirect.momentum_factorized(sd, fc)
+    jn_group = bundle_mod.row_matvec(sd.iota_dot().T, semidirect.tstar_sigma(sd, fc))
+    w_j = worst(bundle_mod.row_norm(b.momentum(s) - jn), bundle_mod.row_norm(jn_group - jn))
     rep.add("J_matches_factor_momentum", w_j, 1e-10)
     rep.extras["trials"] = 40
     return rep
@@ -394,6 +391,9 @@ def _suites_doc(scenario: dict, kind: str, seed: int, tol_scale: float, reports:
 
 
 def run_verify(scenario: dict, basedir: Path, seed: int, tol_scale: float, out_dir: Path) -> int:
+    suites = scenario.get("suites", [])
+    if not isinstance(suites, list) or not all(isinstance(name, str) for name in suites):
+        raise ConfigError(f"'suites' must be a list of suite names, got {suites!r}")
     ctx = {
         "group": _resolve_group(scenario["group"], basedir) if "group" in scenario else None,
         "bundle": _resolve_bundle(scenario["bundle"], basedir) if "bundle" in scenario else None,
@@ -401,7 +401,7 @@ def run_verify(scenario: dict, basedir: Path, seed: int, tol_scale: float, out_d
     }
     registry = _suite_registry()
     reports: list[SuiteReport] = []
-    for name in scenario.get("suites", []):
+    for name in suites:
         if name not in registry:
             raise ConfigError(f"unknown suite {name!r}")
         try:

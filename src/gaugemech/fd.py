@@ -45,4 +45,4 @@ def central(fn: Callable[[Array], Any], x: Array, directions, h: float) -> Array
 
 def group_velocity(G: LieGroupSpec, minus: Array, plus: Array, h: float) -> Array:
     """Left-trivialized velocity of a group curve from its points at -h and +h: log(minus^-1 plus) / (2 h)."""
-    return G.log(np.linalg.inv(minus) @ plus) / (2 * h)
+    return G.log(G.inverse(minus) @ plus) / (2 * h)

@@ -46,7 +46,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bundle import BundleSpec, CotangentSample, Point, row_dot, row_norm
+from .bundle import BundleSpec, CotangentSample, Point, draw_samples, row_dot, row_matvec, row_norm
 from .report import SuiteReport, worst
 from .rng import stream
 
@@ -77,16 +77,6 @@ class SideElement:
 def _lead(point: Point) -> tuple[int, ...]:
     """Stack shape of a point: () for a single point, (N,) for N points."""
     return point.fiber.shape[:-2]
-
-
-def _stack(points: list[Point]) -> Point:
-    return Point(np.stack([p.base for p in points]), np.stack([p.fiber for p in points]))
-
-
-def _draw(samples: int, draw_one: Callable[[], tuple]) -> list:
-    """Call ``draw_one`` ``samples`` times, in stream order, and stack each of its outputs."""
-    rows = [draw_one() for _ in range(samples)]
-    return [_stack(col) if isinstance(col[0], Point) else np.stack(col) for col in zip(*rows)]
 
 
 def _basis_stack(dim: int, lead: tuple[int, ...]) -> Array:
@@ -214,14 +204,14 @@ def tv0_membership_residual(bundle: BundleSpec, el: VBElement) -> float | Array:
 
 
 def quot_rep(bundle: BundleSpec, el: VBElement) -> VBElement:
-    """Gauge-fixed representative of a class in (TP x TP)/g, for a single element.
+    """Gauge-fixed representative of a class in (TP x TP)/g, per arrow of a stack.
 
     The algebra acts by X: (v, w) -> (v + vert_p X, w + vert_q X); the
     representative subtracts X = alpha_p(v) so the first leg is horizontal.
     """
     t = bundle.tangent_dim
-    shift = bundle.vertical_lift(bundle.alpha(el.p, el.x[:t]))
-    return VBElement(el.p, el.q, np.concatenate([el.x[:t] - shift, el.x[t:] - shift]))
+    shift = bundle.vertical_lift(bundle.alpha(el.p, el.x[..., :t]))
+    return VBElement(el.p, el.q, np.concatenate([el.x[..., :t] - shift, el.x[..., t:] - shift], axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +230,7 @@ def vb_axiom_suite(bundle: BundleSpec, space: str, samples: int = 60, seed: int 
     rng = stream(seed, f"groupoid.vb_axioms/{space}/{bundle.name}")
     k = ops.inv.shape[0]
     # per sample: an arrow chain p, q, r and nine fibre vectors
-    P, Q, R, X = _draw(samples, lambda: (*_sample_arrow_chain(bundle, rng), rng.standard_normal((9, k))))
+    P, Q, R, X = draw_samples(samples, lambda: (*_sample_arrow_chain(bundle, rng), rng.standard_normal((9, k))))
     x_eta1, x_eta2, x_xi1, x_xi2, x_b1, x_b2, x_a1, x_a2, x_eta = np.moveaxis(X, 1, 0)
     w = {}
 
@@ -282,7 +272,7 @@ def groupoid_law_suite(bundle: BundleSpec, space: str, samples: int = 40, seed: 
     rng = stream(seed, f"groupoid.laws/{space}/{bundle.name}")
     k = ops.inv.shape[0]
     # per sample: arrows p, q, r, s and four fibre vectors
-    P, Q, R, S, X = _draw(samples, lambda: (*_sample_arrow_chain(bundle, rng), bundle.random_point(rng), rng.standard_normal((4, k))))
+    P, Q, R, S, X = draw_samples(samples, lambda: (*_sample_arrow_chain(bundle, rng), bundle.random_point(rng), rng.standard_normal((4, k))))
     x_el, x_a, x_b, x_c = np.moveaxis(X, 1, 0)
     w = {}
 
@@ -415,7 +405,7 @@ def dual_structure_suite(bundle: BundleSpec, samples: int = 30, seed: int = 0, t
         # Phi, lam, the taus middles, chi and the side covector omega
         return p, q, r, rng.standard_normal(2 * t), rng.standard_normal(t), rng.standard_normal((taus, t)), rng.standard_normal(t), rng.standard_normal(t)
 
-    P, Q, R, x_phi, lam, middles, x_chi, x_omega = _draw(samples, draw)
+    P, Q, R, x_phi, lam, middles, x_chi, x_omega = draw_samples(samples, draw)
     w = {}
     Phi = VBElement(P, Q, x_phi)
     w["target_matches"] = cot.side_distance(dual.dual_target(Phi), cot.target(Phi))
@@ -498,7 +488,7 @@ def core_suite(bundle: BundleSpec, fibers: int = 50, seed: int = 0) -> SuiteRepo
     rng = stream(seed, f"groupoid.cores/{bundle.name}")
     d, n = bundle.d, bundle.n
     expected = {"T(PxP)": d + n, "PxgxP": 0, "quot(TPxTP)": d + n, "T*gauge": d}
-    (P,) = _draw(fibers, lambda: (bundle.random_point(rng),))
+    (P,) = draw_samples(fibers, lambda: (bundle.random_point(rng),))
     ambiguous = False
     for space, want in expected.items():
         dims, amb = core_compute(bundle, space, P)
@@ -537,7 +527,7 @@ def momentum_morphism_suite(bundle: BundleSpec, samples: int = 60, seed: int = 0
         # a, b, the side covector phi, the coalgebra triple and an algebra element
         return p, q, r, rng.standard_normal(2 * t), rng.standard_normal(2 * t), rng.standard_normal(t), rng.standard_normal(bundle.n), bundle.group.random_algebra(rng)
 
-    P, Q, R, x_a, x_b, x_phi, x_trip, alg = _draw(samples, draw)
+    P, Q, R, x_a, x_b, x_phi, x_trip, alg = draw_samples(samples, draw)
     a = VBElement(P, Q, x_a)
     b = _with_target(cot, VBElement(Q, R, x_b), cot.source(a))
     lhs = i2_star(bundle, cot.product(a, b))
@@ -624,24 +614,15 @@ def _seq_matrices(bundle: BundleSpec, sequence_id: str, p: Point, q: Point) -> t
 
 
 def _alpha_matrix(bundle: BundleSpec, p: Point) -> Array:
-    """Matrix of alpha_p on tangent coordinates at each point of a stack.
-
-    ``bundle.alpha`` takes one point, so it runs once per point, on the
-    tangent basis as the columns of the identity.
-    """
-    lead = _lead(p)
-    bases = np.reshape(p.base, (-1,) + p.base.shape[len(lead) :])
-    fibers = np.reshape(p.fiber, (-1,) + p.fiber.shape[len(lead) :])
-    eye = np.eye(bundle.tangent_dim)
-    mats = [bundle.alpha(Point(base, fiber), eye) for base, fiber in zip(bases, fibers)]
-    return np.reshape(mats, lead + (bundle.n, bundle.tangent_dim))
+    """Matrix of alpha_p on tangent coordinates at each point of a stack: ``bundle.alpha`` on the tangent basis."""
+    return np.moveaxis(bundle.alpha(p, _basis_stack(bundle.tangent_dim, _lead(p))), 0, -1)
 
 
 def ses_fiber_check(bundle: BundleSpec, sequence_id: str, samples: int = 50, seed: int = 0, tol: float = 1e-10) -> SuiteReport:
     """Injectivity / surjectivity / im = ker at sampled arrows, by rank and residual."""
     rep = SuiteReport(f"groupoid.ses[{sequence_id}]")
     rng = stream(seed, f"groupoid.ses/{sequence_id}/{bundle.name}")
-    P, Q = _draw(samples, lambda: (bundle.random_point(rng), bundle.random_point(rng)))
+    P, Q = draw_samples(samples, lambda: (bundle.random_point(rng), bundle.random_point(rng)))
     f, h, info = _seq_matrices(bundle, sequence_id, P, Q)
     dims = info["dims"]
     s_f = np.linalg.svd(f, compute_uv=False)
@@ -662,9 +643,11 @@ def ses_fiber_check(bundle: BundleSpec, sequence_id: str, samples: int = 50, see
 
 
 def _cot_transport(bundle: BundleSpec, g: Array) -> Array:
-    """Matrix of T*kappa_g on covector coordinates, diag(I, Ad*_g), as ``bundle.cot_act`` applies it."""
-    out = np.eye(bundle.tangent_dim)
-    out[bundle.d :, bundle.d :] = bundle.group.Ad_star(g)
+    """Matrix of T*kappa_g on covector coordinates, diag(I, Ad*_g), as ``bundle.cot_act`` applies it, per element of a stack."""
+    ad = bundle.group.Ad_star(g)
+    out = np.zeros(ad.shape[:-2] + (bundle.tangent_dim, bundle.tangent_dim))
+    out[..., : bundle.d, : bundle.d] = np.eye(bundle.d)
+    out[..., bundle.d :, bundle.d :] = ad
     return out
 
 
@@ -674,26 +657,24 @@ def _quotient_dual_commutation(bundle: BundleSpec, rep: SuiteReport, samples: in
     t = bundle.tangent_dim
 
     def draw() -> tuple:
-        p, q = bundle.random_point(rng), bundle.random_point(rng)
-        g = bundle.group.random_element(rng)
+        # the arrow (p, q) only keeps the stream: the transports do not read it; then g,
         # Phi and xi over (p, q), and xi' over the arrow (p g, q g)
-        return p, q, g, rng.standard_normal((3, 2 * t))
+        bundle.random_point_coords(rng), bundle.random_point_coords(rng)
+        return bundle.group.random_algebra(rng), rng.standard_normal((3, 2 * t))
 
-    _, _, g, X = _draw(samples, draw)
+    g, X = draw_samples(samples, draw)
+    g = bundle.group.exp(g)
     phi, xi, xi2 = np.moveaxis(X, 1, 0)
-    gi = np.linalg.inv(g)
+    g_both = np.stack([g, bundle.group.inverse(g)])
     # the tangent and cotangent transports of g and g^-1, one matrix per sample, on both legs
-    tan_g, tan_back = (np.kron(np.eye(2), np.stack([bundle.tk_g(h) for h in hs])) for hs in (g, gi))
-    cot_g, cot_back = (np.kron(np.eye(2), np.stack([_cot_transport(bundle, h) for h in hs])) for hs in (g, gi))
-
-    def apply(m: Array, x: Array) -> Array:
-        return (m @ x[..., None])[..., 0]
+    tan_g, tan_back = np.kron(np.eye(2), bundle.tk_g(g_both))
+    cot_g, cot_back = np.kron(np.eye(2), _cot_transport(bundle, g_both))
 
     # <Phi g, xi g> = <Phi, xi>: the contragredient action makes the pairing invariant
-    phi_g = apply(cot_g, phi)
-    w_pair = worst(np.abs(_pair(phi_g, apply(tan_g, xi)) - _pair(phi, xi)))
+    phi_g = row_matvec(cot_g, phi)
+    w_pair = worst(np.abs(_pair(phi_g, row_matvec(tan_g, xi)) - _pair(phi, xi)))
     # <Phi g, xi'> = <Phi, xi' g^{-1}> for xi' over the shifted arrow
-    w_pair = worst(w_pair, np.abs(_pair(phi_g, xi2) - _pair(phi, apply(tan_back, xi2))))
+    w_pair = worst(w_pair, np.abs(_pair(phi_g, xi2) - _pair(phi, row_matvec(tan_back, xi2))))
 
     # induced fiberwise map Omega*/G -> (Omega/G)*: classes given by basis
     # representatives at a translated arrow, paired after aligning both to

@@ -83,46 +83,72 @@ def expm(a: Array) -> Array:
     When a^3 is exactly zero (heisenberg3, abelian translations) the series
     I + a + a^2/2 is returned exactly.
 
+    ``a`` is one matrix or a stack (..., n, n); every matrix of a stack gets
+    its own exit, degree and scaling, so each gives the bits of its single call.
     Raises LieDomainError for a non-finite matrix, for a 1-norm above
     _EXPM_MAX_NORM, and when the squarings overflow (the exponential, or the
     rounding error of a huge rotation angle, leaves the floating-point range).
     """
     a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    eye = np.eye(n)
-    norm = float(np.abs(a).sum(axis=0).max())
-    if not math.isfinite(norm):
+    shape, n = a.shape, a.shape[-1]
+    a = a.reshape(-1, n, n)
+    norms = np.abs(a).sum(axis=-2).max(axis=-1).tolist()
+    if not all(map(math.isfinite, norms)):
         raise LieDomainError("matrix exponential of a non-finite matrix")
-    if norm > _EXPM_MAX_NORM:
-        raise LieDomainError(f"matrix exponential of a matrix with 1-norm {norm:.3g} would overflow")
+    if max(norms) > _EXPM_MAX_NORM:
+        raise LieDomainError(f"matrix exponential of a matrix with 1-norm {max(norms):.3g} would overflow")
     a2 = a @ a
-    if not (a2 @ a).any():
-        return eye + a + 0.5 * a2
-    b = next((c for theta, c in zip(_PADE_THETA, _PADE_COEFFS) if norm <= theta), _PADE_COEFFS[-1])
-    s = max(0, math.ceil(math.log2(norm / _PADE_THETA[-1])))
-    if s:
-        a, a2 = a / 2.0**s, a2 / 4.0**s
+    # the rows of each exit: -1 for a^3 = 0, else the index of their Pade degree
+    exits: dict[int, list[int]] = {}
+    for i, pade in enumerate((a2 @ a).any(axis=(-2, -1)).tolist()):
+        j = next((j for j, theta in enumerate(_PADE_THETA) if norms[i] <= theta), len(_PADE_THETA) - 1) if pade else -1
+        exits.setdefault(j, []).append(i)
+    if len(exits) == 1:
+        (j,) = exits
+        return _exp_rows(a, a2, norms, j).reshape(shape)
+    out = np.empty_like(a)
+    for j, rows in exits.items():
+        out[rows] = _exp_rows(a[rows], a2[rows], [norms[i] for i in rows], j)
+    return out.reshape(shape)
+
+
+def _exp_rows(a: Array, a2: Array, norms: list[float], degree: int) -> Array:
+    """exp of a stack of matrices a, with squares a2 and 1-norms norms, that share one exit:
+    the exact series for degree -1, else the Pade approximant of that degree index."""
+    n = a.shape[-1]
+    if degree < 0:
+        out = a + np.eye(n)
+        out += 0.5 * a2
+        return out
+    b = _PADE_COEFFS[degree]
+    # only the last degree scales: at 1-norms up to theta_13 every s is 0
+    s = np.array([max(0, math.ceil(math.log2(v / _PADE_THETA[-1]))) for v in norms]) if degree == len(_PADE_THETA) - 1 else None
+    scaled = s is not None and s.any()
+    if scaled:
+        scale = (2.0**s)[:, None, None]
+        a, a2 = a / scale, a2 / (scale * scale)
     # even powers I, a^2, ..., a^(m-1) stacked, so U and V are one matmul each
-    evens = np.empty((b.size // 2, n, n))
-    evens[0], evens[1] = eye, a2
-    for j in range(2, b.size // 2):
-        np.matmul(evens[j - 1], a2, out=evens[j])
-    flat = evens.reshape(b.size // 2, -1)
-    u = a @ (b[1::2] @ flat).reshape(n, n)
-    v = (b[0::2] @ flat).reshape(n, n)
+    evens = np.empty((len(a), b.size // 2, n, n))
+    evens[:, 0], evens[:, 1] = np.eye(n), a2
+    for k in range(2, b.size // 2):
+        np.matmul(evens[:, k - 1], a2, out=evens[:, k])
+    flat = evens.reshape(len(a), b.size // 2, -1)
+    u = a @ (b[1::2] @ flat).reshape(-1, n, n)
+    v = (b[0::2] @ flat).reshape(-1, n, n)
     out = np.linalg.solve(v - u, v + u)
-    if s:
+    if scaled:
         # the Pade phase cannot overflow at 1-norm <= theta_13; the squarings can
         with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(s):
-                out = out @ out
-        if not np.isfinite(out).all():
-            raise LieDomainError(f"matrix exponential overflowed after {s} squarings (1-norm {norm:.3g})")
+            for k in range(s.max()):
+                out[s > k] = out[s > k] @ out[s > k]
+        bad = np.flatnonzero(~np.isfinite(out).all(axis=(-2, -1)))
+        if bad.size:
+            raise LieDomainError(f"matrix exponential overflowed after {s[bad[0]]} squarings (1-norm {norms[bad[0]]:.3g})")
     return out
 
 
 def rodrigues(a: Array) -> Array:
-    """exp(a) of an antisymmetric 3x3 matrix a by Rodrigues' formula.
+    """exp(a) of an antisymmetric 3x3 matrix a, or of each of a stack, by Rodrigues' formula.
 
     With theta^2 = a_21^2 + a_02^2 + a_10^2, exp(a) = I + sin(theta)/theta a +
     (1 - cos theta)/theta^2 a^2 (Gallier & Xu, Int. J. Robotics and Automation
@@ -132,17 +158,24 @@ def rodrigues(a: Array) -> Array:
     theta^2/24, truncated below unit roundoff.  The result is orthogonal to
     rounding at any angle.  Raises LieDomainError when theta^2 is not finite.
     """
-    x, y, z = float(a[2, 1]), float(a[0, 2]), float(a[1, 0])
+    coef = [_rodrigues_coefficients(row[7], row[2], row[3]) for row in a.reshape(-1, 9).tolist()]
+    c1, c2 = np.array(coef).T.reshape((2,) + a.shape[:-2] + (1, 1))
+    # (I + c1 a) + c2 a^2, summed in that order
+    out = c1 * a
+    out += np.eye(3)
+    out += c2 * (a @ a)
+    return out
+
+
+def _rodrigues_coefficients(x: float, y: float, z: float) -> tuple[float, float]:
     theta2 = x * x + y * y + z * z
     if not math.isfinite(theta2):
         raise LieDomainError(f"rotation exponential of a non-finite or overflowing angle (theta^2 = {theta2})")
     if theta2 < ROTATION_TAYLOR_THETA2:
-        c1, c2 = 1.0 - theta2 / 6.0, 0.5 - theta2 / 24.0
-    else:
-        theta = math.sqrt(theta2)
-        half = math.sin(0.5 * theta) / (0.5 * theta)
-        c1, c2 = math.sin(theta) / theta, 0.5 * half * half
-    return np.eye(3) + c1 * a + c2 * (a @ a)
+        return 1.0 - theta2 / 6.0, 0.5 - theta2 / 24.0
+    theta = math.sqrt(theta2)
+    half = math.sin(0.5 * theta) / (0.5 * theta)
+    return math.sin(theta) / theta, 0.5 * half * half
 
 
 def rotation_log(g: Array) -> Array | None:
@@ -271,10 +304,11 @@ class LieGroupSpec:
     # -- coordinates --------------------------------------------------------
 
     def from_coords(self, x: Array) -> Array:
+        """The algebra matrix of coordinates x, or of each row of a stack (..., dim)."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"dimension mismatch: expected ({self.dim},), got {x.shape}")
-        return (x @ self.basis.reshape(self.dim, -1)).reshape(self.embed, self.embed)
+        if x.shape[-1:] != (self.dim,):
+            raise ValueError(f"dimension mismatch: expected (..., {self.dim}), got {x.shape}")
+        return (x[..., None, :] @ self.basis.reshape(self.dim, -1)).reshape(x.shape[:-1] + (self.embed, self.embed))
 
     def to_coords(self, mat: Array, check: bool = True, tol: float = 1e-8) -> Array:
         mat = np.asarray(mat, dtype=float)
@@ -306,30 +340,39 @@ class LieGroupSpec:
         """Matrix of ad*_x on coalgebra coordinates: <ad*_x mu, y> = <mu,[x,y]>."""
         return self.ad(x).T
 
+    def inverse(self, g: Array) -> Array:
+        """g^-1 of a group element or of each of a stack (..., embed, embed).
+
+        The transpose for a basis of antisymmetric 3x3 matrices (the group is
+        SO(3)), otherwise one stacked ``np.linalg.inv``.
+        """
+        g = np.asarray(g, dtype=float)
+        return g.swapaxes(-1, -2) if self._rotation_basis else np.linalg.inv(g)
+
     def Ad(self, g: Array) -> Array:
-        """Matrix of Ad_g (conjugation) on algebra coordinates.
+        """Matrix of Ad_g (conjugation) on algebra coordinates, one per element of a stack.
 
         Column i holds the coordinates of g e_i g^-1: all basis matrices are
         conjugated in one batched product and projected with the cached basis
         pseudo-inverse in one matmul.
         """
-        return self._conjugate(g, np.linalg.inv(g))
+        return self._conjugate(g, self.inverse(g))
 
     def Ad_inv(self, g: Array) -> Array:
-        """Matrix of Ad_{g^-1}, formed as g^-1 e_i g with one inverse."""
-        return self._conjugate(np.linalg.inv(g), g)
+        """Matrix of Ad_{g^-1}, formed as g^-1 e_i g."""
+        return self._conjugate(self.inverse(g), g)
 
     def _conjugate(self, left: Array, right: Array) -> Array:
-        conj = left @ self.basis @ right
-        return (conj.reshape(self.dim, -1) @ self._basis_pinv).T
+        conj = left[..., None, :, :] @ self.basis @ right[..., None, :, :]
+        return (conj.reshape(conj.shape[:-2] + (-1,)) @ self._basis_pinv).swapaxes(-1, -2)
 
     def Ad_star(self, g: Array) -> Array:
         """Matrix of Ad*_g on coalgebra coordinates: <Ad*_g mu, x> = <mu, Ad_g x>."""
-        return self.Ad(g).T
+        return self.Ad(g).swapaxes(-1, -2)
 
     def Ad_star_inv(self, g: Array) -> Array:
-        """Matrix of Ad*_{g^-1}, with one inverse (see ``Ad_inv``)."""
-        return self.Ad_inv(g).T
+        """Matrix of Ad*_{g^-1} (see ``Ad_inv``)."""
+        return self.Ad_inv(g).swapaxes(-1, -2)
 
     def coadjoint_chain_rule(self, trans: Array, grad: Array, b: Array) -> Array:
         """Derivatives of u -> H(Ad*_{u^-1} b) along the curves u exp(t e_j).
@@ -377,6 +420,7 @@ class LieGroupSpec:
     # -- exponential map ------------------------------------------------------
 
     def exp(self, x: Array) -> Array:
+        """exp of algebra coordinates x, or of each row of a stack (..., dim)."""
         a = self.from_coords(x)
         return rodrigues(a) if self._rotation_basis else expm(a)
 

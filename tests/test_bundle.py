@@ -218,3 +218,22 @@ class TestSerialization:
         m = np.array([0.3, -0.2])
         np.testing.assert_allclose(back.connection.matrix(m), b.connection.matrix(m), atol=1e-14)
         assert bundle.action_suite(back, samples=10, seed=22).passed
+
+
+class TestBatchedSuitesSeeLastRow:
+    @pytest.mark.parametrize("suite, check", [(bundle.momentum_suite, "J_equivariance"), (bundle.action_suite, "w8")])
+    def test_cot_act_mutant(self, monkeypatch, suite, check):
+        b = so3_bundle()
+        assert suite(b, samples=20, seed=3).passed
+        original = BundleSpec.cot_act
+
+        def mutant(self, sample, g):
+            out = original(self, sample, g)
+            if out.b.ndim != 2:
+                return out
+            b = np.array(out.b)
+            b[-1] += 1e-6
+            return CotangentSample(out.point, out.a, b)
+
+        monkeypatch.setattr(BundleSpec, "cot_act", mutant)
+        assert check in {c.name for c in suite(b, samples=20, seed=3).failures()}

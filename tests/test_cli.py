@@ -223,6 +223,9 @@ _SO3_INF = _SO3_JSON | {"structure": [_SO3_JSON["structure"][0][:3] + [float("in
     ("so3-leaves", "base_box", 5),
     ("u1-magnetic", "connection", {"A": [[[[float("nan"), [0, 1]]]], [[[0.5, [1, 0]]]]]}),
     ("u1-magnetic", "connection", {"A": [[[[float("inf"), [0, 1]]]], [[[0.5, [1, 0]]]]]}),
+    ("heisenberg-verify", "suites", 5),
+    ("heisenberg-verify", "suites", [["bundle.action"]]),
+    ("heisenberg-verify", "suites", "bundle.action"),
 ])
 def test_malformed_scenario_exits_2(tmp_path, capsys, name, key, value):
     doc = json.loads(json.dumps(cli.BUILTIN_SCENARIOS[name]))
@@ -237,6 +240,16 @@ def test_malformed_scenario_exits_2(tmp_path, capsys, name, key, value):
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and repr(key) in err
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_non_orthogonal_rotation_exp_fails_a_check(tmp_path, monkeypatch):
+    # so3 inverts by the transpose, which is exact only on rotations: an exp off SO(3) must not pass
+    rodrigues = liealg.rodrigues
+    monkeypatch.setattr(liealg, "rodrigues", lambda a: (1 + 1e-6) * rodrigues(a))
+    assert run(["verify", "so3-trivial-bundle", "--out", str(tmp_path)]) == cli.EXIT_CHECK_FAILURE
+    failures = json.loads((tmp_path / "report.json").read_text())["failures"]
+    assert "liealg.validate[so3]:exp_lands_in_group" in failures
+    assert any(f.startswith("bundle.") for f in failures)
 
 
 def test_suite_exception_becomes_failed_check(tmp_path, monkeypatch):

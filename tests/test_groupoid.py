@@ -282,7 +282,10 @@ class TestBatchedEngine:
 
     @staticmethod
     def _stack_elements(els):
-        return VBElement(groupoid._stack([e.p for e in els]), groupoid._stack([e.q for e in els]), np.stack([e.x for e in els]))
+        def stack(points):
+            return Point(np.stack([p.base for p in points]), np.stack([p.fiber for p in points]))
+
+        return VBElement(stack([e.p for e in els]), stack([e.q for e in els]), np.stack([e.x for e in els]))
 
     @staticmethod
     def _rows_equal(stacked, singles):

@@ -292,6 +292,67 @@ class TestAdjoint:
         np.testing.assert_allclose(r2.Ad_star(r2.random_element(rng)) @ mu, mu, atol=1e-13)
 
 
+STACK_GROUPS = [liealg.so3, liealg.heisenberg3, lambda: liealg.translation_group(3), lambda: liealg.torus(2),
+                lambda: semidirect.so3_r3().group_spec()]
+
+
+class TestStacks:
+    """A stack of elements gives, row by row, the bits of the single calls."""
+
+    @staticmethod
+    def _coords(g, rng):
+        # algebra coordinates at scales from the Taylor / low-degree branches up to squarings
+        return rng.standard_normal((7, g.dim)) * np.array([1e-5, 0.01, 0.3, 1.0, 2.5, 8.0, 40.0])[:, None]
+
+    @pytest.mark.parametrize("factory", STACK_GROUPS)
+    def test_exp_rows_equal_single_calls(self, factory):
+        g = factory()
+        x = self._coords(g, np.random.default_rng(40))
+        stack = g.exp(x)
+        assert stack.shape == (7, g.embed, g.embed)
+        for row, xi in zip(stack, x):
+            assert np.array_equal(row, g.exp(xi))
+
+    @pytest.mark.parametrize("factory", STACK_GROUPS)
+    @pytest.mark.parametrize("name", ["Ad", "Ad_inv", "Ad_star", "Ad_star_inv", "inverse"])
+    def test_conjugation_rows_equal_single_calls(self, factory, name):
+        g = factory()
+        elements = g.exp(self._coords(g, np.random.default_rng(41)))
+        fn = getattr(g, name)
+        stack = fn(elements)
+        assert stack.shape[0] == 7
+        for row, el in zip(stack, elements):
+            assert np.array_equal(row, fn(el))
+
+    @pytest.mark.parametrize("factory", STACK_GROUPS)
+    def test_inverse_is_inverse(self, factory):
+        g = factory()
+        elements = g.exp(np.random.default_rng(42).standard_normal((7, g.dim)))
+        assert np.max(np.abs(g.inverse(elements) @ elements - np.eye(g.embed))) <= 1e-14
+
+    def test_rotation_inverse_is_transpose(self, so3):
+        el = so3.exp(np.array([0.3, -1.2, 0.5]))
+        assert np.array_equal(so3.inverse(el), el.T)
+
+    def test_expm_mixed_exits(self, so3):
+        # heisenberg rows have a^3 = 0 (exact exit); so3 rows take Pade degrees 3 to 13 with squarings
+        rng = np.random.default_rng(43)
+        h3 = liealg.heisenberg3()
+        rows = [h3.from_coords(rng.standard_normal(3)) for _ in range(3)]
+        rows += [so3.from_coords(rng.standard_normal(3) * s) for s in (0.003, 0.1, 0.4, 0.8, 2.0, 30.0)]
+        stack = np.stack([rows[i] for i in (0, 3, 4, 1, 5, 6, 7, 2, 8)])
+        out = expm(stack)
+        for row, a in zip(out, stack):
+            assert np.array_equal(row, expm(a))
+        assert np.array_equal(out[0], np.eye(3) + stack[0] + 0.5 * (stack[0] @ stack[0]))
+
+    def test_expm_non_finite_row_raises(self, so3):
+        stack = so3.from_coords(np.random.default_rng(44).standard_normal((4, 3)))
+        stack[2, 0, 1] = np.nan
+        with pytest.raises(LieDomainError):
+            expm(stack)
+
+
 class TestValidate:
     @pytest.mark.parametrize("factory", [liealg.so3, liealg.heisenberg3, lambda: liealg.translation_group(3), lambda: liealg.torus(2)])
     def test_builtins_pass(self, factory):

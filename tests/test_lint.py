@@ -39,6 +39,32 @@ def unused_locals(source: str, filename: str = "<src>") -> list[str]:
     return found
 
 
+def unused_imports(source: str, filename: str = "<src>") -> list[str]:
+    """Names bound by an import statement (at any level) that the module never reads.
+
+    A read anywhere in the module counts, as does a string in ``__all__``;
+    ``__future__`` imports are skipped.  ``import a.b`` binds ``a``.
+    """
+    tree = ast.parse(source, filename)
+    reads = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+    exported = {
+        c.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for c in ast.walk(node.value)
+        if isinstance(c, ast.Constant) and isinstance(c.value, str)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in reads and name not in exported:
+                found.append(f"{filename}:{node.lineno} {name}")
+    return found
+
+
 def central_difference_sites(source: str, filename: str = "<src>") -> list[str]:
     """Divisions by ``2 * <name>``: the hand-written central differences that belong in ``fd.py``."""
     found = []
@@ -88,4 +114,25 @@ def test_unused_locals_detector():
 
 def test_no_unused_locals_in_package():
     found = [hit for path in sorted(SRC.glob("*.py")) for hit in unused_locals(path.read_text(encoding="utf-8"), path.name)]
+    assert found == []
+
+
+def test_unused_imports_detector():
+    src = (
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import sys as system\n"
+        "from a import b, c\n"
+        "from . import d\n"
+        "import e.f\n"
+        "__all__ = ['c']\n"
+        "def g() -> None:\n"
+        "    from h import i\n"
+        "    return os.sep + i\n"
+    )
+    assert unused_imports(src) == ["<src>:3 system", "<src>:4 b", "<src>:5 d", "<src>:6 e"]
+
+
+def test_no_unused_imports_in_package():
+    found = [hit for path in sorted(SRC.glob("*.py")) for hit in unused_imports(path.read_text(encoding="utf-8"), path.name)]
     assert found == []

@@ -401,3 +401,36 @@ class TestSerialization:
         u = sd.N.random_element(rng)
         np.testing.assert_allclose(back.rho(l, u), sd.rho(l, u), atol=1e-10)
         assert semidirect.spec_suite(back, samples=10, seed=29).passed
+
+
+def _last_row_perturbed(x):
+    """A copy of a stack with 1e-6 added to its last row: a fault only the worst-row reduction sees."""
+    out = np.array(x, dtype=float)
+    out[-1] += 1e-6
+    return out
+
+
+class TestBatchedSuitesSeeLastRow:
+    @pytest.mark.parametrize("suite, check", [(semidirect.equivariance_suite, "momentum_equivariance"),
+                                              (semidirect.action_suite, "closed_formula_matches_lift")])
+    def test_lifted_action_mutant(self, sd, monkeypatch, suite, check):
+        assert suite(sd, samples=20, seed=3).passed
+        original = semidirect.lifted_action
+
+        def mutant(sd, fc, g):
+            out = original(sd, fc, g)
+            return FactoredCotangent(out.k, _last_row_perturbed(out.theta), out.u, out.chi) if out.theta.ndim == 2 else out
+
+        monkeypatch.setattr(semidirect, "lifted_action", mutant)
+        assert check in {c.name for c in suite(sd, samples=20, seed=3).failures()}
+
+    @pytest.mark.parametrize("suite", [semidirect.equivariance_suite, semidirect.action_suite])
+    def test_ad_star_mutant(self, sd, monkeypatch, suite):
+        original = liealg.LieGroupSpec.Ad_star
+
+        def mutant(self, g):
+            out = original(self, g)
+            return _last_row_perturbed(out) if out.ndim == 3 else out
+
+        monkeypatch.setattr(liealg.LieGroupSpec, "Ad_star", mutant)
+        assert not suite(sd, samples=20, seed=3).passed
