@@ -170,6 +170,19 @@ def row_norm(x: Array, ndim: int = 1) -> float | Array:
     return float(out) if np.ndim(out) == 0 else out
 
 
+def map_matrix(linear: Callable[[Array], Array], dim: int, point: Point) -> Array:
+    """Matrix of a linear map on R^dim at each point of a stack: ``linear`` applied to the standard basis.
+
+    ``linear`` gets the basis as a stack (dim, 1, ..., 1, dim) that broadcasts
+    against the points and returns one image per basis vector; the images are
+    the columns, so the result is (..., out, dim), or the covector (..., dim) of
+    a map to numbers.
+    """
+    lead = point.fiber.shape[:-2]
+    mat = np.moveaxis(linear(np.eye(dim).reshape((dim,) + (1,) * len(lead) + (dim,))), 0, -1)
+    return np.broadcast_to(mat, lead + mat.shape[len(lead) :])
+
+
 def draw_samples(samples: int, draw_one: Callable[[], tuple]) -> list:
     """Call ``draw_one`` ``samples`` times, in stream order, and stack each of its outputs.
 
@@ -250,8 +263,10 @@ class BundleSpec:
             raise ValueError(f"unknown bundle kind {self.kind!r}")
         if self.kind == "TrivialProduct":
             self.base_box = np.asarray(self.base_box, dtype=float).reshape(-1, 2)
-            if not (np.isfinite(self.base_box).all() and (self.base_box[:, 0] < self.base_box[:, 1]).all()):
-                raise ValueError(f"'base_box' rows must be finite [lo, hi] with lo < hi, got {self.base_box.tolist()}")
+            with np.errstate(over="ignore"):
+                width = self.base_box[:, 1] - self.base_box[:, 0]
+            if not (np.isfinite(self.base_box).all() and np.isfinite(width).all() and (width > 0).all()):
+                raise ValueError(f"'base_box' rows must be finite [lo, hi] with lo < hi and a finite width hi - lo, got {self.base_box.tolist()}")
         else:
             if self.base_group is None:
                 raise ValueError("SemidirectTotal requires base_group")
@@ -277,6 +292,13 @@ class BundleSpec:
         return self.d + self.n
 
     # -- sampling -------------------------------------------------------------
+
+    def gauge_point(self, base: Array) -> Point:
+        """The point over ``base`` on the fiber-identity slice, one per base of a stack."""
+        e = self.group.identity()
+        fiber = np.empty(base.shape[: -1 if self.kind == "TrivialProduct" else -2] + e.shape)
+        fiber[...] = e
+        return Point(base, fiber)
 
     def random_base(self, rng: np.random.Generator) -> Array:
         return self._base_at(self._random_base_coords(rng))
@@ -411,11 +433,8 @@ class BundleSpec:
 
     def quotient_rep(self, sample: CotangentSample) -> QuotientClass:
         """Gauge-fixed representative of <phi>: act with T*kappa_{u^-1}, per row of a stack."""
-        fiber = sample.point.fiber
-        rep = self.cot_act(sample, self.group.inverse(fiber))
-        identity = np.empty_like(fiber)
-        identity[...] = self.group.identity()
-        return QuotientClass(CotangentSample(Point(rep.point.base, identity), rep.a, rep.b))
+        rep = self.cot_act(sample, self.group.inverse(sample.point.fiber))
+        return QuotientClass(CotangentSample(self.gauge_point(rep.point.base), rep.a, rep.b))
 
     def class_coords(self, sample: CotangentSample) -> Array:
         """Coordinates (m, a, bbar) of the class of a sample: its gauge-fixed representative."""
@@ -430,27 +449,25 @@ class BundleSpec:
     # -- dual Atiyah sequence maps ----------------------------------------------
 
     def iota_star(self, cls: QuotientClass) -> tuple[Array, Array]:
-        """iota* on a quotient class: gauge-fixed pair (base, J(rep))."""
+        """iota* on a quotient class: gauge-fixed pair (base, J(rep)), per row of a stack."""
         return cls.rep.point.base, self.momentum(cls.rep)
 
     def a_star(self, base: Array, rho: Array) -> QuotientClass:
-        """Dual anchor: rho in T*(P/G) -> class of the mu-pullback (rho, 0)."""
+        """Dual anchor: rho in T*(P/G) -> class of the mu-pullback (rho, 0); rows of ``rho`` broadcast against a stack of bases."""
         rho = np.asarray(rho, dtype=float)
-        if rho.shape != (self.d,):
+        if rho.shape[-1:] != (self.d,):
             raise ValueError("dimension mismatch in a_star")
-        rep = CotangentSample(Point(base, self.group.identity()), rho.copy(), np.zeros(self.n))
-        return QuotientClass(rep)
+        return QuotientClass(CotangentSample(self.gauge_point(base), rho.copy(), np.zeros(rho.shape[:-1] + (self.n,))))
 
     def sigma(self, base: Array, chi: Array) -> QuotientClass:
-        """Section of iota* induced by the connection: sigma = [alpha~]*.
+        """Section of iota* induced by the connection: sigma = [alpha~]*, per base of a stack.
 
         At the gauge-fixed point the covector is chi o alpha_p, i.e.
         (A(base)^T chi, chi) in the trivialized frame.
         """
         chi = np.asarray(chi, dtype=float)
         a_mat = self.connection.matrix(self.base_coords_for_connection(base))
-        rep = CotangentSample(Point(base, self.group.identity()), a_mat.T @ chi, chi.copy())
-        return QuotientClass(rep)
+        return QuotientClass(CotangentSample(self.gauge_point(base), row_matvec(a_mat.swapaxes(-1, -2), chi), chi.copy()))
 
     def sigma_tilde(self, cls: QuotientClass) -> Array:
         """Projection T*P/G -> T*(P/G) defined by sigma through the affine action."""
@@ -562,43 +579,42 @@ def momentum_suite(b: BundleSpec, samples: int = 60, seed: int = 0, tol: float =
     return rep
 
 
+def dual_atiyah_matrices(b: BundleSpec, base: Array) -> tuple[Array, Array]:
+    """Matrices of a*: T*(P/G) -> T*P/G and iota*: T*P/G -> g* at each base of a stack, on the coordinates (a, b) of gauge-fixed representatives."""
+    point = b.gauge_point(base)
+    a_mat = map_matrix(lambda rho: b.a_star(base, rho).rep.coords, b.d, point)
+    i_mat = map_matrix(lambda x: b.iota_star(QuotientClass(CotangentSample(point, x[..., : b.d], x[..., b.d :])))[1], b.tangent_dim, point)
+    return a_mat, i_mat
+
+
+def dual_atiyah_split(b: BundleSpec, base: Array) -> tuple[float, bool, dict]:
+    """Exactness of 0 -> T*(P/G) -> T*P/G -> g* -> 0 at each base of a stack, from the matrices of a* and iota*.
+
+    Returns the worst entry of iota* a*, whether a* is injective and iota*
+    surjective at every base, and the ranks found (the smallest over the stack).
+    """
+    a_mat, i_mat = dual_atiyah_matrices(b, base)
+    rank_a, rank_i = np.linalg.matrix_rank(a_mat, tol=1e-10), np.linalg.matrix_rank(i_mat, tol=1e-10)
+    split = bool(np.all(rank_a == b.d) and np.all(rank_i == b.n))
+    return worst(np.abs(i_mat @ a_mat)), split, {"a_star": int(np.min(rank_a)), "iota_star": int(np.min(rank_i)), "fiber": a_mat.shape[-2]}
+
+
 def dual_sequence_suite(b: BundleSpec, samples: int = 50, seed: int = 0, tol: float = 1e-11) -> SuiteReport:
     """Fiberwise exactness of the dual Atiyah sequence and section identities."""
     rep = SuiteReport(f"bundle.dual_sequence[{b.name}]")
     rng = stream(seed, f"bundle.dual_sequence/{b.name}")
-    d, n = b.d, b.n
-    r_comp = r_sec = r_flat = r_j0 = 0.0
-    rank_ok = True
-    for _ in range(samples):
-        base = b.random_base(rng)
-        # a*: rho -> (rho, 0); iota*: (a, b) -> b.  Ranks by SVD on the matrices.
-        a_mat = np.zeros((d + n, d))
-        a_mat[:d, :] = np.eye(d)
-        i_mat = np.zeros((n, d + n))
-        i_mat[:, d:] = np.eye(n)
-        rank_a = int(np.linalg.matrix_rank(a_mat, tol=1e-10))
-        rank_i = int(np.linalg.matrix_rank(i_mat, tol=1e-10))
-        rank_ok = rank_ok and (rank_a + rank_i == d + n)
-        r_comp = worst(r_comp, float(np.max(np.abs(i_mat @ a_mat))))
-
-        rho = rng.standard_normal(d)
-        cls = b.a_star(base, rho)
-        r_j0 = worst(r_j0, float(np.linalg.norm(b.momentum(cls.rep))))
-
-        chi = b.group.random_coalgebra(rng)
-        sec = b.sigma(base, chi)
-        base2, chi2 = b.iota_star(sec)
-        r_sec = worst(r_sec, float(np.linalg.norm(chi2 - chi)) + b.base_distance(base2, base))
-        if not any(any(m for m in pb) for pb in b.connection.terms):
-            r_flat = worst(r_flat, float(np.linalg.norm(sec.rep.a)))
-    rep.add("iota_after_a_zero", r_comp, tol)
-    rep.add("rank_split", 0.0 if rank_ok else 1.0, 0.5, fiber_dim=d + n)
-    rep.add("a_star_lands_in_J0", r_j0, tol)
-    rep.add("iota_after_sigma_identity", r_sec, tol)
+    base, rho, chi = draw_samples(samples, lambda: (b.random_base(rng), rng.standard_normal(b.d), b.group.random_coalgebra(rng)))
+    composite, split, ranks = dual_atiyah_split(b, base)
+    sec = b.sigma(base, chi)
+    base2, chi2 = b.iota_star(sec)
+    rep.add("iota_after_a_zero", composite, tol)
+    rep.add("rank_split", 0.0 if split else 1.0, 0.5, fiber_dim=b.tangent_dim)
+    rep.add("a_star_lands_in_J0", worst(row_norm(b.momentum(b.a_star(base, rho).rep))), tol)
+    rep.add("iota_after_sigma_identity", worst(row_norm(chi2 - chi) + b.base_distance(base2, base)), tol)
     if not any(any(m for m in pb) for pb in b.connection.terms):
-        rep.add("flat_sigma_zero_base_part", r_flat, tol)
+        rep.add("flat_sigma_zero_base_part", worst(row_norm(sec.rep.a)), tol)
     rep.extras["trials"] = samples
-    rep.extras["rank_table"] = {"a_star": d, "iota_star": n, "fiber": d + n}
+    rep.extras["rank_table"] = ranks
     return rep
 
 

@@ -29,6 +29,12 @@ The four spaces over a trivialized bundle P:
 plus the annihilator subspace TV0(PxP) inside T*PxT*P and the quotient
 (TPxTP)/g with gauge-fixed representatives resolved through the connection.
 
+The short exact sequences and the cores are read off the maps they name,
+each applied to a basis stack at the stacked arrows (``bundle.map_matrix``):
+I2 is the vertical lift on both legs, A2 is ``quot_rep`` in class
+coordinates, A2* is the transpose of A2, I2* is ``j2``, and a core is the
+kernel of ``space_ops(...).src``.
+
 The Pradines dual of T(PxP) is computed from the defining pairings (duality
 of source/target against core products, composition by factorization,
 identity by core decomposition) and cross-validated against the closed-form
@@ -46,7 +52,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bundle import BundleSpec, CotangentSample, Point, draw_samples, row_dot, row_matvec, row_norm
+from .bundle import BundleSpec, CotangentSample, Point, dual_atiyah_matrices, draw_samples, map_matrix, row_dot, row_matvec, row_norm
 from .report import SuiteReport, worst
 from .rng import stream
 
@@ -77,11 +83,6 @@ class SideElement:
 def _lead(point: Point) -> tuple[int, ...]:
     """Stack shape of a point: () for a single point, (N,) for N points."""
     return point.fiber.shape[:-2]
-
-
-def _basis_stack(dim: int, lead: tuple[int, ...]) -> Array:
-    """The standard basis of R^dim as a stack (dim, 1, ..., 1, dim) that broadcasts against arrows of stack shape lead."""
-    return np.eye(dim).reshape((dim,) + (1,) * len(lead) + (dim,))
 
 
 # ---------------------------------------------------------------------------
@@ -333,17 +334,17 @@ class DualOfPairTangent:
     def dual_target(self, Phi: VBElement) -> SideElement:
         """<beta~*(Phi), k> = <Phi, k 0_gamma> over the core at the target leg."""
         zero = self.omega.zero(Phi.p, Phi.q)
-        cores = self.core_element(Phi.p, _basis_stack(self.bundle.tangent_dim, _lead(Phi.p)))
-        vals = _pair(Phi.x, self.omega.product(cores, zero).x)
-        return SideElement(Phi.p, np.moveaxis(vals, 0, -1))
+        return SideElement(Phi.p, map_matrix(lambda k: _pair(Phi.x, self.omega.product(self.core_element(Phi.p, k), zero).x), self.bundle.tangent_dim, Phi.p))
 
     def dual_source(self, Phi: VBElement) -> SideElement:
         """<alpha~*(Phi), k> = <Phi, -0_gamma k^{-1}> over the core at the source leg."""
         zero = self.omega.zero(Phi.p, Phi.q)
-        cores = self.core_element(Phi.q, _basis_stack(self.bundle.tangent_dim, _lead(Phi.q)))
-        prod = self.omega.product(zero, self.omega.inverse(cores))
-        vals = _pair(Phi.x, self.omega.neg(prod).x)
-        return SideElement(Phi.q, np.moveaxis(vals, 0, -1))
+
+        def value(k: Array) -> Array:
+            prod = self.omega.product(zero, self.omega.inverse(self.core_element(Phi.q, k)))
+            return _pair(Phi.x, self.omega.neg(prod).x)
+
+        return SideElement(Phi.q, map_matrix(value, self.bundle.tangent_dim, Phi.q))
 
     def compose(self, Psi: VBElement, Phi: VBElement, middles: Array | None = None, tol: float = COMPOSE_TOL) -> tuple[VBElement, float | Array]:
         """Composition by factorization: <Psi Phi, eta xi> = <Psi, eta> + <Phi, xi>.
@@ -366,22 +367,24 @@ class DualOfPairTangent:
             return psi_eta + (row_dot(Phi.x[..., :dim], mid) + row_dot(Phi.x[..., dim:], zeta_w))
 
         # slot i < dim is (e_i, 0), slot dim + i is (0, e_i)
-        slots = _basis_stack(2 * dim, _lead(Phi.p))
-        vals = value(slots[..., :dim], slots[..., dim:], np.zeros(dim))
+        vals = map_matrix(lambda slot: value(slot[..., :dim], slot[..., dim:], np.zeros(dim)), 2 * dim, Phi.p)
         spread = 0.0
         if middles is not None:
             e0, zero = np.eye(dim)[0], np.zeros(dim)
             spread = np.max(np.abs(value(e0, zero, np.asarray(middles)) - value(e0, zero, zero)), axis=0)
-        return VBElement(Psi.p, Phi.q, np.moveaxis(vals, 0, -1)), spread
+        return VBElement(Psi.p, Phi.q, vals), spread
 
     def _from_core_split(self, side: SideElement, value: Callable[[Array, Array], Array]) -> VBElement:
         """A covector over the identity arrow at side.point, from its value on each basis
         vector xi = 1_b + k split by b = source(xi); ``value`` gets b and beta~(k)."""
-        xi = VBElement(side.point, side.point, _basis_stack(2 * self.bundle.tangent_dim, _lead(side.point)))
-        b = self.omega.source(xi)
-        k = self.omega.add(xi, self.omega.neg(self.omega.identity(b)))
-        vals = value(b.x, self.omega.target(k).x)
-        return VBElement(side.point, side.point, np.moveaxis(vals, 0, -1))
+
+        def on_basis(x: Array) -> Array:
+            xi = VBElement(side.point, side.point, x)
+            b = self.omega.source(xi)
+            k = self.omega.add(xi, self.omega.neg(self.omega.identity(b)))
+            return value(b.x, self.omega.target(k).x)
+
+        return VBElement(side.point, side.point, map_matrix(on_basis, 2 * self.bundle.tangent_dim, side.point))
 
     def dual_identity(self, chi: SideElement) -> VBElement:
         """<1_chi, 1_b + k> = <chi, k>: reconstruct the identity covector at chi."""
@@ -451,35 +454,30 @@ def _nullspace(mat: Array, rank_cut: float = RANK_CUT) -> tuple[Array, Array, Ar
     return mat.shape[-1] - rank, vt, ambiguous
 
 
-def core_compute(bundle: BundleSpec, space: str, point: Point) -> tuple[Array, Array]:
-    """Core fiber at each point of a stack: kernel of the source map over the identity arrow.
+def core_compute(bundle: BundleSpec, point: Point) -> dict[str, tuple[Array, Array]]:
+    """Core fiber of each space at each point of a stack: the kernel of its source map over the identity arrow (p, p).
 
-    Returns (dimension, ambiguity flag), one per point.
+    Returns {space: (dimension, ambiguity flag)}, one of each per point.
+    ``T(PxP)`` and ``PxgxP`` read ``space_ops(...).src``; the core of
+    (TPxTP)/g is the image under A2 of the core of T(PxP), and the core of
+    T*((PxP)/G) the kernel of the T*PxT*P source on the image of A2*.
     """
-    d, n = bundle.d, bundle.n
-    if space == "T(PxP)":
-        # fiber coords (v, w); source = w
-        s_mat = np.zeros((d + n, 2 * (d + n)))
-        s_mat[:, d + n :] = np.eye(d + n)
-    elif space == "PxgxP":
-        # fiber coords X; the side element over p is (p, X), zero iff X = 0
-        s_mat = np.eye(n)
-    elif space == "quot(TPxTP)":
-        # gauge-fixed class coords (dbase_v, w'): source class is <w'>,
-        # zero iff the horizontal (base) part of w' vanishes
-        s_mat = np.zeros((d, d + (d + n)))
-        s_mat[:, d : 2 * d] = np.eye(d)
-    elif space == "T*gauge":
-        # fiber of T*((PxP)/G) over the identity gauge arrow: (a_phi, b_phi, a_psi)
-        # with b_psi = -b_phi; source (per the descended structure) is
-        # <-psi> = (-a_psi, b_phi): kernel = {(a_phi, 0, 0)} = J^{-1}(0)/G fiber
-        s_mat = np.zeros((d + n, 2 * d + n))
-        s_mat[:d, d + n :] = -np.eye(d)
-        s_mat[d:, d : d + n] = np.eye(n)
-    else:
-        raise KeyError(f"no core computation for space {space!r}")
-    dim, _, ambiguous = _nullspace(np.broadcast_to(s_mat, _lead(point) + s_mat.shape))
-    return dim, ambiguous
+    def kernel(mat: Array) -> tuple[Array, Array]:
+        dims, _, ambiguous = _nullspace(mat)
+        return dims, ambiguous
+
+    lead = _lead(point)
+    tan, alg, cot = (space_ops(bundle, tag).src for tag in ("T(PxP)", "PxgxP", "T*PxT*P"))
+    a2 = _a2_matrix(bundle, point, point)
+    dim, vt, _ = _nullspace(tan)
+    core = vt[len(vt) - dim :].T  # the core of T(PxP), as columns
+    lost, ambiguous = kernel(a2 @ core)
+    return {
+        "T(PxP)": kernel(np.broadcast_to(tan, lead + tan.shape)),
+        "PxgxP": kernel(np.broadcast_to(alg, lead + alg.shape)),
+        "quot(TPxTP)": (core.shape[1] - lost, ambiguous),
+        "T*gauge": kernel(cot @ a2.swapaxes(-1, -2)),
+    }
 
 
 def core_suite(bundle: BundleSpec, fibers: int = 50, seed: int = 0) -> SuiteReport:
@@ -489,18 +487,17 @@ def core_suite(bundle: BundleSpec, fibers: int = 50, seed: int = 0) -> SuiteRepo
     d, n = bundle.d, bundle.n
     expected = {"T(PxP)": d + n, "PxgxP": 0, "quot(TPxTP)": d + n, "T*gauge": d}
     (P,) = draw_samples(fibers, lambda: (bundle.random_point(rng),))
+    cores = core_compute(bundle, P)
     ambiguous = False
+    found = {}
     for space, want in expected.items():
-        dims, amb = core_compute(bundle, space, P)
-        got = sorted(set(dims.tolist()))
+        dims, amb = cores[space]
+        found[space] = sorted(set(dims.tolist()))
         ambiguous = ambiguous or bool(np.any(amb))
-        rep.add(f"core_dim[{space}]", 0.0 if got == [want] else 1.0, 0.5, expected=want, got=got)
+        rep.add(f"core_dim[{space}]", 0.0 if found[space] == [want] else 1.0, 0.5, expected=want, got=found[space])
     rep.add("rank_ambiguity", 1.0 if ambiguous else 0.0, 0.5)
-    # alternating sum of core dimensions in the tangent-side sequence
-    alt = expected["PxgxP"] - expected["T(PxP)"] + expected["quot(TPxTP)"]
-    rep.add("core_alternating_sum", float(abs(alt)), 0.5)
     rep.extras["fibers"] = fibers
-    rep.extras["rank_table"] = expected
+    rep.extras["rank_table"] = found
     return rep
 
 
@@ -571,51 +568,39 @@ def _im_ker_residual(f_mat: Array, h_mat: Array) -> Array:
     return row_norm(resid, 2)
 
 
-def _seq_matrices(bundle: BundleSpec, sequence_id: str, p: Point, q: Point) -> tuple[Array, Array, dict]:
-    """First and second maps of a short exact sequence at each arrow (p, q) of a stack."""
-    d, n = bundle.d, bundle.n
-    td = d + n
-    lead = _lead(p)
+def _i2_matrix(bundle: BundleSpec, p: Point) -> Array:
+    """I2: X -> (vert_p X, vert_q X), at each arrow of a stack."""
+    return map_matrix(lambda x: np.concatenate([bundle.vertical_lift(x)] * 2, axis=-1), bundle.n, p)
+
+
+def _a2_matrix(bundle: BundleSpec, p: Point, q: Point) -> Array:
+    """A2: TP x TP -> (TP x TP)/g at each arrow (p, q) of a stack: ``quot_rep`` in class coordinates.
+
+    The representative's first leg is horizontal, so the class coordinates are
+    its base part and the whole second leg.
+    """
+    t = bundle.tangent_dim
+    keep = np.r_[: bundle.d, t : 2 * t]
+    return map_matrix(lambda x: quot_rep(bundle, VBElement(p, q, x)).x[..., keep], 2 * t, p)
+
+
+def _seq_matrices(bundle: BundleSpec, sequence_id: str, p: Point, q: Point) -> tuple[Array, Array]:
+    """First and second maps of a short exact sequence at each arrow (p, q) of a stack, read off the maps."""
     if sequence_id == "duzyVtrojka":
         # P x g x P --I2--> TP x TP --A2--> (TP x TP)/g
-        f = np.zeros((2 * td, n))
-        f[d : d + n, :] = np.eye(n)
-        f[td + d :, :] = np.eye(n)
-        h = np.zeros(lead + (d + td, 2 * td))
-        h[..., :d, :d] = np.eye(d)  # base part of v
-        # w' = w - vert_q(alpha_p(v))
-        h[..., d:, td:] = np.eye(td)
-        h[..., d + d :, :td] -= _alpha_matrix(bundle, p)
-        info = {"dims": [n, 2 * td, d + td]}
-    elif sequence_id in ("duzyVdual", "quotiented"):
-        # TV0(PxP) --A2*--> T*P x T*P --I2*--> P x g* x P, and its quotient
-        # T*((PxP)/G) --a2*--> (T*P x T*P)/G --iota2*--> (P x g* x P)/G in the
-        # gauge-fixed fibers (source leg at fiber identity): the same matrices.
-        # TV0 basis: (a1, b, a2, -b)
-        f = np.zeros((2 * td, 2 * d + n))
-        f[:d, :d] = np.eye(d)
-        f[d : d + n, d : d + n] = np.eye(n)
-        f[td : td + d, d + n :] = np.eye(d)
-        f[td + d :, d : d + n] = -np.eye(n)
-        h = np.zeros((n, 2 * td))
-        h[:, d : d + n] = np.eye(n)
-        h[:, td + d :] = np.eye(n)
-        info = {"dims": [2 * d + n, 2 * td, n]}
-    elif sequence_id == "Adual":
+        return _i2_matrix(bundle, p), _a2_matrix(bundle, p, q)
+    if sequence_id == "quotiented":
+        # T*((PxP)/G) --a2*--> (T*P x T*P)/G --iota2*--> (P x g* x P)/G: the maps of
+        # duzyVdual at the arrow moved by u_q^-1, whose source leg sits at the fiber identity
+        g = bundle.group.inverse(q.fiber)
+        p, q = bundle.act(p, g), bundle.act(q, g)
+    if sequence_id in ("duzyVdual", "quotiented"):
+        # TV0(PxP) --A2*--> T*P x T*P --I2*--> P x g* x P, with A2* = A2^T and I2* = J2
+        return _a2_matrix(bundle, p, q).swapaxes(-1, -2), map_matrix(lambda x: j2(bundle, VBElement(p, q, x)), 2 * bundle.tangent_dim, p)
+    if sequence_id == "Adual":
         # T*(P/G) --a*--> T*P/G --iota*--> P x_{Ad*} g*
-        f = np.zeros((td, d))
-        f[:d, :] = np.eye(d)
-        h = np.zeros((n, td))
-        h[:, d:] = np.eye(n)
-        info = {"dims": [d, td, n]}
-    else:
-        raise KeyError(f"unknown sequence {sequence_id!r}")
-    return np.broadcast_to(f, lead + f.shape[-2:]), np.broadcast_to(h, lead + h.shape[-2:]), info
-
-
-def _alpha_matrix(bundle: BundleSpec, p: Point) -> Array:
-    """Matrix of alpha_p on tangent coordinates at each point of a stack: ``bundle.alpha`` on the tangent basis."""
-    return np.moveaxis(bundle.alpha(p, _basis_stack(bundle.tangent_dim, _lead(p))), 0, -1)
+        return dual_atiyah_matrices(bundle, p.base)
+    raise KeyError(f"unknown sequence {sequence_id!r}")
 
 
 def ses_fiber_check(bundle: BundleSpec, sequence_id: str, samples: int = 50, seed: int = 0, tol: float = 1e-10) -> SuiteReport:
@@ -623,19 +608,21 @@ def ses_fiber_check(bundle: BundleSpec, sequence_id: str, samples: int = 50, see
     rep = SuiteReport(f"groupoid.ses[{sequence_id}]")
     rng = stream(seed, f"groupoid.ses/{sequence_id}/{bundle.name}")
     P, Q = draw_samples(samples, lambda: (bundle.random_point(rng), bundle.random_point(rng)))
-    f, h, info = _seq_matrices(bundle, sequence_id, P, Q)
-    dims = info["dims"]
+    f, h = _seq_matrices(bundle, sequence_id, P, Q)
     s_f = np.linalg.svd(f, compute_uv=False)
     s_h = np.linalg.svd(h, compute_uv=False)
-    injective = np.sum(s_f > RANK_CUT * s_f[..., :1], axis=-1) == f.shape[-1]
-    surjective = np.sum(s_h > RANK_CUT * s_h[..., :1], axis=-1) == h.shape[-2]
-    rep.add("first_map_injective", 0.0 if np.all(injective) else 1.0, 0.5)
-    rep.add("second_map_surjective", 0.0 if np.all(surjective) else 1.0, 0.5)
+    rank_f = np.sum(s_f > RANK_CUT * s_f[..., :1], axis=-1)
+    rank_h = np.sum(s_h > RANK_CUT * s_h[..., :1], axis=-1)
+    rep.add("first_map_injective", 0.0 if np.all(rank_f == f.shape[-1]) else 1.0, 0.5)
+    rep.add("second_map_surjective", 0.0 if np.all(rank_h == h.shape[-2]) else 1.0, 0.5)
     rep.add("composite_zero", worst(np.abs(h @ f)), tol)
     rep.add("image_equals_kernel", worst(_im_ker_residual(f, h)), tol)
+    if sequence_id == "duzyVdual":
+        # <I2*(Phi), X> = <Phi, I2(X)> on the bases: J2 against the vertical lift on both legs
+        rep.add("i2_star_duality", worst(np.abs(h - _i2_matrix(bundle, P).swapaxes(-1, -2))), tol)
     rep.extras["trials"] = samples
     rep.extras["sequence_id"] = sequence_id
-    rep.extras["rank_table"] = {"dims": dims, "rank_first": dims[0], "rank_second": dims[2]}
+    rep.extras["rank_table"] = {"dims": [f.shape[-1], f.shape[-2], h.shape[-2]], "rank_first": int(np.min(rank_f)), "rank_second": int(np.min(rank_h))}
 
     if sequence_id == "quotiented":
         _quotient_dual_commutation(bundle, rep, samples=samples, seed=seed)

@@ -155,6 +155,17 @@ class TestDualSequence:
         cls = b.sigma(b.random_base(rng), rng.standard_normal(3))
         assert np.linalg.norm(cls.rep.a) == 0.0
 
+    def test_stacked_maps_equal_single_calls(self):
+        b = so3_bundle()
+        rng = np.random.default_rng(21)
+        base = np.stack([b.random_base(rng) for _ in range(5)])
+        rho, chi = rng.standard_normal((5, 2)), rng.standard_normal((5, 3))
+        a_cls, s_cls = b.a_star(base, rho), b.sigma(base, chi)
+        for i in range(5):
+            assert np.array_equal(a_cls.rep.coords[i], b.a_star(base[i], rho[i]).rep.coords)
+            assert np.array_equal(s_cls.rep.coords[i], b.sigma(base[i], chi[i]).rep.coords)
+            assert np.array_equal(b.iota_star(s_cls)[1][i], b.iota_star(b.sigma(base[i], chi[i]))[1])
+
     def test_nonflat_sigma_matches_connection_coefficients(self):
         b = so3_bundle()
         rng = np.random.default_rng(18)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaugemech import cli, liealg, semidirect
+from gaugemech import bundle, cli, groupoid, liealg, semidirect
 
 
 def run(args):
@@ -188,6 +188,9 @@ def test_builtin_scenario_runs_clean(tmp_path, name):
 _SO3_JSON = liealg.spec_to_json(liealg.so3())
 # an inline so3 whose first structure coefficient is infinite
 _SO3_INF = _SO3_JSON | {"structure": [_SO3_JSON["structure"][0][:3] + [float("inf")]] + _SO3_JSON["structure"][1:]}
+# the inline so3 x| r3 with one rho generator entry NaN
+_SD_NAN_RHO = semidirect.sd_to_json(semidirect.so3_r3())
+_SD_NAN_RHO["rho"][0][0][1] = float("nan")
 
 
 @pytest.mark.parametrize("name, key, value", [
@@ -226,6 +229,8 @@ _SO3_INF = _SO3_JSON | {"structure": [_SO3_JSON["structure"][0][:3] + [float("in
     ("heisenberg-verify", "suites", 5),
     ("heisenberg-verify", "suites", [["bundle.action"]]),
     ("heisenberg-verify", "suites", "bundle.action"),
+    ("se3-verify", "semidirect", _SD_NAN_RHO),
+    ("so3-leaves", "base_box", [[-1e308, 1e308], [-1.0, 1.0]]),
 ])
 def test_malformed_scenario_exits_2(tmp_path, capsys, name, key, value):
     doc = json.loads(json.dumps(cli.BUILTIN_SCENARIOS[name]))
@@ -240,6 +245,46 @@ def test_malformed_scenario_exits_2(tmp_path, capsys, name, key, value):
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and repr(key) in err
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+def _negate_j2(monkeypatch):
+    j2 = groupoid.j2
+    monkeypatch.setattr(groupoid, "j2", lambda b, el: -j2(b, el))
+
+
+def _scale_quot_rep_shift(monkeypatch):
+    # the gauge shift vert(alpha_p(v)) that quot_rep subtracts from both legs, scaled by 1 + 1e-4
+    quot_rep = groupoid.quot_rep
+    monkeypatch.setattr(groupoid, "quot_rep", lambda b, el: groupoid.VBElement(el.p, el.q, el.x - (1 + 1e-4) * (el.x - quot_rep(b, el).x)))
+
+
+def _a_star_into_b_slot(monkeypatch):
+    a_star = bundle.BundleSpec.a_star
+
+    def mutant(self, base, rho):
+        rep = a_star(self, base, rho).rep
+        b = np.zeros_like(rep.b)
+        b[..., : self.d] = rep.a
+        return bundle.QuotientClass(bundle.CotangentSample(rep.point, np.zeros_like(rep.a), b))
+
+    monkeypatch.setattr(bundle.BundleSpec, "a_star", mutant)
+
+
+@pytest.mark.parametrize("name, mutate, suites, killed_by", [
+    ("so3-trivial-bundle", _negate_j2, ["groupoid.ses"], ["groupoid.ses[duzyVdual]:i2_star_duality"]),
+    ("heisenberg-verify", _negate_j2, ["groupoid.ses"], ["groupoid.ses[duzyVdual]:i2_star_duality"]),
+    ("so3-trivial-bundle", _scale_quot_rep_shift, ["groupoid.ses"], ["groupoid.ses[duzyVtrojka]:composite_zero"]),
+    ("so3-trivial-bundle", _a_star_into_b_slot, ["bundle.dual_sequence", "groupoid.ses"],
+     ["bundle.dual_sequence[TrivialProduct[so3]]:iota_after_a_zero", "groupoid.ses[Adual]:composite_zero"]),
+], ids=["j2-negated-so3", "j2-negated-heisenberg", "quot-rep-shift-scaled", "a-star-into-b-slot"])
+def test_mutant_fails_builtin_checks(tmp_path, monkeypatch, name, mutate, suites, killed_by):
+    # the exact-sequence checks read the maps they name, so a wrong map fails them; only the touched suites run
+    mutate(monkeypatch)
+    path = tmp_path / "mutant.json"
+    path.write_text(json.dumps(cli.BUILTIN_SCENARIOS[name] | {"suites": suites}))
+    assert run(["verify", str(path), "--out", str(tmp_path)]) == cli.EXIT_CHECK_FAILURE
+    failures = json.loads((tmp_path / "report.json").read_text())["failures"]
+    assert set(killed_by) <= set(failures), failures
 
 
 def test_non_orthogonal_rotation_exp_fails_a_check(tmp_path, monkeypatch):

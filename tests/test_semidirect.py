@@ -60,13 +60,6 @@ class TestGroupStructure:
             np.testing.assert_allclose(prod[0], oracle[:3, :3], atol=1e-12)
             np.testing.assert_allclose(prod[1][:3, 3], np.linalg.inv(oracle[:3, :3]) @ oracle[:3, 3], atol=1e-12)
 
-    def test_inverse(self, sd):
-        rng = np.random.default_rng(4)
-        a = sd.random_pair(rng)
-        prod = sd.product(a, sd.inverse(a))
-        np.testing.assert_allclose(prod[0], np.eye(3), atol=1e-12)
-        np.testing.assert_allclose(prod[1], np.eye(4), atol=1e-12)
-
     def test_spec_suite(self, sd):
         rep = semidirect.spec_suite(sd, samples=30, seed=5)
         assert rep.passed, rep.failures()
