@@ -17,7 +17,7 @@ the gauge-fixed representative on the fiber-identity slice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -77,6 +77,20 @@ class ConnectionData:
             for k in range(self.fiber_dim):
                 a[..., k, i] = _poly_eval(self.terms[i][k], m)
         return a
+
+    def finite_on(self, box: Array) -> bool:
+        """Whether squared coordinates and A(m) are finite on a box (d, 2): what the suites evaluate at its largest points.
+
+        Each square and each monomial is largest in magnitude at the corner of
+        largest magnitudes, so the monomials with absolute coefficients bound A
+        there over the whole box: one evaluation instead of 2^d corners.  A sum
+        that cancels to finite values at every corner but overflows in this
+        bound is rejected too.
+        """
+        corner = np.abs(box).max(axis=1)
+        bound = ConnectionData(self.base_dim, self.fiber_dim, [[[(abs(c), e) for c, e in monos] for monos in per_base] for per_base in self.terms])
+        with np.errstate(over="ignore", invalid="ignore"):
+            return bool(np.isfinite(np.square(corner)).all() and np.isfinite(bound.matrix(corner)).all())
 
     def curvature_two_form(self, m: Array) -> Array:
         """Exact exterior derivative dA: array F[i, j, k] = (dA^k)(e_i, e_j)."""
@@ -151,7 +165,7 @@ def row_dot(u: Array, v: Array) -> Array:
 
     Each row is one BLAS dot, so a single pair gives the bits of ``u @ v``.
     """
-    return (u[..., None, :] @ v[..., :, None])[..., 0, 0][()]
+    return np.vecdot(u, v)
 
 
 def row_matvec(m: Array, x: Array) -> Array:
@@ -186,20 +200,24 @@ def map_matrix(linear: Callable[[Array], Array], dim: int, point: Point) -> Arra
 def draw_samples(samples: int, draw_one: Callable[[], tuple]) -> list:
     """Call ``draw_one`` ``samples`` times, in stream order, and stack each of its outputs.
 
-    A ``Point`` output becomes a ``Point`` of stacks.  Each draw is written into
-    its row at once, so only one sample's arrays are alive at a time.  A suite
-    draws algebra coordinates rather than group elements where it can, and
-    exponentiates the stacks afterwards (``BundleSpec.point_at``): the
-    exponential takes no randomness.
+    An array output gains a leading axis of length ``samples``; a dataclass
+    of arrays (a ``Point``, a ``poisson.Polynomial``) becomes the same
+    dataclass of stacks.  Each draw is written into its row at once, so only
+    one sample's arrays are alive at a time.  A suite draws algebra
+    coordinates rather than group elements where it can, and exponentiates
+    the stacks afterwards (``BundleSpec.point_at``): the exponential takes no
+    randomness.
     """
     stacks: list = []
     for i in range(samples):
         draw = draw_one()
         if not stacks:
-            stacks = [Point(_rows(samples, x.base), _rows(samples, x.fiber)) if isinstance(x, Point) else _rows(samples, x) for x in draw]
-        for stack, x in zip(stacks, draw):
-            if isinstance(x, Point):
-                stack.base[i], stack.fiber[i] = x.base, x.fiber
+            stacks = [type(x)(*(_rows(samples, v) for v in vars(x).values())) if is_dataclass(x) else _rows(samples, x) for x in draw]
+            fielded = [is_dataclass(x) for x in draw]
+        for stack, x, by_field in zip(stacks, draw, fielded):
+            if by_field:
+                for rows, value in zip(vars(stack).values(), vars(x).values()):
+                    rows[i] = value
             else:
                 stack[i] = x
     return stacks
@@ -673,7 +691,10 @@ def bundle_from_json(doc: dict, group_resolver: Callable[[Any], LieGroupSpec] | 
         if box.ndim != 2 or box.shape[1] != 2:
             raise ValueError(f"'base_box' must be a list of [lo, hi] rows, got {doc['base_box']!r}")
         conn = ConnectionData.from_json(doc.get("connection", {}), box.shape[0], group.dim)
-        return BundleSpec("TrivialProduct", group, conn, base_box=box)
+        b = BundleSpec("TrivialProduct", group, conn, base_box=box)
+        if not conn.finite_on(b.base_box):
+            raise ValueError(f"'base_box' {b.base_box.tolist()} is too large: squared coordinates or connection coefficients overflow at its corners")
+        return b
     base_group = resolve(doc["base_group"])
     conn = ConnectionData.from_json(doc.get("connection", {}), base_group.dim, group.dim)
     return BundleSpec("SemidirectTotal", group, conn, base_group=base_group)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import fd
 from .liealg import LieGroupSpec
-from .poisson import PoissonSpace, ScalarField
+from .poisson import ChartError, PoissonSpace, ScalarField
 
 Array = np.ndarray
 
@@ -130,6 +130,8 @@ def integrate(space: PoissonSpace, hamiltonian: ScalarField, x0: Array, h: float
     run with numpy floating-point warnings off, since its last finite states
     may overflow a quadratic monitor.
     """
+    if np.ndim(x0) != 1:  # check_chart also accepts a stack of points
+        raise ChartError(f"x0 must be one point of {space.name}, got shape {np.shape(x0)}")
     space.check_chart(x0)
     monitors = monitors or {}
 

@@ -37,7 +37,9 @@ def central(fn: Callable[[Array], Any], x: Array, directions, h: float) -> Array
     """Central differences of ``fn`` at ``x``, one row per direction d: (fn(x + h d) - fn(x - h d)) / (2 h).
 
     With the unit vectors as directions, x + h e_i has the bits of x with h
-    added to entry i.
+    added to entry i.  ``x`` may be a stack of points when ``fn`` takes
+    stacks: each step broadcasts over the stack, so every point is displaced
+    with the bits of its one-point call.
     """
     x = np.asarray(x, dtype=float)
     return np.array([quotient(fn(x - step), fn(x + step), h) for step in h * np.asarray(directions, dtype=float)])

@@ -326,11 +326,12 @@ class LieGroupSpec:
     # -- brackets and adjoints ----------------------------------------------
 
     def bracket(self, x: Array, y: Array) -> Array:
+        """[x, y] in algebra coordinates, per row of stacks (..., dim) that broadcast."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        if x.shape != (self.dim,) or y.shape != (self.dim,):
+        if x.shape[-1:] != (self.dim,) or y.shape[-1:] != (self.dim,):
             raise ValueError("dimension mismatch in bracket")
-        return np.einsum("ijk,i,j->k", self.structure, x, y)
+        return np.einsum("ijk,...i,...j->...k", self.structure, x, y)
 
     def ad(self, x: Array) -> Array:
         """Matrix of ad_x = [x, .] on algebra coordinates."""
@@ -378,9 +379,10 @@ class LieGroupSpec:
         """Derivatives of u -> H(Ad*_{u^-1} b) along the curves u exp(t e_j).
 
         ``trans`` is Ad*_{u^-1} and ``grad`` the gradient of H at trans @ b;
-        component j is <grad, -trans ad*_{e_j} b>.
+        component j is <grad, -trans ad*_{e_j} b>.  One per row of stacks
+        (..., dim, dim), (..., dim) and (..., dim).
         """
-        return -np.einsum("jlk,l,k->j", self.structure, trans.T @ grad, b)
+        return -np.einsum("jlk,...l,...k->...j", self.structure, (np.swapaxes(trans, -1, -2) @ grad[..., None])[..., 0], b)
 
     # -- Casimirs of the Lie-Poisson structure ------------------------------
 

@@ -39,7 +39,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import fd
-from .bundle import BundleSpec, ConnectionData, CotangentSample, Point, QuotientClass
+from .bundle import BundleSpec, ConnectionData, CotangentSample, Point, QuotientClass, draw_samples, row_dot, row_matvec
 from .liealg import LieGroupSpec, rodrigues
 from .report import SuiteReport, worst
 from .rng import stream
@@ -62,9 +62,7 @@ class ChartError(ValueError):
 class ScalarField:
     """A smooth function of coordinates, with optional exact gradient.
 
-    ``fd_step`` is the central-difference step used when no exact gradient is
-    attached; fields built from already-noisy evaluators (nested brackets)
-    carry the coarser ``fd.NESTED_STEP``.
+    Without one, ``gradient`` takes central differences at ``fd.GRAD_STEP``.
 
     ``batch_fn``, when attached, evaluates the field on every row of an
     (m, dim) float array at once and returns shape (m,). Its entry i must
@@ -75,7 +73,6 @@ class ScalarField:
     fn: Callable[[Array], float]
     grad: Callable[[Array], Array] | None = None
     name: str = ""
-    fd_step: float = fd.GRAD_STEP
     batch_fn: Callable[[Array], Array] | None = None
 
     def __call__(self, x: Array) -> float:
@@ -85,7 +82,7 @@ class ScalarField:
         x = np.asarray(x, dtype=float)
         if self.grad is not None:
             return np.asarray(self.grad(x), dtype=float)
-        return fd.central(self.fn, x, np.eye(x.size), self.fd_step)
+        return fd.central(self.fn, x, np.eye(x.size), fd.GRAD_STEP)
 
     def evaluate_rows(self, rows: Array) -> Array:
         """The field on each row of a float array: ``batch_fn`` if attached, else ``fn`` per row."""
@@ -100,21 +97,42 @@ def coordinate_field(i: int, dim: int) -> ScalarField:
     return ScalarField(lambda x, i=i: float(x[i]), lambda x, e=e: e.copy(), name=f"x{i}", batch_fn=lambda rows, i=i: rows[:, i].copy())
 
 
-def random_polynomial(rng: np.random.Generator, dim: int, degree: int = 2, scale: float = 1.0, exact_grad: bool = True) -> ScalarField:
-    """Random polynomial with bounded coefficients; exact gradient optional."""
-    c0 = float(rng.normal()) * scale
-    c1 = rng.normal(size=dim) * scale
-    c2 = rng.normal(size=(dim, dim)) * (scale / max(1, dim))
+@dataclass(frozen=True)
+class Polynomial:
+    """c0 + c1.x + x.c2.x + c3.x^3 (cube taken entrywise), with its exact gradient.
+
+    The coefficients may carry leading stack axes, one polynomial per row (as
+    ``bundle.draw_samples`` stacks them); they broadcast against the leading
+    axes of the points, and each row has the bits of its one-polynomial call.
+    """
+
+    c0: float | Array
+    c1: Array
+    c2: Array
+    c3: Array
+
+    # row_dot and row_matvec written out: the central differences of
+    # groupoid_action_suite evaluate one point at a time, thousands of times
+    def __call__(self, x: Array) -> float | Array:
+        x_c2 = (x[..., None, :] @ self.c2)[..., 0, :]  # x @ c2 per row
+        return self.c0 + np.vecdot(self.c1, x) + np.vecdot(x_c2, x) + np.vecdot(self.c3, x**3)
+
+    def gradient(self, x: Array) -> Array:
+        return self.c1 + 2.0 * (self.c2 @ x[..., None])[..., 0] + 3.0 * self.c3 * x**2
+
+
+def random_polynomial(rng: np.random.Generator, dim: int, degree: int = 2) -> Polynomial:
+    """Random polynomial with bounded coefficients: a symmetric c2, zero below degree 2, and c3 drawn only for degree 3.
+
+    One polynomial, the batch of one: ``bundle.draw_samples`` over repeated
+    calls stacks their coefficients, and consumes the stream as the calls do.
+    """
+    c0 = float(rng.normal())
+    c1 = rng.normal(size=dim)
+    c2 = rng.normal(size=(dim, dim)) * (1.0 / max(1, dim))
     c2 = 0.5 * (c2 + c2.T) if degree >= 2 else np.zeros((dim, dim))
-    c3 = rng.normal(size=dim) * (scale / max(1, dim)) if degree >= 3 else np.zeros(dim)
-
-    def fn(x: Array) -> float:
-        return float(c0 + c1 @ x + x @ c2 @ x + c3 @ (x**3))
-
-    def grad(x: Array) -> Array:
-        return c1 + 2.0 * (c2 @ x) + 3.0 * c3 * x**2
-
-    return ScalarField(fn, grad if exact_grad else None)
+    c3 = rng.normal(size=dim) * (1.0 / max(1, dim)) if degree >= 3 else np.zeros(dim)
+    return Polynomial(c0, c1, c2, c3)
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +142,10 @@ def random_polynomial(rng: np.random.Generator, dim: int, degree: int = 2, scale
 
 @dataclass
 class CotangentFn:
-    """Function on T*P with optional exact block gradients (dm, du, da, db)."""
+    """Function on T*P with optional exact block gradients (dm, du, da, db).
+
+    Exact gradients may take a stack of samples and give one row per sample.
+    """
 
     fn: Callable[[CotangentSample], float]
     grads: Callable[[CotangentSample], tuple[Array, Array, Array, Array]] | None = None
@@ -135,6 +156,7 @@ def cotangent_grads(bundle: BundleSpec, F: CotangentFn, s: CotangentSample) -> t
 
     The base and fiber blocks differentiate along exp-chart coordinates of
     the moves ``base_move`` and u -> u exp(t), so du is left-trivialized.
+    Central differences take one sample; exact gradients may take a stack.
     """
     if F.grads is not None:
         return F.grads(s)
@@ -147,12 +169,17 @@ def cotangent_grads(bundle: BundleSpec, F: CotangentFn, s: CotangentSample) -> t
     return dm, du, da, db
 
 
-def cotangent_bracket(bundle: BundleSpec, F: CotangentFn, G: CotangentFn, s: CotangentSample) -> float:
-    """Canonical Poisson bracket of T*P in the trivialization-induced frame."""
+def cotangent_bracket(bundle: BundleSpec, F: CotangentFn, G: CotangentFn, s: CotangentSample) -> float | Array:
+    """Canonical Poisson bracket of T*P in the trivialization-induced frame.
+
+    At one sample, or per sample of a stack when F and G have exact block
+    gradients; each row has the bits of its one-sample call.
+    """
     dmF, duF, daF, dbF = cotangent_grads(bundle, F, s)
     dmG, duG, daG, dbG = cotangent_grads(bundle, G, s)
     lie = bundle.group.bracket(dbG, dbF)
-    return float(dmF @ daG - dmG @ daF + duF @ dbG - duG @ dbF + s.b @ lie)
+    out = row_dot(dmF, daG) - row_dot(dmG, daF) + row_dot(duF, dbG) - row_dot(duG, dbF) + row_dot(s.b, lie)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -186,23 +213,31 @@ class PoissonSpace:
         return self.linear.shape[0]
 
     def check_chart(self, x: Array) -> None:
+        """ChartError unless x is a finite point of the chart, or a stack (..., dim) of them."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,) or not np.all(np.isfinite(x)):
+        if x.shape[-1:] != (self.dim,) or not np.all(np.isfinite(x)):
             raise ChartError(f"point of shape {x.shape} invalid for {self.name} (dim {self.dim})")
         if self.box is not None:
             k = self.box.shape[0]
-            if np.any(x[:k] < self.box[:, 0] - 1e-9) or np.any(x[:k] > self.box[:, 1] + 1e-9):
+            if np.any(x[..., :k] < self.box[:, 0] - 1e-9) or np.any(x[..., :k] > self.box[:, 1] + 1e-9):
                 raise ChartError(f"point outside the chart box of {self.name}")
 
-    def bracket(self, f: ScalarField, g: ScalarField, x: Array) -> float:
-        """{f, g}(x) = grad f . B(x) . grad g."""
+    def bracket(self, f: ScalarField | Polynomial, g: ScalarField | Polynomial, x: Array) -> float | Array:
+        """{f, g}(x) = grad f . B(x) . grad g, at a point or per point of a stack (..., dim).
+
+        ``f`` and ``g`` need only a ``gradient`` that takes the same points (a
+        ``ScalarField``, a ``Polynomial``); each row has the bits of its
+        one-point call.
+        """
         self.check_chart(x)
         x = np.asarray(x, dtype=float)
-        return float(f.gradient(x) @ self.bivector(x) @ g.gradient(x))
+        # (grad f . B) . grad g, with grad f . B as B^T grad f: the association of the one-point product
+        out = row_dot(row_matvec(np.swapaxes(self.bivector(x), -1, -2), f.gradient(x)), g.gradient(x))
+        return float(out) if np.ndim(out) == 0 else out
 
     def bivector(self, x: Array) -> Array:
-        """Matrix B_ij = {x_i, x_j} at the point."""
-        b = self.linear @ np.asarray(x, dtype=float)
+        """Matrix B_ij = {x_i, x_j} at the point, or one per point of a stack (..., dim)."""
+        b = row_matvec(self.linear, np.asarray(x, dtype=float)[..., None, :])
         return b if self.const is None else b + self.const
 
 
@@ -245,26 +280,27 @@ def quotient_cotangent(bundle: BundleSpec, name: str = "") -> PoissonSpace:
     return replace(space, kind="quotient", box=bundle.base_box, name=name or f"T*P/G[{bundle.name}]")
 
 
-def invariant_lift(bundle: BundleSpec, f: ScalarField) -> CotangentFn:
+def invariant_lift(bundle: BundleSpec, f: ScalarField | Polynomial) -> CotangentFn:
     """The G-invariant function f o class_coords on T*P.
 
-    Block gradients are exact when f has an exact gradient, and come from
-    ``cotangent_grads``' central differences otherwise.
+    Block gradients are exact, at a sample or per sample of a stack, unless f
+    is a ``ScalarField`` without an exact gradient; then they come from
+    ``cotangent_grads``' central differences at one sample.
     """
     d = bundle.d
 
     def fn(s: CotangentSample) -> float:
         return f(bundle.class_coords(s))
 
-    if f.grad is None:
+    if isinstance(f, ScalarField) and f.grad is None:
         return CotangentFn(fn)
 
     def grads(s: CotangentSample):
         m_u = bundle.group.Ad_star_inv(s.point.fiber)
-        x = np.concatenate([s.point.base, s.a, m_u @ s.b])
+        x = np.concatenate([s.point.base, s.a, row_matvec(m_u, s.b)], axis=-1)
         g = f.gradient(x)
-        gm, ga, gb = g[:d], g[d : 2 * d], g[2 * d :]
-        return gm, bundle.group.coadjoint_chain_rule(m_u, gb, s.b), ga, m_u.T @ gb
+        gm, ga, gb = g[..., :d], g[..., d : 2 * d], g[..., 2 * d :]
+        return gm, bundle.group.coadjoint_chain_rule(m_u, gb, s.b), ga, row_matvec(np.swapaxes(m_u, -1, -2), gb)
 
     return CotangentFn(fn, grads)
 
@@ -274,23 +310,16 @@ def invariant_lift(bundle: BundleSpec, f: ScalarField) -> CotangentFn:
 # ---------------------------------------------------------------------------
 
 
-def bracket_property_suite(space: PoissonSpace, trials: int = 200, seed: int = 0, point_sampler=None) -> SuiteReport:
-    """Antisymmetry and the Leibniz rule on seeded random function triples."""
+def bracket_property_suite(space: PoissonSpace, trials: int = 200, seed: int = 0) -> SuiteReport:
+    """Antisymmetry and the Leibniz rule on seeded random function triples, evaluated once over the stacked trials."""
     rep = SuiteReport(f"poisson.bracket_properties[{space.name}]")
     rng = stream(seed, f"poisson.properties/{space.name}")
-    w_anti = w_leib = 0.0
-    for _ in range(trials):
-        x = _sample_point(space, rng) if point_sampler is None else point_sampler(rng)
-        f = random_polynomial(rng, space.dim)
-        g = random_polynomial(rng, space.dim)
-        k = random_polynomial(rng, space.dim)
-        w_anti = worst(w_anti, abs(space.bracket(f, g, x) + space.bracket(g, f, x)))
-        prod = ScalarField(lambda y: f(y) * g(y), lambda y: f.gradient(y) * g(y) + f(y) * g.gradient(y))
-        lhs = space.bracket(prod, k, x)
-        rhs = f(x) * space.bracket(g, k, x) + g(x) * space.bracket(f, k, x)
-        w_leib = worst(w_leib, abs(lhs - rhs))
-    rep.add("antisymmetry", w_anti, 1e-12)
-    rep.add("leibniz", w_leib, 1e-8)
+    x, f, g, k = draw_samples(trials, lambda: (_sample_point(space, rng), *(random_polynomial(rng, space.dim) for _ in range(3))))
+    anti = space.bracket(f, g, x) + space.bracket(g, f, x)
+    prod = ScalarField(lambda y: f(y) * g(y), lambda y: f.gradient(y) * g(y)[..., None] + f(y)[..., None] * g.gradient(y))
+    leib = space.bracket(prod, k, x) - (f(x) * space.bracket(g, k, x) + g(x) * space.bracket(f, k, x))
+    rep.add("antisymmetry", worst(np.abs(anti)), 1e-12)
+    rep.add("leibniz", worst(np.abs(leib)), 1e-8)
     rep.extras["trials"] = trials
     return rep
 
@@ -303,32 +332,31 @@ def _sample_point(space: PoissonSpace, rng: np.random.Generator) -> Array:
     return np.concatenate([lo + (hi - lo) * rng.uniform(0.1, 0.9, size=lo.size), rng.standard_normal(space.dim - lo.size)])
 
 
-def jacobi_check(space: PoissonSpace, point: Array | None = None, trials: int = 20, seed: int = 0,
-                 degree: int = 2, exact_grad: bool = True) -> float:
+def jacobi_check(space: PoissonSpace, trials: int = 20, seed: int = 0, degree: int = 2) -> float:
     """Max cyclic-sum residual over random polynomial triples.
 
     The nested brackets are differentiated by central differences at the
-    coarser ``fd.NESTED_STEP``, so the result is finite-difference dominated
-    regardless of whether the generated polynomials carry exact gradients.
+    coarser ``fd.NESTED_STEP``, so the result is finite-difference dominated.
+    Each displaced point of a nested bracket is one stack over the trials.
     """
     rng = stream(seed, f"poisson.jacobi/{space.name}")
-    w_jac = 0.0
-    for _ in range(trials):
-        x = _sample_point(space, rng) if point is None else np.asarray(point, dtype=float)
-        f = random_polynomial(rng, space.dim, degree=degree, exact_grad=exact_grad)
-        g = random_polynomial(rng, space.dim, degree=degree, exact_grad=exact_grad)
-        k = random_polynomial(rng, space.dim, degree=degree, exact_grad=exact_grad)
+    x, f, g, k = draw_samples(trials, lambda: (_sample_point(space, rng), *(random_polynomial(rng, space.dim, degree) for _ in range(3))))
+    eye = np.eye(space.dim)
 
-        def nest(a: ScalarField, bb: ScalarField) -> ScalarField:
-            return ScalarField(lambda y: space.bracket(a, bb, y), fd_step=fd.NESTED_STEP)
+    def nest(a: Polynomial, b: Polynomial) -> ScalarField:
+        def value(y: Array) -> Array:
+            return space.bracket(a, b, y)
 
-        total = (
-            space.bracket(f, nest(g, k), x)
-            + space.bracket(g, nest(k, f), x)
-            + space.bracket(k, nest(f, g), x)
-        )
-        w_jac = worst(w_jac, abs(total))
-    return w_jac
+        # central gives one row per direction, (dim, trials); the bracket takes one contiguous row per trial
+        return ScalarField(value, lambda y: fd.central(value, y, eye, fd.NESTED_STEP).T.copy())
+
+    total = space.bracket(f, nest(g, k), x) + space.bracket(g, nest(k, f), x) + space.bracket(k, nest(f, g), x)
+    return worst(np.abs(total))
+
+
+def _on_momentum(h: ScalarField | Polynomial) -> CotangentFn:
+    """h o J on T*P: J reads the fiber covector b, so only the b block of the gradient is nonzero."""
+    return CotangentFn(lambda s: h(s.b), lambda s: (np.zeros_like(s.a), np.zeros_like(s.b), np.zeros_like(s.a), h.gradient(s.b)))
 
 
 def dual_pair_check(bundle: BundleSpec, trials: int = 100, seed: int = 0, tol: float = 1e-7) -> SuiteReport:
@@ -336,36 +364,32 @@ def dual_pair_check(bundle: BundleSpec, trials: int = 100, seed: int = 0, tol: f
 
     ``quotient_matches_lift`` compares the closed-form bracket of T*P/G with
     the T*P bracket of invariant lifts at samples in an arbitrary gauge.
+    Each stream is drawn in one loop; each bracket is evaluated once over the
+    stacked samples.
     """
     rep = SuiteReport(f"poisson.dual_pair[{bundle.name}]")
-    rng = stream(seed, f"poisson.dual_pair/{bundle.name}")
     quot = quotient_cotangent(bundle)
     cas = casimir_fields(bundle.group)
-    w_pol = w_cas = 0.0
-    for _ in range(trials):
-        s = bundle.random_cotangent(rng)
-        f = random_polynomial(rng, quot.dim)
-        h = random_polynomial(rng, bundle.n)
-        F = invariant_lift(bundle, f)
-        H = CotangentFn(lambda ss, h=h: h(ss.b), lambda ss, h=h: (np.zeros(bundle.d), np.zeros(bundle.n), np.zeros(bundle.d), h.gradient(ss.b)))
-        w_pol = worst(w_pol, abs(cotangent_bracket(bundle, F, H, s)))
 
+    rng = stream(seed, f"poisson.dual_pair/{bundle.name}")
+    # per trial: the covector's point and components, f on T*P/G, h and (with a Casimir) h2 on g*
+    base, fiber, a, b, f, h, *h2 = draw_samples(trials, lambda: (
+        *bundle.random_point_coords(rng), *bundle.random_covector(rng), random_polynomial(rng, quot.dim), random_polynomial(rng, bundle.n),
+        *((random_polynomial(rng, bundle.n),) if cas else ())))
+    s = CotangentSample(bundle.point_at(base, fiber), a, b)
+    F = invariant_lift(bundle, f)
+    w_pol = worst(np.abs(cotangent_bracket(bundle, F, _on_momentum(h), s)))
+    if cas:
         # a Casimir of the coalgebra Poisson-commutes with other J-pullbacks too
-        if cas:
-            c = cas[0]
-            C = CotangentFn(lambda ss, c=c: c(ss.b), lambda ss, c=c: (np.zeros(bundle.d), np.zeros(bundle.n), np.zeros(bundle.d), c.gradient(ss.b)))
-            h2 = random_polynomial(rng, bundle.n)
-            H2 = CotangentFn(lambda ss, h2=h2: h2(ss.b), lambda ss, h2=h2: (np.zeros(bundle.d), np.zeros(bundle.n), np.zeros(bundle.d), h2.gradient(ss.b)))
-            w_cas = worst(w_cas, abs(cotangent_bracket(bundle, C, H2, s)))
-            w_cas = worst(w_cas, abs(cotangent_bracket(bundle, F, C, s)))
+        C = _on_momentum(cas[0])
+        w_cas = worst(np.abs(cotangent_bracket(bundle, C, _on_momentum(h2[0]), s)), np.abs(cotangent_bracket(bundle, F, C, s)))
 
     rng = stream(seed, f"poisson.dual_pair.lift/{bundle.name}")
-    w_lift = 0.0
-    for _ in range(trials):
-        s = bundle.random_cotangent(rng)
-        f, g = random_polynomial(rng, quot.dim), random_polynomial(rng, quot.dim)
-        lifted = cotangent_bracket(bundle, invariant_lift(bundle, f), invariant_lift(bundle, g), s)
-        w_lift = worst(w_lift, abs(quot.bracket(f, g, bundle.class_coords(s)) - lifted))
+    base, fiber, a, b, f, g = draw_samples(trials, lambda: (
+        *bundle.random_point_coords(rng), *bundle.random_covector(rng), random_polynomial(rng, quot.dim), random_polynomial(rng, quot.dim)))
+    s = CotangentSample(bundle.point_at(base, fiber), a, b)
+    lifted = cotangent_bracket(bundle, invariant_lift(bundle, f), invariant_lift(bundle, g), s)
+    w_lift = worst(np.abs(quot.bracket(f, g, bundle.class_coords(s)) - lifted))
     rep.add("polarity", w_pol, tol)
     if cas:
         rep.add("casimir_commutes", w_cas, tol)
@@ -383,12 +407,12 @@ def casimir_fields(group: LieGroupSpec) -> list[ScalarField]:
     """Linear, then quadratic, Casimirs of the Lie-Poisson structure on g*.
 
     The coefficients come from ``group.casimirs``, derived once per spec from
-    the structure constants.
+    the structure constants.  Gradients take a point or a stack of points.
     """
     linear, quadratic = group.casimirs
-    fields = [ScalarField(lambda mu, x=x: float(x @ mu), lambda mu, x=x: x.copy(), name=f"linear{i}")
+    fields = [ScalarField(lambda mu, x=x: float(x @ mu), lambda mu, x=x: np.broadcast_to(x, np.shape(mu)).copy(), name=f"linear{i}")
               for i, x in enumerate(linear)]
-    fields += [ScalarField(lambda mu, q=q: float(mu @ q @ mu), lambda mu, q=q: 2.0 * (q @ mu), name=f"quadratic{i}")
+    fields += [ScalarField(lambda mu, q=q: float(mu @ q @ mu), lambda mu, q=q: 2.0 * row_matvec(q, mu), name=f"quadratic{i}")
                for i, q in enumerate(quadratic)]
     return fields
 

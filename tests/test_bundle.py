@@ -204,6 +204,16 @@ class TestConnection:
         assert {c.name for c in rep.failures()} == {"reproduces_vertical", "Ad_equivariance"}
         assert all(np.isnan(c.residual) for c in rep.checks)
 
+    def test_load_rejects_box_where_connection_overflows(self):
+        # squares of 1e120 are finite, its cube is not: the cubic coefficient overflows at the corners
+        doc = {"kind": "TrivialProduct", "group": "so3", "base_box": [[-1e120, 1e120], [-1.0, 1.0]],
+               "connection": {"A": [[[[0.5, [3, 0]]], [], []], [[], [], []]]}}
+        with pytest.raises(ValueError, match="'base_box'"):
+            bundle.bundle_from_json(doc, group_resolver=lambda g: liealg.builtin_group(g))
+        doc["connection"]["A"][0][0][0][1] = [2, 0]
+        b = bundle.bundle_from_json(doc, group_resolver=lambda g: liealg.builtin_group(g))
+        assert np.isfinite(b.connection.matrix(b.base_box[:, 1])).all()
+
     def test_curvature_oracle_u1(self):
         b = u1_bundle()
         f2 = b.connection.curvature_two_form(np.array([0.3, 0.4]))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaugemech import bundle, cli, groupoid, liealg, semidirect
+from gaugemech import bundle, cli, groupoid, liealg, poisson, semidirect
 
 
 def run(args):
@@ -231,6 +232,8 @@ _SD_NAN_RHO["rho"][0][0][1] = float("nan")
     ("heisenberg-verify", "suites", "bundle.action"),
     ("se3-verify", "semidirect", _SD_NAN_RHO),
     ("so3-leaves", "base_box", [[-1e308, 1e308], [-1.0, 1.0]]),
+    ("so3-leaves", "base_box", [[-1e300, 1e300], [-1.0, 1.0]]),
+    ("so3-trivial-bundle", "base_box", [[-1e300, 1e300], [-1.0, 1.0]]),
 ])
 def test_malformed_scenario_exits_2(tmp_path, capsys, name, key, value):
     doc = json.loads(json.dumps(cli.BUILTIN_SCENARIOS[name]))
@@ -270,13 +273,53 @@ def _a_star_into_b_slot(monkeypatch):
     monkeypatch.setattr(bundle.BundleSpec, "a_star", mutant)
 
 
+def _drop_chain_rule(monkeypatch):
+    # invariant_lift's fiber block du is the coadjoint chain rule; without it the lift is not G-invariant
+    monkeypatch.setattr(liealg.LieGroupSpec, "coadjoint_chain_rule", lambda self, trans, grad, b: np.zeros_like(b))
+
+
+def _flip_lie_part(monkeypatch):
+    # the Lie part <b, [db G, db F]> of cotangent_bracket, the only bracket of g the poisson suites take
+    bracket = liealg.LieGroupSpec.bracket
+    monkeypatch.setattr(liealg.LieGroupSpec, "bracket", lambda self, x, y: -bracket(self, x, y))
+
+
+def _symmetric_bivector_part(monkeypatch):
+    bivector = poisson.PoissonSpace.bivector
+    monkeypatch.setattr(poisson.PoissonSpace, "bivector", lambda self, x: bivector(self, x) + 1e-9 * np.eye(self.dim))
+
+
+def _non_jacobi_structure(monkeypatch):
+    # [e0, e1] gains 0.5 e0: still antisymmetric, but the cyclic sum over (e0, e1, e2) no longer vanishes
+    lie_poisson = poisson.lie_poisson
+
+    def mutant(group, name=""):
+        broken = group.structure.copy()
+        broken[0, 1, 0] += 0.5
+        broken[1, 0, 0] -= 0.5
+        return dataclasses.replace(lie_poisson(group, name), linear=broken)
+
+    monkeypatch.setattr(poisson, "lie_poisson", mutant)
+
+
 @pytest.mark.parametrize("name, mutate, suites, killed_by", [
     ("so3-trivial-bundle", _negate_j2, ["groupoid.ses"], ["groupoid.ses[duzyVdual]:i2_star_duality"]),
     ("heisenberg-verify", _negate_j2, ["groupoid.ses"], ["groupoid.ses[duzyVdual]:i2_star_duality"]),
     ("so3-trivial-bundle", _scale_quot_rep_shift, ["groupoid.ses"], ["groupoid.ses[duzyVtrojka]:composite_zero"]),
     ("so3-trivial-bundle", _a_star_into_b_slot, ["bundle.dual_sequence", "groupoid.ses"],
      ["bundle.dual_sequence[TrivialProduct[so3]]:iota_after_a_zero", "groupoid.ses[Adual]:composite_zero"]),
-], ids=["j2-negated-so3", "j2-negated-heisenberg", "quot-rep-shift-scaled", "a-star-into-b-slot"])
+    ("so3-trivial-bundle", _drop_chain_rule, ["poisson.dual_pair"],
+     ["poisson.dual_pair[TrivialProduct[so3]]:polarity", "poisson.dual_pair[TrivialProduct[so3]]:quotient_matches_lift"]),
+    ("heisenberg-verify", _drop_chain_rule, ["poisson.dual_pair"],
+     ["poisson.dual_pair[TrivialProduct[heisenberg3]]:polarity", "poisson.dual_pair[TrivialProduct[heisenberg3]]:quotient_matches_lift"]),
+    ("so3-trivial-bundle", _flip_lie_part, ["poisson.dual_pair"], ["poisson.dual_pair[TrivialProduct[so3]]:quotient_matches_lift"]),
+    ("heisenberg-verify", _flip_lie_part, ["poisson.dual_pair"], ["poisson.dual_pair[TrivialProduct[heisenberg3]]:quotient_matches_lift"]),
+    ("so3-trivial-bundle", _symmetric_bivector_part, ["poisson.properties"], ["poisson.bracket_properties[so3*]:antisymmetry",
+     "poisson.bracket_properties[T*R2]:antisymmetry", "poisson.bracket_properties[T*P/G[TrivialProduct[so3]]]:antisymmetry"]),
+    ("so3-trivial-bundle", _non_jacobi_structure, ["poisson.jacobi"], ["poisson.jacobi:lie_poisson", "poisson.jacobi:quotient"]),
+], ids=["j2-negated-so3", "j2-negated-heisenberg", "quot-rep-shift-scaled", "a-star-into-b-slot", "chain-rule-dropped-so3",
+        "chain-rule-dropped-heisenberg", "lie-part-flipped-so3", "lie-part-flipped-heisenberg", "symmetric-bivector-part",
+        "non-jacobi-structure"])
 def test_mutant_fails_builtin_checks(tmp_path, monkeypatch, name, mutate, suites, killed_by):
     # the exact-sequence checks read the maps they name, so a wrong map fails them; only the touched suites run
     mutate(monkeypatch)

@@ -139,6 +139,9 @@ class TestIntegrate:
         sp = lie_poisson(liealg.so3())
         with pytest.raises(ChartError):
             integrate(sp, free_body([1.0, 2.0, 3.0]), np.array([0.1, 0.2]), 1e-2, 10)
+        # check_chart takes stacks of points, integrate takes one
+        with pytest.raises(ChartError):
+            integrate(sp, free_body([1.0, 2.0, 3.0]), np.zeros((1, 3)), 1e-2, 10)
 
     def test_unboxed_space_checks_chart_once(self, monkeypatch):
         calls = []

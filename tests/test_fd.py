@@ -59,3 +59,17 @@ def test_quotient_matches_central_on_vector_curve():
     t0 = 0.3
     by_central = fd.central(lambda y: curve(y[0]), [t0], [[1.0]], h)[0]
     assert np.array_equal(fd.quotient(curve(t0 - h), curve(t0 + h), h), by_central)
+
+
+def _entrywise(y):
+    # one value per point of any stack, entrywise arithmetic only: the same bits at every stack shape
+    return np.sin(y[..., 0]) * y[..., 1] + y[..., 2] ** 3 - np.exp(0.5 * y[..., 3])
+
+
+def test_stacked_x_matches_per_point_loop():
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal((6, 4))
+    for dirs in (np.eye(4), rng.standard_normal((3, 4))):
+        rows = fd.central(_entrywise, x, dirs, fd.NESTED_STEP)
+        assert rows.shape == (len(dirs), 6)
+        assert np.array_equal(rows.T, [fd.central(_entrywise, p, dirs, fd.NESTED_STEP) for p in x])

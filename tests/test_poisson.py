@@ -7,6 +7,7 @@ from gaugemech import bundle, liealg, poisson, semidirect
 from gaugemech.bundle import BundleSpec, ConnectionData
 from gaugemech.poisson import (
     ChartError,
+    PoissonSpace,
     ScalarField,
     bracket_property_suite,
     canonical_cotangent,
@@ -30,6 +31,11 @@ def so3_bundle(conn_matrix=None):
     g = liealg.so3()
     mat = np.array([[0.3, -0.1], [0.0, 0.2], [0.1, 0.4]]) if conn_matrix is None else conn_matrix
     return BundleSpec("TrivialProduct", g, ConnectionData.from_matrix(mat), base_box=[[-1.0, 1.0], [-1.0, 1.0]])
+
+
+def heis_bundle():
+    return BundleSpec("TrivialProduct", liealg.heisenberg3(), ConnectionData.from_matrix(np.array([[0.2, 0.0], [0.1, -0.3], [0.0, 0.4]])),
+                      base_box=[[-1.0, 1.0], [-1.0, 1.0]])
 
 
 def u1_bundle():
@@ -69,9 +75,7 @@ class TestBracketEval:
     def test_quotient_matches_invariant_lift(self):
         # the closed-form T*M x g* bracket equals the T*P bracket of invariant
         # lifts at samples in a random, non-identity gauge
-        heis = BundleSpec("TrivialProduct", liealg.heisenberg3(), ConnectionData.from_matrix(np.array([[0.2, 0.0], [0.1, -0.3], [0.0, 0.4]])),
-                          base_box=[[-1.0, 1.0], [-1.0, 1.0]])
-        for b in (so3_bundle(), heis):
+        for b in (so3_bundle(), heis_bundle()):
             q = quotient_cotangent(b)
             rng = np.random.default_rng(3)
             for _ in range(20):
@@ -80,7 +84,7 @@ class TestBracketEval:
                 f, h = random_polynomial(rng, q.dim), random_polynomial(rng, q.dim)
                 closed = q.bracket(f, h, b.class_coords(s))
                 exact = poisson.cotangent_bracket(b, poisson.invariant_lift(b, f), poisson.invariant_lift(b, h), s)
-                fd = poisson.cotangent_bracket(b, poisson.invariant_lift(b, ScalarField(f.fn)), poisson.invariant_lift(b, ScalarField(h.fn)), s)
+                fd = poisson.cotangent_bracket(b, poisson.invariant_lift(b, ScalarField(f)), poisson.invariant_lift(b, ScalarField(h)), s)
                 assert abs(closed - exact) <= 1e-12
                 assert abs(closed - fd) <= 1e-8
 
@@ -157,6 +161,88 @@ class TestDualPair:
         assert rep.passed, rep.failures()
         assert rep.max_residual <= 1e-7
         assert [c.name for c in rep.checks] == ["polarity", "casimir_commutes", "quotient_matches_lift"]
+
+
+def _row(p, i):
+    return poisson.Polynomial(p.c0[i], p.c1[i], p.c2[i], p.c3[i])
+
+
+class TestStacks:
+    """A stack is evaluated by the same code as one point: each row has the bits of its single call."""
+
+    @pytest.mark.parametrize("space", [lie_poisson(liealg.so3()), lie_poisson(liealg.heisenberg3()),
+                                       quotient_cotangent(so3_bundle()), quotient_cotangent(heis_bundle())], ids=lambda sp: sp.name)
+    def test_bracket_rows_equal_single_calls(self, space):
+        rng = np.random.default_rng(30)
+        x, f, g = bundle.draw_samples(25, lambda: (poisson._sample_point(space, rng), random_polynomial(rng, space.dim, 3), random_polynomial(rng, space.dim)))
+        stacked = space.bracket(f, g, x)
+        assert stacked.shape == (25,)
+        assert np.array_equal(stacked, [space.bracket(_row(f, i), _row(g, i), x[i]) for i in range(25)])
+        assert np.array_equal(space.bivector(x), [space.bivector(y) for y in x])
+        assert np.array_equal(f(x), [_row(f, i)(x[i]) for i in range(25)])
+
+    @pytest.mark.parametrize("b", [so3_bundle(), heis_bundle()], ids=lambda b: b.name)
+    def test_cotangent_bracket_rows_equal_single_calls(self, b):
+        rng = np.random.default_rng(31)
+        dim = quotient_cotangent(b).dim
+        base, fiber, a, bb, f, g, h = bundle.draw_samples(25, lambda: (*b.random_point_coords(rng), *b.random_covector(rng),
+                                                                       random_polynomial(rng, dim), random_polynomial(rng, dim), random_polynomial(rng, b.n)))
+        s = bundle.CotangentSample(b.point_at(base, fiber), a, bb)
+        lifted = poisson.cotangent_bracket(b, poisson.invariant_lift(b, f), poisson.invariant_lift(b, g), s)
+        polar = poisson.cotangent_bracket(b, poisson.invariant_lift(b, f), poisson._on_momentum(h), s)
+        assert lifted.shape == polar.shape == (25,)
+        for i in range(25):
+            si = bundle.CotangentSample(bundle.Point(s.point.base[i], s.point.fiber[i]), a[i], bb[i])
+            fi = poisson.invariant_lift(b, _row(f, i))
+            assert poisson.cotangent_bracket(b, fi, poisson.invariant_lift(b, _row(g, i)), si) == lifted[i]
+            assert poisson.cotangent_bracket(b, fi, poisson._on_momentum(_row(h, i)), si) == polar[i]
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_stacked_draw_consumes_stream_as_repeated_calls(self, degree):
+        one, many = np.random.default_rng(32), np.random.default_rng(32)
+        (stacked,) = bundle.draw_samples(6, lambda: (random_polynomial(many, 5, degree),))
+        for i in range(6):
+            p = random_polynomial(one, 5, degree)
+            for c in ("c0", "c1", "c2", "c3"):
+                assert np.array_equal(getattr(stacked, c)[i], getattr(p, c))
+        assert one.normal() == many.normal()
+
+
+class TestCallCounts:
+    """Each suite evaluates its brackets once over the stacked trials, so the call count does not grow with them."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        seen = {"PoissonSpace.bracket": 0, "cotangent_bracket": 0}
+        bracket, cot = PoissonSpace.bracket, poisson.cotangent_bracket
+
+        def counted_bracket(self, *args):
+            seen["PoissonSpace.bracket"] += 1
+            return bracket(self, *args)
+
+        def counted_cot(*args):
+            seen["cotangent_bracket"] += 1
+            return cot(*args)
+
+        monkeypatch.setattr(PoissonSpace, "bracket", counted_bracket)
+        monkeypatch.setattr(poisson, "cotangent_bracket", counted_cot)
+        return seen
+
+    @pytest.mark.parametrize("suite", [
+        lambda trials: bracket_property_suite(quotient_cotangent(so3_bundle()), trials=trials, seed=1),
+        lambda trials: jacobi_check(quotient_cotangent(so3_bundle()), trials=trials, seed=1),
+        lambda trials: dual_pair_check(so3_bundle(), trials=trials, seed=1),
+        lambda trials: dual_pair_check(heis_bundle(), trials=trials, seed=1),
+    ], ids=["properties", "jacobi", "dual_pair-so3", "dual_pair-heisenberg"])
+    def test_calls_do_not_grow_with_trials(self, counts, suite):
+        per_trials = []
+        for trials in (3, 30):
+            for key in counts:
+                counts[key] = 0
+            suite(trials)
+            per_trials.append(dict(counts))
+        assert per_trials[0] == per_trials[1]
+        assert sum(per_trials[0].values()) > 0
 
 
 class TestOrbits:
