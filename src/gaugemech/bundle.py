@@ -79,18 +79,20 @@ class ConnectionData:
         return a
 
     def finite_on(self, box: Array) -> bool:
-        """Whether squared coordinates and A(m) are finite on a box (d, 2): what the suites evaluate at its largest points.
+        """Whether fourth powers of the coordinates and A(m) are finite on a box (d, 2): what the suites evaluate at its largest points.
 
-        Each square and each monomial is largest in magnitude at the corner of
-        largest magnitudes, so the monomials with absolute coefficients bound A
-        there over the whole box: one evaluation instead of 2^d corners.  A sum
-        that cancels to finite values at every corner but overflows in this
-        bound is rejected too.
+        The highest power of a coordinate that the suites evaluate is the
+        fourth, in the Leibniz check of ``poisson.properties`` (a product of two
+        quadratics).  Each power and each monomial is largest in magnitude at
+        the corner of largest magnitudes, so the monomials with absolute
+        coefficients bound A there over the whole box: one evaluation instead
+        of 2^d corners.  A sum that cancels to finite values at every corner
+        but overflows in this bound is rejected too.
         """
         corner = np.abs(box).max(axis=1)
         bound = ConnectionData(self.base_dim, self.fiber_dim, [[[(abs(c), e) for c, e in monos] for monos in per_base] for per_base in self.terms])
         with np.errstate(over="ignore", invalid="ignore"):
-            return bool(np.isfinite(np.square(corner)).all() and np.isfinite(bound.matrix(corner)).all())
+            return bool(np.isfinite(corner**4).all() and np.isfinite(bound.matrix(corner)).all())
 
     def curvature_two_form(self, m: Array) -> Array:
         """Exact exterior derivative dA: array F[i, j, k] = (dA^k)(e_i, e_j)."""
@@ -104,28 +106,22 @@ class ConnectionData:
                     )
         return f
 
-    def to_json(self) -> dict:
-        return {
-            "A": [
-                [[[c, list(e)] for c, e in self.terms[i][k]] for k in range(self.fiber_dim)]
-                for i in range(self.base_dim)
-            ]
-        }
-
     @staticmethod
     def from_json(doc: dict, base_dim: int, fiber_dim: int) -> "ConnectionData":
+        if not isinstance(doc, dict):
+            raise ValueError(f"'connection' must be an object with an 'A' entry, got {doc!r}")
         raw = doc.get("A", [])
         terms: list[list[list[Monomial]]] = [[[] for _ in range(fiber_dim)] for _ in range(base_dim)]
         try:
             for i, per_base in enumerate(raw):
                 for k, monos in enumerate(per_base):
-                    terms[i][k] = [(float(c), tuple(int(x) for x in e)) for c, e in monos]
+                    terms[i][k] = [(float(c), tuple(e)) for c, e in monos]
         except (TypeError, ValueError, IndexError):  # not nested lists, or more entries than dimensions
             raise ValueError(f"'connection' A needs at most {base_dim} base entries of at most {fiber_dim} [coefficient, exponents] lists, got {raw!r}") from None
         for c, exps in (mono for per_base in terms for monos in per_base for mono in monos):
             if not np.isfinite(c):
                 raise ValueError(f"'connection' coefficients must be finite, got {c}")
-            if len(exps) != base_dim or any(x < 0 for x in exps) or sum(exps) > 3:
+            if len(exps) != base_dim or not all(isinstance(x, int) and not isinstance(x, bool) and x >= 0 for x in exps) or sum(exps) > 3:
                 raise ValueError(f"'connection' exponents must be {base_dim} nonnegative integers of degree <= 3, got {exps}")
         return ConnectionData(base_dim, fiber_dim, terms)
 
@@ -666,19 +662,8 @@ def anchor_pullback_suite(b: BundleSpec, samples: int = 40, seed: int = 0, tol: 
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization
+# JSON loading
 # ---------------------------------------------------------------------------
-
-
-def bundle_to_json(b: BundleSpec) -> dict:
-    from .liealg import spec_to_json
-
-    doc: dict = {"kind": b.kind, "group": spec_to_json(b.group), "connection": b.connection.to_json()}
-    if b.kind == "TrivialProduct":
-        doc["base_box"] = b.base_box.tolist()
-    else:
-        doc["base_group"] = spec_to_json(b.base_group)
-    return doc
 
 
 def bundle_from_json(doc: dict, group_resolver: Callable[[Any], LieGroupSpec] | None = None) -> BundleSpec:
@@ -693,7 +678,7 @@ def bundle_from_json(doc: dict, group_resolver: Callable[[Any], LieGroupSpec] | 
         conn = ConnectionData.from_json(doc.get("connection", {}), box.shape[0], group.dim)
         b = BundleSpec("TrivialProduct", group, conn, base_box=box)
         if not conn.finite_on(b.base_box):
-            raise ValueError(f"'base_box' {b.base_box.tolist()} is too large: squared coordinates or connection coefficients overflow at its corners")
+            raise ValueError(f"'base_box' {b.base_box.tolist()} is too large: fourth powers of coordinates or connection coefficients overflow at its corners")
         return b
     base_group = resolve(doc["base_group"])
     conn = ConnectionData.from_json(doc.get("connection", {}), base_group.dim, group.dim)

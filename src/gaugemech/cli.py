@@ -233,7 +233,7 @@ def _resolve_bundle(doc: Any, basedir: Path) -> bundle_mod.BundleSpec:
         raise ConfigError(f"bundle spec: {exc}") from None
 
 
-def _resolve_semidirect(ref: Any, basedir: Path) -> semidirect.SemidirectSpec:
+def _resolve_semidirect(ref: Any) -> semidirect.SemidirectSpec:
     if isinstance(ref, semidirect.SemidirectSpec):
         return ref
     if isinstance(ref, str):
@@ -272,11 +272,11 @@ def _suite_registry() -> dict[str, Callable[[dict, int], list[SuiteReport]]]:
 
     def groupoid_axioms(ctx, seed):
         b = need(ctx, "bundle")
-        return [groupoid.vb_axiom_suite(b, tag, samples=60, seed=seed) for tag in groupoid.SPACE_TAGS]
+        return [groupoid.vb_axiom_suite(b, tag, seed=seed) for tag in groupoid.SPACE_TAGS]
 
     def groupoid_laws(ctx, seed):
         b = need(ctx, "bundle")
-        return [groupoid.groupoid_law_suite(b, tag, samples=30, seed=seed) for tag in groupoid.SPACE_TAGS]
+        return [groupoid.groupoid_law_suite(b, tag, seed=seed) for tag in groupoid.SPACE_TAGS]
 
     def groupoid_ses(ctx, seed):
         b = need(ctx, "bundle")
@@ -317,7 +317,7 @@ def _suite_registry() -> dict[str, Callable[[dict, int], list[SuiteReport]]]:
         "bundle.anchor_pullback": lambda ctx, seed: [bundle_mod.anchor_pullback_suite(need(ctx, "bundle"), samples=40, seed=seed)],
         "groupoid.vb_axioms": groupoid_axioms,
         "groupoid.laws": groupoid_laws,
-        "groupoid.dual_structure": lambda ctx, seed: [groupoid.dual_structure_suite(need(ctx, "bundle"), samples=25, seed=seed)],
+        "groupoid.dual_structure": lambda ctx, seed: [groupoid.dual_structure_suite(need(ctx, "bundle"), seed=seed)],
         "groupoid.cores": lambda ctx, seed: [groupoid.core_suite(need(ctx, "bundle"), fibers=50, seed=seed)],
         "groupoid.momentum_morphism": lambda ctx, seed: [groupoid.momentum_morphism_suite(need(ctx, "bundle"), samples=60, seed=seed)],
         "groupoid.ses": groupoid_ses,
@@ -342,7 +342,7 @@ def _momentum_cross_check(sd: semidirect.SemidirectSpec, b: bundle_mod.BundleSpe
     base, fiber, a, chi = bundle_mod.draw_samples(40, lambda: (*b.random_point_coords(rng), *b.random_covector(rng)))
     s = bundle_mod.CotangentSample(b.point_at(base, fiber), a, chi)
     fc = semidirect.FactoredCotangent(s.point.base, s.a, s.point.fiber, s.b)
-    _, jn = semidirect.momentum_factorized(sd, fc)
+    _, jn = semidirect.momentum_factorized(fc)
     jn_group = bundle_mod.row_matvec(sd.iota_dot().T, semidirect.tstar_sigma(sd, fc))
     w_j = worst(bundle_mod.row_norm(b.momentum(s) - jn), bundle_mod.row_norm(jn_group - jn))
     rep.add("J_matches_factor_momentum", w_j, 1e-10)
@@ -397,7 +397,7 @@ def run_verify(scenario: dict, basedir: Path, seed: int, tol_scale: float, out_d
     ctx = {
         "group": _resolve_group(scenario["group"], basedir) if "group" in scenario else None,
         "bundle": _resolve_bundle(scenario["bundle"], basedir) if "bundle" in scenario else None,
-        "semidirect": _resolve_semidirect(scenario["semidirect"], basedir) if "semidirect" in scenario else None,
+        "semidirect": _resolve_semidirect(scenario["semidirect"]) if "semidirect" in scenario else None,
     }
     registry = _suite_registry()
     reports: list[SuiteReport] = []

@@ -40,9 +40,12 @@ of source/target against core products, composition by factorization,
 identity by core decomposition) and cross-validated against the closed-form
 cotangent structure, which is the independent ground truth.
 
-Every suite draws its samples in one loop, in the order of its random stream,
-stacks them, evaluates each check once over the stack and reports the worst
-row.
+The axiom, law and dual-structure suites read their identities off the fibre
+basis: one arrow chain and the identity matrix of the joint fibre space, which
+is exact because the structure maps are linear in the fibre vector and do not
+read the arrow.  Every other suite draws its samples in one loop, in the order
+of its random stream, and stacks them.  Each check is evaluated once over the
+stack and reports the worst row.
 """
 
 from __future__ import annotations
@@ -220,19 +223,29 @@ def quot_rep(bundle: BundleSpec, el: VBElement) -> VBElement:
 # ---------------------------------------------------------------------------
 
 
-def _sample_arrow_chain(bundle: BundleSpec, rng: np.random.Generator) -> tuple[Point, Point, Point]:
-    return bundle.random_point(rng), bundle.random_point(rng), bundle.random_point(rng)
+def _basis_draw(bundle: BundleSpec, rng: np.random.Generator, arrows: int, widths: tuple[int, ...]) -> tuple[list[Point], list[Array]]:
+    """One arrow chain of ``arrows`` points broadcast to the rows of the identity
+    matrix of the joint fibre space, and that matrix split into column blocks of ``widths``.
+
+    Exact only while every structure map is linear in the fibre vector and does
+    not read the arrow (points are only routed): an identity linear in the joint
+    fibre vector then holds at all arrows iff it holds on this basis.  An engine
+    whose maps read the points must go back to sampling arrows and vectors.
+    """
+    rows = sum(widths)
+    chain = [bundle.random_point(rng) for _ in range(arrows)]
+    stacked = [Point(np.broadcast_to(p.base, (rows,) + p.base.shape), np.broadcast_to(p.fiber, (rows,) + p.fiber.shape)) for p in chain]
+    return stacked, np.split(np.eye(rows), np.cumsum(widths)[:-1], axis=1)
 
 
-def vb_axiom_suite(bundle: BundleSpec, space: str, samples: int = 60, seed: int = 0, tol: float = AXIOM_TOL) -> SuiteReport:
-    """Interchange law and side identities on random composable/addable data."""
+def vb_axiom_suite(bundle: BundleSpec, space: str, seed: int = 0, tol: float = AXIOM_TOL) -> SuiteReport:
+    """Interchange law and side identities on the fibre basis over one composable arrow chain."""
     ops = space_ops(bundle, space)
     rep = SuiteReport(f"groupoid.vb_axioms[{space}]")
     rng = stream(seed, f"groupoid.vb_axioms/{space}/{bundle.name}")
     k = ops.inv.shape[0]
-    # per sample: an arrow chain p, q, r and nine fibre vectors
-    P, Q, R, X = draw_samples(samples, lambda: (*_sample_arrow_chain(bundle, rng), rng.standard_normal((9, k))))
-    x_eta1, x_eta2, x_xi1, x_xi2, x_b1, x_b2, x_a1, x_a2, x_eta = np.moveaxis(X, 1, 0)
+    # an arrow chain p, q, r and nine fibre vectors
+    (P, Q, R), (x_eta1, x_eta2, x_xi1, x_xi2, x_b1, x_b2, x_a1, x_a2, x_eta) = _basis_draw(bundle, rng, 3, (k,) * 9)
     w = {}
 
     eta1, eta2 = VBElement(Q, R, x_eta1), VBElement(Q, R, x_eta2)
@@ -261,20 +274,19 @@ def vb_axiom_suite(bundle: BundleSpec, space: str, samples: int = 60, seed: int 
 
     for name, resid in sorted(w.items()):
         rep.add(name, worst(resid), tol)
-    rep.extras["trials"] = samples
+    rep.extras["basis_rows"] = 9 * k
     rep.extras["space"] = space
     return rep
 
 
-def groupoid_law_suite(bundle: BundleSpec, space: str, samples: int = 40, seed: int = 0, tol: float = AXIOM_TOL) -> SuiteReport:
-    """Pure groupoid laws: s/t of identities, associativity, involution, inverse law."""
+def groupoid_law_suite(bundle: BundleSpec, space: str, seed: int = 0, tol: float = AXIOM_TOL) -> SuiteReport:
+    """Pure groupoid laws on the fibre basis: s/t of identities, associativity, involution, inverse law."""
     ops = space_ops(bundle, space)
     rep = SuiteReport(f"groupoid.laws[{space}]")
     rng = stream(seed, f"groupoid.laws/{space}/{bundle.name}")
     k = ops.inv.shape[0]
-    # per sample: arrows p, q, r, s and four fibre vectors
-    P, Q, R, S, X = draw_samples(samples, lambda: (*_sample_arrow_chain(bundle, rng), bundle.random_point(rng), rng.standard_normal((4, k))))
-    x_el, x_a, x_b, x_c = np.moveaxis(X, 1, 0)
+    # arrows p, q, r, s and four fibre vectors
+    (P, Q, R, S), (x_el, x_a, x_b, x_c) = _basis_draw(bundle, rng, 4, (k,) * 4)
     w = {}
 
     el = VBElement(P, Q, x_el)
@@ -291,7 +303,7 @@ def groupoid_law_suite(bundle: BundleSpec, space: str, samples: int = 40, seed: 
     w["inverse_product"] = ops.distance(ops.product(el, ops.inverse(el)), ops.identity(ops.target(el)))
     for name, resid in sorted(w.items()):
         rep.add(name, worst(resid), tol)
-    rep.extras["trials"] = samples
+    rep.extras["basis_rows"] = 4 * k
     return rep
 
 
@@ -351,7 +363,7 @@ class DualOfPairTangent:
 
         Every element of Omega over the composed arrow factors as eta xi with an
         arbitrary middle tangent vector; the result must not depend on it.
-        ``middles`` is a stack (taus, *arrows, dim) of middle tangent vectors.
+        ``middles`` is a stack (m, *arrows, dim) of middle tangent vectors.
         Returns the composed element and, per arrow, the worst deviation across
         the middle choices (factorization independence).
         """
@@ -395,28 +407,24 @@ class DualOfPairTangent:
         return self._from_core_split(omega_cov, lambda b, k: row_dot(omega_cov.x, b + k))
 
 
-def dual_structure_suite(bundle: BundleSpec, samples: int = 30, seed: int = 0, taus: int = 100, tol: float = 1e-11, match_tol: float = 1e-10) -> SuiteReport:
-    """Dual structure maps agree with the closed-form cotangent pair groupoid."""
+def dual_structure_suite(bundle: BundleSpec, seed: int = 0, tol: float = 1e-11, match_tol: float = 1e-10) -> SuiteReport:
+    """Dual structure maps agree with the closed-form cotangent pair groupoid, on the fibre basis."""
     rep = SuiteReport(f"groupoid.dual_structure[{bundle.name}]")
     rng = stream(seed, f"groupoid.dual_structure/{bundle.name}")
     dual = DualOfPairTangent(bundle)
     cot = space_ops(bundle, "T*PxT*P")
     t = bundle.tangent_dim
-
-    def draw() -> tuple:
-        p, q, r = _sample_arrow_chain(bundle, rng)
-        # Phi, lam, the taus middles, chi and the side covector omega
-        return p, q, r, rng.standard_normal(2 * t), rng.standard_normal(t), rng.standard_normal((taus, t)), rng.standard_normal(t), rng.standard_normal(t)
-
-    P, Q, R, x_phi, lam, middles, x_chi, x_omega = draw_samples(samples, draw)
+    # an arrow chain p, q, r, then Phi, lam, chi and the side covector omega
+    (P, Q, R), (x_phi, lam, x_chi, x_omega) = _basis_draw(bundle, rng, 3, (2 * t, t, t, t))
     w = {}
     Phi = VBElement(P, Q, x_phi)
     w["target_matches"] = cot.side_distance(dual.dual_target(Phi), cot.target(Phi))
     w["source_matches"] = cot.side_distance(dual.dual_source(Phi), cot.source(Phi))
 
-    # composable pair: Psi = (lam, -phi) over (r, p) with alpha~*(Psi) = beta~*(Phi)
+    # composable pair: Psi = (lam, -phi) over (r, p) with alpha~*(Psi) = beta~*(Phi);
+    # factorization independence is bilinear, so every basis middle goes against every row
     Psi = VBElement(R, P, np.concatenate([lam, -x_phi[:, :t]], axis=-1))
-    composed, w["factorization_independence"] = dual.compose(Psi, Phi, middles=np.moveaxis(middles, 1, 0))
+    composed, w["factorization_independence"] = dual.compose(Psi, Phi, middles=np.eye(t)[:, None])
     w["compose_matches"] = cot.distance(composed, cot.product(Psi, Phi))
 
     chi = SideElement(P, x_chi)
@@ -429,8 +437,8 @@ def dual_structure_suite(bundle: BundleSpec, samples: int = 30, seed: int = 0, t
     w["zero_covector_sides"] = row_norm(dual.dual_target(zero).x) + row_norm(dual.dual_source(zero).x)
     for name, resid in sorted(w.items()):
         rep.add(name, worst(resid), match_tol if name.endswith("matches") or name in ("side_dual_embedding", "zero_covector_sides") else tol)
-    rep.extras["trials"] = samples
-    rep.extras["tau_perturbations"] = taus
+    rep.extras["basis_rows"] = 5 * t
+    rep.extras["middle_basis"] = t
     return rep
 
 
@@ -520,7 +528,7 @@ def momentum_morphism_suite(bundle: BundleSpec, samples: int = 60, seed: int = 0
     t = bundle.tangent_dim
 
     def draw() -> tuple:
-        p, q, r = _sample_arrow_chain(bundle, rng)
+        p, q, r = (bundle.random_point(rng) for _ in range(3))
         # a, b, the side covector phi, the coalgebra triple and an algebra element
         return p, q, r, rng.standard_normal(2 * t), rng.standard_normal(2 * t), rng.standard_normal(t), rng.standard_normal(bundle.n), bundle.group.random_algebra(rng)
 

@@ -653,11 +653,6 @@ def spec_from_json(doc: dict) -> LieGroupSpec:
     return LieGroupSpec(name, dim, embed, basis, structure, membership)
 
 
-def save_spec(spec: LieGroupSpec, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(spec_to_json(spec), fh, indent=2)
-
-
 def load_spec(path: str) -> LieGroupSpec:
     with open(path, encoding="utf-8") as fh:
         return spec_from_json(json.load(fh))

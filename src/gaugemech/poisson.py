@@ -34,6 +34,7 @@ group, never from its name.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -754,12 +755,12 @@ def _pair_t(bundle: BundleSpec, z: PairClassPoint) -> Array:
     return np.concatenate([z.m1, z.a1, m_w @ z.b1])
 
 
-def _pair_s(bundle: BundleSpec, z: PairClassPoint) -> Array:
+def _pair_s(z: PairClassPoint) -> Array:
     """Source map to T*P/G coordinates: class of minus the second leg."""
     return np.concatenate([z.m2, -z.a2, -z.b2])
 
 
-def _pair_product(bundle: BundleSpec, lam: PairClassPoint, y: PairClassPoint) -> PairClassPoint:
+def _pair_product(lam: PairClassPoint, y: PairClassPoint) -> PairClassPoint:
     """Groupoid product in (T*P x T*P)/G of gauge-fixed representatives."""
     return PairClassPoint(lam.m1, lam.w @ y.w, y.m2, lam.a1, y.b1, y.a2, y.b2)
 
@@ -775,11 +776,12 @@ def groupoid_action_suite(bundle: BundleSpec, orbit: CoadjointOrbit, samples: in
     # T*Gamma = T*((PxP)/G) is T*P' for the trivial bundle P' = (M x M) x G,
     # in gauge coordinates (m1, m2; w) with fiber covectors (b1, b2) = (beta, -beta)
     arrows = BundleSpec("TrivialProduct", G, ConnectionData.flat(2 * d, n), np.vstack([bundle.base_box] * 2))
+    pair_t = partial(_pair_t, bundle)
 
     def on_arrows(f: ScalarField, leg) -> CotangentFn:
         def fn(s: CotangentSample) -> float:
             base = s.point.base
-            return f(leg(bundle, PairClassPoint(base[:d], s.point.fiber, base[d:], s.a[:d], s.b, s.a[d:], -s.b)))
+            return f(leg(PairClassPoint(base[:d], s.point.fiber, base[d:], s.a[:d], s.b, s.a[d:], -s.b)))
         return CotangentFn(fn)
 
     w_t = w_s = w_conn = w_iso = 0.0
@@ -793,12 +795,12 @@ def groupoid_action_suite(bundle: BundleSpec, orbit: CoadjointOrbit, samples: in
 
         f = random_polynomial(rng, quot.dim)
         g = random_polynomial(rng, quot.dim)
-        lhs = cotangent_bracket(arrows, on_arrows(f, _pair_t), on_arrows(g, _pair_t), s)
-        rhs = quot.bracket(f, g, _pair_t(bundle, lam))
+        lhs = cotangent_bracket(arrows, on_arrows(f, pair_t), on_arrows(g, pair_t), s)
+        rhs = quot.bracket(f, g, pair_t(lam))
         w_t = worst(w_t, abs(lhs - rhs))
 
         lhs = cotangent_bracket(arrows, on_arrows(f, _pair_s), on_arrows(g, _pair_s), s)
-        rhs = quot.bracket(f, g, _pair_s(bundle, lam))
+        rhs = quot.bracket(f, g, _pair_s(lam))
         w_s = worst(w_s, abs(lhs + rhs))
 
         # orbit connectivity: any two leaf points of J^{-1}(O)/G are joined by an arrow
@@ -815,7 +817,7 @@ def groupoid_action_suite(bundle: BundleSpec, orbit: CoadjointOrbit, samples: in
             transported = True
             arrow = PairClassPoint(z_to[:d], w_el, z_from[:d], z_to[d : 2 * d],
                                    G.Ad_star(w_el) @ z_to[2 * d :], -z_from[d : 2 * d], -z_from[2 * d :])
-            res = float(np.linalg.norm(_pair_s(bundle, arrow) - z_from)) + float(np.linalg.norm(_pair_t(bundle, arrow) - z_to))
+            res = float(np.linalg.norm(_pair_s(arrow) - z_from)) + float(np.linalg.norm(pair_t(arrow) - z_to))
             w_conn = worst(w_conn, res)
 
         # graph isotropy of the action map (Lagrangian by dimension count)
@@ -890,16 +892,16 @@ def _graph_isotropy_sample(bundle: BundleSpec, orbit: CoadjointOrbit, rng: np.ra
     # graph tangents: free lam-part (dm1, eta, da1) with y frozen, plus leaf moves
     tangents = []
     lam0 = lam_for(y, m1_0, w_0, a1_0)
-    z0 = _pair_product(bundle, lam0, y)
+    z0 = _pair_product(lam0, y)
     for slot, k in (("m1", d), ("w", n), ("a1", d)):
         for i in range(k):
             lm, lp = move(lam0, (slot, i, None), -h), move(lam0, (slot, i, None), h)
-            dz = coords_tangent(_pair_product(bundle, lm, y), _pair_product(bundle, lp, y))
+            dz = coords_tangent(_pair_product(lm, y), _pair_product(lp, y))
             tangents.append((coords_tangent(lm, lp), np.zeros(4 * d + 3 * n), dz))
     for direction in directions:
         ym, yp = move(y, direction, -h), move(y, direction, h)
         lm, lp = lam_for(ym, m1_0, w_0, a1_0), lam_for(yp, m1_0, w_0, a1_0)
-        dz = coords_tangent(_pair_product(bundle, lm, ym), _pair_product(bundle, lp, yp))
+        dz = coords_tangent(_pair_product(lm, ym), _pair_product(lp, yp))
         tangents.append((coords_tangent(lm, lp), coords_tangent(ym, yp), dz))
 
     count = len(tangents)

@@ -214,7 +214,7 @@ class FactoredCotangent:
     chi: Array
 
 
-def tsigma_matrix(sd: SemidirectSpec, k: Array, u: Array) -> Array:
+def tsigma_matrix(sd: SemidirectSpec, u: Array) -> Array:
     """T Sigma_(k,u) as a matrix on left-trivialized coordinates (xi, nu) -> h-coords, per u of a stack."""
     H = sd.group_spec()
     ad_u = H.Ad_inv(sd.embed(sd.K.identity(), u))
@@ -224,12 +224,12 @@ def tsigma_matrix(sd: SemidirectSpec, k: Array, u: Array) -> Array:
 
 def tstar_sigma(sd: SemidirectSpec, fc: FactoredCotangent) -> Array:
     """T*Sigma(theta, chi): left-trivialized covector coordinates on T*_h H, per row of a stack."""
-    m = tsigma_matrix(sd, fc.k, fc.u)
+    m = tsigma_matrix(sd, fc.u)
     return np.linalg.solve(m.swapaxes(-1, -2), np.concatenate([fc.theta, fc.chi], axis=-1)[..., None])[..., 0]
 
 
 def tstar_sigma_inverse(sd: SemidirectSpec, k: Array, u: Array, beta: Array) -> FactoredCotangent:
-    m = tsigma_matrix(sd, k, u)
+    m = tsigma_matrix(sd, u)
     cov = row_matvec(m.swapaxes(-1, -2), beta)
     return FactoredCotangent(k, cov[..., : sd.K.dim], u, cov[..., sd.K.dim :])
 
@@ -245,7 +245,7 @@ def group_momentum(sd: SemidirectSpec, fc: FactoredCotangent) -> tuple[Array, Ar
     return row_matvec(sd.sigma_dot().T, beta), row_matvec(sd.iota_dot().T, beta)
 
 
-def momentum_factorized(sd: SemidirectSpec, fc: FactoredCotangent) -> tuple[Array, Array]:
+def momentum_factorized(fc: FactoredCotangent) -> tuple[Array, Array]:
     """J(theta_k, chi_u) = (J_K(theta), J_N(chi)): the body momenta of the factors."""
     return fc.theta.copy(), fc.chi.copy()
 
@@ -478,9 +478,9 @@ def equivariance_suite(sd: SemidirectSpec, samples: int = 200, seed: int = 0, to
     rng = stream(seed, f"semidirect.equivariance/{sd.name}")
     w_eq = w_anti = 0.0
     for fc, (g, g2) in _draw_factored(sd, samples, rng, pairs=2):
-        jk, jn = momentum_factorized(sd, lifted_action(sd, fc, g))
+        jk, jn = momentum_factorized(lifted_action(sd, fc, g))
         t_k, t_n = coadjoint_factor_transport(sd, g)
-        jk0, jn0 = momentum_factorized(sd, fc)
+        jk0, jn0 = momentum_factorized(fc)
         w_eq = worst(w_eq, row_norm(jk - row_matvec(t_k, jk0)) + row_norm(jn - row_matvec(t_n, jn0)))
 
         # the transport factors compose contravariantly (anti-homomorphism)

@@ -54,6 +54,17 @@ class TestVerify:
         assert report["pass"] is False
         assert any("antisymmetry" in f or "structure_vs_commutator" in f for f in report["failures"])
 
+    def test_spec_files_by_path(self, tmp_path):
+        # the group and the bundle are read from files named relative to the scenario
+        (tmp_path / "rot.json").write_text(json.dumps(liealg.spec_to_json(liealg.so3())))
+        path = small_verify_scenario(tmp_path, group_doc="rot.json")
+        doc = json.loads(path.read_text())
+        (tmp_path / "bundle.json").write_text(json.dumps(doc["bundle"]))
+        path.write_text(json.dumps(doc | {"bundle": "bundle.json"}))
+        assert run(["verify", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_PASS
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert [s["suite"] for s in report["suites"]][:1] == ["bundle.action[TrivialProduct[so3]]"]
+
     def test_missing_scenario_exit_2(self, tmp_path):
         assert run(["verify", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == cli.EXIT_CONFIG_ERROR
 
@@ -234,6 +245,10 @@ _SD_NAN_RHO["rho"][0][0][1] = float("nan")
     ("so3-leaves", "base_box", [[-1e308, 1e308], [-1.0, 1.0]]),
     ("so3-leaves", "base_box", [[-1e300, 1e300], [-1.0, 1.0]]),
     ("so3-trivial-bundle", "base_box", [[-1e300, 1e300], [-1.0, 1.0]]),
+    ("so3-trivial-bundle", "connection", [1, 2]),
+    ("so3-trivial-bundle", "connection", {"A": [[[], [[-0.2, [0, 1.5]]], []], [[], [], []]]}),
+    ("so3-trivial-bundle", "connection", {"A": [[[], [[-0.2, [0, float("inf")]]], []], [[], [], []]]}),
+    ("so3-trivial-bundle", "base_box", [[-1e100, 1e100], [-1.0, 1.0]]),
 ])
 def test_malformed_scenario_exits_2(tmp_path, capsys, name, key, value):
     doc = json.loads(json.dumps(cli.BUILTIN_SCENARIOS[name]))

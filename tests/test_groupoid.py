@@ -31,13 +31,32 @@ def b():
 class TestAxioms:
     @pytest.mark.parametrize("tag", groupoid.SPACE_TAGS)
     def test_axiom_suite(self, b, tag):
-        rep = vb_axiom_suite(b, tag, samples=40, seed=1)
+        rep = vb_axiom_suite(b, tag, seed=1)
         assert rep.passed, rep.failures()
 
     @pytest.mark.parametrize("tag", groupoid.SPACE_TAGS)
     def test_groupoid_laws(self, b, tag):
-        rep = groupoid.groupoid_law_suite(b, tag, samples=25, seed=2)
+        rep = groupoid.groupoid_law_suite(b, tag, seed=2)
         assert rep.passed, rep.failures()
+
+    def test_suites_draw_one_arrow_chain(self, b, monkeypatch):
+        # the fibre basis replaces every sampled vector; only the arrow chain is drawn
+        random_point = BundleSpec.random_point
+        drawn = []
+
+        def counted(self, rng, scale=0.5):
+            drawn.append(rng)
+            return random_point(self, rng, scale)
+
+        monkeypatch.setattr(BundleSpec, "random_point", counted)
+        for suite, chain in [
+            (lambda: vb_axiom_suite(b, "T(PxP)", seed=1), 3),
+            (lambda: groupoid.groupoid_law_suite(b, "T(PxP)", seed=2), 4),
+            (lambda: dual_structure_suite(b, seed=3), 3),
+        ]:
+            drawn.clear()
+            assert suite().passed
+            assert len(drawn) == chain
 
     def test_all_zero_elements_exact(self, b):
         ops = space_ops(b, "T(PxP)")
@@ -168,7 +187,7 @@ class TestDualStructure:
         assert np.linalg.norm(dual.dual_source(zero).x) == 0.0
 
     def test_suite(self, b):
-        rep = dual_structure_suite(b, samples=15, seed=10, taus=100)
+        rep = dual_structure_suite(b, seed=10)
         assert rep.passed, rep.failures()
 
     def test_composition_rejects_mismatch(self, b):
@@ -337,23 +356,65 @@ class TestBatchedEngine:
 
     @pytest.mark.parametrize("tag", groupoid.SPACE_TAGS)
     def test_suites_see_a_corrupted_last_row(self, b, tag, monkeypatch):
-        # a product that is wrong on the last row of a stack only
+        # a product that is wrong on the last basis row of a stack only
         product = groupoid.VBGroupoid.product
+        k = space_ops(b, tag).inv.shape[0]
 
         def last_row_off(self, a, bb, snap_tol=groupoid.COMPOSE_TOL):
             out = product(self, a, bb, snap_tol)
             x = out.x.copy()
-            if x.ndim > 1:
-                x[-1] += 1e-6
+            x[-1] += 1e-6
             return VBElement(out.p, out.q, x)
 
-        def caught(suite):
+        def caught(suite, rows):
             try:
                 return not suite().passed
             except ValueError as exc:  # the next product finds the corrupted last row non-composable
-                return "row 9" in str(exc)
+                return f"row {rows - 1}:" in str(exc)
 
-        assert vb_axiom_suite(b, tag, samples=10, seed=1).passed
+        assert vb_axiom_suite(b, tag, seed=1).passed
         monkeypatch.setattr(groupoid.VBGroupoid, "product", last_row_off)
-        assert caught(lambda: vb_axiom_suite(b, tag, samples=10, seed=1))
-        assert caught(lambda: groupoid.groupoid_law_suite(b, tag, samples=10, seed=2))
+        assert caught(lambda: vb_axiom_suite(b, tag, seed=1), 9 * k)
+        assert caught(lambda: groupoid.groupoid_law_suite(b, tag, seed=2), 4 * k)
+
+
+STRUCTURE = ("src", "tgt", "unit", "inv", "left", "right")
+
+
+def _rejected(b, tag):
+    """Whether vb_axioms or laws fail on the space ``tag``; a ValueError counts, as the CLI reports it as a failed suite_error check."""
+    try:
+        return not (vb_axiom_suite(b, tag, seed=1).passed and groupoid.groupoid_law_suite(b, tag, seed=2).passed)
+    except ValueError:
+        return True
+
+
+@pytest.mark.parametrize("tag, entries", [("T(PxP)", 450), ("PxgxP", 54), ("T*PxT*P", 450), ("Pxg*xP", 27)])
+def test_every_single_entry_mutant_fails(b, tag, entries, monkeypatch):
+    # each entry of each structure matrix corrupted once: 0 -> 1, +-1 -> 0
+    ops = space_ops(b, tag)
+    mutants, survivors = 0, []
+    for name in STRUCTURE:
+        mat = getattr(ops, name)
+        for idx in np.ndindex(mat.shape):
+            bad = {m: getattr(ops, m) for m in STRUCTURE}
+            bad[name] = mat.copy()
+            bad[name][idx] = 0.0 if mat[idx] else 1.0
+            mutant = groupoid.VBGroupoid(b, tag, **bad)
+            monkeypatch.setattr(groupoid, "space_ops", lambda bundle, space: mutant)
+            mutants += 1
+            if not _rejected(b, tag):
+                survivors.append(f"{name}{idx}")
+    assert mutants == entries
+    assert survivors == []
+
+
+@pytest.mark.parametrize("tag", groupoid.SPACE_TAGS)
+def test_point_routing_mutants_fail(b, tag, monkeypatch):
+    product, inverse = groupoid.VBGroupoid.product, groupoid.VBGroupoid.inverse
+    # a product that keeps the first arrow, and an inverse that does not swap the points
+    monkeypatch.setattr(groupoid.VBGroupoid, "product", lambda self, a, bb, snap_tol=groupoid.COMPOSE_TOL: VBElement(a.p, a.q, product(self, a, bb, snap_tol).x))
+    assert _rejected(b, tag)
+    monkeypatch.undo()
+    monkeypatch.setattr(groupoid.VBGroupoid, "inverse", lambda self, el: VBElement(el.p, el.q, inverse(self, el).x))
+    assert _rejected(b, tag)

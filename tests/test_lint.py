@@ -1,6 +1,7 @@
 """Static checks on the package sources that need no linter beyond ``ast``."""
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "gaugemech"
@@ -62,6 +63,24 @@ def unused_imports(source: str, filename: str = "<src>") -> list[str]:
             name = alias.asname or alias.name.split(".")[0]
             if name not in reads and name not in exported:
                 found.append(f"{filename}:{node.lineno} {name}")
+    return found
+
+
+def unused_parameters(source: str, filename: str = "<src>") -> list[str]:
+    """Parameters of a function that its body never reads.
+
+    Reads in nested functions count (closures); ``self``, ``cls`` and
+    ``_``-prefixed names are skipped.
+    """
+    found = []
+    for fn in ast.walk(ast.parse(source, filename)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        reads = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+        args = fn.args
+        for arg in args.posonlyargs + args.args + args.kwonlyargs + [a for a in (args.vararg, args.kwarg) if a]:
+            if arg.arg not in ("self", "cls") and not arg.arg.startswith("_") and arg.arg not in reads:
+                found.append(f"{filename}:{fn.lineno} {fn.name}: {arg.arg}")
     return found
 
 
@@ -136,3 +155,22 @@ def test_unused_imports_detector():
 def test_no_unused_imports_in_package():
     found = [hit for path in sorted(SRC.glob("*.py")) for hit in unused_imports(path.read_text(encoding="utf-8"), path.name)]
     assert found == []
+
+
+def test_unused_parameters_detector():
+    src = (
+        "def f(a, b, *rest, c=1, _d=2, **kw):\n"
+        "    def g(e):\n"
+        "        return b\n"
+        "    return a + c + len(kw) + g(0)\n"
+        "class K:\n"
+        "    def m(self, x, y):\n"
+        "        return lambda z: x\n"
+    )
+    assert unused_parameters(src) == ["<src>:1 f: rest", "<src>:2 g: e", "<src>:6 m: y"]
+
+
+def test_no_unused_parameters_in_package():
+    # every runner takes (scenario, basedir, seed, tol_scale, out_dir) from the table in cli.main
+    found = [re.sub(r":\d+ ", " ", hit) for path in sorted(SRC.glob("*.py")) for hit in unused_parameters(path.read_text(encoding="utf-8"), path.name)]
+    assert [hit for hit in found if hit != "cli.py run_simulate: basedir"] == []
