@@ -17,6 +17,7 @@ the gauge-fixed representative on the fiber-identity slice.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, is_dataclass
 from typing import Any, Callable
 
@@ -95,13 +96,14 @@ class ConnectionData:
             return bool(np.isfinite(corner**4).all() and np.isfinite(bound.matrix(corner)).all())
 
     def curvature_two_form(self, m: Array) -> Array:
-        """Exact exterior derivative dA: array F[i, j, k] = (dA^k)(e_i, e_j)."""
+        """Exact exterior derivative dA: array F[..., i, j, k] = (dA^k)(e_i, e_j), one per point of a stack (..., d)."""
         d, n = self.base_dim, self.fiber_dim
-        f = np.zeros((d, d, n))
+        m = np.asarray(m, dtype=float)
+        f = np.zeros(m.shape[:-1] + (d, d, n))
         for k in range(n):
             for i in range(d):
                 for j in range(d):
-                    f[i, j, k] = _poly_eval(_poly_partial(self.terms[j][k], i), m) - _poly_eval(
+                    f[..., i, j, k] = _poly_eval(_poly_partial(self.terms[j][k], i), m) - _poly_eval(
                         _poly_partial(self.terms[i][k], j), m
                     )
         return f
@@ -115,14 +117,22 @@ class ConnectionData:
         try:
             for i, per_base in enumerate(raw):
                 for k, monos in enumerate(per_base):
-                    terms[i][k] = [(float(c), tuple(e)) for c, e in monos]
+                    terms[i][k] = [(c, tuple(e)) for c, e in monos]
         except (TypeError, ValueError, IndexError):  # not nested lists, or more entries than dimensions
             raise ValueError(f"'connection' A needs at most {base_dim} base entries of at most {fiber_dim} [coefficient, exponents] lists, got {raw!r}") from None
-        for c, exps in (mono for per_base in terms for monos in per_base for mono in monos):
-            if not np.isfinite(c):
-                raise ValueError(f"'connection' coefficients must be finite, got {c}")
-            if len(exps) != base_dim or not all(isinstance(x, int) and not isinstance(x, bool) and x >= 0 for x in exps) or sum(exps) > 3:
-                raise ValueError(f"'connection' exponents must be {base_dim} nonnegative integers of degree <= 3, got {exps}")
+        for monos in (monos for per_base in terms for monos in per_base):
+            for j, (c, exps) in enumerate(monos):
+                if isinstance(c, bool) or not isinstance(c, (int, float)):  # float() would read "0.5" or true as a number
+                    raise ValueError(f"'connection' coefficients must be numbers, got {c!r}")
+                try:
+                    value = float(c)
+                except OverflowError:  # an integer beyond the float range
+                    value = math.inf
+                if not math.isfinite(value):
+                    raise ValueError(f"'connection' coefficients must be finite, got {c}")
+                if len(exps) != base_dim or not all(isinstance(x, int) and not isinstance(x, bool) and x >= 0 for x in exps) or sum(exps) > 3:
+                    raise ValueError(f"'connection' exponents must be {base_dim} nonnegative integers of degree <= 3, got {exps}")
+                monos[j] = (value, exps)
         return ConnectionData(base_dim, fiber_dim, terms)
 
 
@@ -196,8 +206,9 @@ def map_matrix(linear: Callable[[Array], Array], dim: int, point: Point) -> Arra
 def draw_samples(samples: int, draw_one: Callable[[], tuple]) -> list:
     """Call ``draw_one`` ``samples`` times, in stream order, and stack each of its outputs.
 
-    An array output gains a leading axis of length ``samples``; a dataclass
-    of arrays (a ``Point``, a ``poisson.Polynomial``) becomes the same
+    An array output gains a leading axis of length ``samples`` and keeps its
+    dtype (floats, the integers of a choice, a boolean mask); a dataclass of
+    arrays (a ``Point``, a ``poisson.Polynomial``) becomes the same
     dataclass of stacks.  Each draw is written into its row at once, so only
     one sample's arrays are alive at a time.  A suite draws algebra
     coordinates rather than group elements where it can, and exponentiates
@@ -220,7 +231,7 @@ def draw_samples(samples: int, draw_one: Callable[[], tuple]) -> list:
 
 
 def _rows(samples: int, like: Array) -> Array:
-    return np.empty((samples,) + np.shape(like))
+    return np.empty((samples,) + np.shape(like), dtype=np.result_type(like))
 
 
 @dataclass(frozen=True)

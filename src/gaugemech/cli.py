@@ -24,7 +24,10 @@ from typing import Any, Callable
 import numpy as np
 
 from . import bundle as bundle_mod
-from . import dynamics, groupoid, liealg, poisson, semidirect
+from . import liealg, poisson
+
+# groupoid, semidirect and dynamics are imported by the commands that run them, so a
+# leaves run neither compiles nor holds them
 from .report import Check, SuiteReport, dump_json, worst
 from .rng import stream
 
@@ -234,6 +237,8 @@ def _resolve_bundle(doc: Any, basedir: Path) -> bundle_mod.BundleSpec:
 
 
 def _resolve_semidirect(ref: Any) -> semidirect.SemidirectSpec:
+    from . import semidirect
+
     if isinstance(ref, semidirect.SemidirectSpec):
         return ref
     if isinstance(ref, str):
@@ -265,6 +270,8 @@ def load_scenario(arg: str) -> tuple[dict, Path]:
 
 
 def _suite_registry() -> dict[str, Callable[[dict, int], list[SuiteReport]]]:
+    from . import groupoid, semidirect
+
     def need(ctx: dict, key: str) -> Any:
         if ctx.get(key) is None:
             raise ConfigError(f"suite requires a {key!r} entry in the scenario")
@@ -337,6 +344,8 @@ def _suite_registry() -> dict[str, Callable[[dict, int], list[SuiteReport]]]:
 
 def _momentum_cross_check(sd: semidirect.SemidirectSpec, b: bundle_mod.BundleSpec, seed: int) -> SuiteReport:
     """bundle.momentum on the total space matches the factor momentum J_N."""
+    from . import semidirect
+
     rep = SuiteReport(f"semidirect.momentum_cross_check[{sd.name}]")
     rng = stream(seed, f"semidirect.momentum_cross/{sd.name}")
     base, fiber, a, chi = bundle_mod.draw_samples(40, lambda: (*b.random_point_coords(rng), *b.random_covector(rng)))
@@ -443,13 +452,12 @@ def run_leaves(scenario: dict, basedir: Path, seed: int, tol_scale: float, out_d
     doc.update(extras)
     dump_json(doc, str(out_dir / "report.json"))
 
-    # sampled leaf points as CSV: class coordinates (m, a, bbar)
+    # sampled leaf points as CSV: class coordinates (m, a, bbar), one stacked section over the drawn bases
     rng = stream(seed, "cli.leaf_points")
-    rows = []
-    for mu in orbit.samples[:samples]:
-        m = b.random_base(rng)
-        cls = b.sigma(m, mu)
-        rows.append(np.concatenate([m, cls.rep.a + rng.standard_normal(b.d), cls.rep.b]))
+    mus = np.array(orbit.samples[:samples])
+    m, rho = bundle_mod.draw_samples(len(mus), lambda: (b.random_base(rng), rng.standard_normal(b.d)))
+    cls = b.sigma(m, mus)
+    rows = np.concatenate([m, cls.rep.a + rho, cls.rep.b], axis=1)
     with (out_dir / "leaf_points.csv").open("w", encoding="utf-8") as fh:
         fh.write(",".join([f"m{i+1}" for i in range(b.d)] + [f"a{i+1}" for i in range(b.d)] + [f"b{i+1}" for i in range(b.n)]) + "\n")
         for row in rows:
@@ -458,6 +466,8 @@ def run_leaves(scenario: dict, basedir: Path, seed: int, tol_scale: float, out_d
 
 
 def run_simulate(scenario: dict, basedir: Path, seed: int, tol_scale: float, out_dir: Path) -> int:
+    from . import dynamics, semidirect
+
     cfg = scenario.get("simulate")
     if not isinstance(cfg, dict):
         raise ConfigError(f"simulate scenario needs a 'simulate' section (an object), got {cfg!r}")

@@ -38,13 +38,14 @@ def central(fn: Callable[[Array], Any], x: Array, directions, h: float) -> Array
 
     With the unit vectors as directions, x + h e_i has the bits of x with h
     added to entry i.  ``x`` may be a stack of points when ``fn`` takes
-    stacks: each step broadcasts over the stack, so every point is displaced
-    with the bits of its one-point call.
+    stacks, and each direction may carry the same stack axes (one direction
+    per point): each step broadcasts over the stack, so every point is
+    displaced with the bits of its one-point call.
     """
     x = np.asarray(x, dtype=float)
     return np.array([quotient(fn(x - step), fn(x + step), h) for step in h * np.asarray(directions, dtype=float)])
 
 
 def group_velocity(G: LieGroupSpec, minus: Array, plus: Array, h: float) -> Array:
-    """Left-trivialized velocity of a group curve from its points at -h and +h: log(minus^-1 plus) / (2 h)."""
+    """Left-trivialized velocity of a group curve from its points at -h and +h: log(minus^-1 plus) / (2 h), per pair of stacked endpoints."""
     return G.log(G.inverse(minus) @ plus) / (2 * h)

@@ -143,9 +143,6 @@ class VBGroupoid:
     def zero(self, p: Point, q: Point) -> VBElement:
         return VBElement(p, q, np.zeros(_lead(p) + (self.inv.shape[0],)))
 
-    def random(self, rng: np.random.Generator, p: Point, q: Point) -> VBElement:
-        return VBElement(p, q, rng.standard_normal(_lead(p) + (self.inv.shape[0],)))
-
     def side_distance(self, s1: SideElement, s2: SideElement) -> float | Array:
         return self.bundle.point_distance(s1.point, s2.point) + row_norm(s1.x - s2.x)
 

@@ -71,6 +71,7 @@ _PADE_COEFFS = tuple(np.array(b, dtype=float) for b in (
 ))
 # above this 1-norm the a^3 = 0 test in expm can overflow (|a^3|_1 <= |a|_1^3)
 _EXPM_MAX_NORM = float(np.finfo(float).max) ** (1.0 / 3.0)
+_EYE3 = np.eye(3)
 
 
 def expm(a: Array) -> Array:
@@ -178,25 +179,40 @@ def _rodrigues_coefficients(x: float, y: float, z: float) -> tuple[float, float]
     return math.sin(theta) / theta, 0.5 * half * half
 
 
-def rotation_log(g: Array) -> Array | None:
-    """log(g) of a 3x3 rotation in closed form, or None to defer to ``logm``.
+def rotation_log(g: Array) -> tuple[Array, list[bool]]:
+    """log of each 3x3 rotation of a stack (N, 3, 3) in closed form, and which rows it took.
 
     log(g) = theta / (2 sin theta) (g - g^T) with theta = atan2(sin, cos) from
-    the antisymmetric part and the trace (Gallier & Xu 2002).  Returns None
-    when g is not orthogonal to ROTATION_ORTHO_TOL with positive determinant
-    (a non-rotation is never projected onto one) and when theta lies within
-    ROTATION_LOG_PI_MARGIN of pi, where the domain verdict belongs to ``logm``.
+    the antisymmetric part and the trace (Gallier & Xu 2002).  A row is left
+    to ``logm`` (its flag False, its output row unset) when g is not
+    orthogonal to ROTATION_ORTHO_TOL with positive determinant (a
+    non-rotation is never projected onto one) and when theta lies within
+    ROTATION_LOG_PI_MARGIN of pi, where the domain verdict belongs to
+    ``logm``.  The per-row scalars are Python floats, so each row has the bits
+    of its one-row call.
     """
-    if not np.abs(g.T @ g - np.eye(3)).max() <= ROTATION_ORTHO_TOL or not np.linalg.det(g) > 0.0:
-        return None
-    anti = g - g.T
-    sin = 0.5 * math.sqrt(float(anti[2, 1] ** 2 + anti[0, 2] ** 2 + anti[1, 0] ** 2))
-    theta = math.atan2(sin, 0.5 * (float(g[0, 0] + g[1, 1] + g[2, 2]) - 1.0))
-    if theta > math.pi - ROTATION_LOG_PI_MARGIN:
-        return None
-    theta2 = theta * theta
-    factor = 0.5 + theta2 / 12.0 if theta2 < ROTATION_TAYLOR_THETA2 else 0.5 * theta / sin
-    return factor * anti
+    gt = g.swapaxes(-1, -2)
+    defect = gt @ g
+    defect -= _EYE3
+    ortho = np.abs(defect, out=defect).reshape(-1, 9).max(axis=-1) <= ROTATION_ORTHO_TOL
+    factors, closed = [], []
+    for ok, (t0, t1, t2, t3, t4, t5, t6, t7, t8) in zip(ortho.tolist(), map(np.ndarray.tolist, g.reshape(-1, 9))):  # one row's floats at a time
+        # the determinant of an orthogonal row is +-1 to rounding: its cofactor expansion has the sign of any other
+        ok = ok and t0 * (t4 * t8 - t5 * t7) - t1 * (t3 * t8 - t5 * t6) + t2 * (t3 * t7 - t4 * t6) > 0.0
+        if ok:
+            # the entries (2, 1), (0, 2) and (1, 0) of g - g^T
+            sin = 0.5 * math.sqrt((t7 - t5) ** 2 + (t2 - t6) ** 2 + (t3 - t1) ** 2)
+            theta = math.atan2(sin, 0.5 * (t0 + t4 + t8 - 1.0))
+            ok = theta <= math.pi - ROTATION_LOG_PI_MARGIN
+        factor = 0.0
+        if ok:
+            theta2 = theta * theta
+            factor = 0.5 + theta2 / 12.0 if theta2 < ROTATION_TAYLOR_THETA2 else 0.5 * theta / sin
+        closed.append(ok)
+        factors.append(factor)
+    anti = g - gt
+    anti *= np.array(factors)[:, None, None]
+    return anti, closed
 
 
 def _sqrtm(a: Array, tol: float = 1e-13, iters: int = 80) -> Array:
@@ -288,6 +304,7 @@ class LieGroupSpec:
     membership_residual: Callable[[Array], float] | None = None
     membership_tol: float = 1e-8
     _basis_pinv: Array = field(init=False, repr=False)
+    _off_span: Array = field(init=False, repr=False)
     _rotation_basis: bool = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -298,6 +315,7 @@ class LieGroupSpec:
                 raise ValueError(f"{name!r} entries of group {self.name!r} must be finite")
         flat = self.basis.reshape(self.dim, -1)
         self._basis_pinv = np.linalg.pinv(flat)
+        self._off_span = np.eye(flat.shape[1]) - self._basis_pinv @ flat
         # 3x3 antisymmetric basis matrices: exp and log have closed forms (Rodrigues)
         self._rotation_basis = self.embed == 3 and np.array_equal(self.basis, -np.transpose(self.basis, (0, 2, 1)))
 
@@ -311,12 +329,20 @@ class LieGroupSpec:
         return (x[..., None, :] @ self.basis.reshape(self.dim, -1)).reshape(x.shape[:-1] + (self.embed, self.embed))
 
     def to_coords(self, mat: Array, check: bool = True, tol: float = 1e-8) -> Array:
+        """Coordinates of an algebra matrix, or of each of a stack (..., embed, embed).
+
+        With ``check``, LieDomainError when a matrix is off the algebra span by
+        more than ``tol`` relative to its Frobenius norm (at least 1).
+        """
         mat = np.asarray(mat, dtype=float)
-        x = mat.reshape(-1) @ self._basis_pinv
+        flat = mat.reshape(mat.shape[:-2] + (-1,))
+        x = (flat[..., None, :] @ self._basis_pinv)[..., 0, :]  # one vector-matrix product per row
         if check:
-            resid = np.linalg.norm(self.from_coords(x) - mat)
-            if resid > tol * max(1.0, np.linalg.norm(mat)):
-                raise LieDomainError(f"matrix not in the algebra span of {self.name} (residual {resid:.2e})")
+            off = flat @ self._off_span  # the part of each matrix off the span, squared below
+            sq = np.vecdot(off, off)
+            bad = sq > tol * tol * np.maximum(1.0, np.vecdot(flat, flat))
+            if bad.any():
+                raise LieDomainError(f"matrix not in the algebra span of {self.name} (residual {math.sqrt(np.max(sq[bad])):.2e})")
         return x
 
     def pair(self, mu: Array, x: Array) -> float:
@@ -427,9 +453,21 @@ class LieGroupSpec:
         return rodrigues(a) if self._rotation_basis else expm(a)
 
     def log(self, g: Array) -> Array:
+        """log of a group element, or of each of a stack (..., embed, embed), in algebra coordinates.
+
+        Rotation rows take the closed form ``rotation_log``; the rows it
+        leaves, and every row of other groups, take ``logm`` one at a time.
+        Each row has the bits of its single call.
+        """
         g = np.asarray(g, dtype=float)
-        a = rotation_log(g) if self._rotation_basis and g.shape == (3, 3) else None
-        return self.to_coords(logm(g) if a is None else a)
+        rows = g.reshape((-1,) + g.shape[-2:])
+        if self._rotation_basis and g.shape[-2:] == (3, 3):
+            a, closed = rotation_log(rows)
+        else:
+            a, closed = np.empty_like(rows), [False] * len(rows)
+        for i in (i for i, ok in enumerate(closed) if not ok):
+            a[i] = logm(rows[i])
+        return self.to_coords(a.reshape(g.shape))
 
     def identity(self) -> Array:
         return np.eye(self.embed)

@@ -40,7 +40,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import fd
-from .bundle import BundleSpec, ConnectionData, CotangentSample, Point, QuotientClass, draw_samples, row_dot, row_matvec
+from .bundle import BundleSpec, ConnectionData, CotangentSample, Point, QuotientClass, draw_samples, row_dot, row_matvec, row_norm
 from .liealg import LieGroupSpec, rodrigues
 from .report import SuiteReport, worst
 from .rng import stream
@@ -112,8 +112,6 @@ class Polynomial:
     c2: Array
     c3: Array
 
-    # row_dot and row_matvec written out: the central differences of
-    # groupoid_action_suite evaluate one point at a time, thousands of times
     def __call__(self, x: Array) -> float | Array:
         x_c2 = (x[..., None, :] @ self.c2)[..., 0, :]  # x @ c2 per row
         return self.c0 + np.vecdot(self.c1, x) + np.vecdot(x_c2, x) + np.vecdot(self.c3, x**3)
@@ -153,28 +151,32 @@ class CotangentFn:
 
 
 def cotangent_grads(bundle: BundleSpec, F: CotangentFn, s: CotangentSample) -> tuple[Array, Array, Array, Array]:
-    """Block gradients (dm, du, da, db): exact when F has them, else central differences.
+    """Block gradients (dm, du, da, db), one row per sample of a stack: exact when F has them, else central differences.
 
     The base and fiber blocks differentiate along exp-chart coordinates of
     the moves ``base_move`` and u -> u exp(t), so du is left-trivialized.
-    Central differences take one sample; exact gradients may take a stack.
+    Central differences displace every sample of a stack at once when
+    ``F.fn`` takes stacks, so each row has the bits of its one-sample call.
     """
     if F.grads is not None:
         return F.grads(s)
     p, a, b = s.point, s.a, s.b
     eye_d, eye_n, h = np.eye(bundle.d), np.eye(bundle.n), fd.GRAD_STEP
-    dm = fd.central(lambda t: F.fn(CotangentSample(Point(bundle.base_move(p.base, t), p.fiber), a, b)), np.zeros(bundle.d), eye_d, h)
-    du = fd.central(lambda t: F.fn(CotangentSample(Point(p.base, p.fiber @ bundle.group.exp(t)), a, b)), np.zeros(bundle.n), eye_n, h)
-    da = fd.central(lambda x: F.fn(CotangentSample(p, x, b)), a, eye_d, h)
-    db = fd.central(lambda x: F.fn(CotangentSample(p, a, x)), b, eye_n, h)
-    return dm, du, da, db
+    blocks = (
+        fd.central(lambda t: F.fn(CotangentSample(Point(bundle.base_move(p.base, t), p.fiber), a, b)), np.zeros(bundle.d), eye_d, h),
+        fd.central(lambda t: F.fn(CotangentSample(Point(p.base, p.fiber @ bundle.group.exp(t)), a, b)), np.zeros(bundle.n), eye_n, h),
+        fd.central(lambda x: F.fn(CotangentSample(p, x, b)), a, eye_d, h),
+        fd.central(lambda x: F.fn(CotangentSample(p, a, x)), b, eye_n, h),
+    )
+    # central gives one row per direction; the bracket takes one contiguous row per sample
+    return tuple(np.moveaxis(block, 0, -1).copy() for block in blocks)
 
 
 def cotangent_bracket(bundle: BundleSpec, F: CotangentFn, G: CotangentFn, s: CotangentSample) -> float | Array:
     """Canonical Poisson bracket of T*P in the trivialization-induced frame.
 
-    At one sample, or per sample of a stack when F and G have exact block
-    gradients; each row has the bits of its one-sample call.
+    At one sample, or per sample of a stack when F and G take stacks; each
+    row has the bits of its one-sample call.
     """
     dmF, duF, daF, dbF = cotangent_grads(bundle, F, s)
     dmG, duG, daG, dbG = cotangent_grads(bundle, G, s)
@@ -286,7 +288,7 @@ def invariant_lift(bundle: BundleSpec, f: ScalarField | Polynomial) -> Cotangent
 
     Block gradients are exact, at a sample or per sample of a stack, unless f
     is a ``ScalarField`` without an exact gradient; then they come from
-    ``cotangent_grads``' central differences at one sample.
+    ``cotangent_grads``' central differences, at one sample as ``f`` takes one.
     """
     d = bundle.d
 
@@ -411,11 +413,16 @@ def casimir_fields(group: LieGroupSpec) -> list[ScalarField]:
     the structure constants.  Gradients take a point or a stack of points.
     """
     linear, quadratic = group.casimirs
-    fields = [ScalarField(lambda mu, x=x: float(x @ mu), lambda mu, x=x: np.broadcast_to(x, np.shape(mu)).copy(), name=f"linear{i}")
-              for i, x in enumerate(linear)]
-    fields += [ScalarField(lambda mu, q=q: float(mu @ q @ mu), lambda mu, q=q: 2.0 * row_matvec(q, mu), name=f"quadratic{i}")
-               for i, q in enumerate(quadratic)]
+    fields = [ScalarField(lambda mu, x=x: float(x @ mu), lambda mu, x=x: np.broadcast_to(x, np.shape(mu)).copy(), name=f"linear{i}",
+                          batch_fn=lambda rows, x=x: row_dot(rows, x)) for i, x in enumerate(linear)]
+    fields += [ScalarField(lambda mu, q=q: float(mu @ q @ mu), lambda mu, q=q: 2.0 * row_matvec(q, mu), name=f"quadratic{i}",
+                           batch_fn=lambda rows, q=q: row_dot(_vecmat(rows, q), rows)) for i, q in enumerate(quadratic)]
     return fields
+
+
+def _vecmat(v: Array, m: Array) -> Array:
+    """v @ m per row: vectors (..., r) times matrices (..., r, c), one BLAS vector-matrix product per row."""
+    return (v[..., None, :] @ m)[..., 0, :]
 
 
 @dataclass
@@ -432,22 +439,28 @@ class CoadjointOrbit:
         n = self.group.dim
         return np.stack([self.group.ad_star(np.eye(n)[i]) @ mu for i in range(n)], axis=1)
 
-    def membership_residual(self, mu: Array) -> float:
+    def membership_residual(self, mu: Array) -> float | Array:
+        """Distance of mu from the orbit, or of each row of a stack (..., dim).
+
+        The worst change of a Casimir when the group has Casimirs, else the
+        distance to the nearest of mu0 and the samples.
+        """
+        mu = np.asarray(mu, dtype=float)
+        rows = mu.reshape(-1, self.group.dim)
         cas = casimir_fields(self.group)
         if cas:
-            return worst(*(abs(c(mu) - c(self.mu0)) for c in cas))
-        if not self.samples:
-            return float(np.linalg.norm(mu - self.mu0))
-        return min(float(np.linalg.norm(mu - s)) for s in self.samples + [self.mu0])
+            res = np.max([np.abs(c.evaluate_rows(rows) - c(self.mu0)) for c in cas], axis=0)
+        else:
+            res = np.min(row_norm(rows[:, None, :] - np.array([self.mu0, *self.samples])), axis=1)
+        return float(res[0]) if mu.ndim == 1 else res.reshape(mu.shape[:-1])
 
 
 def coadjoint_orbit(group: LieGroupSpec, mu0: Array, n_samples: int = 40, seed: int = 0) -> CoadjointOrbit:
+    """The orbit through mu0 with n_samples points Ad*_{g^-1} mu0, the g drawn in one loop and exponentiated as one stack."""
     mu0 = np.asarray(mu0, dtype=float)
     rng = stream(seed, f"poisson.orbit/{group.name}")
-    orbit = CoadjointOrbit(group, mu0)
-    for _ in range(n_samples):
-        g = group.random_element(rng, scale=0.8)
-        orbit.samples.append(group.Ad_star_inv(g) @ mu0)
+    g = np.array([group.random_algebra(rng, scale=0.8) for _ in range(n_samples)]).reshape(n_samples, group.dim)
+    orbit = CoadjointOrbit(group, mu0, list(row_matvec(group.Ad_star_inv(group.exp(g)), mu0)))
     span = orbit.tangent_span(mu0)
     svals = np.linalg.svd(span, compute_uv=False)
     cut = 1e-8 * max(svals[0], 1.0)
@@ -467,40 +480,49 @@ def _acts_by_rotation(group: LieGroupSpec) -> bool:
             and np.allclose(group.basis, -group.structure))
 
 
-def _rotation(axis: Array, angle: float) -> Array:
-    """Rotation of R^3 by angle about the unit axis (Rodrigues)."""
-    k = np.array([[0.0, -axis[2], axis[1]], [axis[2], 0.0, -axis[0]], [-axis[1], axis[0], 0.0]])
-    return rodrigues(angle * k)
-
-
 def coadjoint_transport(group: LieGroupSpec, mu_from: Array, mu_to: Array) -> Array:
-    """A group element w with Ad*_{w^-1} mu_from = mu_to (orbit alignment)."""
+    """A group element w with Ad*_{w^-1} mu_from = mu_to (orbit alignment), or one per row of stacks (..., dim).
+
+    For a group acting by rotation, w turns mu_from onto mu_to about their
+    cross product (Rodrigues); antipodal rows turn by pi (1 - 1e-12) about an
+    axis orthogonal to mu_from, and zero or aligned rows get the identity.
+    Raises ValueError when any row pairs points of distinct orbits.
+    """
     mu_from = np.asarray(mu_from, dtype=float)
     mu_to = np.asarray(mu_to, dtype=float)
+    lead = np.broadcast_shapes(mu_from.shape, mu_to.shape)[:-1]
     if np.allclose(group.structure, 0.0):
-        if np.linalg.norm(mu_from - mu_to) > 1e-9:
+        if np.any(row_norm(mu_from - mu_to) > 1e-9):
             raise ValueError("points on distinct orbits of an abelian group")
-        return group.identity()
-    if _acts_by_rotation(group):
-        # rotate mu_from onto mu_to
-        a, b = mu_from, mu_to
-        na, nb = np.linalg.norm(a), np.linalg.norm(b)
-        if abs(na - nb) > 1e-8 * max(1.0, na):
-            raise ValueError(f"points on distinct {group.name}* orbits")
-        if na < 1e-14:
-            return group.identity()
-        axis = np.cross(a, b)
-        s = np.linalg.norm(axis) / (na * nb)
-        c = float(a @ b) / (na * nb)
-        if s < 1e-12:
-            if c > 0:
-                return group.identity()
-            # antipodal: rotate by pi around any axis orthogonal to a
-            perp = np.eye(3)[int(np.argmin(np.abs(a)))]
-            perp = perp - (perp @ a) / (na * na) * a
-            return _rotation(perp / np.linalg.norm(perp), np.pi * (1 - 1e-12))
-        return _rotation(axis / np.linalg.norm(axis), float(np.arctan2(s, c)))
-    raise NotImplementedError(f"no coadjoint transport rule for group {group.name!r}")
+        return np.broadcast_to(group.identity(), lead + (group.embed,) * 2).copy()
+    if not _acts_by_rotation(group):
+        raise NotImplementedError(f"no coadjoint transport rule for group {group.name!r}")
+    a, b = (np.broadcast_to(mu, lead + (3,)).reshape(-1, 3) for mu in (mu_from, mu_to))
+    na, nb = row_norm(a), row_norm(b)
+    if np.any(np.abs(na - nb) > 1e-8 * np.maximum(1.0, na)):
+        raise ValueError(f"points on distinct {group.name}* orbits")
+    axis = np.cross(a, b)
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero rows are the identity below
+        s = row_norm(axis) / (na * nb)
+        c = row_dot(a, b) / (na * nb)
+        angle = np.arctan2(s, c)
+        unit = axis / row_norm(axis)[:, None]
+    zero = na < 1e-14
+    flip = ~zero & (s < 1e-12) & ~(c > 0)
+    turn = ~zero & ~(s < 1e-12)
+    if flip.any():  # antipodal: rotate by pi around any axis orthogonal to a
+        af = a[flip]
+        perp = np.eye(3)[np.argmin(np.abs(af), axis=1)]
+        perp = perp - (row_dot(perp, af) / (na[flip] * na[flip]))[:, None] * af
+        unit[flip] = perp / row_norm(perp)[:, None]
+        angle[flip] = np.pi * (1 - 1e-12)
+    # Rodrigues of angle * [unit]x per row; exp(0) = I on the rows that need no turn
+    k = np.zeros((len(a), 3, 3))
+    k[:, 0, 1], k[:, 0, 2], k[:, 1, 2] = -unit[:, 2], unit[:, 1], -unit[:, 0]
+    k[:, 1, 0], k[:, 2, 0], k[:, 2, 1] = unit[:, 2], -unit[:, 1], unit[:, 0]
+    k *= angle[:, None, None]
+    k[~(turn | flip)] = 0.0
+    return rodrigues(k).reshape(lead + (3, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +551,7 @@ def dexp_left(group: LieGroupSpec, xi: Array, dxi: Array, terms: int = 24) -> Ar
 
 
 def canonical_two_form(factors: Sequence[int | LieGroupSpec], covector: Array) -> Array:
-    """Matrix of d gamma on T*Q, Q a product of vector (given by dimension) and group factors.
+    """Matrix of d gamma on T*Q, Q a product of vector (given by dimension) and group factors, or one per covector of a stack.
 
     Left-trivialized tangents are laid out (velocities xi | covector changes nu)
     and covector holds mu; v1 . Omega . v2 = <nu1, xi2> - <nu2, xi1> - <mu, [xi1, xi2]>,
@@ -537,20 +559,21 @@ def canonical_two_form(factors: Sequence[int | LieGroupSpec], covector: Array) -
     group factor, 0 on each vector factor.
     """
     mu = np.asarray(covector, dtype=float)
-    dim = mu.size
-    out = np.zeros((2 * dim, 2 * dim))
+    dim = mu.shape[-1]
+    out = np.zeros(mu.shape[:-1] + (2 * dim, 2 * dim))
     off = 0
     for f in factors:
         if isinstance(f, LieGroupSpec):
-            out[off : off + f.dim, off : off + f.dim] = -(f.structure @ mu[off : off + f.dim])
+            # structure @ mu on the factor's coordinates, one matrix-vector product per structure row and covector
+            out[..., off : off + f.dim, off : off + f.dim] = -(f.structure @ mu[..., None, off : off + f.dim, None])[..., 0]
             off += f.dim
         else:
             off += f
     if off != dim:
         raise ValueError(f"factors of total dimension {off} do not match a covector of size {dim}")
     eye = np.eye(dim)
-    out[:dim, dim:] = -eye
-    out[dim:, :dim] = eye
+    out[..., :dim, dim:] = -eye
+    out[..., dim:, :dim] = eye
     return out
 
 
@@ -561,76 +584,70 @@ def canonical_two_form(factors: Sequence[int | LieGroupSpec], covector: Array) -
 
 def leaf_structure(bundle: BundleSpec, orbit: CoadjointOrbit, samples: int = 25, seed: int = 0,
                    tol_affine: float = 1e-10, membership_tol: float = 1e-8) -> SuiteReport:
-    """Membership, dimension, affine fibration, and section checks for J^{-1}(O)/G."""
+    """Membership, dimension, affine fibration, and section checks for J^{-1}(O)/G.
+
+    The stream is drawn in one loop; each check is evaluated once over the
+    stacked samples.
+    """
     rep = SuiteReport(f"poisson.leaf[{bundle.name}|orbit({orbit.group.name})]")
     rng = stream(seed, f"poisson.leaf/{bundle.name}")
     d, n = bundle.d, bundle.n
     G = bundle.group
 
-    w_member = w_aff = w_pis = w_surj = 0.0
-    dim_ok = True
-    leaf_dims = set()
-    for _ in range(samples):
-        # on-orbit sample upstairs, arbitrary gauge
-        g = G.random_element(rng, scale=0.8)
-        chi = G.Ad_star_inv(g) @ orbit.mu0
-        phi = bundle.random_cotangent(rng)
-        phi = CotangentSample(phi.point, phi.a, G.Ad_star(phi.point.fiber) @ chi)
+    # per sample: g (orbit point), the on-orbit covector phi and a generic one (point, components), rho2, a gauge element and rho_target
+    g, base, fiber, a, b, off_base, off_fiber, off_a, off_b, rho2, gauge, rho_target = draw_samples(samples, lambda: (
+        G.random_algebra(rng, 0.8), *bundle.random_point_coords(rng), *bundle.random_covector(rng),
+        *bundle.random_point_coords(rng), *bundle.random_covector(rng), rng.standard_normal(d), G.random_algebra(rng), rng.standard_normal(d)))
+    g, fiber, off_fiber, gauge = G.exp(np.stack([g, fiber, off_fiber, gauge]))
+    # on-orbit sample upstairs, arbitrary gauge
+    chi = row_matvec(G.Ad_star_inv(g), orbit.mu0)
+    phi = CotangentSample(Point(base, fiber), a, row_matvec(G.Ad_star(fiber), chi))
+    off = CotangentSample(Point(off_base, off_fiber), off_a, off_b)  # generic covector: off the orbit unless G is abelian
 
-        # (a) membership equivalence: J-side vs iota*-side verdicts
-        j_val = bundle.momentum(phi)
-        j_member = orbit.membership_residual(j_val) <= membership_tol
-        base_r, chi_r = bundle.iota_star(bundle.quotient_rep(phi))
-        i_member = orbit.membership_residual(chi_r) <= membership_tol
-        w_member = worst(w_member, 0.0 if (j_member and i_member) else 1.0)
+    # (a) membership equivalence: J-side vs iota*-side verdicts, on the generic covectors only where they are off the orbit
+    def residuals(s: CotangentSample) -> tuple[Array, Array]:
+        return orbit.membership_residual(bundle.momentum(s)), orbit.membership_residual(bundle.iota_star(bundle.quotient_rep(s))[1])
 
-        off = bundle.random_cotangent(rng)  # generic covector: off the orbit unless G is abelian
-        if orbit.membership_residual(bundle.momentum(off)) > 10 * membership_tol:
-            j_off = orbit.membership_residual(bundle.momentum(off)) <= membership_tol
-            i_off = orbit.membership_residual(bundle.iota_star(bundle.quotient_rep(off))[1]) <= membership_tol
-            w_member = worst(w_member, 0.0 if (j_off == i_off) else 1.0)
+    (j_on, i_on), (j_off, i_off) = residuals(phi), residuals(off)
+    # an off-orbit row (J residual above 10 tol) fails when iota* puts it on the orbit
+    on_agree = worst(j_on, i_on) <= membership_tol
+    off_agree = not np.min(i_off, where=j_off > 10 * membership_tol, initial=np.inf) <= membership_tol
+    w_member = 0.0 if on_agree and off_agree else 1.0
 
-        # (b) leaf dimension: rank of the tangent span of the parametrization
-        # (m, rho, orbit direction) -> a*(rho) + sigma(m, transported chi)
-        x0 = bundle.class_coords(phi)
-        m0, chi0 = x0[:d], x0[2 * d :]
+    # (b) leaf dimension: rank of the tangent span of the parametrization
+    # (m, rho, orbit direction) -> a*(rho) + sigma(m, transported chi)
+    x0 = bundle.class_coords(phi)
+    m0, chi0 = x0[:, :d], x0[:, 2 * d :]
 
-        def embed(z: Array) -> Array:
-            mm, rho, svec = z[:d], z[d : 2 * d], z[2 * d :]
-            chi_s = G.Ad_star(G.exp(-svec)) @ chi0
-            cls = bundle.sigma(mm, chi_s)
-            return np.concatenate([mm, cls.rep.a + rho, chi_s])
+    def embed(z: Array) -> Array:
+        mm, rho, svec = z[:, :d], z[:, d : 2 * d], z[:, 2 * d :]
+        chi_s = row_matvec(G.Ad_star(G.exp(-svec)), chi0)
+        return np.concatenate([mm, bundle.sigma(mm, chi_s).rep.a + rho, chi_s], axis=1)
 
-        z0 = np.concatenate([m0, np.zeros(d + n)])
-        span = fd.central(embed, z0, np.eye(2 * d + n), fd.FINE_STEP).T
-        svals = np.linalg.svd(span, compute_uv=False)
-        leaf_dim = int(np.sum(svals > 1e-6 * max(svals[0], 1.0)))
-        leaf_dims.add(leaf_dim)
-        dim_ok = dim_ok and (leaf_dim == 2 * d + orbit.dim)
+    z0 = np.concatenate([m0, np.zeros((samples, d + n))], axis=1)
+    span = np.moveaxis(fd.central(embed, z0, np.eye(2 * d + n), fd.FINE_STEP), 0, -1)  # (samples, coordinates, directions)
+    svals = np.linalg.svd(span, compute_uv=False)
+    leaf_dims = np.sum(svals > 1e-6 * np.maximum(svals[:, :1], 1.0), axis=1)
 
-        # (c) the affine action is free and transitive on iota*-fibers
-        cls1 = bundle.class_coords(phi)
-        rho2 = rng.standard_normal(d)
-        cls2 = np.concatenate([cls1[:d], cls1[d : 2 * d] + rho2, cls1[2 * d :]])
-        diff_rho = cls2[d : 2 * d] - cls1[d : 2 * d]
-        recon = bundle.a_star(cls1[:d], diff_rho)
-        moved = np.concatenate([cls1[:d], cls1[d : 2 * d] + recon.rep.a, cls1[2 * d :] + recon.rep.b])
-        w_aff = worst(w_aff, float(np.linalg.norm(moved - cls2)))
+    # (c) the affine action is free and transitive on iota*-fibers
+    cls2 = np.concatenate([x0[:, :d], x0[:, d : 2 * d] + rho2, x0[:, 2 * d :]], axis=1)
+    recon = bundle.a_star(x0[:, :d], cls2[:, d : 2 * d] - x0[:, d : 2 * d])
+    moved = np.concatenate([x0[:, :d], x0[:, d : 2 * d] + recon.rep.a, x0[:, 2 * d :] + recon.rep.b], axis=1)
+    w_aff = worst(row_norm(moved - cls2))
 
-        # (d) pi_sigma: gauge-choice independence and constructive surjectivity
-        cls_a = bundle.class_coords(phi)
-        cls_b = bundle.class_coords(bundle.cot_act(phi, G.random_element(rng)))
-        pis_a = cls_a[d : 2 * d] - bundle.sigma(cls_a[:d], cls_a[2 * d :]).rep.a
-        pis_b = cls_b[d : 2 * d] - bundle.sigma(cls_b[:d], cls_b[2 * d :]).rep.a
-        w_pis = worst(w_pis, float(np.linalg.norm(pis_a - pis_b)))
-        # preimage of a random rho: sigma(m, chi) + a*(rho) maps back to rho
-        rho_target = rng.standard_normal(d)
-        sec = bundle.sigma(m0, chi0)
-        preimage = QuotientClass(CotangentSample(sec.rep.point, sec.rep.a + rho_target, sec.rep.b))
-        w_surj = worst(w_surj, float(np.linalg.norm(bundle.sigma_tilde(preimage) - rho_target)))
+    # (d) pi_sigma: gauge-choice independence and constructive surjectivity
+    def pi_sigma(cls: Array) -> Array:
+        return cls[:, d : 2 * d] - bundle.sigma(cls[:, :d], cls[:, 2 * d :]).rep.a
 
+    w_pis = worst(row_norm(pi_sigma(x0) - pi_sigma(bundle.class_coords(bundle.cot_act(phi, gauge)))))
+    # preimage of a random rho: sigma(m, chi) + a*(rho) maps back to rho
+    sec = bundle.sigma(m0, chi0)
+    preimage = QuotientClass(CotangentSample(sec.rep.point, sec.rep.a + rho_target, sec.rep.b))
+    w_surj = worst(row_norm(bundle.sigma_tilde(preimage) - rho_target))
+
+    dims = set(leaf_dims.tolist())
     rep.add("membership_equivalence", w_member, 0.5)
-    rep.add("leaf_dimension", 0.0 if dim_ok else 1.0, 0.5, expected=2 * d + orbit.dim, got=sorted(leaf_dims))
+    rep.add("leaf_dimension", 0.0 if dims == {2 * d + orbit.dim} else 1.0, 0.5, expected=2 * d + orbit.dim, got=sorted(dims))
     rep.add("affine_transitivity", w_aff, tol_affine)
     rep.add("pi_sigma_well_defined", w_pis, 1e-9)
     rep.add("pi_sigma_surjective", w_surj, 1e-11)
@@ -641,13 +658,21 @@ def leaf_structure(bundle: BundleSpec, orbit: CoadjointOrbit, samples: int = 25,
     return rep
 
 
+def _form(v1: Array, omega: Array, v2: Array) -> float | Array:
+    """v1 . omega . v2, per row of stacks; a float for one pair."""
+    out = row_dot(_vecmat(v1, omega), v2)
+    return float(out) if np.ndim(out) == 0 else out
+
+
 def magnetic_term(bundle: BundleSpec, chi: Array, samples: int = 15, seed: int = 0):
     """Two-form evaluator for omega_chi - pi_sigma* d(gamma~) plus its report.
 
     Requires a one-point coadjoint orbit (chi fixed by Ad*).  The leaf form
     omega_chi is d gamma (``canonical_two_form``) on tangents pushed through
     the leaf embedding by central differences at the gauge slice; pi_sigma
-    maps the leaf to T*(P/G) through the connection-induced section.
+    maps the leaf to T*(P/G) through the connection-induced section.  The
+    evaluator takes one point and tangent pair or stacks of them; the report
+    evaluates each check once over the stacked samples.
     """
     chi = np.asarray(chi, dtype=float)
     G = bundle.group
@@ -656,58 +681,56 @@ def magnetic_term(bundle: BundleSpec, chi: Array, samples: int = 15, seed: int =
         raise ValueError("magnetic term needs a one-point orbit (chi must be a character)")
     d, n = bundle.d, bundle.n
 
-    def leaf_state(m: Array, rho: Array) -> CotangentSample:
-        # inverse of pi_sigma: a = rho + sigma-part
-        cls = bundle.sigma(m, chi)
-        return CotangentSample(Point(m, G.identity()), rho + cls.rep.a, chi.copy())
-
     def leaf_coords(z: Array) -> Array:
-        s = leaf_state(z[:d], z[d:])
-        return np.concatenate([s.point.base, s.a])
+        """(m, a) of the leaf point over z = (m, rho): the inverse of pi_sigma, a = rho + sigma-part."""
+        m = z[..., :d]
+        return np.concatenate([m, z[..., d:] + bundle.sigma(m, chi).rep.a], axis=-1)
 
-    def two_form(m: Array, rho: Array, t1: Array, t2: Array) -> float:
-        """Evaluate on tangents (dm, drho) of T*(P/G) at (m, rho)."""
+    def two_form(m: Array, rho: Array, t1: Array, t2: Array) -> float | Array:
+        """Evaluate on tangents (dm, drho) of T*(P/G) at (m, rho), or per row of stacks."""
+        z = np.concatenate([m, rho], axis=-1)
         # pushforward through the leaf embedding, by central differences;
         # it has no fiber (u, b) components
-        pushed = fd.central(leaf_coords, np.concatenate([m, rho]), [t1, t2], fd.GRAD_STEP)
-        zero = np.zeros((2, n))
-        p1, p2 = np.hstack([pushed[:, :d], zero, pushed[:, d:], zero])
-        s0 = leaf_state(m, rho)
-        wchi = float(p1 @ canonical_two_form([d, G], s0.coords) @ p2)
+        pushed = fd.central(leaf_coords, z, np.stack([t1, t2]), fd.GRAD_STEP)
+        zero = np.zeros(pushed.shape[:-1] + (n,))
+        p1, p2 = np.concatenate([pushed[..., :d], zero, pushed[..., d:], zero], axis=-1)
+        a = leaf_coords(z)[..., d:]
+        covector = np.concatenate([a, np.broadcast_to(chi, a.shape[:-1] + chi.shape)], axis=-1)
         # canonical d(gamma~) of T*(P/G) on the flat chart
-        return wchi - float(t1 @ canonical_two_form([d], rho) @ t2)
+        return _form(p1, canonical_two_form([d, G], covector), p2) - _form(t1, canonical_two_form([d], rho), t2)
 
     rep = SuiteReport(f"poisson.magnetic[{bundle.name}]")
     rng = stream(seed, f"poisson.magnetic/{bundle.name}")
-    w_match = w_closed = w_basic = 0.0
     flat = not any(any(monos for monos in per_base) for per_base in bundle.connection.terms)
-    for _ in range(samples):
-        m = bundle.random_base(rng)
-        rho = rng.standard_normal(d)
-        t1, t2 = rng.standard_normal(2 * d), rng.standard_normal(2 * d)
-        val = two_form(m, rho, t1, t2)
-        # oracle: the chi-component of the curvature two-form of A
-        f2 = bundle.connection.curvature_two_form(bundle.base_coords_for_connection(m))
-        oracle = float(t1[:d] @ np.einsum("ijk,k->ij", f2, chi) @ t2[:d])
-        w_match = worst(w_match, abs(val - oracle))
 
-        # basic: vanishes when either argument is a pure fiber direction
-        fib = np.concatenate([np.zeros(d), rng.standard_normal(d)])
-        w_basic = worst(w_basic, abs(two_form(m, rho, fib, t2)))
+    def draw() -> tuple:
+        # the point (m, rho), the tangents t1, t2 and the fiber part of fib, then (d >= 2) the closedness triple
+        out = (bundle.random_base(rng), rng.standard_normal(d), rng.standard_normal(2 * d), rng.standard_normal(2 * d), rng.standard_normal(d))
+        if d < 2:
+            return out
+        # base coordinate directions, padded with fiber (rho) directions d + j
+        idx = rng.choice(d, size=min(3, d), replace=False)
+        return *out, np.concatenate([idx, np.array([d + rng.integers(d) for _ in range(3 - idx.size)], dtype=int)])
 
-        # closedness: finite-difference exterior derivative on coordinate triples
-        # (coordinate directions commute, so the cyclic-derivative formula applies)
-        if d >= 2:
-            idx = rng.choice(d, size=min(3, d), replace=False)
-            e = [np.concatenate([np.eye(d)[i], np.zeros(d)]) for i in idx]
-            while len(e) < 3:
-                e.append(np.concatenate([np.zeros(d), np.eye(d)[rng.integers(d)]]))
+    m, rho, t1, t2, fib, *triple = draw_samples(samples, draw)
+    val = two_form(m, rho, t1, t2)
+    # oracle: the chi-component of the curvature two-form of A
+    f2 = np.einsum("...ijk,k->...ij", bundle.connection.curvature_two_form(bundle.base_coords_for_connection(m)), chi)
+    w_match = worst(np.abs(val - _form(t1[:, :d], f2, t2[:, :d])))
 
-            z = np.concatenate([m, rho])
-            dval = 0.0
-            for a_, b_, c_ in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
-                dval += fd.central(lambda zz: two_form(zz[:d], zz[d:], e[b_], e[c_]), z, [e[a_]], fd.CLOSED_STEP)[0]
-            w_closed = worst(w_closed, abs(dval))
+    # basic: vanishes when either argument is a pure fiber direction
+    w_basic = worst(np.abs(two_form(m, rho, np.concatenate([np.zeros((samples, d)), fib], axis=1), t2)))
+
+    # closedness: finite-difference exterior derivative on coordinate triples
+    # (coordinate directions commute, so the cyclic-derivative formula applies)
+    w_closed = 0.0
+    if triple:
+        e = np.moveaxis(np.eye(2 * d)[triple[0]], 1, 0)  # (3, samples, 2d)
+        z = np.concatenate([m, rho], axis=1)
+        dval = 0.0
+        for a_, b_, c_ in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
+            dval += fd.central(lambda zz: two_form(zz[:, :d], zz[:, d:], e[b_], e[c_]), z, e[a_][None], fd.CLOSED_STEP)[0]
+        w_closed = worst(np.abs(dval))
     if flat or float(np.linalg.norm(chi)) == 0.0:
         rep.add("flat_or_zero_chi_vanishes", w_match, 1e-9)
     rep.add("matches_curvature_oracle", w_match, 1e-7)
@@ -725,7 +748,11 @@ def magnetic_term(bundle: BundleSpec, chi: Array, samples: int = 15, seed: int =
 
 @dataclass(frozen=True)
 class PairClassPoint:
-    """Gauge-fixed point of (T*P x T*P)/G: legs ((m1, w), (m2, e)) with covectors."""
+    """Gauge-fixed point of (T*P x T*P)/G: legs ((m1, w), (m2, e)) with covectors.
+
+    A stack of points carries the same leading axes on every field, as a
+    ``bundle.Point`` stack does.
+    """
 
     m1: Array
     w: Array
@@ -737,27 +764,27 @@ class PairClassPoint:
 
 
 def _pair_omega(bundle: BundleSpec, z: PairClassPoint) -> Array:
-    """Matrix of the ambient form d(gamma + gamma) on gauge-slice tangents.
+    """Matrix of the ambient form d(gamma + gamma) on gauge-slice tangents, one per point of a stack.
 
     Tangent layout: (dm1, eta, dm2, da1, db1, da2, db2).  This is T*(M x G x M)
     with covector (a1, b1, a2), plus db2, which pairs with nothing: the second
     leg stays on the fiber-identity slice, so its group direction vanishes.
     """
     k = 4 * bundle.d + 2 * bundle.n
-    out = np.zeros((k + bundle.n, k + bundle.n))
-    out[:k, :k] = canonical_two_form([bundle.d, bundle.group, bundle.d], np.concatenate([z.a1, z.b1, z.a2]))
+    omega = canonical_two_form([bundle.d, bundle.group, bundle.d], np.concatenate([z.a1, z.b1, z.a2], axis=-1))
+    out = np.zeros(omega.shape[:-2] + (k + bundle.n, k + bundle.n))
+    out[..., :k, :k] = omega
     return out
 
 
 def _pair_t(bundle: BundleSpec, z: PairClassPoint) -> Array:
     """Target map to T*P/G coordinates: class of the first leg."""
-    m_w = bundle.group.Ad_star_inv(z.w)
-    return np.concatenate([z.m1, z.a1, m_w @ z.b1])
+    return np.concatenate([z.m1, z.a1, row_matvec(bundle.group.Ad_star_inv(z.w), z.b1)], axis=-1)
 
 
 def _pair_s(z: PairClassPoint) -> Array:
     """Source map to T*P/G coordinates: class of minus the second leg."""
-    return np.concatenate([z.m2, -z.a2, -z.b2])
+    return np.concatenate([z.m2, -z.a2, -z.b2], axis=-1)
 
 
 def _pair_product(lam: PairClassPoint, y: PairClassPoint) -> PairClassPoint:
@@ -766,7 +793,11 @@ def _pair_product(lam: PairClassPoint, y: PairClassPoint) -> PairClassPoint:
 
 
 def groupoid_action_suite(bundle: BundleSpec, orbit: CoadjointOrbit, samples: int = 12, seed: int = 0) -> SuiteReport:
-    """Target/source Poisson properties, orbit connectivity, and graph isotropy."""
+    """Target/source Poisson properties, orbit connectivity, and graph isotropy.
+
+    The stream is drawn in one loop; each check is evaluated once over the
+    stacked samples.
+    """
     rep = SuiteReport(f"poisson.groupoid_action[{bundle.name}]")
     rng = stream(seed, f"poisson.groupoid_action/{bundle.name}")
     quot = quotient_cotangent(bundle)
@@ -778,54 +809,51 @@ def groupoid_action_suite(bundle: BundleSpec, orbit: CoadjointOrbit, samples: in
     arrows = BundleSpec("TrivialProduct", G, ConnectionData.flat(2 * d, n), np.vstack([bundle.base_box] * 2))
     pair_t = partial(_pair_t, bundle)
 
-    def on_arrows(f: ScalarField, leg) -> CotangentFn:
-        def fn(s: CotangentSample) -> float:
+    def on_arrows(f: Polynomial, leg) -> CotangentFn:
+        def fn(s: CotangentSample) -> Array:
             base = s.point.base
-            return f(leg(PairClassPoint(base[:d], s.point.fiber, base[d:], s.a[:d], s.b, s.a[d:], -s.b)))
+            return f(leg(PairClassPoint(base[..., :d], s.point.fiber, base[..., d:], s.a[..., :d], s.b, s.a[..., d:], -s.b)))
         return CotangentFn(fn)
 
-    w_t = w_s = w_conn = w_iso = 0.0
-    transported = False
-    for _ in range(samples):
-        # random arrow of T*Gamma: b2 = -b1
+    def draw() -> tuple:
+        # a random arrow lam of T*Gamma (b2 = -b1 = -beta), f and g on T*P/G, two leaf points to connect, the graph-isotropy draws
         beta = rng.standard_normal(n)
-        lam = PairClassPoint(bundle.random_base(rng), G.random_element(rng), bundle.random_base(rng),
-                             rng.standard_normal(d), beta, rng.standard_normal(d), -beta)
-        s = CotangentSample(Point(np.concatenate([lam.m1, lam.m2]), lam.w), np.concatenate([lam.a1, lam.a2]), beta)
+        lam = bundle.random_base(rng), G.random_algebra(rng), bundle.random_base(rng), rng.standard_normal(d), rng.standard_normal(d)
+        fg = random_polynomial(rng, quot.dim), random_polynomial(rng, quot.dim)
+        g12 = G.random_algebra(rng, 0.8), G.random_algebra(rng, 0.8)
+        ends = bundle.random_base(rng), rng.standard_normal(d), bundle.random_base(rng), rng.standard_normal(d)
+        return beta, *lam, *fg, *g12, *ends, *_isotropy_draw(bundle, orbit, rng)
 
-        f = random_polynomial(rng, quot.dim)
-        g = random_polynomial(rng, quot.dim)
-        lhs = cotangent_bracket(arrows, on_arrows(f, pair_t), on_arrows(g, pair_t), s)
-        rhs = quot.bracket(f, g, pair_t(lam))
-        w_t = worst(w_t, abs(lhs - rhs))
+    (beta, m1, w, m2, a1, a2, f, g, g1, g2, from_m, from_a, to_m, to_a,
+     bsum, b1, y_m1, y_w, y_m2, y_a1, y_a2, m1_0, w_0, a1_0, span, pairs) = draw_samples(samples, draw)
+    w, g1, g2, y_w, w_0 = G.exp(np.stack([w, g1, g2, y_w, w_0]))
 
-        lhs = cotangent_bracket(arrows, on_arrows(f, _pair_s), on_arrows(g, _pair_s), s)
-        rhs = quot.bracket(f, g, _pair_s(lam))
-        w_s = worst(w_s, abs(lhs + rhs))
+    lam = PairClassPoint(m1, w, m2, a1, beta, a2, -beta)
+    s = CotangentSample(Point(np.concatenate([m1, m2], axis=1), w), np.concatenate([a1, a2], axis=1), beta)
+    lhs = cotangent_bracket(arrows, on_arrows(f, pair_t), on_arrows(g, pair_t), s)
+    w_t = worst(np.abs(lhs - quot.bracket(f, g, pair_t(lam))))
+    lhs = cotangent_bracket(arrows, on_arrows(f, _pair_s), on_arrows(g, _pair_s), s)
+    w_s = worst(np.abs(lhs + quot.bracket(f, g, _pair_s(lam))))
 
-        # orbit connectivity: any two leaf points of J^{-1}(O)/G are joined by an arrow
-        g1, g2 = G.random_element(rng, 0.8), G.random_element(rng, 0.8)
-        b_from = G.Ad_star_inv(g1) @ orbit.mu0
-        b_to = G.Ad_star_inv(g2) @ orbit.mu0
-        z_from = np.concatenate([bundle.random_base(rng), rng.standard_normal(d), b_from])
-        z_to = np.concatenate([bundle.random_base(rng), rng.standard_normal(d), b_to])
-        try:
-            w_el = coadjoint_transport(G, z_from[2 * d :], z_to[2 * d :])
-        except NotImplementedError:
-            w_el = None
-        if w_el is not None:
-            transported = True
-            arrow = PairClassPoint(z_to[:d], w_el, z_from[:d], z_to[d : 2 * d],
-                                   G.Ad_star(w_el) @ z_to[2 * d :], -z_from[d : 2 * d], -z_from[2 * d :])
-            res = float(np.linalg.norm(_pair_s(arrow) - z_from)) + float(np.linalg.norm(pair_t(arrow) - z_to))
-            w_conn = worst(w_conn, res)
+    # orbit connectivity: any two leaf points of J^{-1}(O)/G are joined by an arrow
+    z_from = np.concatenate([from_m, from_a, row_matvec(G.Ad_star_inv(g1), orbit.mu0)], axis=1)
+    z_to = np.concatenate([to_m, to_a, row_matvec(G.Ad_star_inv(g2), orbit.mu0)], axis=1)
+    try:
+        w_el = coadjoint_transport(G, z_from[:, 2 * d :], z_to[:, 2 * d :])
+    except NotImplementedError:
+        w_el = None
+    if w_el is not None:
+        arrow = PairClassPoint(z_to[:, :d], w_el, z_from[:, :d], z_to[:, d : 2 * d],
+                               row_matvec(G.Ad_star(w_el), z_to[:, 2 * d :]), -z_from[:, d : 2 * d], -z_from[:, 2 * d :])
+        w_conn = worst(row_norm(_pair_s(arrow) - z_from) + row_norm(pair_t(arrow) - z_to))
 
-        # graph isotropy of the action map (Lagrangian by dimension count)
-        w_iso = worst(w_iso, _graph_isotropy_sample(bundle, orbit, rng))
+    # graph isotropy of the action map (Lagrangian by dimension count)
+    y = PairClassPoint(y_m1, y_w, y_m2, y_a1, b1, y_a2, bsum - b1)
+    w_iso = _graph_isotropy(bundle, y, (m1_0, w_0, a1_0), span, pairs)
 
     rep.add("target_poisson", w_t, 1e-6)
     rep.add("source_anti_poisson", w_s, 1e-6)
-    if transported:
+    if w_el is not None:
         rep.add("orbit_connectivity", w_conn, 1e-9)
     else:
         rep.extras["orbit_connectivity"] = f"skipped: no coadjoint transport rule for group {G.name!r}"
@@ -834,83 +862,118 @@ def groupoid_action_suite(bundle: BundleSpec, orbit: CoadjointOrbit, samples: in
     return rep
 
 
-def _graph_isotropy_sample(bundle: BundleSpec, orbit: CoadjointOrbit, rng: np.random.Generator) -> float:
-    """Isotropy of the action-graph tangent space for omega_Gamma + omega_L - omega_L."""
+def _isotropy_directions(bundle: BundleSpec) -> tuple[list[tuple], list[tuple]]:
+    """The (slot, index, None) moves of the graph tangents, 6d + 3n in all: lam's free slots, then the leaf moves
+    of y (free slots and b-preserving pairs), which the orbit moves of b2, one candidate per algebra direction, follow."""
+    d, n = bundle.d, bundle.n
+    lam = [("m1", d), ("w", n), ("a1", d)]
+    y = [("m1", d), ("w", n), ("m2", d), ("a1", d), ("a2", d), ("bpair", n)]
+    return tuple([(slot, i, None) for slot, size in slots for i in range(size)] for slots in (lam, y))
+
+
+def _isotropy_draw(bundle: BundleSpec, orbit: CoadjointOrbit, rng: np.random.Generator) -> tuple:
+    """One sample's graph-isotropy draws: the composable pair and the tangent pairs to test.
+
+    Returns bsum, b1 and the coordinates of y (in the leaf), then those of
+    lam's free part (m1_0, w_0, a1_0), the orbit tangent span at bsum, and
+    the tested pairs as a boolean matrix over every candidate tangent.  The pair
+    choice draws a number of values that depends on the orbit directions at
+    bsum, so this sample's g1 is exponentiated here, inside the draw loop.
+    """
     G = bundle.group
     d, n = bundle.d, bundle.n
-    h = fd.FINE_STEP
-
-    # composable pair: y in the leaf, lam with s(lam) = t(y)
-    g1, g2 = G.random_element(rng, 0.8), G.random_element(rng, 0.8)
-    bsum = G.Ad_star_inv(g1) @ orbit.mu0
-    b1 = rng.standard_normal(n)
-    y = PairClassPoint(bundle.random_base(rng), G.random_element(rng), bundle.random_base(rng),
-                       rng.standard_normal(d), b1, rng.standard_normal(d), bsum - b1)
-
-    def lam_for(y: PairClassPoint, m1, w, a1) -> PairClassPoint:
-        beta = G.Ad_star_inv(y.w) @ y.b1
-        return PairClassPoint(m1, w, y.m1, a1, beta, -y.a1, -beta)
-
-    m1_0, w_0, a1_0 = bundle.random_base(rng), G.random_element(rng), rng.standard_normal(d)
-
-    # leaf tangent directions at y: free slots, b-preserving pairs, orbit moves
-    directions = []
-    for slot, k in (("m1", d), ("w", n), ("m2", d), ("a1", d), ("a2", d)):
-        for i in range(k):
-            directions.append((slot, i, None))
-    for i in range(n):
-        directions.append(("bpair", i, None))
+    g1, _ = G.random_algebra(rng, 0.8), G.random_algebra(rng, 0.8)
+    bsum = G.Ad_star_inv(G.exp(g1)) @ orbit.mu0
+    out = (bsum, rng.standard_normal(n), bundle.random_base(rng), G.random_algebra(rng), bundle.random_base(rng), rng.standard_normal(d),
+           rng.standard_normal(d), bundle.random_base(rng), G.random_algebra(rng), rng.standard_normal(d))
     span = orbit.tangent_span(bsum)
-    for i in range(n):
-        v = span[:, i]
-        if np.linalg.norm(v) > 1e-10:
-            directions.append(("borbit", i, v))
-
-    def move(z: PairClassPoint, direction, t: float) -> PairClassPoint:
-        slot, i, payload = direction
-        vals = {k: getattr(z, k) for k in ("m1", "w", "m2", "a1", "b1", "a2", "b2")}
-        if slot == "w":
-            e = np.zeros(n); e[i] = t
-            vals["w"] = z.w @ G.exp(e)
-        elif slot == "bpair":
-            e = np.zeros(n); e[i] = t
-            vals["b1"] = z.b1 + e
-            vals["b2"] = z.b2 - e
-        elif slot == "borbit":
-            vals["b2"] = z.b2 + t * payload
-        else:
-            arr = vals[slot].copy()
-            arr[i] += t
-            vals[slot] = arr
-        return PairClassPoint(**vals)
-
-    def coords_tangent(zm: PairClassPoint, zp: PairClassPoint) -> Array:
-        """Tangent (dm1, eta, dm2, da1, db1, da2, db2) from the points at -h and +h."""
-        dv = fd.quotient(*(np.concatenate([z.m1, z.m2, z.a1, z.b1, z.a2, z.b2]) for z in (zm, zp)), h)
-        return np.concatenate([dv[:d], fd.group_velocity(G, zm.w, zp.w, h), dv[d:]])
-
-    # graph tangents: free lam-part (dm1, eta, da1) with y frozen, plus leaf moves
-    tangents = []
-    lam0 = lam_for(y, m1_0, w_0, a1_0)
-    z0 = _pair_product(lam0, y)
-    for slot, k in (("m1", d), ("w", n), ("a1", d)):
-        for i in range(k):
-            lm, lp = move(lam0, (slot, i, None), -h), move(lam0, (slot, i, None), h)
-            dz = coords_tangent(_pair_product(lm, y), _pair_product(lp, y))
-            tangents.append((coords_tangent(lm, lp), np.zeros(4 * d + 3 * n), dz))
-    for direction in directions:
-        ym, yp = move(y, direction, -h), move(y, direction, h)
-        lm, lp = lam_for(ym, m1_0, w_0, a1_0), lam_for(yp, m1_0, w_0, a1_0)
-        dz = coords_tangent(_pair_product(lm, ym), _pair_product(lp, yp))
-        tangents.append((coords_tangent(lm, lp), coords_tangent(ym, yp), dz))
-
-    count = len(tangents)
-    pair_idx = [(i, j) for i in range(count) for j in range(i + 1, count)]
+    fixed = 6 * d + 3 * n  # the moves of _isotropy_directions
+    tangents = np.concatenate([np.arange(fixed), fixed + np.array([i for i in range(n) if np.linalg.norm(span[:, i]) > 1e-10], dtype=int)])
+    pair_idx = [(i, j) for i in range(tangents.size) for j in range(i + 1, tangents.size)]
     if len(pair_idx) > 60:
         picks = rng.choice(len(pair_idx), size=60, replace=False)
         pair_idx = [pair_idx[int(k)] for k in picks]
-    # all pairs at once: omega on leg tangents T is T . Omega . T^T
-    legs = np.array(tangents)
-    forms = [legs[:, i] @ _pair_omega(bundle, z) @ legs[:, i].T for i, z in enumerate((lam0, y, z0))]
-    rows, cols = np.array(pair_idx).T
-    return float(np.max(np.abs(forms[0] + forms[1] - forms[2])[rows, cols]))
+    pairs = np.zeros((fixed + n, fixed + n), dtype=bool)
+    rows, cols = tangents[np.array(pair_idx, dtype=int).reshape(-1, 2)].T
+    pairs[rows, cols] = True
+    return *out, span, pairs
+
+
+def _displaced(G: LieGroupSpec, z: PairClassPoint, directions: list[tuple], h: float) -> PairClassPoint:
+    """z moved by -h and by +h along each direction: every field gains the leading axes (2, directions).
+
+    A direction (slot, i, payload) adds t to entry i of a coordinate slot;
+    "w" multiplies w by exp(t e_i) on the right; "bpair" moves b1 by t e_i
+    and b2 by -t e_i; "borbit" moves b2 by t payload, one payload per point.
+    """
+    t = np.array([-h, h])
+    steps = np.zeros((2, G.dim, G.dim))
+    steps[:, range(G.dim), range(G.dim)] = t[:, None]
+    turns = G.exp(steps)  # exp(-+h e_i)
+    vals = {k: np.broadcast_to(v, (2, len(directions)) + v.shape).copy() for k, v in vars(z).items()}
+    for j, (slot, i, payload) in enumerate(directions):
+        if slot == "w":
+            vals["w"][:, j] = z.w @ turns[:, i, None]
+        elif slot == "bpair":
+            vals["b1"][:, j] = z.b1 + steps[:, i, None]
+            vals["b2"][:, j] = z.b2 - steps[:, i, None]
+        elif slot == "borbit":
+            vals["b2"][:, j] = z.b2 + t[:, None, None] * payload
+        else:
+            vals[slot][:, j, ..., i] += t[:, None]
+    return PairClassPoint(**vals)
+
+
+def _graph_isotropy(bundle: BundleSpec, y: PairClassPoint, free: tuple[Array, Array, Array], span: Array, pairs: Array) -> float:
+    """Isotropy of the action-graph tangent spaces for omega_Gamma + omega_L - omega_L, over stacked samples.
+
+    y lies in the leaf and lam = lam_for(y) with the free part (m1_0, w_0,
+    a1_0) is composable with it.  The graph tangents are the free lam moves
+    with y frozen and the leaf moves of y that lam follows.  Each group of
+    displaced points (lam's free moves, lam following y, y's moves, and the
+    two products) holds every sample as one stack, differentiated by one
+    ``fd.quotient`` and one ``fd.group_velocity``; a group at a time keeps
+    the temporary arrays small, which keeps the heap from growing over many
+    runs in one process.  ``pairs`` (samples, tangents, tangents) marks the
+    tangent pairs tested per sample.
+    """
+    G = bundle.group
+    d = bundle.d
+    h = fd.FINE_STEP
+    m1_0, w_0, a1_0 = free
+
+    def lam_for(y: PairClassPoint, beta: Array) -> PairClassPoint:
+        """The lam composable with y: its b1 is beta = Ad*_{y.w^-1} y.b1, and its free part is (m1_0, w_0, a1_0)."""
+        m1, w, a1 = (np.broadcast_to(v, like.shape) for v, like in ((m1_0, y.m1), (w_0, y.w), (a1_0, y.a1)))
+        return PairClassPoint(m1, w, y.m1, a1, beta, -y.a1, -beta)
+
+    m_y = G.Ad_star_inv(y.w)
+    lam0 = lam_for(y, row_matvec(m_y, y.b1))
+    lam_dirs, y_dirs = _isotropy_directions(bundle)
+    y_dirs += [("borbit", i, span[:, :, i]) for i in range(bundle.n)]
+
+    lam_moved, y_moved = _displaced(G, lam0, lam_dirs, h), _displaced(G, y, y_dirs, h)
+    frozen = PairClassPoint(**{k: np.broadcast_to(v, (2, len(lam_dirs)) + v.shape) for k, v in vars(y).items()})
+    # beta of the moved y: Ad*_{y.w^-1} is y's own except on the moves of w
+    beta = row_matvec(m_y, y_moved.b1)
+    turns = [j for j, (slot, _, _) in enumerate(y_dirs) if slot == "w"]
+    beta[:, turns] = row_matvec(G.Ad_star_inv(y_moved.w[:, turns]), y_moved.b1[:, turns])
+    lam_follow = lam_for(y_moved, beta)
+
+    def tangents(z: PairClassPoint) -> Array:
+        """Tangents (dm1, eta, dm2, da1, db1, da2, db2) from the points z moved by -h and +h (its leading axis)."""
+        dv = fd.quotient(*np.concatenate([z.m1, z.m2, z.a1, z.b1, z.a2, z.b2], axis=-1), h)
+        return np.concatenate([dv[..., :d], fd.group_velocity(G, z.w[0], z.w[1], h), dv[..., d:]], axis=-1)
+
+    def form(z: PairClassPoint, *parts: Array) -> Array:
+        """omega at z on every pair of the leg tangents T, parts joined into one (directions, layout) block per sample: T . Omega . T^T."""
+        t = np.moveaxis(np.concatenate(parts), 1, 0).copy()
+        return t @ _pair_omega(bundle, z) @ np.swapaxes(t, -1, -2)
+
+    # omega_lam + omega_y - omega_z on all pairs at once, summed in place; the legs: lam (its free moves with y
+    # frozen, then following y), y (frozen under the free lam moves, then its own moves), and their product
+    t_y = tangents(y_moved)
+    resid = form(lam0, tangents(lam_moved), tangents(lam_follow))
+    resid += form(y, np.zeros((len(lam_dirs),) + t_y.shape[1:]), t_y)
+    resid -= form(_pair_product(lam0, y), tangents(_pair_product(lam_moved, frozen)), tangents(_pair_product(lam_follow, y_moved)))
+    return worst(np.max(np.abs(resid, out=resid), where=pairs, initial=0.0))

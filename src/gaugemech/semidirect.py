@@ -69,9 +69,7 @@ class SemidirectSpec:
         """The conjugator R(l), one per element of a stack (..., mk, mk)."""
         if self.R_closed is not None:
             return self.R_closed(l)
-        mk = self.K.embed
-        x = np.reshape([self.K.log(k) for k in np.reshape(l, (-1, mk, mk))], np.shape(l)[:-2] + (self.K.dim,))
-        return expm(np.tensordot(x, self.rho_generators, axes=1))
+        return expm(np.tensordot(self.K.log(l), self.rho_generators, axes=1))
 
     def rho(self, l: Array, u: Array) -> Array:
         """rho(l)(u): conjugation of the embedded N element, R(l) u R(l^-1) with R(l^-1) = R(l)^-1."""

@@ -214,6 +214,12 @@ class TestConnection:
         b = bundle.bundle_from_json(doc, group_resolver=lambda g: liealg.builtin_group(g))
         assert np.isfinite(b.connection.matrix(b.base_box[:, 1])).all()
 
+    def test_load_reads_integer_coefficients_as_floats(self):
+        # an integer past 2**63 still loads
+        conn = ConnectionData.from_json({"A": [[[[2, [0, 1]]]], [[[10**20, [1, 0]]]]]}, 2, 1)
+        assert conn.terms == [[[(2.0, (0, 1))]], [[(1e20, (1, 0))]]]
+        assert all(type(c) is float for per_base in conn.terms for monos in per_base for c, _ in monos)
+
     def test_curvature_oracle_u1(self):
         b = u1_bundle()
         f2 = b.connection.curvature_two_form(np.array([0.3, 0.4]))

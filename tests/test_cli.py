@@ -249,6 +249,9 @@ _SD_NAN_RHO["rho"][0][0][1] = float("nan")
     ("so3-trivial-bundle", "connection", {"A": [[[], [[-0.2, [0, 1.5]]], []], [[], [], []]]}),
     ("so3-trivial-bundle", "connection", {"A": [[[], [[-0.2, [0, float("inf")]]], []], [[], [], []]]}),
     ("so3-trivial-bundle", "base_box", [[-1e100, 1e100], [-1.0, 1.0]]),
+    ("u1-magnetic", "connection", {"A": [[[["0.5", [0, 1]]]], [[[0.5, [1, 0]]]]]}),
+    ("u1-magnetic", "connection", {"A": [[[[-0.5, [0, 1]]]], [[[True, [1, 0]]]]]}),
+    ("u1-magnetic", "connection", {"A": [[[[-10**400, [0, 1]]]], [[[0.5, [1, 0]]]]]}),
 ])
 def test_malformed_scenario_exits_2(tmp_path, capsys, name, key, value):
     doc = json.loads(json.dumps(cli.BUILTIN_SCENARIOS[name]))

@@ -207,6 +207,15 @@ class TestFastPaths:
             assert q.batch_fn is not None
             assert same_bits(q.batch_fn(states), [q.fn(y) for y in states])
 
+    @pytest.mark.parametrize("group", [liealg.so3(), liealg.heisenberg3(), semidirect.so3_r3().group_spec()], ids=lambda g: g.name)
+    def test_casimirs_batched_equal_per_row(self, group):
+        fields = poisson.casimir_fields(group)
+        assert fields
+        rows = np.random.default_rng(13).standard_normal((200, group.dim)) * 10.0 ** np.random.default_rng(14).uniform(-3, 3, (200, 1))
+        for c in fields:
+            assert c.batch_fn is not None
+            assert same_bits(c.batch_fn(rows), [c.fn(y) for y in rows]), c.name
+
 
 class TestMonitors:
     def test_constant_quantity_zero_drift(self):

@@ -123,7 +123,7 @@ def test_structure_matrices_equal_closed_forms(b, tag):
     rng = np.random.default_rng(24)
     for _ in range(10):
         p, q, r = b.random_point(rng), b.random_point(rng), b.random_point(rng)
-        a = ops.random(rng, p, q)
+        a = VBElement(p, q, rng.standard_normal(ops.inv.shape[0]))
         s, t = ops.source(a), ops.target(a)
         assert s.point is q and np.array_equal(s.x, source(a.x))
         assert t.point is p and np.array_equal(t.x, target(a.x))
@@ -132,7 +132,7 @@ def test_structure_matrices_equal_closed_forms(b, tag):
         assert eps.p is p and eps.q is p and np.array_equal(eps.x, identity(side.x))
         inv = ops.inverse(a)
         assert inv.p is q and inv.q is p and np.array_equal(inv.x, inverse(a.x))
-        bb = groupoid._with_target(ops, ops.random(rng, q, r), ops.source(a))
+        bb = groupoid._with_target(ops, VBElement(q, r, rng.standard_normal(ops.inv.shape[0])), ops.source(a))
         prod = ops.product(a, bb)
         assert prod.p is p and prod.q is r and np.array_equal(prod.x, product(a.x, bb.x))
 
@@ -152,7 +152,7 @@ class TestCotangentPairStructure:
     def test_identity_times_inverse(self, b):
         ops = space_ops(b, "T*PxT*P")
         rng = np.random.default_rng(7)
-        el = ops.random(rng, b.random_point(rng), b.random_point(rng))
+        el = VBElement(b.random_point(rng), b.random_point(rng), rng.standard_normal(ops.inv.shape[0]))
         prod = ops.product(el, ops.inverse(el))
         ident = ops.identity(ops.target(el))
         assert ops.distance(prod, ident) <= 1e-13
@@ -167,8 +167,8 @@ class TestCotangentPairStructure:
 
         rng = np.random.default_rng(8)
         p, q, r = b.random_point(rng), b.random_point(rng), b.random_point(rng)
-        a = ops.random(rng, p, q)
-        bb = groupoid._with_target(ops, ops.random(rng, q, r), ops.source(a))
+        a = VBElement(p, q, rng.standard_normal(ops.inv.shape[0]))
+        bb = groupoid._with_target(ops, VBElement(q, r, rng.standard_normal(ops.inv.shape[0])), ops.source(a))
         prod = delta(ops.product(a, bb))
         da, db = delta(a), delta(bb)
         # plain pair product: (phi, psi)(psi, lam) = (phi, lam) with matching middles
@@ -241,8 +241,8 @@ class TestGaugeDualGroupoid:
         rng = np.random.default_rng(16)
         for _ in range(10):
             p, q, r = b.random_point(rng), b.random_point(rng), b.random_point(rng)
-            x = ops.random(rng, p, q)
-            y = groupoid._with_target(ops, ops.random(rng, q, r), ops.source(x))
+            x = VBElement(p, q, rng.standard_normal(ops.inv.shape[0]))
+            y = groupoid._with_target(ops, VBElement(q, r, rng.standard_normal(ops.inv.shape[0])), ops.source(x))
             lhs = i2_star(b, ops.product(x, y))
             rhs = coal.product(i2_star(b, x), i2_star(b, y))
             assert coal.distance(lhs, rhs) <= 1e-12
@@ -318,9 +318,9 @@ class TestBatchedEngine:
         firsts, seconds = [], []
         for _ in range(n):
             p, q, r = b.random_point(rng), b.random_point(rng), b.random_point(rng)
-            a = ops.random(rng, p, q)
+            a = VBElement(p, q, rng.standard_normal(ops.inv.shape[0]))
             firsts.append(a)
-            seconds.append(groupoid._with_target(ops, ops.random(rng, q, r), ops.source(a)))
+            seconds.append(groupoid._with_target(ops, VBElement(q, r, rng.standard_normal(ops.inv.shape[0])), ops.source(a)))
         return firsts, seconds
 
     @pytest.mark.parametrize("tag", groupoid.SPACE_TAGS)

@@ -330,6 +330,31 @@ class TestStacks:
         elements = g.exp(np.random.default_rng(42).standard_normal((7, g.dim)))
         assert np.max(np.abs(g.inverse(elements) @ elements - np.eye(g.embed))) <= 1e-14
 
+    @staticmethod
+    def _log_inputs(g, rng):
+        if g.name != "so3":
+            return g.exp(TestStacks._coords(g, rng)[:5])  # scales up to 2.5, inside the injectivity radius
+        # angles from the Taylor branch to both sides of the pi margin, then a non-orthogonal row: the last two defer to logm
+        margin = liealg.ROTATION_LOG_PI_MARGIN
+        axes = rng.standard_normal((8, 3))
+        angles = [1e-5, 1e-3, 0.3, 1.0, 2.0, 3.0, np.pi - 2 * margin, np.pi - 0.5 * margin]
+        elements = [g.exp(angle * axis / np.linalg.norm(axis)) for angle, axis in zip(angles, axes)]
+        return np.stack(elements + [elements[3] @ np.diag([1.0 + 1e-10, 1.0, 1.0])])
+
+    @pytest.mark.parametrize("factory", STACK_GROUPS)
+    def test_log_rows_equal_single_calls(self, factory):
+        g = factory()
+        elements = self._log_inputs(g, np.random.default_rng(45))
+        stack = g.log(elements)
+        assert stack.shape == (len(elements), g.dim)
+        for row, el in zip(stack, elements):
+            assert np.array_equal(row, g.log(el))
+        assert np.array_equal(g.log(elements[None]), stack[None])
+
+    def test_rotation_log_rows_inside_the_pi_margin(self, so3):
+        _, closed = liealg.rotation_log(self._log_inputs(so3, np.random.default_rng(45)))
+        assert closed == [True] * 7 + [False, False]
+
     def test_rotation_inverse_is_transpose(self, so3):
         el = so3.exp(np.array([0.3, -1.2, 0.5]))
         assert np.array_equal(so3.inverse(el), el.T)

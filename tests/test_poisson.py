@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gaugemech import bundle, liealg, poisson, semidirect
+from gaugemech import bundle, fd, liealg, poisson, semidirect
 from gaugemech.bundle import BundleSpec, ConnectionData
 from gaugemech.poisson import (
     ChartError,
@@ -245,6 +245,75 @@ class TestCallCounts:
         assert sum(per_trials[0].values()) > 0
 
 
+class TestLeafCallCounts:
+    """The leaves suites evaluate each check once over the stacked samples, so their call counts do not grow with them."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        seen = {}
+        for owner, name, key in ((liealg.LieGroupSpec, "log", "LieGroupSpec.log"), (BundleSpec, "sigma", "BundleSpec.sigma"),
+                                 (fd, "central", "fd.central"), (poisson, "cotangent_bracket", "cotangent_bracket")):
+            def counted(*args, original=getattr(owner, name), key=key):
+                seen[key] += 1
+                return original(*args)
+
+            seen[key] = 0
+            monkeypatch.setattr(owner, name, counted)
+        return seen
+
+    @pytest.mark.parametrize("suite", [
+        lambda samples: leaf_structure(so3_bundle(), coadjoint_orbit(liealg.so3(), np.array([0.0, 0.0, 1.0]), seed=50), samples=samples, seed=51),
+        lambda samples: groupoid_action_suite(so3_bundle(), coadjoint_orbit(liealg.so3(), np.array([0.3, -0.5, 0.8]), seed=52), samples=samples, seed=53),
+        lambda samples: magnetic_term(u1_bundle(), np.array([1.0]), samples=samples, seed=54)[1],
+    ], ids=["leaf_structure", "groupoid_action", "magnetic_term"])
+    def test_calls_do_not_grow_with_samples(self, counts, suite):
+        per_samples = []
+        for samples in (3, 12):
+            counts.update(dict.fromkeys(counts, 0))
+            assert suite(samples).passed
+            per_samples.append(dict(counts))
+        assert per_samples[0] == per_samples[1]
+        assert sum(per_samples[0].values()) > 0
+
+
+class TestLeafStacks:
+    """The stacked leaves suites see a defect confined to the last sample of a stack."""
+
+    def test_graph_isotropy_sees_a_corrupted_last_row(self, monkeypatch):
+        b = so3_bundle()
+        orb = coadjoint_orbit(b.group, np.array([0.0, 0.0, 1.0]), seed=55)
+        assert groupoid_action_suite(b, orb, samples=4, seed=56).passed
+        velocity = fd.group_velocity
+
+        def last_row_off(G, minus, plus, h):
+            out = velocity(G, minus, plus, h)
+            out[..., -1, :] += 1e-6
+            return out
+
+        monkeypatch.setattr(fd, "group_velocity", last_row_off)
+        failed = [c.name for c in groupoid_action_suite(b, orb, samples=4, seed=56).failures()]
+        assert failed == ["graph_isotropy"]
+
+    def test_leaf_structure_sees_a_corrupted_last_row(self, monkeypatch):
+        b = so3_bundle()
+        orb = coadjoint_orbit(b.group, np.array([0.0, 0.0, 1.0]), seed=57)
+        assert leaf_structure(b, orb, samples=4, seed=58).passed
+        sigma = BundleSpec.sigma
+
+        def last_row_off(self, base, chi):
+            # the section's covector (a, chi) off in the last row; the checks compare sigma with itself at
+            # the same arguments, so only the chi that iota* reads back shows the defect
+            rep = sigma(self, base, chi).rep
+            a, chi = rep.a.copy(), rep.b.copy()
+            a[..., -1, :] += 1e-6
+            chi[..., -1, :] += 1e-6
+            return bundle.QuotientClass(bundle.CotangentSample(rep.point, a, chi))
+
+        monkeypatch.setattr(BundleSpec, "sigma", last_row_off)
+        failed = [c.name for c in leaf_structure(b, orb, samples=4, seed=58).failures()]
+        assert failed == ["pi_sigma_surjective"]
+
+
 class TestOrbits:
     def test_zero_point_orbit(self):
         orb = coadjoint_orbit(liealg.so3(), np.zeros(3), seed=11)
@@ -366,6 +435,17 @@ class TestMagneticTerm:
         rng = np.random.default_rng(27)
         m, rho = b.random_base(rng), rng.standard_normal(2)
         assert abs(two_form(m, rho, rng.standard_normal(4), rng.standard_normal(4))) <= 1e-9
+
+    def test_three_dimensional_base(self):
+        # three base directions fill the closedness triple with no fiber padding
+        t1 = liealg.torus(1)
+        box = [[-1.0, 1.0]] * 3
+        flat = BundleSpec("TrivialProduct", t1, ConnectionData.flat(3, 1), base_box=box)
+        curved = BundleSpec("TrivialProduct", t1, ConnectionData(3, 1, [[[(-0.5, (0, 1, 0))]], [[(0.5, (1, 0, 0)), (0.3, (0, 0, 1))]], [[]]]), base_box=box)
+        for b in (flat, curved):
+            two_form, rep = magnetic_term(b, np.array([1.0]), samples=6, seed=26)
+            assert rep.passed, rep.failures()
+            assert {"closed", "matches_curvature_oracle"} <= {c.name for c in rep.checks}
 
     def test_zero_character_vanishes(self):
         two_form, rep = magnetic_term(u1_bundle(), np.array([0.0]), samples=6, seed=28)
