@@ -182,6 +182,17 @@ def row_matvec(m: Array, x: Array) -> Array:
     return (m @ x[..., None])[..., 0]
 
 
+def row_vecmat(v: Array, m: Array) -> Array:
+    """v @ m per row: vectors (..., r) times matrices (..., r, c), one BLAS vector-matrix product per row."""
+    return (v[..., None, :] @ m)[..., 0, :]
+
+
+def row_form(v1: Array, omega: Array, v2: Array) -> float | Array:
+    """v1 . omega . v2, per row of stacks; a float for one pair (the bits of ``v1 @ omega @ v2``)."""
+    out = row_dot(row_vecmat(v1, omega), v2)
+    return float(out) if np.ndim(out) == 0 else out
+
+
 def row_norm(x: Array, ndim: int = 1) -> float | Array:
     """Euclidean norm over the trailing ``ndim`` axes: a float for one vector
     or matrix, an array for a stack (same bits as ``np.linalg.norm`` per row)."""
@@ -356,13 +367,10 @@ class BundleSpec:
         """Components (a, b) of a covector in the trivialized frame."""
         return scale * rng.standard_normal(self.d), scale * rng.standard_normal(self.n)
 
-    def random_cotangent(self, rng: np.random.Generator, scale: float = 1.0, point: Point | None = None) -> CotangentSample:
-        p = self.random_point(rng) if point is None else point
-        return CotangentSample(p, *self.random_covector(rng, scale))
-
     # -- point arithmetic -------------------------------------------------------
 
     def base_move(self, base: Array, delta: Array, t: float = 1.0) -> Array:
+        """The base moved by t along delta, per row of stacks."""
         if self.kind == "TrivialProduct":
             return base + t * np.asarray(delta, dtype=float)
         return base @ self.base_group.exp(t * np.asarray(delta, dtype=float))
@@ -651,23 +659,18 @@ def anchor_pullback_suite(b: BundleSpec, samples: int = 40, seed: int = 0, tol: 
     """
     rep = SuiteReport(f"bundle.anchor_pullback[{b.name}]")
     rng = stream(seed, f"bundle.anchor_pullback/{b.name}")
-    w_pull = 0.0
-    for _ in range(samples):
-        base = b.random_base(rng)
-        rho = rng.standard_normal(b.d)
-        dbase = rng.standard_normal(b.d)
-        rng.standard_normal(b.d)  # drho: drawn to keep the stream, the canonical form does not read it
+    # per sample: the base, rho, dbase and drho (drawn to keep the stream, the canonical form does not read it)
+    base, rho, dbase, _ = draw_samples(samples, lambda: (b._random_base_coords(rng), *(rng.standard_normal(b.d) for _ in range(3))))
+    base = b._base_at(base)
 
-        # finite-difference tangent of the image curve in T*P coordinates
-        h = fd.FINE_STEP
-        bm, bp = b.base_move(base, dbase, -h), b.base_move(base, dbase, h)
-        fd_base = fd.quotient(bm, bp, h) if b.kind == "TrivialProduct" else fd.group_velocity(b.base_group, bm, bp, h)
-        tangent = np.concatenate([fd_base, np.zeros(b.n)])
-        phi = b.a_star(base, rho).rep
-        lhs = b.gamma(phi, tangent)
-        rhs = float(rho @ dbase)  # canonical form of T*(P/G) on (dbase, drho)
-        w_pull = worst(w_pull, abs(lhs - rhs))
-    rep.add("pullback_matches_canonical", w_pull, tol)
+    # finite-difference tangent of the image curve in T*P coordinates
+    h = fd.FINE_STEP
+    bm, bp = b.base_move(base, dbase, -h), b.base_move(base, dbase, h)
+    fd_base = fd.quotient(bm, bp, h) if b.kind == "TrivialProduct" else fd.group_velocity(b.base_group, bm, bp, h)
+    tangent = np.concatenate([fd_base, np.zeros((samples, b.n))], axis=-1)
+    lhs = b.gamma(b.a_star(base, rho).rep, tangent)
+    rhs = row_dot(rho, dbase)  # canonical form of T*(P/G) on (dbase, drho)
+    rep.add("pullback_matches_canonical", worst(np.abs(lhs - rhs)), tol)
     rep.extras["trials"] = samples
     return rep
 

@@ -360,12 +360,12 @@ class LieGroupSpec:
         return np.einsum("ijk,...i,...j->...k", self.structure, x, y)
 
     def ad(self, x: Array) -> Array:
-        """Matrix of ad_x = [x, .] on algebra coordinates."""
-        return np.einsum("ijk,i->kj", self.structure, np.asarray(x, dtype=float))
+        """Matrix of ad_x = [x, .] on algebra coordinates, one per row of a stack (..., dim)."""
+        return np.einsum("ijk,...i->...kj", self.structure, np.asarray(x, dtype=float))
 
     def ad_star(self, x: Array) -> Array:
         """Matrix of ad*_x on coalgebra coordinates: <ad*_x mu, y> = <mu,[x,y]>."""
-        return self.ad(x).T
+        return self.ad(x).swapaxes(-1, -2)
 
     def inverse(self, g: Array) -> Array:
         """g^-1 of a group element or of each of a stack (..., embed, embed).
@@ -492,9 +492,6 @@ class LieGroupSpec:
     def random_coalgebra(self, rng: np.random.Generator, scale: float = 1.0) -> Array:
         return scale * rng.standard_normal(self.dim)
 
-    def random_element(self, rng: np.random.Generator, scale: float = 0.5) -> Array:
-        return self.exp(self.random_algebra(rng, scale))
-
 
 def _null_rows(a: Array, tol: float = 1e-10) -> Array:
     """Orthonormal rows spanning the null space of a."""
@@ -560,7 +557,7 @@ def validate_spec(spec: LieGroupSpec, seed: int = 0) -> SuiteReport:
     rep.add("structure_vs_commutator", w_comm, 1e-12)
 
     rng = stream(seed, f"liealg.validate/{spec.name}")
-    w_exp = worst(*(spec.membership_defect(spec.random_element(rng)) for _ in range(8)))
+    w_exp = worst(*map(spec.membership_defect, spec.exp(np.array([spec.random_algebra(rng) for _ in range(8)]))))
     rep.add("exp_lands_in_group", w_exp, spec.membership_tol)
     return rep
 
@@ -676,13 +673,28 @@ def spec_to_json(spec: LieGroupSpec) -> dict:
     }
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def spec_from_json(doc: dict) -> LieGroupSpec:
+    """A group from the document of ``spec_to_json``; ValueError for a malformed one.
+
+    ``dim`` and ``embed`` must be positive integers and every structure index an
+    integer in [0, dim): ``int()`` would truncate 2.9, and a negative index
+    would wrap around.
+    """
     name = doc["name"]
-    dim, embed = int(doc["dim"]), int(doc["embed"])
+    dim, embed = doc["dim"], doc["embed"]
+    for key, value in (("dim", dim), ("embed", embed)):
+        if not (_is_int(value) and value > 0):
+            raise ValueError(f"{key!r} must be a positive integer, got {value!r}")
     basis = np.array([np.asarray(row, dtype=float).reshape(embed, embed) for row in doc["basis"]])
     structure = np.zeros((dim, dim, dim))
     for i, j, k, c in doc["structure"]:
-        structure[int(i), int(j), int(k)] = float(c)
+        if not all(_is_int(x) and 0 <= x < dim for x in (i, j, k)):
+            raise ValueError(f"structure indices must be integers in [0, {dim}), got {[i, j, k]!r}")
+        structure[i, j, k] = float(c)
     membership = None
     try:
         membership = builtin_group(name).membership_residual

@@ -40,7 +40,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import fd
-from .bundle import BundleSpec, ConnectionData, CotangentSample, Point, QuotientClass, draw_samples, row_dot, row_matvec, row_norm
+from .bundle import BundleSpec, ConnectionData, CotangentSample, Point, QuotientClass, draw_samples, row_dot, row_form, row_matvec, row_norm, row_vecmat
 from .liealg import LieGroupSpec, rodrigues
 from .report import SuiteReport, worst
 from .rng import stream
@@ -416,13 +416,8 @@ def casimir_fields(group: LieGroupSpec) -> list[ScalarField]:
     fields = [ScalarField(lambda mu, x=x: float(x @ mu), lambda mu, x=x: np.broadcast_to(x, np.shape(mu)).copy(), name=f"linear{i}",
                           batch_fn=lambda rows, x=x: row_dot(rows, x)) for i, x in enumerate(linear)]
     fields += [ScalarField(lambda mu, q=q: float(mu @ q @ mu), lambda mu, q=q: 2.0 * row_matvec(q, mu), name=f"quadratic{i}",
-                           batch_fn=lambda rows, q=q: row_dot(_vecmat(rows, q), rows)) for i, q in enumerate(quadratic)]
+                           batch_fn=lambda rows, q=q: row_dot(row_vecmat(rows, q), rows)) for i, q in enumerate(quadratic)]
     return fields
-
-
-def _vecmat(v: Array, m: Array) -> Array:
-    """v @ m per row: vectors (..., r) times matrices (..., r, c), one BLAS vector-matrix product per row."""
-    return (v[..., None, :] @ m)[..., 0, :]
 
 
 @dataclass
@@ -531,22 +526,24 @@ def coadjoint_transport(group: LieGroupSpec, mu_from: Array, mu_to: Array) -> Ar
 
 
 def dexp_left(group: LieGroupSpec, xi: Array, dxi: Array, terms: int = 24) -> Array:
-    """Left-trivialized velocity of t -> exp(xi + t dxi) at t = 0.
+    """Left-trivialized velocity of t -> exp(xi + t dxi) at t = 0, per row of stacks (..., dim).
 
-    The standard series sum_k (-ad_xi)^k / (k+1)! applied to dxi; it stops at
-    the first term that is exactly zero, after which every term vanishes (ad_xi
-    nilpotent on dxi, as for abelian and Heisenberg algebras).
+    The standard series sum_k (-ad_xi)^k / (k+1)! applied to dxi; a row stops
+    at its first term that is exactly zero, after which every term vanishes
+    (ad_xi nilpotent on dxi, as for abelian and Heisenberg algebras).  Rows
+    that stopped keep their sum, so each row has the bits of its single call.
     """
-    acc = np.asarray(dxi, dtype=float).copy()
+    acc = np.array(dxi, dtype=float)
     out = acc.copy()
     neg_ad = -group.ad(xi)
     fact = 1.0
     for k in range(1, terms):
-        acc = neg_ad @ acc
-        if not acc.any():
+        acc = row_matvec(neg_ad, acc)
+        live = acc.any(axis=-1)
+        if not live.any():
             break
         fact *= k + 1
-        out = out + acc / fact
+        out = np.where(live[..., None], out + acc / fact, out)
     return out
 
 
@@ -658,12 +655,6 @@ def leaf_structure(bundle: BundleSpec, orbit: CoadjointOrbit, samples: int = 25,
     return rep
 
 
-def _form(v1: Array, omega: Array, v2: Array) -> float | Array:
-    """v1 . omega . v2, per row of stacks; a float for one pair."""
-    out = row_dot(_vecmat(v1, omega), v2)
-    return float(out) if np.ndim(out) == 0 else out
-
-
 def magnetic_term(bundle: BundleSpec, chi: Array, samples: int = 15, seed: int = 0):
     """Two-form evaluator for omega_chi - pi_sigma* d(gamma~) plus its report.
 
@@ -697,7 +688,7 @@ def magnetic_term(bundle: BundleSpec, chi: Array, samples: int = 15, seed: int =
         a = leaf_coords(z)[..., d:]
         covector = np.concatenate([a, np.broadcast_to(chi, a.shape[:-1] + chi.shape)], axis=-1)
         # canonical d(gamma~) of T*(P/G) on the flat chart
-        return _form(p1, canonical_two_form([d, G], covector), p2) - _form(t1, canonical_two_form([d], rho), t2)
+        return row_form(p1, canonical_two_form([d, G], covector), p2) - row_form(t1, canonical_two_form([d], rho), t2)
 
     rep = SuiteReport(f"poisson.magnetic[{bundle.name}]")
     rng = stream(seed, f"poisson.magnetic/{bundle.name}")
@@ -716,7 +707,7 @@ def magnetic_term(bundle: BundleSpec, chi: Array, samples: int = 15, seed: int =
     val = two_form(m, rho, t1, t2)
     # oracle: the chi-component of the curvature two-form of A
     f2 = np.einsum("...ijk,k->...ij", bundle.connection.curvature_two_form(bundle.base_coords_for_connection(m)), chi)
-    w_match = worst(np.abs(val - _form(t1[:, :d], f2, t2[:, :d])))
+    w_match = worst(np.abs(val - row_form(t1[:, :d], f2, t2[:, :d])))
 
     # basic: vanishes when either argument is a pure fiber direction
     w_basic = worst(np.abs(two_form(m, rho, np.concatenate([np.zeros((samples, d)), fib], axis=1), t2)))

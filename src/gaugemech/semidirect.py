@@ -28,7 +28,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from . import fd
-from .bundle import BundleSpec, ConnectionData, dual_atiyah_split, draw_samples, row_matvec, row_norm
+from .bundle import BundleSpec, ConnectionData, dual_atiyah_split, draw_samples, row_dot, row_form, row_matvec, row_norm
 from .liealg import LieGroupSpec, expm, so3, translation_group
 from .poisson import ScalarField, canonical_two_form, coordinate_field, dexp_left, lie_poisson
 from .report import SuiteReport, worst
@@ -36,8 +36,11 @@ from .rng import stream
 
 Array = np.ndarray
 
-# samples evaluated at once by the stacked suites: bounds every temporary of a large suite
-SAMPLE_BLOCK = 25
+# samples evaluated at once by the stacked suites: bounds every temporary of a large suite.  The
+# finite-difference suites stack up to four evaluations per sample (two curves, two ends), so a
+# block of 8 keeps their largest temporary (about 240 KB) at the size of the largest one of the
+# other semidirect suites
+SAMPLE_BLOCK = 8
 
 
 @dataclass
@@ -88,11 +91,8 @@ class SemidirectSpec:
     def identity_pair(self) -> tuple[Array, Array]:
         return self.K.identity(), self.N.identity()
 
-    def random_pair(self, rng: np.random.Generator, scale: float = 0.4) -> tuple[Array, Array]:
-        return self.pair_at(*self.random_pair_coords(rng, scale))
-
     def random_pair_coords(self, rng: np.random.Generator, scale: float = 0.4) -> tuple[Array, Array]:
-        """The draws of ``random_pair`` before the exponentials: algebra coordinates of k and u."""
+        """Algebra coordinates of a random pair (k, u); ``pair_at`` exponentiates them."""
         return self.K.random_algebra(rng, scale), self.N.random_algebra(rng, scale)
 
     def pair_at(self, k: Array, u: Array) -> tuple[Array, Array]:
@@ -292,28 +292,25 @@ def coadjoint_factor_transport(sd: SemidirectSpec, g: tuple[Array, Array]) -> tu
 
 
 def connection_form(sd: SemidirectSpec, k: Array, u: Array, h_velocity: Array) -> Array:
-    """alpha(v_h) in n-coordinates via the literal vertical projection.
+    """alpha(v_h) in n-coordinates via the literal vertical projection, per row of broadcast stacks.
 
     v_h is given in left-trivialized h-coordinates.  The horizontal projector
     is T(R_{iota(u)} o sigma o mu)(h); the vertical remainder is pulled back
     to N through iota^-1 o L_{sigma(k)^-1}.  Everything is finite-differenced
-    on embedded curves, independently of the T Sigma matrix algebra.
+    on embedded curves, independently of the T Sigma matrix algebra.  Both
+    ends of every curve go through one ``expm``; each row has the bits of its
+    single call.
     """
     H = sd.group_spec()
+    h = fd.FINE_STEP
     h0 = sd.embed(k, u)
-    x = np.tensordot(h_velocity, H.basis, axes=1)
+    x = H.from_coords(h_velocity)
     # iota^-1 (L_{sigma(k)^-1} ...): N-block after removing sigma(k)
     sk_inv = sd.embed(sd.K.inverse(k), sd.N.identity())
     mk = sd.K.embed
-
-    def vertical_block(t: float) -> Array:
-        h_t = h0 @ expm(t * x)
-        k_t, _ = sd.split(h_t)
-        hor_t = sd.embed(k_t, u)  # R_{iota(u)} sigma mu (h_t) = (k_t, u)
-        return np.stack([(sk_inv @ h_t)[mk:, mk:], (sk_inv @ hor_t)[mk:, mk:]])
-
-    h = fd.FINE_STEP
-    d_full, d_hor = fd.quotient(vertical_block(-h), vertical_block(h), h)
+    h_t = h0 @ expm(np.multiply.outer([-h, h], x))  # the curve at -h and +h
+    hor_t = sd.embed(h_t[..., :mk, :mk], u)  # R_{iota(u)} sigma mu (h_t) = (k_t, u)
+    d_full, d_hor = (fd.quotient(*(sk_inv @ ends)[..., mk:, mk:], h) for ends in (h_t, hor_t))
     return sd.N.to_coords(sd.N.inverse(u) @ (d_full - d_hor), check=False)
 
 
@@ -323,42 +320,38 @@ def pullback_form_suite(sd: SemidirectSpec, samples: int = 30, seed: int = 0, to
     rng = stream(seed, f"semidirect.pullback/{sd.name}")
     H = sd.group_spec()
     h = fd.FINE_STEP
+    s1, s2 = 1.7, -0.6
     w_eq = w_chi0 = w_iso = w_lin = 0.0
-    for _ in range(samples):
-        k, u = sd.random_pair(rng)
-        theta = rng.standard_normal(sd.K.dim)
-        chi = rng.standard_normal(sd.N.dim)
-        fc = FactoredCotangent(k, theta, u, chi)
-        xi = 0.7 * rng.standard_normal(sd.K.dim)
-        nu = 0.7 * rng.standard_normal(sd.N.dim)
+    # per sample, in stream order: the pair (k, u), the covector (theta, chi) and the base direction (xi, nu)
+    draws = draw_samples(samples, lambda: (*sd.random_pair_coords(rng), rng.standard_normal(sd.K.dim), rng.standard_normal(sd.N.dim),
+                                           0.7 * rng.standard_normal(sd.K.dim), 0.7 * rng.standard_normal(sd.N.dim)))
+    for rows in _blocks(samples):
+        k_alg, u_alg, theta, chi, xi, nu = (x[rows] for x in draws)
+        k, u = sd.pair_at(k_alg, u_alg)
+        zero_k, zero_n = np.zeros_like(theta), np.zeros_like(chi)
+        # T*Sigma of (theta, chi), of chi = 0, of theta = 0 and of (s1 theta, s2 chi), one stack over the same points
+        beta, beta0, beta_n, beta_s = tstar_sigma(sd, FactoredCotangent(k, np.stack([theta, theta, zero_k, s1 * theta]), u, np.stack([chi, zero_n, chi, s2 * chi])))
 
-        # LHS: gamma_H paired with the finite-difference velocity of the base curve
-        beta = tstar_sigma(sd, fc)
+        # finite-difference velocities of the base curve along xi alone, and along (xi, nu)
+        k_ends = k @ sd.K.exp(np.multiply.outer([-h, h], xi))
+        u_ends = u @ sd.N.exp(np.multiply.outer([-h, h], nu))
+        ends = sd.embed(np.stack([k_ends, k_ends], axis=1), np.stack([np.broadcast_to(u, u_ends.shape), u_ends], axis=1))
+        zeta_k, zeta = fd.group_velocity(H, ends[0], ends[1], h)
+        alpha_k, alpha_val = connection_form(sd, k, u, np.stack([zeta_k, zeta]))
 
-        def h_at(t: float) -> Array:
-            return sd.embed(k @ sd.K.exp(t * xi), u @ sd.N.exp(t * nu))
-
-        zeta = fd.group_velocity(H, h_at(-h), h_at(h), h)
-        lhs = float(beta @ zeta)
-
-        # RHS: gamma_K term plus the magnetic term through the connection form
-        alpha_val = connection_form(sd, k, u, zeta)
-        rhs = float(theta @ xi + chi @ alpha_val)
-        w_eq = worst(w_eq, abs(lhs - rhs))
+        # LHS gamma_H on the velocity; RHS the gamma_K term plus the magnetic term through the connection form
+        lhs = row_dot(beta, zeta)
+        gamma_k, magnetic = row_dot(theta, xi), row_dot(chi, alpha_val)
+        w_eq = worst(w_eq, np.abs(lhs - (gamma_k + magnetic)))
 
         # chi = 0 reduces to the gamma_K pullback
-        beta0 = tstar_sigma(sd, FactoredCotangent(k, theta, u, np.zeros(sd.N.dim)))
-        w_chi0 = worst(w_chi0, abs(float(beta0 @ zeta) - float(theta @ xi)))
+        w_chi0 = worst(w_chi0, np.abs(row_dot(beta0, zeta) - gamma_k))
 
         # theta = 0 with a pure K-base direction isolates the magnetic term
-        zeta_k = fd.group_velocity(H, sd.embed(k @ sd.K.exp(-h * xi), u), sd.embed(k @ sd.K.exp(h * xi), u), h)
-        beta_n = tstar_sigma(sd, FactoredCotangent(k, np.zeros(sd.K.dim), u, chi))
-        w_iso = worst(w_iso, abs(float(beta_n @ zeta_k) - float(chi @ connection_form(sd, k, u, zeta_k))))
+        w_iso = worst(w_iso, np.abs(row_dot(beta_n, zeta_k) - row_dot(chi, alpha_k)))
 
         # linearity: the gamma_K term is linear in theta, the magnetic term in chi
-        s1, s2 = 1.7, -0.6
-        beta_s = tstar_sigma(sd, FactoredCotangent(k, s1 * theta, u, s2 * chi))
-        w_lin = worst(w_lin, abs(float(beta_s @ zeta) - (s1 * float(theta @ xi) + s2 * float(chi @ alpha_val))))
+        w_lin = worst(w_lin, np.abs(row_dot(beta_s, zeta) - (s1 * gamma_k + s2 * magnetic)))
     rep.add("pullback_identity", w_eq, tol)
     rep.add("chi_zero_reduces_to_gammaK", w_chi0, tol)
     rep.add("magnetic_term_isolated", w_iso, tol)
@@ -436,8 +429,14 @@ def trivialization_suite(sd: SemidirectSpec, samples: int = 30, seed: int = 0, t
     return rep
 
 
-def _draw_factored(sd: SemidirectSpec, samples: int, rng: np.random.Generator, pairs: int) -> Iterator[tuple[FactoredCotangent, list[tuple[Array, Array]]]]:
-    """Per sample, in stream order: a FactoredCotangent (k and u at scale 0.4) and ``pairs`` random pairs.
+def _blocks(samples: int) -> Iterator[slice]:
+    """The rows of each block of at most SAMPLE_BLOCK samples."""
+    return (slice(i, i + SAMPLE_BLOCK) for i in range(0, samples, SAMPLE_BLOCK))
+
+
+def _draw_factored(sd: SemidirectSpec, samples: int, rng: np.random.Generator, pairs: int,
+                   more: Callable[[], tuple] = tuple) -> Iterator[tuple[FactoredCotangent, list[tuple[Array, Array]], list[Array]]]:
+    """Per sample, in stream order: a FactoredCotangent (k and u at scale 0.4), ``pairs`` random pairs and the arrays ``more`` draws.
 
     Every sample's algebra coordinates are drawn in one loop first; the samples
     are then yielded in blocks of at most SAMPLE_BLOCK, each block exponentiated
@@ -445,12 +444,13 @@ def _draw_factored(sd: SemidirectSpec, samples: int, rng: np.random.Generator, p
     """
     def draw() -> tuple:
         return (sd.K.random_algebra(rng, 0.4), rng.standard_normal(sd.K.dim), sd.N.random_algebra(rng, 0.4), rng.standard_normal(sd.N.dim),
-                *(x for _ in range(pairs) for x in sd.random_pair_coords(rng)))
+                *(x for _ in range(pairs) for x in sd.random_pair_coords(rng)), *more())
 
-    k, theta, u, chi, *pair_coords = draw_samples(samples, draw)
-    for rows in (slice(i, i + SAMPLE_BLOCK) for i in range(0, samples, SAMPLE_BLOCK)):
+    k, theta, u, chi, *rest = draw_samples(samples, draw)
+    pair_coords, extra = rest[: 2 * pairs], rest[2 * pairs :]
+    for rows in _blocks(samples):
         fc = FactoredCotangent(sd.K.exp(k[rows]), theta[rows], sd.N.exp(u[rows]), chi[rows])
-        yield fc, [sd.pair_at(l[rows], w[rows]) for l, w in zip(pair_coords[0::2], pair_coords[1::2])]
+        yield fc, [sd.pair_at(l[rows], w[rows]) for l, w in zip(pair_coords[0::2], pair_coords[1::2])], [x[rows] for x in extra]
 
 
 def action_suite(sd: SemidirectSpec, samples: int = 30, seed: int = 0, tol: float = 1e-10) -> SuiteReport:
@@ -458,7 +458,7 @@ def action_suite(sd: SemidirectSpec, samples: int = 30, seed: int = 0, tol: floa
     rep = SuiteReport(f"semidirect.lifted_action[{sd.name}]")
     rng = stream(seed, f"semidirect.action/{sd.name}")
     w_formula = w_law = w_id = 0.0
-    for fc, (g1, g2) in _draw_factored(sd, samples, rng, pairs=2):
+    for fc, (g1, g2), _ in _draw_factored(sd, samples, rng, pairs=2):
         lifted = lifted_action(sd, fc, g1)
         w_formula = worst(w_formula, _fc_distance(lifted, lifted_action_formula(sd, fc, g1)))
         w_law = worst(w_law, _fc_distance(lifted_action(sd, lifted, g2), lifted_action(sd, fc, sd.product(g1, g2))))
@@ -475,7 +475,7 @@ def equivariance_suite(sd: SemidirectSpec, samples: int = 200, seed: int = 0, to
     rep = SuiteReport(f"semidirect.equivariance[{sd.name}]")
     rng = stream(seed, f"semidirect.equivariance/{sd.name}")
     w_eq = w_anti = 0.0
-    for fc, (g, g2) in _draw_factored(sd, samples, rng, pairs=2):
+    for fc, (g, g2), _ in _draw_factored(sd, samples, rng, pairs=2):
         jk, jn = momentum_factorized(lifted_action(sd, fc, g))
         t_k, t_n = coadjoint_factor_transport(sd, g)
         jk0, jn0 = momentum_factorized(fc)
@@ -520,26 +520,26 @@ def reduced_sequence_suite(sd: SemidirectSpec, samples: int = 25, seed: int = 0,
     w_gamma_star = w_omega = 0.0
     if abelian:
         a_char = rng.standard_normal(nn)
-        for _ in range(samples):
-            k, u = sd.random_pair(rng)
-            theta = rng.standard_normal(nk)
-            fc = FactoredCotangent(k, theta, u, a_char)
+        # per sample, in stream order: the pair (k, u), theta, the N-element w at scale 0.5, and xi1, xi2, dth1, dth2
+        draws = draw_samples(samples, lambda: (*sd.random_pair_coords(rng), rng.standard_normal(nk), sd.N.random_algebra(rng, 0.5),
+                                               *(rng.standard_normal(nk) for _ in range(4))))
+        for rows in _blocks(samples):
+            k_alg, u_alg, theta, w_alg, xi1, xi2, dth1, dth2 = (x[rows] for x in draws)
+            k, u = sd.pair_at(k_alg, u_alg)
+            chi = np.broadcast_to(a_char, theta.shape[:-1] + (nn,))
 
             # [Gamma*] is N-invariant and returns the theta coordinates
-            w_el = sd.N.random_element(rng, 0.5)
-            moved = lifted_action(sd, fc, (sd.K.identity(), w_el))
-            w_gamma_star = worst(w_gamma_star, float(np.linalg.norm(moved.theta - fc.theta)))
-            w_gamma_star = worst(w_gamma_star, float(np.linalg.norm(moved.k - fc.k)))
+            moved = lifted_action(sd, FactoredCotangent(k, theta, u, chi), (sd.K.identity(), sd.N.exp(w_alg)))
+            w_gamma_star = worst(w_gamma_star, row_norm(moved.theta - theta), row_norm(moved.k - k, 2))
 
             # omega_a = d(gamma_K + (pi_K*)A) with A = 0 for the homomorphic
             # section: compare the leaf form against d gamma_K on the slice u = e
-            xi1, xi2 = rng.standard_normal(nk), rng.standard_normal(nk)
-            dth1, dth2 = rng.standard_normal(nk), rng.standard_normal(nk)
-            v1 = np.concatenate([xi1, np.zeros(nn), dth1, np.zeros(nn)])
-            v2 = np.concatenate([xi2, np.zeros(nn), dth2, np.zeros(nn)])
-            leaf_val = _product_dgamma_fd([sd.K, sd.N], np.concatenate([theta, a_char]), v1, v2)
-            k_only = float(np.concatenate([xi1, dth1]) @ canonical_two_form([sd.K], theta) @ np.concatenate([xi2, dth2]))
-            w_omega = worst(w_omega, abs(leaf_val - k_only))
+            zero = np.zeros_like(chi)
+            v1 = np.concatenate([xi1, zero, dth1, zero], axis=-1)
+            v2 = np.concatenate([xi2, zero, dth2, zero], axis=-1)
+            leaf_val = _product_dgamma_fd([sd.K, sd.N], np.concatenate([theta, chi], axis=-1), v1, v2)
+            k_only = row_form(np.concatenate([xi1, dth1], axis=-1), canonical_two_form([sd.K], theta), np.concatenate([xi2, dth2], axis=-1))
+            w_omega = worst(w_omega, np.abs(leaf_val - k_only))
         rep.add("gamma_star_n_invariant", w_gamma_star, 1e-10)
         rep.add("omega_a_equals_dgamma_K", w_omega, 1e-7)
     else:
@@ -564,75 +564,75 @@ def momentum_form_suite(sd: SemidirectSpec, samples: int = 20, seed: int = 0, to
     H = sd.group_spec()
     nk, nn = sd.K.dim, sd.N.dim
     h = fd.GRAD_STEP
+    ends = np.array([-h, h])
     worst_h = worst_n = 0.0
-    for _ in range(samples):
-        fc = FactoredCotangent(sd.K.random_element(rng, 0.4), rng.standard_normal(nk),
-                               sd.N.random_element(rng, 0.4), rng.standard_normal(nn))
-        x_k, x_n = 0.7 * rng.standard_normal(nk), 0.7 * rng.standard_normal(nn)
-        x_h = sd.sigma_dot() @ x_k + sd.iota_dot() @ x_n
-        v = rng.standard_normal(2 * (nk + nn))
-        fp, fm = _fc_move(sd, fc, v, h), _fc_move(sd, fc, v, -h)
 
-        def generator(xvec: Array) -> Array:
-            def flow(t: float) -> FactoredCotangent:
-                g = sd.split(expm(t * np.tensordot(xvec, H.basis, axes=1)))
-                return lifted_action(sd, fc, g)
+    def more() -> tuple:
+        # after the covector of each sample: the algebra elements x_k, x_n and a tangent v
+        return 0.7 * rng.standard_normal(nk), 0.7 * rng.standard_normal(nn), rng.standard_normal(2 * (nk + nn))
 
-            return _fc_tangent(sd, flow(-h), flow(h), h)
+    for fc, _, (x_k, x_n, v) in _draw_factored(sd, samples, rng, pairs=0, more=more):
+        x_hn = row_matvec(sd.iota_dot(), x_n)
+        x_h = row_matvec(sd.sigma_dot(), x_k) + x_hn
+        # the covector moved along v to -h and +h
+        f_ends = _fc_move(sd, fc, v, ends[:, None, None])
+
+        # generators of the lifted action for x_hn and x_h: their flows at -h and +h through one lifted_action
+        flows = lifted_action(sd, fc, sd.split(expm(np.multiply.outer(ends, H.from_coords(np.stack([x_hn, x_h]))))))
+        gen_n, gen_h = _fc_tangent(sd, flows, h)
+        omega = canonical_two_form([sd.K, sd.N], np.concatenate([fc.theta, fc.chi], axis=-1))
 
         # full H generator against the group momentum <beta, X>
-        omega = canonical_two_form([sd.K, sd.N], np.concatenate([fc.theta, fc.chi]))
-        lhs = float(generator(x_h) @ omega @ v)
-        djx = fd.quotient(float(tstar_sigma(sd, fm) @ x_h), float(tstar_sigma(sd, fp) @ x_h), h)
-        worst_h = worst(worst_h, abs(lhs + djx))
+        djx = fd.quotient(*row_dot(tstar_sigma(sd, f_ends), x_h), h)
+        worst_h = worst(worst_h, np.abs(row_form(gen_h, omega, v) + djx))
 
         # normal-subgroup generator against the factored component J_N = chi
-        x_hn = sd.iota_dot() @ x_n
-        lhs_n = float(generator(x_hn) @ omega @ v)
-        djn = fd.quotient(float(fm.chi @ x_n), float(fp.chi @ x_n), h)
-        worst_n = worst(worst_n, abs(lhs_n + djn))
+        djn = fd.quotient(*row_dot(f_ends.chi, x_n), h)
+        worst_n = worst(worst_n, np.abs(row_form(gen_n, omega, v) + djn))
     rep.add("contraction_identity_group_momentum", worst_h, tol)
     rep.add("contraction_identity_factored_n_component", worst_n, tol)
     rep.extras["trials"] = samples
     return rep
 
 
-def _fc_move(sd: SemidirectSpec, fc: FactoredCotangent, v: Array, t: float) -> FactoredCotangent:
+def _fc_move(sd: SemidirectSpec, fc: FactoredCotangent, v: Array, t: float | Array) -> FactoredCotangent:
+    """The covector moved by t along the left-trivialized tangent v, per row of stacks; an array of t broadcasts against the rows."""
     nk, nn = sd.K.dim, sd.N.dim
     return FactoredCotangent(
-        fc.k @ sd.K.exp(t * v[:nk]),
-        fc.theta + t * v[nk + nn : 2 * nk + nn],
-        fc.u @ sd.N.exp(t * v[nk : nk + nn]),
-        fc.chi + t * v[2 * nk + nn :],
+        fc.k @ sd.K.exp(t * v[..., :nk]),
+        fc.theta + t * v[..., nk + nn : 2 * nk + nn],
+        fc.u @ sd.N.exp(t * v[..., nk : nk + nn]),
+        fc.chi + t * v[..., 2 * nk + nn :],
     )
 
 
-def _fc_tangent(sd: SemidirectSpec, minus: FactoredCotangent, plus: FactoredCotangent, h: float) -> Array:
-    """Left-trivialized tangent (xi, nu, dtheta, dchi) from the points at -h and +h."""
-    xi = fd.group_velocity(sd.K, minus.k, plus.k, h)
-    nu = fd.group_velocity(sd.N, minus.u, plus.u, h)
-    return np.concatenate([xi, nu, fd.quotient(minus.theta, plus.theta, h), fd.quotient(minus.chi, plus.chi, h)])
+def _fc_tangent(sd: SemidirectSpec, ends: FactoredCotangent, h: float) -> Array:
+    """Left-trivialized tangent (xi, nu, dtheta, dchi) from the points at -h and +h, the first axis of every field, per row of stacks."""
+    xi = fd.group_velocity(sd.K, *ends.k, h)
+    nu = fd.group_velocity(sd.N, *ends.u, h)
+    return np.concatenate([xi, nu, fd.quotient(*ends.theta, h), fd.quotient(*ends.chi, h)], axis=-1)
 
 
-def _product_dgamma_fd(factors: Sequence[LieGroupSpec], covector: Array, v1: Array, v2: Array) -> float:
-    """d gamma on T*(G_1 x ... x G_r) in left-trivialized coordinates, by FD in exp charts.
+def _product_dgamma_fd(factors: Sequence[LieGroupSpec], covector: Array, v1: Array, v2: Array) -> float | Array:
+    """d gamma on T*(G_1 x ... x G_r) in left-trivialized coordinates, by FD in exp charts, per row of stacks.
 
     The finite-difference oracle for ``canonical_two_form``, with the same
     factors, covector and tangent layout (velocities | covector changes).  The
     charts are centered at the evaluation point, so chart directions at the
-    center are the left-trivialized tangents.
+    center are the left-trivialized tangents.  A float for one covector.
     """
     dims = [f.dim for f in factors]
     cuts, dim = np.cumsum(dims)[:-1], sum(dims)
 
-    def gamma_at(z: Array, v: Array) -> float:
-        parts = zip(factors, np.split(z[:dim], cuts), np.split(v[:dim], cuts), np.split(z[dim:], cuts))
-        return float(sum(mu @ dexp_left(f, x, dx) for f, x, dx, mu in parts))
+    def gamma_at(z: Array, v: Array) -> Array:
+        parts = zip(factors, *(np.split(x, cuts, axis=-1) for x in (z[..., :dim], v[..., :dim], z[..., dim:])))
+        return sum(row_dot(mu, dexp_left(f, x, dx)) for f, x, dx, mu in parts)
 
-    z0 = np.concatenate([np.zeros(dim), covector])
+    z0 = np.concatenate([np.zeros(np.shape(covector)[:-1] + (dim,)), covector], axis=-1)
     t1 = fd.central(lambda z: gamma_at(z, v2), z0, [v1], fd.GRAD_STEP)[0]
     t2 = fd.central(lambda z: gamma_at(z, v1), z0, [v2], fd.GRAD_STEP)[0]
-    return float(t1 - t2)
+    out = t1 - t2
+    return float(out) if np.ndim(out) == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from gaugemech import bundle, cli, dynamics, groupoid, liealg, poisson, semidirect
-from gaugemech.bundle import BundleSpec, ConnectionData
+from gaugemech.bundle import BundleSpec, ConnectionData, CotangentSample
 
 SEED = 20260810
 
@@ -71,12 +71,12 @@ def test_criterion_4_momentum_equivariance(so3_bundle, sd):
 
     rng = stream(SEED, "acceptance.equivariance")
     worst_j = max(
-        so3_bundle.equivariance_residual(so3_bundle.random_cotangent(rng), so3_bundle.group.random_element(rng))
+        so3_bundle.equivariance_residual(CotangentSample(so3_bundle.point_at(*so3_bundle.random_point_coords(rng)), *so3_bundle.random_covector(rng)), so3_bundle.group.exp(so3_bundle.group.random_algebra(rng)))
         for _ in range(200)
     )
     total = semidirect.total_bundle(sd)
     worst_j_sd = max(
-        total.equivariance_residual(total.random_cotangent(rng), total.group.random_element(rng))
+        total.equivariance_residual(CotangentSample(total.point_at(*total.random_point_coords(rng)), *total.random_covector(rng)), total.group.exp(total.group.random_algebra(rng)))
         for _ in range(200)
     )
     rep = semidirect.equivariance_suite(sd, samples=200, seed=SEED, tol=1e-9)

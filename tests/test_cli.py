@@ -252,6 +252,10 @@ _SD_NAN_RHO["rho"][0][0][1] = float("nan")
     ("u1-magnetic", "connection", {"A": [[[["0.5", [0, 1]]]], [[[0.5, [1, 0]]]]]}),
     ("u1-magnetic", "connection", {"A": [[[[-0.5, [0, 1]]]], [[[True, [1, 0]]]]]}),
     ("u1-magnetic", "connection", {"A": [[[[-10**400, [0, 1]]]], [[[0.5, [1, 0]]]]]}),
+    ("so3-trivial-bundle", "group", _SO3_JSON | {"structure": _SO3_JSON["structure"] + [[0, 1, 3, 1.0]]}),
+    ("so3-trivial-bundle", "group", _SO3_JSON | {"structure": _SO3_JSON["structure"] + [[0, 1, -1, 1.0]]}),
+    ("so3-trivial-bundle", "group", _SO3_JSON | {"structure": _SO3_JSON["structure"] + [[0, 1, 2.9, 1.0]]}),
+    ("so3-trivial-bundle", "group", _SO3_JSON | {"dim": 3.7}),
 ])
 def test_malformed_scenario_exits_2(tmp_path, capsys, name, key, value):
     doc = json.loads(json.dumps(cli.BUILTIN_SCENARIOS[name]))

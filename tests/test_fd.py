@@ -44,7 +44,7 @@ def test_central_unit_direction_moves_one_entry():
 def test_group_velocity_of_one_parameter_curve(group):
     rng = np.random.default_rng(1)
     for _ in range(5):
-        g = group.random_element(rng)
+        g = group.exp(group.random_algebra(rng))
         xi = rng.standard_normal(group.dim)
         h = fd.FINE_STEP
         v = fd.group_velocity(group, g @ group.exp(-h * xi), g @ group.exp(h * xi), h)

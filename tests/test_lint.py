@@ -97,6 +97,49 @@ def central_difference_sites(source: str, filename: str = "<src>") -> list[str]:
     return found
 
 
+def per_sample_loops(source: str, filename: str = "<src>") -> list[str]:
+    """Loops (``for`` statements and comprehensions) over ``range(samples)`` or ``range(trials)`` in a ``*_suite`` or ``*_check`` function.
+
+    A suite draws its samples through ``bundle.draw_samples`` and evaluates
+    each check once over the stacked samples.
+    """
+    found = []
+    for fn in ast.walk(ast.parse(source, filename)):
+        if not (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and fn.name.endswith(("_suite", "_check"))):
+            continue
+        for node in _own_nodes(fn):
+            it = getattr(node, "iter", None) if isinstance(node, (ast.For, ast.comprehension)) else None
+            if (isinstance(it, ast.Call) and isinstance(it.func, ast.Name) and it.func.id == "range" and len(it.args) == 1
+                    and isinstance(it.args[0], ast.Name) and it.args[0].id in ("samples", "trials")):
+                found.append((it.lineno, fn.name))
+    return [f"{filename}:{line} {name}" for line, name in sorted(found)]
+
+
+def test_per_sample_loop_detector():
+    src = (
+        "def a_suite(b, samples):\n"
+        "    for _ in range(samples):\n"
+        "        pass\n"
+        "    xs = [draw() for _ in range(samples)]\n"
+        "    for i in range(0, samples, 25):\n"
+        "        pass\n"
+        "def b_check(space, trials):\n"
+        "    return sum(f(x) for _ in range(trials))\n"
+        "def draw_samples(samples, draw):\n"
+        "    for i in range(samples):\n"
+        "        pass\n"
+        "def c_suite(n):\n"
+        "    for _ in range(n):\n"
+        "        pass\n"
+    )
+    assert per_sample_loops(src) == ["<src>:2 a_suite", "<src>:4 a_suite", "<src>:8 b_check"]
+
+
+def test_no_per_sample_loops_in_suites():
+    found = [hit for path in sorted(SRC.glob("*.py")) for hit in per_sample_loops(path.read_text(encoding="utf-8"), path.name)]
+    assert found == []
+
+
 def test_central_difference_detector():
     src = (
         "d = (f(x + h) - f(x - h)) / (2 * h)\n"

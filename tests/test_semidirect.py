@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gaugemech import bundle, dynamics, liealg, poisson, semidirect
+from gaugemech.bundle import CotangentSample
 from gaugemech.semidirect import (
     FactoredCotangent,
     SemidirectSpec,
@@ -36,7 +37,7 @@ def hom4(k, v):
 class TestGroupStructure:
     def test_k_subgroup(self, sd):
         rng = np.random.default_rng(1)
-        k, l = sd.K.random_element(rng), sd.K.random_element(rng)
+        k, l = sd.K.exp(sd.K.random_algebra(rng)), sd.K.exp(sd.K.random_algebra(rng))
         e_n = sd.N.identity()
         prod = sd.product((k, e_n), (l, e_n))
         np.testing.assert_allclose(prod[0], k @ l, atol=1e-13)
@@ -44,7 +45,7 @@ class TestGroupStructure:
 
     def test_n_subgroup(self, sd):
         rng = np.random.default_rng(2)
-        u, w = sd.N.random_element(rng), sd.N.random_element(rng)
+        u, w = sd.N.exp(sd.N.random_algebra(rng)), sd.N.exp(sd.N.random_algebra(rng))
         e_k = sd.K.identity()
         prod = sd.product((e_k, u), (e_k, w))
         np.testing.assert_allclose(prod[0], e_k, atol=1e-14)
@@ -53,7 +54,7 @@ class TestGroupStructure:
     def test_product_matches_homogeneous_oracle(self, sd):
         rng = np.random.default_rng(3)
         for _ in range(10):
-            k1, k2 = sd.K.random_element(rng), sd.K.random_element(rng)
+            k1, k2 = sd.K.exp(sd.K.random_algebra(rng)), sd.K.exp(sd.K.random_algebra(rng))
             v1, v2 = rng.standard_normal(3), rng.standard_normal(3)
             prod = sd.product((k1, sd.N.exp(v1)), (k2, sd.N.exp(v2)))
             oracle = hom4(k1, v1) @ hom4(k2, v2)
@@ -87,7 +88,7 @@ class TestEmbedding:
         spec = route()
         rng = np.random.default_rng(23)
         for _ in range(10):
-            a, b = spec.random_pair(rng), spec.random_pair(rng)
+            a, b = spec.pair_at(*spec.random_pair_coords(rng)), spec.pair_at(*spec.random_pair_coords(rng))
             err = spec.embed(*spec.product(a, b)) - spec.embed(*a) @ spec.embed(*b)
             assert np.max(np.abs(err)) <= 1e-13
 
@@ -95,7 +96,7 @@ class TestEmbedding:
         spec = route()
         rng = np.random.default_rng(24)
         for _ in range(10):
-            k, u = spec.random_pair(rng)
+            k, u = spec.pair_at(*spec.random_pair_coords(rng))
             k_back, u_back = spec.split(spec.embed(k, u))
             assert np.max(np.abs(k_back - k)) <= 1e-14
             assert np.max(np.abs(u_back - u)) <= 1e-13
@@ -105,7 +106,7 @@ class TestEmbedding:
         spec = route()
         rng = np.random.default_rng(25)
         for _ in range(10):
-            l, x = spec.K.random_element(rng), spec.N.random_algebra(rng)
+            l, x = spec.K.exp(spec.K.random_algebra(rng)), spec.N.random_algebra(rng)
             rho_inf = spec.rho_inf(l)
             assert np.max(np.abs(rho_inf - spec.N.Ad(spec.R(l)))) <= 1e-14
             assert np.max(np.abs(spec.N.log(spec.rho(l, spec.N.exp(x))) - rho_inf @ x)) <= 1e-12
@@ -116,7 +117,7 @@ def test_generic_route_matches_closed_form():
     generic = generic_route(closed)
     rng = np.random.default_rng(26)
     for _ in range(10):
-        l = closed.K.random_element(rng)
+        l = closed.K.exp(closed.K.random_algebra(rng))
         assert np.max(np.abs(generic.R(l) - closed.R(l))) <= 1e-13
 
 
@@ -126,14 +127,14 @@ class TestTrivialization:
 
     def test_roundtrip(self, sd):
         rng = np.random.default_rng(7)
-        fc = FactoredCotangent(sd.K.random_element(rng), rng.standard_normal(3), sd.N.random_element(rng), rng.standard_normal(3))
+        fc = FactoredCotangent(sd.K.exp(sd.K.random_algebra(rng)), rng.standard_normal(3), sd.N.exp(sd.N.random_algebra(rng)), rng.standard_normal(3))
         beta = tstar_sigma(sd, fc)
         back = tstar_sigma_inverse(sd, fc.k, fc.u, beta)
         assert np.linalg.norm(back.theta - fc.theta) + np.linalg.norm(back.chi - fc.chi) <= 1e-11
 
     def test_chi_zero_is_mu_pullback(self, sd):
         rng = np.random.default_rng(8)
-        fc = FactoredCotangent(sd.K.random_element(rng), rng.standard_normal(3), sd.N.random_element(rng), np.zeros(3))
+        fc = FactoredCotangent(sd.K.exp(sd.K.random_algebra(rng)), rng.standard_normal(3), sd.N.exp(sd.N.random_algebra(rng)), np.zeros(3))
         beta = tstar_sigma(sd, fc)
         np.testing.assert_allclose(beta, sd.mu_dot().T @ fc.theta, atol=1e-12)
 
@@ -145,23 +146,23 @@ class TestTrivialization:
 class TestLiftedAction:
     def test_identity_acts_trivially(self, sd):
         rng = np.random.default_rng(10)
-        fc = FactoredCotangent(sd.K.random_element(rng), rng.standard_normal(3), sd.N.random_element(rng), rng.standard_normal(3))
+        fc = FactoredCotangent(sd.K.exp(sd.K.random_algebra(rng)), rng.standard_normal(3), sd.N.exp(sd.N.random_algebra(rng)), rng.standard_normal(3))
         moved = lifted_action(sd, fc, sd.identity_pair())
         assert semidirect._fc_distance(moved, fc) <= 1e-12
 
     def test_abelian_n_translation_preserves_chi(self, sd):
         # l = e: the N-component map is a right translation of the abelian N
         rng = np.random.default_rng(11)
-        fc = FactoredCotangent(sd.K.random_element(rng), rng.standard_normal(3), sd.N.random_element(rng), rng.standard_normal(3))
-        w = sd.N.random_element(rng)
+        fc = FactoredCotangent(sd.K.exp(sd.K.random_algebra(rng)), rng.standard_normal(3), sd.N.exp(sd.N.random_algebra(rng)), rng.standard_normal(3))
+        w = sd.N.exp(sd.N.random_algebra(rng))
         moved = lifted_action(sd, fc, (sd.K.identity(), w))
         np.testing.assert_allclose(moved.chi, fc.chi, atol=1e-12)
         np.testing.assert_allclose(moved.theta, fc.theta, atol=1e-12)
 
     def test_composition_law(self, sd):
         rng = np.random.default_rng(12)
-        fc = FactoredCotangent(sd.K.random_element(rng), rng.standard_normal(3), sd.N.random_element(rng), rng.standard_normal(3))
-        g1, g2 = sd.random_pair(rng), sd.random_pair(rng)
+        fc = FactoredCotangent(sd.K.exp(sd.K.random_algebra(rng)), rng.standard_normal(3), sd.N.exp(sd.N.random_algebra(rng)), rng.standard_normal(3))
+        g1, g2 = sd.pair_at(*sd.random_pair_coords(rng)), sd.pair_at(*sd.random_pair_coords(rng))
         lhs = lifted_action(sd, lifted_action(sd, fc, g1), g2)
         rhs = lifted_action(sd, fc, sd.product(g1, g2))
         assert semidirect._fc_distance(lhs, rhs) <= 1e-10
@@ -169,8 +170,8 @@ class TestLiftedAction:
     def test_closed_formula_matches_conjugated_lift(self, sd):
         rng = np.random.default_rng(13)
         for _ in range(10):
-            fc = FactoredCotangent(sd.K.random_element(rng), rng.standard_normal(3), sd.N.random_element(rng), rng.standard_normal(3))
-            g = sd.random_pair(rng)
+            fc = FactoredCotangent(sd.K.exp(sd.K.random_algebra(rng)), rng.standard_normal(3), sd.N.exp(sd.N.random_algebra(rng)), rng.standard_normal(3))
+            g = sd.pair_at(*sd.random_pair_coords(rng))
             assert semidirect._fc_distance(lifted_action(sd, fc, g), lifted_action_formula(sd, fc, g)) <= 1e-10
 
 
@@ -186,7 +187,7 @@ class TestMomentum:
     def test_n_component_matches_group_momentum_everywhere(self, sd):
         rng = np.random.default_rng(15)
         for _ in range(10):
-            fc = FactoredCotangent(sd.K.random_element(rng), rng.standard_normal(3), sd.N.random_element(rng), rng.standard_normal(3))
+            fc = FactoredCotangent(sd.K.exp(sd.K.random_algebra(rng)), rng.standard_normal(3), sd.N.exp(sd.N.random_algebra(rng)), rng.standard_normal(3))
             _, jn_group = group_momentum(sd, fc)
             _, jn = momentum_factorized(fc)
             np.testing.assert_allclose(jn_group, jn, atol=1e-11)
@@ -201,8 +202,8 @@ class TestMomentum:
         # off the identity slice and is NOT equivariant; only the factorized
         # momentum map satisfies the product equivariance law
         rng = np.random.default_rng(17)
-        fc = FactoredCotangent(sd.K.random_element(rng, 0.4), rng.standard_normal(3), sd.N.exp(np.array([1.0, -0.7, 0.4])), rng.standard_normal(3))
-        g = sd.random_pair(rng)
+        fc = FactoredCotangent(sd.K.exp(sd.K.random_algebra(rng, 0.4)), rng.standard_normal(3), sd.N.exp(np.array([1.0, -0.7, 0.4])), rng.standard_normal(3))
+        g = sd.pair_at(*sd.random_pair_coords(rng))
         t_k, _ = coadjoint_factor_transport(sd, g)
         jk0, _ = group_momentum(sd, fc)
         jk1, _ = group_momentum(sd, lifted_action(sd, fc, g))
@@ -212,7 +213,7 @@ class TestMomentum:
         b = total_bundle(sd)
         rng = np.random.default_rng(18)
         for _ in range(10):
-            s = b.random_cotangent(rng)
+            s = CotangentSample(b.point_at(*b.random_point_coords(rng)), *b.random_covector(rng))
             fc = FactoredCotangent(s.point.base, s.a, s.point.fiber, s.b)
             _, jn = momentum_factorized(fc)
             np.testing.assert_allclose(b.momentum(s), jn, atol=1e-12)
@@ -246,8 +247,8 @@ class TestPullbackForm:
             return f(fc.theta, fc.chi)
 
         rng = np.random.default_rng(31)
-        k0 = sd.K.random_element(rng, 0.3)
-        u0 = sd.N.random_element(rng, 0.3)
+        k0 = sd.K.exp(sd.K.random_algebra(rng, 0.3))
+        u0 = sd.N.exp(sd.N.random_algebra(rng, 0.3))
         theta0, chi0 = rng.standard_normal(3), rng.standard_normal(3)
         fc0 = semidirect.FactoredCotangent(k0, theta0, u0, chi0)
         beta0 = semidirect.tstar_sigma(sd, fc0)
@@ -380,7 +381,7 @@ class TestSerialization:
         back = semidirect.sd_from_json(doc)
         assert (back.K.name, back.N.name) == ("so3", "r3")
         rng = np.random.default_rng(30)
-        l, u = sd.K.random_element(rng, 0.4), sd.N.random_element(rng)
+        l, u = sd.K.exp(sd.K.random_algebra(rng, 0.4)), sd.N.exp(sd.N.random_algebra(rng))
         np.testing.assert_allclose(back.rho(l, u), sd.rho(l, u), atol=1e-10)
         doc["K"] = "so4"
         with pytest.raises(KeyError):
@@ -390,8 +391,8 @@ class TestSerialization:
         doc = semidirect.sd_to_json(sd)
         back = semidirect.sd_from_json(doc)
         rng = np.random.default_rng(28)
-        l = sd.K.random_element(rng, 0.4)
-        u = sd.N.random_element(rng)
+        l = sd.K.exp(sd.K.random_algebra(rng, 0.4))
+        u = sd.N.exp(sd.N.random_algebra(rng))
         np.testing.assert_allclose(back.rho(l, u), sd.rho(l, u), atol=1e-10)
         assert semidirect.spec_suite(back, samples=10, seed=29).passed
 
@@ -427,3 +428,88 @@ class TestBatchedSuitesSeeLastRow:
 
         monkeypatch.setattr(liealg.LieGroupSpec, "Ad_star", mutant)
         assert not suite(sd, samples=20, seed=3).passed
+
+    def test_connection_form_mutant(self, sd, monkeypatch):
+        assert semidirect.pullback_form_suite(sd, samples=20, seed=3).passed
+        original = semidirect.connection_form
+        monkeypatch.setattr(semidirect, "connection_form", lambda *args: _last_stack_row_perturbed(original(*args)))
+        assert "pullback_identity" in {c.name for c in semidirect.pullback_form_suite(sd, samples=20, seed=3).failures()}
+
+    def test_flow_lifted_action_mutant(self, sd, monkeypatch):
+        assert semidirect.momentum_form_suite(sd, samples=20, seed=3).passed
+        original = semidirect.lifted_action
+
+        def mutant(sd, fc, g):
+            out = original(sd, fc, g)
+            return FactoredCotangent(out.k, _last_stack_row_perturbed(out.theta), out.u, out.chi)
+
+        monkeypatch.setattr(semidirect, "lifted_action", mutant)
+        assert "contraction_identity_group_momentum" in {c.name for c in semidirect.momentum_form_suite(sd, samples=20, seed=3).failures()}
+
+    def test_dexp_left_mutant(self, sd, monkeypatch):
+        # a constant shift of both ends of a central difference cancels, so the last row is scaled
+        assert semidirect.reduced_sequence_suite(sd, samples=20, seed=3).passed
+        original = semidirect.dexp_left
+
+        def mutant(group, xi, dxi):
+            out = original(group, xi, dxi)
+            out[(-1,) * (out.ndim - 1)] *= 1 + 1e-4
+            return out
+
+        monkeypatch.setattr(semidirect, "dexp_left", mutant)
+        assert "omega_a_equals_dgamma_K" in {c.name for c in semidirect.reduced_sequence_suite(sd, samples=20, seed=3).failures()}
+
+    def test_a_star_mutant(self, sd, monkeypatch):
+        b = total_bundle(sd)
+        assert bundle.anchor_pullback_suite(b, samples=20, seed=3).passed
+        original = bundle.BundleSpec.a_star
+
+        def mutant(self, base, rho):
+            rep = original(self, base, rho).rep
+            return bundle.QuotientClass(CotangentSample(rep.point, _last_stack_row_perturbed(rep.a), rep.b))
+
+        monkeypatch.setattr(bundle.BundleSpec, "a_star", mutant)
+        assert "pullback_matches_canonical" in {c.name for c in bundle.anchor_pullback_suite(b, samples=20, seed=3).failures()}
+
+
+def _last_stack_row_perturbed(x):
+    """A copy of a stack with 1e-6 added to its last row along every leading axis (a single row too)."""
+    out = np.array(x, dtype=float)
+    out[(-1,) * (out.ndim - 1)] += 1e-6
+    return out
+
+
+def _pairs(spec, rng, n):
+    """n random pairs (k, u) as two stacks."""
+    return spec.pair_at(*map(np.array, zip(*(spec.random_pair_coords(rng) for _ in range(n)))))
+
+
+@pytest.mark.parametrize("route", [so3_r3, lambda: generic_route(so3_r3())], ids=["closed", "generic"])
+def test_connection_form_rows_equal_single_calls(route):
+    spec = route()
+    rng = np.random.default_rng(41)
+    k, u = _pairs(spec, rng, 12)
+    v = rng.standard_normal((12, spec.group_spec().dim)) * 10.0 ** rng.uniform(-3, 1, (12, 1))
+    stacked = semidirect.connection_form(spec, k, u, v)
+    assert np.array_equal(stacked, [semidirect.connection_form(spec, k[i], u[i], v[i]) for i in range(12)])
+
+
+@pytest.mark.parametrize("group", [liealg.so3(), liealg.heisenberg3(), liealg.translation_group(3), so3_r3().group_spec()], ids=lambda g: g.name)
+def test_dexp_left_rows_equal_single_calls(group):
+    # magnitudes from 1e-4 to 10, and zero rows, so rows stop their series at different terms
+    rng = np.random.default_rng(42)
+    xi = rng.standard_normal((20, group.dim)) * 10.0 ** rng.uniform(-4, 1, (20, 1))
+    xi[::7] = 0.0
+    dxi = rng.standard_normal((20, group.dim))
+    stacked = poisson.dexp_left(group, xi, dxi)
+    assert np.array_equal(stacked, [poisson.dexp_left(group, xi[i], dxi[i]) for i in range(20)])
+
+
+def test_product_dgamma_fd_rows_equal_single_calls(sd):
+    rng = np.random.default_rng(43)
+    factors = [sd.K, sd.N]
+    covector, v1, v2 = rng.standard_normal((12, 6)), rng.standard_normal((12, 12)), rng.standard_normal((12, 12))
+    stacked = semidirect._product_dgamma_fd(factors, covector, v1, v2)
+    single = [semidirect._product_dgamma_fd(factors, covector[i], v1[i], v2[i]) for i in range(12)]
+    assert all(isinstance(x, float) for x in single)
+    assert np.array_equal(stacked, single)
