@@ -39,40 +39,45 @@ class Trajectory:
     monitors: dict[str, Array] = field(default_factory=dict)
 
 
-def ham_vector_field(space: PoissonSpace, hamiltonian: ScalarField, point: Array) -> Array:
-    """Velocity v_i = {x_i, H}(point) = sum_j B_ij dH/dx_j, for a float vector ``point``.
+def ham_vector_field(space: PoissonSpace, hamiltonian: ScalarField, point: Array | list[float]) -> Array | list[float]:
+    """Velocity v_i = {x_i, H}(point) = sum_j B_ij dH/dx_j: a list for a list of floats, an array otherwise.
 
-    The same arithmetic as ``space.bivector(point) @ hamiltonian.gradient(point)``,
-    bit for bit, without those two calls' conversions: the exact ``grad`` is
-    called directly when the field has one, the FD ``gradient`` otherwise.
-    This is the per-stage right-hand side of ``integrate`` and does not check
-    the chart: ``integrate`` checks the initial and accepted states, and
+    The field is ``space.compile_field(hamiltonian)``, compiled once and
+    kept by the space while the same hamiltonian calls. This is the
+    per-stage right-hand side of ``integrate`` and does not check the chart:
+    ``integrate`` checks the initial and accepted states, and
     ``PoissonSpace.bracket`` checks its point.
     """
-    b = space.linear @ point
-    if space.const is not None:
-        b = b + space.const
-    grad = hamiltonian.grad
-    return b @ (grad(point) if grad is not None else hamiltonian.gradient(point))
+    held, field = space._field
+    if held is not hamiltonian:
+        field = space.compile_field(hamiltonian)
+    if type(point) is list:
+        return field(point)
+    return np.array(field(np.asarray(point, dtype=float).tolist()))
 
 
-def _rk4(rhs: Callable[[Array], Array], x0: Array, h: float, n_steps: int) -> Trajectory:
+def _rk4(rhs: Callable[[list[float]], list[float]], x0: Array, h: float, n_steps: int) -> Trajectory:
     """Classical fixed-step RK4: the one stepper behind every integrator here.
 
-    The steps run with numpy floating-point warnings off, and finiteness is
-    checked once per block of CSV_BLOCK stored states, not per stage. A
-    non-finite state stays non-finite under later steps, so the first
-    non-finite state of a block is the first of the run: DivergenceError
-    names that step and carries the trajectory up to the last finite state.
-    After divergence ``rhs`` may still be evaluated on non-finite states, up
-    to the end of the block. If ``rhs`` raises on a non-finite state or
-    stage, the run ends in DivergenceError as well.
+    The state is a list of floats, and ``rhs`` maps one to a sequence of
+    floats; each stage adds ``half * k`` or ``h * k`` to the state, and a step
+    adds ``sixth * (k1 + 2 k2 + 2 k3 + k4)``, entry by entry with the
+    association of the numpy expressions. The steps run with numpy
+    floating-point warnings off, and finiteness is checked once per block of
+    CSV_BLOCK stored states, not per stage. A non-finite state stays
+    non-finite under later steps, so the first non-finite state of a block is
+    the first of the run: DivergenceError names that step and carries the
+    trajectory up to the last finite state. After divergence ``rhs`` may
+    still be evaluated on non-finite states, up to the end of the block. If
+    ``rhs`` raises on a non-finite state or stage, the run ends in
+    DivergenceError as well.
     """
     if h <= 0:
         raise ValueError("step size must be positive")
-    x = np.asarray(x0, dtype=float).copy()
-    states = np.empty((n_steps + 1, x.size))
+    x = np.asarray(x0, dtype=float).tolist()
+    states = np.empty((n_steps + 1, len(x)))
     states[0] = x
+    h = float(h)
     half, sixth = 0.5 * h, h / 6.0
 
     def divergence(lo: int, hi: int) -> DivergenceError | None:
@@ -90,11 +95,11 @@ def _rk4(rhs: Callable[[Array], Array], x0: Array, h: float, n_steps: int) -> Tr
                 y = x
                 try:
                     k1 = rhs(y)
-                    y = x + half * k1
+                    y = [a + half * b for a, b in zip(x, k1)]
                     k2 = rhs(y)
-                    y = x + half * k2
+                    y = [a + half * b for a, b in zip(x, k2)]
                     k3 = rhs(y)
-                    y = x + h * k3
+                    y = [a + h * b for a, b in zip(x, k3)]
                     k4 = rhs(y)
                 except Exception:
                     if np.isfinite(y).all():
@@ -102,7 +107,7 @@ def _rk4(rhs: Callable[[Array], Array], x0: Array, h: float, n_steps: int) -> Tr
                     # a non-finite stage makes this step's state non-finite, unless an earlier one already was
                     states[step] = np.nan
                     raise divergence(start, step + 1) from None
-                x = x + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+                x = [a + sixth * (b1 + 2 * b2 + 2 * b3 + b4) for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
                 states[step] = x
             exc = divergence(start, stop)
             if exc is not None:
@@ -212,10 +217,11 @@ def integrate_cotangent(group: LieGroupSpec, field: Callable[[Array, Array], tup
     """
     m = group.embed
 
-    def rhs(state: Array) -> Array:
+    def rhs(state: list[float]) -> list[float]:
+        state = np.array(state)
         uu = state[: m * m].reshape(m, m)
         xi, b_dot = field(uu, state[m * m :])
-        return np.concatenate([(uu @ group.from_coords(xi)).reshape(-1), b_dot])
+        return np.concatenate([(uu @ group.from_coords(xi)).reshape(-1), b_dot]).tolist()
 
     x0 = np.concatenate([np.asarray(u0, dtype=float).reshape(-1), np.asarray(b0, dtype=float)])
     try:

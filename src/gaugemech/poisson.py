@@ -69,12 +69,26 @@ class ScalarField:
     (m, dim) float array at once and returns shape (m,). Its entry i must
     equal ``fn(rows[i])`` bit for bit, so a report or CSV does not depend on
     which of the two evaluated it.
+
+    ``affine``, when attached, is a pair (A, f) with grad H(x) = A x + f; the
+    exact gradient is then compiled from it (``affine_gradient``), and so is
+    the Hamiltonian vector field of ``PoissonSpace.compile_field``.
     """
 
     fn: Callable[[Array], float]
     grad: Callable[[Array], Array] | None = None
     name: str = ""
     batch_fn: Callable[[Array], Array] | None = None
+    affine: tuple[Array, Array] | None = None
+
+    def __post_init__(self) -> None:
+        if self.affine is not None:
+            a, f = (np.asarray(m, dtype=float) for m in self.affine)
+            if a.ndim != 2 or a.shape != (f.size, f.size):
+                raise ValueError(f"affine gradient needs A of shape (n, n) and f of size n, got {a.shape} and {f.shape}")
+            self.affine = (a, f)
+            if self.grad is None:
+                self.grad = affine_gradient(a, f)
 
     def __call__(self, x: Array) -> float:
         return float(self.fn(np.asarray(x, dtype=float)))
@@ -90,6 +104,48 @@ class ScalarField:
         if self.batch_fn is not None:
             return np.asarray(self.batch_fn(rows), dtype=float)
         return np.array([self.fn(y) for y in rows], dtype=float)
+
+
+def _term(coef: float, factor: str) -> str:
+    """Source of coef * factor; a coefficient of 1 or -1 is exact as the factor or its negation."""
+    return factor if coef == 1.0 else f"-{factor}" if coef == -1.0 else f"{coef!r}*{factor}"
+
+
+def _sum_source(coefs: Sequence[float], factors: Sequence[str], const: float = 0.0) -> str:
+    """Source of sum_k coefs[k] * factors[k] + const over its nonzero terms, in ascending k, then const.
+
+    Empty ("") when every term is zero. A float is written with ``repr``,
+    which reads back to the same bits.
+    """
+    terms = [_term(c, x) for c, x in zip(coefs, factors) if c != 0.0]
+    if const != 0.0:
+        terms.append(repr(const))
+    return " + ".join(terms)
+
+
+def _compile(source: str, namespace: dict) -> Callable:
+    """The function that ``source`` defines, its names resolved in ``namespace`` (``inf`` and ``nan`` included)."""
+    scope = {"inf": float("inf"), "nan": float("nan"), **namespace}
+    exec(compile(source, "<gaugemech.poisson compiled>", "exec"), scope)
+    return scope[source.split("(", 1)[0].removeprefix("def ")]
+
+
+def _unpack(names: Sequence[str]) -> str:
+    return ", ".join(names) + ","
+
+
+def affine_gradient(a: Array, f: Array) -> Callable[[Array], Array]:
+    """x -> A x + f at one point, compiled to straight-line float arithmetic.
+
+    Entry j sums the nonzero A_jl x_l in ascending l, then adds f_j when it is
+    nonzero; a row of A without nonzero entries gives f_j itself (its sign of
+    zero included).
+    """
+    n = f.size
+    names = [f"y{k}" for k in range(n)]
+    rows = [_sum_source(a[j].tolist(), names, float(f[j])) or repr(float(f[j])) for j in range(n)]
+    source = f"def grad(x):\n    {_unpack(names)} = asarray(x, dtype=float).tolist()\n    return array([{', '.join(rows)}])\n"
+    return _compile(source, {"array": np.array, "asarray": np.asarray})
 
 
 def coordinate_field(i: int, dim: int) -> ScalarField:
@@ -204,6 +260,8 @@ class PoissonSpace:
     const: Array | None = None
     box: Array | None = None
     name: str = ""
+    # (hamiltonian, field) of the last compile_field call, which dynamics.ham_vector_field reads per stage
+    _field: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("canonical", "lie_poisson", "quotient", "product"):
@@ -242,6 +300,55 @@ class PoissonSpace:
         """Matrix B_ij = {x_i, x_j} at the point, or one per point of a stack (..., dim)."""
         b = row_matvec(self.linear, np.asarray(x, dtype=float)[..., None, :])
         return b if self.const is None else b + self.const
+
+    def compile_field(self, hamiltonian: ScalarField) -> Callable[[Sequence[float]], list[float]]:
+        """The Hamiltonian vector field v(y) = B(y) grad H(y), compiled to one straight-line float function.
+
+        It maps a sequence of ``dim`` floats to a list of them. v_i sums
+        B_ij g_j in ascending j, and B_ij is sum_k linear_ijk y_k in ascending
+        k, plus const_ij: each sum over its nonzero terms only. With
+        ``hamiltonian.affine`` = (A, f) the gradient g = A y + f is compiled in
+        as in ``affine_gradient``, and a g_j that vanishes for every y drops
+        out; otherwise g is ``hamiltonian.gradient(y)``, in numpy, as floats.
+        The numpy product ``bivector(y) @ gradient(y)`` may round a row in
+        another order, or fuse a multiply and an add.
+
+        The field of the last hamiltonian compiled is kept and returned again
+        for it; the space and the field are taken as immutable.
+        """
+        if self._field[0] is hamiltonian:
+            return self._field[1]
+        n = self.dim
+        ys = [f"y{k}" for k in range(n)]
+        const = np.zeros((n, n)) if self.const is None else self.const
+        lines = [f"{_unpack(ys)} = y"]
+        if hamiltonian.affine is None:
+            gs = [f"g{j}" for j in range(n)]
+            lines.append(f"{_unpack(gs)} = ham.gradient(y).tolist()")
+        else:
+            a, f = hamiltonian.affine
+            gs = []
+            for j in range(n):
+                g = _sum_source(a[j].tolist(), ys, float(f[j]))
+                if a[j].any() and g not in ys:
+                    lines.append(f"g{j} = {g}")
+                    g = f"g{j}"
+                gs.append(g)  # a coordinate, a local, a constant's literal, or "" for zero
+        rows = []
+        for i in range(n):
+            terms = []
+            for j, g in enumerate(gs):
+                b = _sum_source(self.linear[i, j].tolist(), ys, float(const[i, j]))
+                if not (b and g):
+                    continue
+                if not self.linear[i, j].any():
+                    terms.append(_term(float(const[i, j]), g))
+                else:
+                    terms.append(f"{b if ' + ' not in b else f'({b})'}*{g}")
+            rows.append(" + ".join(terms) or "0.0")
+        body = "".join(f"    {line}\n" for line in lines)
+        self._field = (hamiltonian, _compile(f"def field(y):\n{body}    return [{', '.join(rows)}]\n", {"ham": hamiltonian}))
+        return self._field[1]
 
 
 def canonical_cotangent(nq: int, name: str = "") -> PoissonSpace:

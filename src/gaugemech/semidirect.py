@@ -673,7 +673,9 @@ def heavy_top_model(inertia, mgl: float, axis) -> HeavyTopModel:
     """Heavy top on the coalgebra of SO(3) x| R^3: H = T/2 + mgl <Gamma, axis>.
 
     The bracket is the generic Lie-Poisson evaluator over the structure
-    constants of the assembled semidirect algebra; nothing is hand-coded.
+    constants of the assembled semidirect algebra; nothing is hand-coded. The
+    Hamiltonian declares its affine gradient, from which its ``grad`` and the
+    compiled vector field of ``dynamics`` are built.
     Every field's ``batch_fn`` repeats its ``fn`` with ``np.vecdot`` in place of
     the per-row ``@``, which gives the same bits.
     """
@@ -685,7 +687,8 @@ def heavy_top_model(inertia, mgl: float, axis) -> HeavyTopModel:
     space = lie_poisson(sd.group_spec())
 
     inv_i = 1.0 / inertia
-    force = np.concatenate([np.zeros(3), mgl * axis])  # dH/dGamma = mgl * axis is constant
+    # grad H = A x + f: dH/dPi = Pi / I, and dH/dGamma = mgl * axis is constant
+    affine = (np.diag(np.concatenate([inv_i, np.zeros(3)])), np.concatenate([np.zeros(3), mgl * axis]))
 
     def ham(x: Array) -> float:
         pi, gam = x[:3], x[3:]
@@ -695,11 +698,6 @@ def heavy_top_model(inertia, mgl: float, axis) -> HeavyTopModel:
         pi, gam = rows[:, :3], rows[:, 3:]
         return np.vecdot(0.5 * pi, inv_i * pi) + mgl * np.vecdot(gam, axis)
 
-    def grad(x: Array) -> Array:
-        out = force.copy()
-        np.multiply(inv_i, x[:3], out=out[:3])
-        return out
-
     # the two Casimirs that poisson.casimir_fields derives for so3 x| r3, named
     casimirs = [
         ScalarField(lambda x: float(x[3:] @ x[3:]), lambda x: np.concatenate([np.zeros(3), 2.0 * x[3:]]), name="|Gamma|^2",
@@ -707,7 +705,7 @@ def heavy_top_model(inertia, mgl: float, axis) -> HeavyTopModel:
         ScalarField(lambda x: float(x[:3] @ x[3:]), lambda x: np.concatenate([x[3:], x[:3]]), name="<Pi,Gamma>",
                     batch_fn=lambda rows: np.vecdot(rows[:, :3], rows[:, 3:])),
     ]
-    hamiltonian = ScalarField(ham, grad, name="heavy_top", batch_fn=ham_rows)
+    hamiltonian = ScalarField(ham, name="heavy_top", batch_fn=ham_rows, affine=affine)
     return HeavyTopModel(sd, space, hamiltonian, casimirs, inertia, float(mgl), axis)
 
 

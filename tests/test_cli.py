@@ -352,6 +352,27 @@ def test_mutant_fails_builtin_checks(tmp_path, monkeypatch, name, mutate, suites
     assert set(killed_by) <= set(failures), failures
 
 
+@pytest.mark.parametrize("row, name", [(0, "heavy-top-lagrange"), (1, "heavy-top-lagrange"), (2, "heavy-top-lagrange"),
+                                       (3, "heavy-top-free"), (4, "heavy-top-free"), (5, "heavy-top-lagrange")])
+def test_sign_flipped_field_term_fails_a_drift_check(tmp_path, monkeypatch, row, name):
+    # the first term of one component of the compiled heavy-top field, negated: the flow is no
+    # longer Hamiltonian for the Lie-Poisson bracket, so a conserved quantity drifts
+    compile_ = poisson._compile
+
+    def mutant(source, namespace):
+        if source.startswith("def field"):
+            head, rows = source.split("return [")
+            rows = rows.removesuffix("]\n").split(", ")
+            rows[row] = "-" + rows[row]
+            source = f"{head}return [{', '.join(rows)}]\n"
+        return compile_(source, namespace)
+
+    monkeypatch.setattr(poisson, "_compile", mutant)
+    assert run(["simulate", name, "--out", str(tmp_path)]) == cli.EXIT_CHECK_FAILURE
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert any(v > report["drift_tol"] for v in report["drift"].values()), report["drift"]
+
+
 def test_non_orthogonal_rotation_exp_fails_a_check(tmp_path, monkeypatch):
     # so3 inverts by the transpose, which is exact only on rotations: an exp off SO(3) must not pass
     rodrigues = liealg.rodrigues

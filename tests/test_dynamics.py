@@ -1,6 +1,7 @@
 import csv
+import operator
 import warnings
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 import pytest
@@ -125,6 +126,7 @@ class TestIntegrate:
     def test_rhs_error_past_divergence_is_divergence(self):
         # an rhs that rejects non-finite input (as expm does) must not mask the divergence
         def rhs(y):
+            y = np.array(y)  # the stepper's state is a list of floats
             if not np.isfinite(y).all():
                 raise ValueError("non-finite input")
             return y * y
@@ -168,17 +170,92 @@ class TestIntegrate:
             integrate(sp, free_body([1.0, 1.0]), np.zeros(2), -0.1, 10)
 
 
+def reference_field(space, ham, y):
+    """v = B(y) (A y + f) in plain Python floats, in the documented order.
+
+    v_i sums B_ij g_j in ascending j, B_ij = sum_k c_ijk y_k in ascending k plus
+    const_ij, and g_j = sum_l A_jl y_l in ascending l plus f_j: each sum left to
+    right over its nonzero terms, a g_j that vanishes for every y left out.
+    """
+    def total(terms):
+        return reduce(operator.add, terms)
+
+    n = len(y)
+    a, f = (m.tolist() for m in ham.affine)
+    c = space.linear.tolist()
+    const = space.const.tolist() if space.const is not None else [[0.0] * n for _ in range(n)]
+    g = [total([a[j][l] * y[l] for l in range(n) if a[j][l] != 0] + [f[j]] * (f[j] != 0)) if any(a[j]) or f[j] != 0 else None
+         for j in range(n)]
+    v = []
+    for i in range(n):
+        terms = []
+        for j in range(n):
+            b = [c[i][j][k] * y[k] for k in range(n) if c[i][j][k] != 0] + [const[i][j]] * (const[i][j] != 0)
+            if b and g[j] is not None:
+                terms.append(total(b) * g[j])
+        v.append(total(terms) if terms else 0.0)
+    return v
+
+
+def compiled_cases():
+    """(name, space, affine Hamiltonian) for every compiled-field test."""
+    from gaugemech.cli import BUILTIN_SCENARIOS
+
+    out = []
+    for name in ("heavy-top-lagrange", "heavy-top-free"):
+        cfg = BUILTIN_SCENARIOS[name]["simulate"]
+        top = semidirect.heavy_top_model(cfg["inertia"], cfg["mgl"], cfg["axis"])
+        out.append((name, top.space, top.hamiltonian))
+    top = semidirect.heavy_top_model([1.0, 2.0, 3.0], 0.7, [0.3, -0.2, 0.9])
+    out.append(("general-axis-top", top.space, top.hamiltonian))
+    inv_i = 1.0 / np.array([1.0, 2.0, 3.0])
+    out.append(("so3-free-body", lie_poisson(liealg.so3()), ScalarField(free_body([1.0, 2.0, 3.0]).fn, affine=(np.diag(inv_i), np.zeros(3)))))
+    # H = q^2 + p^2 / 4 + 0.3 q on T*R
+    oscillator = ScalarField(lambda x: float(x[0] ** 2 + x[1] ** 2 / 4 + 0.3 * x[0]), affine=(np.diag([2.0, 0.5]), np.array([0.3, 0.0])))
+    out.append(("T*R1-oscillator", canonical_cotangent(1), oscillator))
+    return out
+
+
+COMPILED = compiled_cases()
+# no exact gradient: the FD fallback, in numpy, then the compiled sum
+FD_KINETIC = ("so3-fd-kinetic", lie_poisson(liealg.so3()), ScalarField(free_body([1.0, 2.0, 3.0]).fn))
+
+
 class TestFastPaths:
     def test_ham_vector_field_matches_bivector_times_gradient(self):
+        # bit for bit where numpy's matrix-vector product rounds each row as the compiled sum does:
+        # the built-in tops and T*R. The general-axis top and so3 are not (numpy's product may
+        # fuse a multiply and an add, or sum in another order); test_compiled_field_within_ulps_of_numpy
         rng = np.random.default_rng(11)
-        top = semidirect.heavy_top_model([1.0, 2.0, 3.0], 0.7, [0.3, -0.2, 0.9])
-        so3 = lie_poisson(liealg.so3())
-        fd_kinetic = ScalarField(free_body([1.0, 2.0, 3.0]).fn)  # no exact gradient: the FD fallback
-        cases = [(top.space, top.hamiltonian, 6), (so3, fd_kinetic, 3), (canonical_cotangent(1), QP_SQUARED, 2)]
+        tops = [c for c in COMPILED if c[0].startswith("heavy-top")]
+        cases = [(space, ham, 6) for _, space, ham in tops] + [(canonical_cotangent(1), QP_SQUARED, 2)]
         for space, ham, dim in cases:
             for _ in range(50):
                 x = rng.standard_normal(dim) * 10.0 ** rng.uniform(-3, 3)
                 assert same_bits(ham_vector_field(space, ham, x), space.bivector(x) @ ham.gradient(x))
+
+    @pytest.mark.parametrize("name, space, ham", COMPILED, ids=[c[0] for c in COMPILED])
+    def test_compiled_field_matches_plain_python_reference(self, name, space, ham):
+        rng = np.random.default_rng(15)
+        field = space.compile_field(ham)
+        for trial in range(200):
+            y = (rng.standard_normal(space.dim) * 10.0 ** rng.uniform(-3, 3)).tolist()
+            if trial % 2:
+                y[rng.integers(space.dim)] = -0.0  # signed zeros included
+            v = field(y)
+            assert type(v) is list and all(type(e) is float for e in v)
+            assert same_bits(v, reference_field(space, ham, y)), name
+            assert same_bits(ham_vector_field(space, ham, np.array(y)), v)
+
+    @pytest.mark.parametrize("name, space, ham", COMPILED + [FD_KINETIC], ids=[c[0] for c in COMPILED + [FD_KINETIC]])
+    def test_compiled_field_within_ulps_of_numpy(self, name, space, ham):
+        # two summation orders of the same terms differ by a few ulps of the sum of their magnitudes
+        rng = np.random.default_rng(16)
+        field = space.compile_field(ham)
+        for _ in range(200):
+            x = rng.standard_normal(space.dim) * 10.0 ** rng.uniform(-3, 3)
+            b, g = space.bivector(x), ham.gradient(x)
+            assert np.all(np.abs(np.array(field(x.tolist())) - b @ g) <= 4 * np.spacing(np.abs(b) @ np.abs(g))), name
 
     @pytest.mark.parametrize("mgl, axis", [(0.7, [0.3, 0.0, 0.9]), (-0.7, [0.0, -0.0, 1.0]), (0.0, [0.0, 0.0, 1.0])])
     def test_heavy_top_gradient_matches_blockwise_formula(self, mgl, axis):
