@@ -133,13 +133,12 @@ class SemidirectSpec:
             basis[i, mk:, mk:] = -self.rho_generators[i]
         for j in range(self.N.dim):
             basis[self.K.dim + j, mk:, mk:] = self.N.basis[j]
-        structure = np.zeros((n, n, n))
+        # coordinates c of each commutator [e_i, e_j] = sum_k c_k e_k from the Gram system
+        # (F F^T) c = F vec([e_i, e_j]), F the flattened basis: exact for integer bases such as so3 x| r3
         flat = basis.reshape(n, -1)
-        pinv = np.linalg.pinv(flat)
-        for i in range(n):
-            for j in range(n):
-                comm = basis[i] @ basis[j] - basis[j] @ basis[i]
-                structure[i, j] = comm.reshape(-1) @ pinv
+        prod = basis[:, None] @ basis[None, :]
+        comm = (prod - prod.swapaxes(0, 1)).reshape(n * n, -1)
+        structure = np.linalg.solve(flat @ flat.T, flat @ comm.T).T.reshape(n, n, n)
 
         def membership(h: Array) -> float:
             k, u = self.split(h)

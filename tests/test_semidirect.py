@@ -76,6 +76,13 @@ class TestGroupStructure:
         np.testing.assert_allclose(H.bracket(e[0], e[4]), e[5], atol=1e-12)  # [k1, n2] = n3
         np.testing.assert_allclose(H.bracket(e[3], e[4]), np.zeros(6), atol=1e-12)
 
+    def test_se3_structure_constants_are_exact(self, sd):
+        # the integer basis of so3 x| r3 gives constants 0 and +-1 only, 18 of them nonzero: the
+        # compiled heavy-top field writes each one as a literal, so no rounding noise may enter
+        c = sd.group_spec().structure
+        assert set(c.ravel().tolist()) <= {0.0, 1.0, -1.0}
+        assert np.count_nonzero(c) == 18
+
 
 def generic_route(sd):
     """The same product with R(l) = exp(r(log l)) in place of the closed form."""
