@@ -364,14 +364,37 @@ def _momentum_cross_check(sd: semidirect.SemidirectSpec, b: bundle_mod.BundleSpe
 # ---------------------------------------------------------------------------
 
 
+def _is_number(x: Any) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _vector(cfg: dict, key: str, length: int) -> np.ndarray:
-    """A finite vector of the given length from a scenario section, or ConfigError."""
-    try:
-        v = np.asarray(cfg.get(key), dtype=float)
-    except (TypeError, ValueError):
-        v = None
+    """A finite vector of the given length from a scenario section, or ConfigError.
+
+    Every entry must be a number: numpy would read a boolean as 0 or 1 and a
+    numeric string as its value.
+    """
+    raw = cfg.get(key)
+    v = None
+    if isinstance(raw, list) and all(_is_number(x) for x in raw):
+        try:
+            v = np.asarray(raw, dtype=float)
+        except OverflowError:  # an integer beyond the float range
+            pass
     if v is None or v.shape != (length,) or not np.all(np.isfinite(v)):
-        raise ConfigError(f"{key!r} must be a list of {length} finite numbers, got {cfg.get(key)!r}")
+        raise ConfigError(f"{key!r} must be a list of {length} finite numbers, got {raw!r}")
+    return v
+
+
+def _scalar(cfg: dict, key: str) -> float:
+    """A finite number (not a boolean) from a scenario section, or ConfigError."""
+    raw = cfg.get(key)
+    try:
+        v = float(raw) if _is_number(raw) else None
+    except OverflowError:  # an integer beyond the float range
+        v = None
+    if v is None or not np.isfinite(v):
+        raise ConfigError(f"{key!r} must be a finite number, got {raw!r}")
     return v
 
 
@@ -477,12 +500,12 @@ def run_simulate(scenario: dict, basedir: Path, seed: int, tol_scale: float, out
     if np.any(inertia <= 0):
         raise ConfigError(f"'inertia' must hold three positive moments, got {cfg['inertia']!r}")
     n_steps = _count(cfg, "n_steps")
-    try:
-        h, mgl = float(cfg["h"]), float(cfg["mgl"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"'h' and 'mgl' must be numbers: {exc}") from None
-    if not 0 < h < np.inf:
-        raise ConfigError(f"step size 'h' must be positive and finite, got {cfg['h']!r}")
+    h, mgl = _scalar(cfg, "h"), _scalar(cfg, "mgl")
+    if not h > 0:
+        raise ConfigError(f"step size 'h' must be positive, got {cfg['h']!r}")
+    convergence_check = cfg.get("convergence_check", False)
+    if not isinstance(convergence_check, bool):
+        raise ConfigError(f"'convergence_check' must be a boolean, got {convergence_check!r}")
     model = semidirect.heavy_top_model(inertia, mgl, axis)
     doc: dict[str, Any] = {
         "scenario": scenario.get("name", "unnamed"),
@@ -506,7 +529,7 @@ def run_simulate(scenario: dict, basedir: Path, seed: int, tol_scale: float, out
     doc["drift"] = drift
     drift_tol = 1e-6 * tol_scale
     passed = all(v <= drift_tol for k, v in drift.items())
-    if cfg.get("convergence_check"):
+    if convergence_check:
         ratio, d1, d2 = dynamics.convergence_ratio(model.space, model.hamiltonian, x0, h=8e-3, t_final=4.0, quantity=model.hamiltonian)
         doc["convergence"] = {"ratio": ratio, "drift_h": d1, "drift_h_half": d2}
         passed = passed and (12.0 <= ratio <= 20.0)

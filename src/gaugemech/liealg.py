@@ -677,23 +677,33 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def spec_from_json(doc: dict) -> LieGroupSpec:
     """A group from the document of ``spec_to_json``; ValueError for a malformed one.
 
     ``dim`` and ``embed`` must be positive integers and every structure index an
     integer in [0, dim): ``int()`` would truncate 2.9, and a negative index
-    would wrap around.
+    would wrap around. Basis entries and structure coefficients must be
+    numbers: ``float()`` would read a boolean as 0 or 1 and a numeric string
+    as its value.
     """
     name = doc["name"]
     dim, embed = doc["dim"], doc["embed"]
     for key, value in (("dim", dim), ("embed", embed)):
         if not (_is_int(value) and value > 0):
             raise ValueError(f"{key!r} must be a positive integer, got {value!r}")
+    if not all(isinstance(row, list) and all(_is_number(x) for x in row) for row in doc["basis"]):
+        raise ValueError(f"basis entries must be lists of {embed * embed} numbers, got {doc['basis']!r}")
     basis = np.array([np.asarray(row, dtype=float).reshape(embed, embed) for row in doc["basis"]])
     structure = np.zeros((dim, dim, dim))
     for i, j, k, c in doc["structure"]:
         if not all(_is_int(x) and 0 <= x < dim for x in (i, j, k)):
             raise ValueError(f"structure indices must be integers in [0, {dim}), got {[i, j, k]!r}")
+        if not _is_number(c):
+            raise ValueError(f"structure coefficients must be numbers, got {c!r}")
         structure[i, j, k] = float(c)
     membership = None
     try:

@@ -256,6 +256,16 @@ _SD_NAN_RHO["rho"][0][0][1] = float("nan")
     ("so3-trivial-bundle", "group", _SO3_JSON | {"structure": _SO3_JSON["structure"] + [[0, 1, -1, 1.0]]}),
     ("so3-trivial-bundle", "group", _SO3_JSON | {"structure": _SO3_JSON["structure"] + [[0, 1, 2.9, 1.0]]}),
     ("so3-trivial-bundle", "group", _SO3_JSON | {"dim": 3.7}),
+    ("heavy-top-lagrange", "mgl", float("nan")),
+    ("heavy-top-lagrange", "mgl", float("inf")),
+    ("heavy-top-lagrange", "mgl", "1"),
+    ("heavy-top-lagrange", "mgl", True),
+    ("heavy-top-lagrange", "h", True),
+    ("heavy-top-lagrange", "convergence_check", "no"),
+    ("heavy-top-lagrange", "x0", [True, -0.3, 0.6, 0.2, 0.1, 0.9]),
+    ("so3-trivial-bundle", "group", _SO3_JSON | {"structure": [_SO3_JSON["structure"][0][:3] + [True]] + _SO3_JSON["structure"][1:]}),
+    ("so3-trivial-bundle", "group", _SO3_JSON | {"structure": [_SO3_JSON["structure"][0][:3] + ["1.0"]] + _SO3_JSON["structure"][1:]}),
+    ("so3-trivial-bundle", "group", _SO3_JSON | {"basis": [[str(x) for x in row] for row in _SO3_JSON["basis"]]}),
 ])
 def test_malformed_scenario_exits_2(tmp_path, capsys, name, key, value):
     doc = json.loads(json.dumps(cli.BUILTIN_SCENARIOS[name]))
