@@ -1,7 +1,12 @@
 """Hamiltonian vector fields from Poisson brackets, RK4 integration, drift monitors.
 
 Every integrator (``integrate`` on a Poisson space, ``integrate_cotangent`` on
-T*G in body coordinates) advances through the single RK4 stepper ``_rk4``.
+T*G in body coordinates) advances through the single RK4 stepper ``_rk4``,
+which steps one state held as a list of Python floats. On a Poisson space the
+right-hand side is ``PoissonSpace.compile_field``: B(y) grad H(y) compiled once
+into straight-line float code from the nonzero entries of the bivector and,
+when the Hamiltonian declares one, of its affine gradient A y + f. The
+stepper takes one trajectory at a time; a batched ensemble is not here.
 """
 
 from __future__ import annotations

@@ -83,12 +83,9 @@ class ScalarField:
 
     def __post_init__(self) -> None:
         if self.affine is not None:
-            a, f = (np.asarray(m, dtype=float) for m in self.affine)
-            if a.ndim != 2 or a.shape != (f.size, f.size):
-                raise ValueError(f"affine gradient needs A of shape (n, n) and f of size n, got {a.shape} and {f.shape}")
-            self.affine = (a, f)
+            self.affine = tuple(np.asarray(m, dtype=float) for m in self.affine)
             if self.grad is None:
-                self.grad = affine_gradient(a, f)
+                self.grad = affine_gradient(*self.affine)
 
     def __call__(self, x: Array) -> float:
         return float(self.fn(np.asarray(x, dtype=float)))
@@ -123,11 +120,12 @@ def _sum_source(coefs: Sequence[float], factors: Sequence[str], const: float = 0
     return " + ".join(terms)
 
 
-def _compile(source: str, namespace: dict) -> Callable:
-    """The function that ``source`` defines, its names resolved in ``namespace`` (``inf`` and ``nan`` included)."""
+def _compile(name: str, lines: Sequence[str], namespace: dict) -> Callable:
+    """The function ``def name(y)`` with the body ``lines``, its free names resolved in ``namespace`` (``inf`` and ``nan`` included)."""
+    source = f"def {name}(y):\n" + "".join(f"    {line}\n" for line in lines)
     scope = {"inf": float("inf"), "nan": float("nan"), **namespace}
-    exec(compile(source, "<gaugemech.poisson compiled>", "exec"), scope)
-    return scope[source.split("(", 1)[0].removeprefix("def ")]
+    exec(compile(source, f"<compiled {name}>", "exec"), scope)
+    return scope[name]
 
 
 def _unpack(names: Sequence[str]) -> str:
@@ -144,8 +142,8 @@ def affine_gradient(a: Array, f: Array) -> Callable[[Array], Array]:
     n = f.size
     names = [f"y{k}" for k in range(n)]
     rows = [_sum_source(a[j].tolist(), names, float(f[j])) or repr(float(f[j])) for j in range(n)]
-    source = f"def grad(x):\n    {_unpack(names)} = asarray(x, dtype=float).tolist()\n    return array([{', '.join(rows)}])\n"
-    return _compile(source, {"array": np.array, "asarray": np.asarray})
+    lines = [f"{_unpack(names)} = asarray(y, dtype=float).tolist()", f"return array([{', '.join(rows)}])"]
+    return _compile("grad", lines, {"array": np.array, "asarray": np.asarray})
 
 
 def coordinate_field(i: int, dim: int) -> ScalarField:
@@ -346,8 +344,8 @@ class PoissonSpace:
                 else:
                     terms.append(f"{b if ' + ' not in b else f'({b})'}*{g}")
             rows.append(" + ".join(terms) or "0.0")
-        body = "".join(f"    {line}\n" for line in lines)
-        self._field = (hamiltonian, _compile(f"def field(y):\n{body}    return [{', '.join(rows)}]\n", {"ham": hamiltonian}))
+        lines.append(f"return [{', '.join(rows)}]")
+        self._field = (hamiltonian, _compile("field", lines, {"ham": hamiltonian}))
         return self._field[1]
 
 

@@ -369,13 +369,12 @@ def test_sign_flipped_field_term_fails_a_drift_check(tmp_path, monkeypatch, row,
     # longer Hamiltonian for the Lie-Poisson bracket, so a conserved quantity drifts
     compile_ = poisson._compile
 
-    def mutant(source, namespace):
-        if source.startswith("def field"):
-            head, rows = source.split("return [")
-            rows = rows.removesuffix("]\n").split(", ")
+    def mutant(name, lines, namespace):
+        if name == "field":  # the last line is "return [v0, v1, ...]"
+            rows = lines[-1].removeprefix("return [").removesuffix("]").split(", ")
             rows[row] = "-" + rows[row]
-            source = f"{head}return [{', '.join(rows)}]\n"
-        return compile_(source, namespace)
+            lines = lines[:-1] + [f"return [{', '.join(rows)}]"]
+        return compile_(name, lines, namespace)
 
     monkeypatch.setattr(poisson, "_compile", mutant)
     assert run(["simulate", name, "--out", str(tmp_path)]) == cli.EXIT_CHECK_FAILURE
