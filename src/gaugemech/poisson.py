@@ -71,7 +71,7 @@ class ScalarField:
     which of the two evaluated it.
 
     ``affine``, when attached, is a pair (A, f) with grad H(x) = A x + f; the
-    exact gradient is then compiled from it (``affine_gradient``), and so is
+    exact gradient is then compiled from it (``_affine_gradient``), and so is
     the Hamiltonian vector field of ``PoissonSpace.compile_field``.
     """
 
@@ -85,7 +85,7 @@ class ScalarField:
         if self.affine is not None:
             self.affine = tuple(np.asarray(m, dtype=float) for m in self.affine)
             if self.grad is None:
-                self.grad = affine_gradient(*self.affine)
+                self.grad = _affine_gradient(*self.affine)
 
     def __call__(self, x: Array) -> float:
         return float(self.fn(np.asarray(x, dtype=float)))
@@ -132,7 +132,7 @@ def _unpack(names: Sequence[str]) -> str:
     return ", ".join(names) + ","
 
 
-def affine_gradient(a: Array, f: Array) -> Callable[[Array], Array]:
+def _affine_gradient(a: Array, f: Array) -> Callable[[Array], Array]:
     """x -> A x + f at one point, compiled to straight-line float arithmetic.
 
     Entry j sums the nonzero A_jl x_l in ascending l, then adds f_j when it is
@@ -306,7 +306,7 @@ class PoissonSpace:
         B_ij g_j in ascending j, and B_ij is sum_k linear_ijk y_k in ascending
         k, plus const_ij: each sum over its nonzero terms only. With
         ``hamiltonian.affine`` = (A, f) the gradient g = A y + f is compiled in
-        as in ``affine_gradient``, and a g_j that vanishes for every y drops
+        as in ``_affine_gradient``, and a g_j that vanishes for every y drops
         out; otherwise g is ``hamiltonian.gradient(y)``, in numpy, as floats.
         The numpy product ``bivector(y) @ gradient(y)`` may round a row in
         another order, or fuse a multiply and an add.
