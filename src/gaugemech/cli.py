@@ -497,8 +497,10 @@ def run_simulate(scenario: dict, basedir: Path, seed: int, tol_scale: float, out
     if cfg.get("model", "heavy_top") != "heavy_top":
         raise ConfigError(f"unknown model {cfg.get('model')!r}")
     x0, axis, inertia = _vector(cfg, "x0", 6), _vector(cfg, "axis", 3), _vector(cfg, "inertia", 3)
-    if np.any(inertia <= 0):
-        raise ConfigError(f"'inertia' must hold three positive moments, got {cfg['inertia']!r}")
+    with np.errstate(divide="ignore", over="ignore"):  # a tiny positive moment's reciprocal, the Hamiltonian's coefficient, overflows
+        inv_i = 1.0 / inertia
+    if not np.all(inertia > 0) or not np.all(np.isfinite(inv_i)):
+        raise ConfigError(f"'inertia' must hold three positive moments with finite reciprocals, got {cfg['inertia']!r}")
     n_steps = _count(cfg, "n_steps")
     h, mgl = _scalar(cfg, "h"), _scalar(cfg, "mgl")
     if not h > 0:

@@ -266,6 +266,7 @@ _SD_NAN_RHO["rho"][0][0][1] = float("nan")
     ("so3-trivial-bundle", "group", _SO3_JSON | {"structure": [_SO3_JSON["structure"][0][:3] + [True]] + _SO3_JSON["structure"][1:]}),
     ("so3-trivial-bundle", "group", _SO3_JSON | {"structure": [_SO3_JSON["structure"][0][:3] + ["1.0"]] + _SO3_JSON["structure"][1:]}),
     ("so3-trivial-bundle", "group", _SO3_JSON | {"basis": [[str(x) for x in row] for row in _SO3_JSON["basis"]]}),
+    ("heavy-top-lagrange", "inertia", [1e-320, 1.0, 0.5]),
 ])
 def test_malformed_scenario_exits_2(tmp_path, capsys, name, key, value):
     doc = json.loads(json.dumps(cli.BUILTIN_SCENARIOS[name]))
@@ -369,12 +370,12 @@ def test_sign_flipped_field_term_fails_a_drift_check(tmp_path, monkeypatch, row,
     # longer Hamiltonian for the Lie-Poisson bracket, so a conserved quantity drifts
     compile_ = poisson._compile
 
-    def mutant(name, lines, namespace):
-        if name == "field":  # the last line is "return [v0, v1, ...]"
+    def mutant(fn_name, lines, namespace):
+        if fn_name == "field":  # the last line is "return [v0, v1, ...]"
             rows = lines[-1].removeprefix("return [").removesuffix("]").split(", ")
             rows[row] = "-" + rows[row]
             lines = lines[:-1] + [f"return [{', '.join(rows)}]"]
-        return compile_(name, lines, namespace)
+        return compile_(fn_name, lines, namespace)
 
     monkeypatch.setattr(poisson, "_compile", mutant)
     assert run(["simulate", name, "--out", str(tmp_path)]) == cli.EXIT_CHECK_FAILURE
