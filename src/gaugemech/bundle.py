@@ -17,13 +17,12 @@ the gauge-fixed representative on the fiber-identity slice.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, is_dataclass
 from typing import Any, Callable
 
 import numpy as np
 
-from . import fd
+from . import fd, schema
 from .liealg import LieGroupSpec, expm
 from .report import SuiteReport, worst
 from .rng import stream
@@ -109,31 +108,22 @@ class ConnectionData:
         return f
 
     @staticmethod
-    def from_json(doc: dict, base_dim: int, fiber_dim: int) -> "ConnectionData":
-        if not isinstance(doc, dict):
-            raise ValueError(f"'connection' must be an object with an 'A' entry, got {doc!r}")
-        raw = doc.get("A", [])
+    def from_json(doc: Any, base_dim: int, fiber_dim: int) -> "ConnectionData":
+        """``{"A": [...]}``: per base coordinate, per algebra basis element, a list of [coef, exponents] monomials; absent ones are 0."""
+        raw = schema.items("connection", schema.section("connection", doc).get("A", []), high=base_dim)
         terms: list[list[list[Monomial]]] = [[[] for _ in range(fiber_dim)] for _ in range(base_dim)]
-        try:
-            for i, per_base in enumerate(raw):
-                for k, monos in enumerate(per_base):
-                    terms[i][k] = [(c, tuple(e)) for c, e in monos]
-        except (TypeError, ValueError, IndexError):  # not nested lists, or more entries than dimensions
-            raise ValueError(f"'connection' A needs at most {base_dim} base entries of at most {fiber_dim} [coefficient, exponents] lists, got {raw!r}") from None
-        for monos in (monos for per_base in terms for monos in per_base):
-            for j, (c, exps) in enumerate(monos):
-                if isinstance(c, bool) or not isinstance(c, (int, float)):  # float() would read "0.5" or true as a number
-                    raise ValueError(f"'connection' coefficients must be numbers, got {c!r}")
-                try:
-                    value = float(c)
-                except OverflowError:  # an integer beyond the float range
-                    value = math.inf
-                if not math.isfinite(value):
-                    raise ValueError(f"'connection' coefficients must be finite, got {c}")
-                if len(exps) != base_dim or not all(isinstance(x, int) and not isinstance(x, bool) and x >= 0 for x in exps) or sum(exps) > 3:
-                    raise ValueError(f"'connection' exponents must be {base_dim} nonnegative integers of degree <= 3, got {exps}")
-                monos[j] = (value, exps)
+        for i, per_base in enumerate(raw):
+            for k, monos in enumerate(schema.items("connection", per_base, high=fiber_dim)):
+                terms[i][k] = [_monomial(mono, base_dim) for mono in schema.items("connection", monos)]
         return ConnectionData(base_dim, fiber_dim, terms)
+
+
+def _monomial(raw: Any, base_dim: int) -> Monomial:
+    c, exps = schema.items("connection", raw, 2, 2)
+    exps = tuple(schema.integer("connection", e, 0) for e in schema.items("connection", exps, base_dim, base_dim))
+    if sum(exps) > 3:
+        raise ValueError(f"'connection' monomials must have degree <= 3, got {raw!r}")
+    return schema.number("connection", c), exps
 
 
 def _poly_eval(monos: list[Monomial], m: Array) -> float | Array:
@@ -683,17 +673,15 @@ def anchor_pullback_suite(b: BundleSpec, samples: int = 40, seed: int = 0, tol: 
 def bundle_from_json(doc: dict, group_resolver: Callable[[Any], LieGroupSpec] | None = None) -> BundleSpec:
     from .liealg import spec_from_json
 
-    resolve = group_resolver or (lambda g: spec_from_json(g))
-    group = resolve(doc["group"])
-    if doc["kind"] == "TrivialProduct":
-        box = np.asarray(doc["base_box"], dtype=float)
-        if box.ndim != 2 or box.shape[1] != 2:
-            raise ValueError(f"'base_box' must be a list of [lo, hi] rows, got {doc['base_box']!r}")
+    resolve = group_resolver or spec_from_json
+    kind, group = schema.text("kind", doc.get("kind")), resolve(doc.get("group"))
+    if kind == "TrivialProduct":
+        box = schema.array("base_box", doc.get("base_box"), (None, 2))
         conn = ConnectionData.from_json(doc.get("connection", {}), box.shape[0], group.dim)
         b = BundleSpec("TrivialProduct", group, conn, base_box=box)
         if not conn.finite_on(b.base_box):
             raise ValueError(f"'base_box' {b.base_box.tolist()} is too large: fourth powers of coordinates or connection coefficients overflow at its corners")
         return b
-    base_group = resolve(doc["base_group"])
+    base_group = resolve(doc.get("base_group"))
     conn = ConnectionData.from_json(doc.get("connection", {}), base_group.dim, group.dim)
-    return BundleSpec("SemidirectTotal", group, conn, base_group=base_group)
+    return BundleSpec(kind, group, conn, base_group=base_group)

@@ -6,17 +6,19 @@ Usage:
 
 A scenario is a single JSON document naming specs (built-in or inline or by
 file path), the suites to run, and a mandatory seed.  Exit codes: 0 pass,
-1 check failure, 2 configuration error, 3 numerical divergence.  A verify
-suite that raises becomes one failed `suite_error` check naming the
-exception, and the remaining suites still run.  Reports are written as
-`report.json` with 17-significant-digit floats; a fixed seed reproduces them
-byte for byte.
+1 check failure, 2 configuration error, 3 numerical divergence.  Every field
+is read through `gaugemech.schema`, so a malformed one exits 2 with a message
+naming it.  A verify or leaves suite that raises becomes one failed
+`suite_error` check naming the exception, and the remaining suites still run.
+Reports are written as `report.json` with 17-significant-digit floats; a fixed
+seed reproduces them byte for byte.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Any, Callable
@@ -24,21 +26,18 @@ from typing import Any, Callable
 import numpy as np
 
 from . import bundle as bundle_mod
-from . import liealg, poisson
+from . import liealg, poisson, schema
 
 # groupoid, semidirect and dynamics are imported by the commands that run them, so a
 # leaves run neither compiles nor holds them
 from .report import Check, SuiteReport, dump_json, worst
 from .rng import stream
+from .schema import ConfigError
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_DIVERGENCE = 3
-
-
-class ConfigError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -200,68 +199,47 @@ BUILTIN_SCENARIOS: dict[str, dict] = {
 # ---------------------------------------------------------------------------
 
 
-def _resolve_group(ref: Any, basedir: Path) -> liealg.LieGroupSpec:
-    if isinstance(ref, liealg.LieGroupSpec):
-        return ref
-    if isinstance(ref, str):
-        try:
-            return liealg.builtin_group(ref)
-        except KeyError:
-            pass
-        path = (basedir / ref).resolve() if not Path(ref).is_absolute() else Path(ref)
-        if not path.exists():
-            raise ConfigError(f"group spec {ref!r} is neither builtin nor an existing file")
-    elif not isinstance(ref, dict):
-        raise ConfigError(f"cannot resolve group reference {ref!r}")
+def _resolve(kind: str, ref: Any, basedir: Path) -> Any:
+    """The ``group``, ``bundle`` or ``semidirect`` spec a scenario field names: a built-in name, else
+    a JSON file (relative to the scenario's directory), else an inline object.  Groups inside the spec
+    resolve the same way.  Every error becomes a ConfigError naming the field."""
+
+    def group(g: Any) -> liealg.LieGroupSpec:
+        return _resolve("group", g, basedir)
+
+    if kind == "group":
+        builtin, from_json = liealg.builtin_group, liealg.spec_from_json
+    elif kind == "bundle":
+        builtin, from_json = None, lambda doc: bundle_mod.bundle_from_json(doc, group_resolver=group)
+    else:
+        from . import semidirect
+
+        builtin, from_json = semidirect.builtin_semidirect, lambda doc: semidirect.sd_from_json(doc, group_resolver=group)
     try:
-        return liealg.spec_from_json(ref) if isinstance(ref, dict) else liealg.load_spec(str(path))
-    except (ValueError, TypeError) as exc:  # malformed dim, basis or structure
-        raise ConfigError(f"'group' spec: {exc}") from None
-
-
-def _resolve_bundle(doc: Any, basedir: Path) -> bundle_mod.BundleSpec:
-    if isinstance(doc, bundle_mod.BundleSpec):
-        return doc
-    if isinstance(doc, str):
-        path = (basedir / doc).resolve() if not Path(doc).is_absolute() else Path(doc)
-        if not path.exists():
-            raise ConfigError(f"bundle spec file {doc!r} not found")
-        with path.open(encoding="utf-8") as fh:
-            doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ConfigError(f"cannot resolve bundle reference {doc!r}")
-    try:
-        return bundle_mod.bundle_from_json(doc, group_resolver=lambda g: _resolve_group(g, basedir))
-    except (ValueError, TypeError) as exc:  # unparsable fields, connection degree above 3
-        raise ConfigError(f"bundle spec: {exc}") from None
-
-
-def _resolve_semidirect(ref: Any) -> semidirect.SemidirectSpec:
-    from . import semidirect
-
-    if isinstance(ref, semidirect.SemidirectSpec):
-        return ref
-    if isinstance(ref, str):
-        try:
-            return semidirect.builtin_semidirect(ref)
-        except KeyError:
-            raise ConfigError(f"unknown semidirect spec {ref!r}")
-    if isinstance(ref, dict):
-        try:
-            return semidirect.sd_from_json(ref)
-        except (ValueError, TypeError) as exc:  # malformed K, N or rho
-            raise ConfigError(f"'semidirect' spec: {exc}") from None
-    raise ConfigError(f"cannot resolve semidirect reference {ref!r}")
+        if isinstance(ref, str):
+            if builtin is not None:
+                try:
+                    return builtin(ref)
+                except KeyError:
+                    pass
+            path = basedir / ref
+            if not path.is_file():
+                raise ValueError(f"{ref!r} is neither a built-in name nor an existing file")
+            with path.open(encoding="utf-8") as fh:
+                ref = json.load(fh)
+        return from_json(schema.section(kind, ref))
+    except (ValueError, OSError) as exc:  # the readers' and the constructors' errors, and unreadable files
+        raise ConfigError(f"{kind!r} spec: {exc}") from None
 
 
 def load_scenario(arg: str) -> tuple[dict, Path]:
     if arg in BUILTIN_SCENARIOS:
         return json.loads(json.dumps(BUILTIN_SCENARIOS[arg])), Path.cwd()
     path = Path(arg)
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError(f"scenario {arg!r} is neither a builtin nor an existing file")
     with path.open(encoding="utf-8") as fh:
-        return json.load(fh), path.parent
+        return schema.section("scenario", json.load(fh)), path.parent
 
 
 # ---------------------------------------------------------------------------
@@ -364,48 +342,6 @@ def _momentum_cross_check(sd: semidirect.SemidirectSpec, b: bundle_mod.BundleSpe
 # ---------------------------------------------------------------------------
 
 
-def _is_number(x: Any) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-def _vector(cfg: dict, key: str, length: int) -> np.ndarray:
-    """A finite vector of the given length from a scenario section, or ConfigError.
-
-    Every entry must be a number: numpy would read a boolean as 0 or 1 and a
-    numeric string as its value.
-    """
-    raw = cfg.get(key)
-    v = None
-    if isinstance(raw, list) and all(_is_number(x) for x in raw):
-        try:
-            v = np.asarray(raw, dtype=float)
-        except OverflowError:  # an integer beyond the float range
-            pass
-    if v is None or v.shape != (length,) or not np.all(np.isfinite(v)):
-        raise ConfigError(f"{key!r} must be a list of {length} finite numbers, got {raw!r}")
-    return v
-
-
-def _scalar(cfg: dict, key: str) -> float:
-    """A finite number (not a boolean) from a scenario section, or ConfigError."""
-    raw = cfg.get(key)
-    try:
-        v = float(raw) if _is_number(raw) else None
-    except OverflowError:  # an integer beyond the float range
-        v = None
-    if v is None or not np.isfinite(v):
-        raise ConfigError(f"{key!r} must be a finite number, got {raw!r}")
-    return v
-
-
-def _count(cfg: dict, key: str, default: int | None = None) -> int:
-    """A positive integer from a scenario section (``default`` when absent), or ConfigError."""
-    v = cfg.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-        raise ConfigError(f"{key!r} must be a positive integer, got {v!r}")
-    return v
-
-
 def _suites_doc(scenario: dict, kind: str, seed: int, tol_scale: float, reports: list[SuiteReport]) -> dict[str, Any]:
     """The report document of a verify or leaves run, every tolerance scaled by ``tol_scale``."""
     for rep in reports:
@@ -422,54 +358,54 @@ def _suites_doc(scenario: dict, kind: str, seed: int, tol_scale: float, reports:
     }
 
 
+def _run_suite(name: str, run: Callable[[], list[SuiteReport]]) -> list[SuiteReport]:
+    """The reports of one verify or leaves suite; a suite that raises gives one failed ``suite_error``
+    check instead, so the remaining suites still run.  A ConfigError is not a fault of the suite."""
+    try:
+        return run()
+    except ConfigError:
+        raise
+    except Exception as exc:
+        import traceback  # only on a fault: a module-level import adds about 0.3 MB to every run's peak RSS
+        traceback.print_exc()
+        return [SuiteReport(name, [Check("suite_error", float("inf"), 0.0, {"error": type(exc).__name__, "message": str(exc)})])]
+
+
 def run_verify(scenario: dict, basedir: Path, seed: int, tol_scale: float, out_dir: Path) -> int:
-    suites = scenario.get("suites", [])
-    if not isinstance(suites, list) or not all(isinstance(name, str) for name in suites):
-        raise ConfigError(f"'suites' must be a list of suite names, got {suites!r}")
-    ctx = {
-        "group": _resolve_group(scenario["group"], basedir) if "group" in scenario else None,
-        "bundle": _resolve_bundle(scenario["bundle"], basedir) if "bundle" in scenario else None,
-        "semidirect": _resolve_semidirect(scenario["semidirect"]) if "semidirect" in scenario else None,
-    }
+    suites = [schema.text("suites", name) for name in schema.items("suites", scenario.get("suites"), low=1)]
+    ctx = {kind: _resolve(kind, scenario[kind], basedir) if kind in scenario else None for kind in ("group", "bundle", "semidirect")}
     registry = _suite_registry()
     reports: list[SuiteReport] = []
     for name in suites:
         if name not in registry:
             raise ConfigError(f"unknown suite {name!r}")
-        try:
-            reports.extend(registry[name](ctx, seed))
-        except ConfigError:
-            raise
-        except Exception as exc:  # a crashing suite fails one check; the remaining suites still run
-            import traceback  # only on a fault: a module-level import adds about 0.3 MB to every run's peak RSS
-            traceback.print_exc()
-            reports.append(SuiteReport(name, [Check("suite_error", float("inf"), 0.0, {"error": type(exc).__name__, "message": str(exc)})]))
+        reports.extend(_run_suite(name, lambda: registry[name](ctx, seed)))
     doc = _suites_doc(scenario, "verify", seed, tol_scale, reports)
     dump_json(doc, str(out_dir / "report.json"))
     return EXIT_PASS if doc["pass"] else EXIT_CHECK_FAILURE
 
 
 def run_leaves(scenario: dict, basedir: Path, seed: int, tol_scale: float, out_dir: Path) -> int:
-    cfg = scenario.get("leaves")
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"leaves scenario needs a 'leaves' section (an object), got {cfg!r}")
-    b = _resolve_bundle(scenario["bundle"], basedir)
+    cfg = schema.section("leaves", scenario.get("leaves"))
+    b = _resolve("bundle", scenario.get("bundle"), basedir)
     if b.kind != "TrivialProduct":
         raise ConfigError("leaves need a TrivialProduct bundle (class coordinates on a base box)")
-    mu0 = _vector(cfg, "mu0", b.n)
-    chi = _vector(cfg, "chi", b.n) if "chi" in cfg else None
-    orbit_samples, samples = _count(cfg, "orbit_samples", 40), _count(cfg, "samples", 20)
+    mu0 = schema.array("mu0", cfg.get("mu0"), (b.n,))
+    chi = schema.array("chi", cfg["chi"], (b.n,)) if "chi" in cfg else None
+    orbit_samples = schema.integer("orbit_samples", cfg.get("orbit_samples", 40))
+    samples = schema.integer("samples", cfg.get("samples", 20))
+    groupoid_action = schema.flag("groupoid_action", cfg.get("groupoid_action", False))
     orbit = poisson.coadjoint_orbit(b.group, mu0, n_samples=orbit_samples, seed=seed)
-    reports = [poisson.leaf_structure(b, orbit, samples=samples, seed=seed)]
+    reports = _run_suite("poisson.leaf", lambda: [poisson.leaf_structure(b, orbit, samples=samples, seed=seed)])
     extras: dict[str, Any] = {"orbit_dim": orbit.dim, "leaf_dim": 2 * b.d + orbit.dim}
 
-    if cfg.get("groupoid_action"):
-        reports.append(poisson.groupoid_action_suite(b, orbit, samples=8, seed=seed))
+    if groupoid_action:
+        reports += _run_suite("poisson.groupoid_action", lambda: [poisson.groupoid_action_suite(b, orbit, samples=8, seed=seed)])
 
     if chi is not None:
-        _, mag_rep = poisson.magnetic_term(b, chi, samples=_count(cfg, "samples", 12), seed=seed)
-        reports.append(mag_rep)
-        extras["magnetic_closedness_residual"] = mag_rep.extras.get("magnetic_closedness_residual")
+        magnetic = _run_suite("poisson.magnetic", lambda: [poisson.magnetic_term(b, chi, samples=samples if "samples" in cfg else 12, seed=seed)[1]])
+        reports += magnetic
+        extras["magnetic_closedness_residual"] = magnetic[0].extras.get("magnetic_closedness_residual")
 
     doc = _suites_doc(scenario, "leaves", seed, tol_scale, reports)
     doc.update(extras)
@@ -491,23 +427,19 @@ def run_leaves(scenario: dict, basedir: Path, seed: int, tol_scale: float, out_d
 def run_simulate(scenario: dict, basedir: Path, seed: int, tol_scale: float, out_dir: Path) -> int:
     from . import dynamics, semidirect
 
-    cfg = scenario.get("simulate")
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"simulate scenario needs a 'simulate' section (an object), got {cfg!r}")
+    cfg = schema.section("simulate", scenario.get("simulate"))
     if cfg.get("model", "heavy_top") != "heavy_top":
         raise ConfigError(f"unknown model {cfg.get('model')!r}")
-    x0, axis, inertia = _vector(cfg, "x0", 6), _vector(cfg, "axis", 3), _vector(cfg, "inertia", 3)
+    x0, axis, inertia = (schema.array(key, cfg.get(key), (n,)) for key, n in (("x0", 6), ("axis", 3), ("inertia", 3)))
     with np.errstate(divide="ignore", over="ignore"):  # a tiny positive moment's reciprocal, the Hamiltonian's coefficient, overflows
         inv_i = 1.0 / inertia
     if not np.all(inertia > 0) or not np.all(np.isfinite(inv_i)):
         raise ConfigError(f"'inertia' must hold three positive moments with finite reciprocals, got {cfg['inertia']!r}")
-    n_steps = _count(cfg, "n_steps")
-    h, mgl = _scalar(cfg, "h"), _scalar(cfg, "mgl")
+    n_steps = schema.integer("n_steps", cfg.get("n_steps"))
+    h, mgl = schema.number("h", cfg.get("h")), schema.number("mgl", cfg.get("mgl"))
     if not h > 0:
         raise ConfigError(f"step size 'h' must be positive, got {cfg['h']!r}")
-    convergence_check = cfg.get("convergence_check", False)
-    if not isinstance(convergence_check, bool):
-        raise ConfigError(f"'convergence_check' must be a boolean, got {convergence_check!r}")
+    convergence_check = schema.flag("convergence_check", cfg.get("convergence_check", False))
     model = semidirect.heavy_top_model(inertia, mgl, axis)
     doc: dict[str, Any] = {
         "scenario": scenario.get("name", "unnamed"),
@@ -570,20 +502,13 @@ def main(argv: list[str] | None = None) -> int:
         scenario, basedir = load_scenario(args.scenario)
         if scenario.get("kind") not in (None, args.command):
             raise ConfigError(f"scenario kind {scenario.get('kind')!r} does not match command {args.command!r}")
-        seed = args.seed if args.seed is not None else scenario.get("seed")
-        if seed is None:
-            raise ConfigError("a seed is mandatory (scenario 'seed' field or --seed)")
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ConfigError(f"'seed' must be an integer, got {seed!r}")
+        seed = schema.integer("seed", args.seed if args.seed is not None else scenario.get("seed"), -math.inf)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         runner = {"verify": run_verify, "leaves": run_leaves, "simulate": run_simulate}[args.command]
         code = runner(scenario, basedir, seed, float(args.tol_scale), out_dir)
-    except ConfigError as exc:
+    except (ConfigError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    except (KeyError, FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"configuration error: {exc!r}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     if code == EXIT_CHECK_FAILURE:
         print("one or more checks failed; see report.json", file=sys.stderr)

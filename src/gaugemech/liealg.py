@@ -23,7 +23,6 @@ Symmetry, ch. 14).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -31,6 +30,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import schema
 from .report import SuiteReport, worst
 
 Array = np.ndarray
@@ -673,46 +673,22 @@ def spec_to_json(spec: LieGroupSpec) -> dict:
     }
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
 def spec_from_json(doc: dict) -> LieGroupSpec:
-    """A group from the document of ``spec_to_json``; ValueError for a malformed one.
+    """A group from the document of ``spec_to_json``; ConfigError for a malformed one.
 
-    ``dim`` and ``embed`` must be positive integers and every structure index an
-    integer in [0, dim): ``int()`` would truncate 2.9, and a negative index
-    would wrap around. Basis entries and structure coefficients must be
-    numbers: ``float()`` would read a boolean as 0 or 1 and a numeric string
-    as its value.
+    ``basis`` holds ``dim`` row-major ``embed`` x ``embed`` matrices and
+    ``structure`` the nonzero [i, j, k, c^k_ij], every index in [0, dim).
     """
-    name = doc["name"]
-    dim, embed = doc["dim"], doc["embed"]
-    for key, value in (("dim", dim), ("embed", embed)):
-        if not (_is_int(value) and value > 0):
-            raise ValueError(f"{key!r} must be a positive integer, got {value!r}")
-    if not all(isinstance(row, list) and all(_is_number(x) for x in row) for row in doc["basis"]):
-        raise ValueError(f"basis entries must be lists of {embed * embed} numbers, got {doc['basis']!r}")
-    basis = np.array([np.asarray(row, dtype=float).reshape(embed, embed) for row in doc["basis"]])
+    name = schema.text("name", doc.get("name"))
+    dim, embed = schema.integer("dim", doc.get("dim")), schema.integer("embed", doc.get("embed"))
+    basis = schema.array("basis", doc.get("basis"), (dim, embed * embed)).reshape(dim, embed, embed)
     structure = np.zeros((dim, dim, dim))
-    for i, j, k, c in doc["structure"]:
-        if not all(_is_int(x) and 0 <= x < dim for x in (i, j, k)):
-            raise ValueError(f"structure indices must be integers in [0, {dim}), got {[i, j, k]!r}")
-        if not _is_number(c):
-            raise ValueError(f"structure coefficients must be numbers, got {c!r}")
-        structure[i, j, k] = float(c)
+    for entry in schema.items("structure", doc.get("structure")):
+        i, j, k, c = schema.items("structure", entry, 4, 4)
+        structure[tuple(schema.integer("structure", x, 0, dim) for x in (i, j, k))] = schema.number("structure", c)
     membership = None
     try:
         membership = builtin_group(name).membership_residual
     except KeyError:
         pass
     return LieGroupSpec(name, dim, embed, basis, structure, membership)
-
-
-def load_spec(path: str) -> LieGroupSpec:
-    with open(path, encoding="utf-8") as fh:
-        return spec_from_json(json.load(fh))

@@ -89,8 +89,6 @@ class SuiteReport:
 
 def _fmt(value: Any) -> Any:
     """Normalize floats to 17-significant-digit values for byte-stable JSON."""
-    if isinstance(value, bool):
-        return value
     if isinstance(value, float):
         if math.isnan(value):
             return "nan"

@@ -23,11 +23,11 @@ map of the product phase space is J(theta, chi) = (theta, chi).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
-from . import fd
+from . import fd, schema
 from .bundle import BundleSpec, ConnectionData, dual_atiyah_split, draw_samples, row_dot, row_form, row_matvec, row_norm
 from .liealg import LieGroupSpec, expm, so3, translation_group
 from .poisson import ScalarField, canonical_two_form, coordinate_field, dexp_left, lie_poisson
@@ -723,11 +723,10 @@ def sd_to_json(sd: SemidirectSpec) -> dict:
     }
 
 
-def sd_from_json(doc: dict) -> SemidirectSpec:
-    """Inverse of sd_to_json; ``K`` and ``N`` may also name built-in groups."""
+def sd_from_json(doc: dict, group_resolver: Callable[[Any], LieGroupSpec] | None = None) -> SemidirectSpec:
+    """Inverse of sd_to_json; ``group_resolver`` reads ``K`` and ``N`` (by default a built-in name or an inline spec)."""
     from .liealg import builtin_group, spec_from_json
 
-    def group(ref) -> LieGroupSpec:
-        return spec_from_json(ref) if isinstance(ref, dict) else builtin_group(str(ref))
-
-    return SemidirectSpec(group(doc["K"]), group(doc["N"]), np.asarray(doc["rho"], dtype=float))
+    resolve = group_resolver or (lambda ref: builtin_group(ref) if isinstance(ref, str) else spec_from_json(ref))
+    K, N = resolve(doc.get("K")), resolve(doc.get("N"))
+    return SemidirectSpec(K, N, schema.array("rho", doc.get("rho"), (K.dim, N.embed, N.embed)))

@@ -205,6 +205,13 @@ _SD_NAN_RHO = semidirect.sd_to_json(semidirect.so3_r3())
 _SD_NAN_RHO["rho"][0][0][1] = float("nan")
 
 
+def _sd_rho_entry(value):
+    """The inline so3 x| r3 with one rho generator entry replaced."""
+    doc = semidirect.sd_to_json(semidirect.so3_r3())
+    doc["rho"][0][0][1] = value
+    return doc
+
+
 @pytest.mark.parametrize("name, key, value", [
     ("heavy-top-lagrange", "x0", [0.8, -0.3, 0.6]),
     ("heavy-top-lagrange", "h", -1e-3),
@@ -267,6 +274,15 @@ _SD_NAN_RHO["rho"][0][0][1] = float("nan")
     ("so3-trivial-bundle", "group", _SO3_JSON | {"structure": [_SO3_JSON["structure"][0][:3] + ["1.0"]] + _SO3_JSON["structure"][1:]}),
     ("so3-trivial-bundle", "group", _SO3_JSON | {"basis": [[str(x) for x in row] for row in _SO3_JSON["basis"]]}),
     ("heavy-top-lagrange", "inertia", [1e-320, 1.0, 0.5]),
+    ("so3-trivial-bundle", "base_box", [[-1.0, "0.5"], [-1.0, 1.0]]),
+    ("so3-trivial-bundle", "base_box", [[False, 1.0], [-1.0, 1.0]]),
+    ("so3-leaves", "base_box", [[-1.0, True], [-1.0, 1.0]]),
+    ("so3-leaves", "groupoid_action", "no"),
+    ("se3-verify", "semidirect", _sd_rho_entry("0.5")),
+    ("se3-verify", "semidirect", _sd_rho_entry(True)),
+    ("so3-trivial-bundle", "connection", {"A": [[{}, [], []], [[], [], []]]}),
+    ("so3-trivial-bundle", "group", _SO3_JSON | {"name": 5}),
+    ("so3-trivial-bundle", "suites", []),
 ])
 def test_malformed_scenario_exits_2(tmp_path, capsys, name, key, value):
     doc = json.loads(json.dumps(cli.BUILTIN_SCENARIOS[name]))
@@ -415,6 +431,24 @@ def test_suite_exception_becomes_failed_check(tmp_path, monkeypatch):
     # every other suite of the scenario ran after the fault and still reports its checks
     assert "poisson.dual_pair[TrivialProduct[heisenberg3]]" in suites
     assert sum(len(s["checks"]) for s in suites.values()) > 20
+
+
+def test_leaves_suite_exception_becomes_failed_check(tmp_path):
+    # at |mu0| near the float limit the rotation angle of the coadjoint transport overflows
+    # inside the groupoid action suite; the leaf suite and the leaf points still come out
+    doc = json.loads(json.dumps(cli.BUILTIN_SCENARIOS["so3-leaves"]))
+    doc["leaves"]["mu0"] = [1e308, 0.0, 1.0]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run(["leaves", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_CHECK_FAILURE
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert "poisson.groupoid_action:suite_error" in report["failures"]
+    suites = {s["suite"]: s for s in report["suites"]}
+    (check,) = suites["poisson.groupoid_action"]["checks"]
+    assert check["info"]["error"] == "LieDomainError"
+    assert "poisson.leaf[TrivialProduct[so3]|orbit(so3)]" in suites
+    assert (tmp_path / "out" / "leaf_points.csv").exists()
 
 
 class TestDeterminism:

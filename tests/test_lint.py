@@ -115,6 +115,39 @@ def per_sample_loops(source: str, filename: str = "<src>") -> list[str]:
     return [f"{filename}:{line} {name}" for line, name in sorted(found)]
 
 
+def bool_type_tests(source: str, filename: str = "<src>") -> list[str]:
+    """``isinstance`` calls that test for ``bool``, alone or in a tuple of types.
+
+    Telling a JSON boolean from a JSON number is the typing rule of
+    ``schema.py``; every other module reads its fields through those readers.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance" and len(node.args) == 2:
+            types = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+            if any(isinstance(t, ast.Name) and t.id == "bool" for t in types):
+                found.append(node.lineno)
+    return [f"{filename}:{line}" for line in sorted(found)]
+
+
+def test_bool_type_test_detector():
+    src = (
+        "ok = isinstance(x, bool)\n"
+        "n = isinstance(x, (int, float)) and not isinstance(x, bool)\n"
+        "f = isinstance(x, (bool, np.bool_))\n"
+        "i = isinstance(x, int)\n"
+        "m = np.ones(3, dtype=bool)\n"
+        "t = type(x) is bool\n"
+    )
+    assert bool_type_tests(src) == ["<src>:1", "<src>:2", "<src>:3"]
+
+
+def test_json_typing_only_in_schema():
+    found = [hit for path in sorted(SRC.glob("*.py")) if path.name != "schema.py"
+             for hit in bool_type_tests(path.read_text(encoding="utf-8"), path.name)]
+    assert found == []
+
+
 def test_per_sample_loop_detector():
     src = (
         "def a_suite(b, samples):\n"
