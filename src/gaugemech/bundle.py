@@ -23,7 +23,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import fd, schema
-from .liealg import LieGroupSpec, expm
+from .liealg import LieGroupSpec
 from .report import SuiteReport, worst
 from .rng import stream
 
@@ -31,6 +31,9 @@ Array = np.ndarray
 
 ALGEBRAIC_TOL = 1e-10
 FD_TOL = 1e-9
+# the margin ConnectionData.finite_on leaves above A(m) for its products with sampled
+# velocities and covectors (standard normal entries) and the sums of those products
+COEFFICIENT_HEADROOM = 1e6
 
 
 # ---------------------------------------------------------------------------
@@ -61,14 +64,6 @@ class ConnectionData:
         terms = [[[] for _ in range(fiber_dim)] for _ in range(base_dim)]
         return ConnectionData(base_dim, fiber_dim, terms)
 
-    @staticmethod
-    def from_matrix(mat: Array) -> "ConnectionData":
-        """Constant coefficients: A[k, i] = mat[k, i]."""
-        mat = np.asarray(mat, dtype=float)
-        n, d = mat.shape
-        terms = [[([(float(mat[k, i]), (0,) * d)] if mat[k, i] != 0 else []) for k in range(n)] for i in range(d)]
-        return ConnectionData(d, n, terms)
-
     def matrix(self, m: Array) -> Array:
         """Evaluate A(m) as an (n, d) matrix acting on base velocities, one per point of a stack (..., d)."""
         m = np.asarray(m, dtype=float)
@@ -79,20 +74,21 @@ class ConnectionData:
         return a
 
     def finite_on(self, box: Array) -> bool:
-        """Whether fourth powers of the coordinates and A(m) are finite on a box (d, 2): what the suites evaluate at its largest points.
+        """Whether A(m) times COEFFICIENT_HEADROOM is finite on a box (d, 2).
 
-        The highest power of a coordinate that the suites evaluate is the
-        fourth, in the Leibniz check of ``poisson.properties`` (a product of two
-        quadratics).  Each power and each monomial is largest in magnitude at
-        the corner of largest magnitudes, so the monomials with absolute
-        coefficients bound A there over the whole box: one evaluation instead
-        of 2^d corners.  A sum that cancels to finite values at every corner
-        but overflows in this bound is rejected too.
+        The suites multiply A(m) by sampled velocities and covectors and sum
+        the products, so A itself being finite is not enough: a coefficient
+        of 1e308 on the unit box is finite, but its products with a covector
+        are not.  Each monomial is largest in magnitude at the corner of
+        largest magnitudes, so the monomials with absolute coefficients bound
+        A there over the whole box: one evaluation instead of 2^d corners.  A
+        sum that cancels to finite values at every corner but overflows in
+        this bound is rejected too.
         """
         corner = np.abs(box).max(axis=1)
         bound = ConnectionData(self.base_dim, self.fiber_dim, [[[(abs(c), e) for c, e in monos] for monos in per_base] for per_base in self.terms])
         with np.errstate(over="ignore", invalid="ignore"):
-            return bool(np.isfinite(corner**4).all() and np.isfinite(bound.matrix(corner)).all())
+            return bool(np.isfinite(bound.matrix(corner) * COEFFICIENT_HEADROOM).all())
 
     def curvature_two_form(self, m: Array) -> Array:
         """Exact exterior derivative dA: array F[..., i, j, k] = (dA^k)(e_i, e_j), one per point of a stack (..., d)."""
@@ -365,10 +361,6 @@ class BundleSpec:
             return base + t * np.asarray(delta, dtype=float)
         return base @ self.base_group.exp(t * np.asarray(delta, dtype=float))
 
-    def move(self, point: Point, tangent: Array, t: float = 1.0) -> Point:
-        dbase, xi = tangent[: self.d], tangent[self.d :]
-        return Point(self.base_move(point.base, dbase, t), point.fiber @ expm(t * self.group.from_coords(xi)))
-
     def base_distance(self, b1: Array, b2: Array) -> float | Array:
         return row_norm(np.asarray(b1) - np.asarray(b2), 1 if self.kind == "TrivialProduct" else 2)
 
@@ -631,7 +623,7 @@ def dual_sequence_suite(b: BundleSpec, samples: int = 50, seed: int = 0, tol: fl
     sec = b.sigma(base, chi)
     base2, chi2 = b.iota_star(sec)
     rep.add("iota_after_a_zero", composite, tol)
-    rep.add("rank_split", 0.0 if split else 1.0, 0.5, fiber_dim=b.tangent_dim)
+    rep.flag("rank_split", split, fiber_dim=b.tangent_dim)
     rep.add("a_star_lands_in_J0", worst(row_norm(b.momentum(b.a_star(base, rho).rep))), tol)
     rep.add("iota_after_sigma_identity", worst(row_norm(chi2 - chi) + b.base_distance(base2, base)), tol)
     if not any(any(m for m in pb) for pb in b.connection.terms):
@@ -679,8 +671,13 @@ def bundle_from_json(doc: dict, group_resolver: Callable[[Any], LieGroupSpec] | 
         box = schema.array("base_box", doc.get("base_box"), (None, 2))
         conn = ConnectionData.from_json(doc.get("connection", {}), box.shape[0], group.dim)
         b = BundleSpec("TrivialProduct", group, conn, base_box=box)
+        # the highest power of a coordinate that the suites evaluate is the fourth, in the
+        # Leibniz check of poisson.properties (a product of two quadratics)
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.abs(b.base_box).max(axis=1) ** 4).all():
+                raise ValueError(f"'base_box' {b.base_box.tolist()} is too large: fourth powers of its coordinates overflow")
         if not conn.finite_on(b.base_box):
-            raise ValueError(f"'base_box' {b.base_box.tolist()} is too large: fourth powers of coordinates or connection coefficients overflow at its corners")
+            raise ValueError(f"'connection' coefficients are too large on 'base_box' {b.base_box.tolist()}: A(m) is within {COEFFICIENT_HEADROOM:g} of overflow at its corners")
         return b
     base_group = resolve(doc.get("base_group"))
     conn = ConnectionData.from_json(doc.get("connection", {}), base_group.dim, group.dim)

@@ -233,13 +233,21 @@ def _resolve(kind: str, ref: Any, basedir: Path) -> Any:
 
 
 def load_scenario(arg: str) -> tuple[dict, Path]:
+    """A copy of the scenario document and the directory its spec files are named relative to.
+
+    Its ``name`` is read here, "unnamed" when absent, so that every runner's
+    report reads ``scenario["name"]``.
+    """
     if arg in BUILTIN_SCENARIOS:
-        return json.loads(json.dumps(BUILTIN_SCENARIOS[arg])), Path.cwd()
-    path = Path(arg)
-    if not path.is_file():
-        raise ConfigError(f"scenario {arg!r} is neither a builtin nor an existing file")
-    with path.open(encoding="utf-8") as fh:
-        return schema.section("scenario", json.load(fh)), path.parent
+        scenario, basedir = json.loads(json.dumps(BUILTIN_SCENARIOS[arg])), Path.cwd()
+    else:
+        path = Path(arg)
+        if not path.is_file():
+            raise ConfigError(f"scenario {arg!r} is neither a builtin nor an existing file")
+        with path.open(encoding="utf-8") as fh:
+            scenario, basedir = schema.section("scenario", json.load(fh)), path.parent
+    scenario["name"] = schema.text("name", scenario.get("name", "unnamed"))
+    return scenario, basedir
 
 
 # ---------------------------------------------------------------------------
@@ -343,12 +351,16 @@ def _momentum_cross_check(sd: semidirect.SemidirectSpec, b: bundle_mod.BundleSpe
 
 
 def _suites_doc(scenario: dict, kind: str, seed: int, tol_scale: float, reports: list[SuiteReport]) -> dict[str, Any]:
-    """The report document of a verify or leaves run, every tolerance scaled by ``tol_scale``."""
+    """The report document of a verify or leaves run, every residual check's tolerance scaled by ``tol_scale``.
+
+    A flag's tolerance is not scaled: its verdict is yes or no.
+    """
     for rep in reports:
         for check in rep.checks:
-            check.tol *= tol_scale
+            if not check.flag:
+                check.tol *= tol_scale
     return {
-        "scenario": scenario.get("name", "unnamed"),
+        "scenario": scenario["name"],
         "kind": kind,
         "seed": seed,
         "tol_scale": tol_scale,
@@ -428,8 +440,8 @@ def run_simulate(scenario: dict, basedir: Path, seed: int, tol_scale: float, out
     from . import dynamics, semidirect
 
     cfg = schema.section("simulate", scenario.get("simulate"))
-    if cfg.get("model", "heavy_top") != "heavy_top":
-        raise ConfigError(f"unknown model {cfg.get('model')!r}")
+    if schema.text("model", cfg.get("model", "heavy_top")) != "heavy_top":
+        raise ConfigError(f"'model' must be 'heavy_top', got {cfg['model']!r}")
     x0, axis, inertia = (schema.array(key, cfg.get(key), (n,)) for key, n in (("x0", 6), ("axis", 3), ("inertia", 3)))
     with np.errstate(divide="ignore", over="ignore"):  # a tiny positive moment's reciprocal, the Hamiltonian's coefficient, overflows
         inv_i = 1.0 / inertia
@@ -442,7 +454,7 @@ def run_simulate(scenario: dict, basedir: Path, seed: int, tol_scale: float, out
     convergence_check = schema.flag("convergence_check", cfg.get("convergence_check", False))
     model = semidirect.heavy_top_model(inertia, mgl, axis)
     doc: dict[str, Any] = {
-        "scenario": scenario.get("name", "unnamed"),
+        "scenario": scenario["name"],
         "kind": "simulate",
         "seed": seed,
         "model": {"inertia": list(model.inertia), "mgl": model.mgl, "axis": list(model.axis)},
@@ -485,7 +497,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("command", choices=["verify", "leaves", "simulate"], nargs="?")
     parser.add_argument("scenario", nargs="?", help="scenario JSON file or builtin name")
     parser.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    parser.add_argument("--tol-scale", type=float, default=1.0, help="multiply all tolerances")
+    parser.add_argument("--tol-scale", type=float, default=1.0, help="multiply every residual tolerance (a positive finite number)")
     parser.add_argument("--out", type=str, default=".", help="output directory")
     parser.add_argument("--list-builtins", action="store_true")
     args = parser.parse_args(argv)
@@ -503,10 +515,13 @@ def main(argv: list[str] | None = None) -> int:
         if scenario.get("kind") not in (None, args.command):
             raise ConfigError(f"scenario kind {scenario.get('kind')!r} does not match command {args.command!r}")
         seed = schema.integer("seed", args.seed if args.seed is not None else scenario.get("seed"), -math.inf)
+        tol_scale = schema.number("--tol-scale", args.tol_scale)
+        if not tol_scale > 0:
+            raise ConfigError(f"'--tol-scale' must be positive, got {args.tol_scale!r}")
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         runner = {"verify": run_verify, "leaves": run_leaves, "simulate": run_simulate}[args.command]
-        code = runner(scenario, basedir, seed, float(args.tol_scale), out_dir)
+        code = runner(scenario, basedir, seed, tol_scale, out_dir)
     except (ConfigError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

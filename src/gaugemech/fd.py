@@ -1,8 +1,8 @@
 """Central differences: every finite-difference derivative of the package.
 
-Closed forms run and finite differences check them; the few run paths that
-differentiate numerically (a ``ScalarField`` without an exact gradient,
-``dynamics.body_cotangent_field``) use the same two-point central formula
+Closed forms run and finite differences check them; the one run path that
+differentiates numerically (a ``ScalarField`` without an exact gradient)
+uses the same two-point central formula
 
     (f(x + h d) - f(x - h d)) / (2 h),
 

@@ -499,8 +499,8 @@ def core_suite(bundle: BundleSpec, fibers: int = 50, seed: int = 0) -> SuiteRepo
         dims, amb = cores[space]
         found[space] = sorted(set(dims.tolist()))
         ambiguous = ambiguous or bool(np.any(amb))
-        rep.add(f"core_dim[{space}]", 0.0 if found[space] == [want] else 1.0, 0.5, expected=want, got=found[space])
-    rep.add("rank_ambiguity", 1.0 if ambiguous else 0.0, 0.5)
+        rep.flag(f"core_dim[{space}]", found[space] == [want], expected=want, got=found[space])
+    rep.flag("rank_ambiguity", not ambiguous)
     rep.extras["fibers"] = fibers
     rep.extras["rank_table"] = found
     return rep
@@ -618,8 +618,8 @@ def ses_fiber_check(bundle: BundleSpec, sequence_id: str, samples: int = 50, see
     s_h = np.linalg.svd(h, compute_uv=False)
     rank_f = np.sum(s_f > RANK_CUT * s_f[..., :1], axis=-1)
     rank_h = np.sum(s_h > RANK_CUT * s_h[..., :1], axis=-1)
-    rep.add("first_map_injective", 0.0 if np.all(rank_f == f.shape[-1]) else 1.0, 0.5)
-    rep.add("second_map_surjective", 0.0 if np.all(rank_h == h.shape[-2]) else 1.0, 0.5)
+    rep.flag("first_map_injective", bool(np.all(rank_f == f.shape[-1])))
+    rep.flag("second_map_surjective", bool(np.all(rank_h == h.shape[-2])))
     rep.add("composite_zero", worst(np.abs(h @ f)), tol)
     rep.add("image_equals_kernel", worst(_im_ker_residual(f, h)), tol)
     if sequence_id == "duzyVdual":

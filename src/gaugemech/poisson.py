@@ -258,7 +258,7 @@ class PoissonSpace:
     const: Array | None = None
     box: Array | None = None
     name: str = ""
-    # (hamiltonian, field) of the last compile_field call, which dynamics.ham_vector_field reads per stage
+    # (hamiltonian, field) of the last compile_field call
     _field: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -714,7 +714,6 @@ def leaf_structure(bundle: BundleSpec, orbit: CoadjointOrbit, samples: int = 25,
     # an off-orbit row (J residual above 10 tol) fails when iota* puts it on the orbit
     on_agree = worst(j_on, i_on) <= membership_tol
     off_agree = not np.min(i_off, where=j_off > 10 * membership_tol, initial=np.inf) <= membership_tol
-    w_member = 0.0 if on_agree and off_agree else 1.0
 
     # (b) leaf dimension: rank of the tangent span of the parametrization
     # (m, rho, orbit direction) -> a*(rho) + sigma(m, transported chi)
@@ -748,8 +747,8 @@ def leaf_structure(bundle: BundleSpec, orbit: CoadjointOrbit, samples: int = 25,
     w_surj = worst(row_norm(bundle.sigma_tilde(preimage) - rho_target))
 
     dims = set(leaf_dims.tolist())
-    rep.add("membership_equivalence", w_member, 0.5)
-    rep.add("leaf_dimension", 0.0 if dims == {2 * d + orbit.dim} else 1.0, 0.5, expected=2 * d + orbit.dim, got=sorted(dims))
+    rep.flag("membership_equivalence", on_agree and off_agree)
+    rep.flag("leaf_dimension", dims == {2 * d + orbit.dim}, expected=2 * d + orbit.dim, got=sorted(dims))
     rep.add("affine_transitivity", w_aff, tol_affine)
     rep.add("pi_sigma_well_defined", w_pis, 1e-9)
     rep.add("pi_sigma_surjective", w_surj, 1e-11)

@@ -28,12 +28,17 @@ def worst(*resid: float | np.ndarray) -> float:
 
 @dataclass
 class Check:
-    """A single named residual compared against a tolerance."""
+    """A single named residual compared against a tolerance.
+
+    A flag (``SuiteReport.flag``) is a yes/no outcome held as residual 0 or 1
+    against tolerance 0.5; unlike a residual's, its tolerance is never scaled.
+    """
 
     name: str
     residual: float
     tol: float
     info: dict[str, Any] = field(default_factory=dict)
+    flag: bool = False
 
     @property
     def passed(self) -> bool:
@@ -62,6 +67,12 @@ class SuiteReport:
     def add(self, name: str, residual: float, tol: float, **info: Any) -> Check:
         c = Check(name, float(residual), float(tol), dict(info))
         self.checks.append(c)
+        return c
+
+    def flag(self, name: str, ok: bool, **info: Any) -> Check:
+        """A yes/no check: residual 0.0 when ``ok``, 1.0 otherwise, against 0.5."""
+        c = self.add(name, 0.0 if ok else 1.0, 0.5, **info)
+        c.flag = True
         return c
 
     @property

@@ -514,7 +514,7 @@ def reduced_sequence_suite(sd: SemidirectSpec, samples: int = 25, seed: int = 0,
     # exactness from a* and iota* of the total bundle over K; on its gauge slice they do not depend on k
     composite, split, ranks = dual_atiyah_split(total_bundle(sd), sd.K.identity())
     rep.add("composite_zero", composite, tol)
-    rep.add("rank_split", 0.0 if split else 1.0, 0.5, rank_table=ranks)
+    rep.flag("rank_split", split, rank_table=ranks)
 
     w_gamma_star = w_omega = 0.0
     if abelian:
@@ -713,18 +713,8 @@ def heavy_top_model(inertia, mgl: float, axis) -> HeavyTopModel:
 # ---------------------------------------------------------------------------
 
 
-def sd_to_json(sd: SemidirectSpec) -> dict:
-    from .liealg import spec_to_json
-
-    return {
-        "K": spec_to_json(sd.K),
-        "N": spec_to_json(sd.N),
-        "rho": [sd.rho_generators[i].tolist() for i in range(sd.K.dim)],
-    }
-
-
 def sd_from_json(doc: dict, group_resolver: Callable[[Any], LieGroupSpec] | None = None) -> SemidirectSpec:
-    """Inverse of sd_to_json; ``group_resolver`` reads ``K`` and ``N`` (by default a built-in name or an inline spec)."""
+    """A semidirect product from ``{"K", "N", "rho"}``; ``group_resolver`` reads ``K`` and ``N`` (by default a built-in name or an inline spec)."""
     from .liealg import builtin_group, spec_from_json
 
     resolve = group_resolver or (lambda ref: builtin_group(ref) if isinstance(ref, str) else spec_from_json(ref))

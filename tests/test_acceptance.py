@@ -13,6 +13,9 @@ import pytest
 from gaugemech import bundle, cli, dynamics, groupoid, liealg, poisson, semidirect
 from gaugemech.bundle import BundleSpec, ConnectionData, CotangentSample
 
+import builders
+import cotangent_flow
+
 SEED = 20260810
 
 
@@ -24,7 +27,7 @@ def _line(num: int, passed: bool, text: str) -> None:
 @pytest.fixture(scope="module")
 def so3_bundle():
     g = liealg.so3()
-    conn = ConnectionData.from_matrix(np.array([[0.3, -0.1], [0.0, 0.2], [0.1, 0.4]]))
+    conn = builders.connection_from_matrix(np.array([[0.3, -0.1], [0.0, 0.2], [0.1, 0.4]]))
     return BundleSpec("TrivialProduct", g, conn, base_box=[[-1.0, 1.0], [-1.0, 1.0]])
 
 
@@ -151,7 +154,7 @@ def test_criterion_9_heavy_top():
     ratio_ok = 12.0 <= ratio <= 20.0
 
     grp = model.sd.group_spec()
-    us, bs = dynamics.integrate_cotangent(grp, partial(dynamics.group_cotangent_field, grp, model.hamiltonian), grp.identity(), x0, 1e-3, 1000)
+    us, bs = cotangent_flow.integrate_cotangent(grp, partial(cotangent_flow.group_cotangent_field, grp, model.hamiltonian), grp.identity(), x0, 1e-3, 1000)
     mu_up = grp.Ad_star(np.linalg.inv(us[-1])) @ bs[-1]
     reduced = dynamics.integrate(model.space, model.hamiltonian, x0, 1e-3, 1000)
     agree = float(np.linalg.norm(mu_up - reduced.states[-1]))

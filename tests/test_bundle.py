@@ -4,10 +4,12 @@ import pytest
 from gaugemech import bundle, liealg
 from gaugemech.bundle import BundleSpec, ConnectionData, CotangentSample, Point
 
+import builders
+
 
 def so3_bundle(connection=None):
     g = liealg.so3()
-    conn = connection if connection is not None else ConnectionData.from_matrix(np.array([[0.3, -0.1], [0.0, 0.2], [0.1, 0.4]]))
+    conn = connection if connection is not None else builders.connection_from_matrix(np.array([[0.3, -0.1], [0.0, 0.2], [0.1, 0.4]]))
     return BundleSpec("TrivialProduct", g, conn, base_box=[[-1.0, 1.0], [-1.0, 1.0]])
 
 
@@ -204,7 +206,7 @@ class TestConnection:
         # a NaN residual must fail its check, not vanish from the running maximum
         mat = np.array([[0.3, -0.1], [0.0, 0.2], [0.1, 0.4]])
         mat[1, 0] = np.nan
-        rep = bundle.connection_suite(so3_bundle(ConnectionData.from_matrix(mat)), samples=10, seed=21)
+        rep = bundle.connection_suite(so3_bundle(builders.connection_from_matrix(mat)), samples=10, seed=21)
         assert not rep.passed
         assert {c.name for c in rep.failures()} == {"reproduces_vertical", "Ad_equivariance"}
         assert all(np.isnan(c.residual) for c in rep.checks)
@@ -237,7 +239,7 @@ class TestConnection:
 
         sd = semidirect.so3_r3()
         with pytest.raises(ValueError):
-            BundleSpec("SemidirectTotal", sd.N, ConnectionData.from_matrix(np.ones((3, 3))), base_group=sd.K)
+            BundleSpec("SemidirectTotal", sd.N, builders.connection_from_matrix(np.ones((3, 3))), base_group=sd.K)
 
 
 class TestBatchedSuitesSeeLastRow:

@@ -8,6 +8,8 @@ import pytest
 
 from gaugemech import bundle, cli, groupoid, liealg, poisson, semidirect
 
+import builders
+
 
 def run(args):
     return cli.main(args)
@@ -45,7 +47,7 @@ class TestVerify:
         assert run(["verify", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_PASS
 
     def test_corrupted_structure_constants_exit_1(self, tmp_path):
-        doc = liealg.spec_to_json(liealg.so3())
+        doc = builders.spec_to_json(liealg.so3())
         doc["structure"] = [[i, j, k, 0.7 * c] for i, j, k, c in doc["structure"][:3]] + doc["structure"][3:]
         path = small_verify_scenario(tmp_path, group_doc=doc)
         code = run(["verify", str(path), "--out", str(tmp_path / "out")])
@@ -56,7 +58,7 @@ class TestVerify:
 
     def test_spec_files_by_path(self, tmp_path):
         # the group and the bundle are read from files named relative to the scenario
-        (tmp_path / "rot.json").write_text(json.dumps(liealg.spec_to_json(liealg.so3())))
+        (tmp_path / "rot.json").write_text(json.dumps(builders.spec_to_json(liealg.so3())))
         path = small_verify_scenario(tmp_path, group_doc="rot.json")
         doc = json.loads(path.read_text())
         (tmp_path / "bundle.json").write_text(json.dumps(doc["bundle"]))
@@ -81,7 +83,7 @@ class TestVerify:
         assert run(["verify", str(path), "--out", str(tmp_path)]) == cli.EXIT_CONFIG_ERROR
 
     def test_semidirect_name_refs(self, tmp_path):
-        sd_doc = semidirect.sd_to_json(semidirect.so3_r3())
+        sd_doc = builders.sd_to_json(semidirect.so3_r3())
         sd_doc["K"], sd_doc["N"] = "so3", "r3"
         doc = {"name": "sd-names", "kind": "verify", "seed": 1, "semidirect": sd_doc, "suites": ["semidirect.spec"]}
         path = tmp_path / "sd.json"
@@ -98,11 +100,34 @@ class TestVerify:
         assert run(["verify", str(path), "--out", str(tmp_path)]) == cli.EXIT_CONFIG_ERROR
 
     def test_tol_scale_loosens(self, tmp_path):
-        doc = liealg.spec_to_json(liealg.so3())
+        doc = builders.spec_to_json(liealg.so3())
         doc["structure"] = [[i, j, k, c + 1e-9] for i, j, k, c in doc["structure"]]
         path = small_verify_scenario(tmp_path, group_doc=doc)
         assert run(["verify", str(path), "--out", str(tmp_path / "a")]) == cli.EXIT_CHECK_FAILURE
         assert run(["verify", str(path), "--tol-scale", "1e6", "--out", str(tmp_path / "b")]) == cli.EXIT_PASS
+
+    def test_tol_scale_leaves_flags_alone(self, tmp_path):
+        # heisenberg3 with e3 := e1 has a dependent basis: a flag (residual 1 against 0.5) that no scale may pass
+        doc = builders.spec_to_json(liealg.heisenberg3())
+        doc["basis"][2] = doc["basis"][0]
+        scenario = {"name": "dependent-basis", "kind": "verify", "seed": 1, "group": doc, "suites": ["liealg.validate"]}
+        path = tmp_path / "dep.json"
+        path.write_text(json.dumps(scenario))
+        for scale in ("1", "2", "1e6"):
+            out = tmp_path / scale
+            assert run(["verify", str(path), "--tol-scale", scale, "--out", str(out)]) == cli.EXIT_CHECK_FAILURE
+            checks = {c["name"]: c for s in json.loads((out / "report.json").read_text())["suites"] for c in s["checks"]}
+            assert checks["basis_independence"] == {"name": "basis_independence", "residual": 1.0, "tol": 0.5, "pass": False,
+                                                    "info": {"rank": 2, "min_singular_value": 0.0}}
+            assert checks["jacobi"]["tol"] == 1e-12 * float(scale)
+
+    @pytest.mark.parametrize("scale", ["inf", "-inf", "nan", "0", "-1"])
+    @pytest.mark.parametrize("name", ["so3-trivial-bundle", "heavy-top-lagrange"])
+    def test_tol_scale_must_be_positive_and_finite(self, tmp_path, capsys, name, scale):
+        kind = cli.BUILTIN_SCENARIOS[name]["kind"]
+        assert run([kind, name, f"--tol-scale={scale}", "--out", str(tmp_path)]) == cli.EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.startswith("configuration error: '--tol-scale'")
+        assert not (tmp_path / "report.json").exists()
 
 
 class TestLeaves:
@@ -197,17 +222,17 @@ def test_builtin_scenario_runs_clean(tmp_path, name):
     assert report.get("failures", []) == []
 
 
-_SO3_JSON = liealg.spec_to_json(liealg.so3())
+_SO3_JSON = builders.spec_to_json(liealg.so3())
 # an inline so3 whose first structure coefficient is infinite
 _SO3_INF = _SO3_JSON | {"structure": [_SO3_JSON["structure"][0][:3] + [float("inf")]] + _SO3_JSON["structure"][1:]}
 # the inline so3 x| r3 with one rho generator entry NaN
-_SD_NAN_RHO = semidirect.sd_to_json(semidirect.so3_r3())
+_SD_NAN_RHO = builders.sd_to_json(semidirect.so3_r3())
 _SD_NAN_RHO["rho"][0][0][1] = float("nan")
 
 
 def _sd_rho_entry(value):
     """The inline so3 x| r3 with one rho generator entry replaced."""
-    doc = semidirect.sd_to_json(semidirect.so3_r3())
+    doc = builders.sd_to_json(semidirect.so3_r3())
     doc["rho"][0][0][1] = value
     return doc
 
@@ -283,6 +308,12 @@ def _sd_rho_entry(value):
     ("so3-trivial-bundle", "connection", {"A": [[{}, [], []], [[], [], []]]}),
     ("so3-trivial-bundle", "group", _SO3_JSON | {"name": 5}),
     ("so3-trivial-bundle", "suites", []),
+    ("heisenberg-verify", "connection", {"A": [[[], [[1e308, [0, 0]]], []], [[[0.3, [1, 0]]], [], []]]}),
+    ("so3-trivial-bundle", "name", 5),
+    ("so3-leaves", "name", ["so3-leaves"]),
+    ("heavy-top-lagrange", "name", None),
+    ("heavy-top-lagrange", "model", 5),
+    ("heavy-top-lagrange", "model", "pendulum"),
 ])
 def test_malformed_scenario_exits_2(tmp_path, capsys, name, key, value):
     doc = json.loads(json.dumps(cli.BUILTIN_SCENARIOS[name]))

@@ -10,6 +10,8 @@ from gaugemech import bundle, dynamics, liealg, poisson, semidirect
 from gaugemech.dynamics import DivergenceError, Trajectory, convergence_ratio, ham_vector_field, integrate, monitor_drift
 from gaugemech.poisson import ChartError, PoissonSpace, ScalarField, canonical_cotangent, lie_poisson, quotient_cotangent
 
+import cotangent_flow
+
 
 def free_body(inertia):
     inv_i = 1.0 / np.asarray(inertia, dtype=float)
@@ -124,18 +126,21 @@ class TestIntegrate:
         assert same_bits(traj.monitors["H"], [QP_SQUARED.fn(y) for y in ref_states])
 
     def test_rhs_error_past_divergence_is_divergence(self):
-        # an rhs that rejects non-finite input (as expm does) must not mask the divergence
-        def rhs(y):
-            y = np.array(y)  # the stepper's state is a list of floats
-            if not np.isfinite(y).all():
+        # a field that rejects non-finite input (as expm does) must not mask the divergence:
+        # H = (q p)^2 / 2 without affine data, so the compiled field calls this gradient per stage
+        def gradient(x):
+            if not np.isfinite(x).all():
                 raise ValueError("non-finite input")
-            return y * y
+            return QP_SQUARED.gradient(np.asarray(x))
 
+        ham = ScalarField(QP_SQUARED.fn, gradient)
         with pytest.raises(DivergenceError) as err:
-            dynamics._rk4(rhs, np.array([1.0]), 0.5, 100)
+            integrate(canonical_cotangent(1), ham, np.array([3.0, 3.0]), 0.5, 400)
         assert np.isfinite(err.value.trajectory.states).all()
+        assert err.value.trajectory.states.shape[0] == err.value.step
+        # a field that raises on a finite state is not a divergence
         with pytest.raises(ZeroDivisionError):
-            dynamics._rk4(lambda y: 1 / 0, np.array([1.0]), 0.5, 10)
+            integrate(canonical_cotangent(1), ScalarField(QP_SQUARED.fn, lambda x: 1 / 0), np.array([1.0, 1.0]), 0.5, 10)
 
     def test_rejects_x0_of_wrong_shape(self):
         sp = lie_poisson(liealg.so3())
@@ -298,8 +303,8 @@ class TestMonitors:
     def test_constant_quantity_zero_drift(self):
         sp = lie_poisson(liealg.so3())
         h = free_body([1.0, 2.0, 3.0])
-        traj = integrate(sp, h, np.array([0.5, 0.1, 0.2]), 1e-2, 100)
-        drift = monitor_drift(traj, {"const": ScalarField(lambda x: 42.0)})
+        traj = integrate(sp, h, np.array([0.5, 0.1, 0.2]), 1e-2, 100, monitors={"const": ScalarField(lambda x: 42.0)})
+        drift = monitor_drift(traj)
         assert drift["const"] == 0.0
 
     def test_heavy_top_monitors(self):
@@ -323,7 +328,7 @@ class TestReductionConsistency:
         q = quotient_cotangent(b)
         h_red = free_body([1.0, 2.0, 3.0])
         mu0 = np.array([0.9, -0.4, 0.3])
-        us, bs = dynamics.integrate_cotangent(g, partial(dynamics.group_cotangent_field, g, h_red), g.identity(), mu0, 1e-2, 100)
+        us, bs = cotangent_flow.integrate_cotangent(g, partial(cotangent_flow.group_cotangent_field, g, h_red), g.identity(), mu0, 1e-2, 100)
         traj = integrate(q, h_red, mu0, 1e-2, 100)
         for idx in (25, 50, 100):
             mu_up = g.Ad_star(np.linalg.inv(us[idx])) @ bs[idx]
@@ -333,7 +338,7 @@ class TestReductionConsistency:
         m = semidirect.heavy_top_model([1.0, 2.0, 3.0], 1.0, [0.0, 0.0, 1.0])
         grp = m.sd.group_spec()
         x0 = np.array([0.8, -0.3, 0.6, 0.2, 0.1, 0.9])
-        us, bs = dynamics.integrate_cotangent(grp, partial(dynamics.group_cotangent_field, grp, m.hamiltonian), grp.identity(), x0, 1e-3, 1000)
+        us, bs = cotangent_flow.integrate_cotangent(grp, partial(cotangent_flow.group_cotangent_field, grp, m.hamiltonian), grp.identity(), x0, 1e-3, 1000)
         traj = integrate(m.space, m.hamiltonian, x0, 1e-3, 1000)
         mu_up = grp.Ad_star(np.linalg.inv(us[-1])) @ bs[-1]
         assert np.linalg.norm(mu_up - traj.states[-1]) <= 1e-6

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gaugemech import bundle, groupoid, liealg
-from gaugemech.bundle import BundleSpec, ConnectionData, CotangentSample, Point
+from gaugemech.bundle import BundleSpec, CotangentSample, Point
 from gaugemech.groupoid import (
     DualOfPairTangent,
     SideElement,
@@ -20,11 +20,13 @@ from gaugemech.groupoid import (
     vb_axiom_suite,
 )
 
+import builders
+
 
 @pytest.fixture(scope="module")
 def b():
     g = liealg.so3()
-    conn = ConnectionData.from_matrix(np.array([[0.3, -0.1], [0.0, 0.2], [0.1, 0.4]]))
+    conn = builders.connection_from_matrix(np.array([[0.3, -0.1], [0.0, 0.2], [0.1, 0.4]]))
     return BundleSpec("TrivialProduct", g, conn, base_box=[[-1.0, 1.0], [-1.0, 1.0]])
 
 
@@ -80,8 +82,13 @@ class TestAxioms:
             eta = VBElement(q, r, np.concatenate([w, z]))
             prod = ops.product(xi, eta)
 
+            def move(point, tangent, t):
+                # the base moved by t along its part of the tangent, the fiber by exp of t times the rest
+                fiber = point.fiber @ liealg.expm(t * b.group.from_coords(tangent[b.d :]))
+                return Point(b.base_move(point.base, tangent[: b.d], t), fiber)
+
             def fd(point, coords):
-                plus, minus = b.move(point, coords, h), b.move(point, coords, -h)
+                plus, minus = move(point, coords, h), move(point, coords, -h)
                 dbase = (plus.base - minus.base) / (2 * h)
                 dfib = b.group.log(np.linalg.inv(minus.fiber) @ plus.fiber) / (2 * h)
                 return np.concatenate([dbase, dfib])

@@ -8,6 +8,8 @@ from gaugemech import liealg, semidirect
 from gaugemech.liealg import LieDomainError, expm, logm, validate_spec
 from gaugemech.poisson import dexp_left
 
+import builders
+
 
 def rodrigues(w):
     """Independent closed-form oracle for the SO(3) exponential."""
@@ -276,14 +278,14 @@ class TestAdjoint:
         for _ in range(10):
             g = so3.exp(so3.random_algebra(rng))
             mu, x = so3.random_coalgebra(rng), so3.random_algebra(rng)
-            lhs = so3.pair(so3.Ad_star(g) @ mu, x)
-            rhs = so3.pair(mu, so3.Ad(g) @ x)
+            lhs = np.dot(so3.Ad_star(g) @ mu, x)
+            rhs = np.dot(mu, so3.Ad(g) @ x)
             assert abs(lhs - rhs) <= 1e-13
 
     def test_ad_star_pairing(self, so3):
         rng = np.random.default_rng(10)
         x, y, mu = so3.random_algebra(rng), so3.random_algebra(rng), so3.random_coalgebra(rng)
-        assert abs(so3.pair(so3.ad_star(x) @ mu, y) - so3.pair(mu, so3.bracket(x, y))) <= 1e-13
+        assert abs(np.dot(so3.ad_star(x) @ mu, y) - np.dot(mu, so3.bracket(x, y))) <= 1e-13
 
     def test_abelian_coadjoint_trivial(self):
         r2 = liealg.translation_group(2)
@@ -424,9 +426,27 @@ class TestCasimirs:
         np.testing.assert_array_equal(dataclasses.replace(so3, name="rot").casimirs[1], [np.eye(3)])
 
 
+class TestCoordinates:
+    def test_span_check_of_large_translation_group(self):
+        # the span residual is flat - x @ basis: a spec holds no embed^2 x embed^2 projector,
+        # only arrays of at most dim * embed^2 entries (r40: 67,240, against 2,825,761)
+        g = liealg.builtin_group("r40")
+        assert max(np.size(v) for v in vars(g).values() if isinstance(v, np.ndarray)) <= g.dim * g.embed**2
+        rng = np.random.default_rng(41)
+        x = rng.standard_normal((3, g.dim))
+        mats = g.from_coords(x)
+        assert np.array_equal(g.to_coords(mats), x)
+        mats[1, 0, 0] = 1e-6  # a diagonal entry: off the span of the translations
+        with pytest.raises(LieDomainError):
+            g.to_coords(mats)
+        assert np.array_equal(g.to_coords(mats, check=False)[[0, 2]], x[[0, 2]])
+        mats[1, 0, 0] = 1e-9  # below the relative tolerance 1e-8
+        g.to_coords(mats)
+
+
 class TestSerialization:
     def test_generic_membership_fallback(self, so3):
-        doc = liealg.spec_to_json(so3)
+        doc = builders.spec_to_json(so3)
         doc["name"] = "custom-rotations"
         spec = liealg.spec_from_json(doc)
         rng = np.random.default_rng(18)

@@ -5,6 +5,7 @@ import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "gaugemech"
+BENCH = SRC.parents[1] / "perfbench"
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
 
 
@@ -128,6 +129,60 @@ def bool_type_tests(source: str, filename: str = "<src>") -> list[str]:
             if any(isinstance(t, ast.Name) and t.id == "bool" for t in types):
                 found.append(node.lineno)
     return [f"{filename}:{line}" for line in sorted(found)]
+
+
+def references(source: str, filename: str = "<src>") -> tuple[set[str], set[str]]:
+    """The names a source reads and the attribute names it takes (``f`` and ``x.f``)."""
+    tree = ast.parse(source, filename)
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+    return names, {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+
+
+def unreferenced_definitions(source: str, names: set[str], attrs: set[str], filename: str = "<src>") -> list[str]:
+    """Top-level functions that no read name or attribute names, and public methods of top-level classes that no attribute names.
+
+    A method counts only through an attribute (``obj.m``, ``Cls.m``), so a
+    local variable that happens to share its name does not keep it.
+    """
+    found = []
+    for node in ast.parse(source, filename).body:
+        if isinstance(node, ast.FunctionDef) and node.name not in names and node.name not in attrs:
+            found.append(f"{filename}:{node.lineno} {node.name}")
+        elif isinstance(node, ast.ClassDef):
+            found += [f"{filename}:{m.lineno} {node.name}.{m.name}" for m in node.body
+                      if isinstance(m, ast.FunctionDef) and not m.name.startswith("_") and m.name not in attrs]
+    return found
+
+
+def test_unreferenced_definition_detector():
+    src = (
+        "def used(): pass\n"
+        "def _private_used(): pass\n"
+        "def dead(): pass\n"
+        "class K:\n"
+        "    def called(self): pass\n"
+        "    def shadowed(self): pass\n"
+        "    def _hidden(self): pass\n"
+        "    @staticmethod\n"
+        "    def built(): pass\n"
+        "def caller(k):\n"
+        "    shadowed = 1\n"
+        "    return used() + _private_used() + k.called() + K.built() + shadowed\n"
+        "HANDLERS = [caller]\n"
+    )
+    assert unreferenced_definitions(src, *references(src)) == ["<src>:3 dead", "<src>:6 K.shadowed"]
+
+
+def test_every_definition_is_referenced():
+    # a function only tests call belongs in the tests; perfbench counts, since it times
+    # dynamics.ham_vector_field, which no module of the package calls
+    names, attrs = set(), set()
+    for path in sorted(SRC.glob("*.py")) + sorted(BENCH.glob("*.py")):
+        n, a = references(path.read_text(encoding="utf-8"), path.name)
+        names |= n
+        attrs |= a
+    found = [hit for path in sorted(SRC.glob("*.py")) for hit in unreferenced_definitions(path.read_text(encoding="utf-8"), names, attrs, path.name)]
+    assert found == []
 
 
 def test_bool_type_test_detector():

@@ -26,15 +26,17 @@ from gaugemech.poisson import (
     random_polynomial,
 )
 
+import builders
+
 
 def so3_bundle(conn_matrix=None):
     g = liealg.so3()
     mat = np.array([[0.3, -0.1], [0.0, 0.2], [0.1, 0.4]]) if conn_matrix is None else conn_matrix
-    return BundleSpec("TrivialProduct", g, ConnectionData.from_matrix(mat), base_box=[[-1.0, 1.0], [-1.0, 1.0]])
+    return BundleSpec("TrivialProduct", g, builders.connection_from_matrix(mat), base_box=[[-1.0, 1.0], [-1.0, 1.0]])
 
 
 def heis_bundle():
-    return BundleSpec("TrivialProduct", liealg.heisenberg3(), ConnectionData.from_matrix(np.array([[0.2, 0.0], [0.1, -0.3], [0.0, 0.4]])),
+    return BundleSpec("TrivialProduct", liealg.heisenberg3(), builders.connection_from_matrix(np.array([[0.2, 0.0], [0.1, -0.3], [0.0, 0.4]])),
                       base_box=[[-1.0, 1.0], [-1.0, 1.0]])
 
 

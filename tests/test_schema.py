@@ -7,6 +7,8 @@ import pytest
 
 from gaugemech import cli, liealg, semidirect
 
+import builders
+
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
@@ -27,9 +29,9 @@ def _paths(node, prefix=()):
 
 
 def _documents():
-    groups = [liealg.spec_to_json(g) for g in (liealg.so3(), liealg.heisenberg3(), liealg.translation_group(3), liealg.torus(1))]
+    groups = [builders.spec_to_json(g) for g in (liealg.so3(), liealg.heisenberg3(), liealg.translation_group(3), liealg.torus(1))]
     bundles = {json.dumps(s["bundle"]): s["bundle"] for s in cli.BUILTIN_SCENARIOS.values() if "bundle" in s}
-    inline = semidirect.sd_to_json(semidirect.so3_r3())
+    inline = builders.sd_to_json(semidirect.so3_r3())
     named = inline | {"K": "so3", "N": "r3"}
     return [("group", g) for g in groups] + [("bundle", b) for b in bundles.values()] + [("semidirect", inline), ("semidirect", named)]
 

@@ -20,6 +20,9 @@ from gaugemech.semidirect import (
     tstar_sigma_inverse,
 )
 
+import builders
+import cotangent_flow
+
 
 @pytest.fixture(scope="module")
 def sd():
@@ -260,7 +263,7 @@ class TestPullbackForm:
         fc0 = semidirect.FactoredCotangent(k0, theta0, u0, chi0)
         beta0 = semidirect.tstar_sigma(sd, fc0)
         h_step, n_steps = 5e-3, 200
-        us, betas = dynamics.integrate_cotangent(H, partial(dynamics.body_cotangent_field, H, f_full), sd.embed(k0, u0), beta0, h_step, n_steps)
+        us, betas = cotangent_flow.integrate_cotangent(H, partial(cotangent_flow.body_cotangent_field, H, f_full), sd.embed(k0, u0), beta0, h_step, n_steps)
         k_t, u_t = sd.split(us[-1])
         fc_t = semidirect.tstar_sigma_inverse(sd, k_t, u_t, betas[-1])
 
@@ -383,7 +386,7 @@ class TestHeavyTopCasimirs:
 
 class TestSerialization:
     def test_builtin_name_roundtrip(self, sd):
-        doc = semidirect.sd_to_json(sd)
+        doc = builders.sd_to_json(sd)
         doc["K"], doc["N"] = sd.K.name, sd.N.name
         back = semidirect.sd_from_json(doc)
         assert (back.K.name, back.N.name) == ("so3", "r3")
@@ -395,7 +398,7 @@ class TestSerialization:
             semidirect.sd_from_json(doc)
 
     def test_json_roundtrip(self, sd):
-        doc = semidirect.sd_to_json(sd)
+        doc = builders.sd_to_json(sd)
         back = semidirect.sd_from_json(doc)
         rng = np.random.default_rng(28)
         l = sd.K.exp(sd.K.random_algebra(rng, 0.4))
