@@ -277,7 +277,6 @@ class BundleSpec:
     connection: ConnectionData
     base_box: Array | None = None
     base_group: LieGroupSpec | None = None
-    semidirect: Any = None
     name: str = ""
 
     def __post_init__(self) -> None:

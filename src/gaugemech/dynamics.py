@@ -73,11 +73,10 @@ def integrate(space: PoissonSpace, hamiltonian: ScalarField, x0: Array, h: float
     bivector is defined off the box too, so steps past a state outside it
     waste work before the ChartError but cannot fail.
 
-    Monitors are evaluated over the whole stored trajectory with
-    ``ScalarField.evaluate_rows``: one ``batch_fn`` call per monitor when the
-    field has one, ``fn`` per row otherwise. On a diverged trajectory they
-    run with numpy floating-point warnings off, since its last finite states
-    may overflow a quadratic monitor.
+    Each monitor is called once on the whole stored trajectory, a stack of
+    states, so its rows have the bits of one-point calls. On a diverged
+    trajectory they run with numpy floating-point warnings off, since its
+    last finite states may overflow a quadratic monitor.
     """
     if np.ndim(x0) != 1:  # check_chart also accepts a stack of points
         raise ChartError(f"x0 must be one point of {space.name}, got shape {np.shape(x0)}")
@@ -90,7 +89,7 @@ def integrate(space: PoissonSpace, hamiltonian: ScalarField, x0: Array, h: float
         if space.box is not None:
             for y in traj.states[1:]:
                 space.check_chart(y)
-        traj.monitors = {name: q.evaluate_rows(traj.states) for name, q in monitors.items()}
+        traj.monitors = {name: q(traj.states) for name, q in monitors.items()}
         return traj
 
     velocity = space.compile_field(hamiltonian)

@@ -39,7 +39,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import fd
+from . import fd, schema
 from .bundle import BundleSpec, ConnectionData, CotangentSample, Point, QuotientClass, draw_samples, row_dot, row_form, row_matvec, row_norm, row_vecmat
 from .liealg import LieGroupSpec, rodrigues
 from .report import SuiteReport, worst
@@ -63,22 +63,24 @@ class ChartError(ValueError):
 class ScalarField:
     """A smooth function of coordinates, with optional exact gradient.
 
-    Without one, ``gradient`` takes central differences at ``fd.GRAD_STEP``.
+    ``fn`` takes one point (dim,) or a stack (..., dim) and gives one value
+    per point; each row of a stack has the bits of its one-point call, so a
+    report or CSV does not depend on how many points were evaluated at once
+    (square with a product or ``np.square``: a numpy scalar's ``** 2`` can
+    round unlike an array's).  Calling the field gives a float for one point
+    and an array for a stack, and ValueError when ``fn`` does not give one
+    value per point.
 
-    ``batch_fn``, when attached, evaluates the field on every row of an
-    (m, dim) float array at once and returns shape (m,). Its entry i must
-    equal ``fn(rows[i])`` bit for bit, so a report or CSV does not depend on
-    which of the two evaluated it.
+    Without ``grad``, ``gradient`` takes central differences at ``fd.GRAD_STEP``.
 
     ``affine``, when attached, is a pair (A, f) with grad H(x) = A x + f; the
     exact gradient is then compiled from it (``_affine_gradient``), and so is
     the Hamiltonian vector field of ``PoissonSpace.compile_field``.
     """
 
-    fn: Callable[[Array], float]
+    fn: Callable[[Array], float | Array]
     grad: Callable[[Array], Array] | None = None
     name: str = ""
-    batch_fn: Callable[[Array], Array] | None = None
     affine: tuple[Array, Array] | None = None
 
     def __post_init__(self) -> None:
@@ -87,20 +89,18 @@ class ScalarField:
             if self.grad is None:
                 self.grad = _affine_gradient(*self.affine)
 
-    def __call__(self, x: Array) -> float:
-        return float(self.fn(np.asarray(x, dtype=float)))
+    def __call__(self, x: Array) -> float | Array:
+        x = np.asarray(x, dtype=float)
+        value = np.asarray(self.fn(x), dtype=float)
+        if value.shape != x.shape[:-1]:  # a one-point formula such as x[0] * x[1] mixes the rows of a stack
+            raise ValueError(f"field {self.name!r} must give one value per point of {x.shape}, got shape {value.shape}")
+        return float(value) if x.ndim == 1 else value
 
     def gradient(self, x: Array) -> Array:
         x = np.asarray(x, dtype=float)
         if self.grad is not None:
             return np.asarray(self.grad(x), dtype=float)
         return fd.central(self.fn, x, np.eye(x.size), fd.GRAD_STEP)
-
-    def evaluate_rows(self, rows: Array) -> Array:
-        """The field on each row of a float array: ``batch_fn`` if attached, else ``fn`` per row."""
-        if self.batch_fn is not None:
-            return np.asarray(self.batch_fn(rows), dtype=float)
-        return np.array([self.fn(y) for y in rows], dtype=float)
 
 
 def _term(coef: float, factor: str) -> str:
@@ -149,7 +149,7 @@ def _affine_gradient(a: Array, f: Array) -> Callable[[Array], Array]:
 def coordinate_field(i: int, dim: int) -> ScalarField:
     e = np.zeros(dim)
     e[i] = 1.0
-    return ScalarField(lambda x, i=i: float(x[i]), lambda x, e=e: e.copy(), name=f"x{i}", batch_fn=lambda rows, i=i: rows[:, i].copy())
+    return ScalarField(lambda x, i=i: x[..., i].copy(), lambda x, e=e: e.copy(), name=f"x{i}")
 
 
 @dataclass(frozen=True)
@@ -518,10 +518,10 @@ def casimir_fields(group: LieGroupSpec) -> list[ScalarField]:
     the structure constants.  Gradients take a point or a stack of points.
     """
     linear, quadratic = group.casimirs
-    fields = [ScalarField(lambda mu, x=x: float(x @ mu), lambda mu, x=x: np.broadcast_to(x, np.shape(mu)).copy(), name=f"linear{i}",
-                          batch_fn=lambda rows, x=x: row_dot(rows, x)) for i, x in enumerate(linear)]
-    fields += [ScalarField(lambda mu, q=q: float(mu @ q @ mu), lambda mu, q=q: 2.0 * row_matvec(q, mu), name=f"quadratic{i}",
-                           batch_fn=lambda rows, q=q: row_dot(row_vecmat(rows, q), rows)) for i, q in enumerate(quadratic)]
+    fields = [ScalarField(lambda mu, x=x: row_dot(mu, x), lambda mu, x=x: np.broadcast_to(x, np.shape(mu)).copy(), name=f"linear{i}")
+              for i, x in enumerate(linear)]
+    fields += [ScalarField(lambda mu, q=q: row_dot(row_vecmat(mu, q), mu), lambda mu, q=q: 2.0 * row_matvec(q, mu), name=f"quadratic{i}")
+               for i, q in enumerate(quadratic)]
     return fields
 
 
@@ -546,13 +546,10 @@ class CoadjointOrbit:
         distance to the nearest of mu0 and the samples.
         """
         mu = np.asarray(mu, dtype=float)
-        rows = mu.reshape(-1, self.group.dim)
         cas = casimir_fields(self.group)
         if cas:
-            res = np.max([np.abs(c.evaluate_rows(rows) - c(self.mu0)) for c in cas], axis=0)
-        else:
-            res = np.min(row_norm(rows[:, None, :] - np.array([self.mu0, *self.samples])), axis=1)
-        return float(res[0]) if mu.ndim == 1 else res.reshape(mu.shape[:-1])
+            return np.max([np.abs(c(mu) - c(self.mu0)) for c in cas], axis=0)
+        return np.min(row_norm(mu[..., None, :] - np.array([self.mu0, *self.samples])), axis=-1)
 
 
 def coadjoint_orbit(group: LieGroupSpec, mu0: Array, n_samples: int = 40, seed: int = 0) -> CoadjointOrbit:
@@ -762,7 +759,8 @@ def leaf_structure(bundle: BundleSpec, orbit: CoadjointOrbit, samples: int = 25,
 def magnetic_term(bundle: BundleSpec, chi: Array, samples: int = 15, seed: int = 0):
     """Two-form evaluator for omega_chi - pi_sigma* d(gamma~) plus its report.
 
-    Requires a one-point coadjoint orbit (chi fixed by Ad*).  The leaf form
+    Requires a one-point coadjoint orbit (chi fixed by Ad*), else
+    ``schema.ConfigError`` naming 'chi'.  The leaf form
     omega_chi is d gamma (``canonical_two_form``) on tangents pushed through
     the leaf embedding by central differences at the gauge slice; pi_sigma
     maps the leaf to T*(P/G) through the connection-induced section.  The
@@ -773,7 +771,7 @@ def magnetic_term(bundle: BundleSpec, chi: Array, samples: int = 15, seed: int =
     G = bundle.group
     span = np.stack([G.ad_star(np.eye(G.dim)[i]) @ chi for i in range(G.dim)], axis=1)
     if float(np.max(np.abs(span))) > 1e-10:
-        raise ValueError("magnetic term needs a one-point orbit (chi must be a character)")
+        raise schema.ConfigError(f"'chi' must be a character (a one-point coadjoint orbit, ad*_x chi = 0 for every x), got {chi.tolist()}")
     d, n = bundle.d, bundle.n
 
     def leaf_coords(z: Array) -> Array:

@@ -47,17 +47,20 @@ SAMPLE_BLOCK = 8
 class SemidirectSpec:
     """K x|_rho N with rho given by conjugator matrices on N's embedding.
 
-    ``rho_generators[i]`` is r_i = dR(e_i); for group elements R(k) is either
-    the supplied closed form or exp(r(log k)) (valid inside the log domain of
-    K, which is where all sampling happens).
+    ``rho_generators[i]`` is r_i = dR(e_i); for group elements R(k) is
+    exp(r(log k)) (valid inside the log domain of K, which is where all
+    sampling happens).  When every r_i is -e_i in the leading ``K.embed``
+    block and zero elsewhere, that is exactly R(k) = diag(k^-1, I), which
+    ``R`` takes in closed form with ``K.inverse`` (the transpose for SO(3)).
+    The closed form is read off the generators, never supplied.
     """
 
     K: LieGroupSpec
     N: LieGroupSpec
     rho_generators: Array
-    R_closed: Callable[[Array], Array] | None = None
     name: str = ""
     _H: LieGroupSpec | None = field(default=None, init=False, repr=False)
+    _inverse_conjugator: bool = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.rho_generators = np.asarray(self.rho_generators, dtype=float).reshape(self.K.dim, self.N.embed, self.N.embed)
@@ -65,13 +68,19 @@ class SemidirectSpec:
             raise ValueError("'rho' generators must be finite")
         if not self.name:
             self.name = f"sd:{self.K.name}|{self.N.name}"
+        pad = self.N.embed - self.K.embed
+        self._inverse_conjugator = pad >= 0 and np.array_equal(self.rho_generators, np.pad(-self.K.basis, ((0, 0), (0, pad), (0, pad))))
 
     # -- the automorphism family ------------------------------------------------
 
     def R(self, l: Array) -> Array:
         """The conjugator R(l), one per element of a stack (..., mk, mk)."""
-        if self.R_closed is not None:
-            return self.R_closed(l)
+        if self._inverse_conjugator:
+            mk = self.K.embed
+            out = np.zeros(np.shape(l)[:-2] + self.rho_generators.shape[1:])
+            out[..., :mk, :mk] = self.K.inverse(l)
+            out[..., mk:, mk:] = np.eye(self.N.embed - mk)
+            return out
         return expm(np.tensordot(self.K.log(l), self.rho_generators, axes=1))
 
     def rho(self, l: Array, u: Array) -> Array:
@@ -168,14 +177,7 @@ def so3_r3() -> SemidirectSpec:
     gens = np.zeros((3, 4, 4))
     for i in range(3):
         gens[i, :3, :3] = -K.basis[i]
-
-    def r_closed(l: Array) -> Array:
-        out = np.zeros(np.shape(l)[:-2] + (4, 4))
-        out[..., :3, :3] = np.swapaxes(l, -1, -2)
-        out[..., 3, 3] = 1.0
-        return out
-
-    return SemidirectSpec(K, N, gens, R_closed=r_closed)
+    return SemidirectSpec(K, N, gens)
 
 
 def builtin_semidirect(name: str) -> SemidirectSpec:
@@ -191,7 +193,6 @@ def total_bundle(sd: SemidirectSpec) -> BundleSpec:
         sd.N,
         ConnectionData.flat(sd.K.dim, sd.N.dim),
         base_group=sd.K,
-        semidirect=sd,
         name=f"SemidirectTotal[{sd.name}]",
     )
 
@@ -643,7 +644,6 @@ def _product_dgamma_fd(factors: Sequence[LieGroupSpec], covector: Array, v1: Arr
 class HeavyTopModel:
     """Lie-Poisson phase space and Hamiltonian of a heavy top."""
 
-    sd: SemidirectSpec
     space: "object"
     hamiltonian: ScalarField
     casimirs: list[ScalarField]
@@ -652,7 +652,7 @@ class HeavyTopModel:
     axis: Array
 
     def monitors(self) -> dict[str, ScalarField]:
-        """The conserved quantities a simulation tracks, each with a row-batched evaluator.
+        """The conserved quantities a simulation tracks, each one formula for a point or a stack of states.
 
         Energy and both Casimirs always; Pi3 for a symmetric top whose axis is
         the third body axis (Lagrange top); |Pi|^2 when there is no gravity.
@@ -663,8 +663,7 @@ class HeavyTopModel:
         if self.inertia[0] == self.inertia[1] and np.allclose(self.axis, [0, 0, 1]):
             out["Pi3"] = coordinate_field(2, 6)
         if self.mgl == 0.0:
-            out["|Pi|^2"] = ScalarField(lambda x: float(x[:3] @ x[:3]), lambda x: np.concatenate([2 * x[:3], np.zeros(3)]),
-                                        batch_fn=lambda rows: np.vecdot(rows[:, :3], rows[:, :3]))
+            out["|Pi|^2"] = ScalarField(lambda x: row_dot(x[..., :3], x[..., :3]), lambda x: np.concatenate([2 * x[:3], np.zeros(3)]))
         return out
 
 
@@ -674,38 +673,30 @@ def heavy_top_model(inertia, mgl: float, axis) -> HeavyTopModel:
     The bracket is the generic Lie-Poisson evaluator over the structure
     constants of the assembled semidirect algebra; nothing is hand-coded. The
     Hamiltonian declares its affine gradient, from which its ``grad`` and the
-    compiled vector field of ``dynamics`` are built.
-    Every field's ``batch_fn`` repeats its ``fn`` with ``np.vecdot`` in place of
-    the per-row ``@``, which gives the same bits.
+    compiled vector field of ``dynamics`` are built.  The Hamiltonian and the
+    Casimirs take a point or a stack of states, one ``row_dot`` per row.
     """
     inertia = np.asarray(inertia, dtype=float)
     axis = np.asarray(axis, dtype=float)
     if inertia.shape != (3,) or np.any(inertia <= 0):
         raise ValueError("inertia must be three positive moments")
-    sd = so3_r3()
-    space = lie_poisson(sd.group_spec())
+    space = lie_poisson(so3_r3().group_spec())
 
     inv_i = 1.0 / inertia
     # grad H = A x + f: dH/dPi = Pi / I, and dH/dGamma = mgl * axis is constant
     affine = (np.diag(np.concatenate([inv_i, np.zeros(3)])), np.concatenate([np.zeros(3), mgl * axis]))
 
-    def ham(x: Array) -> float:
-        pi, gam = x[:3], x[3:]
-        return float(0.5 * pi @ (inv_i * pi) + mgl * (gam @ axis))
-
-    def ham_rows(rows: Array) -> Array:
-        pi, gam = rows[:, :3], rows[:, 3:]
-        return np.vecdot(0.5 * pi, inv_i * pi) + mgl * np.vecdot(gam, axis)
+    def ham(x: Array) -> float | Array:
+        pi, gam = x[..., :3], x[..., 3:]
+        return row_dot(0.5 * pi, inv_i * pi) + mgl * row_dot(gam, axis)
 
     # the two Casimirs that poisson.casimir_fields derives for so3 x| r3, named
     casimirs = [
-        ScalarField(lambda x: float(x[3:] @ x[3:]), lambda x: np.concatenate([np.zeros(3), 2.0 * x[3:]]), name="|Gamma|^2",
-                    batch_fn=lambda rows: np.vecdot(rows[:, 3:], rows[:, 3:])),
-        ScalarField(lambda x: float(x[:3] @ x[3:]), lambda x: np.concatenate([x[3:], x[:3]]), name="<Pi,Gamma>",
-                    batch_fn=lambda rows: np.vecdot(rows[:, :3], rows[:, 3:])),
+        ScalarField(lambda x: row_dot(x[..., 3:], x[..., 3:]), lambda x: np.concatenate([np.zeros(3), 2.0 * x[3:]]), name="|Gamma|^2"),
+        ScalarField(lambda x: row_dot(x[..., :3], x[..., 3:]), lambda x: np.concatenate([x[3:], x[:3]]), name="<Pi,Gamma>"),
     ]
-    hamiltonian = ScalarField(ham, name="heavy_top", batch_fn=ham_rows, affine=affine)
-    return HeavyTopModel(sd, space, hamiltonian, casimirs, inertia, float(mgl), axis)
+    hamiltonian = ScalarField(ham, name="heavy_top", affine=affine)
+    return HeavyTopModel(space, hamiltonian, casimirs, inertia, float(mgl), axis)
 
 
 # ---------------------------------------------------------------------------

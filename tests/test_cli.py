@@ -314,6 +314,7 @@ def _sd_rho_entry(value):
     ("heavy-top-lagrange", "name", None),
     ("heavy-top-lagrange", "model", 5),
     ("heavy-top-lagrange", "model", "pendulum"),
+    ("so3-leaves", "chi", [1.0, 0.0, 0.0]),
 ])
 def test_malformed_scenario_exits_2(tmp_path, capsys, name, key, value):
     doc = json.loads(json.dumps(cli.BUILTIN_SCENARIOS[name]))
@@ -492,6 +493,16 @@ class TestDeterminism:
             assert run([kind, name, "--out", str(out)]) == cli.EXIT_PASS
         for file in ["report.json"] + (["leaf_points.csv"] if kind == "leaves" else []):
             assert (a / file).read_bytes() == (b / file).read_bytes()
+
+    def test_inline_semidirect_writes_builtin_report(self, tmp_path):
+        # the conjugator's closed form is read off the rho generators, so so3 x| r3 given inline
+        # takes the same path as the built-in and writes the same bytes
+        doc = json.loads(json.dumps(cli.BUILTIN_SCENARIOS["se3-verify"])) | {"semidirect": builders.sd_to_json(semidirect.so3_r3())}
+        path = tmp_path / "inline.json"
+        path.write_text(json.dumps(doc))
+        assert run(["verify", "se3-verify", "--out", str(tmp_path / "builtin")]) == cli.EXIT_PASS
+        assert run(["verify", str(path), "--out", str(tmp_path / "inline")]) == cli.EXIT_PASS
+        assert (tmp_path / "inline" / "report.json").read_bytes() == (tmp_path / "builtin" / "report.json").read_bytes()
 
     def test_seed_override_changes_report(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -445,13 +445,23 @@ class TestCoordinates:
 
 
 class TestSerialization:
+    @pytest.mark.parametrize("name", ["heisenberg3", "lowerheis"])
+    def test_inline_membership_comes_from_the_basis_not_the_name(self, name):
+        # lower-triangular Heisenberg: basis E21, E32, E31 with [e0, e1] = -e2; the built-in
+        # heisenberg3 test of upper-triangular matrices must not be borrowed by its name
+        basis = np.zeros((3, 3, 3))
+        basis[0, 1, 0] = basis[1, 2, 1] = basis[2, 2, 0] = 1.0
+        doc = {"name": name, "dim": 3, "embed": 3, "basis": basis.reshape(3, 9).tolist(), "structure": [[0, 1, 2, -1.0], [1, 0, 2, 1.0]]}
+        rep = validate_spec(liealg.spec_from_json(doc), seed=3)
+        assert rep.passed, rep.failures()
+
     def test_generic_membership_fallback(self, so3):
         doc = builders.spec_to_json(so3)
         doc["name"] = "custom-rotations"
         spec = liealg.spec_from_json(doc)
         rng = np.random.default_rng(18)
-        assert spec.membership_defect(spec.exp(spec.random_algebra(rng))) <= spec.membership_tol
-        assert spec.membership_defect(np.diag([2.0, 1.0, 1.0])) > spec.membership_tol
+        assert spec.membership_defect(spec.exp(spec.random_algebra(rng))) <= liealg.MEMBERSHIP_TOL
+        assert spec.membership_defect(np.diag([2.0, 1.0, 1.0])) > liealg.MEMBERSHIP_TOL
 
 
 @pytest.mark.parametrize("gap", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7])

@@ -185,6 +185,58 @@ def test_every_definition_is_referenced():
     assert found == []
 
 
+def attribute_reads(source: str, filename: str = "<src>") -> set[str]:
+    """Attribute names a source reads (``x.f`` in a load, not ``x.f = ...``)."""
+    return {n.attr for n in ast.walk(ast.parse(source, filename)) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
+def unread_dataclass_fields(source: str, reads: set[str], filename: str = "<src>") -> list[str]:
+    """Fields of ``@dataclass`` classes that no attribute read in ``reads`` names.
+
+    A field set only by a constructor keyword or an assignment is never read.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if not any((isinstance(d, ast.Name) and d.id == "dataclass") or (isinstance(d, ast.Attribute) and d.attr == "dataclass") for d in decorators):
+            continue
+        found += [f"{filename}:{f.lineno} {node.name}.{f.target.id}" for f in node.body
+                  if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name) and f.target.id not in reads]
+    return found
+
+
+def test_unread_dataclass_field_detector():
+    src = (
+        "import dataclasses\n"
+        "from dataclasses import dataclass, field\n"
+        "@dataclass\n"
+        "class A:\n"
+        "    read: int\n"
+        "    keyword_only: int = 0\n"
+        "    _stored: int = field(init=False)\n"
+        "    def __post_init__(self):\n"
+        "        self._stored = self.read\n"
+        "@dataclasses.dataclass(frozen=True)\n"
+        "class B:\n"
+        "    used: int\n"
+        "    unused: int\n"
+        "class Plain:\n"
+        "    ignored: int\n"
+        "a = A(read=1, keyword_only=2)\n"
+        "b = B(used=1, unused=2).used\n"
+    )
+    assert unread_dataclass_fields(src, attribute_reads(src)) == ["<src>:6 A.keyword_only", "<src>:7 A._stored", "<src>:13 B.unused"]
+
+
+def test_every_dataclass_field_is_read():
+    # perfbench counts: its tracer reads PoissonSpace.kind
+    reads = set().union(*(attribute_reads(path.read_text(encoding="utf-8"), path.name) for path in sorted(SRC.glob("*.py")) + sorted(BENCH.glob("*.py"))))
+    found = [hit for path in sorted(SRC.glob("*.py")) for hit in unread_dataclass_fields(path.read_text(encoding="utf-8"), reads, path.name)]
+    assert found == []
+
+
 def test_bool_type_test_detector():
     src = (
         "ok = isinstance(x, bool)\n"

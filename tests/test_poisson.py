@@ -111,7 +111,7 @@ class TestBracketEval:
         # the matmul form must reproduce einsum("ijk,k->ij") bit for bit
         spaces = [
             canonical_cotangent(2),
-            lie_poisson(semidirect.heavy_top_model([1.0, 2.0, 3.0], 1.0, [0.0, 0.0, 1.0]).sd.group_spec()),
+            lie_poisson(semidirect.so3_r3().group_spec()),
             quotient_cotangent(so3_bundle()),
             product_space([canonical_cotangent(1), lie_poisson(liealg.heisenberg3())]),
         ]
@@ -345,7 +345,7 @@ class TestOrbits:
         mu1 = rng.standard_normal(3)
         for mu2 in (g.Ad_star(np.linalg.inv(g.exp(g.random_algebra(rng)))) @ mu1, -mu1):
             w = coadjoint_transport(g, mu1, mu2)
-            assert g.membership_defect(w) <= g.membership_tol
+            assert g.membership_defect(w) <= liealg.MEMBERSHIP_TOL
             assert np.linalg.norm(g.Ad_star(np.linalg.inv(w)) @ mu1 - mu2) <= 1e-10
 
     def test_transport(self):
@@ -384,6 +384,46 @@ class TestCasimirs:
         assert c(mu) == mu @ mu
         orbit = coadjoint_orbit(heis_as_so3, np.array([1.0, 0.0, 0.5]), seed=41)
         assert orbit.membership_residual(np.array([5.0, -3.0, 0.5])) == 0.0
+
+
+def package_fields() -> list[tuple[str, int, ScalarField]]:
+    """(label, dim, field) of every ScalarField the package builds."""
+    from gaugemech.cli import BUILTIN_SCENARIOS
+
+    groups = [liealg.so3(), liealg.heisenberg3(), liealg.torus(1), liealg.translation_group(3), semidirect.so3_r3().group_spec()]
+    out = [(f"{g.name}:{c.name}", g.dim, c) for g in groups for c in casimir_fields(g)]
+    out.append(("coordinate_field", 4, coordinate_field(1, 4)))
+    tops = {name: BUILTIN_SCENARIOS[name]["simulate"] for name in ("heavy-top-lagrange", "heavy-top-free")}
+    tops["general-axis-top"] = {"inertia": [1.0, 2.0, 3.0], "mgl": 0.7, "axis": [0.3, -0.2, 0.9]}
+    for name, cfg in tops.items():
+        top = semidirect.heavy_top_model(cfg["inertia"], cfg["mgl"], cfg["axis"])
+        out += [(f"{name}:{label}", 6, q) for label, q in top.monitors().items()]  # "energy" is the Hamiltonian
+    return out
+
+
+PACKAGE_FIELDS = package_fields()
+
+
+@pytest.mark.parametrize("label, dim, field", PACKAGE_FIELDS, ids=[f[0] for f in PACKAGE_FIELDS])
+def test_field_is_one_formula_for_points_and_stacks(label, dim, field):
+    # each row of a stack has the bits of its one-point call, and a one-point call gives a Python float
+    rng = np.random.default_rng(44)
+    rows = rng.standard_normal((200, dim)) * 10.0 ** rng.uniform(-3, 3, (200, 1))
+    rows[::7, 0] = -0.0
+    points = [field(row) for row in rows]
+    assert all(type(v) is float for v in points)
+    for stack in (rows, rows.reshape(4, 50, dim)):
+        values = field(stack)
+        assert type(values) is np.ndarray and values.shape == stack.shape[:-1]
+        assert np.array_equal(values.reshape(-1).view(np.int64), np.array(points).view(np.int64)), label
+
+
+def test_field_that_ignores_the_stack_is_rejected():
+    # x[0] * x[1] is a one-point formula: on a stack it would multiply two rows
+    field = ScalarField(lambda x: x[0] * x[1], name="q p")
+    assert field(np.array([2.0, 3.0, 5.0])) == 6.0
+    with pytest.raises(ValueError, match="one value per point"):
+        field(np.ones((4, 3)))
 
 
 class TestLeafStructure:
