@@ -404,6 +404,8 @@ def run_leaves(scenario: dict, basedir: Path, seed: int, tol_scale: float, out_d
         raise ConfigError("leaves need a TrivialProduct bundle (class coordinates on a base box)")
     mu0 = schema.array("mu0", cfg.get("mu0"), (b.n,))
     chi = schema.array("chi", cfg["chi"], (b.n,)) if "chi" in cfg else None
+    if chi is not None and not poisson.is_character(b.group, chi):
+        raise ConfigError(f"'chi' must be a character (a one-point coadjoint orbit, ad*_x chi = 0 for every x), got {chi.tolist()}")
     orbit_samples = schema.integer("orbit_samples", cfg.get("orbit_samples", 40))
     samples = schema.integer("samples", cfg.get("samples", 20))
     groupoid_action = schema.flag("groupoid_action", cfg.get("groupoid_action", False))

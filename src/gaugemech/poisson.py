@@ -39,7 +39,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import fd, schema
+from . import fd
 from .bundle import BundleSpec, ConnectionData, CotangentSample, Point, QuotientClass, draw_samples, row_dot, row_form, row_matvec, row_norm, row_vecmat
 from .liealg import LieGroupSpec, rodrigues
 from .report import SuiteReport, worst
@@ -68,8 +68,9 @@ class ScalarField:
     report or CSV does not depend on how many points were evaluated at once
     (square with a product or ``np.square``: a numpy scalar's ``** 2`` can
     round unlike an array's).  Calling the field gives a float for one point
-    and an array for a stack, and ValueError when ``fn`` does not give one
-    value per point.
+    and an array for a stack.  A value whose shape is not one per point
+    raises ValueError; a one-point formula such as ``x[0] * x[1]`` on a stack
+    of exactly dim points has that shape and is not caught.
 
     Without ``grad``, ``gradient`` takes central differences at ``fd.GRAD_STEP``.
 
@@ -756,11 +757,16 @@ def leaf_structure(bundle: BundleSpec, orbit: CoadjointOrbit, samples: int = 25,
     return rep
 
 
+def is_character(group: LieGroupSpec, chi: Array) -> bool:
+    """Whether chi is a one-point coadjoint orbit: ad*_x chi = 0 for every x."""
+    chi = np.asarray(chi, dtype=float)
+    return float(np.max(np.abs([group.ad_star(x) @ chi for x in np.eye(group.dim)]))) <= 1e-10
+
+
 def magnetic_term(bundle: BundleSpec, chi: Array, samples: int = 15, seed: int = 0):
     """Two-form evaluator for omega_chi - pi_sigma* d(gamma~) plus its report.
 
-    Requires a one-point coadjoint orbit (chi fixed by Ad*), else
-    ``schema.ConfigError`` naming 'chi'.  The leaf form
+    Requires a one-point coadjoint orbit (``is_character``).  The leaf form
     omega_chi is d gamma (``canonical_two_form``) on tangents pushed through
     the leaf embedding by central differences at the gauge slice; pi_sigma
     maps the leaf to T*(P/G) through the connection-induced section.  The
@@ -769,9 +775,8 @@ def magnetic_term(bundle: BundleSpec, chi: Array, samples: int = 15, seed: int =
     """
     chi = np.asarray(chi, dtype=float)
     G = bundle.group
-    span = np.stack([G.ad_star(np.eye(G.dim)[i]) @ chi for i in range(G.dim)], axis=1)
-    if float(np.max(np.abs(span))) > 1e-10:
-        raise schema.ConfigError(f"'chi' must be a character (a one-point coadjoint orbit, ad*_x chi = 0 for every x), got {chi.tolist()}")
+    if not is_character(G, chi):
+        raise ValueError("magnetic term needs a one-point orbit (chi must be a character)")
     d, n = bundle.d, bundle.n
 
     def leaf_coords(z: Array) -> Array:

@@ -483,6 +483,20 @@ def test_leaves_suite_exception_becomes_failed_check(tmp_path):
     assert (tmp_path / "out" / "leaf_points.csv").exists()
 
 
+def test_non_character_chi_exits_before_any_suite(tmp_path, monkeypatch):
+    # chi is refused when it is read, so no leaves suite runs on a scenario that will exit 2
+    def no_suite(*args, **kwargs):
+        raise AssertionError("a leaves suite ran before chi was checked")
+
+    for suite in ("coadjoint_orbit", "leaf_structure", "groupoid_action_suite", "magnetic_term"):
+        monkeypatch.setattr(poisson, suite, no_suite)
+    doc = json.loads(json.dumps(cli.BUILTIN_SCENARIOS["so3-leaves"]))
+    doc["leaves"].update(chi=[1.0, 0.0, 0.0], groupoid_action=True)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run(["leaves", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG_ERROR
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("name", ["heisenberg-verify", "so3-trivial-bundle", "se3-verify",
                                       "so3-leaves", "so3-zero-leaf", "u1-magnetic"])

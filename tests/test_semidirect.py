@@ -89,7 +89,9 @@ class TestGroupStructure:
 
 def generic_route(sd):
     """The same product with R(l) = exp(r(log l)) in place of the closed form."""
-    return SemidirectSpec(sd.K, sd.N, sd.rho_generators)
+    spec = SemidirectSpec(sd.K, sd.N, sd.rho_generators)
+    spec._inverse_conjugator = False  # the generators -e_i would give the closed form
+    return spec
 
 
 @pytest.mark.parametrize("route", [so3_r3, lambda: generic_route(so3_r3())], ids=["closed", "generic"])
@@ -126,9 +128,21 @@ def test_generic_route_matches_closed_form():
     closed = so3_r3()
     generic = generic_route(closed)
     rng = np.random.default_rng(26)
+    assert closed._inverse_conjugator and not generic._inverse_conjugator
     for _ in range(10):
         l = closed.K.exp(closed.K.random_algebra(rng))
-        assert np.max(np.abs(generic.R(l) - closed.R(l))) <= 1e-13
+        exp_route = liealg.expm(np.tensordot(closed.K.log(l), closed.rho_generators, axes=1))
+        assert np.array_equal(generic.R(l), exp_route)
+        assert np.max(np.abs(exp_route - closed.R(l))) <= 1e-13
+
+
+def test_other_generators_take_the_exp_route():
+    # -2 e_i is not the generator of R(l) = diag(l^-1, I), so R stays exp(r(log l))
+    base = so3_r3()
+    spec = SemidirectSpec(base.K, base.N, 2 * base.rho_generators)
+    l = base.K.exp(base.K.random_algebra(np.random.default_rng(27)))
+    assert not spec._inverse_conjugator
+    assert np.array_equal(spec.R(l), liealg.expm(np.tensordot(base.K.log(l), spec.rho_generators, axes=1)))
 
 
 class TestTrivialization:
