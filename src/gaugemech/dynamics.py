@@ -1,11 +1,13 @@
 """Hamiltonian vector fields from Poisson brackets, RK4 integration, drift monitors.
 
 ``integrate`` is the one RK4 stepper. It steps one state of a Poisson space,
-held as a list of Python floats, through ``PoissonSpace.compile_field``:
-B(y) grad H(y) compiled once into straight-line float code from the nonzero
+held as a list of Python floats, through ``PoissonSpace.compile_step``: one
+classical RK4 step, compiled once per Hamiltonian into straight-line float
+code. Its four stages are the rows of B(y) grad H(y), built from the nonzero
 entries of the bivector and, when the Hamiltonian declares one, of its affine
-gradient A y + f. It takes one trajectory at a time; a batched ensemble is
-not here.
+gradient A y + f; the stage and update arithmetic sits between them. With
+affine data the same step also advances a list of numpy columns, one member
+per entry; ``integrate`` itself takes one trajectory at a time.
 """
 
 from __future__ import annotations
@@ -43,9 +45,10 @@ class Trajectory:
 def ham_vector_field(space: PoissonSpace, hamiltonian: ScalarField, point: Array) -> Array:
     """Velocity v_i = {x_i, H}(point) = sum_j B_ij dH/dx_j at one point.
 
-    The field is ``space.compile_field(hamiltonian)``, the one ``integrate``
-    steps. It does not check the chart: ``integrate`` checks the initial and
-    accepted states, and ``PoissonSpace.bracket`` checks its point.
+    The field is ``space.compile_field(hamiltonian)``, whose rows are the
+    stages of the step ``integrate`` takes. It does not check the chart:
+    ``integrate`` checks the initial and accepted states, and
+    ``PoissonSpace.bracket`` checks its point.
     """
     return np.array(space.compile_field(hamiltonian)(np.asarray(point, dtype=float).tolist()))
 
@@ -54,24 +57,26 @@ def integrate(space: PoissonSpace, hamiltonian: ScalarField, x0: Array, h: float
               monitors: dict[str, ScalarField] | None = None) -> Trajectory:
     """Classical fixed-step RK4 on the coordinate chart; monitors at every step.
 
-    The field is ``space.compile_field(hamiltonian)``, compiled once, and the
-    state is a list of floats: each stage adds ``half * k`` or ``h * k`` to
-    the state, and a step adds ``sixth * (k1 + 2 k2 + 2 k3 + k4)``, entry by
-    entry with the association of the numpy expressions. The steps run with
-    numpy floating-point warnings off, and finiteness is checked once per
-    block of CSV_BLOCK stored states, not per stage. A non-finite state stays
-    non-finite under later steps, so the first non-finite state of a block is
-    the first of the run: DivergenceError names that step and carries the
-    trajectory up to the last finite state. After divergence the field (and
-    so the Hamiltonian's gradient) may still be evaluated on non-finite
-    states, up to the end of the block. If the field raises on a non-finite
-    stage, the run ends in DivergenceError as well; on a finite one, its
-    exception propagates.
+    Each step is one call of ``space.compile_step(hamiltonian)``, compiled
+    once and passed ``h`` as an argument, so runs at several step sizes
+    share it. The state is a list of floats, and the step keeps the
+    association of the numpy expressions: each stage adds ``half * k`` or
+    ``h * k`` to the state, and a step adds ``sixth * (k1 + 2 k2 + 2 k3 +
+    k4)``, entry by entry. The steps run with numpy floating-point warnings
+    off, and finiteness is checked once per block of CSV_BLOCK stored states,
+    not per stage. A non-finite state stays non-finite under later steps, so
+    the first non-finite state of a block is the first of the run:
+    DivergenceError names that step and carries the trajectory up to the last
+    finite state. After divergence the step (and so the Hamiltonian's
+    gradient) may still be evaluated on non-finite states, up to the end of
+    the block. If the gradient raises on a non-finite stage, the step's state
+    is non-finite and the run ends in DivergenceError as well; on a finite
+    stage, its exception propagates.
 
-    The chart of ``x0`` is checked once. On a space with a chart box every
-    accepted state is checked as well, once the steps are done: the affine
-    bivector is defined off the box too, so steps past a state outside it
-    waste work before the ChartError but cannot fail.
+    The chart of ``x0`` is checked once. On a space with a chart box the
+    accepted states are checked as well, as one stack once the steps are
+    done: the affine bivector is defined off the box too, so steps past a
+    state outside it waste work before the ChartError but cannot fail.
 
     Each monitor is called once on the whole stored trajectory, a stack of
     states, so its rows have the bits of one-point calls. On a diverged
@@ -87,12 +92,11 @@ def integrate(space: PoissonSpace, hamiltonian: ScalarField, x0: Array, h: float
 
     def record(traj: Trajectory) -> Trajectory:
         if space.box is not None:
-            for y in traj.states[1:]:
-                space.check_chart(y)
+            space.check_chart(traj.states[1:])
         traj.monitors = {name: q(traj.states) for name, q in monitors.items()}
         return traj
 
-    velocity = space.compile_field(hamiltonian)
+    step = space.compile_step(hamiltonian)
     x = np.asarray(x0, dtype=float).tolist()
     states = np.empty((n_steps + 1, len(x)))
     states[0] = x
@@ -101,29 +105,13 @@ def integrate(space: PoissonSpace, hamiltonian: ScalarField, x0: Array, h: float
     with np.errstate(all="ignore"):
         for start in range(1, n_steps + 1, CSV_BLOCK):
             stop = min(start + CSV_BLOCK, n_steps + 1)
-            for step in range(start, stop):
-                y = x
-                try:
-                    k1 = velocity(y)
-                    y = [a + half * b for a, b in zip(x, k1)]
-                    k2 = velocity(y)
-                    y = [a + half * b for a, b in zip(x, k2)]
-                    k3 = velocity(y)
-                    y = [a + h * b for a, b in zip(x, k3)]
-                    k4 = velocity(y)
-                except Exception:
-                    if np.isfinite(y).all():
-                        raise
-                    # a non-finite stage makes this step's state non-finite, unless an earlier one already was
-                    states[step] = np.nan
-                    stop = step + 1  # the block ends here, and the check below raises
-                    break
-                x = [a + sixth * (b1 + 2 * b2 + 2 * b3 + b4) for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
-                states[step] = x
+            for i in range(start, stop):
+                x = step(x, h, half, sixth)
+                states[i] = x
             bad = ~np.isfinite(states[start:stop]).all(axis=1)
             if bad.any():
-                step = start + int(np.argmax(bad))
-                raise DivergenceError(step, record(Trajectory(np.arange(step) * h, states[:step])))
+                i = start + int(np.argmax(bad))
+                raise DivergenceError(i, record(Trajectory(np.arange(i) * h, states[:i])))
     return record(Trajectory(np.arange(n_steps + 1) * h, states))
 
 

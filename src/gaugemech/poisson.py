@@ -75,8 +75,9 @@ class ScalarField:
     Without ``grad``, ``gradient`` takes central differences at ``fd.GRAD_STEP``.
 
     ``affine``, when attached, is a pair (A, f) with grad H(x) = A x + f; the
-    exact gradient is then compiled from it (``_affine_gradient``), and so is
-    the Hamiltonian vector field of ``PoissonSpace.compile_field``.
+    exact gradient is then compiled from it (``_affine_gradient``), and so are
+    the Hamiltonian vector field of ``PoissonSpace.compile_field`` and the RK4
+    step of ``PoissonSpace.compile_step``.
     """
 
     fn: Callable[[Array], float | Array]
@@ -121,12 +122,25 @@ def _sum_source(coefs: Sequence[float], factors: Sequence[str], const: float = 0
     return " + ".join(terms)
 
 
-def _compile(name: str, lines: Sequence[str], namespace: dict) -> Callable:
-    """The function ``def name(y)`` with the body ``lines``, its free names resolved in ``namespace`` (``inf`` and ``nan`` included)."""
-    source = f"def {name}(y):\n" + "".join(f"    {line}\n" for line in lines)
+def _compile(name: str, lines: Sequence[str], namespace: dict, params: str = "y") -> Callable:
+    """The function ``def name(params)`` with the body ``lines``, its free names resolved in ``namespace`` (``inf`` and ``nan`` included)."""
+    source = f"def {name}({params}):\n" + "".join(f"    {line}\n" for line in lines)
     scope = {"inf": float("inf"), "nan": float("nan"), **namespace}
     exec(compile(source, f"<compiled {name}>", "exec"), scope)
     return scope[name]
+
+
+def _nan_past_divergence(gradient: Callable[[Sequence[float]], Array]) -> Callable[[Sequence[float]], Array]:
+    """``gradient``, reading NaN where it raises at a point with a non-finite entry; at a finite point its exception propagates."""
+    def guarded(y: Sequence[float]) -> Array:
+        try:
+            return gradient(y)
+        except Exception:
+            if np.isfinite(y).all():
+                raise
+            return np.full(len(y), np.nan)
+
+    return guarded
 
 
 def _unpack(names: Sequence[str]) -> str:
@@ -259,8 +273,8 @@ class PoissonSpace:
     const: Array | None = None
     box: Array | None = None
     name: str = ""
-    # (hamiltonian, field) of the last compile_field call
-    _field: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+    # (hamiltonian, {kind: function}) of the last hamiltonian compiled by compile_field or compile_step
+    _functions: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("canonical", "lie_poisson", "quotient", "product"):
@@ -300,30 +314,20 @@ class PoissonSpace:
         b = row_matvec(self.linear, np.asarray(x, dtype=float)[..., None, :])
         return b if self.const is None else b + self.const
 
-    def compile_field(self, hamiltonian: ScalarField) -> Callable[[Sequence[float]], list[float]]:
-        """The Hamiltonian vector field v(y) = B(y) grad H(y), compiled to one straight-line float function.
+    def _field_source(self, hamiltonian: ScalarField, ys: Sequence[str]) -> tuple[list[str], list[str]]:
+        """Source of v = B(y) grad H(y) at the coordinates named ``ys``: (lines, rows).
 
-        It maps a sequence of ``dim`` floats to a list of them. v_i sums
-        B_ij g_j in ascending j, and B_ij is sum_k linear_ijk y_k in ascending
-        k, plus const_ij: each sum over its nonzero terms only. With
-        ``hamiltonian.affine`` = (A, f) the gradient g = A y + f is compiled in
-        as in ``_affine_gradient``, and a g_j that vanishes for every y drops
-        out; otherwise g is ``hamiltonian.gradient(y)``, in numpy, as floats.
-        The numpy product ``bivector(y) @ gradient(y)`` may round a row in
-        another order, or fuse a multiply and an add.
-
-        The field of the last hamiltonian compiled is kept and returned again
-        for it; the space and the field are taken as immutable.
+        ``lines`` bind the gradient's locals g0, g1, ...; ``rows[i]`` is the
+        expression of v_i in ``ys`` and those locals, in the order that
+        ``compile_field`` documents. Without ``hamiltonian.affine`` the gradient
+        is one call ``grad([y0, y1, ...])``, with ``grad`` bound by the caller.
         """
-        if self._field[0] is hamiltonian:
-            return self._field[1]
         n = self.dim
-        ys = [f"y{k}" for k in range(n)]
         const = np.zeros((n, n)) if self.const is None else self.const
-        lines = [f"{_unpack(ys)} = y"]
+        lines = []
         if hamiltonian.affine is None:
             gs = [f"g{j}" for j in range(n)]
-            lines.append(f"{_unpack(gs)} = ham.gradient(y).tolist()")
+            lines.append(f"{_unpack(gs)} = grad([{', '.join(ys)}]).tolist()")
         else:
             a, f = hamiltonian.affine
             gs = []
@@ -345,9 +349,78 @@ class PoissonSpace:
                 else:
                     terms.append(f"{b if ' + ' not in b else f'({b})'}*{g}")
             rows.append(" + ".join(terms) or "0.0")
-        lines.append(f"return [{', '.join(rows)}]")
-        self._field = (hamiltonian, _compile("field", lines, {"ham": hamiltonian}))
-        return self._field[1]
+        return lines, rows
+
+    def _compiled(self, kind: str, hamiltonian: ScalarField, build: Callable[[], Callable]) -> Callable:
+        """The function ``build()`` gives for ``kind``, built once per hamiltonian; only the last hamiltonian's are kept."""
+        if self._functions[0] is not hamiltonian:
+            self._functions = (hamiltonian, {})
+        functions = self._functions[1]
+        if kind not in functions:
+            functions[kind] = build()
+        return functions[kind]
+
+    def compile_field(self, hamiltonian: ScalarField) -> Callable[[Sequence[float]], list[float]]:
+        """The Hamiltonian vector field v(y) = B(y) grad H(y), compiled to one straight-line float function.
+
+        It maps a sequence of ``dim`` floats to a list of them. v_i sums
+        B_ij g_j in ascending j, and B_ij is sum_k linear_ijk y_k in ascending
+        k, plus const_ij: each sum over its nonzero terms only. With
+        ``hamiltonian.affine`` = (A, f) the gradient g = A y + f is compiled in
+        as in ``_affine_gradient``, and a g_j that vanishes for every y drops
+        out; otherwise g is ``hamiltonian.gradient(y)``, in numpy, as floats.
+        The numpy product ``bivector(y) @ gradient(y)`` may round a row in
+        another order, or fuse a multiply and an add.
+
+        The rows come from ``_field_source``, as do the four stages of
+        ``compile_step``. The field of the last hamiltonian compiled is kept
+        and returned again for it; the space and the field are taken as
+        immutable.
+        """
+        def build() -> Callable:
+            ys = [f"y{k}" for k in range(self.dim)]
+            lines, rows = self._field_source(hamiltonian, ys)
+            return _compile("field", [f"{_unpack(ys)} = y", *lines, f"return [{', '.join(rows)}]"], {"grad": hamiltonian.gradient})
+
+        return self._compiled("field", hamiltonian, build)
+
+    def compile_step(self, hamiltonian: ScalarField) -> Callable[[Sequence[float], float, float, float], list[float]]:
+        """One classical RK4 step of the field of ``compile_field``, compiled to one straight-line function.
+
+        ``step(x, h, half, sixth)`` takes the state as a sequence of ``dim``
+        floats, the step size and the caller's ``half`` = 0.5*h and ``sixth``
+        = h/6, and gives the next state as a list. Its four stages are the
+        field's rows (``_field_source``) at x, x + half*k1, x + half*k2 and
+        x + h*k3, and it returns x + sixth*(k1 + 2*k2 + 2*k3 + k4), entry by
+        entry with exactly these associations: the bits of four
+        ``compile_field`` calls and the list arithmetic between them.
+
+        With ``hamiltonian.affine`` the step is arithmetic only, so it also
+        runs on a sequence of ``dim`` numpy columns, one ensemble member per
+        entry, each member with the bits of its own run. Without it, each
+        stage calls ``hamiltonian.gradient``; where that raises at a stage
+        with a non-finite entry, the stage's gradient reads NaN, so the state
+        is non-finite (a divergence, as ``dynamics.integrate`` reports it);
+        at a finite stage its exception propagates.
+
+        ``h`` is an argument, so one step serves every step size; like the
+        field, the step of the last hamiltonian compiled is kept.
+        """
+        def build() -> Callable:
+            n = self.dim
+            xs, ys = [f"x{k}" for k in range(n)], [f"y{k}" for k in range(n)]
+            at_x, at_y = self._field_source(hamiltonian, xs), self._field_source(hamiltonian, ys)
+            lines = [f"{_unpack(xs)} = x"]
+            for s, coef in enumerate(("", "half", "half", "h"), start=1):
+                if coef:
+                    lines += [f"y{k} = x{k} + {coef}*k{s - 1}_{k}" for k in range(n)]
+                glines, rows = at_y if coef else at_x
+                lines += glines + [f"k{s}_{i} = {row}" for i, row in enumerate(rows)]
+            update = [f"x{k} + sixth*(k1_{k} + 2*k2_{k} + 2*k3_{k} + k4_{k})" for k in range(n)]
+            lines.append(f"return [{', '.join(update)}]")
+            return _compile("step", lines, {"grad": _nan_past_divergence(hamiltonian.gradient)}, params="x, h, half, sixth")
+
+        return self._compiled("step", hamiltonian, build)
 
 
 def canonical_cotangent(nq: int, name: str = "") -> PoissonSpace:

@@ -673,7 +673,7 @@ def heavy_top_model(inertia, mgl: float, axis) -> HeavyTopModel:
     The bracket is the generic Lie-Poisson evaluator over the structure
     constants of the assembled semidirect algebra; nothing is hand-coded. The
     Hamiltonian declares its affine gradient, from which its ``grad`` and the
-    compiled vector field of ``dynamics`` are built.  The Hamiltonian and the
+    compiled RK4 step of ``dynamics.integrate`` are built.  The Hamiltonian and the
     Casimirs take a point or a stack of states, one ``row_dot`` per row.
     """
     inertia = np.asarray(inertia, dtype=float)

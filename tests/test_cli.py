@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaugemech import bundle, cli, groupoid, liealg, poisson, semidirect
+from gaugemech import bundle, cli, dynamics, groupoid, liealg, poisson, semidirect
 
 import builders
 
@@ -414,21 +414,37 @@ def test_mutant_fails_builtin_checks(tmp_path, monkeypatch, name, mutate, suites
 @pytest.mark.parametrize("row, name", [(0, "heavy-top-lagrange"), (1, "heavy-top-lagrange"), (2, "heavy-top-lagrange"),
                                        (3, "heavy-top-free"), (4, "heavy-top-free"), (5, "heavy-top-lagrange")])
 def test_sign_flipped_field_term_fails_a_drift_check(tmp_path, monkeypatch, row, name):
-    # the first term of one component of the compiled heavy-top field, negated: the flow is no
-    # longer Hamiltonian for the Lie-Poisson bracket, so a conserved quantity drifts
-    compile_ = poisson._compile
+    # the first term of one component of the heavy-top field, negated in the row builder and so in
+    # every stage of the compiled step: the flow is no longer Hamiltonian for the Lie-Poisson
+    # bracket, so a conserved quantity drifts
+    field_source = poisson.PoissonSpace._field_source
 
-    def mutant(fn_name, lines, namespace):
-        if fn_name == "field":  # the last line is "return [v0, v1, ...]"
-            rows = lines[-1].removeprefix("return [").removesuffix("]").split(", ")
-            rows[row] = "-" + rows[row]
-            lines = lines[:-1] + [f"return [{', '.join(rows)}]"]
-        return compile_(fn_name, lines, namespace)
+    def mutant(space, hamiltonian, ys):
+        lines, rows = field_source(space, hamiltonian, ys)
+        rows[row] = "-" + rows[row]
+        return lines, rows
 
-    monkeypatch.setattr(poisson, "_compile", mutant)
+    monkeypatch.setattr(poisson.PoissonSpace, "_field_source", mutant)
     assert run(["simulate", name, "--out", str(tmp_path)]) == cli.EXIT_CHECK_FAILURE
     report = json.loads((tmp_path / "report.json").read_text())
     assert any(v > report["drift_tol"] for v in report["drift"].values()), report["drift"]
+
+
+def test_simulate_compiles_one_step_for_every_step_size(tmp_path, monkeypatch):
+    # the run at h, and the convergence check's runs at h = 8e-3 and 4e-3, share one compiled step
+    compile_, names = poisson._compile, []
+
+    def counting(name, *args, **kwargs):
+        names.append(name)
+        return compile_(name, *args, **kwargs)
+
+    monkeypatch.setattr(poisson, "_compile", counting)
+    calls = []
+    integrate = dynamics.integrate
+    monkeypatch.setattr(dynamics, "integrate", lambda *args, **kwargs: calls.append(args[3]) or integrate(*args, **kwargs))
+    assert run(["simulate", "heavy-top-lagrange", "--out", str(tmp_path)]) == cli.EXIT_PASS
+    assert len(calls) == 3 and len(set(calls)) == 3, calls
+    assert names.count("step") == 1, names
 
 
 def test_non_orthogonal_rotation_exp_fails_a_check(tmp_path, monkeypatch):

@@ -177,21 +177,25 @@ class TestIntegrate:
 
 
 def reference_field(space, ham, y):
-    """v = B(y) (A y + f) in plain Python floats, in the documented order.
+    """v = B(y) grad H(y) in plain Python floats, in the documented order.
 
-    v_i sums B_ij g_j in ascending j, B_ij = sum_k c_ijk y_k in ascending k plus
-    const_ij, and g_j = sum_l A_jl y_l in ascending l plus f_j: each sum left to
-    right over its nonzero terms, a g_j that vanishes for every y left out.
+    v_i sums B_ij g_j in ascending j, and B_ij = sum_k c_ijk y_k in ascending k
+    plus const_ij. With affine data g_j = sum_l A_jl y_l in ascending l plus
+    f_j, and a g_j that vanishes for every y is left out; without, g is
+    ham.gradient(y). Each sum runs left to right over its nonzero terms.
     """
     def total(terms):
         return reduce(operator.add, terms)
 
     n = len(y)
-    a, f = (m.tolist() for m in ham.affine)
     c = space.linear.tolist()
     const = space.const.tolist() if space.const is not None else [[0.0] * n for _ in range(n)]
-    g = [total([a[j][l] * y[l] for l in range(n) if a[j][l] != 0] + [f[j]] * (f[j] != 0)) if any(a[j]) or f[j] != 0 else None
-         for j in range(n)]
+    if ham.affine is None:
+        g = ham.gradient(np.array(y)).tolist()
+    else:
+        a, f = (m.tolist() for m in ham.affine)
+        g = [total([a[j][l] * y[l] for l in range(n) if a[j][l] != 0] + [f[j]] * (f[j] != 0)) if any(a[j]) or f[j] != 0 else None
+             for j in range(n)]
     v = []
     for i in range(n):
         terms = []
@@ -201,6 +205,17 @@ def reference_field(space, ham, y):
                 terms.append(total(b) * g[j])
         v.append(total(terms) if terms else 0.0)
     return v
+
+
+def reference_step(space, ham, x, h):
+    """One classical RK4 step over reference_field in plain Python floats: stages at x + half*k
+    and x + h*k, then x + sixth*(k1 + 2*k2 + 2*k3 + k4), each left to right."""
+    half, sixth = 0.5 * h, h / 6.0
+    k1 = reference_field(space, ham, x)
+    k2 = reference_field(space, ham, [a + half * b for a, b in zip(x, k1)])
+    k3 = reference_field(space, ham, [a + half * b for a, b in zip(x, k2)])
+    k4 = reference_field(space, ham, [a + h * b for a, b in zip(x, k3)])
+    return [a + sixth * (b1 + 2 * b2 + 2 * b3 + b4) for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
 
 
 def compiled_cases():
@@ -252,6 +267,51 @@ class TestFastPaths:
             assert type(v) is list and all(type(e) is float for e in v)
             assert same_bits(v, reference_field(space, ham, y)), name
             assert same_bits(ham_vector_field(space, ham, np.array(y)), v)
+
+    @pytest.mark.parametrize("name, space, ham", COMPILED + [FD_KINETIC], ids=[c[0] for c in COMPILED + [FD_KINETIC]])
+    def test_compiled_step_matches_plain_python_rk4(self, name, space, ham):
+        rng = np.random.default_rng(17)
+        step = space.compile_step(ham)
+
+        def draw(trial, exponent):
+            x = (rng.standard_normal(space.dim) * 10.0 ** exponent).tolist()
+            if trial % 2:
+                x[rng.integers(space.dim)] = -0.0  # signed zeros included
+            return x, 10.0 ** rng.uniform(-4, -3)
+
+        for trial in range(100):
+            x, h = draw(trial, rng.uniform(-3, 3))
+            y = step(x, h, 0.5 * h, h / 6.0)
+            assert type(y) is list and all(type(e) is float for e in y)
+            assert same_bits(y, reference_step(space, ham, x, h)), name
+        for trial, exponent in enumerate([-3, -1, 1, 3]):  # 100 steps, through integrate as well
+            x, h = draw(trial, exponent)
+            ref, y = [x], x
+            for _ in range(100):
+                ref.append(reference_step(space, ham, ref[-1], h))
+                y = step(y, h, 0.5 * h, h / 6.0)
+            assert np.isfinite(ref).all()
+            assert same_bits(y, ref[-1]), name
+            assert same_bits(integrate(space, ham, np.array(x), h, 100).states, ref), name
+
+    @pytest.mark.parametrize("name", ["heavy-top-lagrange", "heavy-top-free"])
+    def test_step_on_columns_equals_single_runs(self, name):
+        # the compiled step on 64 numpy columns: an ensemble whose members keep the bits of their own runs
+        from gaugemech.cli import BUILTIN_SCENARIOS
+
+        cfg = BUILTIN_SCENARIOS[name]["simulate"]
+        m = semidirect.heavy_top_model(cfg["inertia"], cfg["mgl"], cfg["axis"])
+        x0s = np.array(cfg["x0"]) * np.random.default_rng(18).uniform(0.95, 1.05, (64, 6))
+        step, h = m.space.compile_step(m.hamiltonian), cfg["h"]
+        columns = list(x0s.T)
+        states = [np.stack(columns, axis=1)]
+        for _ in range(1000):
+            columns = step(columns, h, 0.5 * h, h / 6.0)
+            states.append(np.stack(columns, axis=1))
+        assert all(c.shape == (64,) for c in columns)
+        states = np.array(states)
+        for member, x0 in enumerate(x0s):
+            assert same_bits(states[:, member], integrate(m.space, m.hamiltonian, x0, h, 1000).states), member
 
     @pytest.mark.parametrize("name, space, ham", COMPILED + [FD_KINETIC], ids=[c[0] for c in COMPILED + [FD_KINETIC]])
     def test_compiled_field_within_ulps_of_numpy(self, name, space, ham):
