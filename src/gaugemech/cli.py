@@ -30,7 +30,7 @@ from . import liealg, poisson, schema
 
 # groupoid, semidirect and dynamics are imported by the commands that run them, so a
 # leaves run neither compiles nor holds them
-from .report import Check, SuiteReport, dump_json, worst
+from .report import Check, SuiteReport, csv_lines, dump_json, worst
 from .rng import stream
 from .schema import ConfigError
 
@@ -433,8 +433,7 @@ def run_leaves(scenario: dict, basedir: Path, seed: int, tol_scale: float, out_d
     rows = np.concatenate([m, cls.rep.a + rho, cls.rep.b], axis=1)
     with (out_dir / "leaf_points.csv").open("w", encoding="utf-8") as fh:
         fh.write(",".join([f"m{i+1}" for i in range(b.d)] + [f"a{i+1}" for i in range(b.d)] + [f"b{i+1}" for i in range(b.n)]) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        fh.write(csv_lines(rows, "\n"))
     return EXIT_PASS if doc["pass"] else EXIT_CHECK_FAILURE
 
 

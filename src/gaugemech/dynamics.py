@@ -1,13 +1,15 @@
 """Hamiltonian vector fields from Poisson brackets, RK4 integration, drift monitors.
 
 ``integrate`` is the one RK4 stepper. It steps one state of a Poisson space,
-held as a list of Python floats, through ``PoissonSpace.compile_step``: one
-classical RK4 step, compiled once per Hamiltonian into straight-line float
-code. Its four stages are the rows of B(y) grad H(y), built from the nonzero
-entries of the bivector and, when the Hamiltonian declares one, of its affine
-gradient A y + f; the stage and update arithmetic sits between them. With
-affine data the same step also advances a list of numpy columns, one member
-per entry; ``integrate`` itself takes one trajectory at a time.
+held as Python floats, through ``PoissonSpace.compile_step``: a loop of
+classical RK4 steps, compiled once per Hamiltonian into straight-line float
+code that keeps the state in locals. Each step's four stages are the rows of
+B(y) grad H(y), built from the nonzero entries of the bivector and, when the
+Hamiltonian declares one, of its affine gradient A y + f; the stage and update
+arithmetic sits between them. ``integrate`` runs one such loop per block of
+CSV_BLOCK stored states. With affine data the same function also advances a
+list of numpy columns, one member per entry; ``integrate`` itself takes one
+trajectory at a time.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .poisson import ChartError, PoissonSpace, ScalarField
+from .report import csv_lines
+from .schema import ConfigError
 
 Array = np.ndarray
 
@@ -57,21 +61,26 @@ def integrate(space: PoissonSpace, hamiltonian: ScalarField, x0: Array, h: float
               monitors: dict[str, ScalarField] | None = None) -> Trajectory:
     """Classical fixed-step RK4 on the coordinate chart; monitors at every step.
 
-    Each step is one call of ``space.compile_step(hamiltonian)``, compiled
-    once and passed ``h`` as an argument, so runs at several step sizes
-    share it. The state is a list of floats, and the step keeps the
-    association of the numpy expressions: each stage adds ``half * k`` or
-    ``h * k`` to the state, and a step adds ``sixth * (k1 + 2 k2 + 2 k3 +
-    k4)``, entry by entry. The steps run with numpy floating-point warnings
-    off, and finiteness is checked once per block of CSV_BLOCK stored states,
-    not per stage. A non-finite state stays non-finite under later steps, so
-    the first non-finite state of a block is the first of the run:
+    Each block of CSV_BLOCK stored states is one call of
+    ``space.compile_step(hamiltonian)``, which runs the block's steps in one
+    compiled loop and gives their states as rows; the rows go into the
+    stored trajectory, and the last one starts the next block. The step is
+    compiled once and passed ``h`` as an argument, so runs at several step
+    sizes share it. It keeps the association of the numpy expressions: each
+    stage adds ``half * k`` or ``h * k`` to the state, and a step adds
+    ``sixth * (k1 + 2 k2 + 2 k3 + k4)``, entry by entry. The steps run with
+    numpy floating-point warnings off, and finiteness is checked once per
+    block, not per stage. A non-finite state stays non-finite under later
+    steps, so the first non-finite state of a block is the first of the run:
     DivergenceError names that step and carries the trajectory up to the last
     finite state. After divergence the step (and so the Hamiltonian's
     gradient) may still be evaluated on non-finite states, up to the end of
     the block. If the gradient raises on a non-finite stage, the step's state
     is non-finite and the run ends in DivergenceError as well; on a finite
     stage, its exception propagates.
+
+    An ``n_steps`` whose stored trajectory numpy cannot allocate raises
+    ConfigError naming ``'n_steps'``.
 
     The chart of ``x0`` is checked once. On a space with a chart box the
     accepted states are checked as well, as one stack once the steps are
@@ -98,16 +107,19 @@ def integrate(space: PoissonSpace, hamiltonian: ScalarField, x0: Array, h: float
 
     step = space.compile_step(hamiltonian)
     x = np.asarray(x0, dtype=float).tolist()
-    states = np.empty((n_steps + 1, len(x)))
+    try:
+        states = np.empty((n_steps + 1, len(x)))
+    except (MemoryError, ValueError) as exc:  # ValueError: more rows than numpy can index
+        raise ConfigError(f"'n_steps' = {n_steps} gives a trajectory too large to store: {exc}") from None
     states[0] = x
     h = float(h)
     half, sixth = 0.5 * h, h / 6.0
     with np.errstate(all="ignore"):
         for start in range(1, n_steps + 1, CSV_BLOCK):
             stop = min(start + CSV_BLOCK, n_steps + 1)
-            for i in range(start, stop):
-                x = step(x, h, half, sixth)
-                states[i] = x
+            rows = step(x, h, half, sixth, stop - start)
+            states[start:stop] = rows
+            x = rows[-1]
             bad = ~np.isfinite(states[start:stop]).all(axis=1)
             if bad.any():
                 i = start + int(np.argmax(bad))
@@ -140,18 +152,17 @@ def write_trajectory_csv(trajectory: Trajectory, path: str | Path) -> None:
 
     The header goes through csv.writer, which quotes names such as <Pi,Gamma>.
     The body holds only numbers, which csv.writer would never quote; it is
-    formatted CSV_BLOCK rows at a time with the same \\r\\n line endings.
+    formatted CSV_BLOCK rows at a time by ``report.csv_lines``, with the same
+    \\r\\n line endings.
     """
     path = Path(path)
     names = [f"x{i+1}" for i in range(trajectory.states.shape[1])]
     mon_names = sorted(trajectory.monitors)
     columns = [trajectory.times[:, None], trajectory.states, *(trajectory.monitors[m][:, None] for m in mon_names)]
-    row_fmt = ",".join(["%.17g"] * (1 + len(names) + len(mon_names))) + "\r\n"
     with path.open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(["time", *names, *mon_names])
         for start in range(0, trajectory.times.size, CSV_BLOCK):
-            block = np.hstack([c[start : start + CSV_BLOCK] for c in columns])
-            fh.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
+            fh.write(csv_lines(np.hstack([c[start : start + CSV_BLOCK] for c in columns]), "\r\n"))
 
 
 def write_run_metadata(path: str | Path, space: str, hamiltonian: str, h: float, n_steps: int, seed: int) -> None:

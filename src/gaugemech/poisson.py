@@ -105,9 +105,23 @@ class ScalarField:
         return fd.central(self.fn, x, np.eye(x.size), fd.GRAD_STEP)
 
 
+def _product(a: str, b: str) -> str:
+    """Source of a*b; a factor ``b`` of 1.0 is exact as ``a`` itself."""
+    return a if b == "1.0" else f"{a}*{b}"
+
+
 def _term(coef: float, factor: str) -> str:
     """Source of coef * factor; a coefficient of 1 or -1 is exact as the factor or its negation."""
-    return factor if coef == 1.0 else f"-{factor}" if coef == -1.0 else f"{coef!r}*{factor}"
+    return factor if coef == 1.0 else f"-{factor}" if coef == -1.0 else _product(repr(coef), factor)
+
+
+def _join(terms: Sequence[str]) -> str:
+    """Source of the sum of ``terms``, left to right; a term ``-b`` after the first is written ``a - b``.
+
+    IEEE a - b is a + (-b), and -(p*q) is (-p)*q, signed zeros included, so
+    the folded sum has the bits of the unfolded one.
+    """
+    return "".join(t if not i else f" - {t[1:]}" if t.startswith("-") else f" + {t}" for i, t in enumerate(terms))
 
 
 def _sum_source(coefs: Sequence[float], factors: Sequence[str], const: float = 0.0) -> str:
@@ -119,7 +133,7 @@ def _sum_source(coefs: Sequence[float], factors: Sequence[str], const: float = 0
     terms = [_term(c, x) for c, x in zip(coefs, factors) if c != 0.0]
     if const != 0.0:
         terms.append(repr(const))
-    return " + ".join(terms)
+    return _join(terms)
 
 
 def _compile(name: str, lines: Sequence[str], namespace: dict, params: str = "y") -> Callable:
@@ -347,8 +361,8 @@ class PoissonSpace:
                 if not self.linear[i, j].any():
                     terms.append(_term(float(const[i, j]), g))
                 else:
-                    terms.append(f"{b if ' + ' not in b else f'({b})'}*{g}")
-            rows.append(" + ".join(terms) or "0.0")
+                    terms.append(_product(b if " " not in b else f"({b})", g))  # a term holds no space, a sum does
+            rows.append(_join(terms) or "0.0")
         return lines, rows
 
     def _compiled(self, kind: str, hamiltonian: ScalarField, build: Callable[[], Callable]) -> Callable:
@@ -384,16 +398,18 @@ class PoissonSpace:
 
         return self._compiled("field", hamiltonian, build)
 
-    def compile_step(self, hamiltonian: ScalarField) -> Callable[[Sequence[float], float, float, float], list[float]]:
-        """One classical RK4 step of the field of ``compile_field``, compiled to one straight-line function.
+    def compile_step(self, hamiltonian: ScalarField) -> Callable[[Sequence[float], float, float, float, int], list[tuple]]:
+        """``count`` classical RK4 steps of the field of ``compile_field``, compiled to one loop of straight-line code.
 
-        ``step(x, h, half, sixth)`` takes the state as a sequence of ``dim``
-        floats, the step size and the caller's ``half`` = 0.5*h and ``sixth``
-        = h/6, and gives the next state as a list. Its four stages are the
-        field's rows (``_field_source``) at x, x + half*k1, x + half*k2 and
-        x + h*k3, and it returns x + sixth*(k1 + 2*k2 + 2*k3 + k4), entry by
-        entry with exactly these associations: the bits of four
-        ``compile_field`` calls and the list arithmetic between them.
+        ``step(x, h, half, sixth, count)`` takes the state as a sequence of
+        ``dim`` floats, the step size, the caller's ``half`` = 0.5*h and
+        ``sixth`` = h/6, and the number of steps; it gives the ``count`` states
+        that follow x, each a tuple. The state is held in locals between steps.
+        Each step's four stages are the field's rows (``_field_source``) at x,
+        x + half*k1, x + half*k2 and x + h*k3, and the step goes to
+        x + sixth*(k1 + 2.0*k2 + 2.0*k3 + k4), entry by entry with exactly
+        these associations: the bits of four ``compile_field`` calls and the
+        list arithmetic between them.
 
         With ``hamiltonian.affine`` the step is arithmetic only, so it also
         runs on a sequence of ``dim`` numpy columns, one ensemble member per
@@ -410,15 +426,17 @@ class PoissonSpace:
             n = self.dim
             xs, ys = [f"x{k}" for k in range(n)], [f"y{k}" for k in range(n)]
             at_x, at_y = self._field_source(hamiltonian, xs), self._field_source(hamiltonian, ys)
-            lines = [f"{_unpack(xs)} = x"]
+            body = []
             for s, coef in enumerate(("", "half", "half", "h"), start=1):
                 if coef:
-                    lines += [f"y{k} = x{k} + {coef}*k{s - 1}_{k}" for k in range(n)]
+                    body += [f"y{k} = x{k} + {coef}*k{s - 1}_{k}" for k in range(n)]
                 glines, rows = at_y if coef else at_x
-                lines += glines + [f"k{s}_{i} = {row}" for i, row in enumerate(rows)]
-            update = [f"x{k} + sixth*(k1_{k} + 2*k2_{k} + 2*k3_{k} + k4_{k})" for k in range(n)]
-            lines.append(f"return [{', '.join(update)}]")
-            return _compile("step", lines, {"grad": _nan_past_divergence(hamiltonian.gradient)}, params="x, h, half, sixth")
+                body += glines + [f"k{s}_{i} = {row}" for i, row in enumerate(rows)]
+            body += [f"x{k} = x{k} + sixth*(k1_{k} + 2.0*k2_{k} + 2.0*k3_{k} + k4_{k})" for k in range(n)]
+            body.append(f"append(({_unpack(xs)}))")
+            lines = [f"{_unpack(xs)} = x", "rows = []", "append = rows.append", "for _ in range(count):",
+                     *(f"    {line}" for line in body), "return rows"]
+            return _compile("step", lines, {"grad": _nan_past_divergence(hamiltonian.gradient)}, params="x, h, half, sixth, count")
 
         return self._compiled("step", hamiltonian, build)
 

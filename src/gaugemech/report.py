@@ -1,4 +1,4 @@
-"""Check/report containers shared by all verification suites."""
+"""Check/report containers shared by all verification suites, and the CSV body format of the run outputs."""
 
 from __future__ import annotations
 
@@ -8,6 +8,12 @@ from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
+
+
+def csv_lines(rows: np.ndarray, newline: str) -> str:
+    """The rows of a 2-d float array as CSV lines, each value as %.17g, formatted by one % over a row format."""
+    row_fmt = ",".join(["%.17g"] * rows.shape[1]) + newline
+    return (row_fmt * rows.shape[0]) % tuple(rows.ravel().tolist())
 
 
 def worst(*resid: float | np.ndarray) -> float:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gaugemech import bundle, cli, dynamics, groupoid, liealg, poisson, semidirect
+from gaugemech.report import csv_lines
 
 import builders
 
@@ -148,6 +149,26 @@ class TestLeaves:
         assert run(["leaves", "u1-magnetic", "--out", str(tmp_path)]) == cli.EXIT_PASS
         report = json.loads((tmp_path / "report.json").read_text())
         assert "magnetic_closedness_residual" in report
+
+    @pytest.mark.parametrize("name", ["so3-leaves", "so3-zero-leaf", "u1-magnetic"])
+    def test_leaf_points_csv_is_per_value_17g(self, tmp_path, name):
+        # %.17g reads back to the same float, so formatting the values read back one at a time
+        # gives the file again only if the writer formatted every value as %.17g
+        assert run(["leaves", name, "--out", str(tmp_path)]) == cli.EXIT_PASS
+        header, *lines, last = (tmp_path / "leaf_points.csv").read_bytes().decode("utf-8").split("\n")
+        assert header.startswith("m1,") and last == "" and lines
+        for line in lines:
+            assert line.count(",") == header.count(",")
+            assert line == ",".join("%.17g" % float(v) for v in line.split(","))
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_csv_lines_formats_each_value_as_17g(self, newline):
+        # leaf_points.csv and trajectory.csv format their bodies through report.csv_lines
+        specials = [-0.0, 0.0, float("inf"), -float("inf"), float("nan"), 5e-324, -2.2250738585072009e-308, 0.1, -1e300, 1 / 3]
+        rows = np.array(specials + specials[::-1]).reshape(4, 5)
+        lines = csv_lines(rows, newline)
+        assert lines == "".join(",".join("%.17g" % v for v in row) + newline for row in rows.tolist())
+        assert lines.startswith(f"-0,0,inf,-inf,nan{newline}4.9406564584124654e-324,-2.2250738585072009e-308,")
 
 
 class TestSimulate:
@@ -315,6 +336,7 @@ def _sd_rho_entry(value):
     ("heavy-top-lagrange", "model", 5),
     ("heavy-top-lagrange", "model", "pendulum"),
     ("so3-leaves", "chi", [1.0, 0.0, 0.0]),
+    ("heavy-top-lagrange", "n_steps", 10**12),
 ])
 def test_malformed_scenario_exits_2(tmp_path, capsys, name, key, value):
     doc = json.loads(json.dumps(cli.BUILTIN_SCENARIOS[name]))

@@ -94,10 +94,11 @@ class TestIntegrate:
         assert err.value.trajectory.states.shape[0] == err.value.step
         assert err.value.trajectory.monitors["H"].shape[0] == err.value.step
 
-    @pytest.mark.parametrize("x0, h", [([3.0, 3.0], 0.5), ([1.0, 1.0], 0.3), ([2.0, 0.5], 0.2)])
+    @pytest.mark.parametrize("x0, h", [([3.0, 3.0], 0.5), ([1.0, 1.0], 0.3), ([2.0, 0.5], 0.2), ([4e87, 2.5e-88], 0.3)])
     def test_divergence_matches_per_step_reference(self, x0, h):
         # the reference checks every stage and every step, as a guarded stepper would;
-        # the last two cases diverge past the first block of stored states
+        # the last three cases diverge past the first block of stored states, the last at
+        # step 513, the first row of the second block
         sp = canonical_cotangent(1)
 
         def stage(y):
@@ -281,18 +282,27 @@ class TestFastPaths:
 
         for trial in range(100):
             x, h = draw(trial, rng.uniform(-3, 3))
-            y = step(x, h, 0.5 * h, h / 6.0)
-            assert type(y) is list and all(type(e) is float for e in y)
-            assert same_bits(y, reference_step(space, ham, x, h)), name
-        for trial, exponent in enumerate([-3, -1, 1, 3]):  # 100 steps, through integrate as well
+            rows = step(x, h, 0.5 * h, h / 6.0, 1)
+            assert type(rows) is list and len(rows) == 1
+            assert type(rows[0]) is tuple and all(type(e) is float for e in rows[0])
+            assert same_bits(rows[0], reference_step(space, ham, x, h)), name
+        for trial, exponent in enumerate([-3, -1, 1, 3]):  # 100 steps, one step per call and through integrate
             x, h = draw(trial, exponent)
             ref, y = [x], x
             for _ in range(100):
                 ref.append(reference_step(space, ham, ref[-1], h))
-                y = step(y, h, 0.5 * h, h / 6.0)
+                (y,) = step(y, h, 0.5 * h, h / 6.0, 1)
             assert np.isfinite(ref).all()
             assert same_bits(y, ref[-1]), name
             assert same_bits(integrate(space, ham, np.array(x), h, 100).states, ref), name
+        # integrate runs CSV_BLOCK steps per call of the step: run counts at and around the block edges
+        x, h = draw(0, -1)
+        ref = [x]
+        for _ in range(1025):
+            ref.append(reference_step(space, ham, ref[-1], h))
+        assert np.isfinite(ref).all()
+        for n_steps in (1, dynamics.CSV_BLOCK - 1, dynamics.CSV_BLOCK, dynamics.CSV_BLOCK + 1, 2 * dynamics.CSV_BLOCK + 1):
+            assert same_bits(integrate(space, ham, np.array(x), h, n_steps).states, ref[: n_steps + 1]), (name, n_steps)
 
     @pytest.mark.parametrize("name", ["heavy-top-lagrange", "heavy-top-free"])
     def test_step_on_columns_equals_single_runs(self, name):
@@ -303,15 +313,11 @@ class TestFastPaths:
         m = semidirect.heavy_top_model(cfg["inertia"], cfg["mgl"], cfg["axis"])
         x0s = np.array(cfg["x0"]) * np.random.default_rng(18).uniform(0.95, 1.05, (64, 6))
         step, h = m.space.compile_step(m.hamiltonian), cfg["h"]
-        columns = list(x0s.T)
-        states = [np.stack(columns, axis=1)]
-        for _ in range(1000):
-            columns = step(columns, h, 0.5 * h, h / 6.0)
-            states.append(np.stack(columns, axis=1))
-        assert all(c.shape == (64,) for c in columns)
-        states = np.array(states)
+        rows = step(list(x0s.T), h, 0.5 * h, h / 6.0, 1000)
+        assert len(rows) == 1000 and all(len(row) == 6 and all(c.shape == (64,) for c in row) for row in rows)
+        states = np.concatenate([x0s.T[None], np.array(rows)])  # (step, coordinate, member)
         for member, x0 in enumerate(x0s):
-            assert same_bits(states[:, member], integrate(m.space, m.hamiltonian, x0, h, 1000).states), member
+            assert same_bits(states[:, :, member], integrate(m.space, m.hamiltonian, x0, h, 1000).states), member
 
     @pytest.mark.parametrize("name, space, ham", COMPILED + [FD_KINETIC], ids=[c[0] for c in COMPILED + [FD_KINETIC]])
     def test_compiled_field_within_ulps_of_numpy(self, name, space, ham):

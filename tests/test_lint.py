@@ -357,3 +357,56 @@ def test_no_unused_parameters_in_package():
     # every runner takes (scenario, basedir, seed, tol_scale, out_dir) from the table in cli.main
     found = [re.sub(r":\d+ ", " ", hit) for path in sorted(SRC.glob("*.py")) for hit in unused_parameters(path.read_text(encoding="utf-8"), path.name)]
     assert [hit for hit in found if hit != "cli.py run_simulate: basedir"] == []
+
+
+def unfolded_arithmetic(source: str, filename: str = "<src>") -> list[str]:
+    """Spots where generated float code does an exact operation the long way.
+
+    ``a + -b`` is ``a - b``, a factor ``*1.0`` is the other factor, and an
+    integer literal (``2*k``) is converted to a float on every use: each is
+    one extra operation in the compiled field and RK4 step, with the same bits.
+    """
+    found = [f"{filename}:{i} ' + -'" for i, line in enumerate(source.splitlines(), start=1) if " + -" in line]
+    for node in ast.walk(ast.parse(source, filename)):
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                and any(isinstance(c, ast.Constant) and type(c.value) is float and c.value == 1.0 for c in (node.left, node.right))):
+            found.append(f"{filename}:{node.lineno} '*1.0'")
+        elif isinstance(node, ast.Constant) and type(node.value) is int:
+            found.append(f"{filename}:{node.lineno} integer {node.value}")
+    return sorted(found)
+
+
+def test_unfolded_arithmetic_detector():
+    src = (
+        "def step(x, h, count):\n"
+        "    y = x + -h*x\n"
+        "    z = x - h*x + 1.0*y\n"
+        "    return x + h*(y + 2*z) + z*1.0 + z*1.05 + -1.0\n"
+    )
+    assert unfolded_arithmetic(src) == ["<src>:2 ' + -'", "<src>:3 '*1.0'", "<src>:4 ' + -'", "<src>:4 '*1.0'", "<src>:4 integer 2"]
+
+
+def test_generated_field_and_step_are_folded(monkeypatch):
+    # the field and the RK4 step of every Hamiltonian the package builds: both built-in heavy tops,
+    # a top off the symmetry axis, and an so(3) kinetic energy without a gradient (one grad call per stage)
+    import numpy as np
+
+    from gaugemech import liealg, poisson, semidirect
+    from gaugemech.cli import BUILTIN_SCENARIOS
+
+    compile_, sources = poisson._compile, {}
+
+    def recording(name, lines, namespace, params="y"):
+        sources[f"{len(sources)}:{name}"] = f"def {name}({params}):\n" + "".join(f"    {line}\n" for line in lines)
+        return compile_(name, lines, namespace, params)
+
+    monkeypatch.setattr(poisson, "_compile", recording)
+    cases = [(cfg["inertia"], cfg["mgl"], cfg["axis"]) for cfg in (BUILTIN_SCENARIOS[n]["simulate"] for n in ("heavy-top-lagrange", "heavy-top-free"))]
+    models = [semidirect.heavy_top_model(*case) for case in cases + [([1.0, 2.0, 3.0], 0.7, [0.3, -0.2, 0.9])]]
+    pairs = [(m.space, m.hamiltonian) for m in models]
+    pairs.append((poisson.lie_poisson(liealg.so3()), poisson.ScalarField(lambda x: 0.5 * np.vecdot(x, x / np.array([1.0, 2.0, 3.0])))))
+    for space, hamiltonian in pairs:
+        space.compile_field(hamiltonian)
+        space.compile_step(hamiltonian)
+    assert sum(name.endswith(":step") for name in sources) == len(pairs)
+    assert [hit for name, src in sources.items() for hit in unfolded_arithmetic(src, name)] == []

@@ -435,8 +435,8 @@ class TestBatchedSuitesSeeLastRow:
         assert suite(sd, samples=20, seed=3).passed
         original = semidirect.lifted_action
 
-        def mutant(sd, fc, g):
-            out = original(sd, fc, g)
+        def mutant(sd, fc, g, beta=None):
+            out = original(sd, fc, g, beta)
             return FactoredCotangent(out.k, _last_row_perturbed(out.theta), out.u, out.chi) if out.theta.ndim == 2 else out
 
         monkeypatch.setattr(semidirect, "lifted_action", mutant)
