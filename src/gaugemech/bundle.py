@@ -64,6 +64,11 @@ class ConnectionData:
         terms = [[[] for _ in range(fiber_dim)] for _ in range(base_dim)]
         return ConnectionData(base_dim, fiber_dim, terms)
 
+    @property
+    def is_flat(self) -> bool:
+        """Whether every coefficient A_i^k is the zero polynomial (no monomials)."""
+        return not any(any(monos for monos in per_base) for per_base in self.terms)
+
     def matrix(self, m: Array) -> Array:
         """Evaluate A(m) as an (n, d) matrix acting on base velocities, one per point of a stack (..., d)."""
         m = np.asarray(m, dtype=float)
@@ -291,7 +296,7 @@ class BundleSpec:
         else:
             if self.base_group is None:
                 raise ValueError("SemidirectTotal requires base_group")
-            if any(any(monos for monos in per_base) for per_base in self.connection.terms):
+            if not self.connection.is_flat:
                 raise ValueError("SemidirectTotal uses the section connection; coefficients must vanish")
         if not self.name:
             self.name = f"{self.kind}[{self.group.name}]"
@@ -330,10 +335,10 @@ class BundleSpec:
             return lo + (hi - lo) * rng.uniform(0.1, 0.9, size=self.d)
         return self.base_group.random_algebra(rng, scale=0.4)
 
-    def random_point_coords(self, rng: np.random.Generator, scale: float = 0.5) -> tuple[Array, Array]:
+    def random_point_coords(self, rng: np.random.Generator) -> tuple[Array, Array]:
         """The draws of ``random_point`` before any exponential: the base (algebra
         coordinates of K on a group base) and the fiber's algebra coordinates."""
-        return self._random_base_coords(rng), self.group.random_algebra(rng, scale)
+        return self._random_base_coords(rng), self.group.random_algebra(rng)
 
     def point_at(self, base: Array, fiber: Array) -> Point:
         """The point of coordinates drawn by ``random_point_coords``, or the stack of them."""
@@ -342,15 +347,15 @@ class BundleSpec:
     def _base_at(self, coords: Array) -> Array:
         return coords if self.kind == "TrivialProduct" else self.base_group.exp(coords)
 
-    def random_point(self, rng: np.random.Generator, scale: float = 0.5) -> Point:
-        return self.point_at(*self.random_point_coords(rng, scale))
+    def random_point(self, rng: np.random.Generator) -> Point:
+        return self.point_at(*self.random_point_coords(rng))
 
-    def random_tangent(self, rng: np.random.Generator, scale: float = 1.0) -> Array:
-        return scale * rng.standard_normal(self.tangent_dim)
+    def random_tangent(self, rng: np.random.Generator) -> Array:
+        return rng.standard_normal(self.tangent_dim)
 
-    def random_covector(self, rng: np.random.Generator, scale: float = 1.0) -> tuple[Array, Array]:
+    def random_covector(self, rng: np.random.Generator) -> tuple[Array, Array]:
         """Components (a, b) of a covector in the trivialized frame."""
-        return scale * rng.standard_normal(self.d), scale * rng.standard_normal(self.n)
+        return rng.standard_normal(self.d), rng.standard_normal(self.n)
 
     # -- point arithmetic -------------------------------------------------------
 
@@ -372,9 +377,6 @@ class BundleSpec:
     def act(self, point: Point, g: Array) -> Point:
         """kappa(p, g) = p g: fixes the base, right-multiplies the fiber."""
         return Point(point.base, point.fiber @ g)
-
-    def kappa_p(self, point: Point, g: Array) -> Point:
-        return self.act(point, g)
 
     def tk_g(self, g: Array) -> Array:
         """Matrix of T kappa_g(p) on tangent coordinates: diag(I, Ad_{g^-1}), one per element of a stack."""
@@ -494,7 +496,7 @@ class BundleSpec:
 # ---------------------------------------------------------------------------
 
 
-def action_suite(b: BundleSpec, samples: int = 25, seed: int = 0, tol: float = ALGEBRAIC_TOL) -> SuiteReport:
+def action_suite(b: BundleSpec, samples: int = 25, seed: int = 0) -> SuiteReport:
     """Check the composition/inversion/cocycle identities of the lifted action."""
     rep = SuiteReport(f"bundle.action[{b.name}]")
     rng = stream(seed, f"bundle.action/{b.name}")
@@ -511,10 +513,10 @@ def action_suite(b: BundleSpec, samples: int = 25, seed: int = 0, tol: float = A
     w = {}
 
     # (w1) kappa_g o kappa_p = kappa_p o R_g and (w3) kappa_{pg} = kappa_p o L_g
-    w["w1"] = b.point_distance(b.act(b.kappa_p(p, h), g), b.kappa_p(p, h @ g))
-    w["w3"] = b.point_distance(b.kappa_p(b.act(p, g), h), b.kappa_p(p, g @ h))
+    w["w1"] = b.point_distance(b.act(b.act(p, h), g), b.act(p, h @ g))
+    w["w3"] = b.point_distance(b.act(b.act(p, g), h), b.act(p, g @ h))
     # (w2) kappa_g o kappa_p = kappa_{pg} o I_{g^-1}
-    w["w2"] = b.point_distance(b.act(b.kappa_p(p, h), g), b.kappa_p(b.act(p, g), gi @ h @ g))
+    w["w2"] = b.point_distance(b.act(b.act(p, h), g), b.act(b.act(p, g), gi @ h @ g))
 
     # (w4) T kappa_{pg}(e) = T kappa_g(p) o T kappa_p(e) o Ad_g
     tk = b.tk_g(g)
@@ -540,12 +542,12 @@ def action_suite(b: BundleSpec, samples: int = 25, seed: int = 0, tol: float = A
     w["vert_equivariance"] = np.abs(lhs_v - rhs_v)
 
     for name, resid in sorted(w.items()):
-        rep.add(name, worst(resid), tol)
+        rep.add(name, worst(resid), ALGEBRAIC_TOL)
     rep.extras["trials"] = samples
     return rep
 
 
-def connection_suite(b: BundleSpec, samples: int = 25, seed: int = 0, tol: float = ALGEBRAIC_TOL) -> SuiteReport:
+def connection_suite(b: BundleSpec, samples: int = 25, seed: int = 0) -> SuiteReport:
     """ConnectionData invariants: reproducing property and equivariance."""
     rep = SuiteReport(f"bundle.connection[{b.name}]")
     rng = stream(seed, f"bundle.connection/{b.name}")
@@ -556,13 +558,13 @@ def connection_suite(b: BundleSpec, samples: int = 25, seed: int = 0, tol: float
     r1 = row_norm(b.alpha(p, b.vertical_lift(x)) - x)
     lhs = b.alpha(b.act(p, g), row_matvec(b.tk_g(g), v))
     rhs = row_matvec(G.Ad_inv(g), b.alpha(p, v))
-    rep.add("reproduces_vertical", worst(r1), tol)
-    rep.add("Ad_equivariance", worst(row_norm(lhs - rhs)), tol)
+    rep.add("reproduces_vertical", worst(r1), ALGEBRAIC_TOL)
+    rep.add("Ad_equivariance", worst(row_norm(lhs - rhs)), ALGEBRAIC_TOL)
     rep.extras["trials"] = samples
     return rep
 
 
-def momentum_suite(b: BundleSpec, samples: int = 60, seed: int = 0, tol: float = ALGEBRAIC_TOL) -> SuiteReport:
+def momentum_suite(b: BundleSpec, samples: int = 60, seed: int = 0) -> SuiteReport:
     """Momentum equivariance, gamma-invariance, and quotient gauge invariance."""
     rep = SuiteReport(f"bundle.momentum[{b.name}]")
     rng = stream(seed, f"bundle.momentum/{b.name}")
@@ -584,9 +586,9 @@ def momentum_suite(b: BundleSpec, samples: int = 60, seed: int = 0, tol: float =
 
     # phi annihilating the vertical subspace lies in J^{-1}(0)
     rker = row_norm(b.momentum(CotangentSample(phi.point, phi.a, np.zeros_like(phi.b))))
-    rep.add("J_equivariance", worst(req), tol)
-    rep.add("gamma_invariance", worst(rgam), tol)
-    rep.add("quotient_orbit_invariance", worst(rquo), 1e-11 if b.kind == "TrivialProduct" else tol)
+    rep.add("J_equivariance", worst(req), ALGEBRAIC_TOL)
+    rep.add("gamma_invariance", worst(rgam), ALGEBRAIC_TOL)
+    rep.add("quotient_orbit_invariance", worst(rquo), 1e-11 if b.kind == "TrivialProduct" else ALGEBRAIC_TOL)
     rep.add("quotient_idempotent", worst(ridem), 1e-11)
     rep.add("vertical_annihilator_in_J0", worst(rker), 1e-13)
     rep.extras["trials"] = samples
@@ -613,7 +615,7 @@ def dual_atiyah_split(b: BundleSpec, base: Array) -> tuple[float, bool, dict]:
     return worst(np.abs(i_mat @ a_mat)), split, {"a_star": int(np.min(rank_a)), "iota_star": int(np.min(rank_i)), "fiber": a_mat.shape[-2]}
 
 
-def dual_sequence_suite(b: BundleSpec, samples: int = 50, seed: int = 0, tol: float = 1e-11) -> SuiteReport:
+def dual_sequence_suite(b: BundleSpec, samples: int = 50, seed: int = 0) -> SuiteReport:
     """Fiberwise exactness of the dual Atiyah sequence and section identities."""
     rep = SuiteReport(f"bundle.dual_sequence[{b.name}]")
     rng = stream(seed, f"bundle.dual_sequence/{b.name}")
@@ -621,18 +623,18 @@ def dual_sequence_suite(b: BundleSpec, samples: int = 50, seed: int = 0, tol: fl
     composite, split, ranks = dual_atiyah_split(b, base)
     sec = b.sigma(base, chi)
     base2, chi2 = b.iota_star(sec)
-    rep.add("iota_after_a_zero", composite, tol)
+    rep.add("iota_after_a_zero", composite, 1e-11)
     rep.flag("rank_split", split, fiber_dim=b.tangent_dim)
-    rep.add("a_star_lands_in_J0", worst(row_norm(b.momentum(b.a_star(base, rho).rep))), tol)
-    rep.add("iota_after_sigma_identity", worst(row_norm(chi2 - chi) + b.base_distance(base2, base)), tol)
-    if not any(any(m for m in pb) for pb in b.connection.terms):
-        rep.add("flat_sigma_zero_base_part", worst(row_norm(sec.rep.a)), tol)
+    rep.add("a_star_lands_in_J0", worst(row_norm(b.momentum(b.a_star(base, rho).rep))), 1e-11)
+    rep.add("iota_after_sigma_identity", worst(row_norm(chi2 - chi) + b.base_distance(base2, base)), 1e-11)
+    if b.connection.is_flat:
+        rep.add("flat_sigma_zero_base_part", worst(row_norm(sec.rep.a)), 1e-11)
     rep.extras["trials"] = samples
     rep.extras["rank_table"] = ranks
     return rep
 
 
-def anchor_pullback_suite(b: BundleSpec, samples: int = 40, seed: int = 0, tol: float = FD_TOL) -> SuiteReport:
+def anchor_pullback_suite(b: BundleSpec, samples: int = 40, seed: int = 0) -> SuiteReport:
     """The local dual anchor pulls the canonical form of T*P back to that of T*(P/G).
 
     Pairings on the T*P side use finite-difference tangents of the curve
@@ -651,7 +653,7 @@ def anchor_pullback_suite(b: BundleSpec, samples: int = 40, seed: int = 0, tol: 
     tangent = np.concatenate([fd_base, np.zeros((samples, b.n))], axis=-1)
     lhs = b.gamma(b.a_star(base, rho).rep, tangent)
     rhs = row_dot(rho, dbase)  # canonical form of T*(P/G) on (dbase, drho)
-    rep.add("pullback_matches_canonical", worst(np.abs(lhs - rhs)), tol)
+    rep.add("pullback_matches_canonical", worst(np.abs(lhs - rhs)), FD_TOL)
     rep.extras["trials"] = samples
     return rep
 
@@ -661,11 +663,9 @@ def anchor_pullback_suite(b: BundleSpec, samples: int = 40, seed: int = 0, tol: 
 # ---------------------------------------------------------------------------
 
 
-def bundle_from_json(doc: dict, group_resolver: Callable[[Any], LieGroupSpec] | None = None) -> BundleSpec:
-    from .liealg import spec_from_json
-
-    resolve = group_resolver or spec_from_json
-    kind, group = schema.text("kind", doc.get("kind")), resolve(doc.get("group"))
+def bundle_from_json(doc: dict, group_resolver: Callable[[Any], LieGroupSpec]) -> BundleSpec:
+    """A bundle from its JSON document; ``group_resolver`` reads ``group`` and ``base_group``."""
+    kind, group = schema.text("kind", doc.get("kind")), group_resolver(doc.get("group"))
     if kind == "TrivialProduct":
         box = schema.array("base_box", doc.get("base_box"), (None, 2))
         conn = ConnectionData.from_json(doc.get("connection", {}), box.shape[0], group.dim)
@@ -678,6 +678,6 @@ def bundle_from_json(doc: dict, group_resolver: Callable[[Any], LieGroupSpec] | 
         if not conn.finite_on(b.base_box):
             raise ValueError(f"'connection' coefficients are too large on 'base_box' {b.base_box.tolist()}: A(m) is within {COEFFICIENT_HEADROOM:g} of overflow at its corners")
         return b
-    base_group = resolve(doc.get("base_group"))
+    base_group = group_resolver(doc.get("base_group"))
     conn = ConnectionData.from_json(doc.get("connection", {}), base_group.dim, group.dim)
     return BundleSpec(kind, group, conn, base_group=base_group)

@@ -285,10 +285,10 @@ def _suite_registry() -> dict[str, Callable[[dict, int], list[SuiteReport]]]:
     def poisson_jacobi(ctx, seed):
         b = need(ctx, "bundle")
         rep = SuiteReport("poisson.jacobi")
-        rep.add("canonical", poisson.jacobi_check(poisson.canonical_cotangent(max(b.d, 1)), trials=10, seed=seed), 1e-6)
-        rep.add("lie_poisson", poisson.jacobi_check(poisson.lie_poisson(b.group), trials=10, seed=seed), 1e-6)
+        rep.add("canonical", poisson.jacobi_check(poisson.canonical_cotangent(max(b.d, 1)), trials=10, seed=seed), poisson.JACOBI_TOL)
+        rep.add("lie_poisson", poisson.jacobi_check(poisson.lie_poisson(b.group), trials=10, seed=seed), poisson.JACOBI_TOL)
         if b.kind == "TrivialProduct":
-            rep.add("quotient", poisson.jacobi_check(poisson.quotient_cotangent(b), trials=6, seed=seed), 1e-6)
+            rep.add("quotient", poisson.jacobi_check(poisson.quotient_cotangent(b), trials=6, seed=seed), poisson.JACOBI_TOL)
         return [rep]
 
     def sd_total_bundle(ctx, seed):

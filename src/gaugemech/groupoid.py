@@ -126,10 +126,10 @@ class VBGroupoid:
         """Replace b's target side by source(a) (projection onto composability)."""
         return VBElement(a.q, b.q, b.x @ self.keep.T + a.x @ self.carry.T)
 
-    def product(self, a: VBElement, b: VBElement, snap_tol: float = COMPOSE_TOL) -> VBElement:
+    def product(self, a: VBElement, b: VBElement) -> VBElement:
         resid = np.ravel(self.side_distance(self.source(a), self.target(b)))
         row = int(np.argmax(resid))
-        if resid[row] > snap_tol:
+        if resid[row] > COMPOSE_TOL:
             raise ValueError(f"non-composable elements in {self.tag} (row {row}: residual {resid[row]:.2e})")
         # right never reads the part of b that snap would overwrite
         return VBElement(a.p, b.q, a.x @ self.left.T + b.x @ self.right.T)
@@ -235,7 +235,7 @@ def _basis_draw(bundle: BundleSpec, rng: np.random.Generator, arrows: int, width
     return stacked, np.split(np.eye(rows), np.cumsum(widths)[:-1], axis=1)
 
 
-def vb_axiom_suite(bundle: BundleSpec, space: str, seed: int = 0, tol: float = AXIOM_TOL) -> SuiteReport:
+def vb_axiom_suite(bundle: BundleSpec, space: str, seed: int = 0) -> SuiteReport:
     """Interchange law and side identities on the fibre basis over one composable arrow chain."""
     ops = space_ops(bundle, space)
     rep = SuiteReport(f"groupoid.vb_axioms[{space}]")
@@ -270,13 +270,13 @@ def vb_axiom_suite(bundle: BundleSpec, space: str, seed: int = 0, tol: float = A
     w["neg_product"] = ops.distance(ops.product(ops.neg(eta), ops.neg(eta1)), ops.neg(ops.product(eta, eta1)))
 
     for name, resid in sorted(w.items()):
-        rep.add(name, worst(resid), tol)
+        rep.add(name, worst(resid), AXIOM_TOL)
     rep.extras["basis_rows"] = 9 * k
     rep.extras["space"] = space
     return rep
 
 
-def groupoid_law_suite(bundle: BundleSpec, space: str, seed: int = 0, tol: float = AXIOM_TOL) -> SuiteReport:
+def groupoid_law_suite(bundle: BundleSpec, space: str, seed: int = 0) -> SuiteReport:
     """Pure groupoid laws on the fibre basis: s/t of identities, associativity, involution, inverse law."""
     ops = space_ops(bundle, space)
     rep = SuiteReport(f"groupoid.laws[{space}]")
@@ -299,7 +299,7 @@ def groupoid_law_suite(bundle: BundleSpec, space: str, seed: int = 0, tol: float
     w["involution"] = ops.distance(ops.inverse(ops.inverse(el)), el)
     w["inverse_product"] = ops.distance(ops.product(el, ops.inverse(el)), ops.identity(ops.target(el)))
     for name, resid in sorted(w.items()):
-        rep.add(name, worst(resid), tol)
+        rep.add(name, worst(resid), AXIOM_TOL)
     rep.extras["basis_rows"] = 4 * k
     return rep
 
@@ -355,7 +355,7 @@ class DualOfPairTangent:
 
         return SideElement(Phi.q, map_matrix(value, self.bundle.tangent_dim, Phi.q))
 
-    def compose(self, Psi: VBElement, Phi: VBElement, middles: Array | None = None, tol: float = COMPOSE_TOL) -> tuple[VBElement, float | Array]:
+    def compose(self, Psi: VBElement, Phi: VBElement, middles: Array) -> tuple[VBElement, Array]:
         """Composition by factorization: <Psi Phi, eta xi> = <Psi, eta> + <Phi, xi>.
 
         Every element of Omega over the composed arrow factors as eta xi with an
@@ -366,7 +366,7 @@ class DualOfPairTangent:
         """
         mismatch = np.ravel(self.omega.side_distance(self.dual_source(Psi), self.dual_target(Phi)))
         row = int(np.argmax(mismatch))
-        if mismatch[row] > tol:
+        if mismatch[row] > COMPOSE_TOL:
             raise ValueError(f"dual composition undefined: alpha~*(Psi) != beta~*(Phi) (row {row}: residual {mismatch[row]:.2e})")
         dim = self.bundle.tangent_dim
 
@@ -377,10 +377,8 @@ class DualOfPairTangent:
 
         # slot i < dim is (e_i, 0), slot dim + i is (0, e_i)
         vals = map_matrix(lambda slot: value(slot[..., :dim], slot[..., dim:], np.zeros(dim)), 2 * dim, Phi.p)
-        spread = 0.0
-        if middles is not None:
-            e0, zero = np.eye(dim)[0], np.zeros(dim)
-            spread = np.max(np.abs(value(e0, zero, np.asarray(middles)) - value(e0, zero, zero)), axis=0)
+        e0, zero = np.eye(dim)[0], np.zeros(dim)
+        spread = np.max(np.abs(value(e0, zero, np.asarray(middles)) - value(e0, zero, zero)), axis=0)
         return VBElement(Psi.p, Phi.q, vals), spread
 
     def _from_core_split(self, side: SideElement, value: Callable[[Array, Array], Array]) -> VBElement:
@@ -404,7 +402,7 @@ class DualOfPairTangent:
         return self._from_core_split(omega_cov, lambda b, k: row_dot(omega_cov.x, b + k))
 
 
-def dual_structure_suite(bundle: BundleSpec, seed: int = 0, tol: float = 1e-11, match_tol: float = 1e-10) -> SuiteReport:
+def dual_structure_suite(bundle: BundleSpec, seed: int = 0) -> SuiteReport:
     """Dual structure maps agree with the closed-form cotangent pair groupoid, on the fibre basis."""
     rep = SuiteReport(f"groupoid.dual_structure[{bundle.name}]")
     rng = stream(seed, f"groupoid.dual_structure/{bundle.name}")
@@ -413,27 +411,28 @@ def dual_structure_suite(bundle: BundleSpec, seed: int = 0, tol: float = 1e-11, 
     t = bundle.tangent_dim
     # an arrow chain p, q, r, then Phi, lam, chi and the side covector omega
     (P, Q, R), (x_phi, lam, x_chi, x_omega) = _basis_draw(bundle, rng, 3, (2 * t, t, t, t))
-    w = {}
+    w = {}  # name: (residuals, tolerance)
     Phi = VBElement(P, Q, x_phi)
-    w["target_matches"] = cot.side_distance(dual.dual_target(Phi), cot.target(Phi))
-    w["source_matches"] = cot.side_distance(dual.dual_source(Phi), cot.source(Phi))
+    w["target_matches"] = cot.side_distance(dual.dual_target(Phi), cot.target(Phi)), 1e-10
+    w["source_matches"] = cot.side_distance(dual.dual_source(Phi), cot.source(Phi)), 1e-10
 
     # composable pair: Psi = (lam, -phi) over (r, p) with alpha~*(Psi) = beta~*(Phi);
     # factorization independence is bilinear, so every basis middle goes against every row
     Psi = VBElement(R, P, np.concatenate([lam, -x_phi[:, :t]], axis=-1))
-    composed, w["factorization_independence"] = dual.compose(Psi, Phi, middles=np.eye(t)[:, None])
-    w["compose_matches"] = cot.distance(composed, cot.product(Psi, Phi))
+    composed, spread = dual.compose(Psi, Phi, middles=np.eye(t)[:, None])
+    w["factorization_independence"] = spread, 1e-11
+    w["compose_matches"] = cot.distance(composed, cot.product(Psi, Phi)), 1e-10
 
     chi = SideElement(P, x_chi)
-    w["identity_matches"] = cot.distance(dual.dual_identity(chi), cot.identity(chi))
+    w["identity_matches"] = cot.distance(dual.dual_identity(chi), cot.identity(chi)), 1e-10
 
     expected = VBElement(P, P, np.concatenate([x_omega, np.zeros_like(x_omega)], axis=-1))
-    w["side_dual_embedding"] = cot.distance(dual.side_dual_embedding(SideElement(P, x_omega)), expected)
+    w["side_dual_embedding"] = cot.distance(dual.side_dual_embedding(SideElement(P, x_omega)), expected), 1e-10
 
     zero = cot.zero(P, Q)
-    w["zero_covector_sides"] = row_norm(dual.dual_target(zero).x) + row_norm(dual.dual_source(zero).x)
-    for name, resid in sorted(w.items()):
-        rep.add(name, worst(resid), match_tol if name.endswith("matches") or name in ("side_dual_embedding", "zero_covector_sides") else tol)
+    w["zero_covector_sides"] = row_norm(dual.dual_target(zero).x) + row_norm(dual.dual_source(zero).x), 1e-10
+    for name, (resid, tol) in sorted(w.items()):
+        rep.add(name, worst(resid), tol)
     rep.extras["basis_rows"] = 5 * t
     rep.extras["middle_basis"] = t
     return rep
@@ -444,7 +443,7 @@ def dual_structure_suite(bundle: BundleSpec, seed: int = 0, tol: float = 1e-11, 
 # ---------------------------------------------------------------------------
 
 
-def _nullspace(mat: Array, rank_cut: float = RANK_CUT) -> tuple[Array, Array, Array]:
+def _nullspace(mat: Array) -> tuple[Array, Array, Array]:
     """Kernels of a stack of matrices by one stacked SVD.
 
     Returns, per matrix, the kernel dimension, the right singular vectors
@@ -453,7 +452,7 @@ def _nullspace(mat: Array, rank_cut: float = RANK_CUT) -> tuple[Array, Array, Ar
     """
     _, s, vt = np.linalg.svd(mat)
     smax = s[..., 0] if s.shape[-1] else np.zeros(s.shape[:-1])
-    cut = (rank_cut * np.maximum(smax, 1.0))[..., None]
+    cut = (RANK_CUT * np.maximum(smax, 1.0))[..., None]
     rank = np.sum(s > cut, axis=-1)
     ambiguous = np.any((s > 0.01 * cut) & (s <= 100 * cut), axis=-1)
     return mat.shape[-1] - rank, vt, ambiguous
@@ -516,7 +515,7 @@ def i2_star(bundle: BundleSpec, el: VBElement) -> VBElement:
     return VBElement(el.p, el.q, j2(bundle, el))
 
 
-def momentum_morphism_suite(bundle: BundleSpec, samples: int = 60, seed: int = 0, tol: float = AXIOM_TOL) -> SuiteReport:
+def momentum_morphism_suite(bundle: BundleSpec, samples: int = 60, seed: int = 0) -> SuiteReport:
     """I_2* is a groupoid morphism; J_2 = 0 cuts out the annihilator subgroupoid."""
     rep = SuiteReport(f"groupoid.momentum_morphism[{bundle.name}]")
     rng = stream(seed, f"groupoid.momentum_morphism/{bundle.name}")
@@ -549,10 +548,10 @@ def momentum_morphism_suite(bundle: BundleSpec, samples: int = 60, seed: int = 0
     el0 = VBElement(P, Q, np.concatenate([x_a[:, : t + bundle.d], -bundle.momentum(_covectors(bundle, a)[0])], axis=-1))
     vert = bundle.vertical_lift(alg)
     w_tv0 = worst(tv0_membership_residual(bundle, el0), np.abs(_pair(el0.x, np.concatenate([vert, vert], axis=-1))))
-    rep.add("i2_star_morphism", w_mor, tol)
-    rep.add("i2_star_inverse_identity", w_inv, tol)
-    rep.add("i2_star_identity_section", w_eps, tol)
-    rep.add("tv0_annihilator_equivalence", w_tv0, tol)
+    rep.add("i2_star_morphism", w_mor, AXIOM_TOL)
+    rep.add("i2_star_inverse_identity", w_inv, AXIOM_TOL)
+    rep.add("i2_star_identity_section", w_eps, AXIOM_TOL)
+    rep.add("tv0_annihilator_equivalence", w_tv0, AXIOM_TOL)
     rep.extras["trials"] = samples
     return rep
 
@@ -608,7 +607,7 @@ def _seq_matrices(bundle: BundleSpec, sequence_id: str, p: Point, q: Point) -> t
     raise KeyError(f"unknown sequence {sequence_id!r}")
 
 
-def ses_fiber_check(bundle: BundleSpec, sequence_id: str, samples: int = 50, seed: int = 0, tol: float = 1e-10) -> SuiteReport:
+def ses_fiber_check(bundle: BundleSpec, sequence_id: str, samples: int = 50, seed: int = 0) -> SuiteReport:
     """Injectivity / surjectivity / im = ker at sampled arrows, by rank and residual."""
     rep = SuiteReport(f"groupoid.ses[{sequence_id}]")
     rng = stream(seed, f"groupoid.ses/{sequence_id}/{bundle.name}")
@@ -620,11 +619,11 @@ def ses_fiber_check(bundle: BundleSpec, sequence_id: str, samples: int = 50, see
     rank_h = np.sum(s_h > RANK_CUT * s_h[..., :1], axis=-1)
     rep.flag("first_map_injective", bool(np.all(rank_f == f.shape[-1])))
     rep.flag("second_map_surjective", bool(np.all(rank_h == h.shape[-2])))
-    rep.add("composite_zero", worst(np.abs(h @ f)), tol)
-    rep.add("image_equals_kernel", worst(_im_ker_residual(f, h)), tol)
+    rep.add("composite_zero", worst(np.abs(h @ f)), 1e-10)
+    rep.add("image_equals_kernel", worst(_im_ker_residual(f, h)), 1e-10)
     if sequence_id == "duzyVdual":
         # <I2*(Phi), X> = <Phi, I2(X)> on the bases: J2 against the vertical lift on both legs
-        rep.add("i2_star_duality", worst(np.abs(h - _i2_matrix(bundle, P).swapaxes(-1, -2))), tol)
+        rep.add("i2_star_duality", worst(np.abs(h - _i2_matrix(bundle, P).swapaxes(-1, -2))), 1e-10)
     rep.extras["trials"] = samples
     rep.extras["sequence_id"] = sequence_id
     rep.extras["rank_table"] = {"dims": [f.shape[-1], f.shape[-2], h.shape[-2]], "rank_first": int(np.min(rank_f)), "rank_second": int(np.min(rank_h))}

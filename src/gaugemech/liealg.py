@@ -218,19 +218,19 @@ def rotation_log(g: Array) -> tuple[Array, list[bool]]:
     return anti, closed
 
 
-def _sqrtm(a: Array, tol: float = 1e-13, iters: int = 80) -> Array:
+def _sqrtm(a: Array) -> Array:
     """Principal square root via the Denman-Beavers iteration.
 
-    Returns the first iterate with residual ||y^2 - a|| <= tol * max(1, ||a||).
+    Returns the first of 80 iterates with residual ||y^2 - a|| <= 1e-13 * max(1, ||a||).
     Near an eigenvalue -1 the reachable residual is about eps / distance, so
-    when no iterate meets tol the best one is returned if its residual is
+    when no iterate meets 1e-13 the best one is returned if its residual is
     <= SQRTM_ACCEPT_TOL * max(1, ||a||); otherwise LieDomainError.
     """
     y = np.asarray(a, dtype=float)
     z = np.eye(a.shape[0])
     scale = max(1.0, np.linalg.norm(a))
     best, best_res = None, np.inf
-    for _ in range(iters):
+    for _ in range(80):
         try:
             yi = np.linalg.inv(y)
             zi = np.linalg.inv(z)
@@ -238,7 +238,7 @@ def _sqrtm(a: Array, tol: float = 1e-13, iters: int = 80) -> Array:
             raise LieDomainError("matrix square root iteration became singular") from exc
         y, z = 0.5 * (y + zi), 0.5 * (z + yi)
         res = np.linalg.norm(y @ y - a)
-        if res <= tol * scale:
+        if res <= 1e-13 * scale:
             return y
         if res < best_res:
             best, best_res = y, res
@@ -327,11 +327,11 @@ class LieGroupSpec:
             raise ValueError(f"dimension mismatch: expected (..., {self.dim}), got {x.shape}")
         return (x[..., None, :] @ self.basis.reshape(self.dim, -1)).reshape(x.shape[:-1] + (self.embed, self.embed))
 
-    def to_coords(self, mat: Array, check: bool = True, tol: float = 1e-8) -> Array:
+    def to_coords(self, mat: Array, check: bool = True) -> Array:
         """Coordinates of an algebra matrix, or of each of a stack (..., embed, embed).
 
         With ``check``, LieDomainError when a matrix is off the algebra span by
-        more than ``tol`` relative to its Frobenius norm (at least 1).
+        more than 1e-8 relative to its Frobenius norm (at least 1).
         """
         mat = np.asarray(mat, dtype=float)
         flat = mat.reshape(mat.shape[:-2] + (-1,))
@@ -339,7 +339,7 @@ class LieGroupSpec:
         if check:
             off = flat - x @ self.basis.reshape(self.dim, -1)  # the part of each matrix off the span, squared below
             sq = np.vecdot(off, off)
-            bad = sq > tol * tol * np.maximum(1.0, np.vecdot(flat, flat))
+            bad = sq > 1e-8 * 1e-8 * np.maximum(1.0, np.vecdot(flat, flat))
             if bad.any():
                 raise LieDomainError(f"matrix not in the algebra span of {self.name} (residual {math.sqrt(np.max(sq[bad])):.2e})")
         return x
@@ -484,23 +484,23 @@ class LieGroupSpec:
     def random_algebra(self, rng: np.random.Generator, scale: float = 0.5) -> Array:
         return scale * rng.standard_normal(self.dim)
 
-    def random_coalgebra(self, rng: np.random.Generator, scale: float = 1.0) -> Array:
-        return scale * rng.standard_normal(self.dim)
+    def random_coalgebra(self, rng: np.random.Generator) -> Array:
+        return rng.standard_normal(self.dim)
 
 
-def _null_rows(a: Array, tol: float = 1e-10) -> Array:
+def _null_rows(a: Array) -> Array:
     """Orthonormal rows spanning the null space of a."""
     _, s, vt = np.linalg.svd(a)
-    rank = int(np.sum(s > tol * max(float(s[0]), 1.0)))
+    rank = int(np.sum(s > 1e-10 * max(float(s[0]), 1.0)))
     return vt[rank:]
 
 
-def _rref(rows: Array, tol: float = 1e-9) -> Array:
+def _rref(rows: Array) -> Array:
     """Reduced row-echelon form, unit pivots, of linearly independent rows."""
     r = np.array(rows, dtype=float)
     lead = 0
     for i in range(r.shape[0]):
-        while np.max(np.abs(r[i:, lead])) <= tol:
+        while np.max(np.abs(r[i:, lead])) <= 1e-9:
             lead += 1
         p = i + int(np.argmax(np.abs(r[i:, lead])))
         r[[i, p]] = r[[p, i]]

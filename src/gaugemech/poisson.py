@@ -47,7 +47,7 @@ from .rng import stream
 
 Array = np.ndarray
 
-JACOBI_TOL = 1e-6
+JACOBI_TOL = 1e-6  # the bound of each jacobi_check in the poisson.jacobi suite (FD-dominated residuals)
 
 
 class ChartError(ValueError):
@@ -441,20 +441,20 @@ class PoissonSpace:
         return self._compiled("step", hamiltonian, build)
 
 
-def canonical_cotangent(nq: int, name: str = "") -> PoissonSpace:
+def canonical_cotangent(nq: int) -> PoissonSpace:
     """T*R^nq in coordinates (q, p): the constant bivector J."""
     const = np.zeros((2 * nq, 2 * nq))
     const[:nq, nq:] = np.eye(nq)
     const[nq:, :nq] = -np.eye(nq)
-    return PoissonSpace("canonical", np.zeros((2 * nq,) * 3), const, name=name or f"T*R{nq}")
+    return PoissonSpace("canonical", np.zeros((2 * nq,) * 3), const, name=f"T*R{nq}")
 
 
-def lie_poisson(group: LieGroupSpec, name: str = "") -> PoissonSpace:
+def lie_poisson(group: LieGroupSpec) -> PoissonSpace:
     """g* with {f,g}(mu) = <mu, [grad f, grad g]>: the structure constants are the linear part."""
-    return PoissonSpace("lie_poisson", group.structure, name=name or f"{group.name}*")
+    return PoissonSpace("lie_poisson", group.structure, name=f"{group.name}*")
 
 
-def product_space(factors: Sequence[PoissonSpace], name: str = "") -> PoissonSpace:
+def product_space(factors: Sequence[PoissonSpace]) -> PoissonSpace:
     """Block-diagonal product; only the leading factor may carry a chart box."""
     facs = tuple(factors)
     if any(f.box is not None for f in facs[1:]):
@@ -469,15 +469,15 @@ def product_space(factors: Sequence[PoissonSpace], name: str = "") -> PoissonSpa
         if f.const is not None:
             const[sl, sl] = f.const
         off += f.dim
-    return PoissonSpace("product", linear, const, facs[0].box if facs else None, name or "x".join(f.name for f in facs))
+    return PoissonSpace("product", linear, const, facs[0].box if facs else None, "x".join(f.name for f in facs))
 
 
-def quotient_cotangent(bundle: BundleSpec, name: str = "") -> PoissonSpace:
+def quotient_cotangent(bundle: BundleSpec) -> PoissonSpace:
     """T*P/G in the class coordinates (m, a, bbar): T*M x g*, chart box on m."""
     if bundle.kind != "TrivialProduct":
         raise ValueError("quotient coordinates require a TrivialProduct bundle chart")
     space = product_space([canonical_cotangent(bundle.d), lie_poisson(bundle.group)])
-    return replace(space, kind="quotient", box=bundle.base_box, name=name or f"T*P/G[{bundle.name}]")
+    return replace(space, kind="quotient", box=bundle.base_box, name=f"T*P/G[{bundle.name}]")
 
 
 def invariant_lift(bundle: BundleSpec, f: ScalarField | Polynomial) -> CotangentFn:
@@ -559,7 +559,7 @@ def _on_momentum(h: ScalarField | Polynomial) -> CotangentFn:
     return CotangentFn(lambda s: h(s.b), lambda s: (np.zeros_like(s.a), np.zeros_like(s.b), np.zeros_like(s.a), h.gradient(s.b)))
 
 
-def dual_pair_check(bundle: BundleSpec, trials: int = 100, seed: int = 0, tol: float = 1e-7) -> SuiteReport:
+def dual_pair_check(bundle: BundleSpec, trials: int = 100, seed: int = 0) -> SuiteReport:
     """Polarity of the dual pair, {f o pi_G, h o J} = 0 on T*P, and the quotient bracket.
 
     ``quotient_matches_lift`` compares the closed-form bracket of T*P/G with
@@ -590,9 +590,9 @@ def dual_pair_check(bundle: BundleSpec, trials: int = 100, seed: int = 0, tol: f
     s = CotangentSample(bundle.point_at(base, fiber), a, b)
     lifted = cotangent_bracket(bundle, invariant_lift(bundle, f), invariant_lift(bundle, g), s)
     w_lift = worst(np.abs(quot.bracket(f, g, bundle.class_coords(s)) - lifted))
-    rep.add("polarity", w_pol, tol)
+    rep.add("polarity", w_pol, 1e-7)
     if cas:
-        rep.add("casimir_commutes", w_cas, tol)
+        rep.add("casimir_commutes", w_cas, 1e-7)
     rep.add("quotient_matches_lift", w_lift, 1e-9)
     rep.extras["trials"] = trials
     return rep
@@ -719,10 +719,10 @@ def coadjoint_transport(group: LieGroupSpec, mu_from: Array, mu_to: Array) -> Ar
 # ---------------------------------------------------------------------------
 
 
-def dexp_left(group: LieGroupSpec, xi: Array, dxi: Array, terms: int = 24) -> Array:
+def dexp_left(group: LieGroupSpec, xi: Array, dxi: Array) -> Array:
     """Left-trivialized velocity of t -> exp(xi + t dxi) at t = 0, per row of stacks (..., dim).
 
-    The standard series sum_k (-ad_xi)^k / (k+1)! applied to dxi; a row stops
+    The standard series sum_k (-ad_xi)^k / (k+1)!, k < 24, applied to dxi; a row stops
     at its first term that is exactly zero, after which every term vanishes
     (ad_xi nilpotent on dxi, as for abelian and Heisenberg algebras).  Rows
     that stopped keep their sum, so each row has the bits of its single call.
@@ -731,7 +731,7 @@ def dexp_left(group: LieGroupSpec, xi: Array, dxi: Array, terms: int = 24) -> Ar
     out = acc.copy()
     neg_ad = -group.ad(xi)
     fact = 1.0
-    for k in range(1, terms):
+    for k in range(1, 24):
         acc = row_matvec(neg_ad, acc)
         live = acc.any(axis=-1)
         if not live.any():
@@ -773,8 +773,7 @@ def canonical_two_form(factors: Sequence[int | LieGroupSpec], covector: Array) -
 # ---------------------------------------------------------------------------
 
 
-def leaf_structure(bundle: BundleSpec, orbit: CoadjointOrbit, samples: int = 25, seed: int = 0,
-                   tol_affine: float = 1e-10, membership_tol: float = 1e-8) -> SuiteReport:
+def leaf_structure(bundle: BundleSpec, orbit: CoadjointOrbit, samples: int = 25, seed: int = 0) -> SuiteReport:
     """Membership, dimension, affine fibration, and section checks for J^{-1}(O)/G.
 
     The stream is drawn in one loop; each check is evaluated once over the
@@ -800,9 +799,9 @@ def leaf_structure(bundle: BundleSpec, orbit: CoadjointOrbit, samples: int = 25,
         return orbit.membership_residual(bundle.momentum(s)), orbit.membership_residual(bundle.iota_star(bundle.quotient_rep(s))[1])
 
     (j_on, i_on), (j_off, i_off) = residuals(phi), residuals(off)
-    # an off-orbit row (J residual above 10 tol) fails when iota* puts it on the orbit
-    on_agree = worst(j_on, i_on) <= membership_tol
-    off_agree = not np.min(i_off, where=j_off > 10 * membership_tol, initial=np.inf) <= membership_tol
+    # a row is on the orbit at residual <= 1e-8; an off-orbit row (J residual above 10 times that) fails when iota* puts it on the orbit
+    on_agree = worst(j_on, i_on) <= 1e-8
+    off_agree = not np.min(i_off, where=j_off > 10 * 1e-8, initial=np.inf) <= 1e-8
 
     # (b) leaf dimension: rank of the tangent span of the parametrization
     # (m, rho, orbit direction) -> a*(rho) + sigma(m, transported chi)
@@ -838,7 +837,7 @@ def leaf_structure(bundle: BundleSpec, orbit: CoadjointOrbit, samples: int = 25,
     dims = set(leaf_dims.tolist())
     rep.flag("membership_equivalence", on_agree and off_agree)
     rep.flag("leaf_dimension", dims == {2 * d + orbit.dim}, expected=2 * d + orbit.dim, got=sorted(dims))
-    rep.add("affine_transitivity", w_aff, tol_affine)
+    rep.add("affine_transitivity", w_aff, 1e-10)
     rep.add("pi_sigma_well_defined", w_pis, 1e-9)
     rep.add("pi_sigma_surjective", w_surj, 1e-11)
     rep.extras["orbit_dim"] = orbit.dim
@@ -890,7 +889,6 @@ def magnetic_term(bundle: BundleSpec, chi: Array, samples: int = 15, seed: int =
 
     rep = SuiteReport(f"poisson.magnetic[{bundle.name}]")
     rng = stream(seed, f"poisson.magnetic/{bundle.name}")
-    flat = not any(any(monos for monos in per_base) for per_base in bundle.connection.terms)
 
     def draw() -> tuple:
         # the point (m, rho), the tangents t1, t2 and the fiber part of fib, then (d >= 2) the closedness triple
@@ -920,7 +918,7 @@ def magnetic_term(bundle: BundleSpec, chi: Array, samples: int = 15, seed: int =
         for a_, b_, c_ in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
             dval += fd.central(lambda zz: two_form(zz[:, :d], zz[:, d:], e[b_], e[c_]), z, e[a_][None], fd.CLOSED_STEP)[0]
         w_closed = worst(np.abs(dval))
-    if flat or float(np.linalg.norm(chi)) == 0.0:
+    if bundle.connection.is_flat or float(np.linalg.norm(chi)) == 0.0:
         rep.add("flat_or_zero_chi_vanishes", w_match, 1e-9)
     rep.add("matches_curvature_oracle", w_match, 1e-7)
     rep.add("closed", w_closed, 1e-6)

@@ -100,9 +100,9 @@ class SemidirectSpec:
     def identity_pair(self) -> tuple[Array, Array]:
         return self.K.identity(), self.N.identity()
 
-    def random_pair_coords(self, rng: np.random.Generator, scale: float = 0.4) -> tuple[Array, Array]:
+    def random_pair_coords(self, rng: np.random.Generator) -> tuple[Array, Array]:
         """Algebra coordinates of a random pair (k, u); ``pair_at`` exponentiates them."""
-        return self.K.random_algebra(rng, scale), self.N.random_algebra(rng, scale)
+        return self.K.random_algebra(rng, 0.4), self.N.random_algebra(rng, 0.4)
 
     def pair_at(self, k: Array, u: Array) -> tuple[Array, Array]:
         """(exp k, exp u) of algebra coordinates, or of stacks of them."""
@@ -317,7 +317,7 @@ def connection_form(sd: SemidirectSpec, k: Array, u: Array, h_velocity: Array) -
     return sd.N.to_coords(sd.N.inverse(u) @ (d_full - d_hor), check=False)
 
 
-def pullback_form_suite(sd: SemidirectSpec, samples: int = 30, seed: int = 0, tol: float = 1e-8) -> SuiteReport:
+def pullback_form_suite(sd: SemidirectSpec, samples: int = 30, seed: int = 0) -> SuiteReport:
     """(T*Sigma)* gamma_H = pr_K* gamma_K + the connection magnetic term."""
     rep = SuiteReport(f"semidirect.pullback_form[{sd.name}]")
     rng = stream(seed, f"semidirect.pullback/{sd.name}")
@@ -355,10 +355,10 @@ def pullback_form_suite(sd: SemidirectSpec, samples: int = 30, seed: int = 0, to
 
         # linearity: the gamma_K term is linear in theta, the magnetic term in chi
         w_lin = worst(w_lin, np.abs(row_dot(beta_s, zeta) - (s1 * gamma_k + s2 * magnetic)))
-    rep.add("pullback_identity", w_eq, tol)
-    rep.add("chi_zero_reduces_to_gammaK", w_chi0, tol)
-    rep.add("magnetic_term_isolated", w_iso, tol)
-    rep.add("fiberwise_linearity", w_lin, tol)
+    rep.add("pullback_identity", w_eq, 1e-8)
+    rep.add("chi_zero_reduces_to_gammaK", w_chi0, 1e-8)
+    rep.add("magnetic_term_isolated", w_iso, 1e-8)
+    rep.add("fiberwise_linearity", w_lin, 1e-8)
     rep.extras["trials"] = samples
     return rep
 
@@ -368,7 +368,7 @@ def pullback_form_suite(sd: SemidirectSpec, samples: int = 30, seed: int = 0, to
 # ---------------------------------------------------------------------------
 
 
-def spec_suite(sd: SemidirectSpec, samples: int = 30, seed: int = 0, tol: float = 1e-10) -> SuiteReport:
+def spec_suite(sd: SemidirectSpec, samples: int = 30, seed: int = 0) -> SuiteReport:
     """SemidirectSpec invariants: rho automorphisms, anti-homomorphism, products."""
     rep = SuiteReport(f"semidirect.spec[{sd.name}]")
     rng = stream(seed, f"semidirect.spec/{sd.name}")
@@ -393,16 +393,16 @@ def spec_suite(sd: SemidirectSpec, samples: int = 30, seed: int = 0, tol: float 
     w_mult = row_norm(sd.embed(*a) @ sd.embed(*b) - sd.embed(*sd.product(a, b)), 2)
     k_back, u_back = sd.split(sd.embed(*a))
     w_split = row_norm(k_back - a[0], 2) + row_norm(u_back - a[1], 2)
-    rep.add("rho_automorphism", worst(w_auto), tol)
-    rep.add("rho_anti_homomorphism", worst(w_anti), tol)
-    rep.add("rho_identity", worst(w_id), tol)
+    rep.add("rho_automorphism", worst(w_auto), 1e-10)
+    rep.add("rho_anti_homomorphism", worst(w_anti), 1e-10)
+    rep.add("rho_identity", worst(w_id), 1e-10)
     rep.add("associativity", worst(w_assoc), 1e-11)
-    rep.add("embedding_multiplicative", worst(w_mult, w_split), tol)
+    rep.add("embedding_multiplicative", worst(w_mult, w_split), 1e-10)
     rep.extras["trials"] = samples
     return rep
 
 
-def trivialization_suite(sd: SemidirectSpec, samples: int = 30, seed: int = 0, tol: float = 1e-10) -> SuiteReport:
+def trivialization_suite(sd: SemidirectSpec, samples: int = 30, seed: int = 0) -> SuiteReport:
     """Round trips of T*Sigma and agreement of the momentum paths."""
     rep = SuiteReport(f"semidirect.trivialization[{sd.name}]")
     rng = stream(seed, f"semidirect.trivialization/{sd.name}")
@@ -424,10 +424,10 @@ def trivialization_suite(sd: SemidirectSpec, samples: int = 30, seed: int = 0, t
     jke, jne = group_momentum(sd, FactoredCotangent(k, theta, np.broadcast_to(sd.N.identity(), u.shape), chi))
     w_me = row_norm(jke - theta) + row_norm(jne - chi)
     rep.add("tstar_sigma_roundtrip", worst(w_rt), 1e-11)
-    rep.add("sigma_identity", worst(w_sig), tol)
-    rep.add("chi_zero_is_mu_pullback", worst(w_mu), tol)
-    rep.add("n_momentum_matches", worst(w_mn), tol)
-    rep.add("k_momentum_matches_at_identity", worst(w_me), tol)
+    rep.add("sigma_identity", worst(w_sig), 1e-10)
+    rep.add("chi_zero_is_mu_pullback", worst(w_mu), 1e-10)
+    rep.add("n_momentum_matches", worst(w_mn), 1e-10)
+    rep.add("k_momentum_matches_at_identity", worst(w_me), 1e-10)
     rep.extras["trials"] = samples
     return rep
 
@@ -456,7 +456,7 @@ def _draw_factored(sd: SemidirectSpec, samples: int, rng: np.random.Generator, p
         yield fc, [sd.pair_at(l[rows], w[rows]) for l, w in zip(pair_coords[0::2], pair_coords[1::2])], [x[rows] for x in extra]
 
 
-def action_suite(sd: SemidirectSpec, samples: int = 30, seed: int = 0, tol: float = 1e-10) -> SuiteReport:
+def action_suite(sd: SemidirectSpec, samples: int = 30, seed: int = 0) -> SuiteReport:
     """Lifted action: closed formula vs conjugated lift, right-action law, identity."""
     rep = SuiteReport(f"semidirect.lifted_action[{sd.name}]")
     rng = stream(seed, f"semidirect.action/{sd.name}")
@@ -467,14 +467,14 @@ def action_suite(sd: SemidirectSpec, samples: int = 30, seed: int = 0, tol: floa
         w_formula = worst(w_formula, _fc_distance(lifted, lifted_action_formula(sd, fc, g1)))
         w_law = worst(w_law, _fc_distance(lifted_action(sd, lifted, g2), lifted_action(sd, fc, sd.product(g1, g2), beta)))
         w_id = worst(w_id, _fc_distance(lifted_action(sd, fc, sd.identity_pair(), beta), fc))
-    rep.add("closed_formula_matches_lift", w_formula, tol)
-    rep.add("right_action_law", w_law, tol)
+    rep.add("closed_formula_matches_lift", w_formula, 1e-10)
+    rep.add("right_action_law", w_law, 1e-10)
     rep.add("identity_acts_trivially", w_id, 1e-12)
     rep.extras["trials"] = samples
     return rep
 
 
-def equivariance_suite(sd: SemidirectSpec, samples: int = 200, seed: int = 0, tol: float = 1e-9) -> SuiteReport:
+def equivariance_suite(sd: SemidirectSpec, samples: int = 200, seed: int = 0) -> SuiteReport:
     """J o T*R_(l,w) = (Ad*_l x Ad*_w (d rho(l^-1))*) o J, plus the anti-homomorphism law."""
     rep = SuiteReport(f"semidirect.equivariance[{sd.name}]")
     rng = stream(seed, f"semidirect.equivariance/{sd.name}")
@@ -489,8 +489,8 @@ def equivariance_suite(sd: SemidirectSpec, samples: int = 200, seed: int = 0, to
         tk12, tn12 = coadjoint_factor_transport(sd, sd.product(g, g2))
         tk2, tn2 = coadjoint_factor_transport(sd, g2)
         w_anti = worst(w_anti, row_norm(tk12 - tk2 @ t_k, 2) + row_norm(tn12 - tn2 @ t_n, 2))
-    rep.add("momentum_equivariance", w_eq, tol)
-    rep.add("transport_anti_homomorphism", w_anti, tol)
+    rep.add("momentum_equivariance", w_eq, 1e-9)
+    rep.add("transport_anti_homomorphism", w_anti, 1e-9)
     rep.extras["trials"] = samples
     return rep
 
@@ -504,7 +504,7 @@ def _fc_distance(a: FactoredCotangent, b: FactoredCotangent) -> float | Array:
 # ---------------------------------------------------------------------------
 
 
-def reduced_sequence_suite(sd: SemidirectSpec, samples: int = 25, seed: int = 0, tol: float = 1e-11) -> SuiteReport:
+def reduced_sequence_suite(sd: SemidirectSpec, samples: int = 25, seed: int = 0) -> SuiteReport:
     """0 -> T*K -> T*K x n* -> K x n* -> 0 with a*(theta) = (theta, 0), iota* = (k, chi).
 
     For abelian N the leaf J^{-1}(a)/N is identified with T*K by the dual of
@@ -518,7 +518,7 @@ def reduced_sequence_suite(sd: SemidirectSpec, samples: int = 25, seed: int = 0,
 
     # exactness from a* and iota* of the total bundle over K; on its gauge slice they do not depend on k
     composite, split, ranks = dual_atiyah_split(total_bundle(sd), sd.K.identity())
-    rep.add("composite_zero", composite, tol)
+    rep.add("composite_zero", composite, 1e-11)
     rep.flag("rank_split", split, rank_table=ranks)
 
     w_gamma_star = w_omega = 0.0
@@ -552,7 +552,7 @@ def reduced_sequence_suite(sd: SemidirectSpec, samples: int = 25, seed: int = 0,
     return rep
 
 
-def momentum_form_suite(sd: SemidirectSpec, samples: int = 20, seed: int = 0, tol: float = 1e-6) -> SuiteReport:
+def momentum_form_suite(sd: SemidirectSpec, samples: int = 20, seed: int = 0) -> SuiteReport:
     """Momentum maps generate the lifted action for d(gamma_K + gamma_N).
 
     For each algebra element X the contraction identity
@@ -593,8 +593,8 @@ def momentum_form_suite(sd: SemidirectSpec, samples: int = 20, seed: int = 0, to
         # normal-subgroup generator against the factored component J_N = chi
         djn = fd.quotient(*row_dot(f_ends.chi, x_n), h)
         worst_n = worst(worst_n, np.abs(row_form(gen_n, omega, v) + djn))
-    rep.add("contraction_identity_group_momentum", worst_h, tol)
-    rep.add("contraction_identity_factored_n_component", worst_n, tol)
+    rep.add("contraction_identity_group_momentum", worst_h, 1e-6)
+    rep.add("contraction_identity_factored_n_component", worst_n, 1e-6)
     rep.extras["trials"] = samples
     return rep
 
@@ -708,10 +708,7 @@ def heavy_top_model(inertia, mgl: float, axis) -> HeavyTopModel:
 # ---------------------------------------------------------------------------
 
 
-def sd_from_json(doc: dict, group_resolver: Callable[[Any], LieGroupSpec] | None = None) -> SemidirectSpec:
-    """A semidirect product from ``{"K", "N", "rho"}``; ``group_resolver`` reads ``K`` and ``N`` (by default a built-in name or an inline spec)."""
-    from .liealg import builtin_group, spec_from_json
-
-    resolve = group_resolver or (lambda ref: builtin_group(ref) if isinstance(ref, str) else spec_from_json(ref))
-    K, N = resolve(doc.get("K")), resolve(doc.get("N"))
+def sd_from_json(doc: dict, group_resolver: Callable[[Any], LieGroupSpec]) -> SemidirectSpec:
+    """A semidirect product from ``{"K", "N", "rho"}``; ``group_resolver`` reads ``K`` and ``N``."""
+    K, N = group_resolver(doc.get("K")), group_resolver(doc.get("N"))
     return SemidirectSpec(K, N, schema.array("rho", doc.get("rho"), (K.dim, N.embed, N.embed)))

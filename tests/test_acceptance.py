@@ -24,6 +24,14 @@ def _line(num: int, passed: bool, text: str) -> None:
     assert passed, text
 
 
+def _tols(rep) -> dict[str, float]:
+    """The tolerance each residual check of a report carries, by name (flags, at 0.5, left out).
+
+    Each criterion pins these, so loosening a suite's tolerance fails its test.
+    """
+    return {c.name: c.tol for c in rep.checks if not c.flag}
+
+
 @pytest.fixture(scope="module")
 def so3_bundle():
     g = liealg.so3()
@@ -45,14 +53,17 @@ def sd():
 
 def test_criterion_1_vb_axioms(so3_bundle):
     t0 = time.perf_counter()
-    rep = groupoid.vb_axiom_suite(so3_bundle, "T(PxP)", seed=SEED, tol=1e-11)
+    rep = groupoid.vb_axiom_suite(so3_bundle, "T(PxP)", seed=SEED)
     elapsed = time.perf_counter() - t0
+    assert _tols(rep) == dict.fromkeys(["identity_additive", "interchange", "inverse_additive", "neg_product", "zero_inverse", "zero_multiplicative"], 1e-11)
     ok = rep.passed and rep.max_residual <= 1e-11 and elapsed < 10.0
     _line(1, ok, f"interchange + side identities on the {rep.extras['basis_rows']}-row fibre basis, max residual {rep.max_residual:.2e}, {elapsed:.2f}s")
 
 
 def test_criterion_2_duality_well_definedness(so3_bundle):
-    rep = groupoid.dual_structure_suite(so3_bundle, seed=SEED, tol=1e-11, match_tol=1e-10)
+    rep = groupoid.dual_structure_suite(so3_bundle, seed=SEED)
+    matches = ["compose_matches", "identity_matches", "side_dual_embedding", "source_matches", "target_matches", "zero_covector_sides"]
+    assert _tols(rep) == {"factorization_independence": 1e-11} | dict.fromkeys(matches, 1e-10)
     fact = next(c for c in rep.checks if c.name == "factorization_independence")
     match = max(c.residual for c in rep.checks if c.name.endswith("matches"))
     ok = rep.passed and fact.residual <= 1e-11 and match <= 1e-10
@@ -82,14 +93,16 @@ def test_criterion_4_momentum_equivariance(so3_bundle, sd):
         total.equivariance_residual(CotangentSample(total.point_at(*total.random_point_coords(rng)), *total.random_covector(rng)), total.group.exp(total.group.random_algebra(rng)))
         for _ in range(200)
     )
-    rep = semidirect.equivariance_suite(sd, samples=200, seed=SEED, tol=1e-9)
+    rep = semidirect.equivariance_suite(sd, samples=200, seed=SEED)
+    assert _tols(rep) == {"momentum_equivariance": 1e-9, "transport_anti_homomorphism": 1e-9}
     worst_sigma = next(c.residual for c in rep.checks if c.name == "momentum_equivariance")
     ok = worst_j <= 1e-9 and worst_j_sd <= 1e-9 and worst_sigma <= 1e-9
     _line(4, ok, f"J equivariance {worst_j:.2e} / {worst_j_sd:.2e} (SO(3), SO(3)x|R3 bundles), factored momentum {worst_sigma:.2e} (200 samples each)")
 
 
 def test_criterion_5_dual_pair_polarity(so3_bundle):
-    rep = poisson.dual_pair_check(so3_bundle, trials=100, seed=SEED, tol=1e-7)
+    rep = poisson.dual_pair_check(so3_bundle, trials=100, seed=SEED)
+    assert _tols(rep) == {"polarity": 1e-7, "casimir_commutes": 1e-7, "quotient_matches_lift": 1e-9}
     ok = rep.passed and rep.max_residual <= 1e-7
     _line(5, ok, f"{{f o pi_G, h o J}} residual {rep.max_residual:.2e} over 100 function pairs")
 
@@ -97,8 +110,11 @@ def test_criterion_5_dual_pair_polarity(so3_bundle):
 def test_criterion_6_exactness(so3_bundle):
     residuals = {}
     ok = True
+    extra = {"Adual": {}, "duzyVtrojka": {}, "duzyVdual": {"i2_star_duality": 1e-10},
+             "quotiented": {"contragredient_pairing": 1e-12, "quotient_dual_iso_residual": 1e-10}}
     for sid in ("Adual", "duzyVtrojka", "duzyVdual", "quotiented"):
-        rep = groupoid.ses_fiber_check(so3_bundle, sid, samples=50, seed=SEED, tol=1e-10)
+        rep = groupoid.ses_fiber_check(so3_bundle, sid, samples=50, seed=SEED)
+        assert _tols(rep) == {"composite_zero": 1e-10, "image_equals_kernel": 1e-10} | extra[sid]
         residuals[sid] = rep.max_residual
         ok = ok and rep.passed
         if sid == "quotiented":
@@ -118,11 +134,13 @@ def test_criterion_7_leaf_structure(so3_bundle):
         mu0 = rng.standard_normal(3)
         ok = ok and poisson.coadjoint_orbit(so3_bundle.group, mu0, seed=SEED).dim == 2
     orbit = poisson.coadjoint_orbit(so3_bundle.group, np.array([0.0, 0.0, 1.0]), seed=SEED)
-    rep = poisson.leaf_structure(so3_bundle, orbit, samples=20, seed=SEED, tol_affine=1e-10)
+    rep = poisson.leaf_structure(so3_bundle, orbit, samples=20, seed=SEED)
+    assert _tols(rep) == {"affine_transitivity": 1e-10, "pi_sigma_well_defined": 1e-9, "pi_sigma_surjective": 1e-11}
     aff = next(c.residual for c in rep.checks if c.name == "affine_transitivity")
     ok = ok and rep.passed and rep.extras["leaf_dim"] == 2 * so3_bundle.d + orbit.dim and aff <= 1e-10
     # zero-orbit leaf: the dual anchor pulls the canonical form back (<= 1e-9)
-    pull = bundle.anchor_pullback_suite(so3_bundle, samples=40, seed=SEED, tol=1e-9)
+    pull = bundle.anchor_pullback_suite(so3_bundle, samples=40, seed=SEED)
+    assert _tols(pull) == {"pullback_matches_canonical": 1e-9}
     ok = ok and pull.passed and pull.max_residual <= 1e-9
     _line(7, ok, f"orbit dim 2, leaf dim {rep.extras['leaf_dim']}, affine transitivity {aff:.2e}, zero-orbit pullback {pull.max_residual:.2e}")
 

@@ -234,6 +234,19 @@ class TestConnection:
         assert abs(f2[0, 1, 0] - 1.0) <= 1e-14
         assert abs(f2[1, 0, 0] + 1.0) <= 1e-14
 
+    def test_is_flat(self):
+        # flat means no monomials at all; one nonzero coefficient anywhere makes a connection non-flat
+        assert ConnectionData.flat(2, 3).is_flat
+        assert builders.connection_from_matrix(np.zeros((3, 2))).is_flat
+        one = np.zeros((3, 2))
+        one[2, 1] = 0.5
+        assert not builders.connection_from_matrix(one).is_flat
+        assert not u1_bundle().connection.is_flat
+        # which is what decides whether dual_sequence checks sigma's zero base part
+        checks = [{c.name for c in bundle.dual_sequence_suite(so3_bundle(conn), samples=4, seed=5).checks}
+                  for conn in (ConnectionData.flat(2, 3), builders.connection_from_matrix(one))]
+        assert [("flat_sigma_zero_base_part" in names) for names in checks] == [True, False]
+
     def test_semidirect_base_requires_flat_coefficients(self):
         from gaugemech import semidirect
 

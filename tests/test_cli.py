@@ -396,11 +396,11 @@ def _non_jacobi_structure(monkeypatch):
     # [e0, e1] gains 0.5 e0: still antisymmetric, but the cyclic sum over (e0, e1, e2) no longer vanishes
     lie_poisson = poisson.lie_poisson
 
-    def mutant(group, name=""):
+    def mutant(group):
         broken = group.structure.copy()
         broken[0, 1, 0] += 0.5
         broken[1, 0, 0] -= 0.5
-        return dataclasses.replace(lie_poisson(group, name), linear=broken)
+        return dataclasses.replace(lie_poisson(group), linear=broken)
 
     monkeypatch.setattr(poisson, "lie_poisson", mutant)
 

@@ -139,7 +139,7 @@ def references(source: str, filename: str = "<src>") -> tuple[set[str], set[str]
 
 
 def unreferenced_definitions(source: str, names: set[str], attrs: set[str], filename: str = "<src>") -> list[str]:
-    """Top-level functions that no read name or attribute names, and public methods of top-level classes that no attribute names.
+    """Top-level functions and UPPER_CASE constants that no read name or attribute names, and public methods of top-level classes that no attribute names.
 
     A method counts only through an attribute (``obj.m``, ``Cls.m``), so a
     local variable that happens to share its name does not keep it.
@@ -148,6 +148,9 @@ def unreferenced_definitions(source: str, names: set[str], attrs: set[str], file
     for node in ast.parse(source, filename).body:
         if isinstance(node, ast.FunctionDef) and node.name not in names and node.name not in attrs:
             found.append(f"{filename}:{node.lineno} {node.name}")
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            found += [f"{filename}:{node.lineno} {t.id}" for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                      if isinstance(t, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*", t.id) and t.id not in names and t.id not in attrs]
         elif isinstance(node, ast.ClassDef):
             found += [f"{filename}:{m.lineno} {node.name}.{m.name}" for m in node.body
                       if isinstance(m, ast.FunctionDef) and not m.name.startswith("_") and m.name not in attrs]
@@ -165,12 +168,16 @@ def test_unreferenced_definition_detector():
         "    def _hidden(self): pass\n"
         "    @staticmethod\n"
         "    def built(): pass\n"
+        "READ_HERE = 1\n"
+        "READ_ELSEWHERE: float = 2.0\n"
+        "DEAD_TOL = 1e-6\n"
+        "Alias = int\n"
         "def caller(k):\n"
         "    shadowed = 1\n"
-        "    return used() + _private_used() + k.called() + K.built() + shadowed\n"
+        "    return used() + _private_used() + k.called() + K.built() + shadowed + READ_HERE + mod.READ_ELSEWHERE\n"
         "HANDLERS = [caller]\n"
     )
-    assert unreferenced_definitions(src, *references(src)) == ["<src>:3 dead", "<src>:6 K.shadowed"]
+    assert unreferenced_definitions(src, *references(src)) == ["<src>:3 dead", "<src>:6 K.shadowed", "<src>:12 DEAD_TOL", "<src>:17 HANDLERS"]
 
 
 def test_every_definition_is_referenced():
@@ -183,6 +190,83 @@ def test_every_definition_is_referenced():
         attrs |= a
     found = [hit for path in sorted(SRC.glob("*.py")) for hit in unreferenced_definitions(path.read_text(encoding="utf-8"), names, attrs, path.name)]
     assert found == []
+
+
+def passed_arguments(source: str, filename: str = "<src>") -> set[tuple[str, str | int]]:
+    """What each call in a source passes, by callee name (``f(...)`` and ``x.f(...)``).
+
+    ``(name, keyword)`` for a keyword argument, ``(name, i)`` for the i-th
+    positional one, and ``(name, "*")`` for a ``*`` or ``**`` splat, which may
+    pass anything.
+    """
+    passed = set()
+    for node in ast.walk(ast.parse(source, filename)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+        passed |= {(name, i) for i in range(len(node.args))} | {(name, k.arg or "*") for k in node.keywords}
+        if any(isinstance(a, ast.Starred) for a in node.args):
+            passed.add((name, "*"))
+    return passed
+
+
+def single_valued_parameters(source: str, passed: set[tuple[str, str | int]], filename: str = "<src>") -> list[str]:
+    """Parameters with a default that no call in ``passed`` sets, by keyword or by position.
+
+    Such a parameter has one value in use, its default, and belongs in the
+    code as a constant.  A call matches a function on its name (a class name
+    for ``__init__``); a method's positions start after ``self`` or ``cls``.
+    """
+    tree = ast.parse(source, filename)
+    classes = {id(m): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for m in c.body}
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        cls = classes.get(id(fn))
+        name = cls if fn.name == "__init__" else fn.name
+        if (name, "*") in passed:
+            continue
+        shift = cls is not None and not any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
+        positional = fn.args.posonlyargs + fn.args.args
+        first = len(positional) - len(fn.args.defaults)
+        defaulted = [(arg, i - shift) for i, arg in enumerate(positional) if i >= first]
+        defaulted += [(arg, None) for arg, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+        qual = f"{cls}.{fn.name}" if cls else fn.name
+        found += [f"{filename}:{fn.lineno} {qual}: {arg.arg}" for arg, i in defaulted if (name, arg.arg) not in passed and (name, i) not in passed]
+    return found
+
+
+def test_single_valued_parameter_detector():
+    src = (
+        "def f(a, b=1, c=2, *, d=3, e=4):\n"
+        "    pass\n"
+        "def g(x=0, y=0):\n"
+        "    pass\n"
+        "def h(z=0):\n"
+        "    pass\n"
+        "class K:\n"
+        "    def __init__(self, size=1):\n"
+        "        pass\n"
+        "    def m(self, u=1, v=2):\n"
+        "        pass\n"
+        "    @staticmethod\n"
+        "    def s(w=1):\n"
+        "        pass\n"
+        "f(0, 5, d=6)\n"
+        "obj.g(*rest)\n"
+        "K(2).m(3)\n"
+        "K.s(4)\n"
+    )
+    assert single_valued_parameters(src, passed_arguments(src)) == ["<src>:1 f: c", "<src>:1 f: e", "<src>:5 h: z", "<src>:10 K.m: v"]
+
+
+def test_no_single_valued_parameters_in_package():
+    # a default that no call in the package or perfbench overrides is a constant; tests do not count as callers.
+    # jacobi_check's degree stays: test_poisson sets degree=1 to show the FD chain is exact on linear functions
+    passed = set().union(*(passed_arguments(path.read_text(encoding="utf-8"), path.name) for path in sorted(SRC.glob("*.py")) + sorted(BENCH.glob("*.py"))))
+    found = [re.sub(r":\d+ ", " ", hit) for path in sorted(SRC.glob("*.py")) for hit in single_valued_parameters(path.read_text(encoding="utf-8"), passed, path.name)]
+    assert [hit for hit in found if hit != "poisson.py jacobi_check: degree"] == []
 
 
 def attribute_reads(source: str, filename: str = "<src>") -> set[str]:

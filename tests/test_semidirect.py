@@ -402,18 +402,18 @@ class TestSerialization:
     def test_builtin_name_roundtrip(self, sd):
         doc = builders.sd_to_json(sd)
         doc["K"], doc["N"] = sd.K.name, sd.N.name
-        back = semidirect.sd_from_json(doc)
+        back = semidirect.sd_from_json(doc, liealg.builtin_group)
         assert (back.K.name, back.N.name) == ("so3", "r3")
         rng = np.random.default_rng(30)
         l, u = sd.K.exp(sd.K.random_algebra(rng, 0.4)), sd.N.exp(sd.N.random_algebra(rng))
         np.testing.assert_allclose(back.rho(l, u), sd.rho(l, u), atol=1e-10)
         doc["K"] = "so4"
         with pytest.raises(KeyError):
-            semidirect.sd_from_json(doc)
+            semidirect.sd_from_json(doc, liealg.builtin_group)
 
     def test_json_roundtrip(self, sd):
         doc = builders.sd_to_json(sd)
-        back = semidirect.sd_from_json(doc)
+        back = semidirect.sd_from_json(doc, liealg.spec_from_json)
         rng = np.random.default_rng(28)
         l = sd.K.exp(sd.K.random_algebra(rng, 0.4))
         u = sd.N.exp(sd.N.random_algebra(rng))
