@@ -24,6 +24,7 @@ import numpy as np
 
 from . import fd, schema
 from .liealg import LieGroupSpec
+from .linalg import rank_gap
 from .report import SuiteReport, worst
 from .rng import stream
 
@@ -66,8 +67,8 @@ class ConnectionData:
 
     @property
     def is_flat(self) -> bool:
-        """Whether every coefficient A_i^k is the zero polynomial (no monomials)."""
-        return not any(any(monos for monos in per_base) for per_base in self.terms)
+        """Whether every coefficient A_i^k is the zero polynomial: every monomial has coefficient 0, or there is none."""
+        return not any(c for per_base in self.terms for monos in per_base for c, _ in monos)
 
     def matrix(self, m: Array) -> Array:
         """Evaluate A(m) as an (n, d) matrix acting on base velocities, one per point of a stack (..., d)."""
@@ -610,7 +611,7 @@ def dual_atiyah_split(b: BundleSpec, base: Array) -> tuple[float, bool, dict]:
     surjective at every base, and the ranks found (the smallest over the stack).
     """
     a_mat, i_mat = dual_atiyah_matrices(b, base)
-    rank_a, rank_i = np.linalg.matrix_rank(a_mat, tol=1e-10), np.linalg.matrix_rank(i_mat, tol=1e-10)
+    rank_a, rank_i = rank_gap(a_mat, 1e-10).rank, rank_gap(i_mat, 1e-10).rank
     split = bool(np.all(rank_a == b.d) and np.all(rank_i == b.n))
     return worst(np.abs(i_mat @ a_mat)), split, {"a_star": int(np.min(rank_a)), "iota_star": int(np.min(rank_i)), "fiber": a_mat.shape[-2]}
 

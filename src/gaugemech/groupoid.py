@@ -56,6 +56,7 @@ from typing import Callable
 import numpy as np
 
 from .bundle import BundleSpec, CotangentSample, Point, dual_atiyah_matrices, draw_samples, map_matrix, row_dot, row_matvec, row_norm
+from .linalg import rank_gap
 from .report import SuiteReport, worst
 from .rng import stream
 
@@ -443,44 +444,24 @@ def dual_structure_suite(bundle: BundleSpec, seed: int = 0) -> SuiteReport:
 # ---------------------------------------------------------------------------
 
 
-def _nullspace(mat: Array) -> tuple[Array, Array, Array]:
-    """Kernels of a stack of matrices by one stacked SVD.
-
-    Returns, per matrix, the kernel dimension, the right singular vectors
-    ``vt`` (the kernel is spanned by the last kernel-dimension rows) and a flag
-    for an ambiguous spectrum near the threshold.
-    """
-    _, s, vt = np.linalg.svd(mat)
-    smax = s[..., 0] if s.shape[-1] else np.zeros(s.shape[:-1])
-    cut = (RANK_CUT * np.maximum(smax, 1.0))[..., None]
-    rank = np.sum(s > cut, axis=-1)
-    ambiguous = np.any((s > 0.01 * cut) & (s <= 100 * cut), axis=-1)
-    return mat.shape[-1] - rank, vt, ambiguous
-
-
-def core_compute(bundle: BundleSpec, point: Point) -> dict[str, tuple[Array, Array]]:
+def core_compute(bundle: BundleSpec, point: Point) -> dict[str, tuple[Array, float]]:
     """Core fiber of each space at each point of a stack: the kernel of its source map over the identity arrow (p, p).
 
-    Returns {space: (dimension, ambiguity flag)}, one of each per point.
+    Returns {space: (dimension per point, rank gap over the stack)}.
     ``T(PxP)`` and ``PxgxP`` read ``space_ops(...).src``; the core of
     (TPxTP)/g is the image under A2 of the core of T(PxP), and the core of
     T*((PxP)/G) the kernel of the T*PxT*P source on the image of A2*.
     """
-    def kernel(mat: Array) -> tuple[Array, Array]:
-        dims, _, ambiguous = _nullspace(mat)
-        return dims, ambiguous
-
     lead = _lead(point)
     tan, alg, cot = (space_ops(bundle, tag).src for tag in ("T(PxP)", "PxgxP", "T*PxT*P"))
     a2 = _a2_matrix(bundle, point, point)
-    dim, vt, _ = _nullspace(tan)
-    core = vt[len(vt) - dim :].T  # the core of T(PxP), as columns
-    lost, ambiguous = kernel(a2 @ core)
+    tan_r, alg_r, gauge_r = rank_gap(tan, RANK_CUT), rank_gap(alg, RANK_CUT), rank_gap(cot @ a2.swapaxes(-1, -2), RANK_CUT)
+    quot_r = rank_gap(a2 @ np.ldexp(tan_r.vt[tan_r.rank :], tan_r.col).T, RANK_CUT)  # A2 on the core of T(PxP), as columns
     return {
-        "T(PxP)": kernel(np.broadcast_to(tan, lead + tan.shape)),
-        "PxgxP": kernel(np.broadcast_to(alg, lead + alg.shape)),
-        "quot(TPxTP)": (core.shape[1] - lost, ambiguous),
-        "T*gauge": kernel(cot @ a2.swapaxes(-1, -2)),
+        "T(PxP)": (np.broadcast_to(tan.shape[1] - tan_r.rank, lead), tan_r.gap),
+        "PxgxP": (np.broadcast_to(alg.shape[1] - alg_r.rank, lead), alg_r.gap),
+        "quot(TPxTP)": (quot_r.rank, quot_r.gap),
+        "T*gauge": (a2.shape[-2] - gauge_r.rank, gauge_r.gap),
     }
 
 
@@ -492,14 +473,12 @@ def core_suite(bundle: BundleSpec, fibers: int = 50, seed: int = 0) -> SuiteRepo
     expected = {"T(PxP)": d + n, "PxgxP": 0, "quot(TPxTP)": d + n, "T*gauge": d}
     (P,) = draw_samples(fibers, lambda: (bundle.random_point(rng),))
     cores = core_compute(bundle, P)
-    ambiguous = False
     found = {}
     for space, want in expected.items():
-        dims, amb = cores[space]
-        found[space] = sorted(set(dims.tolist()))
-        ambiguous = ambiguous or bool(np.any(amb))
+        found[space] = sorted(set(cores[space][0].tolist()))
         rep.flag(f"core_dim[{space}]", found[space] == [want], expected=want, got=found[space])
-    rep.flag("rank_ambiguity", not ambiguous)
+    # every singular value at least 100 times the cut away from it, on either side
+    rep.flag("rank_ambiguity", min(gap for _, gap in cores.values()) > 100)
     rep.extras["fibers"] = fibers
     rep.extras["rank_table"] = found
     return rep
@@ -561,17 +540,6 @@ def momentum_morphism_suite(bundle: BundleSpec, samples: int = 60, seed: int = 0
 # ---------------------------------------------------------------------------
 
 
-def _im_ker_residual(f_mat: Array, h_mat: Array) -> Array:
-    """|| (I - proj_im(F)) . basis(ker H) ||: image of F vs kernel of H, per matrix of the stacks."""
-    dim, vt, _ = _nullspace(h_mat)
-    cols = h_mat.shape[-1]
-    # the kernel basis as columns; the columns outside the kernel are zeroed
-    ker = vt.swapaxes(-1, -2) * (np.arange(cols) >= cols - dim[..., None])[..., None, :]
-    q, _ = np.linalg.qr(f_mat)
-    resid = ker - q @ (q.swapaxes(-1, -2) @ ker)
-    return row_norm(resid, 2)
-
-
 def _i2_matrix(bundle: BundleSpec, p: Point) -> Array:
     """I2: X -> (vert_p X, vert_q X), at each arrow of a stack."""
     return map_matrix(lambda x: np.concatenate([bundle.vertical_lift(x)] * 2, axis=-1), bundle.n, p)
@@ -613,20 +581,21 @@ def ses_fiber_check(bundle: BundleSpec, sequence_id: str, samples: int = 50, see
     rng = stream(seed, f"groupoid.ses/{sequence_id}/{bundle.name}")
     P, Q = draw_samples(samples, lambda: (bundle.random_point(rng), bundle.random_point(rng)))
     f, h = _seq_matrices(bundle, sequence_id, P, Q)
-    s_f = np.linalg.svd(f, compute_uv=False)
-    s_h = np.linalg.svd(h, compute_uv=False)
-    rank_f = np.sum(s_f > RANK_CUT * s_f[..., :1], axis=-1)
-    rank_h = np.sum(s_h > RANK_CUT * s_h[..., :1], axis=-1)
+    rank_f, h_r = rank_gap(f, RANK_CUT).rank, rank_gap(h, RANK_CUT)
     rep.flag("first_map_injective", bool(np.all(rank_f == f.shape[-1])))
-    rep.flag("second_map_surjective", bool(np.all(rank_h == h.shape[-2])))
+    rep.flag("second_map_surjective", bool(np.all(h_r.rank == h.shape[-2])))
     rep.add("composite_zero", worst(np.abs(h @ f)), 1e-10)
-    rep.add("image_equals_kernel", worst(_im_ker_residual(f, h)), 1e-10)
+    # im F = ker H compared in H's equilibrated columns, where ker H = C ker(R H C) becomes ker(R H C) = im(C^-1 F):
+    # || (I - proj_im(C^-1 F)) . basis(ker(R H C)) ||, the kernel basis as columns with the columns outside it zeroed
+    ker = h_r.vt.swapaxes(-1, -2) * (np.arange(h.shape[-1]) >= h_r.rank[..., None])[..., None, :]
+    q, _ = np.linalg.qr(np.ldexp(f, -h_r.col[..., :, None]))
+    rep.add("image_equals_kernel", worst(row_norm(ker - q @ (q.swapaxes(-1, -2) @ ker), 2)), 1e-10)
     if sequence_id == "duzyVdual":
         # <I2*(Phi), X> = <Phi, I2(X)> on the bases: J2 against the vertical lift on both legs
         rep.add("i2_star_duality", worst(np.abs(h - _i2_matrix(bundle, P).swapaxes(-1, -2))), 1e-10)
     rep.extras["trials"] = samples
     rep.extras["sequence_id"] = sequence_id
-    rep.extras["rank_table"] = {"dims": [f.shape[-1], f.shape[-2], h.shape[-2]], "rank_first": int(np.min(rank_f)), "rank_second": int(np.min(rank_h))}
+    rep.extras["rank_table"] = {"dims": [f.shape[-1], f.shape[-2], h.shape[-2]], "rank_first": int(np.min(rank_f)), "rank_second": int(np.min(h_r.rank))}
 
     if sequence_id == "quotiented":
         _quotient_dual_commutation(bundle, rep, samples=samples, seed=seed)

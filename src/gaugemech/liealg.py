@@ -33,6 +33,7 @@ from typing import Callable
 import numpy as np
 
 from . import schema
+from .linalg import rank_gap
 from .report import SuiteReport, worst
 
 Array = np.ndarray
@@ -489,10 +490,9 @@ class LieGroupSpec:
 
 
 def _null_rows(a: Array) -> Array:
-    """Orthonormal rows spanning the null space of a."""
-    _, s, vt = np.linalg.svd(a)
-    rank = int(np.sum(s > 1e-10 * max(float(s[0]), 1.0)))
-    return vt[rank:]
+    """Rows spanning the null space of a, ``C ker(R a C)`` of its equilibration."""
+    r = rank_gap(a, 1e-10)
+    return np.ldexp(r.vt[r.rank :], r.col)
 
 
 def _rref(rows: Array) -> Array:
@@ -540,9 +540,8 @@ def validate_spec(spec: LieGroupSpec, seed: int = 0) -> SuiteReport:
     rep.add("antisymmetry", anti, 1e-12)
     rep.add("jacobi", jacobi_defect(spec), 1e-12)
 
-    svals = np.linalg.svd(spec.basis.reshape(spec.dim, -1), compute_uv=False)
-    rank = int(np.sum(svals > 1e-10 * svals[0]))
-    rep.flag("basis_independence", rank == spec.dim, rank=rank, min_singular_value=float(svals[-1]))
+    basis = rank_gap(spec.basis.reshape(spec.dim, -1), 1e-10)
+    rep.flag("basis_independence", basis.rank == spec.dim, rank=int(basis.rank), min_singular_value=float(basis.s[-1]))
 
     w_comm = 0.0
     for i in range(spec.dim):

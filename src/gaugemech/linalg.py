@@ -1,0 +1,53 @@
+"""Numerical rank, the one rank rule of the package: equilibrate, then cut the singular values relative to the largest.
+
+Equilibration is Ruiz's scaling (RAL-TR-2001-034, 2001) with powers of two, so the scaled matrix carries the bits of
+the original and the decision does not depend on the units of rows and columns (Golub & Van Loan, 4th ed., §5.4.1).
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+Array = np.ndarray
+
+
+@dataclass(frozen=True)
+class RankGap:
+    """Rank of each matrix M of a stack, read off ``R M C`` with diagonal ``R`` and ``C = diag(2^col)``.
+
+    ``s`` and ``vt`` are the singular values and right singular vectors of ``R M C``, and ``ker M = C ker(R M C)``
+    with ``ker(R M C)`` spanned by the rows of ``vt`` past the rank.
+    """
+
+    rank: Array
+    s: Array
+    col: Array
+    vt: Array
+    cut: float
+
+    @property
+    def gap(self) -> float:
+        """How far the decisions are from flipping: the smallest ratio, over the stack, of a kept singular value to the cut or of the cut to a dropped one."""
+        cut = self.cut * self.s[..., :1]
+        with np.errstate(all="ignore"):
+            ratio = np.where(self.s > cut, self.s / cut, cut / self.s)
+        return float(np.fmin.reduce(ratio, axis=None, initial=np.inf))  # a zero matrix (0/0) decides nothing
+
+
+def rank_gap(mat: Array, cut: float) -> RankGap:
+    """Ranks of a stack of matrices (..., m, n): the singular values of the equilibrated matrices above ``cut`` times the largest.
+
+    Each Ruiz sweep divides every row and column whose largest entry lies in [2^(e-1), 2^e) by 2^floor(e/2), and the
+    sweeps stop at the first one whose factors are all 1: every nonzero row and column then peaks in [1/2, 2).  They
+    do stop, since after the first sweep every entry is below 2 and the factors only grow.
+    """
+    mag = scaled = np.abs(mat)
+    row, col = np.zeros(mat.shape[:-1], dtype=int), np.zeros(mat.shape[:-2] + mat.shape[-1:], dtype=int)
+    while True:
+        shift_row, shift_col = (np.frexp(scaled.max(axis=axis, initial=0.0))[1] >> 1 for axis in (-1, -2))
+        if not (shift_row.any() or shift_col.any()):
+            break
+        row, col = row - shift_row, col - shift_col
+        scaled = np.ldexp(mag, row[..., None] + col[..., None, :])
+    _, s, vt = np.linalg.svd(np.ldexp(mat, row[..., None] + col[..., None, :]))
+    return RankGap(np.sum(s > cut * s[..., :1], axis=-1), s, col, vt, cut)

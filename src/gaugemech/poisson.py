@@ -42,6 +42,7 @@ import numpy as np
 from . import fd
 from .bundle import BundleSpec, ConnectionData, CotangentSample, Point, QuotientClass, draw_samples, row_dot, row_form, row_matvec, row_norm, row_vecmat
 from .liealg import LieGroupSpec, rodrigues
+from .linalg import rank_gap
 from .report import SuiteReport, worst
 from .rng import stream
 
@@ -650,10 +651,7 @@ def coadjoint_orbit(group: LieGroupSpec, mu0: Array, n_samples: int = 40, seed: 
     rng = stream(seed, f"poisson.orbit/{group.name}")
     g = np.array([group.random_algebra(rng, scale=0.8) for _ in range(n_samples)]).reshape(n_samples, group.dim)
     orbit = CoadjointOrbit(group, mu0, list(row_matvec(group.Ad_star_inv(group.exp(g)), mu0)))
-    span = orbit.tangent_span(mu0)
-    svals = np.linalg.svd(span, compute_uv=False)
-    cut = 1e-8 * max(svals[0], 1.0)
-    orbit.dim = int(np.sum(svals > cut))
+    orbit.dim = int(rank_gap(orbit.tangent_span(mu0), 1e-8).rank)
     return orbit
 
 
@@ -815,8 +813,7 @@ def leaf_structure(bundle: BundleSpec, orbit: CoadjointOrbit, samples: int = 25,
 
     z0 = np.concatenate([m0, np.zeros((samples, d + n))], axis=1)
     span = np.moveaxis(fd.central(embed, z0, np.eye(2 * d + n), fd.FINE_STEP), 0, -1)  # (samples, coordinates, directions)
-    svals = np.linalg.svd(span, compute_uv=False)
-    leaf_dims = np.sum(svals > 1e-6 * np.maximum(svals[:, :1], 1.0), axis=1)
+    leaf_dims = rank_gap(span, 1e-6).rank
 
     # (c) the affine action is free and transitive on iota*-fibers
     cls2 = np.concatenate([x0[:, :d], x0[:, d : 2 * d] + rho2, x0[:, 2 * d :]], axis=1)

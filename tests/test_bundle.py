@@ -235,17 +235,25 @@ class TestConnection:
         assert abs(f2[1, 0, 0] + 1.0) <= 1e-14
 
     def test_is_flat(self):
-        # flat means no monomials at all; one nonzero coefficient anywhere makes a connection non-flat
+        # flat means every coefficient is 0, written or not; one nonzero coefficient anywhere makes a connection non-flat
+        zero = ConnectionData.from_json({"A": [[[[0.0, [0, 0]]], [[-0.0, [1, 0]]], []], []]}, 2, 3)
         assert ConnectionData.flat(2, 3).is_flat
         assert builders.connection_from_matrix(np.zeros((3, 2))).is_flat
+        assert zero.is_flat and not zero.matrix(np.array([0.5, -0.3])).any()
         one = np.zeros((3, 2))
         one[2, 1] = 0.5
         assert not builders.connection_from_matrix(one).is_flat
         assert not u1_bundle().connection.is_flat
         # which is what decides whether dual_sequence checks sigma's zero base part
         checks = [{c.name for c in bundle.dual_sequence_suite(so3_bundle(conn), samples=4, seed=5).checks}
-                  for conn in (ConnectionData.flat(2, 3), builders.connection_from_matrix(one))]
-        assert [("flat_sigma_zero_base_part" in names) for names in checks] == [True, False]
+                  for conn in (ConnectionData.flat(2, 3), zero, builders.connection_from_matrix(one))]
+        assert [("flat_sigma_zero_base_part" in names) for names in checks] == [True, True, False]
+
+    def test_semidirect_base_loads_with_zero_coefficients(self):
+        # the section connection is A = 0: an explicit zero coefficient says the same
+        doc = {"kind": "SemidirectTotal", "group": "r3", "base_group": "so3", "connection": {"A": [[[[0.0, [0, 0, 0]]], [], []]]}}
+        b = bundle.bundle_from_json(doc, group_resolver=lambda g: liealg.builtin_group(g))
+        assert b.connection.is_flat
 
     def test_semidirect_base_requires_flat_coefficients(self):
         from gaugemech import semidirect

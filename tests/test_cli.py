@@ -433,6 +433,50 @@ def test_mutant_fails_builtin_checks(tmp_path, monkeypatch, name, mutate, suites
     assert set(killed_by) <= set(failures), failures
 
 
+def _heisenberg_with_coefficient(tmp_path, coefficient, suites=None):
+    """heisenberg-verify with its A[0][1] coefficient (0.2 in the built-in) replaced."""
+    doc = json.loads(json.dumps(cli.BUILTIN_SCENARIOS["heisenberg-verify"]))
+    doc["bundle"]["connection"]["A"][0][1] = [[coefficient, [0, 0]]]
+    if suites is not None:
+        doc["suites"] = suites
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("coefficient", [1e3, 1e4, 1e12, 1e50])
+def test_large_connection_coefficient_keeps_every_sequence_exact(tmp_path, coefficient):
+    # every sequence is exact for any connection, far inside the load bound; the rank rule equilibrates
+    # before it cuts, so a coefficient that spreads the singular values does not read as a lost rank
+    assert run(["verify", str(_heisenberg_with_coefficient(tmp_path, coefficient)), "--out", str(tmp_path)]) == cli.EXIT_PASS
+
+
+@pytest.mark.parametrize("coefficient", [0.2, 1e3, 1e4, 1e8, 1e12, 1e50])
+def test_zeroed_i2_column_fails_at_every_coefficient(tmp_path, monkeypatch, coefficient):
+    # no equilibration may hide a real defect: I2 with its last column zeroed is not injective at any scale
+    i2_matrix = groupoid._i2_matrix
+    monkeypatch.setattr(groupoid, "_i2_matrix", lambda b, p: i2_matrix(b, p) * (np.arange(b.n) < b.n - 1))
+    path = _heisenberg_with_coefficient(tmp_path, coefficient, suites=["groupoid.ses"])
+    assert run(["verify", str(path), "--out", str(tmp_path)]) == cli.EXIT_CHECK_FAILURE
+    failures = json.loads((tmp_path / "report.json").read_text())["failures"]
+    assert {"groupoid.ses[duzyVtrojka]:first_map_injective", "groupoid.ses[duzyVtrojka]:image_equals_kernel"} <= set(failures), failures
+
+
+@pytest.mark.parametrize("width", [1e4, 1e8])
+def test_wide_base_box_keeps_the_rank_checks(tmp_path, width):
+    # so3-trivial-bundle on [-width, width] x [-1, 1]: the rank flags and im = ker hold; the run still
+    # fails residual checks with absolute tolerances (anchor_pullback, the FD bracket checks), not asserted here
+    doc = json.loads(json.dumps(cli.BUILTIN_SCENARIOS["so3-trivial-bundle"]))
+    doc["bundle"]["base_box"] = [[-width, width], [-1.0, 1.0]]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    run(["verify", str(path), "--out", str(tmp_path)])
+    failures = json.loads((tmp_path / "report.json").read_text())["failures"]
+    rank_checks = [f for f in failures if f.split(":")[1].startswith(("core_dim", "rank_ambiguity")) or f.endswith(
+        ("_injective", "_surjective")) or (f.startswith("groupoid.ses[") and f.endswith(":image_equals_kernel"))]
+    assert rank_checks == []
+
+
 @pytest.mark.parametrize("row, name", [(0, "heavy-top-lagrange"), (1, "heavy-top-lagrange"), (2, "heavy-top-lagrange"),
                                        (3, "heavy-top-free"), (4, "heavy-top-free"), (5, "heavy-top-lagrange")])
 def test_sign_flipped_field_term_fails_a_drift_check(tmp_path, monkeypatch, row, name):

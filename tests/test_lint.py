@@ -381,6 +381,39 @@ def test_central_differences_only_in_fd():
     assert found == []
 
 
+RANK_FUNCTIONS = ("svd", "matrix_rank")
+
+
+def rank_sites(source: str, filename: str = "<src>") -> list[str]:
+    """References to ``svd`` and ``matrix_rank`` of a ``linalg`` module, and imports of them: the rank decisions that belong in ``linalg.py``."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, ast.Attribute) and node.attr in RANK_FUNCTIONS and ast.unparse(node.value).split(".")[-1] == "linalg":
+            found.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg") and any(a.name in RANK_FUNCTIONS for a in node.names):
+            found.append(node.lineno)
+    return [f"{filename}:{line}" for line in sorted(found)]
+
+
+def test_rank_site_detector():
+    src = (
+        "s = np.linalg.svd(a, compute_uv=False)\n"
+        "r = numpy.linalg.matrix_rank(a, tol=1e-10)\n"
+        "from numpy.linalg import svd\n"
+        "f = np.linalg.svd\n"
+        "q, _ = np.linalg.qr(a)\n"
+        "r = rank_gap(a, 1e-8).rank\n"
+        "from .linalg import rank_gap\n"
+        "u = obj.svd(a)\n"
+    )
+    assert rank_sites(src) == ["<src>:1", "<src>:2", "<src>:3", "<src>:4"]
+
+
+def test_rank_decided_only_in_linalg():
+    found = {path.name: hits for path in sorted(SRC.glob("*.py")) if (hits := rank_sites(path.read_text(encoding="utf-8"), path.name))}
+    assert list(found) == ["linalg.py"], found
+
+
 def test_unused_locals_detector():
     src = (
         "def f(a):\n"
