@@ -7,9 +7,12 @@ uses the same two-point central formula
     (f(x + h d) - f(x - h d)) / (2 h),
 
 with error O(h^2) (Nocedal & Wright, Numerical Optimization, 2nd ed., 2006,
-section 8.1), taken at one of the fixed steps below.  A move on a group,
-such as u -> u exp(t e_i), is a function of exp-chart coordinates; a curve
-on a group is differentiated by its left-trivialized velocity.
+section 8.1), taken at one of the fixed steps below.  ``central`` takes the
+quotients of k directions from one evaluation of f on the stack of all 2k
+displaced points, so f takes stacks and gives one value per point.  A move
+on a group, such as u -> u exp(t e_i), is a function of exp-chart
+coordinates; a curve on a group is differentiated by its left-trivialized
+velocity.
 """
 
 from __future__ import annotations
@@ -36,14 +39,25 @@ def quotient(minus: Any, plus: Any, h: float) -> Any:
 def central(fn: Callable[[Array], Any], x: Array, directions, h: float) -> Array:
     """Central differences of ``fn`` at ``x``, one row per direction d: (fn(x + h d) - fn(x - h d)) / (2 h).
 
-    With the unit vectors as directions, x + h e_i has the bits of x with h
-    added to entry i.  ``x`` may be a stack of points when ``fn`` takes
-    stacks, and each direction may carry the same stack axes (one direction
-    per point): each step broadcasts over the stack, so every point is
-    displaced with the bits of its one-point call.
+    ``fn`` is called once, on the stack of all 2k displaced points with a new
+    leading axis: x - h d_i for every direction i, then x + h d_i.  ``x`` may
+    itself be a stack of points, and each direction may carry the same stack
+    axes (one direction per point).  ``fn`` must give one value per point,
+    with the leading axes (2k,) + x.shape[:-1]; any other value raises
+    ValueError, so a one-point formula such as ``y[0] * y[1]`` fails instead
+    of mixing the rows.  With the unit vectors as directions, x + h e_i has
+    the bits of x with h added to entry i; when ``fn`` gives each row the bits
+    of its one-point call, each quotient has the bits of its own two calls.
     """
     x = np.asarray(x, dtype=float)
-    return np.array([quotient(fn(x - step), fn(x + step), h) for step in h * np.asarray(directions, dtype=float)])
+    steps = h * np.asarray(directions, dtype=float)
+    k = len(steps)
+    steps = steps.reshape((k,) + (1,) * (x.ndim + 1 - steps.ndim) + steps.shape[1:])  # a direction without stack axes serves every point
+    points = np.concatenate([x - steps, x + steps])
+    values = np.asarray(fn(points))
+    if values.shape[: points.ndim - 1] != points.shape[:-1]:
+        raise ValueError(f"central differences need one value per displaced point, leading axes {points.shape[:-1]}, got shape {values.shape}")
+    return quotient(values[:k], values[k:], h)
 
 
 def group_velocity(G: LieGroupSpec, minus: Array, plus: Array, h: float) -> Array:

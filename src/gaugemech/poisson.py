@@ -73,7 +73,9 @@ class ScalarField:
     raises ValueError; a one-point formula such as ``x[0] * x[1]`` on a stack
     of exactly dim points has that shape and is not caught.
 
-    Without ``grad``, ``gradient`` takes central differences at ``fd.GRAD_STEP``.
+    Without ``grad``, ``gradient`` takes central differences at
+    ``fd.GRAD_STEP``, one gradient row per point of a stack, evaluating the
+    field (with its shape check) once on every displaced point.
 
     ``affine``, when attached, is a pair (A, f) with grad H(x) = A x + f; the
     exact gradient is then compiled from it (``_affine_gradient``), and so are
@@ -103,7 +105,8 @@ class ScalarField:
         x = np.asarray(x, dtype=float)
         if self.grad is not None:
             return np.asarray(self.grad(x), dtype=float)
-        return fd.central(self.fn, x, np.eye(x.size), fd.GRAD_STEP)
+        # central gives one row per direction; a stack takes one contiguous gradient row per point
+        return np.moveaxis(fd.central(self, x, np.eye(x.shape[-1]), fd.GRAD_STEP), 0, -1).copy()
 
 
 def _product(a: str, b: str) -> str:
@@ -239,21 +242,25 @@ def cotangent_grads(bundle: BundleSpec, F: CotangentFn, s: CotangentSample) -> t
 
     The base and fiber blocks differentiate along exp-chart coordinates of
     the moves ``base_move`` and u -> u exp(t), so du is left-trivialized.
-    Central differences displace every sample of a stack at once when
-    ``F.fn`` takes stacks, so each row has the bits of its one-sample call.
+    Central differences displace one vector z = (tm, tu, a, b) of length
+    2(d + n), the base and fiber chart coordinates (zero at the sample) and
+    the covector, along its unit vectors: ``F.fn`` takes stacks and is
+    called once, on every displaced copy of every sample of a stack, and
+    each row has the bits of its one-sample call.
     """
     if F.grads is not None:
         return F.grads(s)
-    p, a, b = s.point, s.a, s.b
-    eye_d, eye_n, h = np.eye(bundle.d), np.eye(bundle.n), fd.GRAD_STEP
-    blocks = (
-        fd.central(lambda t: F.fn(CotangentSample(Point(bundle.base_move(p.base, t), p.fiber), a, b)), np.zeros(bundle.d), eye_d, h),
-        fd.central(lambda t: F.fn(CotangentSample(Point(p.base, p.fiber @ bundle.group.exp(t)), a, b)), np.zeros(bundle.n), eye_n, h),
-        fd.central(lambda x: F.fn(CotangentSample(p, x, b)), a, eye_d, h),
-        fd.central(lambda x: F.fn(CotangentSample(p, a, x)), b, eye_n, h),
-    )
+    p, d, n = s.point, bundle.d, bundle.n
+    cuts = np.cumsum([d, n, d])
+
+    def displaced(z: Array) -> Array:
+        tm, tu, a, b = np.split(z, cuts, axis=-1)
+        return F.fn(CotangentSample(Point(bundle.base_move(p.base, tm), p.fiber @ bundle.group.exp(tu)), a, b))
+
+    z0 = np.concatenate([np.zeros(s.a.shape[:-1] + (d + n,)), s.a, s.b], axis=-1)
+    grad = fd.central(displaced, z0, np.eye(2 * (d + n)), fd.GRAD_STEP)
     # central gives one row per direction; the bracket takes one contiguous row per sample
-    return tuple(np.moveaxis(block, 0, -1).copy() for block in blocks)
+    return tuple(np.moveaxis(block, 0, -1).copy() for block in np.split(grad, cuts, axis=0))
 
 
 def cotangent_bracket(bundle: BundleSpec, F: CotangentFn, G: CotangentFn, s: CotangentSample) -> float | Array:
@@ -486,7 +493,8 @@ def invariant_lift(bundle: BundleSpec, f: ScalarField | Polynomial) -> Cotangent
 
     Block gradients are exact, at a sample or per sample of a stack, unless f
     is a ``ScalarField`` without an exact gradient; then they come from
-    ``cotangent_grads``' central differences, at one sample as ``f`` takes one.
+    ``cotangent_grads``' central differences, which evaluate ``fn`` once on
+    the stack of displaced samples, as ``f`` takes stacks.
     """
     d = bundle.d
 
@@ -807,9 +815,9 @@ def leaf_structure(bundle: BundleSpec, orbit: CoadjointOrbit, samples: int = 25,
     m0, chi0 = x0[:, :d], x0[:, 2 * d :]
 
     def embed(z: Array) -> Array:
-        mm, rho, svec = z[:, :d], z[:, d : 2 * d], z[:, 2 * d :]
+        mm, rho, svec = z[..., :d], z[..., d : 2 * d], z[..., 2 * d :]
         chi_s = row_matvec(G.Ad_star(G.exp(-svec)), chi0)
-        return np.concatenate([mm, bundle.sigma(mm, chi_s).rep.a + rho, chi_s], axis=1)
+        return np.concatenate([mm, bundle.sigma(mm, chi_s).rep.a + rho, chi_s], axis=-1)
 
     z0 = np.concatenate([m0, np.zeros((samples, d + n))], axis=1)
     span = np.moveaxis(fd.central(embed, z0, np.eye(2 * d + n), fd.FINE_STEP), 0, -1)  # (samples, coordinates, directions)
@@ -910,11 +918,11 @@ def magnetic_term(bundle: BundleSpec, chi: Array, samples: int = 15, seed: int =
     w_closed = 0.0
     if triple:
         e = np.moveaxis(np.eye(2 * d)[triple[0]], 1, 0)  # (3, samples, 2d)
-        z = np.concatenate([m, rho], axis=1)
-        dval = 0.0
-        for a_, b_, c_ in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
-            dval += fd.central(lambda zz: two_form(zz[:, :d], zz[:, d:], e[b_], e[c_]), z, e[a_][None], fd.CLOSED_STEP)[0]
-        w_closed = worst(np.abs(dval))
+        # the cyclic terms d_a omega(e_b, e_c) for (a, b, c) = (0, 1, 2), (1, 2, 0), (2, 0, 1): one central
+        # difference along the three e_a, each displaced point (minus rows, then plus rows) paired with its e_b, e_c
+        t1, t2 = (np.concatenate([e[cycle]] * 2) for cycle in ([1, 2, 0], [2, 0, 1]))
+        dval = fd.central(lambda zz: two_form(zz[..., :d], zz[..., d:], t1, t2), np.concatenate([m, rho], axis=1), e, fd.CLOSED_STEP)
+        w_closed = worst(np.abs(dval[0] + dval[1] + dval[2]))
     if bundle.connection.is_flat or float(np.linalg.norm(chi)) == 0.0:
         rep.add("flat_or_zero_chi_vanishes", w_match, 1e-9)
     rep.add("matches_curvature_oracle", w_match, 1e-7)

@@ -633,8 +633,9 @@ def _product_dgamma_fd(factors: Sequence[LieGroupSpec], covector: Array, v1: Arr
         return sum(row_dot(mu, dexp_left(f, x, dx)) for f, x, dx, mu in parts)
 
     z0 = np.concatenate([np.zeros(np.shape(covector)[:-1] + (dim,)), covector], axis=-1)
-    t1 = fd.central(lambda z: gamma_at(z, v2), z0, [v1], fd.GRAD_STEP)[0]
-    t2 = fd.central(lambda z: gamma_at(z, v1), z0, [v2], fd.GRAD_STEP)[0]
+    # d_v1 gamma(v2) and d_v2 gamma(v1) in one central difference: the points moved along v1, v2 (minus, then plus) pair with v2, v1
+    paired = np.stack([v2, v1, v2, v1])
+    t1, t2 = fd.central(lambda z: gamma_at(z, paired), z0, np.stack([v1, v2]), fd.GRAD_STEP)
     out = t1 - t2
     return float(out) if np.ndim(out) == 0 else out
 

@@ -35,7 +35,8 @@ def body_cotangent_field(group: LieGroupSpec, F: Callable[[Array, Array], float]
     """Canonical field on T*G in body coordinates for a general F(u, b).
 
     xi = grad_b F,  b' = ad*_xi b - d_u F, with both derivatives by central
-    differences (d_u along u exp(t e_i)).
+    differences (d_u along u exp(t e_i)); F takes a stack of u or of b and
+    gives one value per row.
     """
     eye = np.eye(group.dim)
     grad_b = fd.central(lambda bb: F(u, bb), b, eye, fd.FINE_STEP)

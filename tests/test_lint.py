@@ -116,6 +116,25 @@ def per_sample_loops(source: str, filename: str = "<src>") -> list[str]:
     return [f"{filename}:{line} {name}" for line, name in sorted(found)]
 
 
+LOOPS = (ast.For, ast.AsyncFor, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def central_in_loops(source: str, filename: str = "<src>") -> list[str]:
+    """Calls of ``fd.central`` (or of a bare ``central``) inside a ``for`` loop or a comprehension, lambdas in it included.
+
+    ``fd.central`` evaluates its function once on the stack of every
+    displaced point; a loop of calls would bring back one evaluation per
+    direction or per sample.
+    """
+    found = set()
+    for loop in ast.walk(ast.parse(source, filename)):
+        if isinstance(loop, LOOPS):
+            for node in ast.walk(loop):
+                if isinstance(node, ast.Call) and ast.unparse(node.func) in ("fd.central", "central"):
+                    found.add(node.lineno)
+    return [f"{filename}:{line}" for line in sorted(found)]
+
+
 def bool_type_tests(source: str, filename: str = "<src>") -> list[str]:
     """``isinstance`` calls that test for ``bool``, alone or in a tuple of types.
 
@@ -361,6 +380,28 @@ def test_per_sample_loop_detector():
 
 def test_no_per_sample_loops_in_suites():
     found = [hit for path in sorted(SRC.glob("*.py")) for hit in per_sample_loops(path.read_text(encoding="utf-8"), path.name)]
+    assert found == []
+
+
+def test_central_in_loop_detector():
+    src = (
+        "for d in dirs:\n"
+        "    rows.append(fd.central(f, x, [d], h))\n"
+        "grads = [fd.central(lambda y: g(y, v), x, eye, h) for v in vs]\n"
+        "total = sum(central(f, x, [e], h) for e in eye)\n"
+        "for k in range(3):\n"
+        "    for j in range(2):\n"
+        "        out += fd.central(f, x, eye, h)\n"
+        "ok = fd.central(f, x, np.stack([t1, t2]), h)\n"
+        "ok2 = [fd.quotient(m, p, h) for m, p in pairs]\n"
+        "def once(x):\n"
+        "    return fd.central(f, x, eye, h)\n"
+    )
+    assert central_in_loops(src) == ["<src>:2", "<src>:3", "<src>:4", "<src>:7"]
+
+
+def test_no_central_in_loops_in_package():
+    found = [hit for path in sorted(SRC.glob("*.py")) for hit in central_in_loops(path.read_text(encoding="utf-8"), path.name)]
     assert found == []
 
 

@@ -426,6 +426,46 @@ def test_field_that_ignores_the_stack_is_rejected():
         field(np.ones((4, 3)))
 
 
+@pytest.mark.parametrize("label, dim, field", PACKAGE_FIELDS, ids=[f[0] for f in PACKAGE_FIELDS])
+def test_fd_gradient_of_a_stack_is_one_row_per_point(label, dim, field):
+    # without an exact gradient, each point of a stack gets the bits of its one-point central differences
+    numeric = ScalarField(field.fn, name=field.name)
+    rows = np.random.default_rng(45).standard_normal((6, dim))
+    single = np.array([numeric.gradient(row) for row in rows])
+    assert single.shape == (6, dim)
+    for stack in (rows, rows.reshape(2, 3, dim)):
+        grads = numeric.gradient(stack)
+        assert grads.shape == stack.shape
+        assert np.array_equal(grads.reshape(-1, dim).view(np.int64), single.view(np.int64)), label
+
+
+def test_fd_gradient_goes_through_the_field_shape_check():
+    field = ScalarField(lambda x: x[0] * x[1], name="q p")
+    with pytest.raises(ValueError, match="one value per point"):
+        field.gradient(np.array([2.0, 3.0, 5.0]))
+
+
+def test_cotangent_grads_call_fn_once():
+    b = so3_bundle()
+    rng = np.random.default_rng(46)
+    q = quotient_cotangent(b)
+    base, fiber, a, bb, f = bundle.draw_samples(5, lambda: (*b.random_point_coords(rng), *b.random_covector(rng), random_polynomial(rng, q.dim)))
+    s = CotangentSample(b.point_at(base, fiber), a, bb)
+    lift = poisson.invariant_lift(b, ScalarField(f))
+    calls = []
+
+    def counted(sample):
+        calls.append(sample.a.shape)
+        return lift.fn(sample)
+
+    grads = poisson.cotangent_grads(b, poisson.CotangentFn(counted), s)
+    assert calls == [(4 * (b.d + b.n), 5, b.d)]  # 2(d + n) directions, each displaced both ways
+    exact = poisson.cotangent_grads(b, poisson.invariant_lift(b, f), s)
+    for block, want in zip(grads, exact):
+        assert block.shape == want.shape
+        np.testing.assert_allclose(block, want, rtol=0, atol=1e-8)
+
+
 class TestLeafStructure:
     def test_so3_sphere_leaf(self):
         b = so3_bundle()

@@ -263,7 +263,8 @@ class TestPullbackForm:
         c = np.array([0.4, -0.2, 0.7])
 
         def f(theta, chi):
-            return float(0.5 * theta @ (theta / inertia) + chi @ c + 0.3 * (theta @ chi))
+            # one value per row of stacks, as the central differences of the body field take
+            return 0.5 * np.vecdot(theta, theta / inertia) + chi @ c + 0.3 * np.vecdot(theta, chi)
 
         def f_full(h_mat, beta):
             k, u = sd.split(h_mat)
