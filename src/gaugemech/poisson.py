@@ -26,9 +26,9 @@ through the exp chart and ``dexp_left``: ``semidirect._product_dgamma_fd``,
 run by ``omega_a_equals_dgamma_K``.  The bracket on T*((PxP)/G) is
 ``cotangent_bracket`` on T*P' for the trivial bundle P' = (M x M) x G.
 
-Casimirs of a coalgebra (``casimir_fields``) and the rotation rule of
-``coadjoint_transport`` follow from the structure constants and basis of the
-group, never from its name.
+Casimirs of a coalgebra (``casimir_fields``) follow from the structure
+constants of the group, never from its name.  The arrow joining two points of
+one leaf is read off the group elements that drew them, for every group.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import numpy as np
 
 from . import fd
 from .bundle import BundleSpec, ConnectionData, CotangentSample, Point, QuotientClass, draw_samples, row_dot, row_form, row_matvec, row_norm, row_vecmat
-from .liealg import LieGroupSpec, rodrigues
+from .liealg import LieGroupSpec
 from .linalg import rank_gap
 from .report import SuiteReport, worst
 from .rng import stream
@@ -663,63 +663,6 @@ def coadjoint_orbit(group: LieGroupSpec, mu0: Array, n_samples: int = 40, seed: 
     return orbit
 
 
-def _acts_by_rotation(group: LieGroupSpec) -> bool:
-    """Whether Ad*_{w^-1} mu = w mu, so that the coadjoint orbits are spheres.
-
-    Holds when the 3x3 basis matrices are antisymmetric and basis[i] equals
-    -ad*_{e_i} (whose matrix is structure[i]): the embedding is then the
-    contragredient of Ad, and the group is SO(3).
-    """
-    return (group.dim == group.embed == 3
-            and np.allclose(group.basis, -np.transpose(group.basis, (0, 2, 1)))
-            and np.allclose(group.basis, -group.structure))
-
-
-def coadjoint_transport(group: LieGroupSpec, mu_from: Array, mu_to: Array) -> Array:
-    """A group element w with Ad*_{w^-1} mu_from = mu_to (orbit alignment), or one per row of stacks (..., dim).
-
-    For a group acting by rotation, w turns mu_from onto mu_to about their
-    cross product (Rodrigues); antipodal rows turn by pi (1 - 1e-12) about an
-    axis orthogonal to mu_from, and zero or aligned rows get the identity.
-    Raises ValueError when any row pairs points of distinct orbits.
-    """
-    mu_from = np.asarray(mu_from, dtype=float)
-    mu_to = np.asarray(mu_to, dtype=float)
-    lead = np.broadcast_shapes(mu_from.shape, mu_to.shape)[:-1]
-    if np.allclose(group.structure, 0.0):
-        if np.any(row_norm(mu_from - mu_to) > 1e-9):
-            raise ValueError("points on distinct orbits of an abelian group")
-        return np.broadcast_to(group.identity(), lead + (group.embed,) * 2).copy()
-    if not _acts_by_rotation(group):
-        raise NotImplementedError(f"no coadjoint transport rule for group {group.name!r}")
-    a, b = (np.broadcast_to(mu, lead + (3,)).reshape(-1, 3) for mu in (mu_from, mu_to))
-    na, nb = row_norm(a), row_norm(b)
-    if np.any(np.abs(na - nb) > 1e-8 * np.maximum(1.0, na)):
-        raise ValueError(f"points on distinct {group.name}* orbits")
-    axis = np.cross(a, b)
-    with np.errstate(divide="ignore", invalid="ignore"):  # zero rows are the identity below
-        s = row_norm(axis) / (na * nb)
-        c = row_dot(a, b) / (na * nb)
-        angle = np.arctan2(s, c)
-        unit = axis / row_norm(axis)[:, None]
-    zero = na < 1e-14
-    flip = ~zero & (s < 1e-12) & ~(c > 0)
-    turn = ~zero & ~(s < 1e-12)
-    if flip.any():  # antipodal: rotate by pi around any axis orthogonal to a
-        af = a[flip]
-        perp = np.eye(3)[np.argmin(np.abs(af), axis=1)]
-        perp = perp - (row_dot(perp, af) / (na[flip] * na[flip]))[:, None] * af
-        unit[flip] = perp / row_norm(perp)[:, None]
-        angle[flip] = np.pi * (1 - 1e-12)
-    # Rodrigues of angle * [unit]x per row; exp(0) = I on the rows that need no turn
-    k = np.zeros((len(a), 3, 3))
-    k[:, 0, 1], k[:, 0, 2], k[:, 1, 2] = -unit[:, 2], unit[:, 1], -unit[:, 0]
-    k[:, 1, 0], k[:, 2, 0], k[:, 2, 1] = unit[:, 2], -unit[:, 1], unit[:, 0]
-    k *= angle[:, None, None]
-    k[~(turn | flip)] = 0.0
-    return rodrigues(k).reshape(lead + (3, 3))
-
-
 # ---------------------------------------------------------------------------
 # symplectic two-forms in trivialized coordinates
 # ---------------------------------------------------------------------------
@@ -1027,17 +970,12 @@ def groupoid_action_suite(bundle: BundleSpec, orbit: CoadjointOrbit, samples: in
     lhs = cotangent_bracket(arrows, on_arrows(f, _pair_s), on_arrows(g, _pair_s), s)
     w_s = worst(np.abs(lhs + quot.bracket(f, g, _pair_s(lam))))
 
-    # orbit connectivity: any two leaf points of J^{-1}(O)/G are joined by an arrow
-    z_from = np.concatenate([from_m, from_a, row_matvec(G.Ad_star_inv(g1), orbit.mu0)], axis=1)
-    z_to = np.concatenate([to_m, to_a, row_matvec(G.Ad_star_inv(g2), orbit.mu0)], axis=1)
-    try:
-        w_el = coadjoint_transport(G, z_from[:, 2 * d :], z_to[:, 2 * d :])
-    except NotImplementedError:
-        w_el = None
-    if w_el is not None:
-        arrow = PairClassPoint(z_to[:, :d], w_el, z_from[:, :d], z_to[:, d : 2 * d],
-                               row_matvec(G.Ad_star(w_el), z_to[:, 2 * d :]), -z_from[:, d : 2 * d], -z_from[:, 2 * d :])
-        w_conn = worst(row_norm(_pair_s(arrow) - z_from) + row_norm(pair_t(arrow) - z_to))
+    # orbit connectivity: any two leaf points of J^{-1}(O)/G are joined by an arrow.  The arrow of T*Gamma from
+    # z_from to z_to has w = g2 g1^-1 (Ad*_{w^-1} Ad*_{g1^-1} = Ad*_{g2^-1}) and (b1, b2) = (mu_from, -mu_from)
+    mu_from, mu_to = (row_matvec(G.Ad_star_inv(el), orbit.mu0) for el in (g1, g2))
+    arrow = PairClassPoint(to_m, g2 @ G.inverse(g1), from_m, to_a, mu_from, -from_a, -mu_from)
+    z_from, z_to = np.concatenate([from_m, from_a, mu_from], axis=1), np.concatenate([to_m, to_a, mu_to], axis=1)
+    w_conn = worst(row_norm(_pair_s(arrow) - z_from) + row_norm(pair_t(arrow) - z_to))
 
     # graph isotropy of the action map (Lagrangian by dimension count)
     y = PairClassPoint(y_m1, y_w, y_m2, y_a1, b1, y_a2, bsum - b1)
@@ -1045,10 +983,7 @@ def groupoid_action_suite(bundle: BundleSpec, orbit: CoadjointOrbit, samples: in
 
     rep.add("target_poisson", w_t, 1e-6)
     rep.add("source_anti_poisson", w_s, 1e-6)
-    if w_el is not None:
-        rep.add("orbit_connectivity", w_conn, 1e-9)
-    else:
-        rep.extras["orbit_connectivity"] = f"skipped: no coadjoint transport rule for group {G.name!r}"
+    rep.add("orbit_connectivity", w_conn, 1e-9)
     rep.add("graph_isotropy", w_iso, 1e-7)
     rep.extras["trials"] = samples
     return rep

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import warnings
 from pathlib import Path
@@ -547,22 +548,51 @@ def test_suite_exception_becomes_failed_check(tmp_path, monkeypatch):
     assert sum(len(s["checks"]) for s in suites.values()) > 20
 
 
-def test_leaves_suite_exception_becomes_failed_check(tmp_path):
-    # at |mu0| near the float limit the rotation angle of the coadjoint transport overflows
-    # inside the groupoid action suite; the leaf suite and the leaf points still come out
+def test_leaves_suite_exception_becomes_failed_check(tmp_path, monkeypatch):
+    # a fault inside the groupoid action suite becomes its one failed check; the leaf suite and the leaf points still come out
+    def boom(*args, **kwargs):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr(poisson, "_graph_isotropy", boom)
+    assert run(["leaves", "so3-leaves", "--out", str(tmp_path)]) == cli.EXIT_CHECK_FAILURE
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert "poisson.groupoid_action:suite_error" in report["failures"]
+    suites = {s["suite"]: s for s in report["suites"]}
+    (check,) = suites["poisson.groupoid_action"]["checks"]
+    assert check["info"] == {"error": "RuntimeError", "message": "injected fault"}
+    assert "poisson.leaf[TrivialProduct[so3]|orbit(so3)]" in suites
+    assert (tmp_path / "leaf_points.csv").exists()
+
+
+def test_huge_mu0_fails_checks_without_suite_error(tmp_path):
+    # at |mu0| near the float limit every leaves suite still runs to its checks; the failures are residuals
+    # against absolute tolerances, not a fault
     doc = json.loads(json.dumps(cli.BUILTIN_SCENARIOS["so3-leaves"]))
     doc["leaves"]["mu0"] = [1e308, 0.0, 1.0]
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(doc))
     with np.errstate(over="ignore", invalid="ignore"):
         assert run(["leaves", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_CHECK_FAILURE
-    report = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert "poisson.groupoid_action:suite_error" in report["failures"]
-    suites = {s["suite"]: s for s in report["suites"]}
-    (check,) = suites["poisson.groupoid_action"]["checks"]
-    assert check["info"]["error"] == "LieDomainError"
-    assert "poisson.leaf[TrivialProduct[so3]|orbit(so3)]" in suites
+    failures = json.loads((tmp_path / "out" / "report.json").read_text())["failures"]
+    assert failures and not [f for f in failures if f.endswith(":suite_error")], failures
     assert (tmp_path / "out" / "leaf_points.csv").exists()
+
+
+ARROW_ELEMENT = "g2 @ G.inverse(g1)"
+
+
+@pytest.mark.parametrize("wrong", ["np.broadcast_to(G.identity(), g1.shape)", "G.inverse(g1) @ g2"], ids=["identity", "g1-inverse-g2"])
+def test_wrong_arrow_element_fails_orbit_connectivity(tmp_path, monkeypatch, wrong):
+    # the suite with the arrow's group element w = g2 g1^-1 replaced in its source: the arrow's target then
+    # misses the second leaf point, and only orbit_connectivity can see it
+    source = inspect.getsource(poisson.groupoid_action_suite)
+    assert source.count(ARROW_ELEMENT) == 1
+    namespace = dict(vars(poisson))
+    exec(compile(source.replace(ARROW_ELEMENT, wrong), poisson.__file__, "exec"), namespace)
+    monkeypatch.setattr(poisson, "groupoid_action_suite", namespace["groupoid_action_suite"])
+    assert run(["leaves", "so3-leaves", "--out", str(tmp_path)]) == cli.EXIT_CHECK_FAILURE
+    failures = json.loads((tmp_path / "report.json").read_text())["failures"]
+    assert failures == ["poisson.groupoid_action[TrivialProduct[so3]]:orbit_connectivity"], failures
 
 
 def test_non_character_chi_exits_before_any_suite(tmp_path, monkeypatch):

@@ -150,6 +150,24 @@ def bool_type_tests(source: str, filename: str = "<src>") -> list[str]:
     return [f"{filename}:{line}" for line in sorted(found)]
 
 
+def not_implemented_sites(source: str, filename: str = "<src>") -> list[str]:
+    """``raise NotImplementedError`` (the class or a call of it) and ``except`` clauses that catch it, alone or in a tuple.
+
+    A suite that catches a missing rule turns its check into a silent skip;
+    every check runs for every group, or the suite fails loudly.
+    """
+    def names(node: ast.AST | None) -> list[ast.AST]:
+        node = node.func if isinstance(node, ast.Call) else node
+        return node.elts if isinstance(node, ast.Tuple) else [node]
+
+    found = []
+    for node in ast.walk(ast.parse(source, filename)):
+        named = names(node.exc) if isinstance(node, ast.Raise) else names(node.type) if isinstance(node, ast.ExceptHandler) else []
+        if any(isinstance(n, ast.Name) and n.id == "NotImplementedError" for n in named):
+            found.append(node.lineno)
+    return [f"{filename}:{line}" for line in sorted(found)]
+
+
 def references(source: str, filename: str = "<src>") -> tuple[set[str], set[str]]:
     """The names a source reads and the attribute names it takes (``f`` and ``x.f``)."""
     tree = ast.parse(source, filename)
@@ -355,6 +373,29 @@ def test_bool_type_test_detector():
 def test_json_typing_only_in_schema():
     found = [hit for path in sorted(SRC.glob("*.py")) if path.name != "schema.py"
              for hit in bool_type_tests(path.read_text(encoding="utf-8"), path.name)]
+    assert found == []
+
+
+def test_not_implemented_detector():
+    src = (
+        "raise NotImplementedError('no rule')\n"
+        "raise NotImplementedError\n"
+        "try:\n"
+        "    w = transport(g)\n"
+        "except NotImplementedError:\n"
+        "    w = None\n"
+        "except (ValueError, NotImplementedError) as e:\n"
+        "    pass\n"
+        "except ValueError:\n"
+        "    raise\n"
+        "raise ValueError('bad input')\n"
+        "x = NotImplemented\n"
+    )
+    assert not_implemented_sites(src) == ["<src>:1", "<src>:2", "<src>:5", "<src>:7"]
+
+
+def test_no_not_implemented_in_package():
+    found = [hit for path in sorted(SRC.glob("*.py")) for hit in not_implemented_sites(path.read_text(encoding="utf-8"), path.name)]
     assert found == []
 
 

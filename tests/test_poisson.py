@@ -13,7 +13,6 @@ from gaugemech.poisson import (
     canonical_cotangent,
     casimir_fields,
     coadjoint_orbit,
-    coadjoint_transport,
     coordinate_field,
     dual_pair_check,
     groupoid_action_suite,
@@ -33,6 +32,12 @@ def so3_bundle(conn_matrix=None):
     g = liealg.so3()
     mat = np.array([[0.3, -0.1], [0.0, 0.2], [0.1, 0.4]]) if conn_matrix is None else conn_matrix
     return BundleSpec("TrivialProduct", g, builders.connection_from_matrix(mat), base_box=[[-1.0, 1.0], [-1.0, 1.0]])
+
+
+def rescaled_so3():
+    """so3 with its basis and structure constants scaled by 2: no rule may be read off the unit basis."""
+    so3 = liealg.so3()
+    return liealg.LieGroupSpec("rot", 3, 3, 2.0 * so3.basis, 2.0 * so3.structure, so3.membership_residual)
 
 
 def heis_bundle():
@@ -338,25 +343,6 @@ class TestOrbits:
             mu0 = rng.standard_normal(3)
             assert coadjoint_orbit(liealg.so3(), mu0, seed=15).dim % 2 == 0
 
-    def test_transport_rescaled_basis(self):
-        so3 = liealg.so3()
-        g = liealg.LieGroupSpec("rot", 3, 3, 2.0 * so3.basis, 2.0 * so3.structure, so3.membership_residual)
-        rng = np.random.default_rng(16)
-        mu1 = rng.standard_normal(3)
-        for mu2 in (g.Ad_star(np.linalg.inv(g.exp(g.random_algebra(rng)))) @ mu1, -mu1):
-            w = coadjoint_transport(g, mu1, mu2)
-            assert g.membership_defect(w) <= liealg.MEMBERSHIP_TOL
-            assert np.linalg.norm(g.Ad_star(np.linalg.inv(w)) @ mu1 - mu2) <= 1e-10
-
-    def test_transport(self):
-        g = liealg.so3()
-        rng = np.random.default_rng(16)
-        mu1 = rng.standard_normal(3)
-        rot = g.exp(g.random_algebra(rng))
-        mu2 = g.Ad_star(np.linalg.inv(rot)) @ mu1
-        w = coadjoint_transport(g, mu1, mu2)
-        assert np.linalg.norm(g.Ad_star(np.linalg.inv(w)) @ mu1 - mu2) <= 1e-10
-
 
 class TestCasimirs:
     @pytest.mark.parametrize("factory", [
@@ -560,15 +546,19 @@ class TestGroupoidAction:
         assert np.linalg.norm(poisson._pair_t(b, z) - poisson._pair_t(b, lam)) <= 1e-12
         assert np.linalg.norm(poisson._pair_s(z) - poisson._pair_s(y)) <= 1e-12
 
-    def test_orbit_connectivity_skipped_without_transport_rule(self):
-        g = liealg.heisenberg3()
-        b = BundleSpec("TrivialProduct", g, ConnectionData.flat(2, 3), base_box=[[-1.0, 1.0], [-1.0, 1.0]])
-        orb = coadjoint_orbit(g, np.array([0.2, -0.4, 1.0]), seed=33)
-        with pytest.raises(NotImplementedError):
-            coadjoint_transport(g, orb.mu0, orb.samples[0])
-        rep = groupoid_action_suite(b, orb, samples=3, seed=34)
-        assert "orbit_connectivity" not in [c.name for c in rep.checks]
-        assert rep.extras["orbit_connectivity"].startswith("skipped")
+    @pytest.mark.parametrize("make_group, mu0", [
+        (liealg.heisenberg3, [0.2, -0.4, 1.0]),
+        (lambda: liealg.torus(2), [0.3, -0.7]),
+        (rescaled_so3, [0.4, -1.1, 0.7]),
+    ], ids=["heisenberg3", "t2", "so3-rescaled-basis"])
+    def test_orbit_connectivity_runs_for_every_group(self, make_group, mu0):
+        # the arrow between two leaf points comes from the group elements that drew them, for any group
+        g = make_group()
+        b = BundleSpec("TrivialProduct", g, ConnectionData.flat(2, g.dim), base_box=[[-1.0, 1.0], [-1.0, 1.0]])
+        rep = groupoid_action_suite(b, coadjoint_orbit(g, np.array(mu0), seed=33), samples=3, seed=34)
+        (check,) = [c for c in rep.checks if c.name == "orbit_connectivity"]
+        assert check.passed and check.tol == 1e-9, check
+        assert "orbit_connectivity" not in rep.extras
         assert rep.passed, rep.failures()
 
 
