@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .bundle import row_matvec
 from .poisson import ChartError, PoissonSpace, ScalarField
 from .report import csv_lines
 from .schema import ConfigError
@@ -47,14 +48,15 @@ class Trajectory:
 
 
 def ham_vector_field(space: PoissonSpace, hamiltonian: ScalarField, point: Array) -> Array:
-    """Velocity v_i = {x_i, H}(point) = sum_j B_ij dH/dx_j at one point.
+    """Velocity v_i = {x_i, H}(point) = sum_j B_ij dH/dx_j at one point, or per point of a stack (..., dim).
 
-    The field is ``space.compile_field(hamiltonian)``, whose rows are the
-    stages of the step ``integrate`` takes. It does not check the chart:
-    ``integrate`` checks the initial and accepted states, and
-    ``PoissonSpace.bracket`` checks its point.
+    The numpy reference for the stages of ``PoissonSpace.compile_step``, which
+    sum in the order ``PoissonSpace._field_source`` documents: numpy may round
+    a row in another order, or fuse a multiply and an add, so the two agree to
+    a few ulps. Each row of a stack has the bits of its one-point call. It
+    does not check the chart.
     """
-    return np.array(space.compile_field(hamiltonian)(np.asarray(point, dtype=float).tolist()))
+    return row_matvec(space.bivector(point), hamiltonian.gradient(point))
 
 
 def integrate(space: PoissonSpace, hamiltonian: ScalarField, x0: Array, h: float, n_steps: int,

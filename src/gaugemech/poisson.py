@@ -64,23 +64,23 @@ class ChartError(ValueError):
 class ScalarField:
     """A smooth function of coordinates, with optional exact gradient.
 
-    ``fn`` takes one point (dim,) or a stack (..., dim) and gives one value
-    per point; each row of a stack has the bits of its one-point call, so a
-    report or CSV does not depend on how many points were evaluated at once
-    (square with a product or ``np.square``: a numpy scalar's ``** 2`` can
-    round unlike an array's).  Calling the field gives a float for one point
-    and an array for a stack.  A value whose shape is not one per point
-    raises ValueError; a one-point formula such as ``x[0] * x[1]`` on a stack
-    of exactly dim points has that shape and is not caught.
+    ``fn`` and ``grad`` take one point (dim,) or a stack (..., dim) and give
+    one value, or one gradient row, per point; each row of a stack has the
+    bits of its one-point call, so a report or CSV does not depend on how
+    many points were evaluated at once (square with a product or
+    ``np.square``: a numpy scalar's ``** 2`` can round unlike an array's).
+    Calling the field gives a float for one point and an array for a stack.
+    A value whose shape is not one per point raises ValueError; a one-point
+    formula such as ``x[0] * x[1]`` on a stack of exactly dim points has
+    that shape and is not caught.
 
     Without ``grad``, ``gradient`` takes central differences at
     ``fd.GRAD_STEP``, one gradient row per point of a stack, evaluating the
     field (with its shape check) once on every displaced point.
 
     ``affine``, when attached, is a pair (A, f) with grad H(x) = A x + f; the
-    exact gradient is then compiled from it (``_affine_gradient``), and so are
-    the Hamiltonian vector field of ``PoissonSpace.compile_field`` and the RK4
-    step of ``PoissonSpace.compile_step``.
+    exact gradient is then compiled from it (``_affine_gradient``), and A and f
+    are inlined into the RK4 step of ``PoissonSpace.compile_step``.
     """
 
     fn: Callable[[Array], float | Array]
@@ -140,7 +140,7 @@ def _sum_source(coefs: Sequence[float], factors: Sequence[str], const: float = 0
     return _join(terms)
 
 
-def _compile(name: str, lines: Sequence[str], namespace: dict, params: str = "y") -> Callable:
+def _compile(name: str, lines: Sequence[str], namespace: dict, params: str) -> Callable:
     """The function ``def name(params)`` with the body ``lines``, its free names resolved in ``namespace`` (``inf`` and ``nan`` included)."""
     source = f"def {name}({params}):\n" + "".join(f"    {line}\n" for line in lines)
     scope = {"inf": float("inf"), "nan": float("nan"), **namespace}
@@ -166,23 +166,29 @@ def _unpack(names: Sequence[str]) -> str:
 
 
 def _affine_gradient(a: Array, f: Array) -> Callable[[Array], Array]:
-    """x -> A x + f at one point, compiled to straight-line float arithmetic.
+    """x -> A x + f at a point or per point of a stack (..., n), its entries compiled to straight-line arithmetic.
 
     Entry j sums the nonzero A_jl x_l in ascending l, then adds f_j when it is
     nonzero; a row of A without nonzero entries gives f_j itself (its sign of
-    zero included).
+    zero included), broadcast to one entry per point.
     """
-    n = f.size
-    names = [f"y{k}" for k in range(n)]
-    rows = [_sum_source(a[j].tolist(), names, float(f[j])) or repr(float(f[j])) for j in range(n)]
-    lines = [f"{_unpack(names)} = asarray(y, dtype=float).tolist()", f"return array([{', '.join(rows)}])"]
-    return _compile("grad", lines, {"array": np.array, "asarray": np.asarray})
+    names = [f"y{k}" for k in range(f.size)]
+    rows = [_sum_source(a[j].tolist(), names, float(f[j])) or repr(float(f[j])) for j in range(f.size)]
+    entries = _compile("grad", [f"return {_unpack(rows)}"], {}, ", ".join(names))
+
+    def grad(x: Array) -> Array:
+        x = np.asarray(x, dtype=float)
+        out = np.empty_like(x)
+        for j, entry in enumerate(entries(*x.T)):  # x.T and out.T: one coordinate, or one column of a stack, per entry
+            out.T[j] = entry  # a constant entry fills its column
+        return out
+
+    return grad
 
 
 def coordinate_field(i: int, dim: int) -> ScalarField:
-    e = np.zeros(dim)
-    e[i] = 1.0
-    return ScalarField(lambda x, i=i: x[..., i].copy(), lambda x, e=e: e.copy(), name=f"x{i}")
+    e = np.eye(dim)[i]
+    return ScalarField(lambda x, i=i: x[..., i].copy(), lambda x, e=e: np.broadcast_to(e, np.shape(x)).copy(), name=f"x{i}")
 
 
 @dataclass(frozen=True)
@@ -285,18 +291,18 @@ def cotangent_bracket(bundle: BundleSpec, F: CotangentFn, G: CotangentFn, s: Cot
 class PoissonSpace:
     """A Poisson manifold in coordinates where its bivector is affine.
 
-    B_ij(x) = {x_i, x_j}(x) = const_ij + sum_k linear_ijk x_k.  ``const`` is
-    None when the constant part vanishes; ``box`` (shape (k, 2)) bounds the
-    first k coordinates of the chart and is None for all of R^dim.
+    B_ij(x) = {x_i, x_j}(x) = const_ij + sum_k linear_ijk x_k, ``const`` zeros
+    for a Lie-Poisson space; ``box`` (shape (k, 2)) bounds the first k
+    coordinates of the chart and is None for all of R^dim.
     """
 
     kind: str  # canonical | lie_poisson | quotient | product
     linear: Array
-    const: Array | None = None
+    const: Array
     box: Array | None = None
     name: str = ""
-    # (hamiltonian, {kind: function}) of the last hamiltonian compiled by compile_field or compile_step
-    _functions: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+    # (hamiltonian, step) of the last hamiltonian compiled by compile_step
+    _step: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("canonical", "lie_poisson", "quotient", "product"):
@@ -333,19 +339,21 @@ class PoissonSpace:
 
     def bivector(self, x: Array) -> Array:
         """Matrix B_ij = {x_i, x_j} at the point, or one per point of a stack (..., dim)."""
-        b = row_matvec(self.linear, np.asarray(x, dtype=float)[..., None, :])
-        return b if self.const is None else b + self.const
+        return row_matvec(self.linear, np.asarray(x, dtype=float)[..., None, :]) + self.const
 
     def _field_source(self, hamiltonian: ScalarField, ys: Sequence[str]) -> tuple[list[str], list[str]]:
-        """Source of v = B(y) grad H(y) at the coordinates named ``ys``: (lines, rows).
+        """Source of the Hamiltonian vector field v = B(y) grad H(y) at the coordinates named ``ys``: (lines, rows).
 
         ``lines`` bind the gradient's locals g0, g1, ...; ``rows[i]`` is the
-        expression of v_i in ``ys`` and those locals, in the order that
-        ``compile_field`` documents. Without ``hamiltonian.affine`` the gradient
-        is one call ``grad([y0, y1, ...])``, with ``grad`` bound by the caller.
+        expression of v_i in ``ys`` and those locals. v_i sums B_ij g_j in
+        ascending j, and B_ij is sum_k linear_ijk y_k in ascending k plus
+        const_ij, each sum over its nonzero terms only. With
+        ``hamiltonian.affine`` = (A, f) the gradient g = A y + f is inlined as
+        in ``_affine_gradient``, and a g_j that vanishes for every y drops out;
+        otherwise g is one call ``grad([y0, y1, ...])`` in numpy, with ``grad``
+        bound by the caller. ``dynamics.ham_vector_field`` is the numpy reference.
         """
         n = self.dim
-        const = np.zeros((n, n)) if self.const is None else self.const
         lines = []
         if hamiltonian.affine is None:
             gs = [f"g{j}" for j in range(n)]
@@ -363,61 +371,27 @@ class PoissonSpace:
         for i in range(n):
             terms = []
             for j, g in enumerate(gs):
-                b = _sum_source(self.linear[i, j].tolist(), ys, float(const[i, j]))
+                b = _sum_source(self.linear[i, j].tolist(), ys, float(self.const[i, j]))
                 if not (b and g):
                     continue
                 if not self.linear[i, j].any():
-                    terms.append(_term(float(const[i, j]), g))
+                    terms.append(_term(float(self.const[i, j]), g))
                 else:
                     terms.append(_product(b if " " not in b else f"({b})", g))  # a term holds no space, a sum does
             rows.append(_join(terms) or "0.0")
         return lines, rows
 
-    def _compiled(self, kind: str, hamiltonian: ScalarField, build: Callable[[], Callable]) -> Callable:
-        """The function ``build()`` gives for ``kind``, built once per hamiltonian; only the last hamiltonian's are kept."""
-        if self._functions[0] is not hamiltonian:
-            self._functions = (hamiltonian, {})
-        functions = self._functions[1]
-        if kind not in functions:
-            functions[kind] = build()
-        return functions[kind]
-
-    def compile_field(self, hamiltonian: ScalarField) -> Callable[[Sequence[float]], list[float]]:
-        """The Hamiltonian vector field v(y) = B(y) grad H(y), compiled to one straight-line float function.
-
-        It maps a sequence of ``dim`` floats to a list of them. v_i sums
-        B_ij g_j in ascending j, and B_ij is sum_k linear_ijk y_k in ascending
-        k, plus const_ij: each sum over its nonzero terms only. With
-        ``hamiltonian.affine`` = (A, f) the gradient g = A y + f is compiled in
-        as in ``_affine_gradient``, and a g_j that vanishes for every y drops
-        out; otherwise g is ``hamiltonian.gradient(y)``, in numpy, as floats.
-        The numpy product ``bivector(y) @ gradient(y)`` may round a row in
-        another order, or fuse a multiply and an add.
-
-        The rows come from ``_field_source``, as do the four stages of
-        ``compile_step``. The field of the last hamiltonian compiled is kept
-        and returned again for it; the space and the field are taken as
-        immutable.
-        """
-        def build() -> Callable:
-            ys = [f"y{k}" for k in range(self.dim)]
-            lines, rows = self._field_source(hamiltonian, ys)
-            return _compile("field", [f"{_unpack(ys)} = y", *lines, f"return [{', '.join(rows)}]"], {"grad": hamiltonian.gradient})
-
-        return self._compiled("field", hamiltonian, build)
-
     def compile_step(self, hamiltonian: ScalarField) -> Callable[[Sequence[float], float, float, float, int], list[tuple]]:
-        """``count`` classical RK4 steps of the field of ``compile_field``, compiled to one loop of straight-line code.
+        """``count`` classical RK4 steps of the Hamiltonian vector field, compiled to one loop of straight-line code.
 
         ``step(x, h, half, sixth, count)`` takes the state as a sequence of
         ``dim`` floats, the step size, the caller's ``half`` = 0.5*h and
         ``sixth`` = h/6, and the number of steps; it gives the ``count`` states
         that follow x, each a tuple. The state is held in locals between steps.
-        Each step's four stages are the field's rows (``_field_source``) at x,
-        x + half*k1, x + half*k2 and x + h*k3, and the step goes to
-        x + sixth*(k1 + 2.0*k2 + 2.0*k3 + k4), entry by entry with exactly
-        these associations: the bits of four ``compile_field`` calls and the
-        list arithmetic between them.
+        Each step's four stages are the field's rows at x, x + half*k1,
+        x + half*k2 and x + h*k3, in the order ``_field_source`` documents, and
+        the step goes to x + sixth*(k1 + 2.0*k2 + 2.0*k3 + k4), entry by entry
+        with exactly these associations.
 
         With ``hamiltonian.affine`` the step is arithmetic only, so it also
         runs on a sequence of ``dim`` numpy columns, one ensemble member per
@@ -427,10 +401,11 @@ class PoissonSpace:
         is non-finite (a divergence, as ``dynamics.integrate`` reports it);
         at a finite stage its exception propagates.
 
-        ``h`` is an argument, so one step serves every step size; like the
-        field, the step of the last hamiltonian compiled is kept.
+        ``h`` is an argument, so one step serves every step size. The step of
+        the last hamiltonian compiled is kept and returned again for it (the
+        space and the field are taken as immutable).
         """
-        def build() -> Callable:
+        if self._step[0] is not hamiltonian:
             n = self.dim
             xs, ys = [f"x{k}" for k in range(n)], [f"y{k}" for k in range(n)]
             at_x, at_y = self._field_source(hamiltonian, xs), self._field_source(hamiltonian, ys)
@@ -444,9 +419,8 @@ class PoissonSpace:
             body.append(f"append(({_unpack(xs)}))")
             lines = [f"{_unpack(xs)} = x", "rows = []", "append = rows.append", "for _ in range(count):",
                      *(f"    {line}" for line in body), "return rows"]
-            return _compile("step", lines, {"grad": _nan_past_divergence(hamiltonian.gradient)}, params="x, h, half, sixth, count")
-
-        return self._compiled("step", hamiltonian, build)
+            self._step = (hamiltonian, _compile("step", lines, {"grad": _nan_past_divergence(hamiltonian.gradient)}, "x, h, half, sixth, count"))
+        return self._step[1]
 
 
 def canonical_cotangent(nq: int) -> PoissonSpace:
@@ -459,7 +433,7 @@ def canonical_cotangent(nq: int) -> PoissonSpace:
 
 def lie_poisson(group: LieGroupSpec) -> PoissonSpace:
     """g* with {f,g}(mu) = <mu, [grad f, grad g]>: the structure constants are the linear part."""
-    return PoissonSpace("lie_poisson", group.structure, name=f"{group.name}*")
+    return PoissonSpace("lie_poisson", group.structure, np.zeros((group.dim, group.dim)), name=f"{group.name}*")
 
 
 def product_space(factors: Sequence[PoissonSpace]) -> PoissonSpace:
@@ -474,8 +448,7 @@ def product_space(factors: Sequence[PoissonSpace]) -> PoissonSpace:
     for f in facs:
         sl = slice(off, off + f.dim)
         linear[sl, sl, sl] = f.linear
-        if f.const is not None:
-            const[sl, sl] = f.const
+        const[sl, sl] = f.const
         off += f.dim
     return PoissonSpace("product", linear, const, facs[0].box if facs else None, "x".join(f.name for f in facs))
 

@@ -668,7 +668,7 @@ class HeavyTopModel:
         if self.inertia[0] == self.inertia[1] and np.allclose(self.axis, [0, 0, 1]):
             out["Pi3"] = coordinate_field(2, 6)
         if self.mgl == 0.0:
-            out["|Pi|^2"] = ScalarField(lambda x: row_dot(x[..., :3], x[..., :3]), lambda x: np.concatenate([2 * x[:3], np.zeros(3)]))
+            out["|Pi|^2"] = ScalarField(lambda x: row_dot(x[..., :3], x[..., :3]), lambda x: np.concatenate([2 * x[..., :3], np.zeros_like(x[..., 3:])], axis=-1))
         return out
 
 
@@ -678,8 +678,8 @@ def heavy_top_model(inertia, mgl: float, axis) -> HeavyTopModel:
     The bracket is the generic Lie-Poisson evaluator over the structure
     constants of the assembled semidirect algebra; nothing is hand-coded. The
     Hamiltonian declares its affine gradient, from which its ``grad`` and the
-    compiled RK4 step of ``dynamics.integrate`` are built.  The Hamiltonian and the
-    Casimirs take a point or a stack of states, one ``row_dot`` per row.
+    compiled RK4 step of ``dynamics.integrate`` are built.  The Hamiltonian, the
+    Casimirs and their gradients take a point or a stack of states, one row per state.
     """
     inertia = np.asarray(inertia, dtype=float)
     axis = np.asarray(axis, dtype=float)
@@ -697,8 +697,8 @@ def heavy_top_model(inertia, mgl: float, axis) -> HeavyTopModel:
 
     # the two Casimirs that poisson.casimir_fields derives for so3 x| r3, named
     casimirs = [
-        ScalarField(lambda x: row_dot(x[..., 3:], x[..., 3:]), lambda x: np.concatenate([np.zeros(3), 2.0 * x[3:]]), name="|Gamma|^2"),
-        ScalarField(lambda x: row_dot(x[..., :3], x[..., 3:]), lambda x: np.concatenate([x[3:], x[:3]]), name="<Pi,Gamma>"),
+        ScalarField(lambda x: row_dot(x[..., 3:], x[..., 3:]), lambda x: np.concatenate([np.zeros_like(x[..., :3]), 2.0 * x[..., 3:]], axis=-1), name="|Gamma|^2"),
+        ScalarField(lambda x: row_dot(x[..., :3], x[..., 3:]), lambda x: np.concatenate([x[..., 3:], x[..., :3]], axis=-1), name="<Pi,Gamma>"),
     ]
     hamiltonian = ScalarField(ham, name="heavy_top", affine=affine)
     return HeavyTopModel(space, hamiltonian, casimirs, inertia, float(mgl), axis)

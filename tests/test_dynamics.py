@@ -190,7 +190,7 @@ def reference_field(space, ham, y):
 
     n = len(y)
     c = space.linear.tolist()
-    const = space.const.tolist() if space.const is not None else [[0.0] * n for _ in range(n)]
+    const = space.const.tolist()
     if ham.affine is None:
         g = ham.gradient(np.array(y)).tolist()
     else:
@@ -245,29 +245,17 @@ FD_KINETIC = ("so3-fd-kinetic", lie_poisson(liealg.so3()), ScalarField(free_body
 
 class TestFastPaths:
     def test_ham_vector_field_matches_bivector_times_gradient(self):
-        # bit for bit where numpy's matrix-vector product rounds each row as the compiled sum does:
-        # the built-in tops and T*R. The general-axis top and so3 are not (numpy's product may
-        # fuse a multiply and an add, or sum in another order); test_compiled_field_within_ulps_of_numpy
+        # the numpy reference is bivector(x) @ gradient(x) at a point, and on a stack each row has
+        # the bits of its one-point call, signed zeros included
         rng = np.random.default_rng(11)
-        tops = [c for c in COMPILED if c[0].startswith("heavy-top")]
-        cases = [(space, ham, 6) for _, space, ham in tops] + [(canonical_cotangent(1), QP_SQUARED, 2)]
-        for space, ham, dim in cases:
-            for _ in range(50):
-                x = rng.standard_normal(dim) * 10.0 ** rng.uniform(-3, 3)
-                assert same_bits(ham_vector_field(space, ham, x), space.bivector(x) @ ham.gradient(x))
-
-    @pytest.mark.parametrize("name, space, ham", COMPILED, ids=[c[0] for c in COMPILED])
-    def test_compiled_field_matches_plain_python_reference(self, name, space, ham):
-        rng = np.random.default_rng(15)
-        field = space.compile_field(ham)
-        for trial in range(200):
-            y = (rng.standard_normal(space.dim) * 10.0 ** rng.uniform(-3, 3)).tolist()
-            if trial % 2:
-                y[rng.integers(space.dim)] = -0.0  # signed zeros included
-            v = field(y)
-            assert type(v) is list and all(type(e) is float for e in v)
-            assert same_bits(v, reference_field(space, ham, y)), name
-            assert same_bits(ham_vector_field(space, ham, np.array(y)), v)
+        for name, space, ham in COMPILED + [FD_KINETIC]:
+            rows = rng.standard_normal((50, space.dim)) * 10.0 ** rng.uniform(-3, 3, (50, 1))
+            rows[::2, 0] = -0.0
+            single = np.array([ham_vector_field(space, ham, x) for x in rows])
+            for x, v in zip(rows, single):
+                assert same_bits(v, space.bivector(x) @ ham.gradient(x)), name
+            for stack in (rows, rows.reshape(5, 10, space.dim)):
+                assert same_bits(ham_vector_field(space, ham, stack).reshape(-1, space.dim), single), name
 
     @pytest.mark.parametrize("name, space, ham", COMPILED + [FD_KINETIC], ids=[c[0] for c in COMPILED + [FD_KINETIC]])
     def test_compiled_step_matches_plain_python_rk4(self, name, space, ham):
@@ -321,13 +309,15 @@ class TestFastPaths:
 
     @pytest.mark.parametrize("name, space, ham", COMPILED + [FD_KINETIC], ids=[c[0] for c in COMPILED + [FD_KINETIC]])
     def test_compiled_field_within_ulps_of_numpy(self, name, space, ham):
-        # two summation orders of the same terms differ by a few ulps of the sum of their magnitudes
+        # the rows of the compiled step (reference_field, which test_compiled_step_matches_plain_python_rk4
+        # pins bit for bit) against the numpy reference: two summation orders of the same terms differ
+        # by a few ulps of the sum of their magnitudes
         rng = np.random.default_rng(16)
-        field = space.compile_field(ham)
         for _ in range(200):
             x = rng.standard_normal(space.dim) * 10.0 ** rng.uniform(-3, 3)
             b, g = space.bivector(x), ham.gradient(x)
-            assert np.all(np.abs(np.array(field(x.tolist())) - b @ g) <= 4 * np.spacing(np.abs(b) @ np.abs(g))), name
+            v = np.array(reference_field(space, ham, x.tolist()))
+            assert np.all(np.abs(v - ham_vector_field(space, ham, x)) <= 4 * np.spacing(np.abs(b) @ np.abs(g))), name
 
     @pytest.mark.parametrize("mgl, axis", [(0.7, [0.3, 0.0, 0.9]), (-0.7, [0.0, -0.0, 1.0]), (0.0, [0.0, 0.0, 1.0])])
     def test_heavy_top_gradient_matches_blockwise_formula(self, mgl, axis):

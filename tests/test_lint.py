@@ -358,6 +358,59 @@ def test_every_dataclass_field_is_read():
     assert found == []
 
 
+def package_names(source: str, filename: str = "<src>") -> list[tuple[str, str, str]]:
+    """``(place, module, name)`` for each ``<module>.<name>`` that a source reads off a gaugemech module.
+
+    The modules are the names bound, at any level, by ``import gaugemech``,
+    ``import gaugemech.x as y`` and ``from gaugemech import x``; ``module`` is
+    the dotted path and ``place`` is ``filename:line``.
+    """
+    tree = ast.parse(source, filename)
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "gaugemech":
+                    modules[alias.asname or "gaugemech"] = alias.name if alias.asname else "gaugemech"
+        elif isinstance(node, ast.ImportFrom) and node.module == "gaugemech" and not node.level:
+            for alias in node.names:
+                modules[alias.asname or alias.name] = f"gaugemech.{alias.name}"
+    return [(f"{filename}:{n.lineno}", modules[n.value.id], n.attr) for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id in modules]
+
+
+def resolves(module: str, name: str) -> bool:
+    import importlib
+
+    try:
+        return hasattr(importlib.import_module(module), name)
+    except ImportError:  # ``from gaugemech import f`` of something that is not a module
+        return False
+
+
+def test_package_name_detector():
+    src = (
+        "import gaugemech\n"
+        "import numpy as np\n"
+        "def f():\n"
+        "    from gaugemech import cli, poisson as p\n"
+        "    import gaugemech.liealg as la\n"
+        "    return cli.main, p.gone, la.expm, gaugemech.__version__, np.zeros, cli.main.__name__\n"
+    )
+    found = package_names(src)
+    assert sorted(found) == [("<src>:6", "gaugemech", "__version__"), ("<src>:6", "gaugemech.cli", "main"), ("<src>:6", "gaugemech.cli", "main"),
+                             ("<src>:6", "gaugemech.liealg", "expm"), ("<src>:6", "gaugemech.poisson", "gone")]
+    assert [name for _, module, name in found if not resolves(module, name)] == ["gone"]
+
+
+def test_perfbench_names_resolve():
+    # perfbench/test_smoke.py is outside tier-1's testpaths, so a package name that perfbench reads
+    # (dynamics.ham_vector_field, liealg.logm, cli.BUILTIN_SCENARIOS, ...) must not vanish unseen
+    named = [hit for path in sorted(BENCH.glob("*.py")) for hit in package_names(path.read_text(encoding="utf-8"), path.name)]
+    assert named
+    assert [f"{place} {module}.{name}" for place, module, name in named if not resolves(module, name)] == []
+
+
 def test_bool_type_test_detector():
     src = (
         "ok = isinstance(x, bool)\n"
@@ -586,8 +639,9 @@ def test_unfolded_arithmetic_detector():
 
 
 def test_generated_field_and_step_are_folded(monkeypatch):
-    # the field and the RK4 step of every Hamiltonian the package builds: both built-in heavy tops,
-    # a top off the symmetry axis, and an so(3) kinetic energy without a gradient (one grad call per stage)
+    # the RK4 step, which holds the field's rows, of every Hamiltonian the package builds: both built-in
+    # heavy tops, a top off the symmetry axis, and an so(3) kinetic energy without a gradient (one grad
+    # call per stage)
     import numpy as np
 
     from gaugemech import liealg, poisson, semidirect
@@ -595,7 +649,7 @@ def test_generated_field_and_step_are_folded(monkeypatch):
 
     compile_, sources = poisson._compile, {}
 
-    def recording(name, lines, namespace, params="y"):
+    def recording(name, lines, namespace, params):
         sources[f"{len(sources)}:{name}"] = f"def {name}({params}):\n" + "".join(f"    {line}\n" for line in lines)
         return compile_(name, lines, namespace, params)
 
@@ -605,7 +659,6 @@ def test_generated_field_and_step_are_folded(monkeypatch):
     pairs = [(m.space, m.hamiltonian) for m in models]
     pairs.append((poisson.lie_poisson(liealg.so3()), poisson.ScalarField(lambda x: 0.5 * np.vecdot(x, x / np.array([1.0, 2.0, 3.0])))))
     for space, hamiltonian in pairs:
-        space.compile_field(hamiltonian)
         space.compile_step(hamiltonian)
     assert sum(name.endswith(":step") for name in sources) == len(pairs)
     assert [hit for name, src in sources.items() for hit in unfolded_arithmetic(src, name)] == []

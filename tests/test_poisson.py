@@ -125,9 +125,7 @@ class TestBracketEval:
         for sp in spaces:
             for _ in range(200):
                 x = rng.standard_normal(sp.dim) * 10.0 ** rng.uniform(-6, 6, sp.dim)
-                ref = np.einsum("ijk,k->ij", sp.linear, x)
-                if sp.const is not None:
-                    ref = ref + sp.const
+                ref = np.einsum("ijk,k->ij", sp.linear, x) + sp.const
                 assert np.array_equal(sp.bivector(x), ref), sp.name
 
     def test_out_of_chart(self):
@@ -422,6 +420,21 @@ def test_fd_gradient_of_a_stack_is_one_row_per_point(label, dim, field):
     for stack in (rows, rows.reshape(2, 3, dim)):
         grads = numeric.gradient(stack)
         assert grads.shape == stack.shape
+        assert np.array_equal(grads.reshape(-1, dim).view(np.int64), single.view(np.int64)), label
+
+
+@pytest.mark.parametrize("label, dim, field", PACKAGE_FIELDS, ids=[f[0] for f in PACKAGE_FIELDS])
+def test_exact_gradient_of_a_stack_is_one_row_per_point(label, dim, field):
+    # the exact gradient, like the field, is one formula: each point of a stack gets the bits of its
+    # one-point call, signed zeros included
+    assert field.grad is not None, label
+    rows = np.random.default_rng(47).standard_normal((6, dim))
+    rows[::2, 0] = -0.0
+    single = np.array([field.gradient(row) for row in rows])
+    assert single.shape == (6, dim)
+    for stack in (rows, rows.reshape(2, 3, dim)):
+        grads = field.gradient(stack)
+        assert grads.shape == stack.shape, label
         assert np.array_equal(grads.reshape(-1, dim).view(np.int64), single.view(np.int64)), label
 
 
