@@ -217,6 +217,10 @@ def draw_samples(samples: int, draw_one: Callable[[], tuple]) -> list:
     coordinates rather than group elements where it can, and exponentiates
     the stacks afterwards (``BundleSpec.point_at``): the exponential takes no
     randomness.
+
+    The bundle, Poisson, semidirect and CLI suites draw through this loop.
+    The groupoid suites do not: they draw each variable once as a block
+    (``BundleSpec.random_points``, ``rng.standard_normal((N, k))``).
     """
     stacks: list = []
     for i in range(samples):
@@ -330,16 +334,21 @@ class BundleSpec:
     def random_base(self, rng: np.random.Generator) -> Array:
         return self._base_at(self._random_base_coords(rng))
 
-    def _random_base_coords(self, rng: np.random.Generator) -> Array:
+    def _random_base_coords(self, rng: np.random.Generator, lead: tuple[int, ...] = ()) -> Array:
         if self.kind == "TrivialProduct":
             lo, hi = self.base_box[:, 0], self.base_box[:, 1]
-            return lo + (hi - lo) * rng.uniform(0.1, 0.9, size=self.d)
-        return self.base_group.random_algebra(rng, scale=0.4)
+            return lo + (hi - lo) * rng.uniform(0.1, 0.9, size=lead + (self.d,))
+        return self.base_group.random_algebra(rng, 0.4, lead)
 
     def random_point_coords(self, rng: np.random.Generator) -> tuple[Array, Array]:
-        """The draws of ``random_point`` before any exponential: the base (algebra
-        coordinates of K on a group base) and the fiber's algebra coordinates."""
+        """The coordinates of one random point before any exponential: the base
+        (algebra coordinates of K on a group base) and the fiber's algebra coordinates."""
         return self._random_base_coords(rng), self.group.random_algebra(rng)
+
+    def random_points(self, rng: np.random.Generator, lead: tuple[int, ...]) -> Point:
+        """A stack of random points of leading shape ``lead``: one block of base
+        coordinates, then one block of fiber algebra coordinates, exponentiated once."""
+        return self.point_at(self._random_base_coords(rng, lead), self.group.random_algebra(rng, lead=lead))
 
     def point_at(self, base: Array, fiber: Array) -> Point:
         """The point of coordinates drawn by ``random_point_coords``, or the stack of them."""
@@ -347,9 +356,6 @@ class BundleSpec:
 
     def _base_at(self, coords: Array) -> Array:
         return coords if self.kind == "TrivialProduct" else self.base_group.exp(coords)
-
-    def random_point(self, rng: np.random.Generator) -> Point:
-        return self.point_at(*self.random_point_coords(rng))
 
     def random_tangent(self, rng: np.random.Generator) -> Array:
         return rng.standard_normal(self.tangent_dim)

@@ -43,9 +43,11 @@ cotangent structure, which is the independent ground truth.
 The axiom, law and dual-structure suites read their identities off the fibre
 basis: one arrow chain and the identity matrix of the joint fibre space, which
 is exact because the structure maps are linear in the fibre vector and do not
-read the arrow.  Every other suite draws its samples in one loop, in the order
-of its random stream, and stacks them.  Each check is evaluated once over the
-stack and reports the worst row.
+read the arrow.  Every other suite draws each of its variables once, as a block
+with one leading axis per sample (its points through ``BundleSpec.random_points``,
+exponentiated once), so its number of random calls does not grow with its
+sample count.  Each check is evaluated once over the stack and reports the
+worst row.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bundle import BundleSpec, CotangentSample, Point, dual_atiyah_matrices, draw_samples, map_matrix, row_dot, row_matvec, row_norm
+from .bundle import BundleSpec, CotangentSample, Point, dual_atiyah_matrices, map_matrix, row_dot, row_matvec, row_norm
 from .linalg import rank_gap
 from .report import SuiteReport, worst
 from .rng import stream
@@ -87,6 +89,11 @@ class SideElement:
 def _lead(point: Point) -> tuple[int, ...]:
     """Stack shape of a point: () for a single point, (N,) for N points."""
     return point.fiber.shape[:-2]
+
+
+def _unstack(point: Point) -> list[Point]:
+    """The stacks along the first axis of a point stack: (m, N, ...) to m stacks of N points."""
+    return [Point(base, fiber) for base, fiber in zip(point.base, point.fiber)]
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +238,8 @@ def _basis_draw(bundle: BundleSpec, rng: np.random.Generator, arrows: int, width
     whose maps read the points must go back to sampling arrows and vectors.
     """
     rows = sum(widths)
-    chain = [bundle.random_point(rng) for _ in range(arrows)]
-    stacked = [Point(np.broadcast_to(p.base, (rows,) + p.base.shape), np.broadcast_to(p.fiber, (rows,) + p.fiber.shape)) for p in chain]
+    chain = bundle.random_points(rng, (arrows,))
+    stacked = [Point(np.broadcast_to(p.base, (rows,) + p.base.shape), np.broadcast_to(p.fiber, (rows,) + p.fiber.shape)) for p in _unstack(chain)]
     return stacked, np.split(np.eye(rows), np.cumsum(widths)[:-1], axis=1)
 
 
@@ -471,7 +478,7 @@ def core_suite(bundle: BundleSpec, fibers: int = 50, seed: int = 0) -> SuiteRepo
     rng = stream(seed, f"groupoid.cores/{bundle.name}")
     d, n = bundle.d, bundle.n
     expected = {"T(PxP)": d + n, "PxgxP": 0, "quot(TPxTP)": d + n, "T*gauge": d}
-    (P,) = draw_samples(fibers, lambda: (bundle.random_point(rng),))
+    P = bundle.random_points(rng, (fibers,))
     cores = core_compute(bundle, P)
     found = {}
     for space, want in expected.items():
@@ -501,13 +508,11 @@ def momentum_morphism_suite(bundle: BundleSpec, samples: int = 60, seed: int = 0
     cot = space_ops(bundle, "T*PxT*P")
     coal = space_ops(bundle, "Pxg*xP")
     t = bundle.tangent_dim
-
-    def draw() -> tuple:
-        p, q, r = (bundle.random_point(rng) for _ in range(3))
-        # a, b, the side covector phi, the coalgebra triple and an algebra element
-        return p, q, r, rng.standard_normal(2 * t), rng.standard_normal(2 * t), rng.standard_normal(t), rng.standard_normal(bundle.n), bundle.group.random_algebra(rng)
-
-    P, Q, R, x_a, x_b, x_phi, x_trip, alg = draw_samples(samples, draw)
+    # arrows p, q, r; a and b, the side covector phi, the coalgebra triple and an algebra element
+    P, Q, R = _unstack(bundle.random_points(rng, (3, samples)))
+    x_a, x_b = rng.standard_normal((2, samples, 2 * t))
+    x_phi, x_trip = rng.standard_normal((samples, t)), rng.standard_normal((samples, bundle.n))
+    alg = bundle.group.random_algebra(rng, lead=(samples,))
     a = VBElement(P, Q, x_a)
     b = _with_target(cot, VBElement(Q, R, x_b), cot.source(a))
     lhs = i2_star(bundle, cot.product(a, b))
@@ -579,7 +584,7 @@ def ses_fiber_check(bundle: BundleSpec, sequence_id: str, samples: int = 50, see
     """Injectivity / surjectivity / im = ker at sampled arrows, by rank and residual."""
     rep = SuiteReport(f"groupoid.ses[{sequence_id}]")
     rng = stream(seed, f"groupoid.ses/{sequence_id}/{bundle.name}")
-    P, Q = draw_samples(samples, lambda: (bundle.random_point(rng), bundle.random_point(rng)))
+    P, Q = _unstack(bundle.random_points(rng, (2, samples)))
     f, h = _seq_matrices(bundle, sequence_id, P, Q)
     rank_f, h_r = rank_gap(f, RANK_CUT).rank, rank_gap(h, RANK_CUT)
     rep.flag("first_map_injective", bool(np.all(rank_f == f.shape[-1])))
@@ -615,16 +620,10 @@ def _quotient_dual_commutation(bundle: BundleSpec, rep: SuiteReport, samples: in
     """Contragredient pairing identity and Omega*/G ~ (Omega/G)* fiber isomorphism."""
     rng = stream(seed, f"groupoid.quotient_dual/{bundle.name}")
     t = bundle.tangent_dim
-
-    def draw() -> tuple:
-        # the arrow (p, q) only keeps the stream: the transports do not read it; then g,
-        # Phi and xi over (p, q), and xi' over the arrow (p g, q g)
-        bundle.random_point_coords(rng), bundle.random_point_coords(rng)
-        return bundle.group.random_algebra(rng), rng.standard_normal((3, 2 * t))
-
-    g, X = draw_samples(samples, draw)
-    g = bundle.group.exp(g)
-    phi, xi, xi2 = np.moveaxis(X, 1, 0)
+    # g, then Phi and xi over an arrow (p, q) and xi' over the arrow (p g, q g): the
+    # transports do not read the arrow, so it is not drawn
+    g = bundle.group.exp(bundle.group.random_algebra(rng, lead=(samples,)))
+    phi, xi, xi2 = rng.standard_normal((3, samples, 2 * t))
     g_both = np.stack([g, bundle.group.inverse(g)])
     # the tangent and cotangent transports of g and g^-1, one matrix per sample, on both legs
     tan_g, tan_back = np.kron(np.eye(2), bundle.tk_g(g_both))

@@ -482,8 +482,9 @@ class LieGroupSpec:
             return float("inf")
         return float(np.linalg.norm(self.exp(x) - g))
 
-    def random_algebra(self, rng: np.random.Generator, scale: float = 0.5) -> Array:
-        return scale * rng.standard_normal(self.dim)
+    def random_algebra(self, rng: np.random.Generator, scale: float = 0.5, lead: tuple[int, ...] = ()) -> Array:
+        """Algebra coordinates of scale times a standard normal, or a block of them of leading shape ``lead``."""
+        return scale * rng.standard_normal(lead + (self.dim,))
 
     def random_coalgebra(self, rng: np.random.Generator) -> Array:
         return rng.standard_normal(self.dim)

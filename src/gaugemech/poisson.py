@@ -70,9 +70,10 @@ class ScalarField:
     many points were evaluated at once (square with a product or
     ``np.square``: a numpy scalar's ``** 2`` can round unlike an array's).
     Calling the field gives a float for one point and an array for a stack.
-    A value whose shape is not one per point raises ValueError; a one-point
-    formula such as ``x[0] * x[1]`` on a stack of exactly dim points has
-    that shape and is not caught.
+    A value whose shape is not one per point, or an exact gradient whose
+    shape is not one row per point, raises ValueError; a one-point formula
+    such as ``x[0] * x[1]`` on a stack of exactly dim points has that shape
+    and is not caught.
 
     Without ``grad``, ``gradient`` takes central differences at
     ``fd.GRAD_STEP``, one gradient row per point of a stack, evaluating the
@@ -104,7 +105,10 @@ class ScalarField:
     def gradient(self, x: Array) -> Array:
         x = np.asarray(x, dtype=float)
         if self.grad is not None:
-            return np.asarray(self.grad(x), dtype=float)
+            grad = np.asarray(self.grad(x), dtype=float)
+            if grad.shape != x.shape:  # a one-point formula such as [x[1], x[0]] gives rows of the wrong points
+                raise ValueError(f"gradient of field {self.name!r} must give one row per point of {x.shape}, got shape {grad.shape}")
+            return grad
         # central gives one row per direction; a stack takes one contiguous gradient row per point
         return np.moveaxis(fd.central(self, x, np.eye(x.shape[-1]), fd.GRAD_STEP), 0, -1).copy()
 

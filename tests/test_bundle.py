@@ -24,6 +24,28 @@ def u1_bundle():
     return BundleSpec("TrivialProduct", t1, ConnectionData(2, 1, terms), base_box=[[-1.0, 1.0], [-1.0, 1.0]])
 
 
+class TestSampling:
+    @pytest.mark.parametrize("kind", ["TrivialProduct", "SemidirectTotal"])
+    def test_random_points_is_a_stack_of_points(self, kind):
+        from gaugemech import semidirect
+
+        if kind == "TrivialProduct":
+            b = so3_bundle()
+        else:
+            sd = semidirect.so3_r3()
+            b = BundleSpec(kind, sd.N, ConnectionData.flat(sd.K.dim, sd.N.dim), base_group=sd.K)
+        pts = b.random_points(np.random.default_rng(48), (2, 5))
+        assert pts.fiber.shape == (2, 5) + b.group.identity().shape
+        assert max(b.group.membership_defect(u) for u in pts.fiber.reshape((-1,) + pts.fiber.shape[-2:])) <= liealg.MEMBERSHIP_TOL
+        if kind == "TrivialProduct":
+            # the middle 80% of the box
+            assert pts.base.shape == (2, 5, b.d)
+            assert np.all(np.abs(pts.base) <= 0.8)
+        else:
+            assert pts.base.shape == (2, 5, 3, 3)
+            assert max(b.base_group.membership_defect(k) for k in pts.base.reshape(-1, 3, 3)) <= liealg.MEMBERSHIP_TOL
+
+
 class TestActionSuite:
     def test_so3_bundle_passes(self):
         rep = bundle.action_suite(so3_bundle(), samples=30, seed=1)

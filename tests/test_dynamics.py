@@ -26,7 +26,8 @@ def same_bits(a, b):
 # H = (q p)^2 / 2 on T*R: q p is conserved and q grows like exp(q0 p0 t), so
 # RK4 with a large step overflows once q**2 leaves the float range. The value squares with
 # np.square, not ** 2: a numpy scalar's ** 2 (one point) can round unlike an array's (a stack)
-QP_SQUARED = ScalarField(lambda x: 0.5 * np.square(x[..., 0] * x[..., 1]), lambda x: np.array([x[0] * x[1] ** 2, x[0] ** 2 * x[1]]))
+QP_SQUARED = ScalarField(lambda x: 0.5 * np.square(x[..., 0] * x[..., 1]),
+                         lambda x: np.stack([x[..., 0] * np.square(x[..., 1]), np.square(x[..., 0]) * x[..., 1]], axis=-1))
 
 
 class TestVectorField:

@@ -23,6 +23,34 @@ from gaugemech.groupoid import (
 import builders
 
 
+def random_point(b, rng):
+    """One point drawn coordinate by coordinate: its base, then its fibre's algebra coordinates."""
+    return b.point_at(*b.random_point_coords(rng))
+
+
+class CountingGenerator:
+    """A random generator that records the name of each method called on it."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self._calls.append(name)
+            return method(*args, **kwargs)
+
+        return counted
+
+
+def counted_streams(monkeypatch):
+    """Route every stream that groupoid opens through a CountingGenerator; return the shared list of calls."""
+    calls, stream = [], groupoid.stream
+    monkeypatch.setattr(groupoid, "stream", lambda seed, label: CountingGenerator(stream(seed, label), calls))
+    return calls
+
+
 @pytest.fixture(scope="module")
 def b():
     g = liealg.so3()
@@ -42,28 +70,18 @@ class TestAxioms:
         assert rep.passed, rep.failures()
 
     def test_suites_draw_one_arrow_chain(self, b, monkeypatch):
-        # the fibre basis replaces every sampled vector; only the arrow chain is drawn
-        random_point = BundleSpec.random_point
-        drawn = []
-
-        def counted(self, rng):
-            drawn.append(rng)
-            return random_point(self, rng)
-
-        monkeypatch.setattr(BundleSpec, "random_point", counted)
-        for suite, chain in [
-            (lambda: vb_axiom_suite(b, "T(PxP)", seed=1), 3),
-            (lambda: groupoid.groupoid_law_suite(b, "T(PxP)", seed=2), 4),
-            (lambda: dual_structure_suite(b, seed=3), 3),
-        ]:
-            drawn.clear()
+        # the fibre basis replaces every sampled vector; only the arrow chain is drawn, as one
+        # block of base coordinates and one block of fibre coordinates
+        calls = counted_streams(monkeypatch)
+        for suite in (lambda: vb_axiom_suite(b, "T(PxP)", seed=1), lambda: groupoid.groupoid_law_suite(b, "T(PxP)", seed=2), lambda: dual_structure_suite(b, seed=3)):
+            calls.clear()
             assert suite().passed
-            assert len(drawn) == chain
+            assert calls == ["uniform", "standard_normal"]
 
     def test_all_zero_elements_exact(self, b):
         ops = space_ops(b, "T(PxP)")
         rng = np.random.default_rng(3)
-        p, q, r = b.random_point(rng), b.random_point(rng), b.random_point(rng)
+        p, q, r = random_point(b, rng), random_point(b, rng), random_point(b, rng)
         z_pq, z_qr = ops.zero(p, q), ops.zero(q, r)
         lhs = ops.product(ops.add(z_pq, z_pq), ops.add(z_qr, z_qr))
         rhs = ops.add(ops.product(z_pq, z_qr), ops.product(z_pq, z_qr))
@@ -75,7 +93,7 @@ class TestAxioms:
         rng = np.random.default_rng(4)
         h = 1e-6
         for _ in range(10):
-            p, q, r = b.random_point(rng), b.random_point(rng), b.random_point(rng)
+            p, q, r = random_point(b, rng), random_point(b, rng), random_point(b, rng)
             v, w, z = (rng.standard_normal(b.tangent_dim) for _ in range(3))
             ops = space_ops(b, "T(PxP)")
             xi = VBElement(p, q, np.concatenate([v, w]))
@@ -102,7 +120,7 @@ class TestAxioms:
     def test_algebra_triple_product_exact(self, b):
         ops = space_ops(b, "PxgxP")
         rng = np.random.default_rng(5)
-        p, q, r = b.random_point(rng), b.random_point(rng), b.random_point(rng)
+        p, q, r = random_point(b, rng), random_point(b, rng), random_point(b, rng)
         x = rng.standard_normal(3)
         prod = ops.product(VBElement(p, q, x), VBElement(q, r, x))
         assert prod.p is p and prod.q is r
@@ -129,7 +147,7 @@ def test_structure_matrices_equal_closed_forms(b, tag):
     source, target, identity, inverse, product = _closed_forms(tag, b.tangent_dim, b.n)
     rng = np.random.default_rng(24)
     for _ in range(10):
-        p, q, r = b.random_point(rng), b.random_point(rng), b.random_point(rng)
+        p, q, r = random_point(b, rng), random_point(b, rng), random_point(b, rng)
         a = VBElement(p, q, rng.standard_normal(ops.inv.shape[0]))
         s, t = ops.source(a), ops.target(a)
         assert s.point is q and np.array_equal(s.x, source(a.x))
@@ -147,7 +165,7 @@ def test_structure_matrices_equal_closed_forms(b, tag):
 class TestCotangentPairStructure:
     def test_source_target_of_identity(self, b):
         rng = np.random.default_rng(6)
-        cov = CotangentSample(b.random_point(rng), *b.random_covector(rng))
+        cov = CotangentSample(random_point(b, rng), *b.random_covector(rng))
         phi = SideElement(cov.point, cov.coords)
         ops = space_ops(b, "T*PxT*P")
         eps = ops.identity(phi)
@@ -159,7 +177,7 @@ class TestCotangentPairStructure:
     def test_identity_times_inverse(self, b):
         ops = space_ops(b, "T*PxT*P")
         rng = np.random.default_rng(7)
-        el = VBElement(b.random_point(rng), b.random_point(rng), rng.standard_normal(ops.inv.shape[0]))
+        el = VBElement(random_point(b, rng), random_point(b, rng), rng.standard_normal(ops.inv.shape[0]))
         prod = ops.product(el, ops.inverse(el))
         ident = ops.identity(ops.target(el))
         assert ops.distance(prod, ident) <= 1e-13
@@ -173,7 +191,7 @@ class TestCotangentPairStructure:
             return VBElement(el.p, el.q, np.concatenate([el.x[:t], -el.x[t:]]))
 
         rng = np.random.default_rng(8)
-        p, q, r = b.random_point(rng), b.random_point(rng), b.random_point(rng)
+        p, q, r = random_point(b, rng), random_point(b, rng), random_point(b, rng)
         a = VBElement(p, q, rng.standard_normal(ops.inv.shape[0]))
         bb = groupoid._with_target(ops, VBElement(q, r, rng.standard_normal(ops.inv.shape[0])), ops.source(a))
         prod = delta(ops.product(a, bb))
@@ -189,7 +207,7 @@ class TestDualStructure:
         dual = DualOfPairTangent(b)
         ops = space_ops(b, "T*PxT*P")
         rng = np.random.default_rng(9)
-        zero = ops.zero(b.random_point(rng), b.random_point(rng))
+        zero = ops.zero(random_point(b, rng), random_point(b, rng))
         assert np.linalg.norm(dual.dual_target(zero).x) == 0.0
         assert np.linalg.norm(dual.dual_source(zero).x) == 0.0
 
@@ -200,7 +218,7 @@ class TestDualStructure:
     def test_composition_rejects_mismatch(self, b):
         dual = DualOfPairTangent(b)
         rng = np.random.default_rng(11)
-        p, q, r = b.random_point(rng), b.random_point(rng), b.random_point(rng)
+        p, q, r = random_point(b, rng), random_point(b, rng), random_point(b, rng)
         Phi = VBElement(p, q, rng.standard_normal(2 * b.tangent_dim))
         Psi = VBElement(r, p, rng.standard_normal(2 * b.tangent_dim))
         with pytest.raises(ValueError, match="dual composition undefined"):
@@ -210,7 +228,7 @@ class TestDualStructure:
 class TestCores:
     def test_dimensions_match_contract(self, b):
         rng = np.random.default_rng(12)
-        p = b.random_point(rng)
+        p = random_point(b, rng)
         dim_p = b.tangent_dim
         cores = core_compute(b, p)
         assert cores["T(PxP)"][0] == dim_p
@@ -225,7 +243,7 @@ class TestCores:
     def test_gauge_core_elements_annihilate_momentum(self, b):
         # core of the gauge cotangent groupoid: classes <(phi, 0)> with J(phi) = 0
         rng = np.random.default_rng(14)
-        p = b.random_point(rng)
+        p = random_point(b, rng)
         phi = CotangentSample(p, rng.standard_normal(b.d), np.zeros(b.n))
         el = VBElement(p, p, np.concatenate([phi.coords, np.zeros(b.tangent_dim)]))
         assert tv0_membership_residual(b, el) == 0.0
@@ -235,7 +253,7 @@ class TestCores:
 class TestGaugeDualGroupoid:
     def test_inverse_law(self, b):
         rng = np.random.default_rng(15)
-        p, q = b.random_point(rng), b.random_point(rng)
+        p, q = random_point(b, rng), random_point(b, rng)
         el = VBElement(p, q, rng.standard_normal(3))
         ops = space_ops(b, "Pxg*xP")
         prod = ops.product(el, ops.inverse(el))
@@ -247,7 +265,7 @@ class TestGaugeDualGroupoid:
         coal = space_ops(b, "Pxg*xP")
         rng = np.random.default_rng(16)
         for _ in range(10):
-            p, q, r = b.random_point(rng), b.random_point(rng), b.random_point(rng)
+            p, q, r = random_point(b, rng), random_point(b, rng), random_point(b, rng)
             x = VBElement(p, q, rng.standard_normal(ops.inv.shape[0]))
             y = groupoid._with_target(ops, VBElement(q, r, rng.standard_normal(ops.inv.shape[0])), ops.source(x))
             lhs = i2_star(b, ops.product(x, y))
@@ -256,7 +274,7 @@ class TestGaugeDualGroupoid:
 
     def test_j2_zero_iff_annihilator(self, b):
         rng = np.random.default_rng(17)
-        p, q = b.random_point(rng), b.random_point(rng)
+        p, q = random_point(b, rng), random_point(b, rng)
         phi = CotangentSample(p, *b.random_covector(rng))
         psi = CotangentSample(q, rng.standard_normal(b.d), -b.momentum(phi))
         el = VBElement(p, q, np.concatenate([phi.coords, psi.coords]))
@@ -283,13 +301,13 @@ class TestSES:
     def test_i2_injective(self, b):
         # I_2(p, X, q) = (vert_p X, vert_q X) has full column rank everywhere
         rng = np.random.default_rng(21)
-        p, q = b.random_point(rng), b.random_point(rng)
+        p, q = random_point(b, rng), random_point(b, rng)
         f, _ = groupoid._seq_matrices(b, "duzyVtrojka", p, q)
         assert np.linalg.matrix_rank(f) == b.n
 
     def test_quot_rep_kills_vertical_shift(self, b):
         rng = np.random.default_rng(22)
-        p, q = b.random_point(rng), b.random_point(rng)
+        p, q = random_point(b, rng), random_point(b, rng)
         v, w = rng.standard_normal(b.tangent_dim), rng.standard_normal(b.tangent_dim)
         x = b.group.random_algebra(rng)
         el = VBElement(p, q, np.concatenate([v, w]))
@@ -324,7 +342,7 @@ class TestBatchedEngine:
     def _composable_stack(self, b, ops, rng, n=7):
         firsts, seconds = [], []
         for _ in range(n):
-            p, q, r = b.random_point(rng), b.random_point(rng), b.random_point(rng)
+            p, q, r = random_point(b, rng), random_point(b, rng), random_point(b, rng)
             a = VBElement(p, q, rng.standard_normal(ops.inv.shape[0]))
             firsts.append(a)
             seconds.append(groupoid._with_target(ops, VBElement(q, r, rng.standard_normal(ops.inv.shape[0])), ops.source(a)))
@@ -425,3 +443,19 @@ def test_point_routing_mutants_fail(b, tag, monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(groupoid.VBGroupoid, "inverse", lambda self, el: VBElement(el.p, el.q, inverse(self, el).x))
     assert _rejected(b, tag)
+
+
+@pytest.mark.parametrize("suite", [
+    lambda b, n: core_suite(b, fibers=n, seed=1),
+    lambda b, n: momentum_morphism_suite(b, samples=n, seed=2),
+    *(lambda b, n, sid=sid: ses_fiber_check(b, sid, samples=n, seed=3) for sid in ("duzyVtrojka", "duzyVdual", "Adual", "quotiented")),
+], ids=["cores", "momentum_morphism", "ses-duzyVtrojka", "ses-duzyVdual", "ses-Adual", "ses-quotiented"])
+def test_draws_do_not_scale_with_the_sample_count(b, suite, monkeypatch):
+    # each variable is drawn once as a block, so doubling the samples makes no further generator call
+    calls = counted_streams(monkeypatch)
+    counts = []
+    for n in (7, 14):
+        calls.clear()
+        assert suite(b, n).passed
+        counts.append(len(calls))
+    assert counts[0] == counts[1]

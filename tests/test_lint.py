@@ -101,8 +101,9 @@ def central_difference_sites(source: str, filename: str = "<src>") -> list[str]:
 def per_sample_loops(source: str, filename: str = "<src>") -> list[str]:
     """Loops (``for`` statements and comprehensions) over ``range(samples)`` or ``range(trials)`` in a ``*_suite`` or ``*_check`` function.
 
-    A suite draws its samples through ``bundle.draw_samples`` and evaluates
-    each check once over the stacked samples.
+    A suite draws its samples as blocks (``BundleSpec.random_points``) or
+    through ``bundle.draw_samples``, and evaluates each check once over the
+    stacked samples.
     """
     found = []
     for fn in ast.walk(ast.parse(source, filename)):
@@ -132,6 +133,29 @@ def central_in_loops(source: str, filename: str = "<src>") -> list[str]:
             for node in ast.walk(loop):
                 if isinstance(node, ast.Call) and ast.unparse(node.func) in ("fd.central", "central"):
                     found.add(node.lineno)
+    return [f"{filename}:{line}" for line in sorted(found)]
+
+
+def _callee(call: ast.Call) -> str | None:
+    """The called name: ``f`` of ``f(...)`` and of ``x.f(...)``."""
+    return call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", None)
+
+
+def per_sample_draws(source: str, filename: str = "<src>") -> list[str]:
+    """Calls of ``draw_samples``, and random draws inside a loop, a comprehension or a lambda.
+
+    A random draw is a method call on ``rng`` (``rng.standard_normal(...)``)
+    or a call of a ``random_*`` function or method.  A suite that draws each
+    variable once as a block, with one leading axis per sample, makes as
+    many random calls at any sample count; a draw in a loop or in a
+    ``draw_samples`` lambda makes one per sample.
+    """
+    tree = ast.parse(source, filename)
+    found = {node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call) and _callee(node) == "draw_samples"}
+    for scope in ast.walk(tree):
+        if isinstance(scope, LOOPS + (ast.While, ast.Lambda)):
+            found |= {node.lineno for node in ast.walk(scope) if isinstance(node, ast.Call)
+                      and (ast.unparse(node.func).startswith("rng.") or (_callee(node) or "").startswith("random_"))}
     return [f"{filename}:{line}" for line in sorted(found)]
 
 
@@ -497,6 +521,31 @@ def test_central_in_loop_detector():
 def test_no_central_in_loops_in_package():
     found = [hit for path in sorted(SRC.glob("*.py")) for hit in central_in_loops(path.read_text(encoding="utf-8"), path.name)]
     assert found == []
+
+
+def test_per_sample_draw_detector():
+    src = (
+        "P, Q = draw_samples(n, lambda: (b.random_point(rng), b.random_point(rng)))\n"
+        "xs = bundle.draw_samples(n, draw)\n"
+        "for _ in range(n):\n"
+        "    v = rng.standard_normal(3)\n"
+        "ys = [random_polynomial(rng, 3) for _ in range(n)]\n"
+        "g = G.exp(np.array([G.random_algebra(rng) for _ in range(n)]))\n"
+        "draw = lambda: (rng.uniform(0, 1, 2),)\n"
+        "while k:\n"
+        "    k = rng.integers(3)\n"
+        "ok = b.random_points(rng, (3, n))\n"
+        "ok2 = rng.standard_normal((2, n, 4))\n"
+        "ok3 = [p for p in unstack(ok)]\n"
+        "ok4 = [g.random for g in gens]\n"
+    )
+    assert per_sample_draws(src) == ["<src>:1", "<src>:2", "<src>:4", "<src>:5", "<src>:6", "<src>:7", "<src>:9"]
+
+
+def test_no_per_sample_draws_in_groupoid():
+    # the bundle, Poisson, semidirect and CLI suites still draw through draw_samples
+    path = SRC / "groupoid.py"
+    assert per_sample_draws(path.read_text(encoding="utf-8"), path.name) == []
 
 
 def test_central_difference_detector():

@@ -438,6 +438,15 @@ def test_exact_gradient_of_a_stack_is_one_row_per_point(label, dim, field):
         assert np.array_equal(grads.reshape(-1, dim).view(np.int64), single.view(np.int64)), label
 
 
+def test_exact_gradient_that_ignores_the_stack_is_rejected():
+    # [x[1] * x[2], x[0] * x[2], x[0] * x[1]] is a one-point formula: on a stack it multiplies rows
+    field = ScalarField(lambda x: x[..., 0] * x[..., 1] * x[..., 2], lambda x: np.array([x[1] * x[2], x[0] * x[2], x[0] * x[1]]), name="q p r")
+    assert np.array_equal(field.gradient(np.array([2.0, 3.0, 5.0])), [15.0, 10.0, 6.0])
+    for stack in (np.ones((4, 3)), np.ones((5, 2, 3))):
+        with pytest.raises(ValueError, match="one row per point"):
+            field.gradient(stack)
+
+
 def test_fd_gradient_goes_through_the_field_shape_check():
     field = ScalarField(lambda x: x[0] * x[1], name="q p")
     with pytest.raises(ValueError, match="one value per point"):
