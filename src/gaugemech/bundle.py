@@ -218,9 +218,10 @@ def draw_samples(samples: int, draw_one: Callable[[], tuple]) -> list:
     the stacks afterwards (``BundleSpec.point_at``): the exponential takes no
     randomness.
 
-    The bundle, Poisson, semidirect and CLI suites draw through this loop.
-    The groupoid suites do not: they draw each variable once as a block
-    (``BundleSpec.random_points``, ``rng.standard_normal((N, k))``).
+    The bundle, Poisson and CLI suites draw through this loop.  The groupoid
+    and semidirect suites do not: they draw each variable once as a block
+    (``BundleSpec.random_points``, ``SemidirectSpec.random_pairs``,
+    ``rng.standard_normal((N, k))``).
     """
     stacks: list = []
     for i in range(samples):

@@ -30,7 +30,7 @@ from . import liealg, poisson, schema
 
 # groupoid, semidirect and dynamics are imported by the commands that run them, so a
 # leaves run neither compiles nor holds them
-from .report import Check, SuiteReport, csv_lines, dump_json, worst
+from .report import Check, SuiteReport, csv_lines, dump_json
 from .rng import stream
 from .schema import ConfigError
 
@@ -298,7 +298,7 @@ def _suite_registry() -> dict[str, Callable[[dict, int], list[SuiteReport]]]:
             bundle_mod.action_suite(b, samples=25, seed=seed),
             bundle_mod.momentum_suite(b, samples=40, seed=seed),
             bundle_mod.anchor_pullback_suite(b, samples=25, seed=seed),
-            _momentum_cross_check(sd, b, seed),
+            semidirect.momentum_cross_check_suite(sd, samples=40, seed=seed),
         ]
 
     return {
@@ -326,23 +326,6 @@ def _suite_registry() -> dict[str, Callable[[dict, int], list[SuiteReport]]]:
         "semidirect.reduced_sequence": lambda ctx, seed: [semidirect.reduced_sequence_suite(need(ctx, "semidirect"), samples=25, seed=seed)],
         "semidirect.total_bundle": sd_total_bundle,
     }
-
-
-def _momentum_cross_check(sd: semidirect.SemidirectSpec, b: bundle_mod.BundleSpec, seed: int) -> SuiteReport:
-    """bundle.momentum on the total space matches the factor momentum J_N."""
-    from . import semidirect
-
-    rep = SuiteReport(f"semidirect.momentum_cross_check[{sd.name}]")
-    rng = stream(seed, f"semidirect.momentum_cross/{sd.name}")
-    base, fiber, a, chi = bundle_mod.draw_samples(40, lambda: (*b.random_point_coords(rng), *b.random_covector(rng)))
-    s = bundle_mod.CotangentSample(b.point_at(base, fiber), a, chi)
-    fc = semidirect.FactoredCotangent(s.point.base, s.a, s.point.fiber, s.b)
-    _, jn = semidirect.momentum_factorized(fc)
-    jn_group = bundle_mod.row_matvec(sd.iota_dot().T, semidirect.tstar_sigma(sd, fc))
-    w_j = worst(bundle_mod.row_norm(b.momentum(s) - jn), bundle_mod.row_norm(jn_group - jn))
-    rep.add("J_matches_factor_momentum", w_j, 1e-10)
-    rep.extras["trials"] = 40
-    return rep
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from typing import Any, Callable, Iterator, Sequence
 import numpy as np
 
 from . import fd, schema
-from .bundle import BundleSpec, ConnectionData, dual_atiyah_split, draw_samples, row_dot, row_form, row_matvec, row_norm
+from .bundle import BundleSpec, ConnectionData, CotangentSample, dual_atiyah_split, row_dot, row_form, row_matvec, row_norm
 from .liealg import LieGroupSpec, expm, so3, translation_group
 from .poisson import ScalarField, canonical_two_form, coordinate_field, dexp_left, lie_poisson
 from .report import SuiteReport, worst
@@ -36,11 +36,11 @@ from .rng import stream
 
 Array = np.ndarray
 
-# samples evaluated at once by the stacked suites: bounds every temporary of a large suite.  The
-# finite-difference suites stack up to four evaluations per sample (two curves, two ends), so a
-# block of 8 keeps their largest temporary (about 240 KB) at the size of the largest one of the
-# other semidirect suites
-SAMPLE_BLOCK = 8
+# samples evaluated at once by the stacked suites: bounds every temporary of a large suite.  At 12
+# the suites of 20 to 40 samples run in 2 to 4 passes and the 200-sample equivariance in 17, and no
+# suite's peak of traced memory passes 0.33 MB (momentum_form's, the largest); 50 samples a pass
+# would take about a third less time per se3-verify run and peak at 0.56 MB (pullback_form)
+SAMPLE_BLOCK = 12
 
 
 @dataclass
@@ -100,9 +100,10 @@ class SemidirectSpec:
     def identity_pair(self) -> tuple[Array, Array]:
         return self.K.identity(), self.N.identity()
 
-    def random_pair_coords(self, rng: np.random.Generator) -> tuple[Array, Array]:
-        """Algebra coordinates of a random pair (k, u); ``pair_at`` exponentiates them."""
-        return self.K.random_algebra(rng, 0.4), self.N.random_algebra(rng, 0.4)
+    def random_pairs(self, rng: np.random.Generator, lead: tuple[int, ...]) -> tuple[Array, Array]:
+        """A stack of random pairs (k, u) of leading shape ``lead``: one block of K coordinates, then
+        one block of N coordinates, at scale 0.4, each exponentiated once."""
+        return self.pair_at(self.K.random_algebra(rng, 0.4, lead), self.N.random_algebra(rng, 0.4, lead))
 
     def pair_at(self, k: Array, u: Array) -> tuple[Array, Array]:
         """(exp k, exp u) of algebra coordinates, or of stacks of them."""
@@ -324,13 +325,13 @@ def pullback_form_suite(sd: SemidirectSpec, samples: int = 30, seed: int = 0) ->
     H = sd.group_spec()
     h = fd.FINE_STEP
     s1, s2 = 1.7, -0.6
+    nk, nn = sd.K.dim, sd.N.dim
     w_eq = w_chi0 = w_iso = w_lin = 0.0
-    # per sample, in stream order: the pair (k, u), the covector (theta, chi) and the base direction (xi, nu)
-    draws = draw_samples(samples, lambda: (*sd.random_pair_coords(rng), rng.standard_normal(sd.K.dim), rng.standard_normal(sd.N.dim),
-                                           0.7 * rng.standard_normal(sd.K.dim), 0.7 * rng.standard_normal(sd.N.dim)))
+    # one block each, in stream order: the pairs (k, u), the covectors (theta, chi) and the base directions (xi, nu)
+    draws = (*sd.random_pairs(rng, (samples,)), rng.standard_normal((samples, nk)), rng.standard_normal((samples, nn)),
+             0.7 * rng.standard_normal((samples, nk)), 0.7 * rng.standard_normal((samples, nn)))
     for rows in _blocks(samples):
-        k_alg, u_alg, theta, chi, xi, nu = (x[rows] for x in draws)
-        k, u = sd.pair_at(k_alg, u_alg)
+        k, u, theta, chi, xi, nu = (x[rows] for x in draws)
         zero_k, zero_n = np.zeros_like(theta), np.zeros_like(chi)
         # T*Sigma of (theta, chi), of chi = 0, of theta = 0 and of (s1 theta, s2 chi), one stack over the same points
         beta, beta0, beta_n, beta_s = tstar_sigma(sd, FactoredCotangent(k, np.stack([theta, theta, zero_k, s1 * theta]), u, np.stack([chi, zero_n, chi, s2 * chi])))
@@ -372,15 +373,9 @@ def spec_suite(sd: SemidirectSpec, samples: int = 30, seed: int = 0) -> SuiteRep
     """SemidirectSpec invariants: rho automorphisms, anti-homomorphism, products."""
     rep = SuiteReport(f"semidirect.spec[{sd.name}]")
     rng = stream(seed, f"semidirect.spec/{sd.name}")
-
-    def draw() -> tuple:
-        # l, l2 in K and u, w in N at scale 0.5, then three random pairs
-        return (sd.K.random_algebra(rng, 0.5), sd.K.random_algebra(rng, 0.5), sd.N.random_algebra(rng, 0.5), sd.N.random_algebra(rng, 0.5),
-                *sd.random_pair_coords(rng), *sd.random_pair_coords(rng), *sd.random_pair_coords(rng))
-
-    l, l2, u, w, *pairs = draw_samples(samples, draw)
-    (l, l2, *ks), (u, w, *us) = sd.pair_at(np.stack([l, l2, *pairs[0::2]]), np.stack([u, w, *pairs[1::2]]))
-    a, b, c = zip(ks, us)
+    # l, l2 in K and u, w in N at scale 0.5, then three random pairs
+    (l, l2), (u, w) = sd.pair_at(sd.K.random_algebra(rng, 0.5, (2, samples)), sd.N.random_algebra(rng, 0.5, (2, samples)))
+    a, b, c = zip(*sd.random_pairs(rng, (3, samples)))
     w_auto = row_norm(sd.rho(l, u @ w) - sd.rho(l, u) @ sd.rho(l, w), 2)
     w_anti = row_norm(sd.rho(l @ l2, u) - sd.rho(l2, sd.rho(l, u)), 2)
     w_id = row_norm(sd.rho(sd.K.identity(), u) - u, 2)
@@ -407,8 +402,8 @@ def trivialization_suite(sd: SemidirectSpec, samples: int = 30, seed: int = 0) -
     rep = SuiteReport(f"semidirect.trivialization[{sd.name}]")
     rng = stream(seed, f"semidirect.trivialization/{sd.name}")
     H = sd.group_spec()
-    k, u, theta, chi = draw_samples(samples, lambda: (*sd.random_pair_coords(rng), rng.standard_normal(sd.K.dim), rng.standard_normal(sd.N.dim)))
-    k, u = sd.pair_at(k, u)
+    k, u = sd.random_pairs(rng, (samples,))
+    theta, chi = rng.standard_normal((samples, sd.K.dim)), rng.standard_normal((samples, sd.N.dim))
     fc = FactoredCotangent(k, theta, u, chi)
     back = tstar_sigma_inverse(sd, k, u, tstar_sigma(sd, fc))
     w_rt = row_norm(back.theta - theta) + row_norm(back.chi - chi)
@@ -432,28 +427,39 @@ def trivialization_suite(sd: SemidirectSpec, samples: int = 30, seed: int = 0) -
     return rep
 
 
+def momentum_cross_check_suite(sd: SemidirectSpec, samples: int = 40, seed: int = 0) -> SuiteReport:
+    """bundle.momentum on the total space matches the factor momentum J_N."""
+    rep = SuiteReport(f"semidirect.momentum_cross_check[{sd.name}]")
+    rng = stream(seed, f"semidirect.momentum_cross/{sd.name}")
+    b = total_bundle(sd)
+    s = CotangentSample(b.random_points(rng, (samples,)), rng.standard_normal((samples, b.d)), rng.standard_normal((samples, b.n)))
+    fc = FactoredCotangent(s.point.base, s.a, s.point.fiber, s.b)
+    _, jn = momentum_factorized(fc)
+    jn_group = row_matvec(sd.iota_dot().T, tstar_sigma(sd, fc))
+    rep.add("J_matches_factor_momentum", worst(row_norm(b.momentum(s) - jn), row_norm(jn_group - jn)), 1e-10)
+    rep.extras["trials"] = samples
+    return rep
+
+
 def _blocks(samples: int) -> Iterator[slice]:
     """The rows of each block of at most SAMPLE_BLOCK samples."""
     return (slice(i, i + SAMPLE_BLOCK) for i in range(0, samples, SAMPLE_BLOCK))
 
 
 def _draw_factored(sd: SemidirectSpec, samples: int, rng: np.random.Generator, pairs: int,
-                   more: Callable[[], tuple] = tuple) -> Iterator[tuple[FactoredCotangent, list[tuple[Array, Array]], list[Array]]]:
-    """Per sample, in stream order: a FactoredCotangent (k and u at scale 0.4), ``pairs`` random pairs and the arrays ``more`` draws.
+                   extra: Sequence[Array] = ()) -> Iterator[tuple[FactoredCotangent, list[tuple[Array, Array]], list[Array]]]:
+    """FactoredCotangents (k and u at scale 0.4) with ``pairs`` random pairs each, and the rows of the ``extra`` stacks.
 
-    Every sample's algebra coordinates are drawn in one loop first; the samples
-    are then yielded in blocks of at most SAMPLE_BLOCK, each block exponentiated
-    once, so no temporary grows with the sample count.
+    Each variable is drawn once, as a block with one row per sample: the K
+    coordinates of the points and of the pairs, their N coordinates, then
+    theta and chi.  The samples are yielded in blocks of at most SAMPLE_BLOCK,
+    each block exponentiated once, so no temporary grows with the sample count.
     """
-    def draw() -> tuple:
-        return (sd.K.random_algebra(rng, 0.4), rng.standard_normal(sd.K.dim), sd.N.random_algebra(rng, 0.4), rng.standard_normal(sd.N.dim),
-                *(x for _ in range(pairs) for x in sd.random_pair_coords(rng)), *more())
-
-    k, theta, u, chi, *rest = draw_samples(samples, draw)
-    pair_coords, extra = rest[: 2 * pairs], rest[2 * pairs :]
+    k_alg, u_alg = sd.K.random_algebra(rng, 0.4, (1 + pairs, samples)), sd.N.random_algebra(rng, 0.4, (1 + pairs, samples))
+    theta, chi = rng.standard_normal((samples, sd.K.dim)), rng.standard_normal((samples, sd.N.dim))
     for rows in _blocks(samples):
-        fc = FactoredCotangent(sd.K.exp(k[rows]), theta[rows], sd.N.exp(u[rows]), chi[rows])
-        yield fc, [sd.pair_at(l[rows], w[rows]) for l, w in zip(pair_coords[0::2], pair_coords[1::2])], [x[rows] for x in extra]
+        (k, *ls), (u, *ws) = sd.pair_at(k_alg[:, rows], u_alg[:, rows])
+        yield FactoredCotangent(k, theta[rows], u, chi[rows]), list(zip(ls, ws)), [x[rows] for x in extra]
 
 
 def action_suite(sd: SemidirectSpec, samples: int = 30, seed: int = 0) -> SuiteReport:
@@ -524,16 +530,15 @@ def reduced_sequence_suite(sd: SemidirectSpec, samples: int = 25, seed: int = 0)
     w_gamma_star = w_omega = 0.0
     if abelian:
         a_char = rng.standard_normal(nn)
-        # per sample, in stream order: the pair (k, u), theta, the N-element w at scale 0.5, and xi1, xi2, dth1, dth2
-        draws = draw_samples(samples, lambda: (*sd.random_pair_coords(rng), rng.standard_normal(nk), sd.N.random_algebra(rng, 0.5),
-                                               *(rng.standard_normal(nk) for _ in range(4))))
+        # one block each, in stream order: the pairs (k, u), theta, the N-elements w at scale 0.5, and xi1, xi2, dth1, dth2
+        draws = (*sd.random_pairs(rng, (samples,)), rng.standard_normal((samples, nk)), sd.N.exp(sd.N.random_algebra(rng, 0.5, (samples,))),
+                 *rng.standard_normal((4, samples, nk)))
         for rows in _blocks(samples):
-            k_alg, u_alg, theta, w_alg, xi1, xi2, dth1, dth2 = (x[rows] for x in draws)
-            k, u = sd.pair_at(k_alg, u_alg)
+            k, u, theta, w, xi1, xi2, dth1, dth2 = (x[rows] for x in draws)
             chi = np.broadcast_to(a_char, theta.shape[:-1] + (nn,))
 
             # [Gamma*] is N-invariant and returns the theta coordinates
-            moved = lifted_action(sd, FactoredCotangent(k, theta, u, chi), (sd.K.identity(), sd.N.exp(w_alg)))
+            moved = lifted_action(sd, FactoredCotangent(k, theta, u, chi), (sd.K.identity(), w))
             w_gamma_star = worst(w_gamma_star, row_norm(moved.theta - theta), row_norm(moved.k - k, 2))
 
             # omega_a = d(gamma_K + (pi_K*)A) with A = 0 for the homomorphic
@@ -571,11 +576,9 @@ def momentum_form_suite(sd: SemidirectSpec, samples: int = 20, seed: int = 0) ->
     ends = np.array([-h, h])
     worst_h = worst_n = 0.0
 
-    def more() -> tuple:
-        # after the covector of each sample: the algebra elements x_k, x_n and a tangent v
-        return 0.7 * rng.standard_normal(nk), 0.7 * rng.standard_normal(nn), rng.standard_normal(2 * (nk + nn))
-
-    for fc, _, (x_k, x_n, v) in _draw_factored(sd, samples, rng, pairs=0, more=more):
+    # before the covectors: the algebra elements x_k, x_n and a tangent v of each sample
+    extra = 0.7 * rng.standard_normal((samples, nk)), 0.7 * rng.standard_normal((samples, nn)), rng.standard_normal((samples, 2 * (nk + nn)))
+    for fc, _, (x_k, x_n, v) in _draw_factored(sd, samples, rng, pairs=0, extra=extra):
         x_hn = row_matvec(sd.iota_dot(), x_n)
         x_h = row_matvec(sd.sigma_dot(), x_k) + x_hn
         # the covector moved along v to -h and +h

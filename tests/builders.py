@@ -1,4 +1,4 @@
-"""Builders of spec documents and connections for tests.
+"""Builders of spec documents and connections for tests, and a counting random generator.
 
 The package reads these documents (``liealg.spec_from_json``,
 ``semidirect.sd_from_json``) but never writes them; tests build inline specs
@@ -47,3 +47,26 @@ def connection_from_matrix(mat) -> ConnectionData:
     n, d = mat.shape
     terms = [[([(float(mat[k, i]), (0,) * d)] if mat[k, i] != 0 else []) for k in range(n)] for i in range(d)]
     return ConnectionData(d, n, terms)
+
+
+class CountingGenerator:
+    """A random generator that records the name of each method called on it."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self._calls.append(name)
+            return method(*args, **kwargs)
+
+        return counted
+
+
+def counted_streams(monkeypatch, module):
+    """Route every stream that ``module`` opens through a CountingGenerator; return the shared list of calls."""
+    calls, stream = [], module.stream
+    monkeypatch.setattr(module, "stream", lambda seed, label: CountingGenerator(stream(seed, label), calls))
+    return calls

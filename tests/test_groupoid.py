@@ -28,29 +28,6 @@ def random_point(b, rng):
     return b.point_at(*b.random_point_coords(rng))
 
 
-class CountingGenerator:
-    """A random generator that records the name of each method called on it."""
-
-    def __init__(self, rng, calls):
-        self._rng, self._calls = rng, calls
-
-    def __getattr__(self, name):
-        method = getattr(self._rng, name)
-
-        def counted(*args, **kwargs):
-            self._calls.append(name)
-            return method(*args, **kwargs)
-
-        return counted
-
-
-def counted_streams(monkeypatch):
-    """Route every stream that groupoid opens through a CountingGenerator; return the shared list of calls."""
-    calls, stream = [], groupoid.stream
-    monkeypatch.setattr(groupoid, "stream", lambda seed, label: CountingGenerator(stream(seed, label), calls))
-    return calls
-
-
 @pytest.fixture(scope="module")
 def b():
     g = liealg.so3()
@@ -72,7 +49,7 @@ class TestAxioms:
     def test_suites_draw_one_arrow_chain(self, b, monkeypatch):
         # the fibre basis replaces every sampled vector; only the arrow chain is drawn, as one
         # block of base coordinates and one block of fibre coordinates
-        calls = counted_streams(monkeypatch)
+        calls = builders.counted_streams(monkeypatch, groupoid)
         for suite in (lambda: vb_axiom_suite(b, "T(PxP)", seed=1), lambda: groupoid.groupoid_law_suite(b, "T(PxP)", seed=2), lambda: dual_structure_suite(b, seed=3)):
             calls.clear()
             assert suite().passed
@@ -452,7 +429,7 @@ def test_point_routing_mutants_fail(b, tag, monkeypatch):
 ], ids=["cores", "momentum_morphism", "ses-duzyVtrojka", "ses-duzyVdual", "ses-Adual", "ses-quotiented"])
 def test_draws_do_not_scale_with_the_sample_count(b, suite, monkeypatch):
     # each variable is drawn once as a block, so doubling the samples makes no further generator call
-    calls = counted_streams(monkeypatch)
+    calls = builders.counted_streams(monkeypatch, groupoid)
     counts = []
     for n in (7, 14):
         calls.clear()

@@ -4,6 +4,8 @@ import ast
 import re
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "gaugemech"
 BENCH = SRC.parents[1] / "perfbench"
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
@@ -542,9 +544,10 @@ def test_per_sample_draw_detector():
     assert per_sample_draws(src) == ["<src>:1", "<src>:2", "<src>:4", "<src>:5", "<src>:6", "<src>:7", "<src>:9"]
 
 
-def test_no_per_sample_draws_in_groupoid():
-    # the bundle, Poisson, semidirect and CLI suites still draw through draw_samples
-    path = SRC / "groupoid.py"
+@pytest.mark.parametrize("module", ["groupoid.py", "semidirect.py"])
+def test_no_per_sample_draws(module):
+    # the bundle, Poisson and CLI suites still draw through draw_samples
+    path = SRC / module
     assert per_sample_draws(path.read_text(encoding="utf-8"), path.name) == []
 
 

@@ -1,9 +1,10 @@
+import tracemalloc
 from functools import partial
 
 import numpy as np
 import pytest
 
-from gaugemech import bundle, dynamics, liealg, poisson, semidirect
+from gaugemech import bundle, cli, dynamics, liealg, poisson, semidirect
 from gaugemech.bundle import CotangentSample
 from gaugemech.semidirect import (
     FactoredCotangent,
@@ -27,6 +28,11 @@ import cotangent_flow
 @pytest.fixture(scope="module")
 def sd():
     return so3_r3()
+
+
+def random_pair(spec, rng):
+    """One random pair (k, u), its K and N coordinates at scale 0.4."""
+    return spec.pair_at(spec.K.random_algebra(rng, 0.4), spec.N.random_algebra(rng, 0.4))
 
 
 def hom4(k, v):
@@ -100,7 +106,7 @@ class TestEmbedding:
         spec = route()
         rng = np.random.default_rng(23)
         for _ in range(10):
-            a, b = spec.pair_at(*spec.random_pair_coords(rng)), spec.pair_at(*spec.random_pair_coords(rng))
+            a, b = random_pair(spec, rng), random_pair(spec, rng)
             err = spec.embed(*spec.product(a, b)) - spec.embed(*a) @ spec.embed(*b)
             assert np.max(np.abs(err)) <= 1e-13
 
@@ -108,7 +114,7 @@ class TestEmbedding:
         spec = route()
         rng = np.random.default_rng(24)
         for _ in range(10):
-            k, u = spec.pair_at(*spec.random_pair_coords(rng))
+            k, u = random_pair(spec, rng)
             k_back, u_back = spec.split(spec.embed(k, u))
             assert np.max(np.abs(k_back - k)) <= 1e-14
             assert np.max(np.abs(u_back - u)) <= 1e-13
@@ -186,7 +192,7 @@ class TestLiftedAction:
     def test_composition_law(self, sd):
         rng = np.random.default_rng(12)
         fc = FactoredCotangent(sd.K.exp(sd.K.random_algebra(rng)), rng.standard_normal(3), sd.N.exp(sd.N.random_algebra(rng)), rng.standard_normal(3))
-        g1, g2 = sd.pair_at(*sd.random_pair_coords(rng)), sd.pair_at(*sd.random_pair_coords(rng))
+        g1, g2 = random_pair(sd, rng), random_pair(sd, rng)
         lhs = lifted_action(sd, lifted_action(sd, fc, g1), g2)
         rhs = lifted_action(sd, fc, sd.product(g1, g2))
         assert semidirect._fc_distance(lhs, rhs) <= 1e-10
@@ -195,7 +201,7 @@ class TestLiftedAction:
         rng = np.random.default_rng(13)
         for _ in range(10):
             fc = FactoredCotangent(sd.K.exp(sd.K.random_algebra(rng)), rng.standard_normal(3), sd.N.exp(sd.N.random_algebra(rng)), rng.standard_normal(3))
-            g = sd.pair_at(*sd.random_pair_coords(rng))
+            g = random_pair(sd, rng)
             assert semidirect._fc_distance(lifted_action(sd, fc, g), lifted_action_formula(sd, fc, g)) <= 1e-10
 
 
@@ -227,7 +233,7 @@ class TestMomentum:
         # momentum map satisfies the product equivariance law
         rng = np.random.default_rng(17)
         fc = FactoredCotangent(sd.K.exp(sd.K.random_algebra(rng, 0.4)), rng.standard_normal(3), sd.N.exp(np.array([1.0, -0.7, 0.4])), rng.standard_normal(3))
-        g = sd.pair_at(*sd.random_pair_coords(rng))
+        g = random_pair(sd, rng)
         t_k, _ = coadjoint_factor_transport(sd, g)
         jk0, _ = group_momentum(sd, fc)
         jk1, _ = group_momentum(sd, lifted_action(sd, fc, g))
@@ -504,16 +510,11 @@ def _last_stack_row_perturbed(x):
     return out
 
 
-def _pairs(spec, rng, n):
-    """n random pairs (k, u) as two stacks."""
-    return spec.pair_at(*map(np.array, zip(*(spec.random_pair_coords(rng) for _ in range(n)))))
-
-
 @pytest.mark.parametrize("route", [so3_r3, lambda: generic_route(so3_r3())], ids=["closed", "generic"])
 def test_connection_form_rows_equal_single_calls(route):
     spec = route()
     rng = np.random.default_rng(41)
-    k, u = _pairs(spec, rng, 12)
+    k, u = spec.random_pairs(rng, (12,))
     v = rng.standard_normal((12, spec.group_spec().dim)) * 10.0 ** rng.uniform(-3, 1, (12, 1))
     stacked = semidirect.connection_form(spec, k, u, v)
     assert np.array_equal(stacked, [semidirect.connection_form(spec, k[i], u[i], v[i]) for i in range(12)])
@@ -538,3 +539,62 @@ def test_product_dgamma_fd_rows_equal_single_calls(sd):
     single = [semidirect._product_dgamma_fd(factors, covector[i], v1[i], v2[i]) for i in range(12)]
     assert all(isinstance(x, float) for x in single)
     assert np.array_equal(stacked, single)
+
+
+# the semidirect suites of the verify registry
+SUITES = ("spec_suite", "trivialization_suite", "action_suite", "equivariance_suite", "pullback_form_suite",
+          "momentum_form_suite", "reduced_sequence_suite", "momentum_cross_check_suite")
+
+
+@pytest.fixture(scope="module")
+def registry_samples():
+    """The sample count the verify registry passes each semidirect suite, read by running its semidirect entries on recorders."""
+    seen = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for name in SUITES:
+            mp.setattr(semidirect, name, lambda sd, samples, seed, name=name: seen.setdefault(name, samples))
+        for key, run in cli._suite_registry().items():
+            if key.startswith("semidirect."):
+                run({"semidirect": so3_r3()}, 0)
+    return seen
+
+
+def test_registry_runs_every_semidirect_suite(registry_samples):
+    assert sorted(registry_samples) == sorted(SUITES)
+
+
+@pytest.mark.parametrize("name", SUITES)
+def test_draws_do_not_scale_with_the_sample_count(sd, name, monkeypatch):
+    # each variable is drawn once as a block, so doubling the samples makes the same generator calls
+    calls = builders.counted_streams(monkeypatch, semidirect)
+    drawn = []
+    for n in (7, 14):
+        calls.clear()
+        assert getattr(semidirect, name)(sd, samples=n, seed=4).passed
+        drawn.append(list(calls))
+    assert drawn[0] == drawn[1]
+
+
+@pytest.mark.parametrize("name", SUITES)
+def test_reports_do_not_depend_on_the_block(sd, name, registry_samples, monkeypatch):
+    # every row keeps the bits of its single call, so the number of samples per pass moves no residual
+    suite, n = getattr(semidirect, name), registry_samples[name]
+    reports = []
+    for block in (1, 7, 50):
+        monkeypatch.setattr(semidirect, "SAMPLE_BLOCK", block)
+        reports.append(suite(sd, samples=n, seed=5).to_dict())
+    assert reports[0] == reports[1] == reports[2]
+
+
+@pytest.mark.parametrize("name", SUITES)
+def test_traced_memory_peak_is_bounded(sd, name, registry_samples):
+    # the block bounds every temporary: at its registry sample count no suite peaks above 0.6 MB
+    suite, n = getattr(semidirect, name), registry_samples[name]
+    suite(sd, samples=n, seed=6)  # the first run fills the caches
+    tracemalloc.start()
+    try:
+        suite(sd, samples=n, seed=6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.6e6
