@@ -273,47 +273,99 @@ class QuotientClass:
     rep: CotangentSample
 
 
+@dataclass(frozen=True)
+class BoxBase:
+    """The base M as an open box in R^d, ``box`` of shape (d, 2) with rows [lo, hi]: a base point is its coordinate vector."""
+
+    box: Array
+    label = "TrivialProduct"  # the bundle's report name is label[group]
+    point_axes = 1  # the trailing axes of one base point
+
+    def __post_init__(self) -> None:
+        box = np.asarray(self.box, dtype=float).reshape(-1, 2)
+        object.__setattr__(self, "box", box)
+        with np.errstate(over="ignore"):
+            width = box[:, 1] - box[:, 0]
+        if not (np.isfinite(box).all() and np.isfinite(width).all() and (width > 0).all()):
+            raise ValueError(f"'base_box' rows must be finite [lo, hi] with lo < hi and a finite width hi - lo, got {box.tolist()}")
+
+    @property
+    def dim(self) -> int:
+        return self.box.shape[0]
+
+    def check(self, _connection: ConnectionData) -> None:
+        """Every connection is admitted on a box: its coefficients may be any polynomials."""
+
+    def random_coords(self, rng: np.random.Generator, lead: tuple[int, ...] = ()) -> Array:
+        """Uniform on the middle 80% of the box."""
+        lo, hi = self.box[:, 0], self.box[:, 1]
+        return lo + (hi - lo) * rng.uniform(0.1, 0.9, size=lead + (self.dim,))
+
+    def at(self, coords: Array) -> Array:
+        return coords
+
+    def move(self, base: Array, delta: Array) -> Array:
+        return base + delta
+
+    velocity = staticmethod(fd.quotient)  # of a base curve, from its points at -h and +h
+
+    def connection_coords(self, base: Array) -> Array:
+        return base
+
+
+@dataclass(frozen=True)
+class GroupBase:
+    """The base as the group K, points group elements (m, m); the section k -> (k, e) is horizontal, so connection coefficients vanish."""
+
+    group: LieGroupSpec
+    label = "SemidirectTotal"
+    point_axes = 2
+
+    @property
+    def dim(self) -> int:
+        return self.group.dim
+
+    def check(self, connection: ConnectionData) -> None:
+        if not connection.is_flat:
+            raise ValueError(f"{self.label} uses the section connection; coefficients must vanish")
+
+    def random_coords(self, rng: np.random.Generator, lead: tuple[int, ...] = ()) -> Array:
+        """Algebra coordinates of K, exponentiated by ``at``."""
+        return self.group.random_algebra(rng, 0.4, lead)
+
+    def at(self, coords: Array) -> Array:
+        return self.group.exp(coords)
+
+    def move(self, base: Array, delta: Array) -> Array:
+        """Right multiplication by exp(delta), so a velocity is left-trivialized."""
+        return base @ self.group.exp(delta)
+
+    def velocity(self, minus: Array, plus: Array, h: float) -> Array:
+        return fd.group_velocity(self.group, minus, plus, h)
+
+    def connection_coords(self, base: Array) -> Array:
+        return np.zeros(np.shape(base)[:-2] + (self.dim,))  # section connection: A == 0 on a group base
+
+
 @dataclass
 class BundleSpec:
-    """A trivialized principal bundle P(M, G) with a connection.
+    """A trivialized principal bundle P(M, G) with a connection, over a base chart: a box, or the group K of K x| N."""
 
-    kind "TrivialProduct": base is an open box, ``base_box`` of shape (d, 2).
-    kind "SemidirectTotal": base is the group K (``base_group``); connection
-    coefficients must vanish there (the section k -> (k, e) supplies the
-    horizontal distribution).
-    """
-
-    kind: str
     group: LieGroupSpec
     connection: ConnectionData
-    base_box: Array | None = None
-    base_group: LieGroupSpec | None = None
+    base: BoxBase | GroupBase
     name: str = ""
 
     def __post_init__(self) -> None:
-        if self.kind not in ("TrivialProduct", "SemidirectTotal"):
-            raise ValueError(f"unknown bundle kind {self.kind!r}")
-        if self.kind == "TrivialProduct":
-            self.base_box = np.asarray(self.base_box, dtype=float).reshape(-1, 2)
-            with np.errstate(over="ignore"):
-                width = self.base_box[:, 1] - self.base_box[:, 0]
-            if not (np.isfinite(self.base_box).all() and np.isfinite(width).all() and (width > 0).all()):
-                raise ValueError(f"'base_box' rows must be finite [lo, hi] with lo < hi and a finite width hi - lo, got {self.base_box.tolist()}")
-        else:
-            if self.base_group is None:
-                raise ValueError("SemidirectTotal requires base_group")
-            if not self.connection.is_flat:
-                raise ValueError("SemidirectTotal uses the section connection; coefficients must vanish")
+        self.base.check(self.connection)
         if not self.name:
-            self.name = f"{self.kind}[{self.group.name}]"
+            self.name = f"{self.base.label}[{self.group.name}]"
 
     # -- dimensions -----------------------------------------------------------
 
     @property
     def d(self) -> int:
-        if self.kind == "TrivialProduct":
-            return self.base_box.shape[0]
-        return self.base_group.dim
+        return self.base.dim
 
     @property
     def n(self) -> int:
@@ -328,35 +380,26 @@ class BundleSpec:
     def gauge_point(self, base: Array) -> Point:
         """The point over ``base`` on the fiber-identity slice, one per base of a stack."""
         e = self.group.identity()
-        fiber = np.empty(base.shape[: -1 if self.kind == "TrivialProduct" else -2] + e.shape)
+        fiber = np.empty(base.shape[: base.ndim - self.base.point_axes] + e.shape)
         fiber[...] = e
         return Point(base, fiber)
 
     def random_base(self, rng: np.random.Generator) -> Array:
-        return self._base_at(self._random_base_coords(rng))
-
-    def _random_base_coords(self, rng: np.random.Generator, lead: tuple[int, ...] = ()) -> Array:
-        if self.kind == "TrivialProduct":
-            lo, hi = self.base_box[:, 0], self.base_box[:, 1]
-            return lo + (hi - lo) * rng.uniform(0.1, 0.9, size=lead + (self.d,))
-        return self.base_group.random_algebra(rng, 0.4, lead)
+        return self.base.at(self.base.random_coords(rng))
 
     def random_point_coords(self, rng: np.random.Generator) -> tuple[Array, Array]:
         """The coordinates of one random point before any exponential: the base
         (algebra coordinates of K on a group base) and the fiber's algebra coordinates."""
-        return self._random_base_coords(rng), self.group.random_algebra(rng)
+        return self.base.random_coords(rng), self.group.random_algebra(rng)
 
     def random_points(self, rng: np.random.Generator, lead: tuple[int, ...]) -> Point:
         """A stack of random points of leading shape ``lead``: one block of base
         coordinates, then one block of fiber algebra coordinates, exponentiated once."""
-        return self.point_at(self._random_base_coords(rng, lead), self.group.random_algebra(rng, lead=lead))
+        return self.point_at(self.base.random_coords(rng, lead), self.group.random_algebra(rng, lead=lead))
 
     def point_at(self, base: Array, fiber: Array) -> Point:
         """The point of coordinates drawn by ``random_point_coords``, or the stack of them."""
-        return Point(self._base_at(base), self.group.exp(fiber))
-
-    def _base_at(self, coords: Array) -> Array:
-        return coords if self.kind == "TrivialProduct" else self.base_group.exp(coords)
+        return Point(self.base.at(base), self.group.exp(fiber))
 
     def random_tangent(self, rng: np.random.Generator) -> Array:
         return rng.standard_normal(self.tangent_dim)
@@ -367,14 +410,8 @@ class BundleSpec:
 
     # -- point arithmetic -------------------------------------------------------
 
-    def base_move(self, base: Array, delta: Array, t: float = 1.0) -> Array:
-        """The base moved by t along delta, per row of stacks."""
-        if self.kind == "TrivialProduct":
-            return base + t * np.asarray(delta, dtype=float)
-        return base @ self.base_group.exp(t * np.asarray(delta, dtype=float))
-
     def base_distance(self, b1: Array, b2: Array) -> float | Array:
-        return row_norm(np.asarray(b1) - np.asarray(b2), 1 if self.kind == "TrivialProduct" else 2)
+        return row_norm(np.asarray(b1) - np.asarray(b2), self.base.point_axes)
 
     def point_distance(self, p: Point, q: Point) -> float | Array:
         """Base plus fiber distance, one per point of a stack (a float for single points)."""
@@ -411,18 +448,13 @@ class BundleSpec:
 
     # -- connection form ---------------------------------------------------------
 
-    def base_coords_for_connection(self, base: Array) -> Array:
-        if self.kind == "TrivialProduct":
-            return base
-        return np.zeros(np.shape(base)[:-2] + (self.d,))  # section connection: A == 0 on a group base
-
     def alpha(self, point: Point, tangent: Array) -> Array:
         """Connection one-form alpha_p in the trivialized frame, per point of a stack.
 
         ``tangent`` rows (..., d + n) broadcast against the points.
         """
         dbase, xi = tangent[..., : self.d], tangent[..., self.d :]
-        a_mat = self.connection.matrix(self.base_coords_for_connection(point.base))
+        a_mat = self.connection.matrix(self.base.connection_coords(point.base))
         return row_matvec(self.group.Ad_inv(point.fiber), row_matvec(a_mat, dbase)) + xi
 
     # -- canonical one-form, momentum map ----------------------------------------
@@ -462,8 +494,6 @@ class BundleSpec:
 
     def class_coords(self, sample: CotangentSample) -> Array:
         """Coordinates (m, a, bbar) of the class of a sample: its gauge-fixed representative."""
-        if self.kind != "TrivialProduct":
-            raise ValueError("class coordinates require a TrivialProduct bundle chart")
         rep = self.quotient_rep(sample).rep
         return np.concatenate([rep.point.base, rep.a, rep.b], axis=-1)
 
@@ -490,7 +520,7 @@ class BundleSpec:
         (A(base)^T chi, chi) in the trivialized frame.
         """
         chi = np.asarray(chi, dtype=float)
-        a_mat = self.connection.matrix(self.base_coords_for_connection(base))
+        a_mat = self.connection.matrix(self.base.connection_coords(base))
         return QuotientClass(CotangentSample(self.gauge_point(base), row_matvec(a_mat.swapaxes(-1, -2), chi), chi.copy()))
 
     def sigma_tilde(self, cls: QuotientClass) -> Array:
@@ -596,7 +626,7 @@ def momentum_suite(b: BundleSpec, samples: int = 60, seed: int = 0) -> SuiteRepo
     rker = row_norm(b.momentum(CotangentSample(phi.point, phi.a, np.zeros_like(phi.b))))
     rep.add("J_equivariance", worst(req), ALGEBRAIC_TOL)
     rep.add("gamma_invariance", worst(rgam), ALGEBRAIC_TOL)
-    rep.add("quotient_orbit_invariance", worst(rquo), 1e-11 if b.kind == "TrivialProduct" else ALGEBRAIC_TOL)
+    rep.add("quotient_orbit_invariance", worst(rquo), 1e-11)
     rep.add("quotient_idempotent", worst(ridem), 1e-11)
     rep.add("vertical_annihilator_in_J0", worst(rker), 1e-13)
     rep.extras["trials"] = samples
@@ -651,13 +681,12 @@ def anchor_pullback_suite(b: BundleSpec, samples: int = 40, seed: int = 0) -> Su
     rep = SuiteReport(f"bundle.anchor_pullback[{b.name}]")
     rng = stream(seed, f"bundle.anchor_pullback/{b.name}")
     # per sample: the base, rho, dbase and drho (drawn to keep the stream, the canonical form does not read it)
-    base, rho, dbase, _ = draw_samples(samples, lambda: (b._random_base_coords(rng), *(rng.standard_normal(b.d) for _ in range(3))))
-    base = b._base_at(base)
+    base, rho, dbase, _ = draw_samples(samples, lambda: (b.base.random_coords(rng), *(rng.standard_normal(b.d) for _ in range(3))))
+    base = b.base.at(base)
 
     # finite-difference tangent of the image curve in T*P coordinates
     h = fd.FINE_STEP
-    bm, bp = b.base_move(base, dbase, -h), b.base_move(base, dbase, h)
-    fd_base = fd.quotient(bm, bp, h) if b.kind == "TrivialProduct" else fd.group_velocity(b.base_group, bm, bp, h)
+    fd_base = b.base.velocity(b.base.move(base, -h * dbase), b.base.move(base, h * dbase), h)
     tangent = np.concatenate([fd_base, np.zeros((samples, b.n))], axis=-1)
     lhs = b.gamma(b.a_star(base, rho).rep, tangent)
     rhs = row_dot(rho, dbase)  # canonical form of T*(P/G) on (dbase, drho)
@@ -675,17 +704,17 @@ def bundle_from_json(doc: dict, group_resolver: Callable[[Any], LieGroupSpec]) -
     """A bundle from its JSON document; ``group_resolver`` reads ``group`` and ``base_group``."""
     kind, group = schema.text("kind", doc.get("kind")), group_resolver(doc.get("group"))
     if kind == "TrivialProduct":
-        box = schema.array("base_box", doc.get("base_box"), (None, 2))
-        conn = ConnectionData.from_json(doc.get("connection", {}), box.shape[0], group.dim)
-        b = BundleSpec("TrivialProduct", group, conn, base_box=box)
+        base = BoxBase(schema.array("base_box", doc.get("base_box"), (None, 2)))
         # the highest power of a coordinate that the suites evaluate is the fourth, in the
         # Leibniz check of poisson.properties (a product of two quadratics)
         with np.errstate(over="ignore"):
-            if not np.isfinite(np.abs(b.base_box).max(axis=1) ** 4).all():
-                raise ValueError(f"'base_box' {b.base_box.tolist()} is too large: fourth powers of its coordinates overflow")
-        if not conn.finite_on(b.base_box):
-            raise ValueError(f"'connection' coefficients are too large on 'base_box' {b.base_box.tolist()}: A(m) is within {COEFFICIENT_HEADROOM:g} of overflow at its corners")
-        return b
-    base_group = group_resolver(doc.get("base_group"))
-    conn = ConnectionData.from_json(doc.get("connection", {}), base_group.dim, group.dim)
-    return BundleSpec(kind, group, conn, base_group=base_group)
+            if not np.isfinite(np.abs(base.box).max(axis=1) ** 4).all():
+                raise ValueError(f"'base_box' {base.box.tolist()} is too large: fourth powers of its coordinates overflow")
+    elif kind == "SemidirectTotal":
+        base = GroupBase(group_resolver(doc.get("base_group")))
+    else:
+        raise ValueError(f"unknown bundle kind {kind!r}")
+    conn = ConnectionData.from_json(doc.get("connection", {}), base.dim, group.dim)
+    if isinstance(base, BoxBase) and not conn.finite_on(base.box):
+        raise ValueError(f"'connection' coefficients are too large on 'base_box' {base.box.tolist()}: A(m) is within {COEFFICIENT_HEADROOM:g} of overflow at its corners")
+    return BundleSpec(group, conn, base)

@@ -278,7 +278,7 @@ def _suite_registry() -> dict[str, Callable[[dict, int], list[SuiteReport]]]:
     def poisson_properties(ctx, seed):
         b = need(ctx, "bundle")
         spaces = [poisson.lie_poisson(b.group), poisson.canonical_cotangent(b.d or 1)]
-        if b.kind == "TrivialProduct":
+        if isinstance(b.base, bundle_mod.BoxBase):
             spaces.append(poisson.quotient_cotangent(b))
         return [poisson.bracket_property_suite(s, trials=60, seed=seed) for s in spaces]
 
@@ -287,7 +287,7 @@ def _suite_registry() -> dict[str, Callable[[dict, int], list[SuiteReport]]]:
         rep = SuiteReport("poisson.jacobi")
         rep.add("canonical", poisson.jacobi_check(poisson.canonical_cotangent(max(b.d, 1)), trials=10, seed=seed), poisson.JACOBI_TOL)
         rep.add("lie_poisson", poisson.jacobi_check(poisson.lie_poisson(b.group), trials=10, seed=seed), poisson.JACOBI_TOL)
-        if b.kind == "TrivialProduct":
+        if isinstance(b.base, bundle_mod.BoxBase):
             rep.add("quotient", poisson.jacobi_check(poisson.quotient_cotangent(b), trials=6, seed=seed), poisson.JACOBI_TOL)
         return [rep]
 
@@ -383,8 +383,8 @@ def run_verify(scenario: dict, basedir: Path, seed: int, tol_scale: float, out_d
 def run_leaves(scenario: dict, basedir: Path, seed: int, tol_scale: float, out_dir: Path) -> int:
     cfg = schema.section("leaves", scenario.get("leaves"))
     b = _resolve("bundle", scenario.get("bundle"), basedir)
-    if b.kind != "TrivialProduct":
-        raise ConfigError("leaves need a TrivialProduct bundle (class coordinates on a base box)")
+    if not isinstance(b.base, bundle_mod.BoxBase):
+        raise ConfigError("leaves need a bundle over a base box, the chart of the class coordinates")
     mu0 = schema.array("mu0", cfg.get("mu0"), (b.n,))
     chi = schema.array("chi", cfg["chi"], (b.n,)) if "chi" in cfg else None
     if chi is not None and not poisson.is_character(b.group, chi):

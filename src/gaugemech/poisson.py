@@ -40,7 +40,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import fd
-from .bundle import BundleSpec, ConnectionData, CotangentSample, Point, QuotientClass, draw_samples, row_dot, row_form, row_matvec, row_norm, row_vecmat
+from .bundle import BoxBase, BundleSpec, ConnectionData, CotangentSample, Point, QuotientClass, draw_samples, row_dot, row_form, row_matvec, row_norm, row_vecmat
 from .liealg import LieGroupSpec
 from .linalg import rank_gap
 from .report import SuiteReport, worst
@@ -71,9 +71,10 @@ class ScalarField:
     ``np.square``: a numpy scalar's ``** 2`` can round unlike an array's).
     Calling the field gives a float for one point and an array for a stack.
     A value whose shape is not one per point, or an exact gradient whose
-    shape is not one row per point, raises ValueError; a one-point formula
-    such as ``x[0] * x[1]`` on a stack of exactly dim points has that shape
-    and is not caught.
+    shape is not one row per point, raises ValueError.  On a stack whose
+    leading axis is dim a one-point formula can have that shape, so the exact
+    gradient is then evaluated once more on ``x[None]``; a one-point value
+    formula such as ``x[0] * x[1]`` on such a stack is not caught.
 
     Without ``grad``, ``gradient`` takes central differences at
     ``fd.GRAD_STEP``, one gradient row per point of a stack, evaluating the
@@ -106,7 +107,12 @@ class ScalarField:
         x = np.asarray(x, dtype=float)
         if self.grad is not None:
             grad = np.asarray(self.grad(x), dtype=float)
-            if grad.shape != x.shape:  # a one-point formula such as [x[1], x[0]] gives rows of the wrong points
+            # a one-point formula such as [x[1], x[0]] mixes rows, in the shape of x when x.shape[0] == dim but not on x[None]
+            try:
+                mixed = grad.shape != x.shape or (x.ndim > 1 and x.shape[0] == x.shape[-1] and np.shape(self.grad(x[None])) != (1,) + x.shape)
+            except IndexError:
+                mixed = True
+            if mixed:
                 raise ValueError(f"gradient of field {self.name!r} must give one row per point of {x.shape}, got shape {grad.shape}")
             return grad
         # central gives one row per direction; a stack takes one contiguous gradient row per point
@@ -251,7 +257,7 @@ def cotangent_grads(bundle: BundleSpec, F: CotangentFn, s: CotangentSample) -> t
     """Block gradients (dm, du, da, db), one row per sample of a stack: exact when F has them, else central differences.
 
     The base and fiber blocks differentiate along exp-chart coordinates of
-    the moves ``base_move`` and u -> u exp(t), so du is left-trivialized.
+    the moves of the base chart (``BundleSpec.base.move``) and u -> u exp(t), so du is left-trivialized.
     Central differences displace one vector z = (tm, tu, a, b) of length
     2(d + n), the base and fiber chart coordinates (zero at the sample) and
     the covector, along its unit vectors: ``F.fn`` takes stacks and is
@@ -265,7 +271,7 @@ def cotangent_grads(bundle: BundleSpec, F: CotangentFn, s: CotangentSample) -> t
 
     def displaced(z: Array) -> Array:
         tm, tu, a, b = np.split(z, cuts, axis=-1)
-        return F.fn(CotangentSample(Point(bundle.base_move(p.base, tm), p.fiber @ bundle.group.exp(tu)), a, b))
+        return F.fn(CotangentSample(Point(bundle.base.move(p.base, tm), p.fiber @ bundle.group.exp(tu)), a, b))
 
     z0 = np.concatenate([np.zeros(s.a.shape[:-1] + (d + n,)), s.a, s.b], axis=-1)
     grad = fd.central(displaced, z0, np.eye(2 * (d + n)), fd.GRAD_STEP)
@@ -459,10 +465,10 @@ def product_space(factors: Sequence[PoissonSpace]) -> PoissonSpace:
 
 def quotient_cotangent(bundle: BundleSpec) -> PoissonSpace:
     """T*P/G in the class coordinates (m, a, bbar): T*M x g*, chart box on m."""
-    if bundle.kind != "TrivialProduct":
-        raise ValueError("quotient coordinates require a TrivialProduct bundle chart")
+    if not isinstance(bundle.base, BoxBase):
+        raise ValueError("quotient coordinates require a bundle over a base box")
     space = product_space([canonical_cotangent(bundle.d), lie_poisson(bundle.group)])
-    return replace(space, kind="quotient", box=bundle.base_box, name=f"T*P/G[{bundle.name}]")
+    return replace(space, kind="quotient", box=bundle.base.box, name=f"T*P/G[{bundle.name}]")
 
 
 def invariant_lift(bundle: BundleSpec, f: ScalarField | Polynomial) -> CotangentFn:
@@ -533,8 +539,8 @@ def jacobi_check(space: PoissonSpace, trials: int = 20, seed: int = 0, degree: i
         def value(y: Array) -> Array:
             return space.bracket(a, b, y)
 
-        # central gives one row per direction, (dim, trials); the bracket takes one contiguous row per trial
-        return ScalarField(value, lambda y: fd.central(value, y, eye, fd.NESTED_STEP).T.copy())
+        # central gives one row per direction, (dim, ...); the bracket takes one contiguous row per point
+        return ScalarField(value, lambda y: np.moveaxis(fd.central(value, y, eye, fd.NESTED_STEP), 0, -1).copy())
 
     total = space.bracket(f, nest(g, k), x) + space.bracket(g, nest(k, f), x) + space.bracket(k, nest(f, g), x)
     return worst(np.abs(total))
@@ -827,7 +833,7 @@ def magnetic_term(bundle: BundleSpec, chi: Array, samples: int = 15, seed: int =
     m, rho, t1, t2, fib, *triple = draw_samples(samples, draw)
     val = two_form(m, rho, t1, t2)
     # oracle: the chi-component of the curvature two-form of A
-    f2 = np.einsum("...ijk,k->...ij", bundle.connection.curvature_two_form(bundle.base_coords_for_connection(m)), chi)
+    f2 = np.einsum("...ijk,k->...ij", bundle.connection.curvature_two_form(bundle.base.connection_coords(m)), chi)
     w_match = worst(np.abs(val - row_form(t1[:, :d], f2, t2[:, :d])))
 
     # basic: vanishes when either argument is a pure fiber direction
@@ -918,7 +924,7 @@ def groupoid_action_suite(bundle: BundleSpec, orbit: CoadjointOrbit, samples: in
 
     # T*Gamma = T*((PxP)/G) is T*P' for the trivial bundle P' = (M x M) x G,
     # in gauge coordinates (m1, m2; w) with fiber covectors (b1, b2) = (beta, -beta)
-    arrows = BundleSpec("TrivialProduct", G, ConnectionData.flat(2 * d, n), np.vstack([bundle.base_box] * 2))
+    arrows = BundleSpec(G, ConnectionData.flat(2 * d, n), BoxBase(np.vstack([bundle.base.box] * 2)))
     pair_t = partial(_pair_t, bundle)
 
     def on_arrows(f: Polynomial, leg) -> CotangentFn:

@@ -28,7 +28,7 @@ from typing import Any, Callable, Iterator, Sequence
 import numpy as np
 
 from . import fd, schema
-from .bundle import BundleSpec, ConnectionData, CotangentSample, dual_atiyah_split, row_dot, row_form, row_matvec, row_norm
+from .bundle import BundleSpec, ConnectionData, GroupBase, CotangentSample, dual_atiyah_split, row_dot, row_form, row_matvec, row_norm
 from .liealg import LieGroupSpec, expm, so3, translation_group
 from .poisson import ScalarField, canonical_two_form, coordinate_field, dexp_left, lie_poisson
 from .report import SuiteReport, worst
@@ -189,13 +189,8 @@ def builtin_semidirect(name: str) -> SemidirectSpec:
 
 def total_bundle(sd: SemidirectSpec) -> BundleSpec:
     """H viewed as a principal N-bundle over K with the section connection."""
-    return BundleSpec(
-        "SemidirectTotal",
-        sd.N,
-        ConnectionData.flat(sd.K.dim, sd.N.dim),
-        base_group=sd.K,
-        name=f"SemidirectTotal[{sd.name}]",
-    )
+    base = GroupBase(sd.K)
+    return BundleSpec(sd.N, ConnectionData.flat(sd.K.dim, sd.N.dim), base, name=f"{base.label}[{sd.name}]")
 
 
 # ---------------------------------------------------------------------------

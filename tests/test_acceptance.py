@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from gaugemech import bundle, cli, dynamics, groupoid, liealg, poisson, semidirect
-from gaugemech.bundle import BundleSpec, ConnectionData, CotangentSample
+from gaugemech.bundle import BoxBase, BundleSpec, ConnectionData, CotangentSample
 
 import builders
 import cotangent_flow
@@ -36,14 +36,14 @@ def _tols(rep) -> dict[str, float]:
 def so3_bundle():
     g = liealg.so3()
     conn = builders.connection_from_matrix(np.array([[0.3, -0.1], [0.0, 0.2], [0.1, 0.4]]))
-    return BundleSpec("TrivialProduct", g, conn, base_box=[[-1.0, 1.0], [-1.0, 1.0]])
+    return BundleSpec(g, conn, BoxBase([[-1.0, 1.0], [-1.0, 1.0]]))
 
 
 @pytest.fixture(scope="module")
 def u1_bundle():
     t1 = liealg.torus(1)
     terms = [[[(-0.5, (0, 1))]], [[(0.5, (1, 0))]]]
-    return BundleSpec("TrivialProduct", t1, ConnectionData(2, 1, terms), base_box=[[-1.0, 1.0], [-1.0, 1.0]])
+    return BundleSpec(t1, ConnectionData(2, 1, terms), BoxBase([[-1.0, 1.0], [-1.0, 1.0]]))
 
 
 @pytest.fixture(scope="module")
@@ -147,7 +147,7 @@ def test_criterion_7_leaf_structure(so3_bundle):
 
 def test_criterion_8_magnetic_term(u1_bundle):
     t1 = u1_bundle.group
-    flat = BundleSpec("TrivialProduct", t1, ConnectionData.flat(2, 1), base_box=[[-1.0, 1.0], [-1.0, 1.0]])
+    flat = BundleSpec(t1, ConnectionData.flat(2, 1), BoxBase([[-1.0, 1.0], [-1.0, 1.0]]))
     tf_flat, rep_flat = poisson.magnetic_term(flat, np.array([1.0]), samples=8, seed=SEED)
     flat_worst = rep_flat.max_residual
     two_form, rep = poisson.magnetic_term(u1_bundle, np.array([1.0]), samples=12, seed=SEED)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gaugemech import bundle, liealg
-from gaugemech.bundle import BundleSpec, ConnectionData, CotangentSample, Point
+from gaugemech.bundle import BoxBase, BundleSpec, ConnectionData, CotangentSample, GroupBase, Point
 
 import builders
 
@@ -10,7 +10,7 @@ import builders
 def so3_bundle(connection=None):
     g = liealg.so3()
     conn = connection if connection is not None else builders.connection_from_matrix(np.array([[0.3, -0.1], [0.0, 0.2], [0.1, 0.4]]))
-    return BundleSpec("TrivialProduct", g, conn, base_box=[[-1.0, 1.0], [-1.0, 1.0]])
+    return BundleSpec(g, conn, BoxBase([[-1.0, 1.0], [-1.0, 1.0]]))
 
 
 def random_cotangent(b, rng):
@@ -21,7 +21,7 @@ def random_cotangent(b, rng):
 def u1_bundle():
     t1 = liealg.torus(1)
     terms = [[[(-0.5, (0, 1))]], [[(0.5, (1, 0))]]]
-    return BundleSpec("TrivialProduct", t1, ConnectionData(2, 1, terms), base_box=[[-1.0, 1.0], [-1.0, 1.0]])
+    return BundleSpec(t1, ConnectionData(2, 1, terms), BoxBase([[-1.0, 1.0], [-1.0, 1.0]]))
 
 
 class TestSampling:
@@ -33,7 +33,7 @@ class TestSampling:
             b = so3_bundle()
         else:
             sd = semidirect.so3_r3()
-            b = BundleSpec(kind, sd.N, ConnectionData.flat(sd.K.dim, sd.N.dim), base_group=sd.K)
+            b = BundleSpec(sd.N, ConnectionData.flat(sd.K.dim, sd.N.dim), GroupBase(sd.K))
         pts = b.random_points(np.random.default_rng(48), (2, 5))
         assert pts.fiber.shape == (2, 5) + b.group.identity().shape
         assert max(b.group.membership_defect(u) for u in pts.fiber.reshape((-1,) + pts.fiber.shape[-2:])) <= liealg.MEMBERSHIP_TOL
@@ -43,7 +43,7 @@ class TestSampling:
             assert np.all(np.abs(pts.base) <= 0.8)
         else:
             assert pts.base.shape == (2, 5, 3, 3)
-            assert max(b.base_group.membership_defect(k) for k in pts.base.reshape(-1, 3, 3)) <= liealg.MEMBERSHIP_TOL
+            assert max(b.base.group.membership_defect(k) for k in pts.base.reshape(-1, 3, 3)) <= liealg.MEMBERSHIP_TOL
 
 
 class TestActionSuite:
@@ -76,7 +76,7 @@ class TestMomentum:
     def test_group_point_at_identity(self):
         # P = G: at p = e the momentum reads the covector off unchanged
         g = liealg.so3()
-        b = BundleSpec("TrivialProduct", g, ConnectionData.flat(0, 3), base_box=np.zeros((0, 2)))
+        b = BundleSpec(g, ConnectionData.flat(0, 3), BoxBase(np.zeros((0, 2))))
         rng = np.random.default_rng(4)
         cov = rng.standard_normal(3)
         s = CotangentSample(Point(np.zeros(0), np.eye(3)), np.zeros(0), cov)
@@ -96,7 +96,7 @@ class TestMomentum:
 
     def test_equivariance_abelian(self):
         t2 = liealg.torus(2)
-        b = BundleSpec("TrivialProduct", t2, ConnectionData.flat(1, 2), base_box=[[-1.0, 1.0]])
+        b = BundleSpec(t2, ConnectionData.flat(1, 2), BoxBase([[-1.0, 1.0]]))
         rng = np.random.default_rng(7)
         for _ in range(10):
             s = random_cotangent(b, rng)
@@ -179,7 +179,7 @@ class TestDualSequence:
 
     def test_flat_connection_sigma_has_zero_base_part(self):
         g = liealg.so3()
-        b = BundleSpec("TrivialProduct", g, ConnectionData.flat(2, 3), base_box=[[-1.0, 1.0], [-1.0, 1.0]])
+        b = BundleSpec(g, ConnectionData.flat(2, 3), BoxBase([[-1.0, 1.0], [-1.0, 1.0]]))
         rng = np.random.default_rng(17)
         cls = b.sigma(b.random_base(rng), rng.standard_normal(3))
         assert np.linalg.norm(cls.rep.a) == 0.0
@@ -241,7 +241,7 @@ class TestConnection:
             bundle.bundle_from_json(doc, group_resolver=lambda g: liealg.builtin_group(g))
         doc["connection"]["A"][0][0][0][1] = [2, 0]
         b = bundle.bundle_from_json(doc, group_resolver=lambda g: liealg.builtin_group(g))
-        assert np.isfinite(b.connection.matrix(b.base_box[:, 1])).all()
+        assert np.isfinite(b.connection.matrix(b.base.box[:, 1])).all()
 
     def test_load_reads_integer_coefficients_as_floats(self):
         # an integer past 2**63 still loads
@@ -282,7 +282,7 @@ class TestConnection:
 
         sd = semidirect.so3_r3()
         with pytest.raises(ValueError):
-            BundleSpec("SemidirectTotal", sd.N, builders.connection_from_matrix(np.ones((3, 3))), base_group=sd.K)
+            BundleSpec(sd.N, builders.connection_from_matrix(np.ones((3, 3))), GroupBase(sd.K))
 
 
 class TestBatchedSuitesSeeLastRow:

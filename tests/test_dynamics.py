@@ -161,7 +161,7 @@ class TestIntegrate:
 
     def test_boxed_space_rejects_state_leaving_the_box(self):
         # H = a on T*P/G over the base [-1, 1]: m' = 1, so m = 0.5 + t leaves the box after t = 0.5
-        b = bundle.BundleSpec("TrivialProduct", liealg.so3(), bundle.ConnectionData.flat(1, 3), base_box=[[-1.0, 1.0]])
+        b = bundle.BundleSpec(liealg.so3(), bundle.ConnectionData.flat(1, 3), bundle.BoxBase([[-1.0, 1.0]]))
         q = quotient_cotangent(b)
         h_a = ScalarField(lambda x: float(x[1]), lambda x: np.eye(5)[1], name="a")
         x0 = np.array([0.5, 0.0, 0.1, 0.2, 0.3])
@@ -380,7 +380,7 @@ class TestReductionConsistency:
         # integrate on T*G, reduce pointwise, compare against the faithful
         # quotient-bracket integration downstairs (T = 1)
         g = liealg.so3()
-        b = bundle.BundleSpec("TrivialProduct", g, bundle.ConnectionData.flat(0, 3), base_box=np.zeros((0, 2)))
+        b = bundle.BundleSpec(g, bundle.ConnectionData.flat(0, 3), bundle.BoxBase(np.zeros((0, 2))))
         q = quotient_cotangent(b)
         h_red = free_body([1.0, 2.0, 3.0])
         mu0 = np.array([0.9, -0.4, 0.3])

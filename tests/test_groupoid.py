@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gaugemech import bundle, groupoid, liealg
-from gaugemech.bundle import BundleSpec, CotangentSample, Point
+from gaugemech.bundle import BoxBase, BundleSpec, CotangentSample, Point
 from gaugemech.groupoid import (
     DualOfPairTangent,
     SideElement,
@@ -32,7 +32,7 @@ def random_point(b, rng):
 def b():
     g = liealg.so3()
     conn = builders.connection_from_matrix(np.array([[0.3, -0.1], [0.0, 0.2], [0.1, 0.4]]))
-    return BundleSpec("TrivialProduct", g, conn, base_box=[[-1.0, 1.0], [-1.0, 1.0]])
+    return BundleSpec(g, conn, BoxBase([[-1.0, 1.0], [-1.0, 1.0]]))
 
 
 class TestAxioms:
@@ -80,7 +80,7 @@ class TestAxioms:
             def move(point, tangent, t):
                 # the base moved by t along its part of the tangent, the fiber by exp of t times the rest
                 fiber = point.fiber @ liealg.expm(t * b.group.from_coords(tangent[b.d :]))
-                return Point(b.base_move(point.base, tangent[: b.d], t), fiber)
+                return Point(b.base.move(point.base, t * tangent[: b.d]), fiber)
 
             def fd(point, coords):
                 plus, minus = move(point, coords, h), move(point, coords, -h)

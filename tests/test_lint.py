@@ -551,6 +551,63 @@ def test_no_per_sample_draws(module):
     assert per_sample_draws(path.read_text(encoding="utf-8"), path.name) == []
 
 
+BUNDLE_KINDS = ("TrivialProduct", "SemidirectTotal")
+
+
+def bundle_kind_strings(source: str, filename: str = "<src>") -> list[str]:
+    """String constants naming a bundle kind outside the places that read or print one.
+
+    Those places are the JSON reader ``bundle_from_json``, a class-level
+    ``label = ...`` (a base chart's label, which names its bundles in
+    reports) and the scenario documents ``BUILTIN_SCENARIOS``.  Anywhere
+    else such a string is a branch on the base chart by name.
+    """
+    tree = ast.parse(source, filename)
+    allowed: set[int] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "bundle_from_json":
+            allowed |= {id(n) for n in ast.walk(node)}
+        elif isinstance(node, ast.ClassDef):
+            allowed |= {id(n) for stmt in node.body if isinstance(stmt, ast.Assign) and [ast.unparse(t) for t in stmt.targets] == ["label"]
+                        for n in ast.walk(stmt)}
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target] if isinstance(node, ast.AnnAssign) else []
+        if "BUILTIN_SCENARIOS" in [ast.unparse(t) for t in targets]:
+            allowed |= {id(n) for n in ast.walk(node)}
+    found = {node.lineno for node in ast.walk(tree) if isinstance(node, ast.Constant) and node.value in BUNDLE_KINDS and id(node) not in allowed}
+    return [f"{filename}:{line}" for line in sorted(found)]
+
+
+def test_bundle_kind_string_detector():
+    src = (
+        "BUILTIN_SCENARIOS: dict = {'a': {'kind': 'TrivialProduct'}}\n"
+        "class BoxBase:\n"
+        "    label = 'TrivialProduct'\n"
+        "    other = 'SemidirectTotal'\n"
+        "def bundle_from_json(doc):\n"
+        "    return doc['kind'] == 'SemidirectTotal'\n"
+        "def suite(b):\n"
+        "    if b.kind == 'TrivialProduct':\n"
+        "        return f'{b.kind}[x]' + 'TrivialProductish'\n"
+        "OTHER = {'kind': 'SemidirectTotal'}\n"
+    )
+    assert bundle_kind_strings(src) == ["<src>:4", "<src>:8", "<src>:10"]
+
+
+def test_bundle_kind_strings_only_in_reader_and_labels():
+    # BundleSpec holds one base chart: no module branches on a kind string, and none of the old fields survive
+    found = [hit for path in sorted(SRC.glob("*.py")) for hit in bundle_kind_strings(path.read_text(encoding="utf-8"), path.name)]
+    assert found == []
+    import dataclasses
+
+    from gaugemech import bundle, liealg, semidirect
+
+    assert [f.name for f in dataclasses.fields(bundle.BundleSpec)] == ["group", "connection", "base", "name"]
+    box = bundle.BundleSpec(liealg.so3(), bundle.ConnectionData.flat(2, 3), bundle.BoxBase([[-1.0, 1.0], [-1.0, 1.0]]))
+    for b in (box, semidirect.total_bundle(semidirect.so3_r3())):
+        assert [attr for attr in ("kind", "base_box", "base_group") if hasattr(b, attr)] == []
+
+
 def test_central_difference_detector():
     src = (
         "d = (f(x + h) - f(x - h)) / (2 * h)\n"

@@ -1,0 +1,66 @@
+"""tools/outputs.py diff on small synthetic run trees."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "outputs.py"
+
+
+@pytest.fixture(scope="module")
+def outputs():
+    spec = importlib.util.spec_from_file_location("outputs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def write_run(root: Path, name: str, residuals: dict[str, float]) -> None:
+    """One run directory as ``outputs.py run`` writes it: run.json, a verify report, a CSV and a metadata file."""
+    out = root / name / "out"
+    out.mkdir(parents=True)
+    (root / name / "run.json").write_text(json.dumps({"exit": 0, "stdout": "ok\n", "stderr": ""}), encoding="utf-8")
+    checks = [{"name": check, "pass": r <= 1e-10, "residual": r, "tol": 1e-10} for check, r in residuals.items()]
+    (out / "report.json").write_text(json.dumps({"kind": "verify", "suites": [{"suite": "bundle.momentum[B]", "checks": checks}]}), encoding="utf-8")
+    (out / "table.csv").write_text("x,y\n1,2\n", encoding="utf-8")
+    (out / "table.meta.json").write_text("{}\n", encoding="utf-8")
+
+
+def make_tree(root: Path, edited: float = 2e-16) -> Path:
+    write_run(root, "a@default", {"J_equivariance": 1e-16, "quotient_idempotent": 0.0})
+    write_run(root, "b@9001", {"J_equivariance": 3e-16, "quotient_idempotent": edited})
+    return root
+
+
+def test_identical_trees_print_no_difference(outputs, tmp_path, capsys):
+    old, new = make_tree(tmp_path / "old"), make_tree(tmp_path / "new")
+    assert outputs.main(["diff", str(old), str(new)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "a@default: identical",
+        "b@9001: identical",
+        "2 of 2 runs byte-identical",
+        "verdict changes: 0",
+        "moved residuals and tolerances: 0",
+    ]
+
+
+def test_one_edited_residual_prints_exactly_that_check(outputs, tmp_path):
+    old, new = make_tree(tmp_path / "old"), make_tree(tmp_path / "new", edited=5e-16)
+    lines, same = outputs.diff(old, new)
+    assert not same
+    assert lines == [
+        "a@default: identical",
+        "b@9001: differs in report.json",
+        "1 of 2 runs byte-identical",
+        "verdict changes: 0",
+        "moved residuals and tolerances: 1",
+        "  b@9001 bundle.momentum[B]:quotient_idempotent residual: 2e-16 -> 5e-16 (relative move 0.6)",
+    ]
+
+
+def test_a_changed_verdict_is_listed_before_the_moves(outputs, tmp_path):
+    old, new = make_tree(tmp_path / "old"), make_tree(tmp_path / "new", edited=3e-10)
+    lines, _ = outputs.diff(old, new)
+    assert lines[3:5] == ["verdict changes: 1", "  b@9001 bundle.momentum[B]:quotient_idempotent: pass -> FAIL"]

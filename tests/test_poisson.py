@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gaugemech import bundle, fd, liealg, poisson, semidirect
-from gaugemech.bundle import BundleSpec, ConnectionData, CotangentSample
+from gaugemech.bundle import BoxBase, BundleSpec, ConnectionData, CotangentSample
 from gaugemech.poisson import (
     ChartError,
     PoissonSpace,
@@ -31,7 +31,7 @@ import builders
 def so3_bundle(conn_matrix=None):
     g = liealg.so3()
     mat = np.array([[0.3, -0.1], [0.0, 0.2], [0.1, 0.4]]) if conn_matrix is None else conn_matrix
-    return BundleSpec("TrivialProduct", g, builders.connection_from_matrix(mat), base_box=[[-1.0, 1.0], [-1.0, 1.0]])
+    return BundleSpec(g, builders.connection_from_matrix(mat), BoxBase([[-1.0, 1.0], [-1.0, 1.0]]))
 
 
 def rescaled_so3():
@@ -41,14 +41,14 @@ def rescaled_so3():
 
 
 def heis_bundle():
-    return BundleSpec("TrivialProduct", liealg.heisenberg3(), builders.connection_from_matrix(np.array([[0.2, 0.0], [0.1, -0.3], [0.0, 0.4]])),
-                      base_box=[[-1.0, 1.0], [-1.0, 1.0]])
+    return BundleSpec(liealg.heisenberg3(), builders.connection_from_matrix(np.array([[0.2, 0.0], [0.1, -0.3], [0.0, 0.4]])),
+                      BoxBase([[-1.0, 1.0], [-1.0, 1.0]]))
 
 
 def u1_bundle():
     t1 = liealg.torus(1)
     terms = [[[(-0.5, (0, 1))]], [[(0.5, (1, 0))]]]
-    return BundleSpec("TrivialProduct", t1, ConnectionData(2, 1, terms), base_box=[[-1.0, 1.0], [-1.0, 1.0]])
+    return BundleSpec(t1, ConnectionData(2, 1, terms), BoxBase([[-1.0, 1.0], [-1.0, 1.0]]))
 
 
 class TestBracketEval:
@@ -442,9 +442,18 @@ def test_exact_gradient_that_ignores_the_stack_is_rejected():
     # [x[1] * x[2], x[0] * x[2], x[0] * x[1]] is a one-point formula: on a stack it multiplies rows
     field = ScalarField(lambda x: x[..., 0] * x[..., 1] * x[..., 2], lambda x: np.array([x[1] * x[2], x[0] * x[2], x[0] * x[1]]), name="q p r")
     assert np.array_equal(field.gradient(np.array([2.0, 3.0, 5.0])), [15.0, 10.0, 6.0])
-    for stack in (np.ones((4, 3)), np.ones((5, 2, 3))):
+    # on (3, 3) and (3, 4, 3) stacks the mixed rows have the stack's shape; x[None] tells them apart
+    for stack in (np.ones((4, 3)), np.ones((5, 2, 3)), np.ones((3, 3)), np.arange(36.0).reshape(3, 4, 3)):
         with pytest.raises(ValueError, match="one row per point"):
             field.gradient(stack)
+
+
+def test_stacked_polynomial_fields_pass_the_leading_axis_check():
+    # jacobi_check and bracket_property_suite differentiate fields over stacked polynomials, one per
+    # trial: with as many trials as so3* has coordinates, the x[None] re-evaluation must still fit
+    space = lie_poisson(liealg.so3())
+    assert 0.0 <= poisson.jacobi_check(space, trials=3, seed=5) <= poisson.JACOBI_TOL
+    assert poisson.bracket_property_suite(space, trials=3, seed=5).passed
 
 
 def test_fd_gradient_goes_through_the_field_shape_check():
@@ -519,7 +528,7 @@ class TestMagneticTerm:
 
     def test_flat_connection_vanishes(self):
         t1 = liealg.torus(1)
-        b = BundleSpec("TrivialProduct", t1, ConnectionData.flat(2, 1), base_box=[[-1.0, 1.0], [-1.0, 1.0]])
+        b = BundleSpec(t1, ConnectionData.flat(2, 1), BoxBase([[-1.0, 1.0], [-1.0, 1.0]]))
         two_form, rep = magnetic_term(b, np.array([1.0]), samples=6, seed=26)
         assert rep.passed
         rng = np.random.default_rng(27)
@@ -530,8 +539,8 @@ class TestMagneticTerm:
         # three base directions fill the closedness triple with no fiber padding
         t1 = liealg.torus(1)
         box = [[-1.0, 1.0]] * 3
-        flat = BundleSpec("TrivialProduct", t1, ConnectionData.flat(3, 1), base_box=box)
-        curved = BundleSpec("TrivialProduct", t1, ConnectionData(3, 1, [[[(-0.5, (0, 1, 0))]], [[(0.5, (1, 0, 0)), (0.3, (0, 0, 1))]], [[]]]), base_box=box)
+        flat = BundleSpec(t1, ConnectionData.flat(3, 1), BoxBase(box))
+        curved = BundleSpec(t1, ConnectionData(3, 1, [[[(-0.5, (0, 1, 0))]], [[(0.5, (1, 0, 0)), (0.3, (0, 0, 1))]], [[]]]), BoxBase(box))
         for b in (flat, curved):
             two_form, rep = magnetic_term(b, np.array([1.0]), samples=6, seed=26)
             assert rep.passed, rep.failures()
@@ -576,7 +585,7 @@ class TestGroupoidAction:
     def test_orbit_connectivity_runs_for_every_group(self, make_group, mu0):
         # the arrow between two leaf points comes from the group elements that drew them, for any group
         g = make_group()
-        b = BundleSpec("TrivialProduct", g, ConnectionData.flat(2, g.dim), base_box=[[-1.0, 1.0], [-1.0, 1.0]])
+        b = BundleSpec(g, ConnectionData.flat(2, g.dim), BoxBase([[-1.0, 1.0], [-1.0, 1.0]]))
         rep = groupoid_action_suite(b, coadjoint_orbit(g, np.array(mu0), seed=33), samples=3, seed=34)
         (check,) = [c for c in rep.checks if c.name == "orbit_connectivity"]
         assert check.passed and check.tol == 1e-9, check

@@ -249,6 +249,33 @@ class TestMomentum:
             np.testing.assert_allclose(b.momentum(s), jn, atol=1e-12)
 
 
+class TestGroupChart:
+    # the total bundle of K x| N is the bundle over the group chart GroupBase(K): its points,
+    # moves and velocities are group elements and left-trivialized algebra coordinates
+
+    def test_so3_so3_bundle_suites_pass_at_the_unified_tolerance(self):
+        K = liealg.so3()
+        sd = SemidirectSpec(K, liealg.so3(), -K.basis)
+        b = total_bundle(sd)
+        assert isinstance(b.base, bundle.GroupBase) and b.name == f"SemidirectTotal[{sd.name}]"
+        reports = [bundle.action_suite(b, seed=40), bundle.momentum_suite(b, seed=41), bundle.anchor_pullback_suite(b, seed=42),
+                   semidirect.momentum_cross_check_suite(sd, seed=43)]
+        for rep in reports:
+            assert rep.passed, rep.failures()
+        (orbit,) = [c for c in reports[1].checks if c.name == "quotient_orbit_invariance"]
+        assert orbit.tol == 1e-11
+
+    def test_left_multiplying_group_move_fails_the_anchor_pullback(self, monkeypatch):
+        # a move k exp(delta) has left-trivialized velocity delta; exp(delta) k does not, so the
+        # finite-difference base velocity of the pullback check no longer pairs rho with dbase
+        scenario = cli.BUILTIN_SCENARIOS["se3-verify"]
+        b = total_bundle(semidirect.builtin_semidirect(scenario["semidirect"]))
+        assert bundle.anchor_pullback_suite(b, samples=25, seed=scenario["seed"]).passed
+        monkeypatch.setattr(bundle.GroupBase, "move", lambda self, base, delta: self.group.exp(delta) @ base)
+        rep = bundle.anchor_pullback_suite(b, samples=25, seed=scenario["seed"])
+        assert [c.name for c in rep.checks if not c.passed] == ["pullback_matches_canonical"]
+
+
 class TestPullbackForm:
     def test_suite(self, sd):
         rep = semidirect.pullback_form_suite(sd, samples=20, seed=19)
