@@ -24,7 +24,7 @@ import numpy as np
 
 from . import fd, schema
 from .liealg import LieGroupSpec
-from .linalg import rank_gap
+from .linalg import rank_gap, row_dot, row_matvec, row_norm
 from .report import SuiteReport, worst
 from .rng import stream
 
@@ -156,41 +156,6 @@ def _poly_partial(monos: list[Monomial], i: int) -> list[Monomial]:
 # ---------------------------------------------------------------------------
 # points and samples
 # ---------------------------------------------------------------------------
-
-
-def row_dot(u: Array, v: Array) -> Array:
-    """Dot products over the last axis, broadcast over the leading ones.
-
-    Each row is one BLAS dot, so a single pair gives the bits of ``u @ v``.
-    """
-    return np.vecdot(u, v)
-
-
-def row_matvec(m: Array, x: Array) -> Array:
-    """m @ x per row: matrices (..., r, c) applied to vectors (..., c), broadcast over the leading axes.
-
-    Each row is one BLAS matrix-vector product, so a single pair gives the bits of ``m @ x``.
-    """
-    return (m @ x[..., None])[..., 0]
-
-
-def row_vecmat(v: Array, m: Array) -> Array:
-    """v @ m per row: vectors (..., r) times matrices (..., r, c), one BLAS vector-matrix product per row."""
-    return (v[..., None, :] @ m)[..., 0, :]
-
-
-def row_form(v1: Array, omega: Array, v2: Array) -> float | Array:
-    """v1 . omega . v2, per row of stacks; a float for one pair (the bits of ``v1 @ omega @ v2``)."""
-    out = row_dot(row_vecmat(v1, omega), v2)
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def row_norm(x: Array, ndim: int = 1) -> float | Array:
-    """Euclidean norm over the trailing ``ndim`` axes: a float for one vector
-    or matrix, an array for a stack (same bits as ``np.linalg.norm`` per row)."""
-    flat = np.reshape(x, np.shape(x)[: np.ndim(x) - ndim] + (-1,))
-    out = np.sqrt(row_dot(flat, flat))
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def map_matrix(linear: Callable[[Array], Array], dim: int, point: Point) -> Array:
@@ -357,6 +322,9 @@ class BundleSpec:
     name: str = ""
 
     def __post_init__(self) -> None:
+        if (self.connection.base_dim, self.connection.fiber_dim) != (self.base.dim, self.group.dim):
+            raise ValueError(f"connection of shape (base {self.connection.base_dim}, fiber {self.connection.fiber_dim}) "
+                             f"does not fit base dim {self.base.dim} and group {self.group.name} of dim {self.group.dim}")
         self.base.check(self.connection)
         if not self.name:
             self.name = f"{self.base.label}[{self.group.name}]"

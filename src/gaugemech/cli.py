@@ -26,7 +26,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import bundle as bundle_mod
-from . import liealg, poisson, schema
+from . import liealg, poisson, poisson_groupoid, schema
 
 # groupoid, semidirect and dynamics are imported by the commands that run them, so a
 # leaves run neither compiles nor holds them
@@ -397,7 +397,7 @@ def run_leaves(scenario: dict, basedir: Path, seed: int, tol_scale: float, out_d
     extras: dict[str, Any] = {"orbit_dim": orbit.dim, "leaf_dim": 2 * b.d + orbit.dim}
 
     if groupoid_action:
-        reports += _run_suite("poisson.groupoid_action", lambda: [poisson.groupoid_action_suite(b, orbit, samples=8, seed=seed)])
+        reports += _run_suite("poisson.groupoid_action", lambda: [poisson_groupoid.groupoid_action_suite(b, orbit, samples=8, seed=seed)])
 
     if chi is not None:
         magnetic = _run_suite("poisson.magnetic", lambda: [poisson.magnetic_term(b, chi, samples=samples if "samples" in cfg else 12, seed=seed)[1]])

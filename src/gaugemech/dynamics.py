@@ -1,7 +1,7 @@
 """Hamiltonian vector fields from Poisson brackets, RK4 integration, drift monitors.
 
 ``integrate`` is the one RK4 stepper. It steps one state of a Poisson space,
-held as Python floats, through ``PoissonSpace.compile_step``: a loop of
+held as Python floats, through ``codegen.compile_step``: a loop of
 classical RK4 steps, compiled once per Hamiltonian into straight-line float
 code that keeps the state in locals. Each step's four stages are the rows of
 B(y) grad H(y), built from the nonzero entries of the bivector and, when the
@@ -21,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bundle import row_matvec
+from . import codegen
+from .linalg import row_matvec
 from .poisson import ChartError, PoissonSpace, ScalarField
 from .report import csv_lines
 from .schema import ConfigError
@@ -50,8 +51,8 @@ class Trajectory:
 def ham_vector_field(space: PoissonSpace, hamiltonian: ScalarField, point: Array) -> Array:
     """Velocity v_i = {x_i, H}(point) = sum_j B_ij dH/dx_j at one point, or per point of a stack (..., dim).
 
-    The numpy reference for the stages of ``PoissonSpace.compile_step``, which
-    sum in the order ``PoissonSpace._field_source`` documents: numpy may round
+    The numpy reference for the stages of ``codegen.compile_step``, which
+    sum in the order ``codegen._field_source`` documents: numpy may round
     a row in another order, or fuse a multiply and an add, so the two agree to
     a few ulps. Each row of a stack has the bits of its one-point call. It
     does not check the chart.
@@ -63,9 +64,9 @@ def integrate(space: PoissonSpace, hamiltonian: ScalarField, x0: Array, h: float
               monitors: dict[str, ScalarField] | None = None) -> Trajectory:
     """Classical fixed-step RK4 on the coordinate chart; monitors at every step.
 
-    Each block of CSV_BLOCK stored states is one call of
-    ``space.compile_step(hamiltonian)``, which runs the block's steps in one
-    compiled loop and gives their states as rows; the rows go into the
+    Each block of CSV_BLOCK stored states is one call of the step compiled by
+    ``codegen.compile_step``, which runs the block's steps in one compiled
+    loop and gives their states as rows; the rows go into the
     stored trajectory, and the last one starts the next block. The step is
     compiled once and passed ``h`` as an argument, so runs at several step
     sizes share it. It keeps the association of the numpy expressions: each
@@ -107,7 +108,7 @@ def integrate(space: PoissonSpace, hamiltonian: ScalarField, x0: Array, h: float
         traj.monitors = {name: q(traj.states) for name, q in monitors.items()}
         return traj
 
-    step = space.compile_step(hamiltonian)
+    step = codegen.compile_step(space, hamiltonian)
     x = np.asarray(x0, dtype=float).tolist()
     try:
         states = np.empty((n_steps + 1, len(x)))

@@ -57,8 +57,8 @@ from typing import Callable
 
 import numpy as np
 
-from .bundle import BundleSpec, CotangentSample, Point, dual_atiyah_matrices, map_matrix, row_dot, row_matvec, row_norm
-from .linalg import rank_gap
+from .bundle import BundleSpec, CotangentSample, Point, dual_atiyah_matrices, map_matrix
+from .linalg import rank_gap, row_dot, row_matvec, row_norm
 from .report import SuiteReport, worst
 from .rng import stream
 

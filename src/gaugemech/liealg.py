@@ -552,7 +552,7 @@ def validate_spec(spec: LieGroupSpec, seed: int = 0) -> SuiteReport:
     rep.add("structure_vs_commutator", w_comm, 1e-12)
 
     rng = stream(seed, f"liealg.validate/{spec.name}")
-    w_exp = worst(*map(spec.membership_defect, spec.exp(np.array([spec.random_algebra(rng) for _ in range(8)]))))
+    w_exp = worst(*map(spec.membership_defect, spec.exp(spec.random_algebra(rng, 0.5, (8,)))))
     rep.add("exp_lands_in_group", w_exp, MEMBERSHIP_TOL)
     return rep
 

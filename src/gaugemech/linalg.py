@@ -1,4 +1,4 @@
-"""Numerical rank, the one rank rule of the package: equilibrate, then cut the singular values relative to the largest.
+"""Per-row products, and numerical rank, the one rank rule of the package: equilibrate, then cut the singular values relative to the largest.
 
 Equilibration is Ruiz's scaling (RAL-TR-2001-034, 2001) with powers of two, so the scaled matrix carries the bits of
 the original and the decision does not depend on the units of rows and columns (Golub & Van Loan, 4th ed., §5.4.1).
@@ -55,3 +55,38 @@ def rank_gap(mat: Array, cut: float) -> RankGap:
         scaled = np.ldexp(mag, row[..., None] + col[..., None, :])
     _, s, vt = np.linalg.svd(np.ldexp(mat, row[..., None] + col[..., None, :]))
     return RankGap(np.sum(s > cut * s[..., :1], axis=-1), s, col, vt, cut)
+
+
+def row_dot(u: Array, v: Array) -> Array:
+    """Dot products over the last axis, broadcast over the leading ones.
+
+    Each row is one BLAS dot, so a single pair gives the bits of ``u @ v``.
+    """
+    return np.vecdot(u, v)
+
+
+def row_matvec(m: Array, x: Array) -> Array:
+    """m @ x per row: matrices (..., r, c) applied to vectors (..., c), broadcast over the leading axes.
+
+    Each row is one BLAS matrix-vector product, so a single pair gives the bits of ``m @ x``.
+    """
+    return (m @ x[..., None])[..., 0]
+
+
+def row_vecmat(v: Array, m: Array) -> Array:
+    """v @ m per row: vectors (..., r) times matrices (..., r, c), one BLAS vector-matrix product per row."""
+    return (v[..., None, :] @ m)[..., 0, :]
+
+
+def row_form(v1: Array, omega: Array, v2: Array) -> float | Array:
+    """v1 . omega . v2, per row of stacks; a float for one pair (the bits of ``v1 @ omega @ v2``)."""
+    out = row_dot(row_vecmat(v1, omega), v2)
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def row_norm(x: Array, ndim: int = 1) -> float | Array:
+    """Euclidean norm over the trailing ``ndim`` axes: a float for one vector
+    or matrix, an array for a stack (same bits as ``np.linalg.norm`` per row)."""
+    flat = np.reshape(x, np.shape(x)[: np.ndim(x) - ndim] + (-1,))
+    out = np.sqrt(row_dot(flat, flat))
+    return float(out) if np.ndim(out) == 0 else out

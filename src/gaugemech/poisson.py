@@ -23,26 +23,26 @@ d gamma of T*Q for a product Q of vector and group factors, left-trivialized,
 <nu1, xi2> - <nu2, xi1> - <mu, [xi1, xi2]> (Abraham & Marsden, Foundations of
 Mechanics, 1978).  Its oracle is d gamma by central differences (``fd``)
 through the exp chart and ``dexp_left``: ``semidirect._product_dgamma_fd``,
-run by ``omega_a_equals_dgamma_K``.  The bracket on T*((PxP)/G) is
-``cotangent_bracket`` on T*P' for the trivial bundle P' = (M x M) x G.
+run by ``omega_a_equals_dgamma_K``.
 
 Casimirs of a coalgebra (``casimir_fields``) follow from the structure
-constants of the group, never from its name.  The arrow joining two points of
-one leaf is read off the group elements that drew them, for every group.
+constants of the group, never from its name.  The groupoid that acts on the
+leaves is in ``poisson_groupoid``, and the RK4 step generated from a space
+and a Hamiltonian in ``codegen``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import fd
-from .bundle import BoxBase, BundleSpec, ConnectionData, CotangentSample, Point, QuotientClass, draw_samples, row_dot, row_form, row_matvec, row_norm, row_vecmat
+from .bundle import BoxBase, BundleSpec, CotangentSample, Point, QuotientClass, draw_samples
+from .codegen import affine_gradient
 from .liealg import LieGroupSpec
-from .linalg import rank_gap
+from .linalg import rank_gap, row_dot, row_form, row_matvec, row_norm, row_vecmat
 from .report import SuiteReport, worst
 from .rng import stream
 
@@ -72,17 +72,16 @@ class ScalarField:
     Calling the field gives a float for one point and an array for a stack.
     A value whose shape is not one per point, or an exact gradient whose
     shape is not one row per point, raises ValueError.  On a stack whose
-    leading axis is dim a one-point formula can have that shape, so the exact
-    gradient is then evaluated once more on ``x[None]``; a one-point value
-    formula such as ``x[0] * x[1]`` on such a stack is not caught.
+    leading axis is dim a one-point formula can have that shape, so the value
+    or the exact gradient is then evaluated once more on ``x[None]``.
 
     Without ``grad``, ``gradient`` takes central differences at
     ``fd.GRAD_STEP``, one gradient row per point of a stack, evaluating the
     field (with its shape check) once on every displaced point.
 
     ``affine``, when attached, is a pair (A, f) with grad H(x) = A x + f; the
-    exact gradient is then compiled from it (``_affine_gradient``), and A and f
-    are inlined into the RK4 step of ``PoissonSpace.compile_step``.
+    exact gradient is then compiled from it (``codegen.affine_gradient``), and
+    A and f are inlined into the RK4 step of ``codegen.compile_step``.
     """
 
     fn: Callable[[Array], float | Array]
@@ -94,12 +93,12 @@ class ScalarField:
         if self.affine is not None:
             self.affine = tuple(np.asarray(m, dtype=float) for m in self.affine)
             if self.grad is None:
-                self.grad = _affine_gradient(*self.affine)
+                self.grad = affine_gradient(*self.affine)
 
     def __call__(self, x: Array) -> float | Array:
         x = np.asarray(x, dtype=float)
         value = np.asarray(self.fn(x), dtype=float)
-        if value.shape != x.shape[:-1]:  # a one-point formula such as x[0] * x[1] mixes the rows of a stack
+        if not _one_per_point(self.fn, x, value, ()):
             raise ValueError(f"field {self.name!r} must give one value per point of {x.shape}, got shape {value.shape}")
         return float(value) if x.ndim == 1 else value
 
@@ -107,93 +106,24 @@ class ScalarField:
         x = np.asarray(x, dtype=float)
         if self.grad is not None:
             grad = np.asarray(self.grad(x), dtype=float)
-            # a one-point formula such as [x[1], x[0]] mixes rows, in the shape of x when x.shape[0] == dim but not on x[None]
-            try:
-                mixed = grad.shape != x.shape or (x.ndim > 1 and x.shape[0] == x.shape[-1] and np.shape(self.grad(x[None])) != (1,) + x.shape)
-            except IndexError:
-                mixed = True
-            if mixed:
+            if not _one_per_point(self.grad, x, grad, x.shape[-1:]):
                 raise ValueError(f"gradient of field {self.name!r} must give one row per point of {x.shape}, got shape {grad.shape}")
             return grad
         # central gives one row per direction; a stack takes one contiguous gradient row per point
         return np.moveaxis(fd.central(self, x, np.eye(x.shape[-1]), fd.GRAD_STEP), 0, -1).copy()
 
 
-def _product(a: str, b: str) -> str:
-    """Source of a*b; a factor ``b`` of 1.0 is exact as ``a`` itself."""
-    return a if b == "1.0" else f"{a}*{b}"
+def _one_per_point(formula: Callable[[Array], Array], x: Array, out: Array, shape: tuple[int, ...]) -> bool:
+    """Whether ``out`` = formula(x) holds one result of ``shape`` per point of x.
 
-
-def _term(coef: float, factor: str) -> str:
-    """Source of coef * factor; a coefficient of 1 or -1 is exact as the factor or its negation."""
-    return factor if coef == 1.0 else f"-{factor}" if coef == -1.0 else _product(repr(coef), factor)
-
-
-def _join(terms: Sequence[str]) -> str:
-    """Source of the sum of ``terms``, left to right; a term ``-b`` after the first is written ``a - b``.
-
-    IEEE a - b is a + (-b), and -(p*q) is (-p)*q, signed zeros included, so
-    the folded sum has the bits of the unfolded one.
+    A one-point formula such as ``x[0] * x[1]`` mixes the rows of a stack whose leading axis is dim in the right
+    shape, but not on ``x[None]``, so it is then evaluated there once more; an IndexError counts as a mismatch.
     """
-    return "".join(t if not i else f" - {t[1:]}" if t.startswith("-") else f" + {t}" for i, t in enumerate(terms))
-
-
-def _sum_source(coefs: Sequence[float], factors: Sequence[str], const: float = 0.0) -> str:
-    """Source of sum_k coefs[k] * factors[k] + const over its nonzero terms, in ascending k, then const.
-
-    Empty ("") when every term is zero. A float is written with ``repr``,
-    which reads back to the same bits.
-    """
-    terms = [_term(c, x) for c, x in zip(coefs, factors) if c != 0.0]
-    if const != 0.0:
-        terms.append(repr(const))
-    return _join(terms)
-
-
-def _compile(name: str, lines: Sequence[str], namespace: dict, params: str) -> Callable:
-    """The function ``def name(params)`` with the body ``lines``, its free names resolved in ``namespace`` (``inf`` and ``nan`` included)."""
-    source = f"def {name}({params}):\n" + "".join(f"    {line}\n" for line in lines)
-    scope = {"inf": float("inf"), "nan": float("nan"), **namespace}
-    exec(compile(source, f"<compiled {name}>", "exec"), scope)
-    return scope[name]
-
-
-def _nan_past_divergence(gradient: Callable[[Sequence[float]], Array]) -> Callable[[Sequence[float]], Array]:
-    """``gradient``, reading NaN where it raises at a point with a non-finite entry; at a finite point its exception propagates."""
-    def guarded(y: Sequence[float]) -> Array:
-        try:
-            return gradient(y)
-        except Exception:
-            if np.isfinite(y).all():
-                raise
-            return np.full(len(y), np.nan)
-
-    return guarded
-
-
-def _unpack(names: Sequence[str]) -> str:
-    return ", ".join(names) + ","
-
-
-def _affine_gradient(a: Array, f: Array) -> Callable[[Array], Array]:
-    """x -> A x + f at a point or per point of a stack (..., n), its entries compiled to straight-line arithmetic.
-
-    Entry j sums the nonzero A_jl x_l in ascending l, then adds f_j when it is
-    nonzero; a row of A without nonzero entries gives f_j itself (its sign of
-    zero included), broadcast to one entry per point.
-    """
-    names = [f"y{k}" for k in range(f.size)]
-    rows = [_sum_source(a[j].tolist(), names, float(f[j])) or repr(float(f[j])) for j in range(f.size)]
-    entries = _compile("grad", [f"return {_unpack(rows)}"], {}, ", ".join(names))
-
-    def grad(x: Array) -> Array:
-        x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
-        for j, entry in enumerate(entries(*x.T)):  # x.T and out.T: one coordinate, or one column of a stack, per entry
-            out.T[j] = entry  # a constant entry fills its column
-        return out
-
-    return grad
+    lead = x.shape[:-1]
+    try:
+        return out.shape == lead + shape and not (x.ndim > 1 and x.shape[0] == x.shape[-1] and np.shape(formula(x[None])) != (1,) + lead + shape)
+    except IndexError:
+        return False
 
 
 def coordinate_field(i: int, dim: int) -> ScalarField:
@@ -311,8 +241,6 @@ class PoissonSpace:
     const: Array
     box: Array | None = None
     name: str = ""
-    # (hamiltonian, step) of the last hamiltonian compiled by compile_step
-    _step: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("canonical", "lie_poisson", "quotient", "product"):
@@ -350,87 +278,6 @@ class PoissonSpace:
     def bivector(self, x: Array) -> Array:
         """Matrix B_ij = {x_i, x_j} at the point, or one per point of a stack (..., dim)."""
         return row_matvec(self.linear, np.asarray(x, dtype=float)[..., None, :]) + self.const
-
-    def _field_source(self, hamiltonian: ScalarField, ys: Sequence[str]) -> tuple[list[str], list[str]]:
-        """Source of the Hamiltonian vector field v = B(y) grad H(y) at the coordinates named ``ys``: (lines, rows).
-
-        ``lines`` bind the gradient's locals g0, g1, ...; ``rows[i]`` is the
-        expression of v_i in ``ys`` and those locals. v_i sums B_ij g_j in
-        ascending j, and B_ij is sum_k linear_ijk y_k in ascending k plus
-        const_ij, each sum over its nonzero terms only. With
-        ``hamiltonian.affine`` = (A, f) the gradient g = A y + f is inlined as
-        in ``_affine_gradient``, and a g_j that vanishes for every y drops out;
-        otherwise g is one call ``grad([y0, y1, ...])`` in numpy, with ``grad``
-        bound by the caller. ``dynamics.ham_vector_field`` is the numpy reference.
-        """
-        n = self.dim
-        lines = []
-        if hamiltonian.affine is None:
-            gs = [f"g{j}" for j in range(n)]
-            lines.append(f"{_unpack(gs)} = grad([{', '.join(ys)}]).tolist()")
-        else:
-            a, f = hamiltonian.affine
-            gs = []
-            for j in range(n):
-                g = _sum_source(a[j].tolist(), ys, float(f[j]))
-                if a[j].any() and g not in ys:
-                    lines.append(f"g{j} = {g}")
-                    g = f"g{j}"
-                gs.append(g)  # a coordinate, a local, a constant's literal, or "" for zero
-        rows = []
-        for i in range(n):
-            terms = []
-            for j, g in enumerate(gs):
-                b = _sum_source(self.linear[i, j].tolist(), ys, float(self.const[i, j]))
-                if not (b and g):
-                    continue
-                if not self.linear[i, j].any():
-                    terms.append(_term(float(self.const[i, j]), g))
-                else:
-                    terms.append(_product(b if " " not in b else f"({b})", g))  # a term holds no space, a sum does
-            rows.append(_join(terms) or "0.0")
-        return lines, rows
-
-    def compile_step(self, hamiltonian: ScalarField) -> Callable[[Sequence[float], float, float, float, int], list[tuple]]:
-        """``count`` classical RK4 steps of the Hamiltonian vector field, compiled to one loop of straight-line code.
-
-        ``step(x, h, half, sixth, count)`` takes the state as a sequence of
-        ``dim`` floats, the step size, the caller's ``half`` = 0.5*h and
-        ``sixth`` = h/6, and the number of steps; it gives the ``count`` states
-        that follow x, each a tuple. The state is held in locals between steps.
-        Each step's four stages are the field's rows at x, x + half*k1,
-        x + half*k2 and x + h*k3, in the order ``_field_source`` documents, and
-        the step goes to x + sixth*(k1 + 2.0*k2 + 2.0*k3 + k4), entry by entry
-        with exactly these associations.
-
-        With ``hamiltonian.affine`` the step is arithmetic only, so it also
-        runs on a sequence of ``dim`` numpy columns, one ensemble member per
-        entry, each member with the bits of its own run. Without it, each
-        stage calls ``hamiltonian.gradient``; where that raises at a stage
-        with a non-finite entry, the stage's gradient reads NaN, so the state
-        is non-finite (a divergence, as ``dynamics.integrate`` reports it);
-        at a finite stage its exception propagates.
-
-        ``h`` is an argument, so one step serves every step size. The step of
-        the last hamiltonian compiled is kept and returned again for it (the
-        space and the field are taken as immutable).
-        """
-        if self._step[0] is not hamiltonian:
-            n = self.dim
-            xs, ys = [f"x{k}" for k in range(n)], [f"y{k}" for k in range(n)]
-            at_x, at_y = self._field_source(hamiltonian, xs), self._field_source(hamiltonian, ys)
-            body = []
-            for s, coef in enumerate(("", "half", "half", "h"), start=1):
-                if coef:
-                    body += [f"y{k} = x{k} + {coef}*k{s - 1}_{k}" for k in range(n)]
-                glines, rows = at_y if coef else at_x
-                body += glines + [f"k{s}_{i} = {row}" for i, row in enumerate(rows)]
-            body += [f"x{k} = x{k} + sixth*(k1_{k} + 2.0*k2_{k} + 2.0*k3_{k} + k4_{k})" for k in range(n)]
-            body.append(f"append(({_unpack(xs)}))")
-            lines = [f"{_unpack(xs)} = x", "rows = []", "append = rows.append", "for _ in range(count):",
-                     *(f"    {line}" for line in body), "return rows"]
-            self._step = (hamiltonian, _compile("step", lines, {"grad": _nan_past_divergence(hamiltonian.gradient)}, "x, h, half, sixth, count"))
-        return self._step[1]
 
 
 def canonical_cotangent(nq: int) -> PoissonSpace:
@@ -619,9 +466,8 @@ class CoadjointOrbit:
     dim: int = 0
 
     def tangent_span(self, mu: Array) -> Array:
-        """Columns ad*_{e_i} mu spanning the orbit tangent space at mu."""
-        n = self.group.dim
-        return np.stack([self.group.ad_star(np.eye(n)[i]) @ mu for i in range(n)], axis=1)
+        """Columns ad*_{e_i} mu spanning the orbit tangent space at mu, one matrix per point of a stack (..., dim)."""
+        return np.stack([row_matvec(self.group.ad_star(e), mu) for e in np.eye(self.group.dim)], axis=-1)
 
     def membership_residual(self, mu: Array) -> float | Array:
         """Distance of mu from the orbit, or of each row of a stack (..., dim).
@@ -637,10 +483,10 @@ class CoadjointOrbit:
 
 
 def coadjoint_orbit(group: LieGroupSpec, mu0: Array, n_samples: int = 40, seed: int = 0) -> CoadjointOrbit:
-    """The orbit through mu0 with n_samples points Ad*_{g^-1} mu0, the g drawn in one loop and exponentiated as one stack."""
+    """The orbit through mu0 with n_samples points Ad*_{g^-1} mu0, the g drawn as one block and exponentiated as one stack."""
     mu0 = np.asarray(mu0, dtype=float)
     rng = stream(seed, f"poisson.orbit/{group.name}")
-    g = np.array([group.random_algebra(rng, scale=0.8) for _ in range(n_samples)]).reshape(n_samples, group.dim)
+    g = group.random_algebra(rng, 0.8, (n_samples,))
     orbit = CoadjointOrbit(group, mu0, list(row_matvec(group.Ad_star_inv(group.exp(g)), mu0)))
     orbit.dim = int(rank_gap(orbit.tangent_span(mu0), 1e-8).rank)
     return orbit
@@ -857,233 +703,3 @@ def magnetic_term(bundle: BundleSpec, chi: Array, samples: int = 15, seed: int =
     rep.extras["trials"] = samples
     rep.extras["magnetic_closedness_residual"] = w_closed
     return two_form, rep
-
-
-# ---------------------------------------------------------------------------
-# the symplectic groupoid T*((PxP)/G) => T*P/G acting on leaves
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PairClassPoint:
-    """Gauge-fixed point of (T*P x T*P)/G: legs ((m1, w), (m2, e)) with covectors.
-
-    A stack of points carries the same leading axes on every field, as a
-    ``bundle.Point`` stack does.
-    """
-
-    m1: Array
-    w: Array
-    m2: Array
-    a1: Array
-    b1: Array
-    a2: Array
-    b2: Array
-
-
-def _pair_omega(bundle: BundleSpec, z: PairClassPoint) -> Array:
-    """Matrix of the ambient form d(gamma + gamma) on gauge-slice tangents, one per point of a stack.
-
-    Tangent layout: (dm1, eta, dm2, da1, db1, da2, db2).  This is T*(M x G x M)
-    with covector (a1, b1, a2), plus db2, which pairs with nothing: the second
-    leg stays on the fiber-identity slice, so its group direction vanishes.
-    """
-    k = 4 * bundle.d + 2 * bundle.n
-    omega = canonical_two_form([bundle.d, bundle.group, bundle.d], np.concatenate([z.a1, z.b1, z.a2], axis=-1))
-    out = np.zeros(omega.shape[:-2] + (k + bundle.n, k + bundle.n))
-    out[..., :k, :k] = omega
-    return out
-
-
-def _pair_t(bundle: BundleSpec, z: PairClassPoint) -> Array:
-    """Target map to T*P/G coordinates: class of the first leg."""
-    return np.concatenate([z.m1, z.a1, row_matvec(bundle.group.Ad_star_inv(z.w), z.b1)], axis=-1)
-
-
-def _pair_s(z: PairClassPoint) -> Array:
-    """Source map to T*P/G coordinates: class of minus the second leg."""
-    return np.concatenate([z.m2, -z.a2, -z.b2], axis=-1)
-
-
-def _pair_product(lam: PairClassPoint, y: PairClassPoint) -> PairClassPoint:
-    """Groupoid product in (T*P x T*P)/G of gauge-fixed representatives."""
-    return PairClassPoint(lam.m1, lam.w @ y.w, y.m2, lam.a1, y.b1, y.a2, y.b2)
-
-
-def groupoid_action_suite(bundle: BundleSpec, orbit: CoadjointOrbit, samples: int = 12, seed: int = 0) -> SuiteReport:
-    """Target/source Poisson properties, orbit connectivity, and graph isotropy.
-
-    The stream is drawn in one loop; each check is evaluated once over the
-    stacked samples.
-    """
-    rep = SuiteReport(f"poisson.groupoid_action[{bundle.name}]")
-    rng = stream(seed, f"poisson.groupoid_action/{bundle.name}")
-    quot = quotient_cotangent(bundle)
-    G = bundle.group
-    d, n = bundle.d, bundle.n
-
-    # T*Gamma = T*((PxP)/G) is T*P' for the trivial bundle P' = (M x M) x G,
-    # in gauge coordinates (m1, m2; w) with fiber covectors (b1, b2) = (beta, -beta)
-    arrows = BundleSpec(G, ConnectionData.flat(2 * d, n), BoxBase(np.vstack([bundle.base.box] * 2)))
-    pair_t = partial(_pair_t, bundle)
-
-    def on_arrows(f: Polynomial, leg) -> CotangentFn:
-        def fn(s: CotangentSample) -> Array:
-            base = s.point.base
-            return f(leg(PairClassPoint(base[..., :d], s.point.fiber, base[..., d:], s.a[..., :d], s.b, s.a[..., d:], -s.b)))
-        return CotangentFn(fn)
-
-    def draw() -> tuple:
-        # a random arrow lam of T*Gamma (b2 = -b1 = -beta), f and g on T*P/G, two leaf points to connect, the graph-isotropy draws
-        beta = rng.standard_normal(n)
-        lam = bundle.random_base(rng), G.random_algebra(rng), bundle.random_base(rng), rng.standard_normal(d), rng.standard_normal(d)
-        fg = random_polynomial(rng, quot.dim), random_polynomial(rng, quot.dim)
-        g12 = G.random_algebra(rng, 0.8), G.random_algebra(rng, 0.8)
-        ends = bundle.random_base(rng), rng.standard_normal(d), bundle.random_base(rng), rng.standard_normal(d)
-        return beta, *lam, *fg, *g12, *ends, *_isotropy_draw(bundle, orbit, rng)
-
-    (beta, m1, w, m2, a1, a2, f, g, g1, g2, from_m, from_a, to_m, to_a,
-     bsum, b1, y_m1, y_w, y_m2, y_a1, y_a2, m1_0, w_0, a1_0, span, pairs) = draw_samples(samples, draw)
-    w, g1, g2, y_w, w_0 = G.exp(np.stack([w, g1, g2, y_w, w_0]))
-
-    lam = PairClassPoint(m1, w, m2, a1, beta, a2, -beta)
-    s = CotangentSample(Point(np.concatenate([m1, m2], axis=1), w), np.concatenate([a1, a2], axis=1), beta)
-    lhs = cotangent_bracket(arrows, on_arrows(f, pair_t), on_arrows(g, pair_t), s)
-    w_t = worst(np.abs(lhs - quot.bracket(f, g, pair_t(lam))))
-    lhs = cotangent_bracket(arrows, on_arrows(f, _pair_s), on_arrows(g, _pair_s), s)
-    w_s = worst(np.abs(lhs + quot.bracket(f, g, _pair_s(lam))))
-
-    # orbit connectivity: any two leaf points of J^{-1}(O)/G are joined by an arrow.  The arrow of T*Gamma from
-    # z_from to z_to has w = g2 g1^-1 (Ad*_{w^-1} Ad*_{g1^-1} = Ad*_{g2^-1}) and (b1, b2) = (mu_from, -mu_from)
-    mu_from, mu_to = (row_matvec(G.Ad_star_inv(el), orbit.mu0) for el in (g1, g2))
-    arrow = PairClassPoint(to_m, g2 @ G.inverse(g1), from_m, to_a, mu_from, -from_a, -mu_from)
-    z_from, z_to = np.concatenate([from_m, from_a, mu_from], axis=1), np.concatenate([to_m, to_a, mu_to], axis=1)
-    w_conn = worst(row_norm(_pair_s(arrow) - z_from) + row_norm(pair_t(arrow) - z_to))
-
-    # graph isotropy of the action map (Lagrangian by dimension count)
-    y = PairClassPoint(y_m1, y_w, y_m2, y_a1, b1, y_a2, bsum - b1)
-    w_iso = _graph_isotropy(bundle, y, (m1_0, w_0, a1_0), span, pairs)
-
-    rep.add("target_poisson", w_t, 1e-6)
-    rep.add("source_anti_poisson", w_s, 1e-6)
-    rep.add("orbit_connectivity", w_conn, 1e-9)
-    rep.add("graph_isotropy", w_iso, 1e-7)
-    rep.extras["trials"] = samples
-    return rep
-
-
-def _isotropy_directions(bundle: BundleSpec) -> tuple[list[tuple], list[tuple]]:
-    """The (slot, index, None) moves of the graph tangents, 6d + 3n in all: lam's free slots, then the leaf moves
-    of y (free slots and b-preserving pairs), which the orbit moves of b2, one candidate per algebra direction, follow."""
-    d, n = bundle.d, bundle.n
-    lam = [("m1", d), ("w", n), ("a1", d)]
-    y = [("m1", d), ("w", n), ("m2", d), ("a1", d), ("a2", d), ("bpair", n)]
-    return tuple([(slot, i, None) for slot, size in slots for i in range(size)] for slots in (lam, y))
-
-
-def _isotropy_draw(bundle: BundleSpec, orbit: CoadjointOrbit, rng: np.random.Generator) -> tuple:
-    """One sample's graph-isotropy draws: the composable pair and the tangent pairs to test.
-
-    Returns bsum, b1 and the coordinates of y (in the leaf), then those of
-    lam's free part (m1_0, w_0, a1_0), the orbit tangent span at bsum, and
-    the tested pairs as a boolean matrix over every candidate tangent.  The pair
-    choice draws a number of values that depends on the orbit directions at
-    bsum, so this sample's g1 is exponentiated here, inside the draw loop.
-    """
-    G = bundle.group
-    d, n = bundle.d, bundle.n
-    g1, _ = G.random_algebra(rng, 0.8), G.random_algebra(rng, 0.8)
-    bsum = G.Ad_star_inv(G.exp(g1)) @ orbit.mu0
-    out = (bsum, rng.standard_normal(n), bundle.random_base(rng), G.random_algebra(rng), bundle.random_base(rng), rng.standard_normal(d),
-           rng.standard_normal(d), bundle.random_base(rng), G.random_algebra(rng), rng.standard_normal(d))
-    span = orbit.tangent_span(bsum)
-    fixed = 6 * d + 3 * n  # the moves of _isotropy_directions
-    tangents = np.concatenate([np.arange(fixed), fixed + np.array([i for i in range(n) if np.linalg.norm(span[:, i]) > 1e-10], dtype=int)])
-    pair_idx = [(i, j) for i in range(tangents.size) for j in range(i + 1, tangents.size)]
-    if len(pair_idx) > 60:
-        picks = rng.choice(len(pair_idx), size=60, replace=False)
-        pair_idx = [pair_idx[int(k)] for k in picks]
-    pairs = np.zeros((fixed + n, fixed + n), dtype=bool)
-    rows, cols = tangents[np.array(pair_idx, dtype=int).reshape(-1, 2)].T
-    pairs[rows, cols] = True
-    return *out, span, pairs
-
-
-def _displaced(G: LieGroupSpec, z: PairClassPoint, directions: list[tuple], h: float) -> PairClassPoint:
-    """z moved by -h and by +h along each direction: every field gains the leading axes (2, directions).
-
-    A direction (slot, i, payload) adds t to entry i of a coordinate slot;
-    "w" multiplies w by exp(t e_i) on the right; "bpair" moves b1 by t e_i
-    and b2 by -t e_i; "borbit" moves b2 by t payload, one payload per point.
-    """
-    t = np.array([-h, h])
-    steps = np.zeros((2, G.dim, G.dim))
-    steps[:, range(G.dim), range(G.dim)] = t[:, None]
-    turns = G.exp(steps)  # exp(-+h e_i)
-    vals = {k: np.broadcast_to(v, (2, len(directions)) + v.shape).copy() for k, v in vars(z).items()}
-    for j, (slot, i, payload) in enumerate(directions):
-        if slot == "w":
-            vals["w"][:, j] = z.w @ turns[:, i, None]
-        elif slot == "bpair":
-            vals["b1"][:, j] = z.b1 + steps[:, i, None]
-            vals["b2"][:, j] = z.b2 - steps[:, i, None]
-        elif slot == "borbit":
-            vals["b2"][:, j] = z.b2 + t[:, None, None] * payload
-        else:
-            vals[slot][:, j, ..., i] += t[:, None]
-    return PairClassPoint(**vals)
-
-
-def _graph_isotropy(bundle: BundleSpec, y: PairClassPoint, free: tuple[Array, Array, Array], span: Array, pairs: Array) -> float:
-    """Isotropy of the action-graph tangent spaces for omega_Gamma + omega_L - omega_L, over stacked samples.
-
-    y lies in the leaf and lam = lam_for(y) with the free part (m1_0, w_0,
-    a1_0) is composable with it.  The graph tangents are the free lam moves
-    with y frozen and the leaf moves of y that lam follows.  Each group of
-    displaced points (lam's free moves, lam following y, y's moves, and the
-    two products) holds every sample as one stack, differentiated by one
-    ``fd.quotient`` and one ``fd.group_velocity``; a group at a time keeps
-    the temporary arrays small, which keeps the heap from growing over many
-    runs in one process.  ``pairs`` (samples, tangents, tangents) marks the
-    tangent pairs tested per sample.
-    """
-    G = bundle.group
-    d = bundle.d
-    h = fd.FINE_STEP
-    m1_0, w_0, a1_0 = free
-
-    def lam_for(y: PairClassPoint, beta: Array) -> PairClassPoint:
-        """The lam composable with y: its b1 is beta = Ad*_{y.w^-1} y.b1, and its free part is (m1_0, w_0, a1_0)."""
-        m1, w, a1 = (np.broadcast_to(v, like.shape) for v, like in ((m1_0, y.m1), (w_0, y.w), (a1_0, y.a1)))
-        return PairClassPoint(m1, w, y.m1, a1, beta, -y.a1, -beta)
-
-    m_y = G.Ad_star_inv(y.w)
-    lam0 = lam_for(y, row_matvec(m_y, y.b1))
-    lam_dirs, y_dirs = _isotropy_directions(bundle)
-    y_dirs += [("borbit", i, span[:, :, i]) for i in range(bundle.n)]
-
-    lam_moved, y_moved = _displaced(G, lam0, lam_dirs, h), _displaced(G, y, y_dirs, h)
-    frozen = PairClassPoint(**{k: np.broadcast_to(v, (2, len(lam_dirs)) + v.shape) for k, v in vars(y).items()})
-    # beta of the moved y: Ad*_{y.w^-1} is y's own except on the moves of w
-    beta = row_matvec(m_y, y_moved.b1)
-    turns = [j for j, (slot, _, _) in enumerate(y_dirs) if slot == "w"]
-    beta[:, turns] = row_matvec(G.Ad_star_inv(y_moved.w[:, turns]), y_moved.b1[:, turns])
-    lam_follow = lam_for(y_moved, beta)
-
-    def tangents(z: PairClassPoint) -> Array:
-        """Tangents (dm1, eta, dm2, da1, db1, da2, db2) from the points z moved by -h and +h (its leading axis)."""
-        dv = fd.quotient(*np.concatenate([z.m1, z.m2, z.a1, z.b1, z.a2, z.b2], axis=-1), h)
-        return np.concatenate([dv[..., :d], fd.group_velocity(G, z.w[0], z.w[1], h), dv[..., d:]], axis=-1)
-
-    def form(z: PairClassPoint, *parts: Array) -> Array:
-        """omega at z on every pair of the leg tangents T, parts joined into one (directions, layout) block per sample: T . Omega . T^T."""
-        t = np.moveaxis(np.concatenate(parts), 1, 0).copy()
-        return t @ _pair_omega(bundle, z) @ np.swapaxes(t, -1, -2)
-
-    # omega_lam + omega_y - omega_z on all pairs at once, summed in place; the legs: lam (its free moves with y
-    # frozen, then following y), y (frozen under the free lam moves, then its own moves), and their product
-    t_y = tangents(y_moved)
-    resid = form(lam0, tangents(lam_moved), tangents(lam_follow))
-    resid += form(y, np.zeros((len(lam_dirs),) + t_y.shape[1:]), t_y)
-    resid -= form(_pair_product(lam0, y), tangents(_pair_product(lam_moved, frozen)), tangents(_pair_product(lam_follow, y_moved)))
-    return worst(np.max(np.abs(resid, out=resid), where=pairs, initial=0.0))

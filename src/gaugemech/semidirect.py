@@ -28,8 +28,9 @@ from typing import Any, Callable, Iterator, Sequence
 import numpy as np
 
 from . import fd, schema
-from .bundle import BundleSpec, ConnectionData, GroupBase, CotangentSample, dual_atiyah_split, row_dot, row_form, row_matvec, row_norm
+from .bundle import BundleSpec, ConnectionData, GroupBase, CotangentSample, dual_atiyah_split
 from .liealg import LieGroupSpec, expm, so3, translation_group
+from .linalg import row_dot, row_form, row_matvec, row_norm
 from .poisson import ScalarField, canonical_two_form, coordinate_field, dexp_left, lie_poisson
 from .report import SuiteReport, worst
 from .rng import stream

@@ -284,6 +284,12 @@ class TestConnection:
         with pytest.raises(ValueError):
             BundleSpec(sd.N, builders.connection_from_matrix(np.ones((3, 3))), GroupBase(sd.K))
 
+    @pytest.mark.parametrize("base_dim, fiber_dim", [(3, 3), (2, 1)])
+    def test_connection_must_fit_base_and_group(self, base_dim, fiber_dim):
+        # a connection on a 3-d base, or with a 1-d fiber, over a 2-d box with so3 is refused at construction
+        with pytest.raises(ValueError, match=rf"connection of shape \(base {base_dim}, fiber {fiber_dim}\) does not fit base dim 2 and group so3 of dim 3"):
+            BundleSpec(liealg.so3(), ConnectionData.flat(base_dim, fiber_dim), BoxBase([[-1.0, 1.0], [-1.0, 1.0]]))
+
 
 class TestBatchedSuitesSeeLastRow:
     @pytest.mark.parametrize("suite, check", [(bundle.momentum_suite, "J_equivariance"), (bundle.action_suite, "w8")])

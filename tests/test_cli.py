@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaugemech import bundle, cli, dynamics, groupoid, liealg, poisson, semidirect
+from gaugemech import bundle, cli, codegen, dynamics, groupoid, liealg, poisson, poisson_groupoid, semidirect
 from gaugemech.report import csv_lines
 
 import builders
@@ -484,14 +484,14 @@ def test_sign_flipped_field_term_fails_a_drift_check(tmp_path, monkeypatch, row,
     # the first term of one component of the heavy-top field, negated in the row builder and so in
     # every stage of the compiled step: the flow is no longer Hamiltonian for the Lie-Poisson
     # bracket, so a conserved quantity drifts
-    field_source = poisson.PoissonSpace._field_source
+    field_source = codegen._field_source
 
     def mutant(space, hamiltonian, ys):
         lines, rows = field_source(space, hamiltonian, ys)
         rows[row] = "-" + rows[row]
         return lines, rows
 
-    monkeypatch.setattr(poisson.PoissonSpace, "_field_source", mutant)
+    monkeypatch.setattr(codegen, "_field_source", mutant)
     assert run(["simulate", name, "--out", str(tmp_path)]) == cli.EXIT_CHECK_FAILURE
     report = json.loads((tmp_path / "report.json").read_text())
     assert any(v > report["drift_tol"] for v in report["drift"].values()), report["drift"]
@@ -499,13 +499,13 @@ def test_sign_flipped_field_term_fails_a_drift_check(tmp_path, monkeypatch, row,
 
 def test_simulate_compiles_one_step_for_every_step_size(tmp_path, monkeypatch):
     # the run at h, and the convergence check's runs at h = 8e-3 and 4e-3, share one compiled step
-    compile_, names = poisson._compile, []
+    compile_, names = codegen._compile, []
 
     def counting(name, *args, **kwargs):
         names.append(name)
         return compile_(name, *args, **kwargs)
 
-    monkeypatch.setattr(poisson, "_compile", counting)
+    monkeypatch.setattr(codegen, "_compile", counting)
     calls = []
     integrate = dynamics.integrate
     monkeypatch.setattr(dynamics, "integrate", lambda *args, **kwargs: calls.append(args[3]) or integrate(*args, **kwargs))
@@ -553,7 +553,7 @@ def test_leaves_suite_exception_becomes_failed_check(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("injected fault")
 
-    monkeypatch.setattr(poisson, "_graph_isotropy", boom)
+    monkeypatch.setattr(poisson_groupoid, "_graph_isotropy", boom)
     assert run(["leaves", "so3-leaves", "--out", str(tmp_path)]) == cli.EXIT_CHECK_FAILURE
     report = json.loads((tmp_path / "report.json").read_text())
     assert "poisson.groupoid_action:suite_error" in report["failures"]
@@ -585,11 +585,11 @@ ARROW_ELEMENT = "g2 @ G.inverse(g1)"
 def test_wrong_arrow_element_fails_orbit_connectivity(tmp_path, monkeypatch, wrong):
     # the suite with the arrow's group element w = g2 g1^-1 replaced in its source: the arrow's target then
     # misses the second leaf point, and only orbit_connectivity can see it
-    source = inspect.getsource(poisson.groupoid_action_suite)
+    source = inspect.getsource(poisson_groupoid.groupoid_action_suite)
     assert source.count(ARROW_ELEMENT) == 1
-    namespace = dict(vars(poisson))
-    exec(compile(source.replace(ARROW_ELEMENT, wrong), poisson.__file__, "exec"), namespace)
-    monkeypatch.setattr(poisson, "groupoid_action_suite", namespace["groupoid_action_suite"])
+    namespace = dict(vars(poisson_groupoid))
+    exec(compile(source.replace(ARROW_ELEMENT, wrong), poisson_groupoid.__file__, "exec"), namespace)
+    monkeypatch.setattr(poisson_groupoid, "groupoid_action_suite", namespace["groupoid_action_suite"])
     assert run(["leaves", "so3-leaves", "--out", str(tmp_path)]) == cli.EXIT_CHECK_FAILURE
     failures = json.loads((tmp_path / "report.json").read_text())["failures"]
     assert failures == ["poisson.groupoid_action[TrivialProduct[so3]]:orbit_connectivity"], failures
@@ -600,8 +600,8 @@ def test_non_character_chi_exits_before_any_suite(tmp_path, monkeypatch):
     def no_suite(*args, **kwargs):
         raise AssertionError("a leaves suite ran before chi was checked")
 
-    for suite in ("coadjoint_orbit", "leaf_structure", "groupoid_action_suite", "magnetic_term"):
-        monkeypatch.setattr(poisson, suite, no_suite)
+    for module, suite in ((poisson, "coadjoint_orbit"), (poisson, "leaf_structure"), (poisson_groupoid, "groupoid_action_suite"), (poisson, "magnetic_term")):
+        monkeypatch.setattr(module, suite, no_suite)
     doc = json.loads(json.dumps(cli.BUILTIN_SCENARIOS["so3-leaves"]))
     doc["leaves"].update(chi=[1.0, 0.0, 0.0], groupoid_action=True)
     path = tmp_path / "bad.json"

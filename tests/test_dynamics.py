@@ -6,7 +6,7 @@ from functools import partial, reduce
 import numpy as np
 import pytest
 
-from gaugemech import bundle, dynamics, liealg, poisson, semidirect
+from gaugemech import bundle, codegen, dynamics, liealg, poisson, semidirect
 from gaugemech.dynamics import DivergenceError, Trajectory, convergence_ratio, ham_vector_field, integrate, monitor_drift
 from gaugemech.poisson import ChartError, PoissonSpace, ScalarField, canonical_cotangent, lie_poisson, quotient_cotangent
 
@@ -261,7 +261,7 @@ class TestFastPaths:
     @pytest.mark.parametrize("name, space, ham", COMPILED + [FD_KINETIC], ids=[c[0] for c in COMPILED + [FD_KINETIC]])
     def test_compiled_step_matches_plain_python_rk4(self, name, space, ham):
         rng = np.random.default_rng(17)
-        step = space.compile_step(ham)
+        step = codegen.compile_step(space, ham)
 
         def draw(trial, exponent):
             x = (rng.standard_normal(space.dim) * 10.0 ** exponent).tolist()
@@ -301,7 +301,7 @@ class TestFastPaths:
         cfg = BUILTIN_SCENARIOS[name]["simulate"]
         m = semidirect.heavy_top_model(cfg["inertia"], cfg["mgl"], cfg["axis"])
         x0s = np.array(cfg["x0"]) * np.random.default_rng(18).uniform(0.95, 1.05, (64, 6))
-        step, h = m.space.compile_step(m.hamiltonian), cfg["h"]
+        step, h = codegen.compile_step(m.space, m.hamiltonian), cfg["h"]
         rows = step(list(x0s.T), h, 0.5 * h, h / 6.0, 1000)
         assert len(rows) == 1000 and all(len(row) == 6 and all(c.shape == (64,) for c in row) for row in rows)
         states = np.concatenate([x0s.T[None], np.array(rows)])  # (step, coordinate, member)

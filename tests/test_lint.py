@@ -544,9 +544,12 @@ def test_per_sample_draw_detector():
     assert per_sample_draws(src) == ["<src>:1", "<src>:2", "<src>:4", "<src>:5", "<src>:6", "<src>:7", "<src>:9"]
 
 
-@pytest.mark.parametrize("module", ["groupoid.py", "semidirect.py"])
+# the bundle, Poisson and CLI suites still draw through draw_samples
+DRAW_SAMPLES_MODULES = ("bundle.py", "cli.py", "poisson.py", "poisson_groupoid.py")
+
+
+@pytest.mark.parametrize("module", sorted(path.name for path in SRC.glob("*.py") if path.name not in DRAW_SAMPLES_MODULES))
 def test_no_per_sample_draws(module):
-    # the bundle, Poisson and CLI suites still draw through draw_samples
     path = SRC / module
     assert per_sample_draws(path.read_text(encoding="utf-8"), path.name) == []
 
@@ -623,6 +626,33 @@ def test_central_differences_only_in_fd():
     found = [hit for path in sorted(SRC.glob("*.py")) if path.name != "fd.py"
              for hit in central_difference_sites(path.read_text(encoding="utf-8"), path.name)]
     assert found == []
+
+
+def generated_code_sites(source: str, filename: str = "<src>") -> list[str]:
+    """Lines that call the builtin ``exec`` or ``compile``: code generated at run time, which belongs in ``codegen.py``.
+
+    A method of that name, such as ``re.compile``, is not the builtin.
+    """
+    lines = {node.lineno for node in ast.walk(ast.parse(source, filename))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("exec", "compile")}
+    return [f"{filename}:{line}" for line in sorted(lines)]
+
+
+def test_generated_code_detector():
+    src = (
+        "exec(compile(source, name, 'exec'), scope)\n"
+        "pattern = re.compile('x')\n"
+        "code = compile(tree, '<ast>', 'eval')\n"
+        "ok = executor.exec(job)\n"
+    )
+    assert generated_code_sites(src) == ["<src>:1", "<src>:3"]
+
+
+def test_exec_and_compile_only_in_codegen():
+    found = [hit for path in sorted(SRC.glob("*.py")) if path.name != "codegen.py"
+             for hit in generated_code_sites(path.read_text(encoding="utf-8"), path.name)]
+    assert found == []
+    assert generated_code_sites((SRC / "codegen.py").read_text(encoding="utf-8"), "codegen.py")
 
 
 RANK_FUNCTIONS = ("svd", "matrix_rank")
@@ -753,21 +783,21 @@ def test_generated_field_and_step_are_folded(monkeypatch):
     # call per stage)
     import numpy as np
 
-    from gaugemech import liealg, poisson, semidirect
+    from gaugemech import codegen, liealg, poisson, semidirect
     from gaugemech.cli import BUILTIN_SCENARIOS
 
-    compile_, sources = poisson._compile, {}
+    compile_, sources = codegen._compile, {}
 
     def recording(name, lines, namespace, params):
         sources[f"{len(sources)}:{name}"] = f"def {name}({params}):\n" + "".join(f"    {line}\n" for line in lines)
         return compile_(name, lines, namespace, params)
 
-    monkeypatch.setattr(poisson, "_compile", recording)
+    monkeypatch.setattr(codegen, "_compile", recording)
     cases = [(cfg["inertia"], cfg["mgl"], cfg["axis"]) for cfg in (BUILTIN_SCENARIOS[n]["simulate"] for n in ("heavy-top-lagrange", "heavy-top-free"))]
     models = [semidirect.heavy_top_model(*case) for case in cases + [([1.0, 2.0, 3.0], 0.7, [0.3, -0.2, 0.9])]]
     pairs = [(m.space, m.hamiltonian) for m in models]
     pairs.append((poisson.lie_poisson(liealg.so3()), poisson.ScalarField(lambda x: 0.5 * np.vecdot(x, x / np.array([1.0, 2.0, 3.0])))))
     for space, hamiltonian in pairs:
-        space.compile_step(hamiltonian)
+        codegen.compile_step(space, hamiltonian)
     assert sum(name.endswith(":step") for name in sources) == len(pairs)
     assert [hit for name, src in sources.items() for hit in unfolded_arithmetic(src, name)] == []

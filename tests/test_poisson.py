@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gaugemech import bundle, fd, liealg, poisson, semidirect
+from gaugemech import bundle, fd, liealg, poisson, poisson_groupoid, semidirect
 from gaugemech.bundle import BoxBase, BundleSpec, ConnectionData, CotangentSample
 from gaugemech.poisson import (
     ChartError,
@@ -15,7 +15,6 @@ from gaugemech.poisson import (
     coadjoint_orbit,
     coordinate_field,
     dual_pair_check,
-    groupoid_action_suite,
     jacobi_check,
     leaf_structure,
     lie_poisson,
@@ -24,6 +23,7 @@ from gaugemech.poisson import (
     quotient_cotangent,
     random_polynomial,
 )
+from gaugemech.poisson_groupoid import groupoid_action_suite
 
 import builders
 
@@ -257,7 +257,8 @@ class TestLeafCallCounts:
     def counts(self, monkeypatch):
         seen = {}
         for owner, name, key in ((liealg.LieGroupSpec, "log", "LieGroupSpec.log"), (BundleSpec, "sigma", "BundleSpec.sigma"),
-                                 (fd, "central", "fd.central"), (poisson, "cotangent_bracket", "cotangent_bracket")):
+                                 (fd, "central", "fd.central"), (poisson, "cotangent_bracket", "cotangent_bracket"),
+                                 (poisson_groupoid, "cotangent_bracket", "poisson_groupoid.cotangent_bracket")):
             def counted(*args, original=getattr(owner, name), key=key):
                 seen[key] += 1
                 return original(*args)
@@ -406,8 +407,12 @@ def test_field_that_ignores_the_stack_is_rejected():
     # x[0] * x[1] is a one-point formula: on a stack it would multiply two rows
     field = ScalarField(lambda x: x[0] * x[1], name="q p")
     assert field(np.array([2.0, 3.0, 5.0])) == 6.0
-    with pytest.raises(ValueError, match="one value per point"):
-        field(np.ones((4, 3)))
+    # on a (3, 3) stack the mixed rows have the stack's shape; x[None] tells them apart
+    for stack in (np.ones((4, 3)), np.arange(9.0).reshape(3, 3), np.arange(36.0).reshape(3, 4, 3)):
+        with pytest.raises(ValueError, match="one value per point"):
+            field(stack)
+    # a stack-correct formula on a (3, 3) stack gives each row's value
+    assert np.array_equal(ScalarField(lambda x: x[..., 0] * x[..., 1])(np.arange(9.0).reshape(3, 3)), [0.0, 12.0, 42.0])
 
 
 @pytest.mark.parametrize("label, dim, field", PACKAGE_FIELDS, ids=[f[0] for f in PACKAGE_FIELDS])
@@ -571,11 +576,11 @@ class TestGroupoidAction:
         m2 = b.random_base(rng)
         a2 = rng.standard_normal(2)
         # the identity arrow at the class (m2, -a2, beta)
-        lam = poisson.PairClassPoint(m2, np.eye(3), m2, -a2, beta, a2, -beta)
-        y = poisson.PairClassPoint(m2, np.eye(3), b.random_base(rng), -a2, beta, rng.standard_normal(2), rng.standard_normal(3))
-        z = poisson._pair_product(lam, y)
-        assert np.linalg.norm(poisson._pair_t(b, z) - poisson._pair_t(b, lam)) <= 1e-12
-        assert np.linalg.norm(poisson._pair_s(z) - poisson._pair_s(y)) <= 1e-12
+        lam = poisson_groupoid.PairClassPoint(m2, np.eye(3), m2, -a2, beta, a2, -beta)
+        y = poisson_groupoid.PairClassPoint(m2, np.eye(3), b.random_base(rng), -a2, beta, rng.standard_normal(2), rng.standard_normal(3))
+        z = poisson_groupoid._pair_product(lam, y)
+        assert np.linalg.norm(poisson_groupoid._pair_t(b, z) - poisson_groupoid._pair_t(b, lam)) <= 1e-12
+        assert np.linalg.norm(poisson_groupoid._pair_s(z) - poisson_groupoid._pair_s(y)) <= 1e-12
 
     @pytest.mark.parametrize("make_group, mu0", [
         (liealg.heisenberg3, [0.2, -0.4, 1.0]),
