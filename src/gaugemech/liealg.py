@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -163,12 +163,21 @@ def rodrigues(a: Array) -> Array:
     theta^2/24, truncated below unit roundoff.  The result is orthogonal to
     rounding at any angle.  Raises LieDomainError when theta^2 is not finite.
     """
+    return _rodrigues(a, *_rodrigues_factors(a), a @ a)
+
+
+def _rodrigues_factors(a: Array) -> tuple[Array, Array]:
+    """sin(theta)/theta and (1 - cos theta)/theta^2 of each antisymmetric matrix of a stack, shaped (..., 1, 1)."""
     coef = [_rodrigues_coefficients(row[7], row[2], row[3]) for row in a.reshape(-1, 9).tolist()]
     c1, c2 = np.array(coef).T.reshape((2,) + a.shape[:-2] + (1, 1))
+    return c1, c2
+
+
+def _rodrigues(a: Array, c1: Array, c2: Array, a2: Array) -> Array:
     # (I + c1 a) + c2 a^2, summed in that order
     out = c1 * a
     out += np.eye(3)
-    out += c2 * (a @ a)
+    out += c2 * a2
     return out
 
 
@@ -183,6 +192,18 @@ def _rodrigues_coefficients(x: float, y: float, z: float) -> tuple[float, float]
     return math.sin(theta) / theta, 0.5 * half * half
 
 
+def _theta2(a: Array) -> Array:
+    """theta^2 = a_21^2 + a_02^2 + a_10^2 of each antisymmetric 3x3 matrix of a stack, shaped (..., 1, 1),
+    summed in the order of ``_rodrigues_coefficients``."""
+    x, y, z = a[..., 2:3, 1:2], a[..., 0:1, 2:3], a[..., 1:2, 0:1]
+    return x * x + y * y + z * z
+
+
+def vee(a: Array) -> Array:
+    """The vector (a_21, a_02, a_10) of each antisymmetric 3x3 matrix of a stack: a w = vee(a) x w."""
+    return a[..., [2, 0, 1], [1, 2, 0]]
+
+
 def rotation_log(g: Array) -> tuple[Array, list[bool]]:
     """log of each 3x3 rotation of a stack (N, 3, 3) in closed form, and which rows it took.
 
@@ -195,8 +216,15 @@ def rotation_log(g: Array) -> tuple[Array, list[bool]]:
     ``logm``.  The per-row scalars are Python floats, so each row has the bits
     of its one-row call.
     """
-    gt = g.swapaxes(-1, -2)
-    defect = gt @ g
+    factors, closed = _rotation_log_factors(g)
+    anti = g - g.swapaxes(-1, -2)
+    anti *= factors
+    return anti, closed
+
+
+def _rotation_log_factors(g: Array) -> tuple[Array, list[bool]]:
+    """theta / (2 sin theta) of each row of ``rotation_log``, shaped (N, 1, 1) and 0 where the row is left to ``logm``."""
+    defect = g.swapaxes(-1, -2) @ g
     defect -= _EYE3
     ortho = np.abs(defect, out=defect).reshape(-1, 9).max(axis=-1) <= ROTATION_ORTHO_TOL
     factors, closed = [], []
@@ -214,9 +242,96 @@ def rotation_log(g: Array) -> tuple[Array, list[bool]]:
             factor = 0.5 + theta2 / 12.0 if theta2 < ROTATION_TAYLOR_THETA2 else 0.5 * theta / sin
         closed.append(ok)
         factors.append(factor)
-    anti = g - gt
-    anti *= np.array(factors)[:, None, None]
-    return anti, closed
+    return np.array(factors)[:, None, None], closed
+
+
+# ---------------------------------------------------------------------------
+# closed forms of rigid motions and of unipotent groups
+# ---------------------------------------------------------------------------
+
+
+def rigid_exp(a: Array, t: Array) -> tuple[Array, Array]:
+    """exp of [[a, t], [0, 0]] in SE(3), for each antisymmetric 3x3 a and translation t (..., 3) of stacks.
+
+    Returns the rotation R = exp(a) (``rodrigues``) and the translation V t with
+    V = I + (1 - cos theta)/theta^2 a + (theta - sin theta)/theta^3 a^2 (Murray,
+    Li & Sastry, A Mathematical Introduction to Robotic Manipulation, 1994,
+    ch. 2).  The last coefficient is (1 - sin(theta)/theta)/theta^2, and
+    1/6 - theta^2/120 below ROTATION_TAYLOR_THETA2.  Only the Rodrigues
+    coefficients are per-row Python floats; each row has the bits of its
+    one-row call.
+    """
+    c1, c2 = _rodrigues_factors(a)
+    a2 = a @ a
+    theta2 = _theta2(a)
+    taylor = theta2 < ROTATION_TAYLOR_THETA2
+    c3 = np.where(taylor, 1.0 / 6.0 - theta2 / 120.0, (1.0 - c1) / np.where(taylor, 1.0, theta2))
+    # V t = t + (c2 a + c3 a^2) t
+    vt = t + ((c2 * a + c3 * a2) @ t[..., None])[..., 0]
+    return _rodrigues(a, c1, c2, a2), vt
+
+
+def rigid_log(r: Array, t: Array) -> tuple[Array, Array, list[bool]]:
+    """log of [[r, t], [0, 1]] in SE(3) for each rotation r (N, 3, 3) and translation t (N, 3): (a, V^-1 t, closed).
+
+    a is ``rotation_log(r)`` and V^-1 = I - a/2 + c a^2 with c = (1 - (theta/2)
+    cot(theta/2))/theta^2 (Murray, Li & Sastry 1994, ch. 2), formed as (1 -
+    f (1 + cos theta))/theta^2 from the factor f = theta / (2 sin theta) of
+    ``rotation_log`` and cos theta = (tr r - 1)/2, and as 1/12 + theta^2/720
+    below ROTATION_TAYLOR_THETA2.  The rows ``rotation_log`` leaves to
+    ``logm`` are flagged False and left unset.
+    """
+    factors, closed = _rotation_log_factors(r)
+    a = r - r.swapaxes(-1, -2)
+    a *= factors
+    theta2 = _theta2(a)
+    taylor = theta2 < ROTATION_TAYLOR_THETA2
+    cos = 0.5 * (np.trace(r, axis1=-2, axis2=-1)[..., None, None] - 1.0)
+    c = np.where(taylor, 1.0 / 12.0 + theta2 / 720.0, (1.0 - factors * (1.0 + cos)) / np.where(taylor, 1.0, theta2))
+    # V^-1 t = t + (c a^2 - a/2) t
+    return a, t + ((c * (a @ a) - 0.5 * a) @ t[..., None])[..., 0], closed
+
+
+def _series_order(mats: Array) -> int:
+    """The least p such that every product of p matrices with the joint nonzero pattern of the stack ``mats`` is
+    zero, or the matrices' side when it is larger or the pattern is not nilpotent."""
+    step = mats.any(axis=0).astype(int)
+    power, p = step, 1
+    while power.any() and p < len(step):
+        power, p = np.minimum(power @ step, 1), p + 1
+    return p
+
+
+def _nilpotent_exp(a: Array, order: int) -> Array:
+    """exp(a) = I + a + a^2/2 + ... + a^(order-1)/(order-1)! of matrices with a^order = 0, per matrix of a stack;
+    summed as ``expm`` sums its a^3 = 0 exit, so at order 3 and below it has the bits of ``expm``."""
+    out = a + np.eye(a.shape[-1])
+    term = a
+    for k in range(2, order):
+        term = term @ a
+        out += term / math.factorial(k)
+    return out
+
+
+def _unipotent_log(g: Array, order: int) -> Array:
+    """log(g) = n - n^2/2 + n^3/3 - ... with n = g - I and n^order = 0, per matrix of a stack."""
+    n = g - np.eye(g.shape[-1])
+    out, term = n.copy(), n
+    for k in range(2, order):
+        term = term @ n
+        out += term * ((-1.0) ** (k + 1) / k)
+    return out
+
+
+def _unipotent_inverse(g: Array, order: int) -> Array:
+    """g^-1 = I - n + n^2 - ... with n = g - I and n^order = 0, per matrix of a stack (2I - g when n^2 = 0)."""
+    eye = np.eye(g.shape[-1])
+    step = eye - g
+    out, term = eye + step, step
+    for _ in range(2, order):
+        term = term @ step
+        out += term
+    return out
 
 
 def _sqrtm(a: Array) -> Array:
@@ -298,6 +413,26 @@ class LieGroupSpec:
     m x m matrix to a nonnegative defect (0 on the group); when absent, a
     generic test via log-and-expand is used.  Specs are immutable after
     construction.
+
+    The group kernels take closed forms that construction reads off the
+    basis and the structure constants, never off the name:
+
+    - antisymmetric basis matrices (the group is orthogonal): ``inverse`` is
+      the transpose;
+    - 3x3 antisymmetric ones (a rotation basis): ``exp`` by Rodrigues' formula,
+      ``log`` by ``rotation_log`` and Ad_g = P^+ g P with P the columns
+      vee(e_i);
+    - strictly upper triangular ones (a unipotent group, a^p = 0 for the
+      order p of the basis pattern): ``exp``, ``log`` and ``inverse`` as
+      finite series, and Ad_g = exp(ad_x) with x = log g as a finite sum;
+    - zero structure constants (abelian): Ad_g = I;
+    - the total group of SO(3) x| R^3 in the standard representation:
+      ``semidirect.SemidirectSpec.group_spec`` sets ``_rigid`` to the SE(3)
+      forms of its embedding.
+
+    The rest take ``expm``, ``logm``, ``np.linalg.inv`` and the conjugation
+    of the basis.  Every closed form takes a stack at once, and each row has
+    the bits of its one-row call.
     """
 
     name: str
@@ -307,7 +442,13 @@ class LieGroupSpec:
     structure: Array
     membership_residual: Callable[[Array], float] | None = None
     _basis_pinv: Array = field(init=False, repr=False)
+    _orthogonal: bool = field(init=False, repr=False)
     _rotation_basis: bool = field(init=False, repr=False)
+    _vee: tuple[Array, Array] | None = field(init=False, repr=False)
+    _abelian: bool = field(init=False, repr=False)
+    _unipotent_order: int = field(init=False, repr=False)
+    _ad_order: int = field(init=False, repr=False)
+    _rigid: Any = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.basis = np.asarray(self.basis, dtype=float).reshape(self.dim, self.embed, self.embed)
@@ -316,8 +457,16 @@ class LieGroupSpec:
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name!r} entries of group {self.name!r} must be finite")
         self._basis_pinv = np.linalg.pinv(self.basis.reshape(self.dim, -1))
-        # 3x3 antisymmetric basis matrices: exp and log have closed forms (Rodrigues)
-        self._rotation_basis = self.embed == 3 and np.array_equal(self.basis, -np.transpose(self.basis, (0, 2, 1)))
+        self._orthogonal = np.array_equal(self.basis, -np.transpose(self.basis, (0, 2, 1)))
+        self._rotation_basis = self.embed == 3 and self._orthogonal
+        self._vee = None
+        if self._rotation_basis:
+            vees = vee(self.basis).T
+            self._vee = vees, np.linalg.pinv(vees)
+        self._abelian = not self.structure.any()
+        # 0 unless the group is unipotent; then a^p = 0 for every algebra element a, and ad_x^q = 0
+        self._unipotent_order = _series_order(self.basis) if not np.tril(self.basis).any() else 0
+        self._ad_order = _series_order(self.ad(np.eye(self.dim))) if self._unipotent_order else 0
 
     # -- coordinates --------------------------------------------------------
 
@@ -366,26 +515,55 @@ class LieGroupSpec:
     def inverse(self, g: Array) -> Array:
         """g^-1 of a group element or of each of a stack (..., embed, embed).
 
-        The transpose for a basis of antisymmetric 3x3 matrices (the group is
-        SO(3)), otherwise one stacked ``np.linalg.inv``.
+        The transpose for an orthogonal group, the finite series for a
+        unipotent one, the SE(3) block inverse for a rigid-motion total group,
+        otherwise one stacked ``np.linalg.inv``.
         """
         g = np.asarray(g, dtype=float)
-        return g.swapaxes(-1, -2) if self._rotation_basis else np.linalg.inv(g)
+        if self._orthogonal:
+            return g.swapaxes(-1, -2)
+        if self._unipotent_order:
+            return _unipotent_inverse(g, self._unipotent_order)
+        if self._rigid is not None:
+            return self._rigid.inverse(g)
+        return np.linalg.inv(g)
 
     def Ad(self, g: Array) -> Array:
         """Matrix of Ad_g (conjugation) on algebra coordinates, one per element of a stack.
 
-        Column i holds the coordinates of g e_i g^-1: all basis matrices are
-        conjugated in one batched product and projected with the cached basis
-        pseudo-inverse in one matmul.
+        Column i holds the coordinates of g e_i g^-1.  Closed forms for the
+        groups listed in the class docstring; otherwise ``conjugation``.
         """
-        return self._conjugate(g, self.inverse(g))
+        return self._adjoint(g, inverted=False)
 
     def Ad_inv(self, g: Array) -> Array:
         """Matrix of Ad_{g^-1}, formed as g^-1 e_i g."""
-        return self._conjugate(self.inverse(g), g)
+        return self._adjoint(g, inverted=True)
 
-    def _conjugate(self, left: Array, right: Array) -> Array:
+    def _adjoint(self, g: Array, inverted: bool) -> Array:
+        g = np.asarray(g, dtype=float)
+        if self._abelian:
+            return np.broadcast_to(np.eye(self.dim), g.shape[:-2] + (self.dim, self.dim)).copy()
+        if self._vee is not None:
+            vees, vees_pinv = self._vee
+            return vees_pinv @ (g.swapaxes(-1, -2) if inverted else g) @ vees
+        if self._unipotent_order:
+            x = self.log(g)
+            return _nilpotent_exp(self.ad(-x if inverted else x), self._ad_order)
+        if self._rigid is not None:
+            return self._rigid.Ad(self.inverse(g) if inverted else g)
+        gi = self.inverse(g)
+        return self.conjugation(gi, g) if inverted else self.conjugation(g, gi)
+
+    def conjugation(self, left: Array, right: Array) -> Array:
+        """Matrix of x -> left x right on algebra coordinates, one per pair of broadcast stacks.
+
+        Column i holds the coordinates of left e_i right: all basis matrices are
+        conjugated in one batched product and projected with the cached basis
+        pseudo-inverse in one matmul.  Ad_g is conjugation(g, g^-1); ``left``
+        and ``right`` may be any pair that maps the algebra to itself, such as
+        the conjugators R(l) and R(l)^-1 of a semidirect product.
+        """
         conj = left[..., None, :, :] @ self.basis @ right[..., None, :, :]
         return (conj.reshape(conj.shape[:-2] + (-1,)) @ self._basis_pinv).swapaxes(-1, -2)
 
@@ -444,21 +622,36 @@ class LieGroupSpec:
     # -- exponential map ------------------------------------------------------
 
     def exp(self, x: Array) -> Array:
-        """exp of algebra coordinates x, or of each row of a stack (..., dim)."""
+        """exp of algebra coordinates x, or of each row of a stack (..., dim).
+
+        Rodrigues' formula, the finite series of a unipotent group or the SE(3)
+        form of a rigid-motion total group; otherwise ``expm``.
+        """
         a = self.from_coords(x)
-        return rodrigues(a) if self._rotation_basis else expm(a)
+        if self._rotation_basis:
+            return rodrigues(a)
+        if self._unipotent_order:
+            return _nilpotent_exp(a, self._unipotent_order)
+        if self._rigid is not None:
+            return self._rigid.exp(a)
+        return expm(a)
 
     def log(self, g: Array) -> Array:
         """log of a group element, or of each of a stack (..., embed, embed), in algebra coordinates.
 
-        Rotation rows take the closed form ``rotation_log``; the rows it
-        leaves, and every row of other groups, take ``logm`` one at a time.
-        Each row has the bits of its single call.
+        Rotation rows take the closed form ``rotation_log``, rigid-motion rows
+        ``rigid_log`` and unipotent rows the finite series; the rows the first
+        two leave, and every row of other groups, take ``logm`` one at a
+        time.  Each row has the bits of its single call.
         """
         g = np.asarray(g, dtype=float)
         rows = g.reshape((-1,) + g.shape[-2:])
-        if self._rotation_basis and g.shape[-2:] == (3, 3):
+        if self._rotation_basis:
             a, closed = rotation_log(rows)
+        elif self._unipotent_order:
+            a, closed = _unipotent_log(rows, self._unipotent_order), [True] * len(rows)
+        elif self._rigid is not None:
+            a, closed = self._rigid.log(rows)
         else:
             a, closed = np.empty_like(rows), [False] * len(rows)
         for i in (i for i, ok in enumerate(closed) if not ok):

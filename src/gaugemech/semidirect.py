@@ -29,7 +29,7 @@ import numpy as np
 
 from . import fd, schema
 from .bundle import BundleSpec, ConnectionData, GroupBase, CotangentSample, dual_atiyah_split
-from .liealg import LieGroupSpec, expm, so3, translation_group
+from .liealg import LieGroupSpec, expm, rigid_exp, rigid_log, so3, translation_group, vee
 from .linalg import row_dot, row_form, row_matvec, row_norm
 from .poisson import ScalarField, canonical_two_form, coordinate_field, dexp_left, lie_poisson
 from .report import SuiteReport, worst
@@ -39,8 +39,9 @@ Array = np.ndarray
 
 # samples evaluated at once by the stacked suites: bounds every temporary of a large suite.  At 12
 # the suites of 20 to 40 samples run in 2 to 4 passes and the 200-sample equivariance in 17, and no
-# suite's peak of traced memory passes 0.33 MB (momentum_form's, the largest); 50 samples a pass
-# would take about a third less time per se3-verify run and peak at 0.56 MB (pullback_form)
+# suite's peak of traced memory passes 0.13 MB (pullback_form's, the largest); 50 samples a pass
+# would take about a third less time per se3-verify run (14.2 against 21.9 ms, 110 interleaved runs
+# of each on a 2-vCPU Xeon) and peak at 0.29 MB (pullback_form)
 SAMPLE_BLOCK = 12
 
 
@@ -53,7 +54,11 @@ class SemidirectSpec:
     sampling happens).  When every r_i is -e_i in the leading ``K.embed``
     block and zero elsewhere, that is exactly R(k) = diag(k^-1, I), which
     ``R`` takes in closed form with ``K.inverse`` (the transpose for SO(3)).
-    The closed form is read off the generators, never supplied.
+    When moreover K has a rotation basis and N is the translations of R^3
+    (every basis matrix of N zero off the last column of its 4x4 embedding),
+    H is the rigid-motion group SE(3) and ``group_spec`` gives it the closed
+    forms of ``_RigidMotion``.  Both closed forms are read off the factors and
+    the generators, never supplied.
     """
 
     K: LieGroupSpec
@@ -62,6 +67,7 @@ class SemidirectSpec:
     name: str = ""
     _H: LieGroupSpec | None = field(default=None, init=False, repr=False)
     _inverse_conjugator: bool = field(init=False, repr=False)
+    _rigid_motion: bool = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.rho_generators = np.asarray(self.rho_generators, dtype=float).reshape(self.K.dim, self.N.embed, self.N.embed)
@@ -71,6 +77,9 @@ class SemidirectSpec:
             self.name = f"sd:{self.K.name}|{self.N.name}"
         pad = self.N.embed - self.K.embed
         self._inverse_conjugator = pad >= 0 and np.array_equal(self.rho_generators, np.pad(-self.K.basis, ((0, 0), (0, pad), (0, pad))))
+        translations = np.zeros((self.N.embed, self.N.embed), dtype=bool)
+        translations[:-1, -1] = True
+        self._rigid_motion = self._inverse_conjugator and self.K._rotation_basis and pad == 1 and not self.N.basis[:, ~translations].any()
 
     # -- the automorphism family ------------------------------------------------
 
@@ -89,8 +98,12 @@ class SemidirectSpec:
         return self.R(l) @ u @ self.R(self.K.inverse(l))
 
     def rho_inf(self, l: Array) -> Array:
-        """Matrix of the induced algebra action of rho(l) on n-coordinates: Ad of R(l)."""
-        return self.N.Ad(self.R(l))
+        """Matrix of the induced algebra action of rho(l) on n-coordinates: x -> R(l) x R(l^-1).
+
+        R(l) is not an element of N, so this is the explicit conjugation, not
+        ``N.Ad``, whose closed forms hold on N only.
+        """
+        return self.N.conjugation(self.R(l), self.R(self.K.inverse(l)))
 
     # -- group operations in pair coordinates ------------------------------------
 
@@ -157,6 +170,8 @@ class SemidirectSpec:
             return float(self.K.membership_defect(k) + self.N.membership_defect(u) + off_diagonal)
 
         self._H = LieGroupSpec(self.name, n, m, basis, structure, membership)
+        if self._rigid_motion:
+            self._H._rigid = _RigidMotion(self.K.basis, self.N.basis[:, :mk, mk].T)
         return self._H
 
     def sigma_dot(self) -> Array:
@@ -171,6 +186,70 @@ class SemidirectSpec:
         """Algebra projection of H onto K (derivative of mu(k, u) = k)."""
         H = self.group_spec()
         return np.eye(H.dim)[: self.K.dim, :]
+
+
+# hat(t) = t @ _HAT, reshaped to 3x3: the matrix of t x .
+_HAT = so3().basis.reshape(3, 9)
+
+
+class _RigidMotion:
+    """The closed forms of H = SO(3) x| R^3 with rho the standard representation (Murray, Li & Sastry,
+    A Mathematical Introduction to Robotic Manipulation, 1994, ch. 2), in the embedding of ``embed``.
+
+    An element of H is diag(R, [[R, t], [0, 1]]) and the algebra element of
+    coordinates (w, v) is diag(W, [[W, B v], [0, 0]]) with W = hat(P w); the
+    columns of P are vee(e_i) of K's basis, those of B the translations of N's
+    basis.  exp and log are the SE(3) forms of the lower block
+    (``rigid_exp``, ``rigid_log``), the inverse is [[R^T, -R^T t], [0, 1]] in
+    that block and R^T in the upper one, and Ad_h = F^+ [[R, 0], [hat(t) R, R]] F
+    with F = diag(P, B), skipped when F is the identity.
+    """
+
+    def __init__(self, k_basis: Array, translations: Array) -> None:
+        frame = np.zeros((6, len(k_basis) + translations.shape[1]))
+        frame[:3, : len(k_basis)] = vee(k_basis).T
+        frame[3:, len(k_basis) :] = translations
+        self.frame = None if np.array_equal(frame, np.eye(6)) else (np.linalg.pinv(frame), frame)
+
+    def exp(self, a: Array) -> Array:
+        """exp of algebra matrices of H, per matrix of a stack (..., 7, 7)."""
+        rot, vt = rigid_exp(a[..., 3:6, 3:6], a[..., 3:6, 6])
+        out = np.zeros(a.shape)
+        out[..., :3, :3] = rot
+        out[..., 3:6, 3:6] = rot
+        out[..., 3:6, 6] = vt
+        out[..., 6, 6] = 1.0
+        return out
+
+    def log(self, rows: Array) -> tuple[Array, list[bool]]:
+        """Algebra matrices of the logs of a stack (N, 7, 7), and which rows the closed form took."""
+        a, vt, closed = rigid_log(rows[:, 3:6, 3:6], rows[:, 3:6, 6])
+        out = np.zeros(rows.shape)
+        out[:, :3, :3] = a
+        out[:, 3:6, 3:6] = a
+        out[:, 3:6, 6] = vt
+        return out, closed
+
+    def inverse(self, h: Array) -> Array:
+        rot = h[..., 3:6, 3:6].swapaxes(-1, -2)
+        out = np.zeros(h.shape)
+        out[..., :3, :3] = h[..., :3, :3].swapaxes(-1, -2)
+        out[..., 3:6, 3:6] = rot
+        out[..., 3:6, 6] = -(rot @ h[..., 3:6, 6:7])[..., 0]
+        out[..., 6, 6] = 1.0
+        return out
+
+    def Ad(self, h: Array) -> Array:
+        rot = h[..., 3:6, 3:6]
+        hat_t = (h[..., None, 3:6, 6] @ _HAT).reshape(h.shape[:-2] + (3, 3))
+        out = np.zeros(h.shape[:-2] + (6, 6))
+        out[..., :3, :3] = rot
+        out[..., 3:, 3:] = rot
+        out[..., 3:, :3] = hat_t @ rot
+        if self.frame is None:
+            return out
+        frame_pinv, frame = self.frame
+        return frame_pinv @ out @ frame
 
 
 def so3_r3() -> SemidirectSpec:
@@ -298,17 +377,16 @@ def connection_form(sd: SemidirectSpec, k: Array, u: Array, h_velocity: Array) -
     is T(R_{iota(u)} o sigma o mu)(h); the vertical remainder is pulled back
     to N through iota^-1 o L_{sigma(k)^-1}.  Everything is finite-differenced
     on embedded curves, independently of the T Sigma matrix algebra.  Both
-    ends of every curve go through one ``expm``; each row has the bits of its
+    ends of every curve go through one ``H.exp``; each row has the bits of its
     single call.
     """
     H = sd.group_spec()
     h = fd.FINE_STEP
     h0 = sd.embed(k, u)
-    x = H.from_coords(h_velocity)
     # iota^-1 (L_{sigma(k)^-1} ...): N-block after removing sigma(k)
     sk_inv = sd.embed(sd.K.inverse(k), sd.N.identity())
     mk = sd.K.embed
-    h_t = h0 @ expm(np.multiply.outer([-h, h], x))  # the curve at -h and +h
+    h_t = h0 @ H.exp(np.multiply.outer([-h, h], h_velocity))  # the curve at -h and +h
     hor_t = sd.embed(h_t[..., :mk, :mk], u)  # R_{iota(u)} sigma mu (h_t) = (k_t, u)
     d_full, d_hor = (fd.quotient(*(sk_inv @ ends)[..., mk:, mk:], h) for ends in (h_t, hor_t))
     return sd.N.to_coords(sd.N.inverse(u) @ (d_full - d_hor), check=False)
@@ -581,7 +659,7 @@ def momentum_form_suite(sd: SemidirectSpec, samples: int = 20, seed: int = 0) ->
         f_ends = _fc_move(sd, fc, v, ends[:, None, None])
 
         # generators of the lifted action for x_hn and x_h: their flows at -h and +h through one lifted_action
-        flows = lifted_action(sd, fc, sd.split(expm(np.multiply.outer(ends, H.from_coords(np.stack([x_hn, x_h]))))))
+        flows = lifted_action(sd, fc, sd.split(H.exp(np.multiply.outer(ends, np.stack([x_hn, x_h])))))
         gen_n, gen_h = _fc_tangent(sd, flows, h)
         omega = canonical_two_form([sd.K, sd.N], np.concatenate([fc.theta, fc.chi], axis=-1))
 

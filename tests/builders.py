@@ -1,4 +1,4 @@
-"""Builders of spec documents and connections for tests, and a counting random generator.
+"""Builders of spec documents and connections for tests, and counters of random draws and of generic group kernels.
 
 The package reads these documents (``liealg.spec_from_json``,
 ``semidirect.sd_from_json``) but never writes them; tests build inline specs
@@ -7,8 +7,11 @@ from the built-in groups here.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
+from gaugemech import liealg
 from gaugemech.bundle import ConnectionData
 from gaugemech.liealg import LieGroupSpec
 from gaugemech.semidirect import SemidirectSpec
@@ -70,3 +73,21 @@ def counted_streams(monkeypatch, module):
     calls, stream = [], module.stream
     monkeypatch.setattr(module, "stream", lambda seed, label: CountingGenerator(stream(seed, label), calls))
     return calls
+
+
+def counted_generic_kernels(monkeypatch) -> dict[str, int]:
+    """Count the generic group kernels' calls: ``liealg.logm``, ``liealg.expm`` and ``np.linalg.inv`` from
+    ``LieGroupSpec.inverse``; return the live counts."""
+    counts = {"logm": 0, "expm": 0, "inv": 0}
+
+    def counting(name, real, counted=lambda frame: True):
+        def call(a):
+            counts[name] += counted(sys._getframe(1))
+            return real(a)
+
+        return call
+
+    monkeypatch.setattr(liealg, "logm", counting("logm", liealg.logm))
+    monkeypatch.setattr(liealg, "expm", counting("expm", liealg.expm))
+    monkeypatch.setattr(np.linalg, "inv", counting("inv", np.linalg.inv, lambda frame: frame.f_code is LieGroupSpec.inverse.__code__))
+    return counts

@@ -484,3 +484,119 @@ def test_logm_of_half_turn_still_raises():
         axis = rng.standard_normal(3)
         with pytest.raises(LieDomainError):
             logm(so3.exp(np.pi * axis / np.linalg.norm(axis)))
+
+
+# -- closed-form group kernels against the generic routes ------------------------------------------
+
+ULP = np.finfo(float).eps
+CLOSED_FORM_GROUPS = {
+    "r3": lambda: liealg.translation_group(3),
+    "heisenberg3": liealg.heisenberg3,
+    "t1": lambda: liealg.torus(1),
+    "so3": liealg.so3,
+    "se3": lambda: semidirect.so3_r3().group_spec(),
+}
+MARGIN_ROWS = 10
+
+
+def closed_form_coords(g, rng):
+    """200 algebra coordinates: the identity, 20 rows whose rotation angle has theta^2 below
+    ROTATION_TAYLOR_THETA2, 159 at norms from 1e-3 to 3 and, last, 20 rows of norm 2; for the rotation
+    groups the last MARGIN_ROWS of those take the angle pi - margin/2, inside the pi margin."""
+    x = rng.standard_normal((200, g.dim))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    x *= np.concatenate([[0.0], np.full(20, 1e-5), np.geomspace(1e-3, 3.0, 159), np.full(20, 2.0)])[:, None]
+    if g.name in ("so3", "sd:so3|r3"):
+        w = x[-MARGIN_ROWS:, :3]
+        w *= (np.pi - 0.5 * liealg.ROTATION_LOG_PI_MARGIN) / np.linalg.norm(w, axis=1, keepdims=True)
+    return x
+
+
+def ulps(a, b):
+    """Largest entry of |a - b| in units of eps times the larger of 1 and the row's largest entry of b."""
+    scale = np.maximum(1.0, np.abs(b).reshape(len(b), -1).max(axis=1))
+    return float((np.abs(a - b).reshape(len(b), -1).max(axis=1) / (ULP * scale)).max())
+
+
+@pytest.fixture
+def generic_calls(monkeypatch):
+    return builders.counted_generic_kernels(monkeypatch)
+
+
+@pytest.mark.parametrize("name", list(CLOSED_FORM_GROUPS))
+class TestClosedFormRules:
+    """Each rule on a stack of 200 elements: the generic route's values, and each row the bits of its one-row call."""
+
+    def test_rows_equal_one_row_calls(self, name):
+        g = CLOSED_FORM_GROUPS[name]()
+        x = closed_form_coords(g, np.random.default_rng(60))
+        elements = g.exp(x)
+        for row, xi in zip(elements, x):
+            assert np.array_equal(row, g.exp(xi))
+        for fn in (g.log, g.inverse, g.Ad, g.Ad_inv):
+            stack = fn(elements)
+            for row, el in zip(stack, elements):
+                assert np.array_equal(row, fn(el)), fn.__name__
+
+    def test_exp_inverse_and_Ad_match_the_generic_kernels(self, name):
+        g = CLOSED_FORM_GROUPS[name]()
+        x = closed_form_coords(g, np.random.default_rng(61))
+        elements = g.exp(x)
+        assert ulps(elements, expm(g.from_coords(x))) <= 8
+        inverses = np.linalg.inv(elements)
+        assert ulps(g.inverse(elements), inverses) <= 8
+        assert ulps(g.Ad(elements), g.conjugation(elements, inverses)) <= 8
+        assert ulps(g.Ad_inv(elements), g.conjugation(inverses, elements)) <= 8
+
+    def test_log_matches_logm_and_inverts_exp(self, name, generic_calls):
+        g = CLOSED_FORM_GROUPS[name]()
+        elements = g.exp(closed_form_coords(g, np.random.default_rng(62)))
+        logs = g.log(elements)
+        margin = slice(-MARGIN_ROWS, None) if name in ("so3", "se3") else slice(0, 0)
+        # only the rows inside the pi margin take logm, and there they give its bits
+        assert generic_calls["logm"] == (200 if name == "t1" else len(elements[margin]))
+        generic = g.to_coords(np.stack([liealg.logm(el) for el in elements]))
+        assert np.array_equal(logs[margin], generic[margin])
+        inside = slice(0, 200 - (MARGIN_ROWS if name in ("so3", "se3") else 0))
+        if name == "se3":
+            # logm itself errs by up to about 80 eps at angle 0.5 and 500 eps at 3 on the 7x7
+            # embedding; the oracle is the rotation log with an independent V^-1 t by np.linalg.solve
+            assert np.max(np.abs(logs[inside] - generic[inside])) <= 2e-13
+            w = liealg.so3().log(elements[inside, :3, :3])
+            v = np.linalg.solve(translation_v(w), elements[inside, 3:6, 6, None])[..., 0]
+            assert ulps(logs[inside], np.concatenate([w, v], axis=1)) <= 4
+        else:
+            assert ulps(logs[inside], generic[inside]) <= 4
+        assert np.max(np.abs(g.exp(logs[inside]) - elements[inside])) <= 4e-15
+
+
+def translation_v(w):
+    """V = I + (1 - cos theta)/theta^2 W + (theta - sin theta)/theta^3 W^2 of rotation vectors w (N, 3), term by term."""
+    out = []
+    for wi in w:
+        theta, k = np.linalg.norm(wi), liealg.so3().from_coords(wi)
+        if theta < 1e-4:
+            c2, c3 = 0.5 - theta**2 / 24, 1 / 6 - theta**2 / 120
+        else:
+            c2, c3 = (1 - np.cos(theta)) / theta**2, (theta - np.sin(theta)) / theta**3
+        out.append(np.eye(3) + c2 * k + c3 * (k @ k))
+    return np.array(out)
+
+
+def test_closed_forms_are_detected_from_the_basis():
+    so3, h3, r3, t2 = liealg.so3(), liealg.heisenberg3(), liealg.translation_group(3), liealg.torus(2)
+    assert so3._rotation_basis and so3._orthogonal and not so3._unipotent_order and not so3._abelian
+    assert (h3._unipotent_order, h3._ad_order) == (3, 2) and not h3._abelian
+    assert (r3._unipotent_order, r3._abelian) == (2, True)
+    assert t2._orthogonal and t2._abelian and not t2._rotation_basis and not t2._unipotent_order
+    # the lower-triangular Heisenberg basis is not unipotent by the upper-triangular test: generic exp, log and inverse
+    lower = dataclasses.replace(h3, name="lower", basis=h3.basis.transpose(0, 2, 1))
+    assert not lower._unipotent_order and not lower._orthogonal
+
+
+def test_builtins_take_no_generic_log_or_inverse(generic_calls, tmp_path):
+    from gaugemech import cli
+
+    for name, scenario in cli.BUILTIN_SCENARIOS.items():
+        assert cli.main([scenario["kind"], name, "--out", str(tmp_path / name)]) == 0
+    assert (generic_calls["logm"], generic_calls["inv"]) == (0, 0)

@@ -688,6 +688,60 @@ def test_rank_decided_only_in_linalg():
     assert list(found) == ["linalg.py"], found
 
 
+GENERIC_GROUP_ROUTES = {"logm": {"LieGroupSpec.log"}, "expm": {"LieGroupSpec.exp", "SemidirectSpec.R"}}
+
+
+def generic_group_routes(source: str, filename: str = "<src>") -> list[str]:
+    """Calls of, or references to, ``logm`` and ``expm`` outside the functions that choose between a closed form and the generic route.
+
+    Every other caller takes ``LieGroupSpec.log`` and ``LieGroupSpec.exp``, which pick the closed form
+    the group's basis allows; ``SemidirectSpec.R`` exponentiates rho's generators when no closed form
+    applies.  Imports and definitions are not references.
+    """
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            name = child.id if isinstance(child, ast.Name) else child.attr if isinstance(child, ast.Attribute) else None
+            if name in GENERIC_GROUP_ROUTES and isinstance(child.ctx, ast.Load) and scope not in GENERIC_GROUP_ROUTES[name]:
+                found.append(f"{filename}:{child.lineno} {scope or '<module>'}: {name}")
+            visit(child, scope)
+
+    visit(ast.parse(source, filename), "")
+    return sorted(found, key=lambda hit: int(hit.split(":")[1].split()[0]))
+
+
+def test_generic_group_route_detector():
+    src = (
+        "from .liealg import expm, logm\n"
+        "class LieGroupSpec:\n"
+        "    def log(self, g):\n"
+        "        return logm(g)\n"
+        "    def exp(self, x):\n"
+        "        return expm(self.from_coords(x))\n"
+        "    def Ad(self, g):\n"
+        "        return self.to_coords(logm(g))\n"
+        "class SemidirectSpec:\n"
+        "    def R(self, l):\n"
+        "        return expm(self.K.log(l))\n"
+        "    def rho(self, l, u):\n"
+        "        return liealg.expm(l) @ u\n"
+        "def logm(g):\n"
+        "    return g\n"
+        "def curve(H, x):\n"
+        "    return np.stack(list(map(expm, x)))\n"
+    )
+    assert generic_group_routes(src) == ["<src>:8 LieGroupSpec.Ad: logm", "<src>:13 SemidirectSpec.rho: expm", "<src>:17 curve: expm"]
+
+
+def test_logm_and_expm_only_behind_the_closed_forms():
+    found = [hit for path in sorted(SRC.glob("*.py")) for hit in generic_group_routes(path.read_text(encoding="utf-8"), path.name)]
+    assert found == []
+
+
 def test_unused_locals_detector():
     src = (
         "def f(a):\n"

@@ -1,10 +1,11 @@
+import dataclasses
 import tracemalloc
 from functools import partial
 
 import numpy as np
 import pytest
 
-from gaugemech import bundle, cli, dynamics, liealg, poisson, semidirect
+from gaugemech import bundle, cli, dynamics, fd, liealg, poisson, semidirect
 from gaugemech.bundle import CotangentSample
 from gaugemech.semidirect import (
     FactoredCotangent,
@@ -126,7 +127,10 @@ class TestEmbedding:
         for _ in range(10):
             l, x = spec.K.exp(spec.K.random_algebra(rng)), spec.N.random_algebra(rng)
             rho_inf = spec.rho_inf(l)
-            assert np.max(np.abs(rho_inf - spec.N.Ad(spec.R(l)))) <= 1e-14
+            # R(l) is not an element of N: conjugate by it and its matrix inverse, one basis matrix at a time
+            r, r_inv = spec.R(l), np.linalg.inv(spec.R(l))
+            by_columns = np.stack([spec.N.to_coords(r @ e @ r_inv) for e in spec.N.basis], axis=1)
+            assert np.max(np.abs(rho_inf - by_columns)) <= 1e-14
             assert np.max(np.abs(spec.N.log(spec.rho(l, spec.N.exp(x))) - rho_inf @ x)) <= 1e-12
 
 
@@ -625,3 +629,82 @@ def test_traced_memory_peak_is_bounded(sd, name, registry_samples):
     finally:
         tracemalloc.stop()
     assert peak <= 0.6e6
+
+
+# -- the closed forms of the total group, read off the factors ---------------------------------------
+
+
+def rebased(g, order, scales, name=None):
+    """``g`` with the basis matrices scales[i] * e_order[i] and the structure constants of that basis."""
+    basis = g.basis[list(order)] * np.asarray(scales, dtype=float)[:, None, None]
+    comm = (basis[:, None] @ basis[None] - basis[None] @ basis[:, None]).reshape(g.dim**2, -1)
+    structure = np.linalg.lstsq(basis.reshape(g.dim, -1).T, comm.T, rcond=None)[0].T.reshape((g.dim,) * 3)
+    return liealg.LieGroupSpec(name or g.name, g.dim, g.embed, basis, structure, g.membership_residual)
+
+
+def standard_rho(K, N):
+    """The generators of rho(l)(u) = l^-1 u l on N's embedding: minus K's basis, padded."""
+    pad = N.embed - K.embed
+    return np.pad(-K.basis, ((0, 0), (0, pad), (0, pad)))
+
+
+class TestRigidMotionDetection:
+    def test_permuted_and_rescaled_bases_keep_the_closed_forms(self, monkeypatch):
+        K = rebased(liealg.so3(), (2, 0, 1), (2.0, -1.0, 0.5))
+        N = rebased(liealg.translation_group(3), (1, 2, 0), (0.25, 3.0, -1.0))
+        spec = SemidirectSpec(K, N, standard_rho(K, N))
+        H = spec.group_spec()
+        assert spec._rigid_motion and H._rigid.frame is not None
+        assert liealg.validate_spec(H).passed
+        x = 0.3 * np.random.default_rng(80).standard_normal((50, H.dim))  # rotation angles below pi
+        counts = builders.counted_generic_kernels(monkeypatch)
+        elements = H.exp(x)
+        logs = H.log(elements)
+        assert counts == {"logm": 0, "expm": 0, "inv": 0}
+        assert np.max(np.abs(elements - liealg.expm(H.from_coords(x)))) <= 1e-14
+        assert np.max(np.abs(logs - x)) <= 1e-14
+        inverses = np.linalg.inv(elements)
+        assert np.max(np.abs(H.inverse(elements) - inverses)) <= 1e-14
+        assert np.max(np.abs(H.Ad(elements) - H.conjugation(elements, inverses))) <= 1e-13
+        assert np.max(np.abs(H.Ad_inv(elements) - H.conjugation(inverses, elements))) <= 1e-13
+
+    @pytest.mark.parametrize("make", [
+        lambda: SemidirectSpec(liealg.so3(), liealg.translation_group(3), np.zeros((3, 4, 4))),
+        lambda: SemidirectSpec(liealg.so3(), liealg.so3(), -liealg.so3().basis),
+        lambda: SemidirectSpec(liealg.so3(), liealg.translation_group(3), 2 * standard_rho(liealg.so3(), liealg.translation_group(3))),
+    ], ids=["direct-product", "so3-on-so3", "doubled-rho"])
+    def test_other_factors_or_rho_take_the_generic_route(self, make, monkeypatch):
+        spec = make()
+        H = spec.group_spec()
+        assert not spec._rigid_motion and H._rigid is None
+        counts = builders.counted_generic_kernels(monkeypatch)
+        H.exp(np.full(H.dim, 0.1))
+        assert counts["expm"] == 1
+
+    def test_renamed_factors_give_byte_identical_reports(self, monkeypatch, tmp_path):
+        base = so3_r3()
+        K, N = (dataclasses.replace(g, name=f"renamed-{g.name}") for g in (base.K, base.N))
+        renamed = SemidirectSpec(K, N, base.rho_generators, name=base.name)
+        assert renamed._rigid_motion and renamed.group_spec()._rigid is not None
+        assert SemidirectSpec(K, N, base.rho_generators)._rigid_motion  # the default name sd:renamed-so3|renamed-r3 too
+        assert cli.main(["verify", "se3-verify", "--out", str(tmp_path / "builtin")]) == 0
+        monkeypatch.setattr(semidirect, "builtin_semidirect", lambda name: renamed)
+        assert cli.main(["verify", "se3-verify", "--out", str(tmp_path / "renamed")]) == 0
+        assert (tmp_path / "renamed" / "report.json").read_bytes() == (tmp_path / "builtin" / "report.json").read_bytes()
+
+
+@pytest.mark.parametrize("make", [so3_r3, lambda: SemidirectSpec(liealg.so3(), liealg.so3(), -liealg.so3().basis)],
+                         ids=["so3-r3", "so3-so3"])
+def test_rho_inf_is_the_finite_difference_derivative_of_rho(make):
+    # column j: d/dt rho(l)(exp(t e_j)) at t = 0, by central differences of the matrices
+    spec = make()
+    rng = np.random.default_rng(81)
+    ls = spec.K.exp(spec.K.random_algebra(rng, 0.8, (6,)))
+    h = fd.GRAD_STEP
+    ends = spec.N.exp(np.multiply.outer([-h, h], np.eye(spec.N.dim)))
+    moved = spec.rho(ls[:, None, None], ends)
+    columns = spec.N.to_coords(fd.quotient(moved[:, 0], moved[:, 1], h))
+    assert np.max(np.abs(spec.rho_inf(ls) - columns.swapaxes(-1, -2))) <= 1e-9
+    if spec.N.embed == 4:
+        # R(l) is no translation: N's Ad, the identity of an abelian group, is not rho_inf there
+        assert np.array_equal(spec.N.Ad(spec.R(ls)), np.broadcast_to(np.eye(3), (6, 3, 3)))
