@@ -385,6 +385,17 @@ class BundleSpec:
         """Base plus fiber distance, one per point of a stack (a float for single points)."""
         return self.base_distance(p.base, q.base) + row_norm(p.fiber - q.fiber, 2)
 
+    def sample_distance(self, s: CotangentSample, t: CotangentSample) -> float | Array:
+        """Point distance plus the distances of the covector components a and b, one per sample of a stack."""
+        return self.point_distance(s.point, t.point) + row_norm(s.a - t.a) + row_norm(s.b - t.b)
+
+    def moved(self, sample: CotangentSample, v: Array) -> CotangentSample:
+        """The sample moved along v = (dbase, xi, da, db), per row of broadcast stacks: the base chart's
+        move by dbase, the fiber times exp(xi), so xi is left-trivialized, and the covector plus (da, db)."""
+        d, n, p = self.d, self.n, sample.point
+        point = Point(self.base.move(p.base, v[..., :d]), p.fiber @ self.group.exp(v[..., d : d + n]))
+        return CotangentSample(point, sample.a + v[..., d + n : 2 * d + n], sample.b + v[..., 2 * d + n :])
+
     # -- the principal action and its lifts -------------------------------------
 
     def act(self, point: Point, g: Array) -> Point:

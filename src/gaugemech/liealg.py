@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -292,6 +292,80 @@ def rigid_log(r: Array, t: Array) -> tuple[Array, Array, list[bool]]:
     return a, t + ((c * (a @ a) - 0.5 * a) @ t[..., None])[..., 0], closed
 
 
+# hat(t) = t @ _HAT, reshaped to 3x3: the matrix of t x .; row i reshaped is the so3 basis matrix e_i
+_HAT = np.array([[0, 0, 0, 0, 0, -1, 0, 1, 0], [0, 0, 1, 0, 0, 0, -1, 0, 0], [0, -1, 0, 1, 0, 0, 0, 0, 0]], dtype=float)
+
+
+class _RigidMotion:
+    """The closed forms of a group whose algebra basis matrices are all diag(W, [[W, v], [0, 0]]) with W
+    antisymmetric 3x3: SE(3), or a subgroup, in the 7x7 embedding of a rotation group x| R^3 (Murray, Li &
+    Sastry, A Mathematical Introduction to Robotic Manipulation, 1994, ch. 2).
+
+    An element is diag(R, [[R, t], [0, 1]]) and the algebra element of
+    coordinates x is diag(W, [[W, v], [0, 0]]) with (vee(W), v) = F x, the
+    columns of the frame F being (vee(W_i), v_i) of the basis.  exp and log
+    are the SE(3) forms of the lower block (``rigid_exp``, ``rigid_log``),
+    the inverse is [[R^T, -R^T t], [0, 1]] in that block and R^T in the upper
+    one, and Ad_h = F^+ [[R, 0], [hat(t) R, R]] F, skipped when F is the
+    identity.
+    """
+
+    def __init__(self, frame: Array) -> None:
+        self.frame = None if np.array_equal(frame, np.eye(6)) else (np.linalg.pinv(frame), frame)
+
+    @staticmethod
+    def of(basis: Array) -> _RigidMotion | None:
+        """The closed forms of the group of ``basis`` (dim, 7, 7), or None when a basis matrix is not of their shape."""
+        if basis.shape[-1] != 7:
+            return None
+        w, v = basis[:, :3, :3], basis[:, 3:6, 6]
+        model = np.zeros_like(basis)
+        model[:, :3, :3] = model[:, 3:6, 3:6] = w
+        model[:, 3:6, 6] = v
+        if not (np.array_equal(basis, model) and np.array_equal(w, -w.swapaxes(-1, -2))):
+            return None
+        return _RigidMotion(np.concatenate([vee(w).T, v.T]) + 0.0)  # + 0.0: no negative zeros in the frame
+
+    def exp(self, a: Array) -> Array:
+        """exp of algebra matrices, per matrix of a stack (..., 7, 7)."""
+        return _rigid_matrix(*rigid_exp(a[..., 3:6, 3:6], a[..., 3:6, 6]), 1.0)
+
+    def log(self, rows: Array) -> tuple[Array, list[bool]]:
+        """Algebra matrices of the logs of a stack (N, 7, 7), and which rows the closed form took."""
+        a, vt, closed = rigid_log(rows[:, 3:6, 3:6], rows[:, 3:6, 6])
+        return _rigid_matrix(a, vt, 0.0), closed
+
+    def inverse(self, h: Array) -> Array:
+        rot = h[..., 3:6, 3:6].swapaxes(-1, -2)
+        out = np.zeros(h.shape)
+        out[..., :3, :3] = h[..., :3, :3].swapaxes(-1, -2)
+        out[..., 3:6, 3:6] = rot
+        out[..., 3:6, 6] = -(rot @ h[..., 3:6, 6:7])[..., 0]
+        out[..., 6, 6] = 1.0
+        return out
+
+    def Ad(self, h: Array) -> Array:
+        rot = h[..., 3:6, 3:6]
+        hat_t = (h[..., None, 3:6, 6] @ _HAT).reshape(h.shape[:-2] + (3, 3))
+        out = np.zeros(h.shape[:-2] + (6, 6))
+        out[..., :3, :3] = rot
+        out[..., 3:, 3:] = rot
+        out[..., 3:, :3] = hat_t @ rot
+        if self.frame is None:
+            return out
+        frame_pinv, frame = self.frame
+        return frame_pinv @ out @ frame
+
+
+def _rigid_matrix(r: Array, t: Array, corner: float) -> Array:
+    """diag(r, [[r, t], [0, corner]]) per row of stacks: a group element for corner 1, an algebra element for 0."""
+    out = np.zeros(r.shape[:-2] + (7, 7))
+    out[..., :3, :3] = out[..., 3:6, 3:6] = r
+    out[..., 3:6, 6] = t
+    out[..., 6, 6] = corner
+    return out
+
+
 def _series_order(mats: Array) -> int:
     """The least p such that every product of p matrices with the joint nonzero pattern of the stack ``mats`` is
     zero, or the matrices' side when it is larger or the pattern is not nilpotent."""
@@ -424,11 +498,12 @@ class LieGroupSpec:
       vee(e_i);
     - strictly upper triangular ones (a unipotent group, a^p = 0 for the
       order p of the basis pattern): ``exp``, ``log`` and ``inverse`` as
-      finite series, and Ad_g = exp(ad_x) with x = log g as a finite sum;
+      finite series;
     - zero structure constants (abelian): Ad_g = I;
-    - the total group of SO(3) x| R^3 in the standard representation:
-      ``semidirect.SemidirectSpec.group_spec`` sets ``_rigid`` to the SE(3)
-      forms of its embedding.
+    - 7x7 ones of the form diag(W, [[W, v], [0, 0]]) with W antisymmetric
+      (rigid motions, the total group of SO(3) x| R^3 in the standard
+      representation): the SE(3) forms of ``_RigidMotion``, with the frame
+      (vee(W_i), v_i) read off the same basis.
 
     The rest take ``expm``, ``logm``, ``np.linalg.inv`` and the conjugation
     of the basis.  Every closed form takes a stack at once, and each row has
@@ -447,8 +522,7 @@ class LieGroupSpec:
     _vee: tuple[Array, Array] | None = field(init=False, repr=False)
     _abelian: bool = field(init=False, repr=False)
     _unipotent_order: int = field(init=False, repr=False)
-    _ad_order: int = field(init=False, repr=False)
-    _rigid: Any = field(default=None, init=False, repr=False)
+    _se3: _RigidMotion | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.basis = np.asarray(self.basis, dtype=float).reshape(self.dim, self.embed, self.embed)
@@ -464,9 +538,9 @@ class LieGroupSpec:
             vees = vee(self.basis).T
             self._vee = vees, np.linalg.pinv(vees)
         self._abelian = not self.structure.any()
-        # 0 unless the group is unipotent; then a^p = 0 for every algebra element a, and ad_x^q = 0
+        # 0 unless the group is unipotent; then a^p = 0 for every algebra element a
         self._unipotent_order = _series_order(self.basis) if not np.tril(self.basis).any() else 0
-        self._ad_order = _series_order(self.ad(np.eye(self.dim))) if self._unipotent_order else 0
+        self._se3 = _RigidMotion.of(self.basis)
 
     # -- coordinates --------------------------------------------------------
 
@@ -524,8 +598,8 @@ class LieGroupSpec:
             return g.swapaxes(-1, -2)
         if self._unipotent_order:
             return _unipotent_inverse(g, self._unipotent_order)
-        if self._rigid is not None:
-            return self._rigid.inverse(g)
+        if self._se3 is not None:
+            return self._se3.inverse(g)
         return np.linalg.inv(g)
 
     def Ad(self, g: Array) -> Array:
@@ -547,11 +621,8 @@ class LieGroupSpec:
         if self._vee is not None:
             vees, vees_pinv = self._vee
             return vees_pinv @ (g.swapaxes(-1, -2) if inverted else g) @ vees
-        if self._unipotent_order:
-            x = self.log(g)
-            return _nilpotent_exp(self.ad(-x if inverted else x), self._ad_order)
-        if self._rigid is not None:
-            return self._rigid.Ad(self.inverse(g) if inverted else g)
+        if self._se3 is not None:
+            return self._se3.Ad(self.inverse(g) if inverted else g)
         gi = self.inverse(g)
         return self.conjugation(gi, g) if inverted else self.conjugation(g, gi)
 
@@ -632,8 +703,8 @@ class LieGroupSpec:
             return rodrigues(a)
         if self._unipotent_order:
             return _nilpotent_exp(a, self._unipotent_order)
-        if self._rigid is not None:
-            return self._rigid.exp(a)
+        if self._se3 is not None:
+            return self._se3.exp(a)
         return expm(a)
 
     def log(self, g: Array) -> Array:
@@ -650,8 +721,8 @@ class LieGroupSpec:
             a, closed = rotation_log(rows)
         elif self._unipotent_order:
             a, closed = _unipotent_log(rows, self._unipotent_order), [True] * len(rows)
-        elif self._rigid is not None:
-            a, closed = self._rigid.log(rows)
+        elif self._se3 is not None:
+            a, closed = self._se3.log(rows)
         else:
             a, closed = np.empty_like(rows), [False] * len(rows)
         for i in (i for i, ok in enumerate(closed) if not ok):
@@ -712,17 +783,11 @@ def _rref(rows: Array) -> Array:
 
 
 def jacobi_defect(spec: LieGroupSpec) -> float:
-    """Max norm of sum_cyc [[e_i,e_j],e_k] computed from structure constants."""
-    w = 0.0
-    eye = np.eye(spec.dim)
-    for i in range(spec.dim):
-        for j in range(spec.dim):
-            for k in range(spec.dim):
-                s = spec.bracket(spec.bracket(eye[i], eye[j]), eye[k])
-                s = s + spec.bracket(spec.bracket(eye[j], eye[k]), eye[i])
-                s = s + spec.bracket(spec.bracket(eye[k], eye[i]), eye[j])
-                w = worst(w, float(np.max(np.abs(s))))
-    return w
+    """Max norm of sum_cyc [[e_i,e_j],e_k] computed from structure constants, for all i, j, k at once."""
+    c = spec.structure
+    # nested[i, j, k] = [[e_i, e_j], e_k] = sum_l c^l_ij [e_l, e_k]; the cyclic sum adds nested[j, k, i] and nested[k, i, j]
+    nested = np.einsum("ijl,lkm->ijkm", c, c)
+    return worst(np.abs(nested + nested.transpose(2, 0, 1, 3) + nested.transpose(1, 2, 0, 3)))
 
 
 def validate_spec(spec: LieGroupSpec, seed: int = 0) -> SuiteReport:
@@ -737,12 +802,9 @@ def validate_spec(spec: LieGroupSpec, seed: int = 0) -> SuiteReport:
     basis = rank_gap(spec.basis.reshape(spec.dim, -1), 1e-10)
     rep.flag("basis_independence", basis.rank == spec.dim, rank=int(basis.rank), min_singular_value=float(basis.s[-1]))
 
-    w_comm = 0.0
-    for i in range(spec.dim):
-        for j in range(spec.dim):
-            comm = spec.basis[i] @ spec.basis[j] - spec.basis[j] @ spec.basis[i]
-            w_comm = worst(w_comm, float(np.max(np.abs(comm - spec.from_coords(spec.structure[i, j])))))
-    rep.add("structure_vs_commutator", w_comm, 1e-12)
+    # [e_i, e_j] as matrix commutators against the expansion sum_k c^k_ij e_k, for all i, j at once
+    prod = spec.basis[:, None] @ spec.basis[None, :]
+    rep.add("structure_vs_commutator", worst(np.abs(prod - prod.swapaxes(0, 1) - spec.from_coords(spec.structure))), 1e-12)
 
     rng = stream(seed, f"liealg.validate/{spec.name}")
     w_exp = worst(*map(spec.membership_defect, spec.exp(spec.random_algebra(rng, 0.5, (8,)))))
@@ -761,10 +823,7 @@ def _so3_membership(g: Array) -> float:
 
 def so3() -> LieGroupSpec:
     """SO(3) with the standard basis, [e_1, e_2] = e_3 (c^3_12 = 1)."""
-    basis = np.zeros((3, 3, 3))
-    basis[0] = [[0, 0, 0], [0, 0, -1], [0, 1, 0]]
-    basis[1] = [[0, 0, 1], [0, 0, 0], [-1, 0, 0]]
-    basis[2] = [[0, -1, 0], [1, 0, 0], [0, 0, 0]]
+    basis = _HAT.reshape(3, 3, 3).copy()
     structure = np.zeros((3, 3, 3))
     for i, j, k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
         structure[i, j, k] = 1.0

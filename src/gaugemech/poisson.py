@@ -186,25 +186,19 @@ class CotangentFn:
 def cotangent_grads(bundle: BundleSpec, F: CotangentFn, s: CotangentSample) -> tuple[Array, Array, Array, Array]:
     """Block gradients (dm, du, da, db), one row per sample of a stack: exact when F has them, else central differences.
 
-    The base and fiber blocks differentiate along exp-chart coordinates of
-    the moves of the base chart (``BundleSpec.base.move``) and u -> u exp(t), so du is left-trivialized.
-    Central differences displace one vector z = (tm, tu, a, b) of length
-    2(d + n), the base and fiber chart coordinates (zero at the sample) and
-    the covector, along its unit vectors: ``F.fn`` takes stacks and is
-    called once, on every displaced copy of every sample of a stack, and
-    each row has the bits of its one-sample call.
+    The blocks differentiate along the moves of ``BundleSpec.moved``: the
+    base chart's move, u -> u exp(t), so du is left-trivialized, and the
+    covector plus its increment.  Central differences displace the sample
+    along the unit vectors of its tangent (tm, tu, da, db) of length
+    2(d + n): ``F.fn`` takes stacks and is called once, on every displaced
+    copy of every sample of a stack, and each row has the bits of its
+    one-sample call.
     """
     if F.grads is not None:
         return F.grads(s)
-    p, d, n = s.point, bundle.d, bundle.n
+    d, n = bundle.d, bundle.n
     cuts = np.cumsum([d, n, d])
-
-    def displaced(z: Array) -> Array:
-        tm, tu, a, b = np.split(z, cuts, axis=-1)
-        return F.fn(CotangentSample(Point(bundle.base.move(p.base, tm), p.fiber @ bundle.group.exp(tu)), a, b))
-
-    z0 = np.concatenate([np.zeros(s.a.shape[:-1] + (d + n,)), s.a, s.b], axis=-1)
-    grad = fd.central(displaced, z0, np.eye(2 * (d + n)), fd.GRAD_STEP)
+    grad = fd.central(lambda v: F.fn(bundle.moved(s, v)), np.zeros(s.a.shape[:-1] + (2 * (d + n),)), np.eye(2 * (d + n)), fd.GRAD_STEP)
     # central gives one row per direction; the bracket takes one contiguous row per sample
     return tuple(np.moveaxis(block, 0, -1).copy() for block in np.split(grad, cuts, axis=0))
 

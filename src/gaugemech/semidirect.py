@@ -17,7 +17,9 @@ matrix algebra on tiny matrices: the tangent trivialization reads
 with sigma. and iota. the algebra inclusions of K and N into the algebra of H.
 Cotangent data is stored in left-trivialized coordinates, where the body
 momenta J_K and J_N are the coordinates themselves; the factorized momentum
-map of the product phase space is J(theta, chi) = (theta, chi).
+map of the product phase space is J(theta, chi) = (theta, chi).  A point of
+T*H = T*K x T*N is the ``CotangentSample`` (Point(k, u), theta, chi) of the
+total bundle H -> K (``total_bundle``).
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from typing import Any, Callable, Iterator, Sequence
 import numpy as np
 
 from . import fd, schema
-from .bundle import BundleSpec, ConnectionData, GroupBase, CotangentSample, dual_atiyah_split
-from .liealg import LieGroupSpec, expm, rigid_exp, rigid_log, so3, translation_group, vee
+from .bundle import BundleSpec, ConnectionData, GroupBase, CotangentSample, Point, dual_atiyah_split
+from .liealg import LieGroupSpec, expm, so3, translation_group
 from .linalg import row_dot, row_form, row_matvec, row_norm
 from .poisson import ScalarField, canonical_two_form, coordinate_field, dexp_left, lie_poisson
 from .report import SuiteReport, worst
@@ -54,11 +56,9 @@ class SemidirectSpec:
     sampling happens).  When every r_i is -e_i in the leading ``K.embed``
     block and zero elsewhere, that is exactly R(k) = diag(k^-1, I), which
     ``R`` takes in closed form with ``K.inverse`` (the transpose for SO(3)).
-    When moreover K has a rotation basis and N is the translations of R^3
-    (every basis matrix of N zero off the last column of its 4x4 embedding),
-    H is the rigid-motion group SE(3) and ``group_spec`` gives it the closed
-    forms of ``_RigidMotion``.  Both closed forms are read off the factors and
-    the generators, never supplied.
+    This rule is read off the generators, never supplied; the closed forms of
+    H itself (SE(3) for SO(3) x| R^3) are read off H's basis by its
+    ``LieGroupSpec``.
     """
 
     K: LieGroupSpec
@@ -67,7 +67,6 @@ class SemidirectSpec:
     name: str = ""
     _H: LieGroupSpec | None = field(default=None, init=False, repr=False)
     _inverse_conjugator: bool = field(init=False, repr=False)
-    _rigid_motion: bool = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.rho_generators = np.asarray(self.rho_generators, dtype=float).reshape(self.K.dim, self.N.embed, self.N.embed)
@@ -77,9 +76,6 @@ class SemidirectSpec:
             self.name = f"sd:{self.K.name}|{self.N.name}"
         pad = self.N.embed - self.K.embed
         self._inverse_conjugator = pad >= 0 and np.array_equal(self.rho_generators, np.pad(-self.K.basis, ((0, 0), (0, pad), (0, pad))))
-        translations = np.zeros((self.N.embed, self.N.embed), dtype=bool)
-        translations[:-1, -1] = True
-        self._rigid_motion = self._inverse_conjugator and self.K._rotation_basis and pad == 1 and not self.N.basis[:, ~translations].any()
 
     # -- the automorphism family ------------------------------------------------
 
@@ -170,8 +166,6 @@ class SemidirectSpec:
             return float(self.K.membership_defect(k) + self.N.membership_defect(u) + off_diagonal)
 
         self._H = LieGroupSpec(self.name, n, m, basis, structure, membership)
-        if self._rigid_motion:
-            self._H._rigid = _RigidMotion(self.K.basis, self.N.basis[:, :mk, mk].T)
         return self._H
 
     def sigma_dot(self) -> Array:
@@ -186,70 +180,6 @@ class SemidirectSpec:
         """Algebra projection of H onto K (derivative of mu(k, u) = k)."""
         H = self.group_spec()
         return np.eye(H.dim)[: self.K.dim, :]
-
-
-# hat(t) = t @ _HAT, reshaped to 3x3: the matrix of t x .
-_HAT = so3().basis.reshape(3, 9)
-
-
-class _RigidMotion:
-    """The closed forms of H = SO(3) x| R^3 with rho the standard representation (Murray, Li & Sastry,
-    A Mathematical Introduction to Robotic Manipulation, 1994, ch. 2), in the embedding of ``embed``.
-
-    An element of H is diag(R, [[R, t], [0, 1]]) and the algebra element of
-    coordinates (w, v) is diag(W, [[W, B v], [0, 0]]) with W = hat(P w); the
-    columns of P are vee(e_i) of K's basis, those of B the translations of N's
-    basis.  exp and log are the SE(3) forms of the lower block
-    (``rigid_exp``, ``rigid_log``), the inverse is [[R^T, -R^T t], [0, 1]] in
-    that block and R^T in the upper one, and Ad_h = F^+ [[R, 0], [hat(t) R, R]] F
-    with F = diag(P, B), skipped when F is the identity.
-    """
-
-    def __init__(self, k_basis: Array, translations: Array) -> None:
-        frame = np.zeros((6, len(k_basis) + translations.shape[1]))
-        frame[:3, : len(k_basis)] = vee(k_basis).T
-        frame[3:, len(k_basis) :] = translations
-        self.frame = None if np.array_equal(frame, np.eye(6)) else (np.linalg.pinv(frame), frame)
-
-    def exp(self, a: Array) -> Array:
-        """exp of algebra matrices of H, per matrix of a stack (..., 7, 7)."""
-        rot, vt = rigid_exp(a[..., 3:6, 3:6], a[..., 3:6, 6])
-        out = np.zeros(a.shape)
-        out[..., :3, :3] = rot
-        out[..., 3:6, 3:6] = rot
-        out[..., 3:6, 6] = vt
-        out[..., 6, 6] = 1.0
-        return out
-
-    def log(self, rows: Array) -> tuple[Array, list[bool]]:
-        """Algebra matrices of the logs of a stack (N, 7, 7), and which rows the closed form took."""
-        a, vt, closed = rigid_log(rows[:, 3:6, 3:6], rows[:, 3:6, 6])
-        out = np.zeros(rows.shape)
-        out[:, :3, :3] = a
-        out[:, 3:6, 3:6] = a
-        out[:, 3:6, 6] = vt
-        return out, closed
-
-    def inverse(self, h: Array) -> Array:
-        rot = h[..., 3:6, 3:6].swapaxes(-1, -2)
-        out = np.zeros(h.shape)
-        out[..., :3, :3] = h[..., :3, :3].swapaxes(-1, -2)
-        out[..., 3:6, 3:6] = rot
-        out[..., 3:6, 6] = -(rot @ h[..., 3:6, 6:7])[..., 0]
-        out[..., 6, 6] = 1.0
-        return out
-
-    def Ad(self, h: Array) -> Array:
-        rot = h[..., 3:6, 3:6]
-        hat_t = (h[..., None, 3:6, 6] @ _HAT).reshape(h.shape[:-2] + (3, 3))
-        out = np.zeros(h.shape[:-2] + (6, 6))
-        out[..., :3, :3] = rot
-        out[..., 3:, 3:] = rot
-        out[..., 3:, :3] = hat_t @ rot
-        if self.frame is None:
-            return out
-        frame_pinv, frame = self.frame
-        return frame_pinv @ out @ frame
 
 
 def so3_r3() -> SemidirectSpec:
@@ -274,18 +204,8 @@ def total_bundle(sd: SemidirectSpec) -> BundleSpec:
 
 
 # ---------------------------------------------------------------------------
-# factored cotangent data and the trivialization maps
+# the trivialization maps of T*H = T*K x T*N
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FactoredCotangent:
-    """A point of T*K x T*N in left-trivialized coordinates."""
-
-    k: Array
-    theta: Array
-    u: Array
-    chi: Array
 
 
 def tsigma_matrix(sd: SemidirectSpec, u: Array) -> Array:
@@ -296,32 +216,28 @@ def tsigma_matrix(sd: SemidirectSpec, u: Array) -> Array:
     return np.concatenate([ad_u @ sd.sigma_dot(), np.broadcast_to(iota, ad_u.shape[:-2] + iota.shape)], axis=-1)
 
 
-def tstar_sigma(sd: SemidirectSpec, fc: FactoredCotangent) -> Array:
+def tstar_sigma(sd: SemidirectSpec, s: CotangentSample) -> Array:
     """T*Sigma(theta, chi): left-trivialized covector coordinates on T*_h H, per row of a stack."""
-    m = tsigma_matrix(sd, fc.u)
-    return np.linalg.solve(m.swapaxes(-1, -2), np.concatenate([fc.theta, fc.chi], axis=-1)[..., None])[..., 0]
+    m = tsigma_matrix(sd, s.point.fiber)
+    return np.linalg.solve(m.swapaxes(-1, -2), s.coords[..., None])[..., 0]
 
 
-def tstar_sigma_inverse(sd: SemidirectSpec, k: Array, u: Array, beta: Array) -> FactoredCotangent:
+def tstar_sigma_inverse(sd: SemidirectSpec, k: Array, u: Array, beta: Array) -> CotangentSample:
     m = tsigma_matrix(sd, u)
     cov = row_matvec(m.swapaxes(-1, -2), beta)
-    return FactoredCotangent(k, cov[..., : sd.K.dim], u, cov[..., sd.K.dim :])
+    return CotangentSample(Point(k, u), cov[..., : sd.K.dim], cov[..., sd.K.dim :])
 
 
-def group_momentum(sd: SemidirectSpec, fc: FactoredCotangent) -> tuple[Array, Array]:
+def group_momentum(sd: SemidirectSpec, s: CotangentSample) -> tuple[Array, Array]:
     """(T Sigma_e)* o J_H o T*Sigma: the H-momentum pushed to k* x n* coordinates.
 
     The N-component always equals chi; the K-component picks up a connection
     correction away from u = e (see momentum_suite), so the factorized
-    momentum map used downstream is momentum_factorized, not this composite.
+    momentum map used downstream is the sample's own (theta, chi), not this
+    composite.
     """
-    beta = tstar_sigma(sd, fc)
+    beta = tstar_sigma(sd, s)
     return row_matvec(sd.sigma_dot().T, beta), row_matvec(sd.iota_dot().T, beta)
-
-
-def momentum_factorized(fc: FactoredCotangent) -> tuple[Array, Array]:
-    """J(theta_k, chi_u) = (J_K(theta), J_N(chi)): the body momenta of the factors."""
-    return fc.theta.copy(), fc.chi.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -329,28 +245,28 @@ def momentum_factorized(fc: FactoredCotangent) -> tuple[Array, Array]:
 # ---------------------------------------------------------------------------
 
 
-def lifted_action(sd: SemidirectSpec, fc: FactoredCotangent, g: tuple[Array, Array], beta: Array | None = None) -> FactoredCotangent:
+def lifted_action(sd: SemidirectSpec, s: CotangentSample, g: tuple[Array, Array], beta: Array | None = None) -> CotangentSample:
     """T*R_(l,w) through the trivialization: conjugate the H-side cotangent lift, per row of a stack.
 
-    ``beta`` is ``tstar_sigma(sd, fc)`` when the caller has solved it already.
+    ``beta`` is ``tstar_sigma(sd, s)`` when the caller has solved it already.
     """
     H = sd.group_spec()
     l, w = g
-    k2, u2 = sd.product((fc.k, fc.u), g)
-    beta = tstar_sigma(sd, fc) if beta is None else beta
+    k2, u2 = sd.product((s.point.base, s.point.fiber), g)
+    beta = tstar_sigma(sd, s) if beta is None else beta
     beta2 = row_matvec(H.Ad_star(sd.embed(l, w)), beta)
     return tstar_sigma_inverse(sd, k2, u2, beta2)
 
 
-def lifted_action_formula(sd: SemidirectSpec, fc: FactoredCotangent, g: tuple[Array, Array]) -> FactoredCotangent:
+def lifted_action_formula(sd: SemidirectSpec, s: CotangentSample, g: tuple[Array, Array]) -> CotangentSample:
     """The closed form: theta' = theta o TR_{l^-1}, chi' = chi o T[(R_w o rho(l))^{-1}]."""
     l, w = g
-    k2 = fc.k @ l
-    u2 = sd.rho(l, fc.u) @ w
-    theta2 = row_matvec(sd.K.Ad_star(l), fc.theta)
+    k2 = s.point.base @ l
+    u2 = sd.rho(l, s.point.fiber) @ w
+    theta2 = row_matvec(sd.K.Ad_star(l), s.a)
     tf = sd.N.Ad_inv(w) @ sd.rho_inf(l)
-    chi2 = row_matvec(np.linalg.solve(tf, np.eye(sd.N.dim)).swapaxes(-1, -2), fc.chi)
-    return FactoredCotangent(k2, theta2, u2, chi2)
+    chi2 = row_matvec(np.linalg.solve(tf, np.eye(sd.N.dim)).swapaxes(-1, -2), s.b)
+    return CotangentSample(Point(k2, u2), theta2, chi2)
 
 
 def coadjoint_factor_transport(sd: SemidirectSpec, g: tuple[Array, Array]) -> tuple[Array, Array]:
@@ -408,7 +324,7 @@ def pullback_form_suite(sd: SemidirectSpec, samples: int = 30, seed: int = 0) ->
         k, u, theta, chi, xi, nu = (x[rows] for x in draws)
         zero_k, zero_n = np.zeros_like(theta), np.zeros_like(chi)
         # T*Sigma of (theta, chi), of chi = 0, of theta = 0 and of (s1 theta, s2 chi), one stack over the same points
-        beta, beta0, beta_n, beta_s = tstar_sigma(sd, FactoredCotangent(k, np.stack([theta, theta, zero_k, s1 * theta]), u, np.stack([chi, zero_n, chi, s2 * chi])))
+        beta, beta0, beta_n, beta_s = tstar_sigma(sd, CotangentSample(Point(k, u), np.stack([theta, theta, zero_k, s1 * theta]), np.stack([chi, zero_n, chi, s2 * chi])))
 
         # finite-difference velocities of the base curve along xi alone, and along (xi, nu)
         k_ends = k @ sd.K.exp(np.multiply.outer([-h, h], xi))
@@ -444,12 +360,14 @@ def pullback_form_suite(sd: SemidirectSpec, samples: int = 30, seed: int = 0) ->
 
 
 def spec_suite(sd: SemidirectSpec, samples: int = 30, seed: int = 0) -> SuiteReport:
-    """SemidirectSpec invariants: rho automorphisms, anti-homomorphism, products."""
+    """SemidirectSpec invariants: rho automorphisms, anti-homomorphism, products, and exp o log on H."""
     rep = SuiteReport(f"semidirect.spec[{sd.name}]")
     rng = stream(seed, f"semidirect.spec/{sd.name}")
+    H = sd.group_spec()
     # l, l2 in K and u, w in N at scale 0.5, then three random pairs
     (l, l2), (u, w) = sd.pair_at(sd.K.random_algebra(rng, 0.5, (2, samples)), sd.N.random_algebra(rng, 0.5, (2, samples)))
-    a, b, c = zip(*sd.random_pairs(rng, (3, samples)))
+    pairs = sd.random_pairs(rng, (3, samples))
+    a, b, c = zip(*pairs)
     w_auto = row_norm(sd.rho(l, u @ w) - sd.rho(l, u) @ sd.rho(l, w), 2)
     w_anti = row_norm(sd.rho(l @ l2, u) - sd.rho(l2, sd.rho(l, u)), 2)
     w_id = row_norm(sd.rho(sd.K.identity(), u) - u, 2)
@@ -462,11 +380,16 @@ def spec_suite(sd: SemidirectSpec, samples: int = 30, seed: int = 0) -> SuiteRep
     w_mult = row_norm(sd.embed(*a) @ sd.embed(*b) - sd.embed(*sd.product(a, b)), 2)
     k_back, u_back = sd.split(sd.embed(*a))
     w_split = row_norm(k_back - a[0], 2) + row_norm(u_back - a[1], 2)
+
+    # H's log against its exp on the embedded pairs: an error along N in a closed-form log shows here
+    h = sd.embed(*pairs)
+    w_log = row_norm(H.exp(H.log(h)) - h, 2)
     rep.add("rho_automorphism", worst(w_auto), 1e-10)
     rep.add("rho_anti_homomorphism", worst(w_anti), 1e-10)
     rep.add("rho_identity", worst(w_id), 1e-10)
     rep.add("associativity", worst(w_assoc), 1e-11)
     rep.add("embedding_multiplicative", worst(w_mult, w_split), 1e-10)
+    rep.add("exp_log_roundtrip", worst(w_log), 1e-10)
     rep.extras["trials"] = samples
     return rep
 
@@ -478,19 +401,19 @@ def trivialization_suite(sd: SemidirectSpec, samples: int = 30, seed: int = 0) -
     H = sd.group_spec()
     k, u = sd.random_pairs(rng, (samples,))
     theta, chi = rng.standard_normal((samples, sd.K.dim)), rng.standard_normal((samples, sd.N.dim))
-    fc = FactoredCotangent(k, theta, u, chi)
-    back = tstar_sigma_inverse(sd, k, u, tstar_sigma(sd, fc))
-    w_rt = row_norm(back.theta - theta) + row_norm(back.chi - chi)
+    s = CotangentSample(Point(k, u), theta, chi)
+    back = tstar_sigma_inverse(sd, k, u, tstar_sigma(sd, s))
+    w_rt = row_norm(back.a - theta) + row_norm(back.b - chi)
 
     # Sigma(e, e) = e and T*Sigma(theta, 0) = theta o T mu
     w_sig = row_norm(sd.embed(*sd.identity_pair()) - np.eye(H.embed), 2)
-    beta_h = tstar_sigma(sd, FactoredCotangent(k, theta, u, np.zeros_like(chi)))
+    beta_h = tstar_sigma(sd, CotangentSample(s.point, theta, np.zeros_like(chi)))
     w_mu = row_norm(beta_h - row_matvec(sd.mu_dot().T, theta))
 
     # N-momentum agreement everywhere; K-momentum agreement at u = e
-    _, jn = group_momentum(sd, fc)
+    _, jn = group_momentum(sd, s)
     w_mn = row_norm(jn - chi)
-    jke, jne = group_momentum(sd, FactoredCotangent(k, theta, np.broadcast_to(sd.N.identity(), u.shape), chi))
+    jke, jne = group_momentum(sd, CotangentSample(Point(k, np.broadcast_to(sd.N.identity(), u.shape)), theta, chi))
     w_me = row_norm(jke - theta) + row_norm(jne - chi)
     rep.add("tstar_sigma_roundtrip", worst(w_rt), 1e-11)
     rep.add("sigma_identity", worst(w_sig), 1e-10)
@@ -507,10 +430,9 @@ def momentum_cross_check_suite(sd: SemidirectSpec, samples: int = 40, seed: int 
     rng = stream(seed, f"semidirect.momentum_cross/{sd.name}")
     b = total_bundle(sd)
     s = CotangentSample(b.random_points(rng, (samples,)), rng.standard_normal((samples, b.d)), rng.standard_normal((samples, b.n)))
-    fc = FactoredCotangent(s.point.base, s.a, s.point.fiber, s.b)
-    _, jn = momentum_factorized(fc)
-    jn_group = row_matvec(sd.iota_dot().T, tstar_sigma(sd, fc))
-    rep.add("J_matches_factor_momentum", worst(row_norm(b.momentum(s) - jn), row_norm(jn_group - jn)), 1e-10)
+    # the factor momentum J_N is the sample's chi = s.b
+    jn_group = row_matvec(sd.iota_dot().T, tstar_sigma(sd, s))
+    rep.add("J_matches_factor_momentum", worst(row_norm(b.momentum(s) - s.b), row_norm(jn_group - s.b)), 1e-10)
     rep.extras["trials"] = samples
     return rep
 
@@ -520,9 +442,9 @@ def _blocks(samples: int) -> Iterator[slice]:
     return (slice(i, i + SAMPLE_BLOCK) for i in range(0, samples, SAMPLE_BLOCK))
 
 
-def _draw_factored(sd: SemidirectSpec, samples: int, rng: np.random.Generator, pairs: int,
-                   extra: Sequence[Array] = ()) -> Iterator[tuple[FactoredCotangent, list[tuple[Array, Array]], list[Array]]]:
-    """FactoredCotangents (k and u at scale 0.4) with ``pairs`` random pairs each, and the rows of the ``extra`` stacks.
+def _draw_cotangent(sd: SemidirectSpec, samples: int, rng: np.random.Generator, pairs: int,
+                    extra: Sequence[Array] = ()) -> Iterator[tuple[CotangentSample, list[tuple[Array, Array]], list[Array]]]:
+    """Points of T*H (k and u at scale 0.4) with ``pairs`` random pairs each, and the rows of the ``extra`` stacks.
 
     Each variable is drawn once, as a block with one row per sample: the K
     coordinates of the points and of the pairs, their N coordinates, then
@@ -533,20 +455,21 @@ def _draw_factored(sd: SemidirectSpec, samples: int, rng: np.random.Generator, p
     theta, chi = rng.standard_normal((samples, sd.K.dim)), rng.standard_normal((samples, sd.N.dim))
     for rows in _blocks(samples):
         (k, *ls), (u, *ws) = sd.pair_at(k_alg[:, rows], u_alg[:, rows])
-        yield FactoredCotangent(k, theta[rows], u, chi[rows]), list(zip(ls, ws)), [x[rows] for x in extra]
+        yield CotangentSample(Point(k, u), theta[rows], chi[rows]), list(zip(ls, ws)), [x[rows] for x in extra]
 
 
 def action_suite(sd: SemidirectSpec, samples: int = 30, seed: int = 0) -> SuiteReport:
     """Lifted action: closed formula vs conjugated lift, right-action law, identity."""
     rep = SuiteReport(f"semidirect.lifted_action[{sd.name}]")
     rng = stream(seed, f"semidirect.action/{sd.name}")
+    b = total_bundle(sd)
     w_formula = w_law = w_id = 0.0
-    for fc, (g1, g2), _ in _draw_factored(sd, samples, rng, pairs=2):
-        beta = tstar_sigma(sd, fc)  # one solve for the three lifts of fc
-        lifted = lifted_action(sd, fc, g1, beta)
-        w_formula = worst(w_formula, _fc_distance(lifted, lifted_action_formula(sd, fc, g1)))
-        w_law = worst(w_law, _fc_distance(lifted_action(sd, lifted, g2), lifted_action(sd, fc, sd.product(g1, g2), beta)))
-        w_id = worst(w_id, _fc_distance(lifted_action(sd, fc, sd.identity_pair(), beta), fc))
+    for s, (g1, g2), _ in _draw_cotangent(sd, samples, rng, pairs=2):
+        beta = tstar_sigma(sd, s)  # one solve for the three lifts of s
+        lifted = lifted_action(sd, s, g1, beta)
+        w_formula = worst(w_formula, b.sample_distance(lifted, lifted_action_formula(sd, s, g1)))
+        w_law = worst(w_law, b.sample_distance(lifted_action(sd, lifted, g2), lifted_action(sd, s, sd.product(g1, g2), beta)))
+        w_id = worst(w_id, b.sample_distance(lifted_action(sd, s, sd.identity_pair(), beta), s))
     rep.add("closed_formula_matches_lift", w_formula, 1e-10)
     rep.add("right_action_law", w_law, 1e-10)
     rep.add("identity_acts_trivially", w_id, 1e-12)
@@ -559,11 +482,11 @@ def equivariance_suite(sd: SemidirectSpec, samples: int = 200, seed: int = 0) ->
     rep = SuiteReport(f"semidirect.equivariance[{sd.name}]")
     rng = stream(seed, f"semidirect.equivariance/{sd.name}")
     w_eq = w_anti = 0.0
-    for fc, (g, g2), _ in _draw_factored(sd, samples, rng, pairs=2):
-        jk, jn = momentum_factorized(lifted_action(sd, fc, g))
+    for s, (g, g2), _ in _draw_cotangent(sd, samples, rng, pairs=2):
+        # the factorized momentum J = (theta, chi) before and after the lifted action
+        moved = lifted_action(sd, s, g)
         t_k, t_n = coadjoint_factor_transport(sd, g)
-        jk0, jn0 = momentum_factorized(fc)
-        w_eq = worst(w_eq, row_norm(jk - row_matvec(t_k, jk0)) + row_norm(jn - row_matvec(t_n, jn0)))
+        w_eq = worst(w_eq, row_norm(moved.a - row_matvec(t_k, s.a)) + row_norm(moved.b - row_matvec(t_n, s.b)))
 
         # the transport factors compose contravariantly (anti-homomorphism)
         tk12, tn12 = coadjoint_factor_transport(sd, sd.product(g, g2))
@@ -573,10 +496,6 @@ def equivariance_suite(sd: SemidirectSpec, samples: int = 200, seed: int = 0) ->
     rep.add("transport_anti_homomorphism", w_anti, 1e-9)
     rep.extras["trials"] = samples
     return rep
-
-
-def _fc_distance(a: FactoredCotangent, b: FactoredCotangent) -> float | Array:
-    return row_norm(a.k - b.k, 2) + row_norm(a.u - b.u, 2) + row_norm(a.theta - b.theta) + row_norm(a.chi - b.chi)
 
 
 # ---------------------------------------------------------------------------
@@ -612,8 +531,8 @@ def reduced_sequence_suite(sd: SemidirectSpec, samples: int = 25, seed: int = 0)
             chi = np.broadcast_to(a_char, theta.shape[:-1] + (nn,))
 
             # [Gamma*] is N-invariant and returns the theta coordinates
-            moved = lifted_action(sd, FactoredCotangent(k, theta, u, chi), (sd.K.identity(), w))
-            w_gamma_star = worst(w_gamma_star, row_norm(moved.theta - theta), row_norm(moved.k - k, 2))
+            moved = lifted_action(sd, CotangentSample(Point(k, u), theta, chi), (sd.K.identity(), w))
+            w_gamma_star = worst(w_gamma_star, row_norm(moved.a - theta), row_norm(moved.point.base - k, 2))
 
             # omega_a = d(gamma_K + (pi_K*)A) with A = 0 for the homomorphic
             # section: compare the leaf form against d gamma_K on the slice u = e
@@ -644,7 +563,7 @@ def momentum_form_suite(sd: SemidirectSpec, samples: int = 20, seed: int = 0) ->
     """
     rep = SuiteReport(f"semidirect.momentum_form[{sd.name}]")
     rng = stream(seed, f"semidirect.momentum_form/{sd.name}")
-    H = sd.group_spec()
+    H, b = sd.group_spec(), total_bundle(sd)
     nk, nn = sd.K.dim, sd.N.dim
     h = fd.GRAD_STEP
     ends = np.array([-h, h])
@@ -652,23 +571,23 @@ def momentum_form_suite(sd: SemidirectSpec, samples: int = 20, seed: int = 0) ->
 
     # before the covectors: the algebra elements x_k, x_n and a tangent v of each sample
     extra = 0.7 * rng.standard_normal((samples, nk)), 0.7 * rng.standard_normal((samples, nn)), rng.standard_normal((samples, 2 * (nk + nn)))
-    for fc, _, (x_k, x_n, v) in _draw_factored(sd, samples, rng, pairs=0, extra=extra):
+    for s, _, (x_k, x_n, v) in _draw_cotangent(sd, samples, rng, pairs=0, extra=extra):
         x_hn = row_matvec(sd.iota_dot(), x_n)
         x_h = row_matvec(sd.sigma_dot(), x_k) + x_hn
         # the covector moved along v to -h and +h
-        f_ends = _fc_move(sd, fc, v, ends[:, None, None])
+        s_ends = b.moved(s, ends[:, None, None] * v)
 
         # generators of the lifted action for x_hn and x_h: their flows at -h and +h through one lifted_action
-        flows = lifted_action(sd, fc, sd.split(H.exp(np.multiply.outer(ends, np.stack([x_hn, x_h])))))
-        gen_n, gen_h = _fc_tangent(sd, flows, h)
-        omega = canonical_two_form([sd.K, sd.N], np.concatenate([fc.theta, fc.chi], axis=-1))
+        flows = lifted_action(sd, s, sd.split(H.exp(np.multiply.outer(ends, np.stack([x_hn, x_h])))))
+        gen_n, gen_h = _tangent(b, flows, h)
+        omega = canonical_two_form([sd.K, sd.N], s.coords)
 
         # full H generator against the group momentum <beta, X>
-        djx = fd.quotient(*row_dot(tstar_sigma(sd, f_ends), x_h), h)
+        djx = fd.quotient(*row_dot(tstar_sigma(sd, s_ends), x_h), h)
         worst_h = worst(worst_h, np.abs(row_form(gen_h, omega, v) + djx))
 
         # normal-subgroup generator against the factored component J_N = chi
-        djn = fd.quotient(*row_dot(f_ends.chi, x_n), h)
+        djn = fd.quotient(*row_dot(s_ends.b, x_n), h)
         worst_n = worst(worst_n, np.abs(row_form(gen_n, omega, v) + djn))
     rep.add("contraction_identity_group_momentum", worst_h, 1e-6)
     rep.add("contraction_identity_factored_n_component", worst_n, 1e-6)
@@ -676,22 +595,11 @@ def momentum_form_suite(sd: SemidirectSpec, samples: int = 20, seed: int = 0) ->
     return rep
 
 
-def _fc_move(sd: SemidirectSpec, fc: FactoredCotangent, v: Array, t: float | Array) -> FactoredCotangent:
-    """The covector moved by t along the left-trivialized tangent v, per row of stacks; an array of t broadcasts against the rows."""
-    nk, nn = sd.K.dim, sd.N.dim
-    return FactoredCotangent(
-        fc.k @ sd.K.exp(t * v[..., :nk]),
-        fc.theta + t * v[..., nk + nn : 2 * nk + nn],
-        fc.u @ sd.N.exp(t * v[..., nk : nk + nn]),
-        fc.chi + t * v[..., 2 * nk + nn :],
-    )
-
-
-def _fc_tangent(sd: SemidirectSpec, ends: FactoredCotangent, h: float) -> Array:
-    """Left-trivialized tangent (xi, nu, dtheta, dchi) from the points at -h and +h, the first axis of every field, per row of stacks."""
-    xi = fd.group_velocity(sd.K, *ends.k, h)
-    nu = fd.group_velocity(sd.N, *ends.u, h)
-    return np.concatenate([xi, nu, fd.quotient(*ends.theta, h), fd.quotient(*ends.chi, h)], axis=-1)
+def _tangent(b: BundleSpec, ends: CotangentSample, h: float) -> Array:
+    """Left-trivialized tangent (xi, nu, dtheta, dchi) of T*H from the samples at -h and +h, the first axis of every field, per row of stacks."""
+    xi = b.base.velocity(*ends.point.base, h)
+    nu = fd.group_velocity(b.group, *ends.point.fiber, h)
+    return np.concatenate([xi, nu, fd.quotient(*ends.a, h), fd.quotient(*ends.b, h)], axis=-1)
 
 
 def _product_dgamma_fd(factors: Sequence[LieGroupSpec], covector: Array, v1: Array, v2: Array) -> float | Array:

@@ -143,18 +143,22 @@ class TestClosedFormRotations:
     @pytest.mark.parametrize("norm", [1e-6, 2e-4, 0.01, 0.2, 0.9, 2.0, 5.0, 40.0])
     def test_exp_matches_pade(self, so3, norm):
         # the small-angle Taylor branch (theta^2 < 1e-8), just above it, and every Pade branch
-        assert so3._rotation_basis
         rng = np.random.default_rng(19)
         for _ in range(10):
             w = rng.standard_normal(3)
             w *= norm / np.abs(so3.from_coords(w)).sum(axis=0).max()
+            assert np.array_equal(so3.exp(w), liealg.rodrigues(so3.from_coords(w)))  # the closed form, not expm
             err = np.max(np.abs(so3.exp(w) - expm(so3.from_coords(w))))
             assert err <= 1e-15 * max(1.0, norm)
 
-    def test_only_antisymmetric_3x3_bases(self):
-        assert not liealg.heisenberg3()._rotation_basis
-        assert not liealg.torus(1)._rotation_basis
-        assert not semidirect.so3_r3().group_spec()._rotation_basis
+    def test_only_antisymmetric_3x3_bases(self, monkeypatch):
+        calls = []
+        for name in ("rodrigues", "rotation_log"):
+            monkeypatch.setattr(liealg, name, lambda *args, real=getattr(liealg, name), name=name: calls.append(name) or real(*args))
+        for g in (liealg.heisenberg3(), liealg.torus(1), semidirect.so3_r3().group_spec(), liealg.so3()):
+            calls.clear()
+            g.log(g.exp(np.full(g.dim, 0.1)))
+            assert calls == (["rodrigues", "rotation_log"] if g.name == "so3" else []), g.name
 
     @pytest.mark.parametrize("angle", [1e6, 1e10, 1e16])
     def test_large_angle_stays_orthogonal(self, so3, angle):
@@ -583,15 +587,27 @@ def translation_v(w):
     return np.array(out)
 
 
-def test_closed_forms_are_detected_from_the_basis():
-    so3, h3, r3, t2 = liealg.so3(), liealg.heisenberg3(), liealg.translation_group(3), liealg.torus(2)
-    assert so3._rotation_basis and so3._orthogonal and not so3._unipotent_order and not so3._abelian
-    assert (h3._unipotent_order, h3._ad_order) == (3, 2) and not h3._abelian
-    assert (r3._unipotent_order, r3._abelian) == (2, True)
-    assert t2._orthogonal and t2._abelian and not t2._rotation_basis and not t2._unipotent_order
-    # the lower-triangular Heisenberg basis is not unipotent by the upper-triangular test: generic exp, log and inverse
-    lower = dataclasses.replace(h3, name="lower", basis=h3.basis.transpose(0, 2, 1))
-    assert not lower._unipotent_order and not lower._orthogonal
+def test_closed_forms_are_detected_from_the_basis(monkeypatch):
+    h3 = liealg.heisenberg3()
+    # per group: the generic (expm, logm, np.linalg.inv) calls of exp, log, inverse and Ad, whether the
+    # inverse is the transpose and whether Ad is the identity
+    cases = [
+        (liealg.so3(), (0, 0, 0), True, False),
+        (h3, (0, 0, 0), False, False),
+        (liealg.translation_group(3), (0, 0, 0), False, True),
+        (liealg.torus(2), (1, 1, 0), True, True),  # orthogonal and abelian, but no 3x3 rotation basis: expm and logm
+        # the lower-triangular Heisenberg basis is not unipotent by the upper-triangular test: generic exp, log and inverse
+        (dataclasses.replace(h3, name="lower", basis=h3.basis.transpose(0, 2, 1)), (1, 1, 2), False, False),
+    ]
+    counts = builders.counted_generic_kernels(monkeypatch)
+    for g, generic, transposes, abelian in cases:
+        counts.update(dict.fromkeys(counts, 0))
+        el = g.exp(np.linspace(0.1, 0.3, g.dim))
+        g.log(el)
+        inverse, ad = g.inverse(el), g.Ad(el)  # a generic Ad takes one more inverse, for the conjugation
+        assert (counts["expm"], counts["logm"], counts["inv"]) == generic, g.name
+        assert np.array_equal(inverse, el.T) == transposes, g.name
+        assert np.array_equal(ad, np.eye(g.dim)) == abelian, g.name
 
 
 def test_builtins_take_no_generic_log_or_inverse(generic_calls, tmp_path):

@@ -742,6 +742,40 @@ def test_logm_and_expm_only_behind_the_closed_forms():
     assert found == []
 
 
+def foreign_private_attributes(source: str, filename: str = "<src>") -> list[str]:
+    """Reads and assignments of an attribute named ``_x`` on anything but ``self`` or ``cls``; dunders such as ``__name__`` are not private.
+
+    A private attribute belongs to its own class: another object or module asks through a public name,
+    so a decision such as which closed form a group takes has one owner.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_") and not (node.attr.startswith("__") and node.attr.endswith("__")):
+            if not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls")):
+                found.append((node.lineno, f"{filename}:{node.lineno} {ast.unparse(node)}"))
+    return [hit for _, hit in sorted(found)]
+
+
+def test_foreign_private_attribute_detector():
+    src = (
+        "class A:\n"
+        "    def __init__(self, other):\n"
+        "        self._own = other._theirs\n"
+        "        self._h = make()\n"
+        "        self._h._hook = 1\n"
+        "    @classmethod\n"
+        "    def build(cls):\n"
+        "        return cls._cache, type(cls).__name__, super().__init__\n"
+        "x = np._core\n"
+    )
+    assert foreign_private_attributes(src) == ["<src>:3 other._theirs", "<src>:5 self._h._hook", "<src>:9 np._core"]
+
+
+def test_no_foreign_private_attributes_in_package():
+    found = [hit for path in sorted(SRC.glob("*.py")) for hit in foreign_private_attributes(path.read_text(encoding="utf-8"), path.name)]
+    assert found == []
+
+
 def test_unused_locals_detector():
     src = (
         "def f(a):\n"

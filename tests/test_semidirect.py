@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import tracemalloc
 from functools import partial
 
@@ -6,16 +7,14 @@ import numpy as np
 import pytest
 
 from gaugemech import bundle, cli, dynamics, fd, liealg, poisson, semidirect
-from gaugemech.bundle import CotangentSample
+from gaugemech.bundle import CotangentSample, Point
 from gaugemech.semidirect import (
-    FactoredCotangent,
     SemidirectSpec,
     coadjoint_factor_transport,
     group_momentum,
     heavy_top_model,
     lifted_action,
     lifted_action_formula,
-    momentum_factorized,
     so3_r3,
     total_bundle,
     tstar_sigma,
@@ -34,6 +33,11 @@ def sd():
 def random_pair(spec, rng):
     """One random pair (k, u), its K and N coordinates at scale 0.4."""
     return spec.pair_at(spec.K.random_algebra(rng, 0.4), spec.N.random_algebra(rng, 0.4))
+
+
+def factored(k, theta, u, chi):
+    """The point (k, theta, u, chi) of T*K x T*N, arguments in that order, as the total bundle's sample (Point(k, u), theta, chi)."""
+    return CotangentSample(Point(k, u), theta, chi)
 
 
 def hom4(k, v):
@@ -161,16 +165,16 @@ class TestTrivialization:
 
     def test_roundtrip(self, sd):
         rng = np.random.default_rng(7)
-        fc = FactoredCotangent(sd.K.exp(sd.K.random_algebra(rng)), rng.standard_normal(3), sd.N.exp(sd.N.random_algebra(rng)), rng.standard_normal(3))
-        beta = tstar_sigma(sd, fc)
-        back = tstar_sigma_inverse(sd, fc.k, fc.u, beta)
-        assert np.linalg.norm(back.theta - fc.theta) + np.linalg.norm(back.chi - fc.chi) <= 1e-11
+        s = factored(sd.K.exp(sd.K.random_algebra(rng)), rng.standard_normal(3), sd.N.exp(sd.N.random_algebra(rng)), rng.standard_normal(3))
+        beta = tstar_sigma(sd, s)
+        back = tstar_sigma_inverse(sd, s.point.base, s.point.fiber, beta)
+        assert np.linalg.norm(back.a - s.a) + np.linalg.norm(back.b - s.b) <= 1e-11
 
     def test_chi_zero_is_mu_pullback(self, sd):
         rng = np.random.default_rng(8)
-        fc = FactoredCotangent(sd.K.exp(sd.K.random_algebra(rng)), rng.standard_normal(3), sd.N.exp(sd.N.random_algebra(rng)), np.zeros(3))
-        beta = tstar_sigma(sd, fc)
-        np.testing.assert_allclose(beta, sd.mu_dot().T @ fc.theta, atol=1e-12)
+        s = factored(sd.K.exp(sd.K.random_algebra(rng)), rng.standard_normal(3), sd.N.exp(sd.N.random_algebra(rng)), np.zeros(3))
+        beta = tstar_sigma(sd, s)
+        np.testing.assert_allclose(beta, sd.mu_dot().T @ s.a, atol=1e-12)
 
     def test_suite(self, sd):
         rep = semidirect.trivialization_suite(sd, samples=30, seed=9)
@@ -180,51 +184,50 @@ class TestTrivialization:
 class TestLiftedAction:
     def test_identity_acts_trivially(self, sd):
         rng = np.random.default_rng(10)
-        fc = FactoredCotangent(sd.K.exp(sd.K.random_algebra(rng)), rng.standard_normal(3), sd.N.exp(sd.N.random_algebra(rng)), rng.standard_normal(3))
-        moved = lifted_action(sd, fc, sd.identity_pair())
-        assert semidirect._fc_distance(moved, fc) <= 1e-12
+        s = factored(sd.K.exp(sd.K.random_algebra(rng)), rng.standard_normal(3), sd.N.exp(sd.N.random_algebra(rng)), rng.standard_normal(3))
+        moved = lifted_action(sd, s, sd.identity_pair())
+        assert total_bundle(sd).sample_distance(moved, s) <= 1e-12
 
     def test_abelian_n_translation_preserves_chi(self, sd):
         # l = e: the N-component map is a right translation of the abelian N
         rng = np.random.default_rng(11)
-        fc = FactoredCotangent(sd.K.exp(sd.K.random_algebra(rng)), rng.standard_normal(3), sd.N.exp(sd.N.random_algebra(rng)), rng.standard_normal(3))
+        s = factored(sd.K.exp(sd.K.random_algebra(rng)), rng.standard_normal(3), sd.N.exp(sd.N.random_algebra(rng)), rng.standard_normal(3))
         w = sd.N.exp(sd.N.random_algebra(rng))
-        moved = lifted_action(sd, fc, (sd.K.identity(), w))
-        np.testing.assert_allclose(moved.chi, fc.chi, atol=1e-12)
-        np.testing.assert_allclose(moved.theta, fc.theta, atol=1e-12)
+        moved = lifted_action(sd, s, (sd.K.identity(), w))
+        np.testing.assert_allclose(moved.b, s.b, atol=1e-12)
+        np.testing.assert_allclose(moved.a, s.a, atol=1e-12)
 
     def test_composition_law(self, sd):
         rng = np.random.default_rng(12)
-        fc = FactoredCotangent(sd.K.exp(sd.K.random_algebra(rng)), rng.standard_normal(3), sd.N.exp(sd.N.random_algebra(rng)), rng.standard_normal(3))
+        s = factored(sd.K.exp(sd.K.random_algebra(rng)), rng.standard_normal(3), sd.N.exp(sd.N.random_algebra(rng)), rng.standard_normal(3))
         g1, g2 = random_pair(sd, rng), random_pair(sd, rng)
-        lhs = lifted_action(sd, lifted_action(sd, fc, g1), g2)
-        rhs = lifted_action(sd, fc, sd.product(g1, g2))
-        assert semidirect._fc_distance(lhs, rhs) <= 1e-10
+        lhs = lifted_action(sd, lifted_action(sd, s, g1), g2)
+        rhs = lifted_action(sd, s, sd.product(g1, g2))
+        assert total_bundle(sd).sample_distance(lhs, rhs) <= 1e-10
 
     def test_closed_formula_matches_conjugated_lift(self, sd):
         rng = np.random.default_rng(13)
         for _ in range(10):
-            fc = FactoredCotangent(sd.K.exp(sd.K.random_algebra(rng)), rng.standard_normal(3), sd.N.exp(sd.N.random_algebra(rng)), rng.standard_normal(3))
+            s = factored(sd.K.exp(sd.K.random_algebra(rng)), rng.standard_normal(3), sd.N.exp(sd.N.random_algebra(rng)), rng.standard_normal(3))
             g = random_pair(sd, rng)
-            assert semidirect._fc_distance(lifted_action(sd, fc, g), lifted_action_formula(sd, fc, g)) <= 1e-10
+            assert total_bundle(sd).sample_distance(lifted_action(sd, s, g), lifted_action_formula(sd, s, g)) <= 1e-10
 
 
 class TestMomentum:
     def test_at_identity_pair(self, sd):
         rng = np.random.default_rng(14)
         theta, chi = rng.standard_normal(3), rng.standard_normal(3)
-        fc = FactoredCotangent(sd.K.identity(), theta, sd.N.identity(), chi)
-        jk, jn = group_momentum(sd, fc)
+        s = factored(sd.K.identity(), theta, sd.N.identity(), chi)
+        jk, jn = group_momentum(sd, s)
         np.testing.assert_allclose(jk, theta, atol=1e-12)
         np.testing.assert_allclose(jn, chi, atol=1e-12)
 
     def test_n_component_matches_group_momentum_everywhere(self, sd):
         rng = np.random.default_rng(15)
         for _ in range(10):
-            fc = FactoredCotangent(sd.K.exp(sd.K.random_algebra(rng)), rng.standard_normal(3), sd.N.exp(sd.N.random_algebra(rng)), rng.standard_normal(3))
-            _, jn_group = group_momentum(sd, fc)
-            _, jn = momentum_factorized(fc)
-            np.testing.assert_allclose(jn_group, jn, atol=1e-11)
+            s = factored(sd.K.exp(sd.K.random_algebra(rng)), rng.standard_normal(3), sd.N.exp(sd.N.random_algebra(rng)), rng.standard_normal(3))
+            _, jn_group = group_momentum(sd, s)
+            np.testing.assert_allclose(jn_group, s.b, atol=1e-11)  # the factored J_N is chi
 
     def test_equivariance(self, sd):
         rep = semidirect.equivariance_suite(sd, samples=200, seed=16)
@@ -236,11 +239,11 @@ class TestMomentum:
         # off the identity slice and is NOT equivariant; only the factorized
         # momentum map satisfies the product equivariance law
         rng = np.random.default_rng(17)
-        fc = FactoredCotangent(sd.K.exp(sd.K.random_algebra(rng, 0.4)), rng.standard_normal(3), sd.N.exp(np.array([1.0, -0.7, 0.4])), rng.standard_normal(3))
+        s = factored(sd.K.exp(sd.K.random_algebra(rng, 0.4)), rng.standard_normal(3), sd.N.exp(np.array([1.0, -0.7, 0.4])), rng.standard_normal(3))
         g = random_pair(sd, rng)
         t_k, _ = coadjoint_factor_transport(sd, g)
-        jk0, _ = group_momentum(sd, fc)
-        jk1, _ = group_momentum(sd, lifted_action(sd, fc, g))
+        jk0, _ = group_momentum(sd, s)
+        jk1, _ = group_momentum(sd, lifted_action(sd, s, g))
         assert np.linalg.norm(jk1 - t_k @ jk0) > 1e-3
 
     def test_bundle_momentum_cross_check(self, sd):
@@ -248,9 +251,7 @@ class TestMomentum:
         rng = np.random.default_rng(18)
         for _ in range(10):
             s = CotangentSample(b.point_at(*b.random_point_coords(rng)), *b.random_covector(rng))
-            fc = FactoredCotangent(s.point.base, s.a, s.point.fiber, s.b)
-            _, jn = momentum_factorized(fc)
-            np.testing.assert_allclose(b.momentum(s), jn, atol=1e-12)
+            np.testing.assert_allclose(b.momentum(s), s.b, atol=1e-12)  # the factored J_N is chi
 
 
 class TestGroupChart:
@@ -305,19 +306,19 @@ class TestPullbackForm:
 
         def f_full(h_mat, beta):
             k, u = sd.split(h_mat)
-            fc = semidirect.tstar_sigma_inverse(sd, k, u, beta)
-            return f(fc.theta, fc.chi)
+            s = semidirect.tstar_sigma_inverse(sd, k, u, beta)
+            return f(s.a, s.b)
 
         rng = np.random.default_rng(31)
         k0 = sd.K.exp(sd.K.random_algebra(rng, 0.3))
         u0 = sd.N.exp(sd.N.random_algebra(rng, 0.3))
         theta0, chi0 = rng.standard_normal(3), rng.standard_normal(3)
-        fc0 = semidirect.FactoredCotangent(k0, theta0, u0, chi0)
-        beta0 = semidirect.tstar_sigma(sd, fc0)
+        s0 = factored(k0, theta0, u0, chi0)
+        beta0 = semidirect.tstar_sigma(sd, s0)
         h_step, n_steps = 5e-3, 200
         us, betas = cotangent_flow.integrate_cotangent(H, partial(cotangent_flow.body_cotangent_field, H, f_full), sd.embed(k0, u0), beta0, h_step, n_steps)
         k_t, u_t = sd.split(us[-1])
-        fc_t = semidirect.tstar_sigma_inverse(sd, k_t, u_t, betas[-1])
+        s_t = semidirect.tstar_sigma_inverse(sd, k_t, u_t, betas[-1])
 
         # reduced flow: theta' = ad*_{grad_theta f} theta, chi frozen, k' = k xi
         def reduced_rhs(state):
@@ -334,9 +335,9 @@ class TestPullbackForm:
             k4 = reduced_rhs(state + h_step * k3)
             state = state + (h_step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
-        assert np.linalg.norm(fc_t.chi - chi0) <= 1e-6  # chi is conserved
-        assert np.linalg.norm(fc_t.theta - state[9:]) <= 1e-6
-        assert np.linalg.norm(fc_t.k - state[:9].reshape(3, 3)) <= 1e-6
+        assert np.linalg.norm(s_t.b - chi0) <= 1e-6  # chi is conserved
+        assert np.linalg.norm(s_t.a - state[9:]) <= 1e-6
+        assert np.linalg.norm(s_t.point.base - state[:9].reshape(3, 3)) <= 1e-6
 
 
 class TestReducedSequence:
@@ -473,9 +474,9 @@ class TestBatchedSuitesSeeLastRow:
         assert suite(sd, samples=20, seed=3).passed
         original = semidirect.lifted_action
 
-        def mutant(sd, fc, g, beta=None):
-            out = original(sd, fc, g, beta)
-            return FactoredCotangent(out.k, _last_row_perturbed(out.theta), out.u, out.chi) if out.theta.ndim == 2 else out
+        def mutant(sd, s, g, beta=None):
+            out = original(sd, s, g, beta)
+            return CotangentSample(out.point, _last_row_perturbed(out.a), out.b) if out.a.ndim == 2 else out
 
         monkeypatch.setattr(semidirect, "lifted_action", mutant)
         assert check in {c.name for c in suite(sd, samples=20, seed=3).failures()}
@@ -501,9 +502,9 @@ class TestBatchedSuitesSeeLastRow:
         assert semidirect.momentum_form_suite(sd, samples=20, seed=3).passed
         original = semidirect.lifted_action
 
-        def mutant(sd, fc, g):
-            out = original(sd, fc, g)
-            return FactoredCotangent(out.k, _last_stack_row_perturbed(out.theta), out.u, out.chi)
+        def mutant(sd, s, g):
+            out = original(sd, s, g)
+            return CotangentSample(out.point, _last_stack_row_perturbed(out.a), out.b)
 
         monkeypatch.setattr(semidirect, "lifted_action", mutant)
         assert "contraction_identity_group_momentum" in {c.name for c in semidirect.momentum_form_suite(sd, samples=20, seed=3).failures()}
@@ -652,21 +653,21 @@ class TestRigidMotionDetection:
     def test_permuted_and_rescaled_bases_keep_the_closed_forms(self, monkeypatch):
         K = rebased(liealg.so3(), (2, 0, 1), (2.0, -1.0, 0.5))
         N = rebased(liealg.translation_group(3), (1, 2, 0), (0.25, 3.0, -1.0))
-        spec = SemidirectSpec(K, N, standard_rho(K, N))
-        H = spec.group_spec()
-        assert spec._rigid_motion and H._rigid.frame is not None
+        H = SemidirectSpec(K, N, standard_rho(K, N)).group_spec()
         assert liealg.validate_spec(H).passed
         x = 0.3 * np.random.default_rng(80).standard_normal((50, H.dim))  # rotation angles below pi
         counts = builders.counted_generic_kernels(monkeypatch)
         elements = H.exp(x)
         logs = H.log(elements)
+        closed = H.inverse(elements), H.Ad(elements), H.Ad_inv(elements)
         assert counts == {"logm": 0, "expm": 0, "inv": 0}
         assert np.max(np.abs(elements - liealg.expm(H.from_coords(x)))) <= 1e-14
         assert np.max(np.abs(logs - x)) <= 1e-14
         inverses = np.linalg.inv(elements)
-        assert np.max(np.abs(H.inverse(elements) - inverses)) <= 1e-14
-        assert np.max(np.abs(H.Ad(elements) - H.conjugation(elements, inverses))) <= 1e-13
-        assert np.max(np.abs(H.Ad_inv(elements) - H.conjugation(inverses, elements))) <= 1e-13
+        assert np.max(np.abs(closed[0] - inverses)) <= 1e-14
+        # the frame of the rebased basis is not the identity: Ad goes through its pseudo-inverse
+        assert np.max(np.abs(closed[1] - H.conjugation(elements, inverses))) <= 1e-13
+        assert np.max(np.abs(closed[2] - H.conjugation(inverses, elements))) <= 1e-13
 
     @pytest.mark.parametrize("make", [
         lambda: SemidirectSpec(liealg.so3(), liealg.translation_group(3), np.zeros((3, 4, 4))),
@@ -674,9 +675,7 @@ class TestRigidMotionDetection:
         lambda: SemidirectSpec(liealg.so3(), liealg.translation_group(3), 2 * standard_rho(liealg.so3(), liealg.translation_group(3))),
     ], ids=["direct-product", "so3-on-so3", "doubled-rho"])
     def test_other_factors_or_rho_take_the_generic_route(self, make, monkeypatch):
-        spec = make()
-        H = spec.group_spec()
-        assert not spec._rigid_motion and H._rigid is None
+        H = make().group_spec()
         counts = builders.counted_generic_kernels(monkeypatch)
         H.exp(np.full(H.dim, 0.1))
         assert counts["expm"] == 1
@@ -685,12 +684,44 @@ class TestRigidMotionDetection:
         base = so3_r3()
         K, N = (dataclasses.replace(g, name=f"renamed-{g.name}") for g in (base.K, base.N))
         renamed = SemidirectSpec(K, N, base.rho_generators, name=base.name)
-        assert renamed._rigid_motion and renamed.group_spec()._rigid is not None
-        assert SemidirectSpec(K, N, base.rho_generators)._rigid_motion  # the default name sd:renamed-so3|renamed-r3 too
+        counts = builders.counted_generic_kernels(monkeypatch)
+        for H in (renamed.group_spec(), SemidirectSpec(K, N, base.rho_generators).group_spec()):  # the default name sd:renamed-so3|renamed-r3 too
+            elements = H.exp(np.full((4, H.dim), 0.2))
+            for fn in (H.log, H.inverse, H.Ad):
+                fn(elements)
+        assert counts == {"logm": 0, "expm": 0, "inv": 0}
         assert cli.main(["verify", "se3-verify", "--out", str(tmp_path / "builtin")]) == 0
         monkeypatch.setattr(semidirect, "builtin_semidirect", lambda name: renamed)
         assert cli.main(["verify", "se3-verify", "--out", str(tmp_path / "renamed")]) == 0
         assert (tmp_path / "renamed" / "report.json").read_bytes() == (tmp_path / "builtin" / "report.json").read_bytes()
+
+
+def test_se3_forms_come_from_the_basis_alone(monkeypatch):
+    # the basis of the total group, handed to LieGroupSpec without its SemidirectSpec, still selects the SE(3) forms
+    built = so3_r3().group_spec()
+    H = liealg.LieGroupSpec("plain", built.dim, built.embed, built.basis, built.structure)
+    x = 0.5 * np.random.default_rng(82).standard_normal((40, H.dim))
+    counts = builders.counted_generic_kernels(monkeypatch)
+    elements = H.exp(x)
+    assert np.array_equal(elements, built.exp(x))
+    for name in ("log", "inverse", "Ad", "Ad_inv"):
+        assert np.array_equal(getattr(H, name)(elements), getattr(built, name)(elements)), name
+    assert counts == {"logm": 0, "expm": 0, "inv": 0}
+
+
+def test_se3_log_with_flipped_translation_term_fails_se3_verify(monkeypatch, tmp_path):
+    # V^-1 t = t + (c a^2 - a/2) t with the sign of a/2 flipped: every check but H's exp o log round trip passes
+    original = liealg.rigid_log
+
+    def mutant(r, t):
+        a, vt, closed = original(r, t)
+        return a, vt + (a @ t[..., None])[..., 0], closed
+
+    monkeypatch.setattr(liealg, "rigid_log", mutant)
+    assert cli.main(["verify", "se3-verify", "--out", str(tmp_path)]) == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    failed = [(suite["suite"], c["name"]) for suite in report["suites"] for c in suite["checks"] if not c["pass"]]
+    assert failed == [("semidirect.spec[sd:so3|r3]", "exp_log_roundtrip")]
 
 
 @pytest.mark.parametrize("make", [so3_r3, lambda: SemidirectSpec(liealg.so3(), liealg.so3(), -liealg.so3().basis)],
