@@ -1,10 +1,11 @@
 """Matrix Lie groups and algebras in concrete coordinates.
 
-A group is a subgroup of GL(m, R) described by a basis e_1..e_n of its Lie
-algebra (m x m matrices), the structure constants c^k_ij of that basis, and
-a membership residual for group elements.  Algebra vectors and coalgebra
-vectors are plain float arrays of coordinates in the basis / dual basis;
-the pairing between them is the coordinate dot product.
+A group is a subgroup of GL(m, R) given by a basis e_1..e_n of its Lie
+algebra (m x m matrices), closed under commutators (Hall, Lie Groups, Lie
+Algebras, and Representations, 2nd ed., 2015, ch. 3); its structure constants
+and its family of kernels are read off that basis.  Algebra vectors and
+coalgebra vectors are plain float arrays of coordinates in the basis / dual
+basis; the pairing between them is the coordinate dot product.
 
 Tangent data on a group is kept in left trivialization: a tangent vector at
 g is stored as the algebra coordinates xi of the curve t -> g exp(t xi).
@@ -19,8 +20,8 @@ The linear and quadratic Casimirs of the Lie-Poisson structure on g* are
 derived from the structure constants alone (``LieGroupSpec.casimirs``), never
 from the group's name (Marsden & Ratiu, Introduction to Mechanics and
 Symmetry, ch. 14).  Membership never comes from a name either: a built-in
-constructor attaches its own test, and a group read from JSON takes the
-generic log-and-expand residual of its basis.
+group and a group read from JSON with the same basis take the same family's
+residual.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -42,6 +42,7 @@ LOG_SERIES_CUTOFF = 1e-24
 LOG_SERIES_RADIUS = 0.5
 MAX_SQUARE_ROOTS = 48
 MEMBERSHIP_TOL = 1e-8  # largest membership defect of an exponentiated algebra element (liealg.validate)
+COMMUTATOR_TOL = 1e-12  # largest commutator entry off the span (liealg.validate), and JSON constant off the derived one
 # a square-root iterate that misses its tolerance is still used up to this relative residual
 SQRTM_ACCEPT_TOL = 1e-8
 CASIMIR_DECIMALS = 12
@@ -246,7 +247,7 @@ def _rotation_log_factors(g: Array) -> tuple[Array, list[bool]]:
 
 
 # ---------------------------------------------------------------------------
-# closed forms of rigid motions and of unipotent groups
+# closed forms of rigid motions
 # ---------------------------------------------------------------------------
 
 
@@ -296,115 +297,12 @@ def rigid_log(r: Array, t: Array) -> tuple[Array, Array, list[bool]]:
 _HAT = np.array([[0, 0, 0, 0, 0, -1, 0, 1, 0], [0, 0, 1, 0, 0, 0, -1, 0, 0], [0, -1, 0, 1, 0, 0, 0, 0, 0]], dtype=float)
 
 
-class _RigidMotion:
-    """The closed forms of a group whose algebra basis matrices are all diag(W, [[W, v], [0, 0]]) with W
-    antisymmetric 3x3: SE(3), or a subgroup, in the 7x7 embedding of a rotation group x| R^3 (Murray, Li &
-    Sastry, A Mathematical Introduction to Robotic Manipulation, 1994, ch. 2).
-
-    An element is diag(R, [[R, t], [0, 1]]) and the algebra element of
-    coordinates x is diag(W, [[W, v], [0, 0]]) with (vee(W), v) = F x, the
-    columns of the frame F being (vee(W_i), v_i) of the basis.  exp and log
-    are the SE(3) forms of the lower block (``rigid_exp``, ``rigid_log``),
-    the inverse is [[R^T, -R^T t], [0, 1]] in that block and R^T in the upper
-    one, and Ad_h = F^+ [[R, 0], [hat(t) R, R]] F, skipped when F is the
-    identity.
-    """
-
-    def __init__(self, frame: Array) -> None:
-        self.frame = None if np.array_equal(frame, np.eye(6)) else (np.linalg.pinv(frame), frame)
-
-    @staticmethod
-    def of(basis: Array) -> _RigidMotion | None:
-        """The closed forms of the group of ``basis`` (dim, 7, 7), or None when a basis matrix is not of their shape."""
-        if basis.shape[-1] != 7:
-            return None
-        w, v = basis[:, :3, :3], basis[:, 3:6, 6]
-        model = np.zeros_like(basis)
-        model[:, :3, :3] = model[:, 3:6, 3:6] = w
-        model[:, 3:6, 6] = v
-        if not (np.array_equal(basis, model) and np.array_equal(w, -w.swapaxes(-1, -2))):
-            return None
-        return _RigidMotion(np.concatenate([vee(w).T, v.T]) + 0.0)  # + 0.0: no negative zeros in the frame
-
-    def exp(self, a: Array) -> Array:
-        """exp of algebra matrices, per matrix of a stack (..., 7, 7)."""
-        return _rigid_matrix(*rigid_exp(a[..., 3:6, 3:6], a[..., 3:6, 6]), 1.0)
-
-    def log(self, rows: Array) -> tuple[Array, list[bool]]:
-        """Algebra matrices of the logs of a stack (N, 7, 7), and which rows the closed form took."""
-        a, vt, closed = rigid_log(rows[:, 3:6, 3:6], rows[:, 3:6, 6])
-        return _rigid_matrix(a, vt, 0.0), closed
-
-    def inverse(self, h: Array) -> Array:
-        rot = h[..., 3:6, 3:6].swapaxes(-1, -2)
-        out = np.zeros(h.shape)
-        out[..., :3, :3] = h[..., :3, :3].swapaxes(-1, -2)
-        out[..., 3:6, 3:6] = rot
-        out[..., 3:6, 6] = -(rot @ h[..., 3:6, 6:7])[..., 0]
-        out[..., 6, 6] = 1.0
-        return out
-
-    def Ad(self, h: Array) -> Array:
-        rot = h[..., 3:6, 3:6]
-        hat_t = (h[..., None, 3:6, 6] @ _HAT).reshape(h.shape[:-2] + (3, 3))
-        out = np.zeros(h.shape[:-2] + (6, 6))
-        out[..., :3, :3] = rot
-        out[..., 3:, 3:] = rot
-        out[..., 3:, :3] = hat_t @ rot
-        if self.frame is None:
-            return out
-        frame_pinv, frame = self.frame
-        return frame_pinv @ out @ frame
-
-
 def _rigid_matrix(r: Array, t: Array, corner: float) -> Array:
     """diag(r, [[r, t], [0, corner]]) per row of stacks: a group element for corner 1, an algebra element for 0."""
     out = np.zeros(r.shape[:-2] + (7, 7))
     out[..., :3, :3] = out[..., 3:6, 3:6] = r
     out[..., 3:6, 6] = t
     out[..., 6, 6] = corner
-    return out
-
-
-def _series_order(mats: Array) -> int:
-    """The least p such that every product of p matrices with the joint nonzero pattern of the stack ``mats`` is
-    zero, or the matrices' side when it is larger or the pattern is not nilpotent."""
-    step = mats.any(axis=0).astype(int)
-    power, p = step, 1
-    while power.any() and p < len(step):
-        power, p = np.minimum(power @ step, 1), p + 1
-    return p
-
-
-def _nilpotent_exp(a: Array, order: int) -> Array:
-    """exp(a) = I + a + a^2/2 + ... + a^(order-1)/(order-1)! of matrices with a^order = 0, per matrix of a stack;
-    summed as ``expm`` sums its a^3 = 0 exit, so at order 3 and below it has the bits of ``expm``."""
-    out = a + np.eye(a.shape[-1])
-    term = a
-    for k in range(2, order):
-        term = term @ a
-        out += term / math.factorial(k)
-    return out
-
-
-def _unipotent_log(g: Array, order: int) -> Array:
-    """log(g) = n - n^2/2 + n^3/3 - ... with n = g - I and n^order = 0, per matrix of a stack."""
-    n = g - np.eye(g.shape[-1])
-    out, term = n.copy(), n
-    for k in range(2, order):
-        term = term @ n
-        out += term * ((-1.0) ** (k + 1) / k)
-    return out
-
-
-def _unipotent_inverse(g: Array, order: int) -> Array:
-    """g^-1 = I - n + n^2 - ... with n = g - I and n^order = 0, per matrix of a stack (2I - g when n^2 = 0)."""
-    eye = np.eye(g.shape[-1])
-    step = eye - g
-    out, term = eye + step, step
-    for _ in range(2, order):
-        term = term @ step
-        out += term
     return out
 
 
@@ -480,67 +378,48 @@ def logm(g: Array) -> Array:
 
 @dataclass
 class LieGroupSpec:
-    """A matrix Lie group with an explicit algebra basis.
+    """A matrix Lie group given by its algebra basis, of shape (dim, embed, embed).
 
-    ``basis`` has shape (dim, embed, embed); ``structure[i, j, k]`` is c^k_ij
-    in [e_i, e_j] = sum_k c^k_ij e_k.  ``membership_residual`` maps an
-    m x m matrix to a nonnegative defect (0 on the group); when absent, a
-    generic test via log-and-expand is used.  Specs are immutable after
-    construction.
-
-    The group kernels take closed forms that construction reads off the
-    basis and the structure constants, never off the name:
-
-    - antisymmetric basis matrices (the group is orthogonal): ``inverse`` is
-      the transpose;
-    - 3x3 antisymmetric ones (a rotation basis): ``exp`` by Rodrigues' formula,
-      ``log`` by ``rotation_log`` and Ad_g = P^+ g P with P the columns
-      vee(e_i);
-    - strictly upper triangular ones (a unipotent group, a^p = 0 for the
-      order p of the basis pattern): ``exp``, ``log`` and ``inverse`` as
-      finite series;
-    - zero structure constants (abelian): Ad_g = I;
-    - 7x7 ones of the form diag(W, [[W, v], [0, 0]]) with W antisymmetric
-      (rigid motions, the total group of SO(3) x| R^3 in the standard
-      representation): the SE(3) forms of ``_RigidMotion``, with the frame
-      (vee(W_i), v_i) read off the same basis.
-
-    The rest take ``expm``, ``logm``, ``np.linalg.inv`` and the conjugation
-    of the basis.  Every closed form takes a stack at once, and each row has
-    the bits of its one-row call.
+    Construction reads everything else off the basis, once, and never off the
+    name; specs are immutable after construction.  ``structure[i, j, k]`` is
+    c^k_ij in [e_i, e_j] = sum_k c^k_ij e_k, solved from the Gram system
+    (F F^T) c = F vec([e_i, e_j]) of the flattened basis F: exact for integer
+    bases such as so3 and so3 x| r3.  A basis that is not finite or not
+    linearly independent (the package's rank rule, ``linalg.rank_gap`` at
+    1e-10) is a ValueError naming it.  ``abelian`` when every constant is
+    zero; then Ad_g = I.  The basis picks one family (``_family_of``) that
+    gives ``exp``, ``log``, ``inverse``, ``Ad`` and the membership residual,
+    in closed form for rotations, unipotent groups and rigid motions.  Every
+    closed form takes a stack at once, and each row has the bits of its
+    one-row call.
     """
 
     name: str
     dim: int
     embed: int
     basis: Array
-    structure: Array
-    membership_residual: Callable[[Array], float] | None = None
+    structure: Array = field(init=False)
+    abelian: bool = field(init=False)
     _basis_pinv: Array = field(init=False, repr=False)
-    _orthogonal: bool = field(init=False, repr=False)
-    _rotation_basis: bool = field(init=False, repr=False)
-    _vee: tuple[Array, Array] | None = field(init=False, repr=False)
-    _abelian: bool = field(init=False, repr=False)
-    _unipotent_order: int = field(init=False, repr=False)
-    _se3: _RigidMotion | None = field(init=False, repr=False)
+    _family: _Generic = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.basis = np.asarray(self.basis, dtype=float).reshape(self.dim, self.embed, self.embed)
-        self.structure = np.asarray(self.structure, dtype=float).reshape(self.dim, self.dim, self.dim)
-        for name in ("basis", "structure"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ValueError(f"{name!r} entries of group {self.name!r} must be finite")
-        self._basis_pinv = np.linalg.pinv(self.basis.reshape(self.dim, -1))
-        self._orthogonal = np.array_equal(self.basis, -np.transpose(self.basis, (0, 2, 1)))
-        self._rotation_basis = self.embed == 3 and self._orthogonal
-        self._vee = None
-        if self._rotation_basis:
-            vees = vee(self.basis).T
-            self._vee = vees, np.linalg.pinv(vees)
-        self._abelian = not self.structure.any()
-        # 0 unless the group is unipotent; then a^p = 0 for every algebra element a
-        self._unipotent_order = _series_order(self.basis) if not np.tril(self.basis).any() else 0
-        self._se3 = _RigidMotion.of(self.basis)
+        if not np.isfinite(self.basis).all():
+            raise ValueError(f"'basis' entries of group {self.name!r} must be finite")
+        flat = self.basis.reshape(self.dim, -1)
+        rank = int(rank_gap(flat, 1e-10).rank)
+        if rank < self.dim:
+            raise ValueError(f"'basis' matrices of group {self.name!r} are linearly dependent (rank {rank} of {self.dim})")
+        with np.errstate(over="ignore", invalid="ignore"):
+            prod = self.basis[:, None] @ self.basis[None, :]
+            comm = (prod - prod.swapaxes(0, 1)).reshape(self.dim * self.dim, -1)
+            self.structure = np.linalg.solve(flat @ flat.T, flat @ comm.T).T.reshape((self.dim,) * 3)
+        if not np.isfinite(self.structure).all():
+            raise ValueError(f"'basis' of group {self.name!r} is too large: its commutators overflow")
+        self.abelian = not self.structure.any()
+        self._basis_pinv = np.linalg.pinv(flat)
+        self._family = _family_of(self)
 
     # -- coordinates --------------------------------------------------------
 
@@ -587,26 +466,14 @@ class LieGroupSpec:
         return self.ad(x).swapaxes(-1, -2)
 
     def inverse(self, g: Array) -> Array:
-        """g^-1 of a group element or of each of a stack (..., embed, embed).
-
-        The transpose for an orthogonal group, the finite series for a
-        unipotent one, the SE(3) block inverse for a rigid-motion total group,
-        otherwise one stacked ``np.linalg.inv``.
-        """
-        g = np.asarray(g, dtype=float)
-        if self._orthogonal:
-            return g.swapaxes(-1, -2)
-        if self._unipotent_order:
-            return _unipotent_inverse(g, self._unipotent_order)
-        if self._se3 is not None:
-            return self._se3.inverse(g)
-        return np.linalg.inv(g)
+        """g^-1 of a group element or of each of a stack (..., embed, embed), by the family's inverse."""
+        return self._family.inverse(np.asarray(g, dtype=float))
 
     def Ad(self, g: Array) -> Array:
         """Matrix of Ad_g (conjugation) on algebra coordinates, one per element of a stack.
 
-        Column i holds the coordinates of g e_i g^-1.  Closed forms for the
-        groups listed in the class docstring; otherwise ``conjugation``.
+        Column i holds the coordinates of g e_i g^-1: the identity for an
+        abelian group, else the family's Ad.
         """
         return self._adjoint(g, inverted=False)
 
@@ -616,15 +483,9 @@ class LieGroupSpec:
 
     def _adjoint(self, g: Array, inverted: bool) -> Array:
         g = np.asarray(g, dtype=float)
-        if self._abelian:
+        if self.abelian:
             return np.broadcast_to(np.eye(self.dim), g.shape[:-2] + (self.dim, self.dim)).copy()
-        if self._vee is not None:
-            vees, vees_pinv = self._vee
-            return vees_pinv @ (g.swapaxes(-1, -2) if inverted else g) @ vees
-        if self._se3 is not None:
-            return self._se3.Ad(self.inverse(g) if inverted else g)
-        gi = self.inverse(g)
-        return self.conjugation(gi, g) if inverted else self.conjugation(g, gi)
+        return self._family.Ad(g, inverted)
 
     def conjugation(self, left: Array, right: Array) -> Array:
         """Matrix of x -> left x right on algebra coordinates, one per pair of broadcast stacks.
@@ -693,38 +554,19 @@ class LieGroupSpec:
     # -- exponential map ------------------------------------------------------
 
     def exp(self, x: Array) -> Array:
-        """exp of algebra coordinates x, or of each row of a stack (..., dim).
-
-        Rodrigues' formula, the finite series of a unipotent group or the SE(3)
-        form of a rigid-motion total group; otherwise ``expm``.
-        """
-        a = self.from_coords(x)
-        if self._rotation_basis:
-            return rodrigues(a)
-        if self._unipotent_order:
-            return _nilpotent_exp(a, self._unipotent_order)
-        if self._se3 is not None:
-            return self._se3.exp(a)
-        return expm(a)
+        """exp of algebra coordinates x, or of each row of a stack (..., dim): the family's closed form, else ``expm``."""
+        return (self._family.exp or expm)(self.from_coords(x))
 
     def log(self, g: Array) -> Array:
         """log of a group element, or of each of a stack (..., embed, embed), in algebra coordinates.
 
-        Rotation rows take the closed form ``rotation_log``, rigid-motion rows
-        ``rigid_log`` and unipotent rows the finite series; the rows the first
-        two leave, and every row of other groups, take ``logm`` one at a
-        time.  Each row has the bits of its single call.
+        The family's closed form; the rows it leaves, and every row of a
+        generic group, take ``logm`` one at a time.  Each row has the bits of
+        its single call.
         """
         g = np.asarray(g, dtype=float)
         rows = g.reshape((-1,) + g.shape[-2:])
-        if self._rotation_basis:
-            a, closed = rotation_log(rows)
-        elif self._unipotent_order:
-            a, closed = _unipotent_log(rows, self._unipotent_order), [True] * len(rows)
-        elif self._se3 is not None:
-            a, closed = self._se3.log(rows)
-        else:
-            a, closed = np.empty_like(rows), [False] * len(rows)
+        a, closed = self._family.log(rows)
         for i in (i for i, ok in enumerate(closed) if not ok):
             a[i] = logm(rows[i])
         return self.to_coords(a.reshape(g.shape))
@@ -735,16 +577,11 @@ class LieGroupSpec:
     # -- membership and sampling ---------------------------------------------
 
     def membership_defect(self, g: Array) -> float:
+        """The family's residual of an embed x embed matrix, 0 on the group; inf for another shape."""
         g = np.asarray(g, dtype=float)
         if g.shape != (self.embed, self.embed):
             return float("inf")
-        if self.membership_residual is not None:
-            return float(self.membership_residual(g))
-        try:
-            x = self.log(g)
-        except LieDomainError:
-            return float("inf")
-        return float(np.linalg.norm(self.exp(x) - g))
+        return self._family.membership(g)
 
     def random_algebra(self, rng: np.random.Generator, scale: float = 0.5, lead: tuple[int, ...] = ()) -> Array:
         """Algebra coordinates of scale times a standard normal, or a block of them of leading shape ``lead``."""
@@ -778,6 +615,209 @@ def _rref(rows: Array) -> Array:
 
 
 # ---------------------------------------------------------------------------
+# group families: the kernels and the membership residual a basis selects
+# ---------------------------------------------------------------------------
+
+
+def _family_of(spec: LieGroupSpec) -> _Generic:
+    """The one family of ``spec``'s basis: rotations, unipotent, rigid motions, else generic."""
+    basis = spec.basis
+    if spec.embed == 3 and np.array_equal(basis, -basis.swapaxes(-1, -2)):
+        return _Rotation(spec)
+    order = _series_order(basis)
+    if order:
+        return _Unipotent(spec, order)
+    if spec.embed == 7:
+        w, v = basis[:, 3:6, 3:6], basis[:, 3:6, 6]
+        if np.array_equal(basis, _rigid_matrix(w, v, 0.0)) and np.array_equal(w, -w.swapaxes(-1, -2)):
+            return _RigidMotion(spec, np.concatenate([vee(w).T, v.T]) + 0.0)  # + 0.0: no negative zeros in the frame
+    return _Generic(spec)
+
+
+def _series_order(mats: Array) -> int:
+    """The least p such that every product of p matrices with the joint nonzero pattern of the stack ``mats`` is
+    zero, or 0 when the pattern is not nilpotent (a nilpotent pattern of side m has p <= m)."""
+    step = mats.any(axis=0).astype(int)
+    power, p = step, 1
+    while power.any():
+        if p == len(step):
+            return 0
+        power, p = np.minimum(power @ step, 1), p + 1
+    return p
+
+
+def _rotation_defect(r: Array) -> float:
+    return float(np.linalg.norm(r.T @ r - _EYE3) + abs(np.linalg.det(r) - 1.0))
+
+
+class _Generic:
+    """A group without closed forms: ``LieGroupSpec.exp`` and ``log`` take ``expm`` and ``logm``, the inverse is
+    ``np.linalg.inv`` (the transpose for an antisymmetric basis, an orthogonal group) and Ad_g the conjugation
+    (g, g^-1) of the basis.  The closed-form families below override what they have.
+
+    Membership is ``defect``, the residual of the family's own group (none
+    here), plus, when the basis may span less than the family's algebra
+    (``proper``: always here, and for a subgroup such as the rotations about
+    one axis), the log-and-expand residual |exp(log g) - g|, which charges
+    the part of the log off the span (inf where the log fails or leaves the
+    span).
+    """
+
+    exp = None  # the closed-form exp of algebra matrices, per matrix of a stack
+    proper = True
+
+    def __init__(self, spec: LieGroupSpec) -> None:
+        self.spec = spec
+        self.orthogonal = np.array_equal(spec.basis, -spec.basis.swapaxes(-1, -2))
+
+    def log(self, rows: Array) -> tuple[Array, list[bool]]:
+        """Algebra matrices of the closed-form logs of a stack (N, m, m), and which rows the closed form took."""
+        return np.empty_like(rows), [False] * len(rows)
+
+    def inverse(self, g: Array) -> Array:
+        return g.swapaxes(-1, -2) if self.orthogonal else np.linalg.inv(g)
+
+    def Ad(self, g: Array, inverted: bool) -> Array:
+        """Ad_g, or Ad_{g^-1} when ``inverted``, per element of a stack."""
+        gi = self.inverse(g)
+        return self.spec.conjugation(gi, g) if inverted else self.spec.conjugation(g, gi)
+
+    def defect(self, _g: Array) -> float:
+        return 0.0
+
+    def membership(self, g: Array) -> float:
+        if not self.proper:
+            return self.defect(g)
+        try:
+            x = self.spec.log(g)
+        except LieDomainError:
+            return float("inf")
+        return self.defect(g) + float(np.linalg.norm(self.spec.exp(x) - g))
+
+
+class _Rotation(_Generic):
+    """Rotations, from 3x3 antisymmetric basis matrices: Rodrigues' ``exp``, ``rotation_log``, the transpose as
+    inverse and Ad_g = P^+ g P with P the columns vee(e_i); defect |g^T g - I| + |det g - 1|."""
+
+    def __init__(self, spec: LieGroupSpec) -> None:
+        super().__init__(spec)
+        self.vees = vee(spec.basis).T
+        self.vees_pinv = np.linalg.pinv(self.vees)
+        self.proper = spec.dim < 3
+
+    def exp(self, a: Array) -> Array:
+        return rodrigues(a)
+
+    def log(self, rows: Array) -> tuple[Array, list[bool]]:
+        return rotation_log(rows)
+
+    def Ad(self, g: Array, inverted: bool) -> Array:
+        return self.vees_pinv @ (g.swapaxes(-1, -2) if inverted else g) @ self.vees
+
+    defect = staticmethod(_rotation_defect)
+
+
+class _Unipotent(_Generic):
+    """A unipotent group, from basis matrices whose joint nonzero pattern is nilpotent of order p (a^p = 0 for
+    every algebra element a): ``exp``, ``log`` and ``inverse`` as finite series, and the generic Ad with that
+    inverse.  Its algebra is that of the matrices on the closure of the pattern (the entries some product of
+    pattern matrices reaches); the defect is the norm of g - I off the closure."""
+
+    def __init__(self, spec: LieGroupSpec, order: int) -> None:
+        super().__init__(spec)
+        self.order = order
+        # exp of the 0/1 pattern is 1 on the diagonal and positive exactly on the closure
+        step = spec.basis.any(axis=0).astype(float)
+        self.closure = self.exp(step) > np.eye(len(step))
+        self.proper = spec.dim < np.count_nonzero(self.closure)
+
+    def exp(self, a: Array) -> Array:
+        """exp(a) = I + a + a^2/2 + ... + a^(p-1)/(p-1)!, per matrix of a stack; summed as ``expm`` sums its
+        a^3 = 0 exit, so at order 3 and below it has the bits of ``expm``."""
+        out = a + np.eye(a.shape[-1])
+        term = a
+        for k in range(2, self.order):
+            term = term @ a
+            out += term / math.factorial(k)
+        return out
+
+    def log(self, rows: Array) -> tuple[Array, list[bool]]:
+        """log(g) = n - n^2/2 + n^3/3 - ... with n = g - I, per matrix of a stack; every row is closed."""
+        n = rows - np.eye(rows.shape[-1])
+        out, term = n.copy(), n
+        for k in range(2, self.order):
+            term = term @ n
+            out += term * ((-1.0) ** (k + 1) / k)
+        return out, [True] * len(rows)
+
+    def inverse(self, g: Array) -> Array:
+        """g^-1 = I - n + n^2 - ... with n = g - I, per matrix of a stack (2I - g when n^2 = 0)."""
+        eye = np.eye(g.shape[-1])
+        step = eye - g
+        out, term = eye + step, step
+        for _ in range(2, self.order):
+            term = term @ step
+            out += term
+        return out
+
+    def defect(self, g: Array) -> float:
+        return float(np.linalg.norm(g - np.where(self.closure, g, np.eye(len(g)))))
+
+
+class _RigidMotion(_Generic):
+    """Rigid motions, from basis matrices that are all diag(W, [[W, v], [0, 0]]) with W antisymmetric 3x3: SE(3),
+    or a subgroup, in the 7x7 embedding of a rotation group x| R^3 (Murray, Li & Sastry, A Mathematical
+    Introduction to Robotic Manipulation, 1994, ch. 2).
+
+    An element is diag(R, [[R, t], [0, 1]]) and the algebra element of
+    coordinates x is diag(W, [[W, v], [0, 0]]) with (vee(W), v) = F x, the
+    columns of the frame F being (vee(W_i), v_i) of the basis.  exp and log
+    are the SE(3) forms of the lower block (``rigid_exp``, ``rigid_log``),
+    the inverse is [[R^T, -R^T t], [0, 1]] in that block and R^T in the upper
+    one, and Ad_h = F^+ [[R, 0], [hat(t) R, R]] F, skipped when F is the
+    identity.  The defect is the rotation defect of R plus the distance of h
+    from diag(R, [[R, t], [0, 1]]).
+    """
+
+    def __init__(self, spec: LieGroupSpec, frame: Array) -> None:
+        super().__init__(spec)
+        self.frame = None if np.array_equal(frame, np.eye(6)) else (np.linalg.pinv(frame), frame)
+        self.proper = spec.dim < 6
+
+    def exp(self, a: Array) -> Array:
+        return _rigid_matrix(*rigid_exp(a[..., 3:6, 3:6], a[..., 3:6, 6]), 1.0)
+
+    def log(self, rows: Array) -> tuple[Array, list[bool]]:
+        a, vt, closed = rigid_log(rows[:, 3:6, 3:6], rows[:, 3:6, 6])
+        return _rigid_matrix(a, vt, 0.0), closed
+
+    def inverse(self, h: Array) -> Array:
+        rot = h[..., 3:6, 3:6].swapaxes(-1, -2)
+        out = np.zeros(h.shape)
+        out[..., :3, :3] = h[..., :3, :3].swapaxes(-1, -2)
+        out[..., 3:6, 3:6] = rot
+        out[..., 3:6, 6] = -(rot @ h[..., 3:6, 6:7])[..., 0]
+        out[..., 6, 6] = 1.0
+        return out
+
+    def Ad(self, h: Array, inverted: bool) -> Array:
+        h = self.inverse(h) if inverted else h
+        rot = h[..., 3:6, 3:6]
+        hat_t = (h[..., None, 3:6, 6] @ _HAT).reshape(h.shape[:-2] + (3, 3))
+        out = np.zeros(h.shape[:-2] + (6, 6))
+        out[..., :3, :3] = rot
+        out[..., 3:, 3:] = rot
+        out[..., 3:, :3] = hat_t @ rot
+        if self.frame is None:
+            return out
+        frame_pinv, frame = self.frame
+        return frame_pinv @ out @ frame
+
+    def defect(self, h: Array) -> float:
+        return _rotation_defect(h[:3, :3]) + float(np.linalg.norm(h - _rigid_matrix(h[:3, :3], h[3:6, 6], 1.0)))
+
+
+# ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
 
@@ -788,6 +828,12 @@ def jacobi_defect(spec: LieGroupSpec) -> float:
     # nested[i, j, k] = [[e_i, e_j], e_k] = sum_l c^l_ij [e_l, e_k]; the cyclic sum adds nested[j, k, i] and nested[k, i, j]
     nested = np.einsum("ijl,lkm->ijkm", c, c)
     return worst(np.abs(nested + nested.transpose(2, 0, 1, 3) + nested.transpose(1, 2, 0, 3)))
+
+
+def commutator_defect(spec: LieGroupSpec) -> float:
+    """Largest entry of [e_i, e_j] - sum_k c^k_ij e_k over all i, j at once: how far the commutators leave the span."""
+    prod = spec.basis[:, None] @ spec.basis[None, :]
+    return worst(np.abs(prod - prod.swapaxes(0, 1) - spec.from_coords(spec.structure)))
 
 
 def validate_spec(spec: LieGroupSpec, seed: int = 0) -> SuiteReport:
@@ -802,9 +848,7 @@ def validate_spec(spec: LieGroupSpec, seed: int = 0) -> SuiteReport:
     basis = rank_gap(spec.basis.reshape(spec.dim, -1), 1e-10)
     rep.flag("basis_independence", basis.rank == spec.dim, rank=int(basis.rank), min_singular_value=float(basis.s[-1]))
 
-    # [e_i, e_j] as matrix commutators against the expansion sum_k c^k_ij e_k, for all i, j at once
-    prod = spec.basis[:, None] @ spec.basis[None, :]
-    rep.add("structure_vs_commutator", worst(np.abs(prod - prod.swapaxes(0, 1) - spec.from_coords(spec.structure))), 1e-12)
+    rep.add("structure_vs_commutator", commutator_defect(spec), COMMUTATOR_TOL)
 
     rng = stream(seed, f"liealg.validate/{spec.name}")
     w_exp = worst(*map(spec.membership_defect, spec.exp(spec.random_algebra(rng, 0.5, (8,)))))
@@ -817,55 +861,25 @@ def validate_spec(spec: LieGroupSpec, seed: int = 0) -> SuiteReport:
 # ---------------------------------------------------------------------------
 
 
-def _so3_membership(g: Array) -> float:
-    return float(np.linalg.norm(g.T @ g - np.eye(3)) + abs(np.linalg.det(g) - 1.0))
-
-
 def so3() -> LieGroupSpec:
     """SO(3) with the standard basis, [e_1, e_2] = e_3 (c^3_12 = 1)."""
-    basis = _HAT.reshape(3, 3, 3).copy()
-    structure = np.zeros((3, 3, 3))
-    for i, j, k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
-        structure[i, j, k] = 1.0
-        structure[j, i, k] = -1.0
-    return LieGroupSpec("so3", 3, 3, basis, structure, _so3_membership)
+    return LieGroupSpec("so3", 3, 3, _HAT.reshape(3, 3, 3).copy())
 
 
 def translation_group(n: int) -> LieGroupSpec:
     """Abelian R^n as (n+1)x(n+1) unipotent matrices [[I, v], [0, 1]]."""
-    m = n + 1
-    basis = np.zeros((n, m, m))
-    for i in range(n):
-        basis[i, i, n] = 1.0
-
-    def membership(g: Array) -> float:
-        model = np.eye(m)
-        model[:n, n] = g[:n, n]
-        return float(np.linalg.norm(g - model))
-
-    return LieGroupSpec(f"r{n}", n, m, basis, np.zeros((n, n, n)), membership)
+    basis = np.zeros((n, n + 1, n + 1))
+    basis[range(n), range(n), n] = 1.0
+    return LieGroupSpec(f"r{n}", n, n + 1, basis)
 
 
 def torus(n: int) -> LieGroupSpec:
     """T^n as block-diagonal 2x2 rotations; angles wrap by construction."""
-    m = 2 * n
-    basis = np.zeros((n, m, m))
+    basis = np.zeros((n, 2 * n, 2 * n))
     for i in range(n):
         basis[i, 2 * i, 2 * i + 1] = -1.0
         basis[i, 2 * i + 1, 2 * i] = 1.0
-
-    def membership(g: Array) -> float:
-        defect = 0.0
-        for i in range(n):
-            blk = g[2 * i : 2 * i + 2, 2 * i : 2 * i + 2]
-            defect += np.linalg.norm(blk.T @ blk - np.eye(2)) + abs(np.linalg.det(blk) - 1.0)
-        mask = np.ones((m, m), dtype=bool)
-        for i in range(n):
-            mask[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = False
-        defect += float(np.abs(g[mask]).sum())
-        return float(defect)
-
-    return LieGroupSpec(f"t{n}", n, m, basis, np.zeros((n, n, n)), membership)
+    return LieGroupSpec(f"t{n}", n, 2 * n, basis)
 
 
 def heisenberg3() -> LieGroupSpec:
@@ -874,16 +888,7 @@ def heisenberg3() -> LieGroupSpec:
     basis[0, 0, 1] = 1.0
     basis[1, 1, 2] = 1.0
     basis[2, 0, 2] = 1.0
-    structure = np.zeros((3, 3, 3))
-    structure[0, 1, 2] = 1.0
-    structure[1, 0, 2] = -1.0
-
-    def membership(g: Array) -> float:
-        model = np.eye(3)
-        model[0, 1], model[1, 2], model[0, 2] = g[0, 1], g[1, 2], g[0, 2]
-        return float(np.linalg.norm(g - model))
-
-    return LieGroupSpec("heisenberg3", 3, 3, basis, structure, membership)
+    return LieGroupSpec("heisenberg3", 3, 3, basis)
 
 
 def builtin_group(name: str) -> LieGroupSpec:
@@ -907,8 +912,12 @@ def spec_from_json(doc: dict) -> LieGroupSpec:
     """A group from its JSON document; ConfigError for a malformed one.
 
     ``basis`` holds ``dim`` row-major ``embed`` x ``embed`` matrices and
-    ``structure`` the nonzero [i, j, k, c^k_ij], every index in [0, dim).
-    Membership is the generic log-and-expand residual whatever the ``name``.
+    ``structure`` the nonzero [i, j, k, c^k_ij], every index in [0, dim).  The
+    constants come from the basis; ``structure`` is a cross-check, and a
+    document whose constants differ from the derived ones by more than
+    COMMUTATOR_TOL is a ConfigError naming it, as is a basis whose
+    commutators leave its span.  Membership is the residual of the family
+    the basis selects, as for a built-in group, whatever the ``name``.
     """
     name = schema.text("name", doc.get("name"))
     dim, embed = schema.integer("dim", doc.get("dim")), schema.integer("embed", doc.get("embed"))
@@ -917,4 +926,11 @@ def spec_from_json(doc: dict) -> LieGroupSpec:
     for entry in schema.items("structure", doc.get("structure")):
         i, j, k, c = schema.items("structure", entry, 4, 4)
         structure[tuple(schema.integer("structure", x, 0, dim) for x in (i, j, k))] = schema.number("structure", c)
-    return LieGroupSpec(name, dim, embed, basis, structure)
+    spec = LieGroupSpec(name, dim, embed, basis)
+    off = commutator_defect(spec)
+    if not off <= COMMUTATOR_TOL:
+        raise schema.ConfigError(f"'basis' of group {name!r} is not closed under commutators: they leave its span by {off:.3g}")
+    gap = float(np.max(np.abs(structure - spec.structure)))
+    if not gap <= COMMUTATOR_TOL:
+        raise schema.ConfigError(f"'structure' of group {name!r} differs from the constants its basis gives by {gap:.3g}")
+    return spec

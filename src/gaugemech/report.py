@@ -105,13 +105,14 @@ class SuiteReport:
 
 
 def _fmt(value: Any) -> Any:
-    """Normalize floats to 17-significant-digit values for byte-stable JSON."""
+    """Plain JSON values: NaN and infinities as the strings "nan", "inf" and "-inf", numpy scalars and arrays as
+    Python ones; a finite float keeps its value, which ``json`` writes as its shortest round-trip ``repr``."""
     if isinstance(value, float):
         if math.isnan(value):
             return "nan"
         if math.isinf(value):
             return "inf" if value > 0 else "-inf"
-        return float(f"{value:.17g}")
+        return float(value)  # np.float64 is a float too
     if isinstance(value, (list, tuple)):
         return [_fmt(v) for v in value]
     if isinstance(value, dict):

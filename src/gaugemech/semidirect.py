@@ -144,42 +144,24 @@ class SemidirectSpec:
         """H as a LieGroupSpec; basis = K-inclusions then N-inclusions."""
         if self._H is not None:
             return self._H
-        mk, mn = self.K.embed, self.N.embed
-        m = mk + mn
-        n = self.K.dim + self.N.dim
-        basis = np.zeros((n, m, m))
-        for i in range(self.K.dim):
-            basis[i, :mk, :mk] = self.K.basis[i]
-            basis[i, mk:, mk:] = -self.rho_generators[i]
-        for j in range(self.N.dim):
-            basis[self.K.dim + j, mk:, mk:] = self.N.basis[j]
-        # coordinates c of each commutator [e_i, e_j] = sum_k c_k e_k from the Gram system
-        # (F F^T) c = F vec([e_i, e_j]), F the flattened basis: exact for integer bases such as so3 x| r3
-        flat = basis.reshape(n, -1)
-        prod = basis[:, None] @ basis[None, :]
-        comm = (prod - prod.swapaxes(0, 1)).reshape(n * n, -1)
-        structure = np.linalg.solve(flat @ flat.T, flat @ comm.T).T.reshape(n, n, n)
-
-        def membership(h: Array) -> float:
-            k, u = self.split(h)
-            off_diagonal = np.linalg.norm(h[:mk, mk:]) + np.linalg.norm(h[mk:, :mk])
-            return float(self.K.membership_defect(k) + self.N.membership_defect(u) + off_diagonal)
-
-        self._H = LieGroupSpec(self.name, n, m, basis, structure, membership)
+        mk, nk, m = self.K.embed, self.K.dim, self.K.embed + self.N.embed
+        basis = np.zeros((nk + self.N.dim, m, m))
+        basis[:nk, :mk, :mk] = self.K.basis
+        basis[:nk, mk:, mk:] = -self.rho_generators
+        basis[nk:, mk:, mk:] = self.N.basis
+        self._H = LieGroupSpec(self.name, len(basis), m, basis)
         return self._H
 
     def sigma_dot(self) -> Array:
         """Algebra inclusion of K into H, as an (n_H, n_K) coordinate matrix."""
-        return np.eye(self.group_spec().dim)[:, : self.K.dim]
+        return np.eye(self.K.dim + self.N.dim)[:, : self.K.dim]
 
     def iota_dot(self) -> Array:
-        H = self.group_spec()
-        return np.eye(H.dim)[:, self.K.dim :]
+        return np.eye(self.K.dim + self.N.dim)[:, self.K.dim :]
 
     def mu_dot(self) -> Array:
         """Algebra projection of H onto K (derivative of mu(k, u) = k)."""
-        H = self.group_spec()
-        return np.eye(H.dim)[: self.K.dim, :]
+        return np.eye(self.K.dim + self.N.dim)[: self.K.dim, :]
 
 
 def so3_r3() -> SemidirectSpec:
@@ -513,7 +495,6 @@ def reduced_sequence_suite(sd: SemidirectSpec, samples: int = 25, seed: int = 0)
     rep = SuiteReport(f"semidirect.reduced_sequence[{sd.name}]")
     rng = stream(seed, f"semidirect.reduced/{sd.name}")
     nk, nn = sd.K.dim, sd.N.dim
-    abelian = bool(np.allclose(sd.N.structure, 0.0))
 
     # exactness from a* and iota* of the total bundle over K; on its gauge slice they do not depend on k
     composite, split, ranks = dual_atiyah_split(total_bundle(sd), sd.K.identity())
@@ -521,7 +502,7 @@ def reduced_sequence_suite(sd: SemidirectSpec, samples: int = 25, seed: int = 0)
     rep.flag("rank_split", split, rank_table=ranks)
 
     w_gamma_star = w_omega = 0.0
-    if abelian:
+    if sd.N.abelian:
         a_char = rng.standard_normal(nn)
         # one block each, in stream order: the pairs (k, u), theta, the N-elements w at scale 0.5, and xi1, xi2, dth1, dth2
         draws = (*sd.random_pairs(rng, (samples,)), rng.standard_normal((samples, nk)), sd.N.exp(sd.N.random_algebra(rng, 0.5, (samples,))),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gaugemech import bundle, cli, codegen, dynamics, groupoid, liealg, poisson, poisson_groupoid, semidirect
-from gaugemech.report import csv_lines
+from gaugemech.report import _fmt, csv_lines, dump_json
 
 import builders
 
@@ -48,15 +48,39 @@ class TestVerify:
         path = small_verify_scenario(tmp_path)
         assert run(["verify", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_PASS
 
-    def test_corrupted_structure_constants_exit_1(self, tmp_path):
+    def test_flipped_structure_constants_exit_2(self, tmp_path, capsys):
+        # so3 with every constant's sign flipped describes the opposite algebra, consistent with itself: its basis does not
         doc = builders.spec_to_json(liealg.so3())
-        doc["structure"] = [[i, j, k, 0.7 * c] for i, j, k, c in doc["structure"][:3]] + doc["structure"][3:]
+        doc["structure"] = [[i, j, k, -c] for i, j, k, c in doc["structure"]]
         path = small_verify_scenario(tmp_path, group_doc=doc)
-        code = run(["verify", str(path), "--out", str(tmp_path / "out")])
-        assert code == cli.EXIT_CHECK_FAILURE
-        report = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert report["pass"] is False
-        assert any("antisymmetry" in f or "structure_vs_commutator" in f for f in report["failures"])
+        assert run(["verify", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG_ERROR
+        assert "'structure' of group 'so3' differs from the constants its basis gives by 2" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_basis_not_closed_under_commutators_exit_2(self, tmp_path, capsys):
+        # e1 and e2 of so3 without e3 = [e1, e2]
+        doc = builders.spec_to_json(liealg.so3()) | {"dim": 2, "structure": []}
+        doc["basis"] = doc["basis"][:2]
+        path = small_verify_scenario(tmp_path, group_doc=doc)
+        assert run(["verify", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG_ERROR
+        assert "'basis' of group 'so3' is not closed under commutators: they leave its span by 1" in capsys.readouterr().err
+
+    def test_dependent_basis_exit_2(self, tmp_path, capsys):
+        # heisenberg3 with e3 := e1
+        doc = builders.spec_to_json(liealg.heisenberg3())
+        doc["basis"][2] = doc["basis"][0]
+        path = small_verify_scenario(tmp_path, group_doc=doc)
+        assert run(["verify", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert "'basis' matrices of group 'heisenberg3' are linearly dependent (rank 2 of 3)" in err
+        assert "Traceback" not in err
+
+    def test_inline_so3_writes_the_builtin_report(self, tmp_path):
+        # the inline document of so3, structure included, runs as the built-in name does
+        assert run(["verify", str(small_verify_scenario(tmp_path)), "--out", str(tmp_path / "builtin")]) == cli.EXIT_PASS
+        path = small_verify_scenario(tmp_path, group_doc=builders.spec_to_json(liealg.so3()))
+        assert run(["verify", str(path), "--out", str(tmp_path / "inline")]) == cli.EXIT_PASS
+        assert (tmp_path / "inline" / "report.json").read_bytes() == (tmp_path / "builtin" / "report.json").read_bytes()
 
     def test_spec_files_by_path(self, tmp_path):
         # the group and the bundle are read from files named relative to the scenario
@@ -102,26 +126,25 @@ class TestVerify:
         assert run(["verify", str(path), "--out", str(tmp_path)]) == cli.EXIT_CONFIG_ERROR
 
     def test_tol_scale_loosens(self, tmp_path):
-        doc = builders.spec_to_json(liealg.so3())
-        doc["structure"] = [[i, j, k, c + 1e-9] for i, j, k, c in doc["structure"]]
-        path = small_verify_scenario(tmp_path, group_doc=doc)
+        # on a base box 100 wide, anchor_pullback's finite differences read about 4e-9 against 1e-9
+        path = small_verify_scenario(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["bundle"]["base_box"] = [[-50.0, 50.0], [-50.0, 50.0]]
+        path.write_text(json.dumps(doc | {"suites": ["bundle.anchor_pullback"]}))
         assert run(["verify", str(path), "--out", str(tmp_path / "a")]) == cli.EXIT_CHECK_FAILURE
         assert run(["verify", str(path), "--tol-scale", "1e6", "--out", str(tmp_path / "b")]) == cli.EXIT_PASS
 
     def test_tol_scale_leaves_flags_alone(self, tmp_path):
-        # heisenberg3 with e3 := e1 has a dependent basis: a flag (residual 1 against 0.5) that no scale may pass
-        doc = builders.spec_to_json(liealg.heisenberg3())
-        doc["basis"][2] = doc["basis"][0]
-        scenario = {"name": "dependent-basis", "kind": "verify", "seed": 1, "group": doc, "suites": ["liealg.validate"]}
-        path = tmp_path / "dep.json"
-        path.write_text(json.dumps(scenario))
+        # so3-leaves at mu0 = (0, 0, 1e4) fails membership_equivalence: a flag (residual 1 against 0.5) that no scale may pass
+        scenario = cli.BUILTIN_SCENARIOS["so3-leaves"]
+        path = tmp_path / "far-orbit.json"
+        path.write_text(json.dumps(scenario | {"leaves": scenario["leaves"] | {"mu0": [0.0, 0.0, 1e4]}}))
         for scale in ("1", "2", "1e6"):
             out = tmp_path / scale
-            assert run(["verify", str(path), "--tol-scale", scale, "--out", str(out)]) == cli.EXIT_CHECK_FAILURE
+            assert run(["leaves", str(path), "--tol-scale", scale, "--out", str(out)]) == cli.EXIT_CHECK_FAILURE
             checks = {c["name"]: c for s in json.loads((out / "report.json").read_text())["suites"] for c in s["checks"]}
-            assert checks["basis_independence"] == {"name": "basis_independence", "residual": 1.0, "tol": 0.5, "pass": False,
-                                                    "info": {"rank": 2, "min_singular_value": 0.0}}
-            assert checks["jacobi"]["tol"] == 1e-12 * float(scale)
+            assert checks["membership_equivalence"] == {"name": "membership_equivalence", "residual": 1.0, "tol": 0.5, "pass": False}
+            assert checks["pi_sigma_surjective"]["tol"] == 1e-11 * float(scale)
 
     @pytest.mark.parametrize("scale", ["inf", "-inf", "nan", "0", "-1"])
     @pytest.mark.parametrize("name", ["so3-trivial-bundle", "heavy-top-lagrange"])
@@ -170,6 +193,18 @@ class TestLeaves:
         lines = csv_lines(rows, newline)
         assert lines == "".join(",".join("%.17g" % v for v in row) + newline for row in rows.tolist())
         assert lines.startswith(f"-0,0,inf,-inf,nan{newline}4.9406564584124654e-324,-2.2250738585072009e-308,")
+
+    def test_report_floats_pass_through_unchanged(self):
+        # 10,000 random bit patterns of finite doubles, then both zeros and subnormals: _fmt returns each as it is,
+        # and the report's JSON reads back the same bits
+        bits = np.random.default_rng(67).integers(0, 2**64, 10_100, dtype=np.uint64, endpoint=False)
+        values = bits.view(np.float64)
+        values = np.concatenate([values[np.isfinite(values)][:10_000], [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308]])
+        out = _fmt(values.tolist())
+        assert all(type(v) is float for v in out)
+        assert np.array(out).view(np.uint64).tolist() == values.view(np.uint64).tolist()
+        assert np.array(json.loads(dump_json(out))).view(np.uint64).tolist() == values.view(np.uint64).tolist()
+        assert _fmt([np.nan, np.inf, -np.inf]) == ["nan", "inf", "-inf"]
 
 
 class TestSimulate:

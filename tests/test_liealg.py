@@ -389,14 +389,6 @@ class TestValidate:
     def test_builtins_pass(self, factory):
         assert validate_spec(factory()).passed
 
-    def test_broken_antisymmetry_fails_named_check(self, so3):
-        bad = np.array(so3.structure)
-        bad[0, 1, 2] = 2.0  # c^3_12 != -c^3_21
-        spec = liealg.LieGroupSpec("broken", 3, 3, so3.basis, bad, so3.membership_residual)
-        rep = validate_spec(spec)
-        assert not rep.passed
-        assert any(c.name == "antisymmetry" for c in rep.failures())
-
     def test_jacobi_defect_zero_for_so3(self, so3):
         assert liealg.jacobi_defect(so3) <= 1e-12
 
@@ -451,21 +443,101 @@ class TestCoordinates:
 class TestSerialization:
     @pytest.mark.parametrize("name", ["heisenberg3", "lowerheis"])
     def test_inline_membership_comes_from_the_basis_not_the_name(self, name):
-        # lower-triangular Heisenberg: basis E21, E32, E31 with [e0, e1] = -e2; the built-in
-        # heisenberg3 test of upper-triangular matrices must not be borrowed by its name
+        # lower-triangular Heisenberg: basis E21, E32, E31 with [e0, e1] = -e2; its unipotent membership is that of
+        # its own lower pattern, not the built-in heisenberg3's upper-triangular one borrowed by the name
         basis = np.zeros((3, 3, 3))
         basis[0, 1, 0] = basis[1, 2, 1] = basis[2, 2, 0] = 1.0
         doc = {"name": name, "dim": 3, "embed": 3, "basis": basis.reshape(3, 9).tolist(), "structure": [[0, 1, 2, -1.0], [1, 0, 2, 1.0]]}
-        rep = validate_spec(liealg.spec_from_json(doc), seed=3)
+        spec = liealg.spec_from_json(doc)
+        rep = validate_spec(spec, seed=3)
         assert rep.passed, rep.failures()
+        assert spec.membership_defect(liealg.heisenberg3().exp(np.ones(3))) > liealg.MEMBERSHIP_TOL
 
     def test_generic_membership_fallback(self, so3):
+        # an inline group under another name takes the membership of the family its basis selects, the built-in's
         doc = builders.spec_to_json(so3)
         doc["name"] = "custom-rotations"
         spec = liealg.spec_from_json(doc)
         rng = np.random.default_rng(18)
-        assert spec.membership_defect(spec.exp(spec.random_algebra(rng))) <= liealg.MEMBERSHIP_TOL
+        el = spec.exp(spec.random_algebra(rng))
+        assert spec.membership_defect(el) == so3.membership_defect(el) <= liealg.MEMBERSHIP_TOL
         assert spec.membership_defect(np.diag([2.0, 1.0, 1.0])) > liealg.MEMBERSHIP_TOL
+
+
+def _unit(m, *entries):
+    """The m x m matrix with ones at ``entries``."""
+    out = np.zeros((m, m))
+    out[tuple(zip(*entries))] = 1.0
+    return out
+
+
+def rotations_about_z():
+    return liealg.LieGroupSpec("rz", 1, 3, liealg.so3().basis[2:])
+
+
+def unipotent_line():
+    return liealg.LieGroupSpec("line", 1, 3, _unit(3, (0, 1), (1, 2))[None])
+
+
+def rigid_z_rotations_and_translations():
+    """The rotations about z with every translation: the rigid-motion frame is 6 x 4, not the identity."""
+    return liealg.LieGroupSpec("se2xr", 4, 7, semidirect.so3_r3().group_spec().basis[2:])
+
+
+# per group: an element off it of the family's own shape, or, for a proper subgroup, an element of the larger group
+FAMILY_CASES = {
+    "so3": (liealg.so3, lambda: np.diag([2.0, 1.0, 1.0])),
+    "heisenberg3": (liealg.heisenberg3, lambda: np.eye(3) + _unit(3, (1, 0))),
+    "r3": (lambda: liealg.translation_group(3), lambda: np.eye(4) + _unit(4, (0, 1))),
+    "se3": (lambda: semidirect.so3_r3().group_spec(), lambda: np.eye(7) + 0.1 * _unit(7, (0, 3))),
+    "t2": (lambda: liealg.torus(2), lambda: np.diag([2.0, 1.0, 1.0, 1.0])),
+    "z-rotations": (rotations_about_z, lambda: liealg.so3().exp(np.array([0.4, 0.0, 0.0]))),
+    "unipotent-line": (unipotent_line, lambda: np.eye(3) + _unit(3, (0, 1))),
+    "rigid-subgroup": (rigid_z_rotations_and_translations, lambda: semidirect.so3_r3().group_spec().exp(np.array([0.4, 0, 0, 0, 0, 0]))),
+}
+
+
+@pytest.mark.parametrize("name", list(FAMILY_CASES))
+def test_family_membership(name):
+    make, off_group = FAMILY_CASES[name]
+    g = make()
+    elements = g.exp(g.random_algebra(np.random.default_rng(64), 0.8, (20,)))
+    assert max(map(g.membership_defect, elements)) <= liealg.MEMBERSHIP_TOL
+    assert g.membership_defect(off_group()) > liealg.MEMBERSHIP_TOL
+    assert g.membership_defect(np.eye(g.embed + 1)) == np.inf
+
+
+@pytest.mark.parametrize("make", [rotations_about_z, unipotent_line, rigid_z_rotations_and_translations])
+def test_proper_subgroups_take_their_family_closed_forms(make, generic_calls):
+    g = make()
+    x = np.random.default_rng(65).standard_normal((10, g.dim))
+    elements = g.exp(x)
+    logs, inverses = g.log(elements), g.inverse(elements)
+    g.Ad(elements)
+    assert generic_calls == {"logm": 0, "expm": 0, "inv": 0}
+    assert np.max(np.abs(elements - expm(g.from_coords(x)))) <= 1e-14
+    assert np.max(np.abs(logs - x)) <= 1e-14
+    assert np.max(np.abs(inverses - np.linalg.inv(elements))) <= 1e-14
+
+
+@pytest.mark.parametrize("make, order, scales", [
+    (liealg.so3, (2, 0, 1), (2.0, -1.0, 0.5)),
+    (liealg.heisenberg3, (1, 2, 0), (0.25, 3.0, -1.0)),
+], ids=["rotation", "unipotent"])
+def test_permuted_and_rescaled_bases_keep_their_family(make, order, scales, generic_calls):
+    g = make()
+    rebased = liealg.LieGroupSpec(g.name, g.dim, g.embed, g.basis[list(order)] * np.asarray(scales)[:, None, None])
+    x = 0.5 * np.random.default_rng(66).standard_normal((10, g.dim))
+    elements = rebased.exp(x)
+    logs = rebased.log(elements)
+    closed = rebased.inverse(elements), rebased.Ad(elements), rebased.Ad_inv(elements)
+    assert generic_calls == {"logm": 0, "expm": 0, "inv": 0}
+    assert np.max(np.abs(logs - x)) <= 1e-14
+    inverses = np.linalg.inv(elements)
+    assert np.max(np.abs(closed[0] - inverses)) <= 1e-14
+    assert np.max(np.abs(closed[1] - rebased.conjugation(elements, inverses))) <= 1e-13
+    assert np.max(np.abs(closed[2] - rebased.conjugation(inverses, elements))) <= 1e-13
+    assert rebased.membership_defect(elements[0]) <= liealg.MEMBERSHIP_TOL
 
 
 @pytest.mark.parametrize("gap", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7])
@@ -596,8 +668,10 @@ def test_closed_forms_are_detected_from_the_basis(monkeypatch):
         (h3, (0, 0, 0), False, False),
         (liealg.translation_group(3), (0, 0, 0), False, True),
         (liealg.torus(2), (1, 1, 0), True, True),  # orthogonal and abelian, but no 3x3 rotation basis: expm and logm
-        # the lower-triangular Heisenberg basis is not unipotent by the upper-triangular test: generic exp, log and inverse
-        (dataclasses.replace(h3, name="lower", basis=h3.basis.transpose(0, 2, 1)), (1, 1, 2), False, False),
+        # the lower-triangular Heisenberg basis has a nilpotent pattern too: unipotent, no generic kernel
+        (dataclasses.replace(h3, name="lower", basis=h3.basis.transpose(0, 2, 1)), (0, 0, 0), False, False),
+        # diag(1, 2): no family's shape, abelian, so the generic kernels but no conjugation
+        (liealg.LieGroupSpec("diag", 1, 2, np.diag([1.0, 2.0])[None]), (1, 1, 1), False, True),
     ]
     counts = builders.counted_generic_kernels(monkeypatch)
     for g, generic, transposes, abelian in cases:
@@ -608,6 +682,16 @@ def test_closed_forms_are_detected_from_the_basis(monkeypatch):
         assert (counts["expm"], counts["logm"], counts["inv"]) == generic, g.name
         assert np.array_equal(inverse, el.T) == transposes, g.name
         assert np.array_equal(ad, np.eye(g.dim)) == abelian, g.name
+
+
+def test_lower_triangular_heisenberg_series_match_the_generic_kernels():
+    h3 = liealg.heisenberg3()
+    lower = dataclasses.replace(h3, name="lower", basis=h3.basis.transpose(0, 2, 1))
+    x = np.random.default_rng(63).standard_normal((20, 3))
+    elements = lower.exp(x)
+    assert np.max(np.abs(elements - expm(lower.from_coords(x)))) <= 1e-14
+    assert np.max(np.abs(lower.from_coords(lower.log(elements)) - np.stack([logm(el) for el in elements]))) <= 1e-14
+    assert np.max(np.abs(lower.inverse(elements) - np.linalg.inv(elements))) <= 1e-14
 
 
 def test_builtins_take_no_generic_log_or_inverse(generic_calls, tmp_path):

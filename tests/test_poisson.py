@@ -35,9 +35,8 @@ def so3_bundle(conn_matrix=None):
 
 
 def rescaled_so3():
-    """so3 with its basis and structure constants scaled by 2: no rule may be read off the unit basis."""
-    so3 = liealg.so3()
-    return liealg.LieGroupSpec("rot", 3, 3, 2.0 * so3.basis, 2.0 * so3.structure, so3.membership_residual)
+    """so3 with its basis scaled by 2, so its structure constants are too: no rule may be read off the unit basis."""
+    return liealg.LieGroupSpec("rot", 3, 3, 2.0 * liealg.so3().basis)
 
 
 def heis_bundle():

@@ -635,12 +635,9 @@ def test_traced_memory_peak_is_bounded(sd, name, registry_samples):
 # -- the closed forms of the total group, read off the factors ---------------------------------------
 
 
-def rebased(g, order, scales, name=None):
-    """``g`` with the basis matrices scales[i] * e_order[i] and the structure constants of that basis."""
-    basis = g.basis[list(order)] * np.asarray(scales, dtype=float)[:, None, None]
-    comm = (basis[:, None] @ basis[None] - basis[None] @ basis[:, None]).reshape(g.dim**2, -1)
-    structure = np.linalg.lstsq(basis.reshape(g.dim, -1).T, comm.T, rcond=None)[0].T.reshape((g.dim,) * 3)
-    return liealg.LieGroupSpec(name or g.name, g.dim, g.embed, basis, structure, g.membership_residual)
+def rebased(g, order, scales):
+    """``g`` with the basis matrices scales[i] * e_order[i]."""
+    return liealg.LieGroupSpec(g.name, g.dim, g.embed, g.basis[list(order)] * np.asarray(scales, dtype=float)[:, None, None])
 
 
 def standard_rho(K, N):
@@ -699,7 +696,7 @@ class TestRigidMotionDetection:
 def test_se3_forms_come_from_the_basis_alone(monkeypatch):
     # the basis of the total group, handed to LieGroupSpec without its SemidirectSpec, still selects the SE(3) forms
     built = so3_r3().group_spec()
-    H = liealg.LieGroupSpec("plain", built.dim, built.embed, built.basis, built.structure)
+    H = liealg.LieGroupSpec("plain", built.dim, built.embed, built.basis)
     x = 0.5 * np.random.default_rng(82).standard_normal((40, H.dim))
     counts = builders.counted_generic_kernels(monkeypatch)
     elements = H.exp(x)
