@@ -17,7 +17,7 @@ the gauge-fixed representative on the fiber-identity slice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, is_dataclass
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -171,42 +171,6 @@ def map_matrix(linear: Callable[[Array], Array], dim: int, point: Point) -> Arra
     return np.broadcast_to(mat, lead + mat.shape[len(lead) :])
 
 
-def draw_samples(samples: int, draw_one: Callable[[], tuple]) -> list:
-    """Call ``draw_one`` ``samples`` times, in stream order, and stack each of its outputs.
-
-    An array output gains a leading axis of length ``samples`` and keeps its
-    dtype (floats, the integers of a choice, a boolean mask); a dataclass of
-    arrays (a ``Point``, a ``poisson.Polynomial``) becomes the same
-    dataclass of stacks.  Each draw is written into its row at once, so only
-    one sample's arrays are alive at a time.  A suite draws algebra
-    coordinates rather than group elements where it can, and exponentiates
-    the stacks afterwards (``BundleSpec.point_at``): the exponential takes no
-    randomness.
-
-    The bundle, Poisson and CLI suites draw through this loop.  The groupoid
-    and semidirect suites do not: they draw each variable once as a block
-    (``BundleSpec.random_points``, ``SemidirectSpec.random_pairs``,
-    ``rng.standard_normal((N, k))``).
-    """
-    stacks: list = []
-    for i in range(samples):
-        draw = draw_one()
-        if not stacks:
-            stacks = [type(x)(*(_rows(samples, v) for v in vars(x).values())) if is_dataclass(x) else _rows(samples, x) for x in draw]
-            fielded = [is_dataclass(x) for x in draw]
-        for stack, x, by_field in zip(stacks, draw, fielded):
-            if by_field:
-                for rows, value in zip(vars(stack).values(), vars(x).values()):
-                    rows[i] = value
-            else:
-                stack[i] = x
-    return stacks
-
-
-def _rows(samples: int, like: Array) -> Array:
-    return np.empty((samples,) + np.shape(like), dtype=np.result_type(like))
-
-
 @dataclass(frozen=True)
 class Point:
     """Bundle point: base coordinates (vector) or base group element (matrix), plus fiber element.
@@ -261,8 +225,8 @@ class BoxBase:
     def check(self, _connection: ConnectionData) -> None:
         """Every connection is admitted on a box: its coefficients may be any polynomials."""
 
-    def random_coords(self, rng: np.random.Generator, lead: tuple[int, ...] = ()) -> Array:
-        """Uniform on the middle 80% of the box."""
+    def random_coords(self, rng: np.random.Generator, lead: tuple[int, ...]) -> Array:
+        """Uniform on the middle 80% of the box, a block of leading shape ``lead``."""
         lo, hi = self.box[:, 0], self.box[:, 1]
         return lo + (hi - lo) * rng.uniform(0.1, 0.9, size=lead + (self.dim,))
 
@@ -294,8 +258,8 @@ class GroupBase:
         if not connection.is_flat:
             raise ValueError(f"{self.label} uses the section connection; coefficients must vanish")
 
-    def random_coords(self, rng: np.random.Generator, lead: tuple[int, ...] = ()) -> Array:
-        """Algebra coordinates of K, exponentiated by ``at``."""
+    def random_coords(self, rng: np.random.Generator, lead: tuple[int, ...]) -> Array:
+        """Algebra coordinates of K, a block of leading shape ``lead``, exponentiated by ``at``."""
         return self.group.random_algebra(rng, 0.4, lead)
 
     def at(self, coords: Array) -> Array:
@@ -352,29 +316,18 @@ class BundleSpec:
         fiber[...] = e
         return Point(base, fiber)
 
-    def random_base(self, rng: np.random.Generator) -> Array:
-        return self.base.at(self.base.random_coords(rng))
-
-    def random_point_coords(self, rng: np.random.Generator) -> tuple[Array, Array]:
-        """The coordinates of one random point before any exponential: the base
-        (algebra coordinates of K on a group base) and the fiber's algebra coordinates."""
-        return self.base.random_coords(rng), self.group.random_algebra(rng)
+    def random_base(self, rng: np.random.Generator, lead: tuple[int, ...]) -> Array:
+        """A block of random base points of leading shape ``lead``: base coordinates drawn once, then ``base.at``."""
+        return self.base.at(self.base.random_coords(rng, lead))
 
     def random_points(self, rng: np.random.Generator, lead: tuple[int, ...]) -> Point:
         """A stack of random points of leading shape ``lead``: one block of base
         coordinates, then one block of fiber algebra coordinates, exponentiated once."""
-        return self.point_at(self.base.random_coords(rng, lead), self.group.random_algebra(rng, lead=lead))
+        return Point(self.random_base(rng, lead), self.group.exp(self.group.random_algebra(rng, lead=lead)))
 
-    def point_at(self, base: Array, fiber: Array) -> Point:
-        """The point of coordinates drawn by ``random_point_coords``, or the stack of them."""
-        return Point(self.base.at(base), self.group.exp(fiber))
-
-    def random_tangent(self, rng: np.random.Generator) -> Array:
-        return rng.standard_normal(self.tangent_dim)
-
-    def random_covector(self, rng: np.random.Generator) -> tuple[Array, Array]:
-        """Components (a, b) of a covector in the trivialized frame."""
-        return rng.standard_normal(self.d), rng.standard_normal(self.n)
+    def random_cotangents(self, rng: np.random.Generator, lead: tuple[int, ...]) -> CotangentSample:
+        """A stack of covectors at random points (``random_points``), then their components a and b, each a block."""
+        return CotangentSample(self.random_points(rng, lead), rng.standard_normal(lead + (self.d,)), rng.standard_normal(lead + (self.n,)))
 
     # -- point arithmetic -------------------------------------------------------
 
@@ -518,14 +471,11 @@ def action_suite(b: BundleSpec, samples: int = 25, seed: int = 0) -> SuiteReport
     rep = SuiteReport(f"bundle.action[{b.name}]")
     rng = stream(seed, f"bundle.action/{b.name}")
     G = b.group
-
-    def draw() -> tuple:
-        # the point p, the algebra coordinates of g and h, the covector phi at p, a tangent v and X in g
-        return *b.random_point_coords(rng), G.random_algebra(rng), G.random_algebra(rng), *b.random_covector(rng), b.random_tangent(rng), G.random_algebra(rng)
-
-    base, fiber, g, h, phi_a, phi_b, v, x = draw_samples(samples, draw)
-    p = b.point_at(base, fiber)
-    g, h = G.exp(np.stack([g, h]))
+    # the covector phi at a point p, g and h, a tangent v and X in g
+    phi = b.random_cotangents(rng, (samples,))
+    p = phi.point
+    g, h = G.exp(G.random_algebra(rng, lead=(2, samples)))
+    v, x = rng.standard_normal((samples, b.tangent_dim)), G.random_algebra(rng, lead=(samples,))
     gi = G.inverse(g)
     w = {}
 
@@ -543,7 +493,6 @@ def action_suite(b: BundleSpec, samples: int = 25, seed: int = 0) -> SuiteReport
     w["w6"] = np.abs(tk_inv - b.tk_g(gi))
     w["w7"] = np.abs(b.tk_g(g @ h) - b.tk_g(h) @ tk)
 
-    phi = CotangentSample(p, phi_a, phi_b)
     phi_g = b.cot_act(phi, g)
     w["w8"] = row_norm(b.cot_act(phi, g @ h).coords - b.cot_act(phi_g, h).coords)
 
@@ -569,9 +518,8 @@ def connection_suite(b: BundleSpec, samples: int = 25, seed: int = 0) -> SuiteRe
     rep = SuiteReport(f"bundle.connection[{b.name}]")
     rng = stream(seed, f"bundle.connection/{b.name}")
     G = b.group
-    base, fiber, x, g, v = draw_samples(samples, lambda: (*b.random_point_coords(rng), G.random_algebra(rng), G.random_algebra(rng), b.random_tangent(rng)))
-    p = b.point_at(base, fiber)
-    g = G.exp(g)
+    p, x = b.random_points(rng, (samples,)), G.random_algebra(rng, lead=(samples,))
+    g, v = G.exp(G.random_algebra(rng, lead=(samples,))), rng.standard_normal((samples, b.tangent_dim))
     r1 = row_norm(b.alpha(p, b.vertical_lift(x)) - x)
     lhs = b.alpha(b.act(p, g), row_matvec(b.tk_g(g), v))
     rhs = row_matvec(G.Ad_inv(g), b.alpha(p, v))
@@ -586,10 +534,9 @@ def momentum_suite(b: BundleSpec, samples: int = 60, seed: int = 0) -> SuiteRepo
     rep = SuiteReport(f"bundle.momentum[{b.name}]")
     rng = stream(seed, f"bundle.momentum/{b.name}")
     G = b.group
-    # per sample: the covector phi (point, then components), g and a tangent v
-    base, fiber, phi_a, phi_b, g, v = draw_samples(samples, lambda: (*b.random_point_coords(rng), *b.random_covector(rng), G.random_algebra(rng), b.random_tangent(rng)))
-    phi = CotangentSample(b.point_at(base, fiber), phi_a, phi_b)
-    g = G.exp(g)
+    # the covector phi (point, then components), g and a tangent v
+    phi = b.random_cotangents(rng, (samples,))
+    g, v = G.exp(G.random_algebra(rng, lead=(samples,))), rng.standard_normal((samples, b.tangent_dim))
     phi_g = b.cot_act(phi, g)
     req = b.equivariance_residual(phi, g)
 
@@ -636,7 +583,7 @@ def dual_sequence_suite(b: BundleSpec, samples: int = 50, seed: int = 0) -> Suit
     """Fiberwise exactness of the dual Atiyah sequence and section identities."""
     rep = SuiteReport(f"bundle.dual_sequence[{b.name}]")
     rng = stream(seed, f"bundle.dual_sequence/{b.name}")
-    base, rho, chi = draw_samples(samples, lambda: (b.random_base(rng), rng.standard_normal(b.d), b.group.random_coalgebra(rng)))
+    base, rho, chi = b.random_base(rng, (samples,)), rng.standard_normal((samples, b.d)), rng.standard_normal((samples, b.n))
     composite, split, ranks = dual_atiyah_split(b, base)
     sec = b.sigma(base, chi)
     base2, chi2 = b.iota_star(sec)
@@ -659,9 +606,7 @@ def anchor_pullback_suite(b: BundleSpec, samples: int = 40, seed: int = 0) -> Su
     """
     rep = SuiteReport(f"bundle.anchor_pullback[{b.name}]")
     rng = stream(seed, f"bundle.anchor_pullback/{b.name}")
-    # per sample: the base, rho, dbase and drho (drawn to keep the stream, the canonical form does not read it)
-    base, rho, dbase, _ = draw_samples(samples, lambda: (b.base.random_coords(rng), *(rng.standard_normal(b.d) for _ in range(3))))
-    base = b.base.at(base)
+    base, (rho, dbase) = b.random_base(rng, (samples,)), rng.standard_normal((2, samples, b.d))
 
     # finite-difference tangent of the image curve in T*P coordinates
     h = fd.FINE_STEP

@@ -10,8 +10,8 @@ file path), the suites to run, and a mandatory seed.  Exit codes: 0 pass,
 is read through `gaugemech.schema`, so a malformed one exits 2 with a message
 naming it.  A verify or leaves suite that raises becomes one failed
 `suite_error` check naming the exception, and the remaining suites still run.
-Reports are written as `report.json` with 17-significant-digit floats; a fixed
-seed reproduces them byte for byte.
+Reports are written as `report.json`, one line of compact JSON with sorted keys
+and shortest round-trip floats; a fixed seed reproduces them byte for byte.
 """
 
 from __future__ import annotations
@@ -411,7 +411,7 @@ def run_leaves(scenario: dict, basedir: Path, seed: int, tol_scale: float, out_d
     # sampled leaf points as CSV: class coordinates (m, a, bbar), one stacked section over the drawn bases
     rng = stream(seed, "cli.leaf_points")
     mus = np.array(orbit.samples[:samples])
-    m, rho = bundle_mod.draw_samples(len(mus), lambda: (b.random_base(rng), rng.standard_normal(b.d)))
+    m, rho = b.random_base(rng, (len(mus),)), rng.standard_normal((len(mus), b.d))
     cls = b.sigma(m, mus)
     rows = np.concatenate([m, cls.rep.a + rho, cls.rep.b], axis=1)
     with (out_dir / "leaf_points.csv").open("w", encoding="utf-8") as fh:

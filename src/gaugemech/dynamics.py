@@ -15,7 +15,6 @@ trajectory at a time.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,7 +23,7 @@ import numpy as np
 from . import codegen
 from .linalg import row_matvec
 from .poisson import ChartError, PoissonSpace, ScalarField
-from .report import csv_lines
+from .report import csv_lines, dump_json
 from .schema import ConfigError
 
 Array = np.ndarray
@@ -169,7 +168,4 @@ def write_trajectory_csv(trajectory: Trajectory, path: str | Path) -> None:
 
 
 def write_run_metadata(path: str | Path, space: str, hamiltonian: str, h: float, n_steps: int, seed: int) -> None:
-    doc = {"space": space, "H": hamiltonian, "h": float(f"{h:.17g}"), "n_steps": n_steps, "seed": seed}
-    with Path(path).open("w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    dump_json({"space": space, "H": hamiltonian, "h": h, "n_steps": n_steps, "seed": seed}, str(path))

@@ -43,11 +43,11 @@ cotangent structure, which is the independent ground truth.
 The axiom, law and dual-structure suites read their identities off the fibre
 basis: one arrow chain and the identity matrix of the joint fibre space, which
 is exact because the structure maps are linear in the fibre vector and do not
-read the arrow.  Every other suite draws each of its variables once, as a block
-with one leading axis per sample (its points through ``BundleSpec.random_points``,
-exponentiated once), so its number of random calls does not grow with its
-sample count.  Each check is evaluated once over the stack and reports the
-worst row.
+read the arrow.  Every other suite draws as every suite of the package does:
+each of its variables once, as a block with one leading axis per sample (its
+points through ``BundleSpec.random_points``, exponentiated once), so its number
+of random calls does not grow with its sample count.  Each check is evaluated
+once over the stack and reports the worst row.
 """
 
 from __future__ import annotations

@@ -587,9 +587,6 @@ class LieGroupSpec:
         """Algebra coordinates of scale times a standard normal, or a block of them of leading shape ``lead``."""
         return scale * rng.standard_normal(lead + (self.dim,))
 
-    def random_coalgebra(self, rng: np.random.Generator) -> Array:
-        return rng.standard_normal(self.dim)
-
 
 def _null_rows(a: Array) -> Array:
     """Rows spanning the null space of a, ``C ker(R a C)`` of its equilibration."""

@@ -39,7 +39,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import fd
-from .bundle import BoxBase, BundleSpec, CotangentSample, Point, QuotientClass, draw_samples
+from .bundle import BoxBase, BundleSpec, CotangentSample, Point, QuotientClass
 from .codegen import affine_gradient
 from .liealg import LieGroupSpec
 from .linalg import rank_gap, row_dot, row_form, row_matvec, row_norm, row_vecmat
@@ -136,8 +136,8 @@ class Polynomial:
     """c0 + c1.x + x.c2.x + c3.x^3 (cube taken entrywise), with its exact gradient.
 
     The coefficients may carry leading stack axes, one polynomial per row (as
-    ``bundle.draw_samples`` stacks them); they broadcast against the leading
-    axes of the points, and each row has the bits of its one-polynomial call.
+    ``random_polynomial`` draws them); they broadcast against the leading axes
+    of the points, and each row has the bits of its one-polynomial call.
     """
 
     c0: float | Array
@@ -152,18 +152,19 @@ class Polynomial:
     def gradient(self, x: Array) -> Array:
         return self.c1 + 2.0 * (self.c2 @ x[..., None])[..., 0] + 3.0 * self.c3 * x**2
 
+    def unstack(self) -> list[Polynomial]:
+        """The stacks along the first axis of a polynomial stack: (m, N, ...) coefficients to m stacks of N polynomials."""
+        return [Polynomial(*c) for c in zip(self.c0, self.c1, self.c2, self.c3)]
 
-def random_polynomial(rng: np.random.Generator, dim: int, degree: int = 2) -> Polynomial:
-    """Random polynomial with bounded coefficients: a symmetric c2, zero below degree 2, and c3 drawn only for degree 3.
 
-    One polynomial, the batch of one: ``bundle.draw_samples`` over repeated
-    calls stacks their coefficients, and consumes the stream as the calls do.
-    """
-    c0 = float(rng.normal())
-    c1 = rng.normal(size=dim)
-    c2 = rng.normal(size=(dim, dim)) * (1.0 / max(1, dim))
-    c2 = 0.5 * (c2 + c2.T) if degree >= 2 else np.zeros((dim, dim))
-    c3 = rng.normal(size=dim) * (1.0 / max(1, dim)) if degree >= 3 else np.zeros(dim)
+def random_polynomial(rng: np.random.Generator, dim: int, lead: tuple[int, ...], degree: int = 2) -> Polynomial:
+    """A block of random polynomials of leading shape ``lead``, with bounded coefficients: a symmetric c2, zero below
+    degree 2, and c3 drawn only for degree 3.  Each coefficient is drawn once, as a block with one row per polynomial."""
+    c0 = rng.normal(size=lead)
+    c1 = rng.normal(size=lead + (dim,))
+    c2 = rng.normal(size=lead + (dim, dim)) * (1.0 / max(1, dim))
+    c2 = 0.5 * (c2 + c2.swapaxes(-1, -2)) if degree >= 2 else np.zeros(lead + (dim, dim))
+    c3 = rng.normal(size=lead + (dim,)) * (1.0 / max(1, dim)) if degree >= 3 else np.zeros(lead + (dim,))
     return Polynomial(c0, c1, c2, c3)
 
 
@@ -347,7 +348,7 @@ def bracket_property_suite(space: PoissonSpace, trials: int = 200, seed: int = 0
     """Antisymmetry and the Leibniz rule on seeded random function triples, evaluated once over the stacked trials."""
     rep = SuiteReport(f"poisson.bracket_properties[{space.name}]")
     rng = stream(seed, f"poisson.properties/{space.name}")
-    x, f, g, k = draw_samples(trials, lambda: (_sample_point(space, rng), *(random_polynomial(rng, space.dim) for _ in range(3))))
+    x, (f, g, k) = _sample_point(space, rng, (trials,)), random_polynomial(rng, space.dim, (3, trials)).unstack()
     anti = space.bracket(f, g, x) + space.bracket(g, f, x)
     prod = ScalarField(lambda y: f(y) * g(y), lambda y: f.gradient(y) * g(y)[..., None] + f(y)[..., None] * g.gradient(y))
     leib = space.bracket(prod, k, x) - (f(x) * space.bracket(g, k, x) + g(x) * space.bracket(f, k, x))
@@ -357,12 +358,13 @@ def bracket_property_suite(space: PoissonSpace, trials: int = 200, seed: int = 0
     return rep
 
 
-def _sample_point(space: PoissonSpace, rng: np.random.Generator) -> Array:
-    """Uniform on the inner part of the chart box, as BundleSpec.random_base draws; normal elsewhere."""
+def _sample_point(space: PoissonSpace, rng: np.random.Generator, lead: tuple[int, ...]) -> Array:
+    """A block of points of leading shape ``lead``: uniform on the inner part of the chart box, as
+    BundleSpec.random_base draws, and normal elsewhere."""
     if space.box is None:
-        return rng.standard_normal(space.dim)
+        return rng.standard_normal(lead + (space.dim,))
     lo, hi = space.box[:, 0], space.box[:, 1]
-    return np.concatenate([lo + (hi - lo) * rng.uniform(0.1, 0.9, size=lo.size), rng.standard_normal(space.dim - lo.size)])
+    return np.concatenate([lo + (hi - lo) * rng.uniform(0.1, 0.9, size=lead + lo.shape), rng.standard_normal(lead + (space.dim - lo.size,))], axis=-1)
 
 
 def jacobi_check(space: PoissonSpace, trials: int = 20, seed: int = 0, degree: int = 2) -> float:
@@ -373,7 +375,7 @@ def jacobi_check(space: PoissonSpace, trials: int = 20, seed: int = 0, degree: i
     Each displaced point of a nested bracket is one stack over the trials.
     """
     rng = stream(seed, f"poisson.jacobi/{space.name}")
-    x, f, g, k = draw_samples(trials, lambda: (_sample_point(space, rng), *(random_polynomial(rng, space.dim, degree) for _ in range(3))))
+    x, (f, g, k) = _sample_point(space, rng, (trials,)), random_polynomial(rng, space.dim, (3, trials), degree).unstack()
     eye = np.eye(space.dim)
 
     def nest(a: Polynomial, b: Polynomial) -> ScalarField:
@@ -397,19 +399,17 @@ def dual_pair_check(bundle: BundleSpec, trials: int = 100, seed: int = 0) -> Sui
 
     ``quotient_matches_lift`` compares the closed-form bracket of T*P/G with
     the T*P bracket of invariant lifts at samples in an arbitrary gauge.
-    Each stream is drawn in one loop; each bracket is evaluated once over the
-    stacked samples.
+    Each variable of a stream is drawn once, as a block; each bracket is
+    evaluated once over the stacked samples.
     """
     rep = SuiteReport(f"poisson.dual_pair[{bundle.name}]")
     quot = quotient_cotangent(bundle)
     cas = casimir_fields(bundle.group)
 
     rng = stream(seed, f"poisson.dual_pair/{bundle.name}")
-    # per trial: the covector's point and components, f on T*P/G, h and (with a Casimir) h2 on g*
-    base, fiber, a, b, f, h, *h2 = draw_samples(trials, lambda: (
-        *bundle.random_point_coords(rng), *bundle.random_covector(rng), random_polynomial(rng, quot.dim), random_polynomial(rng, bundle.n),
-        *((random_polynomial(rng, bundle.n),) if cas else ())))
-    s = CotangentSample(bundle.point_at(base, fiber), a, b)
+    # the covector (point, then components), f on T*P/G, h and (with a Casimir) h2 on g*
+    s = bundle.random_cotangents(rng, (trials,))
+    f, (h, *h2) = random_polynomial(rng, quot.dim, (trials,)), random_polynomial(rng, bundle.n, (1 + bool(cas), trials)).unstack()
     F = invariant_lift(bundle, f)
     w_pol = worst(np.abs(cotangent_bracket(bundle, F, _on_momentum(h), s)))
     if cas:
@@ -418,9 +418,8 @@ def dual_pair_check(bundle: BundleSpec, trials: int = 100, seed: int = 0) -> Sui
         w_cas = worst(np.abs(cotangent_bracket(bundle, C, _on_momentum(h2[0]), s)), np.abs(cotangent_bracket(bundle, F, C, s)))
 
     rng = stream(seed, f"poisson.dual_pair.lift/{bundle.name}")
-    base, fiber, a, b, f, g = draw_samples(trials, lambda: (
-        *bundle.random_point_coords(rng), *bundle.random_covector(rng), random_polynomial(rng, quot.dim), random_polynomial(rng, quot.dim)))
-    s = CotangentSample(bundle.point_at(base, fiber), a, b)
+    s = bundle.random_cotangents(rng, (trials,))
+    f, g = random_polynomial(rng, quot.dim, (2, trials)).unstack()
     lifted = cotangent_bracket(bundle, invariant_lift(bundle, f), invariant_lift(bundle, g), s)
     w_lift = worst(np.abs(quot.bracket(f, g, bundle.class_coords(s)) - lifted))
     rep.add("polarity", w_pol, 1e-7)
@@ -548,23 +547,22 @@ def canonical_two_form(factors: Sequence[int | LieGroupSpec], covector: Array) -
 def leaf_structure(bundle: BundleSpec, orbit: CoadjointOrbit, samples: int = 25, seed: int = 0) -> SuiteReport:
     """Membership, dimension, affine fibration, and section checks for J^{-1}(O)/G.
 
-    The stream is drawn in one loop; each check is evaluated once over the
-    stacked samples.
+    Each variable is drawn once, as a block; each check is evaluated once
+    over the stacked samples.
     """
     rep = SuiteReport(f"poisson.leaf[{bundle.name}|orbit({orbit.group.name})]")
     rng = stream(seed, f"poisson.leaf/{bundle.name}")
     d, n = bundle.d, bundle.n
     G = bundle.group
 
-    # per sample: g (orbit point), the on-orbit covector phi and a generic one (point, components), rho2, a gauge element and rho_target
-    g, base, fiber, a, b, off_base, off_fiber, off_a, off_b, rho2, gauge, rho_target = draw_samples(samples, lambda: (
-        G.random_algebra(rng, 0.8), *bundle.random_point_coords(rng), *bundle.random_covector(rng),
-        *bundle.random_point_coords(rng), *bundle.random_covector(rng), rng.standard_normal(d), G.random_algebra(rng), rng.standard_normal(d)))
-    g, fiber, off_fiber, gauge = G.exp(np.stack([g, fiber, off_fiber, gauge]))
+    off = bundle.random_cotangents(rng, (samples,))  # a generic covector: off the orbit unless G is abelian
+    # the on-orbit covector phi (its base, g its orbit point, its fiber and a), a gauge element, rho2 and rho_target
+    base = bundle.random_base(rng, (samples,))
+    g, fiber, gauge = G.exp(np.concatenate([G.random_algebra(rng, 0.8, (1, samples)), G.random_algebra(rng, lead=(2, samples))]))
+    a, rho2, rho_target = rng.standard_normal((3, samples, d))
     # on-orbit sample upstairs, arbitrary gauge
     chi = row_matvec(G.Ad_star_inv(g), orbit.mu0)
     phi = CotangentSample(Point(base, fiber), a, row_matvec(G.Ad_star(fiber), chi))
-    off = CotangentSample(Point(off_base, off_fiber), off_a, off_b)  # generic covector: off the orbit unless G is abelian
 
     # (a) membership equivalence: J-side vs iota*-side verdicts, on the generic covectors only where they are off the orbit
     def residuals(s: CotangentSample) -> tuple[Array, Array]:
@@ -632,7 +630,8 @@ def magnetic_term(bundle: BundleSpec, chi: Array, samples: int = 15, seed: int =
     the leaf embedding by central differences at the gauge slice; pi_sigma
     maps the leaf to T*(P/G) through the connection-induced section.  The
     evaluator takes one point and tangent pair or stacks of them; the report
-    evaluates each check once over the stacked samples.
+    draws each variable once, as a block, and evaluates each check once over
+    the stacked samples.
     """
     chi = np.asarray(chi, dtype=float)
     G = bundle.group
@@ -660,17 +659,8 @@ def magnetic_term(bundle: BundleSpec, chi: Array, samples: int = 15, seed: int =
 
     rep = SuiteReport(f"poisson.magnetic[{bundle.name}]")
     rng = stream(seed, f"poisson.magnetic/{bundle.name}")
-
-    def draw() -> tuple:
-        # the point (m, rho), the tangents t1, t2 and the fiber part of fib, then (d >= 2) the closedness triple
-        out = (bundle.random_base(rng), rng.standard_normal(d), rng.standard_normal(2 * d), rng.standard_normal(2 * d), rng.standard_normal(d))
-        if d < 2:
-            return out
-        # base coordinate directions, padded with fiber (rho) directions d + j
-        idx = rng.choice(d, size=min(3, d), replace=False)
-        return *out, np.concatenate([idx, np.array([d + rng.integers(d) for _ in range(3 - idx.size)], dtype=int)])
-
-    m, rho, t1, t2, fib, *triple = draw_samples(samples, draw)
+    # the point (m, rho), the tangents t1, t2 and the fiber part of fib
+    m, (rho, fib), (t1, t2) = bundle.random_base(rng, (samples,)), rng.standard_normal((2, samples, d)), rng.standard_normal((2, samples, 2 * d))
     val = two_form(m, rho, t1, t2)
     # oracle: the chi-component of the curvature two-form of A
     f2 = np.einsum("...ijk,k->...ij", bundle.connection.curvature_two_form(bundle.base.connection_coords(m)), chi)
@@ -682,8 +672,11 @@ def magnetic_term(bundle: BundleSpec, chi: Array, samples: int = 15, seed: int =
     # closedness: finite-difference exterior derivative on coordinate triples
     # (coordinate directions commute, so the cyclic-derivative formula applies)
     w_closed = 0.0
-    if triple:
-        e = np.moveaxis(np.eye(2 * d)[triple[0]], 1, 0)  # (3, samples, 2d)
+    if d >= 2:
+        # distinct base coordinate directions per sample, padded with fiber (rho) directions d + j
+        idx = rng.permuted(np.tile(np.arange(d), (samples, 1)), axis=1)[:, : min(3, d)]
+        triple = np.concatenate([idx, d + rng.integers(d, size=(samples, 3 - idx.shape[1]))], axis=1)
+        e = np.moveaxis(np.eye(2 * d)[triple], 1, 0)  # (3, samples, 2d)
         # the cyclic terms d_a omega(e_b, e_c) for (a, b, c) = (0, 1, 2), (1, 2, 0), (2, 0, 1): one central
         # difference along the three e_a, each displaced point (minus rows, then plus rows) paired with its e_b, e_c
         t1, t2 = (np.concatenate([e[cycle]] * 2) for cycle in ([1, 2, 0], [2, 0, 1]))

@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from . import fd
-from .bundle import BoxBase, BundleSpec, ConnectionData, CotangentSample, Point, draw_samples
+from .bundle import BoxBase, BundleSpec, ConnectionData, CotangentSample, Point
 from .liealg import LieGroupSpec
 from .linalg import row_matvec, row_norm
 from .poisson import CoadjointOrbit, CotangentFn, Polynomial, canonical_two_form, cotangent_bracket, quotient_cotangent, random_polynomial
@@ -75,8 +75,8 @@ def _pair_product(lam: PairClassPoint, y: PairClassPoint) -> PairClassPoint:
 def groupoid_action_suite(bundle: BundleSpec, orbit: CoadjointOrbit, samples: int = 12, seed: int = 0) -> SuiteReport:
     """Target/source Poisson properties, orbit connectivity, and graph isotropy.
 
-    The stream is drawn in one loop; each check is evaluated once over the
-    stacked samples.
+    Each variable is drawn once, as a block; each check is evaluated once
+    over the stacked samples.
     """
     rep = SuiteReport(f"poisson.groupoid_action[{bundle.name}]")
     rng = stream(seed, f"poisson.groupoid_action/{bundle.name}")
@@ -95,21 +95,14 @@ def groupoid_action_suite(bundle: BundleSpec, orbit: CoadjointOrbit, samples: in
             return f(leg(PairClassPoint(base[..., :d], s.point.fiber, base[..., d:], s.a[..., :d], s.b, s.a[..., d:], -s.b)))
         return CotangentFn(fn)
 
-    def draw() -> tuple:
-        # a random arrow lam of T*Gamma (b2 = -b1 = -beta), f and g on T*P/G, two leaf points to connect, the graph-isotropy draws
-        beta = rng.standard_normal(n)
-        lam = bundle.random_base(rng), G.random_algebra(rng), bundle.random_base(rng), rng.standard_normal(d), rng.standard_normal(d)
-        fg = random_polynomial(rng, quot.dim), random_polynomial(rng, quot.dim)
-        g12 = G.random_algebra(rng, 0.8), G.random_algebra(rng, 0.8)
-        ends = bundle.random_base(rng), rng.standard_normal(d), bundle.random_base(rng), rng.standard_normal(d)
-        y = (G.random_algebra(rng, 0.8), rng.standard_normal(n),  # g_sum and b1, then the other coordinates of y
-             bundle.random_base(rng), G.random_algebra(rng), bundle.random_base(rng), rng.standard_normal(d), rng.standard_normal(d))
-        free = bundle.random_base(rng), G.random_algebra(rng), rng.standard_normal(d)
-        return beta, *lam, *fg, *g12, *ends, *y, *free
-
-    (beta, m1, w, m2, a1, a2, f, g, g1, g2, from_m, from_a, to_m, to_a,
-     g_sum, b1, y_m1, y_w, y_m2, y_a1, y_a2, m1_0, w_0, a1_0) = draw_samples(samples, draw)
-    w, g1, g2, g_sum, y_w, w_0 = G.exp(np.stack([w, g1, g2, g_sum, y_w, w_0]))
+    # a random arrow lam of T*Gamma (m1, w, m2, a1, a2; b2 = -b1 = -beta), f and g on T*P/G, two leaf points to connect
+    # (from g1 and g2), and the graph-isotropy draws: y (g_sum, b1, y_m1, y_w, y_m2, y_a1, y_a2) and lam's free part
+    # (m1_0, w_0, a1_0); each kind of variable is one block
+    m1, m2, from_m, to_m, y_m1, y_m2, m1_0 = bundle.random_base(rng, (7, samples))
+    a1, a2, from_a, to_a, y_a1, y_a2, a1_0 = rng.standard_normal((7, samples, d))
+    beta, b1 = rng.standard_normal((2, samples, n))
+    g1, g2, g_sum, w, y_w, w_0 = G.exp(np.concatenate([G.random_algebra(rng, 0.8, (3, samples)), G.random_algebra(rng, lead=(3, samples))]))
+    f, g = random_polynomial(rng, quot.dim, (2, samples)).unstack()
 
     lam = PairClassPoint(m1, w, m2, a1, beta, a2, -beta)
     s = CotangentSample(Point(np.concatenate([m1, m2], axis=1), w), np.concatenate([a1, a2], axis=1), beta)

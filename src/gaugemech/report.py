@@ -127,8 +127,11 @@ def _fmt(value: Any) -> Any:
 
 
 def dump_json(obj: Any, path: str | None = None) -> str:
-    """Serialize a report dict deterministically (sorted keys, stable floats)."""
-    text = json.dumps(_fmt(obj), indent=2, sort_keys=True, allow_nan=False)
+    """Serialize a report dict deterministically: sorted keys, shortest round-trip floats, one compact line.
+
+    Compact separators and no indent keep CPython on its C encoder (``python -m json.tool`` reads the file indented).
+    """
+    text = json.dumps(_fmt(obj), separators=(",", ":"), sort_keys=True, allow_nan=False)
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import fd, schema
 from .bundle import BundleSpec, ConnectionData, GroupBase, CotangentSample, Point, dual_atiyah_split
-from .liealg import LieGroupSpec, expm, so3, translation_group
+from .liealg import COMMUTATOR_TOL, LieGroupSpec, commutator_defect, expm, so3, translation_group
 from .linalg import row_dot, row_form, row_matvec, row_norm
 from .poisson import ScalarField, canonical_two_form, coordinate_field, dexp_left, lie_poisson
 from .report import SuiteReport, worst
@@ -411,7 +411,7 @@ def momentum_cross_check_suite(sd: SemidirectSpec, samples: int = 40, seed: int 
     rep = SuiteReport(f"semidirect.momentum_cross_check[{sd.name}]")
     rng = stream(seed, f"semidirect.momentum_cross/{sd.name}")
     b = total_bundle(sd)
-    s = CotangentSample(b.random_points(rng, (samples,)), rng.standard_normal((samples, b.d)), rng.standard_normal((samples, b.n)))
+    s = b.random_cotangents(rng, (samples,))
     # the factor momentum J_N is the sample's chi = s.b
     jn_group = row_matvec(sd.iota_dot().T, tstar_sigma(sd, s))
     rep.add("J_matches_factor_momentum", worst(row_norm(b.momentum(s) - s.b), row_norm(jn_group - s.b)), 1e-10)
@@ -676,6 +676,15 @@ def heavy_top_model(inertia, mgl: float, axis) -> HeavyTopModel:
 
 
 def sd_from_json(doc: dict, group_resolver: Callable[[Any], LieGroupSpec]) -> SemidirectSpec:
-    """A semidirect product from ``{"K", "N", "rho"}``; ``group_resolver`` reads ``K`` and ``N``."""
+    """A semidirect product from ``{"K", "N", "rho"}``; ``group_resolver`` reads ``K`` and ``N``.
+
+    A ``rho`` whose total group H is not a Lie algebra, its basis commutators
+    leaving the span by more than COMMUTATOR_TOL as ``liealg.spec_from_json``
+    checks, is a ConfigError naming it.
+    """
     K, N = group_resolver(doc.get("K")), group_resolver(doc.get("N"))
-    return SemidirectSpec(K, N, schema.array("rho", doc.get("rho"), (K.dim, N.embed, N.embed)))
+    sd = SemidirectSpec(K, N, schema.array("rho", doc.get("rho"), (K.dim, N.embed, N.embed)))
+    off = commutator_defect(sd.group_spec())
+    if not off <= COMMUTATOR_TOL:
+        raise schema.ConfigError(f"'rho' does not act by automorphisms: the commutators of {sd.name} leave its span by {off:.3g}")
+    return sd

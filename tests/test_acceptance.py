@@ -85,12 +85,12 @@ def test_criterion_4_momentum_equivariance(so3_bundle, sd):
 
     rng = stream(SEED, "acceptance.equivariance")
     worst_j = max(
-        so3_bundle.equivariance_residual(CotangentSample(so3_bundle.point_at(*so3_bundle.random_point_coords(rng)), *so3_bundle.random_covector(rng)), so3_bundle.group.exp(so3_bundle.group.random_algebra(rng)))
+        so3_bundle.equivariance_residual(so3_bundle.random_cotangents(rng, ()), so3_bundle.group.exp(so3_bundle.group.random_algebra(rng)))
         for _ in range(200)
     )
     total = semidirect.total_bundle(sd)
     worst_j_sd = max(
-        total.equivariance_residual(CotangentSample(total.point_at(*total.random_point_coords(rng)), *total.random_covector(rng)), total.group.exp(total.group.random_algebra(rng)))
+        total.equivariance_residual(total.random_cotangents(rng, ()), total.group.exp(total.group.random_algebra(rng)))
         for _ in range(200)
     )
     rep = semidirect.equivariance_suite(sd, samples=200, seed=SEED)

@@ -13,11 +13,6 @@ def so3_bundle(connection=None):
     return BundleSpec(g, conn, BoxBase([[-1.0, 1.0], [-1.0, 1.0]]))
 
 
-def random_cotangent(b, rng):
-    """A covector at a random point: the draws of ``random_point_coords`` and ``random_covector``."""
-    return CotangentSample(b.point_at(*b.random_point_coords(rng)), *b.random_covector(rng))
-
-
 def u1_bundle():
     t1 = liealg.torus(1)
     terms = [[[(-0.5, (0, 1))]], [[(0.5, (1, 0))]]]
@@ -85,21 +80,21 @@ class TestMomentum:
     def test_vertical_annihilator_is_momentum_kernel(self):
         b = so3_bundle()
         rng = np.random.default_rng(5)
-        s = random_cotangent(b, rng)
+        s = b.random_cotangents(rng, ())
         s0 = CotangentSample(s.point, s.a, np.zeros(3))
         assert np.linalg.norm(b.momentum(s0)) == 0.0
 
     def test_equivariance_identity_element(self):
         b = so3_bundle()
         rng = np.random.default_rng(6)
-        assert b.equivariance_residual(random_cotangent(b, rng), np.eye(3)) <= 1e-14
+        assert b.equivariance_residual(b.random_cotangents(rng, ()), np.eye(3)) <= 1e-14
 
     def test_equivariance_abelian(self):
         t2 = liealg.torus(2)
         b = BundleSpec(t2, ConnectionData.flat(1, 2), BoxBase([[-1.0, 1.0]]))
         rng = np.random.default_rng(7)
         for _ in range(10):
-            s = random_cotangent(b, rng)
+            s = b.random_cotangents(rng, ())
             g = t2.exp(t2.random_algebra(rng))
             # Ad* is trivial: J(phi . g) = J(phi)
             assert np.linalg.norm(b.momentum(b.cot_act(s, g)) - b.momentum(s)) <= 1e-12
@@ -107,7 +102,7 @@ class TestMomentum:
     def test_equivariance_random_so3(self):
         b = so3_bundle()
         rng = np.random.default_rng(8)
-        worst = max(b.equivariance_residual(random_cotangent(b, rng), b.group.exp(b.group.random_algebra(rng))) for _ in range(50))
+        worst = max(b.equivariance_residual(b.random_cotangents(rng, ()), b.group.exp(b.group.random_algebra(rng))) for _ in range(50))
         assert worst <= 1e-10
 
     def test_suite(self):
@@ -119,7 +114,7 @@ class TestQuotient:
     def test_idempotent(self):
         b = so3_bundle()
         rng = np.random.default_rng(10)
-        cls = b.quotient_rep(random_cotangent(b, rng))
+        cls = b.quotient_rep(b.random_cotangents(rng, ()))
         again = b.quotient_rep(cls.rep)
         assert b.class_distance(cls, again) <= 1e-13
 
@@ -127,14 +122,14 @@ class TestQuotient:
         b = so3_bundle()
         rng = np.random.default_rng(11)
         for _ in range(10):
-            s = random_cotangent(b, rng)
+            s = b.random_cotangents(rng, ())
             g = b.group.exp(b.group.random_algebra(rng))
             assert b.class_distance(b.quotient_rep(s), b.quotient_rep(b.cot_act(s, g))) <= 1e-11
 
     def test_torus_fiber_wrap(self):
         b = u1_bundle()
         rng = np.random.default_rng(12)
-        m = b.random_base(rng)
+        m = b.random_base(rng, ())
         a, cov = rng.standard_normal(2), rng.standard_normal(1)
         u1 = b.group.exp(np.array([0.7]))
         u2 = b.group.exp(np.array([0.7 + 2 * np.pi]))
@@ -148,13 +143,13 @@ class TestDualSequence:
         b = so3_bundle()
         rng = np.random.default_rng(13)
         for _ in range(10):
-            cls = b.a_star(b.random_base(rng), rng.standard_normal(2))
+            cls = b.a_star(b.random_base(rng, ()), rng.standard_normal(2))
             assert np.linalg.norm(b.momentum(cls.rep)) == 0.0
 
     def test_iota_after_a_star_vanishes(self):
         b = so3_bundle()
         rng = np.random.default_rng(14)
-        cls = b.a_star(b.random_base(rng), rng.standard_normal(2))
+        cls = b.a_star(b.random_base(rng, ()), rng.standard_normal(2))
         _, chi = b.iota_star(cls)
         assert np.linalg.norm(chi) == 0.0
 
@@ -170,7 +165,7 @@ class TestDualSequence:
     def test_sigma_section(self):
         b = so3_bundle()
         rng = np.random.default_rng(16)
-        m = b.random_base(rng)
+        m = b.random_base(rng, ())
         chi = rng.standard_normal(3)
         base, chi2 = b.iota_star(b.sigma(m, chi))
         np.testing.assert_allclose(chi2, chi, atol=1e-13)
@@ -181,13 +176,13 @@ class TestDualSequence:
         g = liealg.so3()
         b = BundleSpec(g, ConnectionData.flat(2, 3), BoxBase([[-1.0, 1.0], [-1.0, 1.0]]))
         rng = np.random.default_rng(17)
-        cls = b.sigma(b.random_base(rng), rng.standard_normal(3))
+        cls = b.sigma(b.random_base(rng, ()), rng.standard_normal(3))
         assert np.linalg.norm(cls.rep.a) == 0.0
 
     def test_stacked_maps_equal_single_calls(self):
         b = so3_bundle()
         rng = np.random.default_rng(21)
-        base = np.stack([b.random_base(rng) for _ in range(5)])
+        base = np.stack([b.random_base(rng, ()) for _ in range(5)])
         rho, chi = rng.standard_normal((5, 2)), rng.standard_normal((5, 3))
         a_cls, s_cls = b.a_star(base, rho), b.sigma(base, chi)
         for i in range(5):
@@ -198,7 +193,7 @@ class TestDualSequence:
     def test_nonflat_sigma_matches_connection_coefficients(self):
         b = so3_bundle()
         rng = np.random.default_rng(18)
-        m = b.random_base(rng)
+        m = b.random_base(rng, ())
         chi = rng.standard_normal(3)
         a_mat = b.connection.matrix(m)
         np.testing.assert_allclose(b.sigma(m, chi).rep.a, a_mat.T @ chi, atol=1e-13)
@@ -308,3 +303,25 @@ class TestBatchedSuitesSeeLastRow:
 
         monkeypatch.setattr(BundleSpec, "cot_act", mutant)
         assert check in {c.name for c in suite(b, samples=20, seed=3).failures()}
+
+
+def semidirect_total():
+    from gaugemech import semidirect
+
+    return semidirect.total_bundle(semidirect.so3_r3())
+
+
+SUITES = sorted(name for name in vars(bundle) if name.endswith("_suite"))
+
+
+@pytest.mark.parametrize("make", [so3_bundle, semidirect_total], ids=["TrivialProduct", "SemidirectTotal"])
+@pytest.mark.parametrize("name", SUITES)
+def test_draws_do_not_scale_with_the_sample_count(name, make, monkeypatch):
+    # each variable is drawn once as a block, so doubling the samples makes the same generator calls
+    calls = builders.counted_streams(monkeypatch, bundle)
+    drawn = []
+    for n in (7, 14):
+        calls.clear()
+        assert getattr(bundle, name)(make(), samples=n, seed=4).passed
+        drawn.append(list(calls))
+    assert drawn[0] == drawn[1] and drawn[0]

@@ -65,6 +65,22 @@ class TestVerify:
         assert run(["verify", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG_ERROR
         assert "'basis' of group 'so3' is not closed under commutators: they leave its span by 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scale", [1.0, 2.0])
+    def test_rho_that_is_not_an_action_by_automorphisms_exits_2(self, tmp_path, capsys, scale):
+        # se3-verify with its rho generators doubled: the basis of H is no Lie algebra (commutators 0.8 off its span)
+        doc = builders.sd_to_json(semidirect.so3_r3())
+        doc["rho"] = (scale * np.array(doc["rho"])).tolist()
+        path = tmp_path / "sd.json"
+        path.write_text(json.dumps(cli.BUILTIN_SCENARIOS["se3-verify"] | {"semidirect": doc}))
+        code = run(["verify", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        if scale == 1.0:
+            assert code == cli.EXIT_PASS and err == ""
+        else:
+            assert code == cli.EXIT_CONFIG_ERROR
+            assert "'rho' does not act by automorphisms: the commutators of sd:so3|r3 leave its span by 0.8" in err
+            assert "Traceback" not in err and not (tmp_path / "out" / "report.json").exists()
+
     def test_dependent_basis_exit_2(self, tmp_path, capsys):
         # heisenberg3 with e3 := e1
         doc = builders.spec_to_json(liealg.heisenberg3())
@@ -184,6 +200,20 @@ class TestLeaves:
         for line in lines:
             assert line.count(",") == header.count(",")
             assert line == ",".join("%.17g" % float(v) for v in line.split(","))
+
+    def test_leaf_point_draws_do_not_scale_with_the_sample_count(self, tmp_path, monkeypatch):
+        # the leaf points' bases and rho are each drawn once as a block, so doubling the points makes the same generator calls
+        calls = builders.counted_streams(monkeypatch, cli)
+        scenario = cli.BUILTIN_SCENARIOS["so3-zero-leaf"]
+        drawn = []
+        for n in (7, 14):
+            path = tmp_path / f"leaves{n}.json"
+            path.write_text(json.dumps(scenario | {"leaves": scenario["leaves"] | {"orbit_samples": 20, "samples": n}}))
+            calls.clear()
+            assert run(["leaves", str(path), "--out", str(tmp_path / str(n))]) == cli.EXIT_PASS
+            assert len((tmp_path / str(n) / "leaf_points.csv").read_text().splitlines()) == 1 + n
+            drawn.append(list(calls))
+        assert drawn[0] == drawn[1] and drawn[0]
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
     def test_csv_lines_formats_each_value_as_17g(self, newline):

@@ -412,7 +412,8 @@ class TestOutput:
         assert len(lines) == 12
         meta = tmp_path / "traj.meta.json"
         dynamics.write_run_metadata(meta, sp.name, "kinetic", 1e-2, 10, seed=7)
-        assert meta.exists()
+        # one compact line through report.dump_json, h read back to its bits
+        assert meta.read_text() == '{"H":"kinetic","h":0.01,"n_steps":10,"seed":7,"space":"so3*"}\n'
 
     def test_csv_matches_csv_writer_bytes(self, tmp_path):
         # the block writer must reproduce csv.writer with f"{v:.17g}" cells byte for byte,

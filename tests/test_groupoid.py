@@ -23,11 +23,6 @@ from gaugemech.groupoid import (
 import builders
 
 
-def random_point(b, rng):
-    """One point drawn coordinate by coordinate: its base, then its fibre's algebra coordinates."""
-    return b.point_at(*b.random_point_coords(rng))
-
-
 @pytest.fixture(scope="module")
 def b():
     g = liealg.so3()
@@ -58,7 +53,7 @@ class TestAxioms:
     def test_all_zero_elements_exact(self, b):
         ops = space_ops(b, "T(PxP)")
         rng = np.random.default_rng(3)
-        p, q, r = random_point(b, rng), random_point(b, rng), random_point(b, rng)
+        p, q, r = b.random_points(rng, ()), b.random_points(rng, ()), b.random_points(rng, ())
         z_pq, z_qr = ops.zero(p, q), ops.zero(q, r)
         lhs = ops.product(ops.add(z_pq, z_pq), ops.add(z_qr, z_qr))
         rhs = ops.add(ops.product(z_pq, z_qr), ops.product(z_pq, z_qr))
@@ -70,7 +65,7 @@ class TestAxioms:
         rng = np.random.default_rng(4)
         h = 1e-6
         for _ in range(10):
-            p, q, r = random_point(b, rng), random_point(b, rng), random_point(b, rng)
+            p, q, r = b.random_points(rng, ()), b.random_points(rng, ()), b.random_points(rng, ())
             v, w, z = (rng.standard_normal(b.tangent_dim) for _ in range(3))
             ops = space_ops(b, "T(PxP)")
             xi = VBElement(p, q, np.concatenate([v, w]))
@@ -97,7 +92,7 @@ class TestAxioms:
     def test_algebra_triple_product_exact(self, b):
         ops = space_ops(b, "PxgxP")
         rng = np.random.default_rng(5)
-        p, q, r = random_point(b, rng), random_point(b, rng), random_point(b, rng)
+        p, q, r = b.random_points(rng, ()), b.random_points(rng, ()), b.random_points(rng, ())
         x = rng.standard_normal(3)
         prod = ops.product(VBElement(p, q, x), VBElement(q, r, x))
         assert prod.p is p and prod.q is r
@@ -124,7 +119,7 @@ def test_structure_matrices_equal_closed_forms(b, tag):
     source, target, identity, inverse, product = _closed_forms(tag, b.tangent_dim, b.n)
     rng = np.random.default_rng(24)
     for _ in range(10):
-        p, q, r = random_point(b, rng), random_point(b, rng), random_point(b, rng)
+        p, q, r = b.random_points(rng, ()), b.random_points(rng, ()), b.random_points(rng, ())
         a = VBElement(p, q, rng.standard_normal(ops.inv.shape[0]))
         s, t = ops.source(a), ops.target(a)
         assert s.point is q and np.array_equal(s.x, source(a.x))
@@ -142,7 +137,7 @@ def test_structure_matrices_equal_closed_forms(b, tag):
 class TestCotangentPairStructure:
     def test_source_target_of_identity(self, b):
         rng = np.random.default_rng(6)
-        cov = CotangentSample(random_point(b, rng), *b.random_covector(rng))
+        cov = CotangentSample(b.random_points(rng, ()), rng.standard_normal(b.d), rng.standard_normal(b.n))
         phi = SideElement(cov.point, cov.coords)
         ops = space_ops(b, "T*PxT*P")
         eps = ops.identity(phi)
@@ -154,7 +149,7 @@ class TestCotangentPairStructure:
     def test_identity_times_inverse(self, b):
         ops = space_ops(b, "T*PxT*P")
         rng = np.random.default_rng(7)
-        el = VBElement(random_point(b, rng), random_point(b, rng), rng.standard_normal(ops.inv.shape[0]))
+        el = VBElement(b.random_points(rng, ()), b.random_points(rng, ()), rng.standard_normal(ops.inv.shape[0]))
         prod = ops.product(el, ops.inverse(el))
         ident = ops.identity(ops.target(el))
         assert ops.distance(prod, ident) <= 1e-13
@@ -168,7 +163,7 @@ class TestCotangentPairStructure:
             return VBElement(el.p, el.q, np.concatenate([el.x[:t], -el.x[t:]]))
 
         rng = np.random.default_rng(8)
-        p, q, r = random_point(b, rng), random_point(b, rng), random_point(b, rng)
+        p, q, r = b.random_points(rng, ()), b.random_points(rng, ()), b.random_points(rng, ())
         a = VBElement(p, q, rng.standard_normal(ops.inv.shape[0]))
         bb = groupoid._with_target(ops, VBElement(q, r, rng.standard_normal(ops.inv.shape[0])), ops.source(a))
         prod = delta(ops.product(a, bb))
@@ -184,7 +179,7 @@ class TestDualStructure:
         dual = DualOfPairTangent(b)
         ops = space_ops(b, "T*PxT*P")
         rng = np.random.default_rng(9)
-        zero = ops.zero(random_point(b, rng), random_point(b, rng))
+        zero = ops.zero(b.random_points(rng, ()), b.random_points(rng, ()))
         assert np.linalg.norm(dual.dual_target(zero).x) == 0.0
         assert np.linalg.norm(dual.dual_source(zero).x) == 0.0
 
@@ -195,7 +190,7 @@ class TestDualStructure:
     def test_composition_rejects_mismatch(self, b):
         dual = DualOfPairTangent(b)
         rng = np.random.default_rng(11)
-        p, q, r = random_point(b, rng), random_point(b, rng), random_point(b, rng)
+        p, q, r = b.random_points(rng, ()), b.random_points(rng, ()), b.random_points(rng, ())
         Phi = VBElement(p, q, rng.standard_normal(2 * b.tangent_dim))
         Psi = VBElement(r, p, rng.standard_normal(2 * b.tangent_dim))
         with pytest.raises(ValueError, match="dual composition undefined"):
@@ -205,7 +200,7 @@ class TestDualStructure:
 class TestCores:
     def test_dimensions_match_contract(self, b):
         rng = np.random.default_rng(12)
-        p = random_point(b, rng)
+        p = b.random_points(rng, ())
         dim_p = b.tangent_dim
         cores = core_compute(b, p)
         assert cores["T(PxP)"][0] == dim_p
@@ -220,7 +215,7 @@ class TestCores:
     def test_gauge_core_elements_annihilate_momentum(self, b):
         # core of the gauge cotangent groupoid: classes <(phi, 0)> with J(phi) = 0
         rng = np.random.default_rng(14)
-        p = random_point(b, rng)
+        p = b.random_points(rng, ())
         phi = CotangentSample(p, rng.standard_normal(b.d), np.zeros(b.n))
         el = VBElement(p, p, np.concatenate([phi.coords, np.zeros(b.tangent_dim)]))
         assert tv0_membership_residual(b, el) == 0.0
@@ -230,7 +225,7 @@ class TestCores:
 class TestGaugeDualGroupoid:
     def test_inverse_law(self, b):
         rng = np.random.default_rng(15)
-        p, q = random_point(b, rng), random_point(b, rng)
+        p, q = b.random_points(rng, ()), b.random_points(rng, ())
         el = VBElement(p, q, rng.standard_normal(3))
         ops = space_ops(b, "Pxg*xP")
         prod = ops.product(el, ops.inverse(el))
@@ -242,7 +237,7 @@ class TestGaugeDualGroupoid:
         coal = space_ops(b, "Pxg*xP")
         rng = np.random.default_rng(16)
         for _ in range(10):
-            p, q, r = random_point(b, rng), random_point(b, rng), random_point(b, rng)
+            p, q, r = b.random_points(rng, ()), b.random_points(rng, ()), b.random_points(rng, ())
             x = VBElement(p, q, rng.standard_normal(ops.inv.shape[0]))
             y = groupoid._with_target(ops, VBElement(q, r, rng.standard_normal(ops.inv.shape[0])), ops.source(x))
             lhs = i2_star(b, ops.product(x, y))
@@ -251,8 +246,8 @@ class TestGaugeDualGroupoid:
 
     def test_j2_zero_iff_annihilator(self, b):
         rng = np.random.default_rng(17)
-        p, q = random_point(b, rng), random_point(b, rng)
-        phi = CotangentSample(p, *b.random_covector(rng))
+        p, q = b.random_points(rng, ()), b.random_points(rng, ())
+        phi = CotangentSample(p, rng.standard_normal(b.d), rng.standard_normal(b.n))
         psi = CotangentSample(q, rng.standard_normal(b.d), -b.momentum(phi))
         el = VBElement(p, q, np.concatenate([phi.coords, psi.coords]))
         assert np.linalg.norm(j2(b, el)) <= 1e-14
@@ -278,13 +273,13 @@ class TestSES:
     def test_i2_injective(self, b):
         # I_2(p, X, q) = (vert_p X, vert_q X) has full column rank everywhere
         rng = np.random.default_rng(21)
-        p, q = random_point(b, rng), random_point(b, rng)
+        p, q = b.random_points(rng, ()), b.random_points(rng, ())
         f, _ = groupoid._seq_matrices(b, "duzyVtrojka", p, q)
         assert np.linalg.matrix_rank(f) == b.n
 
     def test_quot_rep_kills_vertical_shift(self, b):
         rng = np.random.default_rng(22)
-        p, q = random_point(b, rng), random_point(b, rng)
+        p, q = b.random_points(rng, ()), b.random_points(rng, ())
         v, w = rng.standard_normal(b.tangent_dim), rng.standard_normal(b.tangent_dim)
         x = b.group.random_algebra(rng)
         el = VBElement(p, q, np.concatenate([v, w]))
@@ -319,7 +314,7 @@ class TestBatchedEngine:
     def _composable_stack(self, b, ops, rng, n=7):
         firsts, seconds = [], []
         for _ in range(n):
-            p, q, r = random_point(b, rng), random_point(b, rng), random_point(b, rng)
+            p, q, r = b.random_points(rng, ()), b.random_points(rng, ()), b.random_points(rng, ())
             a = VBElement(p, q, rng.standard_normal(ops.inv.shape[0]))
             firsts.append(a)
             seconds.append(groupoid._with_target(ops, VBElement(q, r, rng.standard_normal(ops.inv.shape[0])), ops.source(a)))

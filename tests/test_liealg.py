@@ -266,7 +266,7 @@ class TestAdjoint:
 
     def test_identity_element(self, so3):
         rng = np.random.default_rng(6)
-        x, mu = so3.random_algebra(rng), so3.random_coalgebra(rng)
+        x, mu = so3.random_algebra(rng), rng.standard_normal(3)
         np.testing.assert_allclose(so3.Ad(np.eye(3)) @ x, x, atol=1e-13)
         np.testing.assert_allclose(so3.Ad_star(np.eye(3)) @ mu, mu, atol=1e-13)
 
@@ -281,20 +281,20 @@ class TestAdjoint:
         rng = np.random.default_rng(9)
         for _ in range(10):
             g = so3.exp(so3.random_algebra(rng))
-            mu, x = so3.random_coalgebra(rng), so3.random_algebra(rng)
+            mu, x = rng.standard_normal(3), so3.random_algebra(rng)
             lhs = np.dot(so3.Ad_star(g) @ mu, x)
             rhs = np.dot(mu, so3.Ad(g) @ x)
             assert abs(lhs - rhs) <= 1e-13
 
     def test_ad_star_pairing(self, so3):
         rng = np.random.default_rng(10)
-        x, y, mu = so3.random_algebra(rng), so3.random_algebra(rng), so3.random_coalgebra(rng)
+        x, y, mu = so3.random_algebra(rng), so3.random_algebra(rng), rng.standard_normal(3)
         assert abs(np.dot(so3.ad_star(x) @ mu, y) - np.dot(mu, so3.bracket(x, y))) <= 1e-13
 
     def test_abelian_coadjoint_trivial(self):
         r2 = liealg.translation_group(2)
         rng = np.random.default_rng(12)
-        mu = r2.random_coalgebra(rng)
+        mu = rng.standard_normal(2)
         np.testing.assert_allclose(r2.Ad_star(r2.exp(r2.random_algebra(rng))) @ mu, mu, atol=1e-13)
 
 

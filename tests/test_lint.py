@@ -103,9 +103,8 @@ def central_difference_sites(source: str, filename: str = "<src>") -> list[str]:
 def per_sample_loops(source: str, filename: str = "<src>") -> list[str]:
     """Loops (``for`` statements and comprehensions) over ``range(samples)`` or ``range(trials)`` in a ``*_suite`` or ``*_check`` function.
 
-    A suite draws its samples as blocks (``BundleSpec.random_points``) or
-    through ``bundle.draw_samples``, and evaluates each check once over the
-    stacked samples.
+    A suite draws each variable once as a block (``BundleSpec.random_points``)
+    and evaluates each check once over the stacked samples.
     """
     found = []
     for fn in ast.walk(ast.parse(source, filename)):
@@ -144,16 +143,16 @@ def _callee(call: ast.Call) -> str | None:
 
 
 def per_sample_draws(source: str, filename: str = "<src>") -> list[str]:
-    """Calls of ``draw_samples``, and random draws inside a loop, a comprehension or a lambda.
+    """Random draws inside a loop, a comprehension or a lambda.
 
     A random draw is a method call on ``rng`` (``rng.standard_normal(...)``)
     or a call of a ``random_*`` function or method.  A suite that draws each
     variable once as a block, with one leading axis per sample, makes as
-    many random calls at any sample count; a draw in a loop or in a
-    ``draw_samples`` lambda makes one per sample.
+    many random calls at any sample count; a draw in a loop, or in a lambda
+    that a loop calls, makes one per sample.
     """
     tree = ast.parse(source, filename)
-    found = {node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call) and _callee(node) == "draw_samples"}
+    found = set()
     for scope in ast.walk(tree):
         if isinstance(scope, LOOPS + (ast.While, ast.Lambda)):
             found |= {node.lineno for node in ast.walk(scope) if isinstance(node, ast.Call)
@@ -488,7 +487,7 @@ def test_per_sample_loop_detector():
         "        pass\n"
         "def b_check(space, trials):\n"
         "    return sum(f(x) for _ in range(trials))\n"
-        "def draw_samples(samples, draw):\n"
+        "def draw_rows(samples, draw):\n"
         "    for i in range(samples):\n"
         "        pass\n"
         "def c_suite(n):\n"
@@ -527,8 +526,8 @@ def test_no_central_in_loops_in_package():
 
 def test_per_sample_draw_detector():
     src = (
-        "P, Q = draw_samples(n, lambda: (b.random_point(rng), b.random_point(rng)))\n"
-        "xs = bundle.draw_samples(n, draw)\n"
+        "P, Q = draw_rows(n, lambda: (b.random_point(rng), b.random_point(rng)))\n"
+        "xs = draw_rows(n, draw)\n"
         "for _ in range(n):\n"
         "    v = rng.standard_normal(3)\n"
         "ys = [random_polynomial(rng, 3) for _ in range(n)]\n"
@@ -541,14 +540,10 @@ def test_per_sample_draw_detector():
         "ok3 = [p for p in unstack(ok)]\n"
         "ok4 = [g.random for g in gens]\n"
     )
-    assert per_sample_draws(src) == ["<src>:1", "<src>:2", "<src>:4", "<src>:5", "<src>:6", "<src>:7", "<src>:9"]
+    assert per_sample_draws(src) == ["<src>:1", "<src>:4", "<src>:5", "<src>:6", "<src>:7", "<src>:9"]
 
 
-# the bundle, Poisson and CLI suites still draw through draw_samples
-DRAW_SAMPLES_MODULES = ("bundle.py", "cli.py", "poisson.py", "poisson_groupoid.py")
-
-
-@pytest.mark.parametrize("module", sorted(path.name for path in SRC.glob("*.py") if path.name not in DRAW_SAMPLES_MODULES))
+@pytest.mark.parametrize("module", sorted(path.name for path in SRC.glob("*.py")))
 def test_no_per_sample_draws(module):
     path = SRC / module
     assert per_sample_draws(path.read_text(encoding="utf-8"), path.name) == []

@@ -43,6 +43,9 @@ def test_identical_trees_print_no_difference(outputs, tmp_path, capsys):
         "2 of 2 runs byte-identical",
         "verdict changes: 0",
         "moved residuals and tolerances: 0",
+        "least headroom per run (largest residual/tol, flags left out): OLD | NEW",
+        "  a@default: 1e-06 bundle.momentum[B]:J_equivariance | 1e-06 bundle.momentum[B]:J_equivariance",
+        "  b@9001: 3e-06 bundle.momentum[B]:J_equivariance | 3e-06 bundle.momentum[B]:J_equivariance",
     ]
 
 
@@ -57,6 +60,9 @@ def test_one_edited_residual_prints_exactly_that_check(outputs, tmp_path):
         "verdict changes: 0",
         "moved residuals and tolerances: 1",
         "  b@9001 bundle.momentum[B]:quotient_idempotent residual: 2e-16 -> 5e-16 (relative move 0.6)",
+        "least headroom per run (largest residual/tol, flags left out): OLD | NEW",
+        "  a@default: 1e-06 bundle.momentum[B]:J_equivariance | 1e-06 bundle.momentum[B]:J_equivariance",
+        "  b@9001: 3e-06 bundle.momentum[B]:J_equivariance | 5e-06 bundle.momentum[B]:quotient_idempotent",
     ]
 
 
@@ -64,3 +70,24 @@ def test_a_changed_verdict_is_listed_before_the_moves(outputs, tmp_path):
     old, new = make_tree(tmp_path / "old"), make_tree(tmp_path / "new", edited=3e-10)
     lines, _ = outputs.diff(old, new)
     assert lines[3:5] == ["verdict changes: 1", "  b@9001 bundle.momentum[B]:quotient_idempotent: pass -> FAIL"]
+
+
+def test_least_headroom_leaves_out_flags_and_reads_drift(outputs, tmp_path):
+    old, new = make_tree(tmp_path / "old"), make_tree(tmp_path / "new")
+    # a failed flag (residual 1 against 0.5) is no headroom; a suite_error (inf against 0) is the least there is
+    report = new / "a@default" / "out" / "report.json"
+    doc = json.loads(report.read_text(encoding="utf-8"))
+    doc["suites"][0]["checks"].append({"name": "rank_split", "pass": False, "residual": 1.0, "tol": 0.5})
+    report.write_text(json.dumps(doc), encoding="utf-8")
+    assert outputs.least_headroom(doc) == (1e-6, "bundle.momentum[B]:J_equivariance")
+    doc["suites"].append({"suite": "poisson.jacobi", "checks": [{"name": "suite_error", "pass": False, "residual": "inf", "tol": 0.0}]})
+    assert outputs.least_headroom(doc) == (float("inf"), "poisson.jacobi:suite_error")
+    # a simulate report's drift monitors count; a run on one side only prints "-" on the other
+    write_run(new, "c@1", {})
+    (new / "c@1" / "out" / "report.json").write_text(json.dumps({"kind": "simulate", "drift": {"energy": 2e-7}, "drift_tol": 1e-6}), encoding="utf-8")
+    lines, _ = outputs.diff(old, new)
+    assert lines[-3:] == [
+        "  a@default: 1e-06 bundle.momentum[B]:J_equivariance | 1e-06 bundle.momentum[B]:J_equivariance",
+        "  b@9001: 3e-06 bundle.momentum[B]:J_equivariance | 3e-06 bundle.momentum[B]:J_equivariance",
+        "  c@1: - | 0.2 drift:energy",
+    ]

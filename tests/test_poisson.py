@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -54,7 +55,7 @@ class TestBracketEval:
     def test_bracket_with_self_vanishes(self):
         lp = lie_poisson(liealg.so3())
         rng = np.random.default_rng(1)
-        f = random_polynomial(rng, 3)
+        f = random_polynomial(rng, 3, ())
         x = rng.standard_normal(3)
         assert abs(lp.bracket(f, f, x)) <= 1e-14
 
@@ -68,7 +69,7 @@ class TestBracketEval:
     def test_abelian_brackets_vanish(self):
         lp = lie_poisson(liealg.translation_group(3))
         rng = np.random.default_rng(2)
-        f, g = random_polynomial(rng, 3), random_polynomial(rng, 3)
+        f, g = random_polynomial(rng, 3, (2,)).unstack()
         assert abs(lp.bracket(f, g, rng.standard_normal(3))) <= 1e-14
 
     def test_canonical_closed_form(self):
@@ -85,9 +86,9 @@ class TestBracketEval:
             q = quotient_cotangent(b)
             rng = np.random.default_rng(3)
             for _ in range(20):
-                s = CotangentSample(b.point_at(*b.random_point_coords(rng)), *b.random_covector(rng))
+                s = b.random_cotangents(rng, ())
                 assert np.linalg.norm(s.point.fiber - b.group.identity()) > 1e-3
-                f, h = random_polynomial(rng, q.dim), random_polynomial(rng, q.dim)
+                f, h = random_polynomial(rng, q.dim, (2,)).unstack()
                 closed = q.bracket(f, h, b.class_coords(s))
                 exact = poisson.cotangent_bracket(b, poisson.invariant_lift(b, f), poisson.invariant_lift(b, h), s)
                 fd = poisson.cotangent_bracket(b, poisson.invariant_lift(b, ScalarField(f)), poisson.invariant_lift(b, ScalarField(h)), s)
@@ -104,7 +105,7 @@ class TestBracketEval:
         sp = product_space([canonical_cotangent(1), lie_poisson(liealg.so3())])
         assert sp.dim == 5
         rng = np.random.default_rng(4)
-        f, g = random_polynomial(rng, 5), random_polynomial(rng, 5)
+        f, g = random_polynomial(rng, 5, (2,)).unstack()
         x = rng.standard_normal(5)
         manual = 0.0
         bvec = sp.bivector(x)
@@ -155,7 +156,7 @@ class TestDualPair:
         const_f = ScalarField(lambda x: 3.0, lambda x: np.zeros(7))
         const_h = ScalarField(lambda x: -1.0, lambda x: np.zeros(3))
         rng = np.random.default_rng(9)
-        s = CotangentSample(b.point_at(*b.random_point_coords(rng)), *b.random_covector(rng))
+        s = b.random_cotangents(rng, ())
         F = poisson.invariant_lift(b, const_f)
         H = poisson.CotangentFn(lambda ss: const_h(ss.b), lambda ss: (np.zeros(2), np.zeros(3), np.zeros(2), np.zeros(3)))
         assert abs(poisson.cotangent_bracket(b, F, H, s)) == 0.0
@@ -178,7 +179,7 @@ class TestStacks:
                                        quotient_cotangent(so3_bundle()), quotient_cotangent(heis_bundle())], ids=lambda sp: sp.name)
     def test_bracket_rows_equal_single_calls(self, space):
         rng = np.random.default_rng(30)
-        x, f, g = bundle.draw_samples(25, lambda: (poisson._sample_point(space, rng), random_polynomial(rng, space.dim, 3), random_polynomial(rng, space.dim)))
+        x, f, g = poisson._sample_point(space, rng, (25,)), random_polynomial(rng, space.dim, (25,), 3), random_polynomial(rng, space.dim, (25,))
         stacked = space.bracket(f, g, x)
         assert stacked.shape == (25,)
         assert np.array_equal(stacked, [space.bracket(_row(f, i), _row(g, i), x[i]) for i in range(25)])
@@ -189,27 +190,30 @@ class TestStacks:
     def test_cotangent_bracket_rows_equal_single_calls(self, b):
         rng = np.random.default_rng(31)
         dim = quotient_cotangent(b).dim
-        base, fiber, a, bb, f, g, h = bundle.draw_samples(25, lambda: (*b.random_point_coords(rng), *b.random_covector(rng),
-                                                                       random_polynomial(rng, dim), random_polynomial(rng, dim), random_polynomial(rng, b.n)))
-        s = bundle.CotangentSample(b.point_at(base, fiber), a, bb)
+        s = b.random_cotangents(rng, (25,))
+        (f, g), h = random_polynomial(rng, dim, (2, 25)).unstack(), random_polynomial(rng, b.n, (25,))
         lifted = poisson.cotangent_bracket(b, poisson.invariant_lift(b, f), poisson.invariant_lift(b, g), s)
         polar = poisson.cotangent_bracket(b, poisson.invariant_lift(b, f), poisson._on_momentum(h), s)
         assert lifted.shape == polar.shape == (25,)
         for i in range(25):
-            si = bundle.CotangentSample(bundle.Point(s.point.base[i], s.point.fiber[i]), a[i], bb[i])
+            si = bundle.CotangentSample(bundle.Point(s.point.base[i], s.point.fiber[i]), s.a[i], s.b[i])
             fi = poisson.invariant_lift(b, _row(f, i))
             assert poisson.cotangent_bracket(b, fi, poisson.invariant_lift(b, _row(g, i)), si) == lifted[i]
             assert poisson.cotangent_bracket(b, fi, poisson._on_momentum(_row(h, i)), si) == polar[i]
 
     @pytest.mark.parametrize("degree", [1, 2, 3])
-    def test_stacked_draw_consumes_stream_as_repeated_calls(self, degree):
-        one, many = np.random.default_rng(32), np.random.default_rng(32)
-        (stacked,) = bundle.draw_samples(6, lambda: (random_polynomial(many, 5, degree),))
-        for i in range(6):
-            p = random_polynomial(one, 5, degree)
-            for c in ("c0", "c1", "c2", "c3"):
-                assert np.array_equal(getattr(stacked, c)[i], getattr(p, c))
-        assert one.normal() == many.normal()
+    def test_block_draw_is_a_stack_of_polynomials(self, degree):
+        # one block per coefficient, whatever the number of polynomials: each row a polynomial of the degree
+        calls = []
+        p = random_polynomial(builders.CountingGenerator(np.random.default_rng(32), calls), 5, (2, 6), degree)
+        assert calls == ["normal"] * (3 + (degree >= 3))
+        assert (p.c0.shape, p.c1.shape, p.c2.shape, p.c3.shape) == ((2, 6), (2, 6, 5), (2, 6, 5, 5), (2, 6, 5))
+        assert np.array_equal(p.c2, p.c2.swapaxes(-1, -2))
+        assert (np.any(p.c2) == (degree >= 2)) and (np.any(p.c3) == (degree >= 3))
+        x = np.random.default_rng(33).standard_normal((6, 5))
+        for i, row in enumerate(p.unstack()):
+            assert np.array_equal(row(x), [_row(row, j)(x[j]) for j in range(6)])
+            assert np.array_equal(row.c1, p.c1[i])
 
 
 class TestCallCounts:
@@ -279,6 +283,47 @@ class TestLeafCallCounts:
             per_samples.append(dict(counts))
         assert per_samples[0] == per_samples[1]
         assert sum(per_samples[0].values()) > 0
+
+
+def translation_bundle():
+    return BundleSpec(liealg.translation_group(2), ConnectionData.flat(2, 2), BoxBase([[-1.0, 1.0], [-1.0, 1.0]]))
+
+
+def so3_orbit(mu0, seed):
+    return coadjoint_orbit(liealg.so3(), np.array(mu0), seed=seed)
+
+
+# (suite, one run at n samples that passes); a run with a Casimir and one without, and magnetic closedness on a
+# 2-d base (padded triples) and on a 3-d one
+DRAWING_SUITES = {
+    "bracket_properties": (bracket_property_suite, lambda n: bracket_property_suite(quotient_cotangent(so3_bundle()), trials=n, seed=1).passed),
+    "jacobi-degree3": (jacobi_check, lambda n: jacobi_check(quotient_cotangent(so3_bundle()), trials=n, seed=1, degree=3) <= poisson.JACOBI_TOL),
+    "dual_pair-so3": (dual_pair_check, lambda n: dual_pair_check(so3_bundle(), trials=n, seed=1).passed),
+    "dual_pair-translations": (dual_pair_check, lambda n: dual_pair_check(translation_bundle(), trials=n, seed=1).passed),
+    "leaf_structure": (leaf_structure, lambda n: leaf_structure(so3_bundle(), so3_orbit([0.0, 0.0, 1.0], 50), samples=n, seed=51).passed),
+    "magnetic_term": (magnetic_term, lambda n: magnetic_term(u1_bundle(), np.array([1.0]), samples=n, seed=54)[1].passed),
+    "magnetic_term-3d": (magnetic_term, lambda n: magnetic_term(BundleSpec(liealg.torus(1), ConnectionData.flat(3, 1), BoxBase([[-1.0, 1.0]] * 3)),
+                                                                np.array([1.0]), samples=n, seed=54)[1].passed),
+    "groupoid_action": (groupoid_action_suite, lambda n: groupoid_action_suite(so3_bundle(), so3_orbit([0.3, -0.5, 0.8], 52), samples=n, seed=53).passed),
+}
+
+
+def test_drawing_suites_cover_every_suite():
+    suites = {name for mod in (poisson, poisson_groupoid) for name in vars(mod) if name.endswith(("_suite", "_check"))}
+    assert {suite.__name__ for suite, _ in DRAWING_SUITES.values()} == suites | {"leaf_structure", "magnetic_term"}
+
+
+@pytest.mark.parametrize("key", sorted(DRAWING_SUITES))
+def test_draws_do_not_scale_with_the_sample_count(key, monkeypatch):
+    # each variable is drawn once as a block, so doubling the samples makes the same generator calls
+    suite, run = DRAWING_SUITES[key]
+    calls = builders.counted_streams(monkeypatch, sys.modules[suite.__module__])
+    drawn = []
+    for n in (7, 14):
+        calls.clear()
+        assert run(n)
+        drawn.append(list(calls))
+    assert drawn[0] == drawn[1] and drawn[0]
 
 
 class TestLeafStacks:
@@ -356,7 +401,7 @@ class TestCasimirs:
         rng = np.random.default_rng(40)
         for c in casimir_fields(g):
             for _ in range(10):
-                f = random_polynomial(rng, g.dim, degree=3)
+                f = random_polynomial(rng, g.dim, (), degree=3)
                 assert abs(lp.bracket(c, f, rng.standard_normal(g.dim))) <= 1e-8
 
     def test_follow_structure_not_name(self):
@@ -470,8 +515,7 @@ def test_cotangent_grads_call_fn_once():
     b = so3_bundle()
     rng = np.random.default_rng(46)
     q = quotient_cotangent(b)
-    base, fiber, a, bb, f = bundle.draw_samples(5, lambda: (*b.random_point_coords(rng), *b.random_covector(rng), random_polynomial(rng, q.dim)))
-    s = CotangentSample(b.point_at(base, fiber), a, bb)
+    s, f = b.random_cotangents(rng, (5,)), random_polynomial(rng, q.dim, (5,))
     lift = poisson.invariant_lift(b, ScalarField(f))
     calls = []
 
@@ -536,7 +580,7 @@ class TestMagneticTerm:
         two_form, rep = magnetic_term(b, np.array([1.0]), samples=6, seed=26)
         assert rep.passed
         rng = np.random.default_rng(27)
-        m, rho = b.random_base(rng), rng.standard_normal(2)
+        m, rho = b.random_base(rng, ()), rng.standard_normal(2)
         assert abs(two_form(m, rho, rng.standard_normal(4), rng.standard_normal(4))) <= 1e-9
 
     def test_three_dimensional_base(self):
@@ -572,11 +616,11 @@ class TestGroupoidAction:
         b = so3_bundle()
         rng = np.random.default_rng(32)
         beta = rng.standard_normal(3)
-        m2 = b.random_base(rng)
+        m2 = b.random_base(rng, ())
         a2 = rng.standard_normal(2)
         # the identity arrow at the class (m2, -a2, beta)
         lam = poisson_groupoid.PairClassPoint(m2, np.eye(3), m2, -a2, beta, a2, -beta)
-        y = poisson_groupoid.PairClassPoint(m2, np.eye(3), b.random_base(rng), -a2, beta, rng.standard_normal(2), rng.standard_normal(3))
+        y = poisson_groupoid.PairClassPoint(m2, np.eye(3), b.random_base(rng, ()), -a2, beta, rng.standard_normal(2), rng.standard_normal(3))
         z = poisson_groupoid._pair_product(lam, y)
         assert np.linalg.norm(poisson_groupoid._pair_t(b, z) - poisson_groupoid._pair_t(b, lam)) <= 1e-12
         assert np.linalg.norm(poisson_groupoid._pair_s(z) - poisson_groupoid._pair_s(y)) <= 1e-12

@@ -16,7 +16,10 @@ stderr is written as ``<tree>``, so two checkouts compare.
 ``report.json``, CSVs and metadata (the other output files) are
 byte-identical.  Then each check whose verdict changed, then each residual
 or tolerance that moved, with its old and new value, largest relative move
-first.  It reads only the two directories, so it compares any two trees.
+first.  Last, the smallest headroom of each run on each side: the largest
+residual/tol over its residual checks, with the check's name.  Flags (residual
+0 or 1 against tolerance 0.5, which no scale changes) are left out.  It reads
+only the two directories, so it compares any two trees.
 Exit status 0 when every run is identical, 1 otherwise.
 """
 
@@ -93,6 +96,22 @@ def report_values(report: dict) -> dict[str, tuple[bool, float, float]]:
     return out
 
 
+def _is_flag(residual: float, tol: float) -> bool:
+    return tol == 0.5 and residual in (0.0, 1.0)
+
+
+def least_headroom(report: dict) -> tuple[float, str] | None:
+    """(residual/tol, check) of the residual check closest to failing, flags left out; None for a report without one.
+
+    A zero tolerance gives 0 for a zero residual and inf otherwise; a NaN ratio counts as the largest."""
+    ratios = [(r / t if t > 0 else 0.0 if r == 0 else math.inf, name) for name, (_, r, t) in report_values(report).items() if not _is_flag(r, t)]
+    return max(ratios, key=lambda rc: (math.isnan(rc[0]), rc[0]), default=None)
+
+
+def _headroom_text(found: tuple[float, str] | None) -> str:
+    return "-" if found is None else f"{found[0]:.3g} {found[1]}"
+
+
 def _report(run_dir: Path) -> dict:
     path = run_dir / "out" / "report.json"
     return json.loads(path.read_text(encoding="utf-8")) if path.is_file() else {}
@@ -139,6 +158,10 @@ def diff(old_root: Path, new_root: Path) -> tuple[list[str], bool]:
     lines.extend(verdicts)
     lines.append(f"moved residuals and tolerances: {len(moves)}")
     lines.extend(line for _, line in sorted(moves, key=lambda m: -m[0]))
+    lines.append("least headroom per run (largest residual/tol, flags left out): OLD | NEW")
+    for name in sorted(runs_old | runs_new):
+        old, new = (least_headroom(_report(root / name)) if name in runs else None for root, runs in ((old_root, runs_old), (new_root, runs_new)))
+        lines.append(f"  {name}: {_headroom_text(old)} | {_headroom_text(new)}")
     return lines, identical == total
 
 
