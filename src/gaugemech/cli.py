@@ -400,7 +400,7 @@ def run_leaves(scenario: dict, basedir: Path, seed: int, tol_scale: float, out_d
         reports += _run_suite("poisson.groupoid_action", lambda: [poisson_groupoid.groupoid_action_suite(b, orbit, samples=8, seed=seed)])
 
     if chi is not None:
-        magnetic = _run_suite("poisson.magnetic", lambda: [poisson.magnetic_term(b, chi, samples=samples if "samples" in cfg else 12, seed=seed)[1]])
+        magnetic = _run_suite("poisson.magnetic", lambda: [poisson.magnetic_term(b, chi, samples=samples, seed=seed)[1]])
         reports += magnetic
         extras["magnetic_closedness_residual"] = magnetic[0].extras.get("magnetic_closedness_residual")
 

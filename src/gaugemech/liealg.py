@@ -57,6 +57,14 @@ class LieDomainError(ValueError):
     """Input lies outside the domain of the requested matrix map."""
 
 
+class NotClosedError(ValueError):
+    """A basis whose commutators leave its span, by ``defect`` (``commutator_defect``): no Lie algebra."""
+
+    def __init__(self, name: str, defect: float):
+        super().__init__(f"'basis' of group {name!r} is not closed under commutators: they leave its span by {defect:.3g}")
+        self.defect = defect
+
+
 # ---------------------------------------------------------------------------
 # matrix exponential / logarithm (scaling-and-squaring, tiny dense matrices)
 # ---------------------------------------------------------------------------
@@ -386,8 +394,9 @@ class LieGroupSpec:
     (F F^T) c = F vec([e_i, e_j]) of the flattened basis F: exact for integer
     bases such as so3 and so3 x| r3.  A basis that is not finite or not
     linearly independent (the package's rank rule, ``linalg.rank_gap`` at
-    1e-10) is a ValueError naming it.  ``abelian`` when every constant is
-    zero; then Ad_g = I.  The basis picks one family (``_family_of``) that
+    1e-10) is a ValueError naming it, and one whose commutators leave its
+    span by more than COMMUTATOR_TOL a NotClosedError.  ``abelian`` when
+    every constant is zero; then Ad_g = I.  The basis picks one family (``_family_of``) that
     gives ``exp``, ``log``, ``inverse``, ``Ad`` and the membership residual,
     in closed form for rotations, unipotent groups and rigid motions.  Every
     closed form takes a stack at once, and each row has the bits of its
@@ -417,6 +426,9 @@ class LieGroupSpec:
             self.structure = np.linalg.solve(flat @ flat.T, flat @ comm.T).T.reshape((self.dim,) * 3)
         if not np.isfinite(self.structure).all():
             raise ValueError(f"'basis' of group {self.name!r} is too large: its commutators overflow")
+        off = commutator_defect(self)
+        if not off <= COMMUTATOR_TOL:
+            raise NotClosedError(self.name, off)
         self.abelian = not self.structure.any()
         self._basis_pinv = np.linalg.pinv(flat)
         self._family = _family_of(self)
@@ -912,9 +924,9 @@ def spec_from_json(doc: dict) -> LieGroupSpec:
     ``structure`` the nonzero [i, j, k, c^k_ij], every index in [0, dim).  The
     constants come from the basis; ``structure`` is a cross-check, and a
     document whose constants differ from the derived ones by more than
-    COMMUTATOR_TOL is a ConfigError naming it, as is a basis whose
-    commutators leave its span.  Membership is the residual of the family
-    the basis selects, as for a built-in group, whatever the ``name``.
+    COMMUTATOR_TOL is a ConfigError naming it.  Membership is the residual of
+    the family the basis selects, as for a built-in group, whatever the
+    ``name``.
     """
     name = schema.text("name", doc.get("name"))
     dim, embed = schema.integer("dim", doc.get("dim")), schema.integer("embed", doc.get("embed"))
@@ -924,9 +936,6 @@ def spec_from_json(doc: dict) -> LieGroupSpec:
         i, j, k, c = schema.items("structure", entry, 4, 4)
         structure[tuple(schema.integer("structure", x, 0, dim) for x in (i, j, k))] = schema.number("structure", c)
     spec = LieGroupSpec(name, dim, embed, basis)
-    off = commutator_defect(spec)
-    if not off <= COMMUTATOR_TOL:
-        raise schema.ConfigError(f"'basis' of group {name!r} is not closed under commutators: they leave its span by {off:.3g}")
     gap = float(np.max(np.abs(structure - spec.structure)))
     if not gap <= COMMUTATOR_TOL:
         raise schema.ConfigError(f"'structure' of group {name!r} differs from the constants its basis gives by {gap:.3g}")

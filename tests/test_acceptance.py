@@ -171,7 +171,7 @@ def test_criterion_9_heavy_top():
     ratio, d1, d2 = dynamics.convergence_ratio(model.space, model.hamiltonian, x0, h=8e-3, t_final=4.0, quantity=model.hamiltonian)
     ratio_ok = 12.0 <= ratio <= 20.0
 
-    grp = semidirect.so3_r3().group_spec()
+    grp = semidirect.so3_r3().H
     us, bs = cotangent_flow.integrate_cotangent(grp, partial(cotangent_flow.group_cotangent_field, grp, model.hamiltonian), grp.identity(), x0, 1e-3, 1000)
     mu_up = grp.Ad_star(np.linalg.inv(us[-1])) @ bs[-1]
     reduced = dynamics.integrate(model.space, model.hamiltonian, x0, 1e-3, 1000)

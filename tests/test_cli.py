@@ -190,6 +190,17 @@ class TestLeaves:
         report = json.loads((tmp_path / "report.json").read_text())
         assert "magnetic_closedness_residual" in report
 
+    def test_leaves_samples_default_to_20_for_both_suites(self, tmp_path):
+        # without 'samples' the leaf and the magnetic suites both take the one default
+        scenario = cli.BUILTIN_SCENARIOS["u1-magnetic"]
+        path = tmp_path / "u1.json"
+        path.write_text(json.dumps(scenario | {"leaves": {k: v for k, v in scenario["leaves"].items() if k != "samples"}}))
+        assert run(["leaves", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_PASS
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        leaf, magnetic = report["suites"]
+        assert (leaf["suite"].split("[")[0], leaf["membership_trials"]) == ("poisson.leaf", 20)
+        assert (magnetic["suite"].split("[")[0], magnetic["trials"]) == ("poisson.magnetic", 20)
+
     @pytest.mark.parametrize("name", ["so3-leaves", "so3-zero-leaf", "u1-magnetic"])
     def test_leaf_points_csv_is_per_value_17g(self, tmp_path, name):
         # %.17g reads back to the same float, so formatting the values read back one at a time

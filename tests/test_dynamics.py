@@ -346,7 +346,7 @@ class TestFastPaths:
         for q in monitors.values():
             assert same_bits(q(states), [q(y) for y in states])
 
-    @pytest.mark.parametrize("group", [liealg.so3(), liealg.heisenberg3(), semidirect.so3_r3().group_spec()], ids=lambda g: g.name)
+    @pytest.mark.parametrize("group", [liealg.so3(), liealg.heisenberg3(), semidirect.so3_r3().H], ids=lambda g: g.name)
     def test_casimirs_batched_equal_per_row(self, group):
         fields = poisson.casimir_fields(group)
         assert fields
@@ -392,7 +392,7 @@ class TestReductionConsistency:
 
     def test_upstairs_flow_matches_lie_poisson_heavy_top(self):
         m = semidirect.heavy_top_model([1.0, 2.0, 3.0], 1.0, [0.0, 0.0, 1.0])
-        grp = semidirect.so3_r3().group_spec()
+        grp = semidirect.so3_r3().H
         x0 = np.array([0.8, -0.3, 0.6, 0.2, 0.1, 0.9])
         us, bs = cotangent_flow.integrate_cotangent(grp, partial(cotangent_flow.group_cotangent_field, grp, m.hamiltonian), grp.identity(), x0, 1e-3, 1000)
         traj = integrate(m.space, m.hamiltonian, x0, 1e-3, 1000)

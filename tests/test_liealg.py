@@ -49,6 +49,11 @@ class TestBracket:
         with pytest.raises(ValueError):
             so3.bracket(np.zeros(2), np.zeros(3))
 
+    def test_basis_not_closed_under_commutators_is_rejected(self, so3):
+        # e1 and e2 of so3 without e3 = [e1, e2]: no Lie algebra, so no least-squares constants are derived
+        with pytest.raises(liealg.NotClosedError, match="'basis' of group 'so3' is not closed under commutators: they leave its span by 1"):
+            liealg.LieGroupSpec("so3", 2, 3, so3.basis[:2])
+
 
 class TestExpLog:
     def test_exp_zero(self, so3):
@@ -155,7 +160,7 @@ class TestClosedFormRotations:
         calls = []
         for name in ("rodrigues", "rotation_log"):
             monkeypatch.setattr(liealg, name, lambda *args, real=getattr(liealg, name), name=name: calls.append(name) or real(*args))
-        for g in (liealg.heisenberg3(), liealg.torus(1), semidirect.so3_r3().group_spec(), liealg.so3()):
+        for g in (liealg.heisenberg3(), liealg.torus(1), semidirect.so3_r3().H, liealg.so3()):
             calls.clear()
             g.log(g.exp(np.full(g.dim, 0.1)))
             assert calls == (["rodrigues", "rotation_log"] if g.name == "so3" else []), g.name
@@ -246,7 +251,7 @@ def ad_by_columns(spec, g):
 
 
 class TestAdjoint:
-    @pytest.mark.parametrize("factory", [liealg.so3, liealg.heisenberg3, lambda: semidirect.so3_r3().group_spec()])
+    @pytest.mark.parametrize("factory", [liealg.so3, liealg.heisenberg3, lambda: semidirect.so3_r3().H])
     def test_matches_column_construction(self, factory):
         g = factory()
         rng = np.random.default_rng(22)
@@ -255,7 +260,7 @@ class TestAdjoint:
             assert np.max(np.abs(g.Ad(h) - ad_by_columns(g, h))) <= 1e-14
 
     @pytest.mark.parametrize("factory", [liealg.so3, liealg.heisenberg3, lambda: liealg.torus(2),
-                                         lambda: semidirect.so3_r3().group_spec()])
+                                         lambda: semidirect.so3_r3().H])
     def test_inverse_variants_match_inverted_argument(self, factory):
         g = factory()
         rng = np.random.default_rng(25)
@@ -299,7 +304,7 @@ class TestAdjoint:
 
 
 STACK_GROUPS = [liealg.so3, liealg.heisenberg3, lambda: liealg.translation_group(3), lambda: liealg.torus(2),
-                lambda: semidirect.so3_r3().group_spec()]
+                lambda: semidirect.so3_r3().H]
 
 
 class TestStacks:
@@ -399,7 +404,7 @@ class TestCasimirs:
         (liealg.heisenberg3, 1, 0),
         (lambda: liealg.translation_group(3), 3, 0),
         (lambda: liealg.torus(2), 2, 0),
-        (lambda: semidirect.so3_r3().group_spec(), 0, 2),
+        (lambda: semidirect.so3_r3().H, 0, 2),
     ])
     def test_counts(self, factory, n_linear, n_quadratic):
         linear, quadratic = factory().casimirs
@@ -412,7 +417,7 @@ class TestCasimirs:
         pi_gamma = np.zeros((6, 6))
         pi_gamma[:3, 3:] = pi_gamma[3:, :3] = 0.5 * np.eye(3)
         gamma_sq = np.diag([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
-        np.testing.assert_array_equal(semidirect.so3_r3().group_spec().casimirs[1], [pi_gamma, gamma_sq])
+        np.testing.assert_array_equal(semidirect.so3_r3().H.casimirs[1], [pi_gamma, gamma_sq])
 
     def test_independent_of_name(self, so3):
         heis = liealg.heisenberg3()
@@ -481,7 +486,7 @@ def unipotent_line():
 
 def rigid_z_rotations_and_translations():
     """The rotations about z with every translation: the rigid-motion frame is 6 x 4, not the identity."""
-    return liealg.LieGroupSpec("se2xr", 4, 7, semidirect.so3_r3().group_spec().basis[2:])
+    return liealg.LieGroupSpec("se2xr", 4, 7, semidirect.so3_r3().H.basis[2:])
 
 
 # per group: an element off it of the family's own shape, or, for a proper subgroup, an element of the larger group
@@ -489,11 +494,11 @@ FAMILY_CASES = {
     "so3": (liealg.so3, lambda: np.diag([2.0, 1.0, 1.0])),
     "heisenberg3": (liealg.heisenberg3, lambda: np.eye(3) + _unit(3, (1, 0))),
     "r3": (lambda: liealg.translation_group(3), lambda: np.eye(4) + _unit(4, (0, 1))),
-    "se3": (lambda: semidirect.so3_r3().group_spec(), lambda: np.eye(7) + 0.1 * _unit(7, (0, 3))),
+    "se3": (lambda: semidirect.so3_r3().H, lambda: np.eye(7) + 0.1 * _unit(7, (0, 3))),
     "t2": (lambda: liealg.torus(2), lambda: np.diag([2.0, 1.0, 1.0, 1.0])),
     "z-rotations": (rotations_about_z, lambda: liealg.so3().exp(np.array([0.4, 0.0, 0.0]))),
     "unipotent-line": (unipotent_line, lambda: np.eye(3) + _unit(3, (0, 1))),
-    "rigid-subgroup": (rigid_z_rotations_and_translations, lambda: semidirect.so3_r3().group_spec().exp(np.array([0.4, 0, 0, 0, 0, 0]))),
+    "rigid-subgroup": (rigid_z_rotations_and_translations, lambda: semidirect.so3_r3().H.exp(np.array([0.4, 0, 0, 0, 0, 0]))),
 }
 
 
@@ -543,7 +548,7 @@ def test_permuted_and_rescaled_bases_keep_their_family(make, order, scales, gene
 @pytest.mark.parametrize("gap", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7])
 def test_logm_converges_near_half_turn(gap):
     # near pi the best square-root residual is about eps / gap, above the 1e-13 target
-    so3, se3 = liealg.so3(), semidirect.so3_r3().group_spec()
+    so3, se3 = liealg.so3(), semidirect.so3_r3().H
     rng = np.random.default_rng(25)
     for _ in range(20):
         axis = rng.standard_normal(3)
@@ -570,7 +575,7 @@ CLOSED_FORM_GROUPS = {
     "heisenberg3": liealg.heisenberg3,
     "t1": lambda: liealg.torus(1),
     "so3": liealg.so3,
-    "se3": lambda: semidirect.so3_r3().group_spec(),
+    "se3": lambda: semidirect.so3_r3().H,
 }
 MARGIN_ROWS = 10
 

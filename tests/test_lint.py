@@ -101,10 +101,11 @@ def central_difference_sites(source: str, filename: str = "<src>") -> list[str]:
 
 
 def per_sample_loops(source: str, filename: str = "<src>") -> list[str]:
-    """Loops (``for`` statements and comprehensions) over ``range(samples)`` or ``range(trials)`` in a ``*_suite`` or ``*_check`` function.
+    """Loops (``for`` statements and comprehensions) in a ``*_suite`` or ``*_check`` function whose iterable reads ``samples`` or ``trials``.
 
     A suite draws each variable once as a block (``BundleSpec.random_points``)
-    and evaluates each check once over the stacked samples.
+    and evaluates each check once over the stacked samples: no loop over the
+    samples (``range(samples)``), nor over slices of them (``range(0, samples, k)``).
     """
     found = []
     for fn in ast.walk(ast.parse(source, filename)):
@@ -112,8 +113,7 @@ def per_sample_loops(source: str, filename: str = "<src>") -> list[str]:
             continue
         for node in _own_nodes(fn):
             it = getattr(node, "iter", None) if isinstance(node, (ast.For, ast.comprehension)) else None
-            if (isinstance(it, ast.Call) and isinstance(it.func, ast.Name) and it.func.id == "range" and len(it.args) == 1
-                    and isinstance(it.args[0], ast.Name) and it.args[0].id in ("samples", "trials")):
+            if it is not None and any(isinstance(x, ast.Name) and x.id in ("samples", "trials") for x in ast.walk(it)):
                 found.append((it.lineno, fn.name))
     return [f"{filename}:{line} {name}" for line, name in sorted(found)]
 
@@ -490,11 +490,14 @@ def test_per_sample_loop_detector():
         "def draw_rows(samples, draw):\n"
         "    for i in range(samples):\n"
         "        pass\n"
-        "def c_suite(n):\n"
+        "def c_suite(n, samples):\n"
         "    for _ in range(n):\n"
         "        pass\n"
+        "    for rows in blocks(samples):\n"
+        "        pass\n"
+        "    ys = [g(x) for x in draws]\n"
     )
-    assert per_sample_loops(src) == ["<src>:2 a_suite", "<src>:4 a_suite", "<src>:8 b_check"]
+    assert per_sample_loops(src) == ["<src>:2 a_suite", "<src>:4 a_suite", "<src>:5 a_suite", "<src>:8 b_check", "<src>:15 c_suite"]
 
 
 def test_no_per_sample_loops_in_suites():

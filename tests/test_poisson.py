@@ -116,7 +116,7 @@ class TestBracketEval:
         # the matmul form must reproduce einsum("ijk,k->ij") bit for bit
         spaces = [
             canonical_cotangent(2),
-            lie_poisson(semidirect.so3_r3().group_spec()),
+            lie_poisson(semidirect.so3_r3().H),
             quotient_cotangent(so3_bundle()),
             product_space([canonical_cotangent(1), lie_poisson(liealg.heisenberg3())]),
         ]
@@ -393,7 +393,7 @@ class TestCasimirs:
         liealg.heisenberg3,
         lambda: liealg.translation_group(3),
         lambda: liealg.torus(2),
-        lambda: semidirect.so3_r3().group_spec(),
+        lambda: semidirect.so3_r3().H,
     ])
     def test_commute_with_random_polynomials(self, factory):
         g = factory()
@@ -419,7 +419,7 @@ def package_fields() -> list[tuple[str, int, ScalarField]]:
     """(label, dim, field) of every ScalarField the package builds."""
     from gaugemech.cli import BUILTIN_SCENARIOS
 
-    groups = [liealg.so3(), liealg.heisenberg3(), liealg.torus(1), liealg.translation_group(3), semidirect.so3_r3().group_spec()]
+    groups = [liealg.so3(), liealg.heisenberg3(), liealg.torus(1), liealg.translation_group(3), semidirect.so3_r3().H]
     out = [(f"{g.name}:{c.name}", g.dim, c) for g in groups for c in casimir_fields(g)]
     out.append(("coordinate_field", 4, coordinate_field(1, 4)))
     tops = {name: BUILTIN_SCENARIOS[name]["simulate"] for name in ("heavy-top-lagrange", "heavy-top-free")}
@@ -647,7 +647,7 @@ GROUP_FACTORS = {
     "r3": lambda: [liealg.translation_group(3)],
     "t2": lambda: [liealg.torus(2)],
     "so3 x r3 factors": lambda: [semidirect.so3_r3().K, semidirect.so3_r3().N],
-    "so3 x| r3 assembled": lambda: [semidirect.so3_r3().group_spec()],
+    "so3 x| r3 assembled": lambda: [semidirect.so3_r3().H],
 }
 
 

@@ -80,11 +80,11 @@ class TestGroupStructure:
         assert rep.passed, rep.failures()
 
     def test_assembled_group_is_valid(self, sd):
-        assert liealg.validate_spec(sd.group_spec(), seed=6).passed
+        assert liealg.validate_spec(sd.H, seed=6).passed
 
     def test_se3_structure_constants(self, sd):
         # [k_i, n_j] = n_{i x j}: the classic semidirect algebra relations
-        H = sd.group_spec()
+        H = sd.H
         e = np.eye(6)
         np.testing.assert_allclose(H.bracket(e[0], e[1]), e[2], atol=1e-12)
         np.testing.assert_allclose(H.bracket(e[0], e[4]), e[5], atol=1e-12)  # [k1, n2] = n3
@@ -93,7 +93,7 @@ class TestGroupStructure:
     def test_se3_structure_constants_are_exact(self, sd):
         # the integer basis of so3 x| r3 gives constants 0 and +-1 only, 18 of them nonzero: the
         # compiled heavy-top field writes each one as a literal, so no rounding noise may enter
-        c = sd.group_spec().structure
+        c = sd.H.structure
         assert set(c.ravel().tolist()) <= {0.0, 1.0, -1.0}
         assert np.count_nonzero(c) == 18
 
@@ -151,9 +151,10 @@ def test_generic_route_matches_closed_form():
 
 
 def test_other_generators_take_the_exp_route():
-    # -2 e_i is not the generator of R(l) = diag(l^-1, I), so R stays exp(r(log l))
+    # -e_(i-1), a cyclic relabelling that keeps rho an action by automorphisms, is not the generator
+    # of R(l) = diag(l^-1, I), so R stays exp(r(log l))
     base = so3_r3()
-    spec = SemidirectSpec(base.K, base.N, 2 * base.rho_generators)
+    spec = SemidirectSpec(base.K, base.N, np.roll(base.rho_generators, 1, axis=0))
     l = base.K.exp(base.K.random_algebra(np.random.default_rng(27)))
     assert not spec._inverse_conjugator
     assert np.array_equal(spec.R(l), liealg.expm(np.tensordot(base.K.log(l), spec.rho_generators, axes=1)))
@@ -295,7 +296,7 @@ class TestPullbackForm:
         # f o J with f a function of (theta, chi): the flow on T*H projects to
         # an autonomous flow on T*K x n*; compare the honest T*H integration
         # against the reduced product-space field at T = 1
-        H = sd.group_spec()
+        H = sd.H
         nk = sd.K.dim
         inertia = np.array([1.0, 2.0, 3.0])
         c = np.array([0.4, -0.2, 0.7])
@@ -423,11 +424,16 @@ class TestErrors:
         rep = semidirect.reduced_sequence_suite(sd_na, samples=5, seed=27)
         assert "skipped" in rep.extras.get("leaf_check", "")
 
+    def test_rho_that_is_not_an_action_by_automorphisms_is_rejected(self, sd):
+        # doubled rho generators: the basis of H leaves its span under commutators, so H is not built
+        with pytest.raises(ValueError, match=r"'rho' does not act by automorphisms: the commutators of sd:so3\|r3 leave its span by 0.8"):
+            SemidirectSpec(sd.K, sd.N, 2 * sd.rho_generators)
+
 
 class TestHeavyTopCasimirs:
     def test_equal_derived(self):
         model = heavy_top_model([1.0, 2.0, 3.0], 1.0, [0.0, 0.0, 1.0])
-        derived = poisson.casimir_fields(semidirect.so3_r3().group_spec())
+        derived = poisson.casimir_fields(semidirect.so3_r3().H)
         assert [c.name for c in model.casimirs] == ["|Gamma|^2", "<Pi,Gamma>"]
         rng = np.random.default_rng(42)
         for _ in range(5):
@@ -547,12 +553,12 @@ def test_connection_form_rows_equal_single_calls(route):
     spec = route()
     rng = np.random.default_rng(41)
     k, u = spec.random_pairs(rng, (12,))
-    v = rng.standard_normal((12, spec.group_spec().dim)) * 10.0 ** rng.uniform(-3, 1, (12, 1))
+    v = rng.standard_normal((12, spec.H.dim)) * 10.0 ** rng.uniform(-3, 1, (12, 1))
     stacked = semidirect.connection_form(spec, k, u, v)
     assert np.array_equal(stacked, [semidirect.connection_form(spec, k[i], u[i], v[i]) for i in range(12)])
 
 
-@pytest.mark.parametrize("group", [liealg.so3(), liealg.heisenberg3(), liealg.translation_group(3), so3_r3().group_spec()], ids=lambda g: g.name)
+@pytest.mark.parametrize("group", [liealg.so3(), liealg.heisenberg3(), liealg.translation_group(3), so3_r3().H], ids=lambda g: g.name)
 def test_dexp_left_rows_equal_single_calls(group):
     # magnitudes from 1e-4 to 10, and zero rows, so rows stop their series at different terms
     rng = np.random.default_rng(42)
@@ -607,20 +613,47 @@ def test_draws_do_not_scale_with_the_sample_count(sd, name, monkeypatch):
     assert drawn[0] == drawn[1]
 
 
-@pytest.mark.parametrize("name", SUITES)
-def test_reports_do_not_depend_on_the_block(sd, name, registry_samples, monkeypatch):
-    # every row keeps the bits of its single call, so the number of samples per pass moves no residual
-    suite, n = getattr(semidirect, name), registry_samples[name]
-    reports = []
-    for block in (1, 7, 50):
-        monkeypatch.setattr(semidirect, "SAMPLE_BLOCK", block)
-        reports.append(suite(sd, samples=n, seed=5).to_dict())
-    assert reports[0] == reports[1] == reports[2]
+def _row_kernels(sd, n, seed):
+    """The stacked kernels of the suites, each a function of the rows it evaluates, over n random rows."""
+    rng = np.random.default_rng(seed)
+    (k, l), (u, w) = sd.random_pairs(rng, (2, n))
+    theta, chi, velocity = (rng.standard_normal((n, d)) for d in (sd.K.dim, sd.N.dim, sd.H.dim))
+
+    def sample(r):
+        return CotangentSample(Point(k[r], u[r]), theta[r], chi[r])
+
+    return {
+        "tstar_sigma": lambda r: tstar_sigma(sd, sample(r)),
+        "lifted_action": lambda r: lifted_action(sd, sample(r), (l[r], w[r])),
+        "lifted_action_formula": lambda r: lifted_action_formula(sd, sample(r), (l[r], w[r])),
+        "coadjoint_factor_transport": lambda r: coadjoint_factor_transport(sd, (l[r], w[r])),
+        "connection_form": lambda r: semidirect.connection_form(sd, k[r], u[r], velocity[r]),
+        "rho_inf": lambda r: sd.rho_inf(l[r]),
+    }
+
+
+def _arrays(out):
+    """The arrays of a kernel's result: a CotangentSample's point and covector, a tuple's entries, or the array itself."""
+    if isinstance(out, CotangentSample):
+        return [out.point.base, out.point.fiber, out.a, out.b]
+    return list(out) if isinstance(out, tuple) else [out]
+
+
+@pytest.mark.parametrize("kernel", ["tstar_sigma", "lifted_action", "lifted_action_formula", "coadjoint_factor_transport", "connection_form", "rho_inf"])
+def test_every_row_has_the_bits_of_its_one_row_call(sd, kernel):
+    # the suites evaluate each check once over the whole stack; at equivariance's 200 rows each row still
+    # equals its one-row call, so the number of samples in a pass moves no residual
+    n = 200
+    f = _row_kernels(sd, n, seed=5)[kernel]
+    stacked = _arrays(f(slice(None)))
+    for i in range(n):
+        one = _arrays(f(slice(i, i + 1)))
+        assert len(one) == len(stacked) and all(np.array_equal(x[i], y[0]) for x, y in zip(stacked, one)), i
 
 
 @pytest.mark.parametrize("name", SUITES)
 def test_traced_memory_peak_is_bounded(sd, name, registry_samples):
-    # the block bounds every temporary: at its registry sample count no suite peaks above 0.6 MB
+    # one pass over the whole stack: at its registry sample count no suite peaks above 0.6 MB (equivariance's 200 samples, the largest, at about 0.5 MB)
     suite, n = getattr(semidirect, name), registry_samples[name]
     suite(sd, samples=n, seed=6)  # the first run fills the caches
     tracemalloc.start()
@@ -650,7 +683,7 @@ class TestRigidMotionDetection:
     def test_permuted_and_rescaled_bases_keep_the_closed_forms(self, monkeypatch):
         K = rebased(liealg.so3(), (2, 0, 1), (2.0, -1.0, 0.5))
         N = rebased(liealg.translation_group(3), (1, 2, 0), (0.25, 3.0, -1.0))
-        H = SemidirectSpec(K, N, standard_rho(K, N)).group_spec()
+        H = SemidirectSpec(K, N, standard_rho(K, N)).H
         assert liealg.validate_spec(H).passed
         x = 0.3 * np.random.default_rng(80).standard_normal((50, H.dim))  # rotation angles below pi
         counts = builders.counted_generic_kernels(monkeypatch)
@@ -669,10 +702,9 @@ class TestRigidMotionDetection:
     @pytest.mark.parametrize("make", [
         lambda: SemidirectSpec(liealg.so3(), liealg.translation_group(3), np.zeros((3, 4, 4))),
         lambda: SemidirectSpec(liealg.so3(), liealg.so3(), -liealg.so3().basis),
-        lambda: SemidirectSpec(liealg.so3(), liealg.translation_group(3), 2 * standard_rho(liealg.so3(), liealg.translation_group(3))),
-    ], ids=["direct-product", "so3-on-so3", "doubled-rho"])
+    ], ids=["direct-product", "so3-on-so3"])
     def test_other_factors_or_rho_take_the_generic_route(self, make, monkeypatch):
-        H = make().group_spec()
+        H = make().H
         counts = builders.counted_generic_kernels(monkeypatch)
         H.exp(np.full(H.dim, 0.1))
         assert counts["expm"] == 1
@@ -682,7 +714,7 @@ class TestRigidMotionDetection:
         K, N = (dataclasses.replace(g, name=f"renamed-{g.name}") for g in (base.K, base.N))
         renamed = SemidirectSpec(K, N, base.rho_generators, name=base.name)
         counts = builders.counted_generic_kernels(monkeypatch)
-        for H in (renamed.group_spec(), SemidirectSpec(K, N, base.rho_generators).group_spec()):  # the default name sd:renamed-so3|renamed-r3 too
+        for H in (renamed.H, SemidirectSpec(K, N, base.rho_generators).H):  # the default name sd:renamed-so3|renamed-r3 too
             elements = H.exp(np.full((4, H.dim), 0.2))
             for fn in (H.log, H.inverse, H.Ad):
                 fn(elements)
@@ -695,7 +727,7 @@ class TestRigidMotionDetection:
 
 def test_se3_forms_come_from_the_basis_alone(monkeypatch):
     # the basis of the total group, handed to LieGroupSpec without its SemidirectSpec, still selects the SE(3) forms
-    built = so3_r3().group_spec()
+    built = so3_r3().H
     H = liealg.LieGroupSpec("plain", built.dim, built.embed, built.basis)
     x = 0.5 * np.random.default_rng(82).standard_normal((40, H.dim))
     counts = builders.counted_generic_kernels(monkeypatch)
