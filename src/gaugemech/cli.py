@@ -273,7 +273,7 @@ def _suite_registry() -> dict[str, Callable[[dict, int], list[SuiteReport]]]:
 
     def groupoid_ses(ctx, seed):
         b = need(ctx, "bundle")
-        return [groupoid.ses_fiber_check(b, sid, samples=50, seed=seed) for sid in ("duzyVtrojka", "duzyVdual", "Adual", "quotiented")]
+        return [groupoid.ses_fiber_check(b, sid, samples=50, seed=seed) for sid in ("duzyVtrojka", "duzyVdual")] + [groupoid.quotient_dual_suite(b, samples=50, seed=seed)]
 
     def poisson_properties(ctx, seed):
         b = need(ctx, "bundle")
@@ -312,7 +312,7 @@ def _suite_registry() -> dict[str, Callable[[dict, int], list[SuiteReport]]]:
         "groupoid.laws": groupoid_laws,
         "groupoid.dual_structure": lambda ctx, seed: [groupoid.dual_structure_suite(need(ctx, "bundle"), seed=seed)],
         "groupoid.cores": lambda ctx, seed: [groupoid.core_suite(need(ctx, "bundle"), fibers=50, seed=seed)],
-        "groupoid.momentum_morphism": lambda ctx, seed: [groupoid.momentum_morphism_suite(need(ctx, "bundle"), samples=60, seed=seed)],
+        "groupoid.momentum_morphism": lambda ctx, seed: [groupoid.momentum_morphism_suite(need(ctx, "bundle"), seed=seed)],
         "groupoid.ses": groupoid_ses,
         "poisson.properties": poisson_properties,
         "poisson.jacobi": poisson_jacobi,

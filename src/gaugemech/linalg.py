@@ -1,4 +1,4 @@
-"""Per-row products, and numerical rank, the one rank rule of the package: equilibrate, then cut the singular values relative to the largest.
+"""Per-row products; numerical rank, the one rank rule: equilibrate, then cut the singular values relative to the largest; exactness.
 
 Equilibration is Ruiz's scaling (RAL-TR-2001-034, 2001) with powers of two, so the scaled matrix carries the bits of
 the original and the decision does not depend on the units of rows and columns (Golub & Van Loan, 4th ed., §5.4.1).
@@ -7,6 +7,8 @@ the original and the decision does not depend on the units of rows and columns (
 from dataclasses import dataclass
 
 import numpy as np
+
+from .report import worst
 
 Array = np.ndarray
 
@@ -55,6 +57,22 @@ def rank_gap(mat: Array, cut: float) -> RankGap:
         scaled = np.ldexp(mag, row[..., None] + col[..., None, :])
     _, s, vt = np.linalg.svd(np.ldexp(mat, row[..., None] + col[..., None, :]))
     return RankGap(np.sum(s > cut * s[..., :1], axis=-1), s, col, vt, cut)
+
+
+EXACT_CUT = 1e-8
+
+
+def exactness(f: Array, h: Array) -> tuple[bool, bool, float, float, dict]:
+    """The one exactness rule for 0 -> A --F--> B --H--> C -> 0 over a stack, F (..., b, a) and H (..., c, b): whether F is
+    injective and H surjective at every fibre (``rank_gap`` at ``EXACT_CUT``), the worst |H F|, the worst distance of H's
+    unit kernel vectors from im F, measured in H's equilibrated columns where ker H = C ker(R H C) becomes
+    ker(R H C) = im(C^-1 F) (the kernel basis as columns, those outside it zeroed), and the dimensions with the smallest ranks."""
+    rank_f, h_r = rank_gap(f, EXACT_CUT).rank, rank_gap(h, EXACT_CUT)
+    ker = h_r.vt.swapaxes(-1, -2) * (np.arange(h.shape[-1]) >= h_r.rank[..., None])[..., None, :]
+    q, _ = np.linalg.qr(np.ldexp(f, -h_r.col[..., :, None]))
+    ranks = {"dims": [f.shape[-1], f.shape[-2], h.shape[-2]], "rank_first": int(np.min(rank_f)), "rank_second": int(np.min(h_r.rank))}
+    off = worst(row_norm(ker - q @ (q.swapaxes(-1, -2) @ ker), 2))
+    return bool(np.all(rank_f == f.shape[-1])), bool(np.all(h_r.rank == h.shape[-2])), worst(np.abs(h @ f)), off, ranks
 
 
 def row_dot(u: Array, v: Array) -> Array:

@@ -30,9 +30,9 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from . import fd, schema
-from .bundle import BundleSpec, ConnectionData, GroupBase, CotangentSample, Point, dual_atiyah_split
+from .bundle import BundleSpec, ConnectionData, GroupBase, CotangentSample, Point, dual_atiyah_matrices
 from .liealg import LieGroupSpec, NotClosedError, expm, so3, translation_group
-from .linalg import row_dot, row_form, row_matvec, row_norm
+from .linalg import exactness, row_dot, row_form, row_matvec, row_norm
 from .poisson import ScalarField, canonical_two_form, coordinate_field, dexp_left, lie_poisson
 from .report import SuiteReport, worst
 from .rng import stream
@@ -462,9 +462,12 @@ def reduced_sequence_suite(sd: SemidirectSpec, samples: int = 25, seed: int = 0)
     nk, nn = sd.K.dim, sd.N.dim
 
     # exactness from a* and iota* of the total bundle over K; on its gauge slice they do not depend on k
-    composite, split, ranks = dual_atiyah_split(total_bundle(sd), sd.K.identity())
+    injective, surjective, composite, image_kernel, ranks = exactness(*dual_atiyah_matrices(total_bundle(sd), sd.K.identity()))
+    rep.flag("first_map_injective", injective)
+    rep.flag("second_map_surjective", surjective)
     rep.add("composite_zero", composite, 1e-11)
-    rep.flag("rank_split", split, rank_table=ranks)
+    rep.add("image_equals_kernel", image_kernel, 1e-10)
+    rep.extras["rank_table"] = ranks
 
     if sd.N.abelian:
         a_char = rng.standard_normal(nn)

@@ -108,19 +108,24 @@ def test_criterion_5_dual_pair_polarity(so3_bundle):
 
 
 def test_criterion_6_exactness(so3_bundle):
+    # each sequence once, in the suite that owns its maps: Adual (a*, iota*) in bundle.dual_sequence,
+    # duzyVtrojka and duzyVdual in groupoid.ses, and the commutation pair of the quotiented duals
+    exact = {"composite_zero": 1e-10, "image_equals_kernel": 1e-10}
+    reports = {
+        "Adual": (bundle.dual_sequence_suite(so3_bundle, samples=50, seed=SEED), exact | {"composite_zero": 1e-11, "iota_after_sigma_identity": 1e-11}),
+        "duzyVtrojka": (groupoid.ses_fiber_check(so3_bundle, "duzyVtrojka", samples=50, seed=SEED), exact),
+        "duzyVdual": (groupoid.ses_fiber_check(so3_bundle, "duzyVdual", samples=50, seed=SEED), exact | {"i2_star_duality": 1e-10}),
+        "quotiented": (groupoid.quotient_dual_suite(so3_bundle, samples=50, seed=SEED), {"contragredient_pairing": 1e-12, "quotient_dual_iso_residual": 1e-10}),
+    }
     residuals = {}
     ok = True
-    extra = {"Adual": {}, "duzyVtrojka": {}, "duzyVdual": {"i2_star_duality": 1e-10},
-             "quotiented": {"contragredient_pairing": 1e-12, "quotient_dual_iso_residual": 1e-10}}
-    for sid in ("Adual", "duzyVtrojka", "duzyVdual", "quotiented"):
-        rep = groupoid.ses_fiber_check(so3_bundle, sid, samples=50, seed=SEED)
-        assert _tols(rep) == {"composite_zero": 1e-10, "image_equals_kernel": 1e-10} | extra[sid]
+    for sid, (rep, tols) in reports.items():
+        assert _tols(rep) == tols
         residuals[sid] = rep.max_residual
         ok = ok and rep.passed
-        if sid == "quotiented":
-            pairing = next(c for c in rep.checks if c.name == "contragredient_pairing")
-            ok = ok and pairing.residual <= 1e-12
-            residuals["pairing"] = pairing.residual
+    pairing = next(c for c in reports["quotiented"][0].checks if c.name == "contragredient_pairing")
+    ok = ok and pairing.residual <= 1e-12
+    residuals["pairing"] = pairing.residual
     _line(6, ok, "fiberwise exactness on 50 fibers each, residuals " + ", ".join(f"{k}={v:.1e}" for k, v in residuals.items()))
 
 

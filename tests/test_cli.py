@@ -486,8 +486,8 @@ def _non_jacobi_structure(monkeypatch):
     ("so3-trivial-bundle", _negate_j2, ["groupoid.ses"], ["groupoid.ses[duzyVdual]:i2_star_duality"]),
     ("heisenberg-verify", _negate_j2, ["groupoid.ses"], ["groupoid.ses[duzyVdual]:i2_star_duality"]),
     ("so3-trivial-bundle", _scale_quot_rep_shift, ["groupoid.ses"], ["groupoid.ses[duzyVtrojka]:composite_zero"]),
-    ("so3-trivial-bundle", _a_star_into_b_slot, ["bundle.dual_sequence", "groupoid.ses"],
-     ["bundle.dual_sequence[TrivialProduct[so3]]:iota_after_a_zero", "groupoid.ses[Adual]:composite_zero"]),
+    ("so3-trivial-bundle", _a_star_into_b_slot, ["bundle.dual_sequence"], ["bundle.dual_sequence[TrivialProduct[so3]]:composite_zero"]),
+    ("se3-verify", _a_star_into_b_slot, ["semidirect.reduced_sequence"], ["semidirect.reduced_sequence[sd:so3|r3]:composite_zero"]),
     ("so3-trivial-bundle", _drop_chain_rule, ["poisson.dual_pair"],
      ["poisson.dual_pair[TrivialProduct[so3]]:polarity", "poisson.dual_pair[TrivialProduct[so3]]:quotient_matches_lift"]),
     ("heisenberg-verify", _drop_chain_rule, ["poisson.dual_pair"],
@@ -497,7 +497,7 @@ def _non_jacobi_structure(monkeypatch):
     ("so3-trivial-bundle", _symmetric_bivector_part, ["poisson.properties"], ["poisson.bracket_properties[so3*]:antisymmetry",
      "poisson.bracket_properties[T*R2]:antisymmetry", "poisson.bracket_properties[T*P/G[TrivialProduct[so3]]]:antisymmetry"]),
     ("so3-trivial-bundle", _non_jacobi_structure, ["poisson.jacobi"], ["poisson.jacobi:lie_poisson", "poisson.jacobi:quotient"]),
-], ids=["j2-negated-so3", "j2-negated-heisenberg", "quot-rep-shift-scaled", "a-star-into-b-slot", "chain-rule-dropped-so3",
+], ids=["j2-negated-so3", "j2-negated-heisenberg", "quot-rep-shift-scaled", "a-star-into-b-slot", "a-star-into-b-slot-se3", "chain-rule-dropped-so3",
         "chain-rule-dropped-heisenberg", "lie-part-flipped-so3", "lie-part-flipped-heisenberg", "symmetric-bivector-part",
         "non-jacobi-structure"])
 def test_mutant_fails_builtin_checks(tmp_path, monkeypatch, name, mutate, suites, killed_by):

@@ -1,9 +1,9 @@
-"""The one rank rule: Ruiz equilibration by powers of two, then a cut relative to the largest singular value."""
+"""The one rank rule: Ruiz equilibration by powers of two, then a cut relative to the largest singular value; and the one exactness rule built on it."""
 
 import numpy as np
 import pytest
 
-from gaugemech.linalg import rank_gap
+from gaugemech.linalg import exactness, rank_gap
 
 
 def _product(rng, m, n, r):
@@ -76,3 +76,49 @@ def test_wide_exponent_range_ends():
     r = rank_gap(a, 1e-8)
     assert r.rank == 5 and np.isfinite(r.gap)
 
+
+
+def _sequence(case: str, rng) -> tuple[np.ndarray, np.ndarray]:
+    """F: R^a -> R^5 and H: R^5 -> R^c at 10 fibres: F spans the first two columns of a random basis M of R^5 and H
+    reads the last three coordinates in it, so 0 -> R^2 -> R^5 -> R^3 -> 0 is exact, then broken as ``case`` says."""
+    m = rng.standard_normal((10, 5, 5))
+    f, h = m[..., :2], np.linalg.inv(m)[..., 2:, :]
+    if case == "nonzero composite":
+        # F leans 1e-9 out of ker H: on columns of norm about 1e4 that is a composite of 1e-9 but an angle of 1e-13
+        f = 1e4 * f + 1e-9 * m[..., 2:3] * [1.0, 0.0]
+    elif case == "image smaller than kernel":
+        f = f[..., :1]
+    elif case == "rank-deficient first map":
+        f = m[..., [0, 1, 0]]
+    elif case == "non-surjective second map":
+        h = np.concatenate([h, h[..., :1, :] + h[..., 1:2, :]], axis=-2)
+    return f, h
+
+
+def _verdicts(f: np.ndarray, h: np.ndarray) -> tuple[bool, bool, bool, bool]:
+    """injective, surjective, composite_zero and image_equals_kernel at the groupoid sequences' tolerance 1e-10."""
+    injective, surjective, composite, image_kernel, _ = exactness(f, h)
+    return injective, surjective, composite <= 1e-10, image_kernel <= 1e-10
+
+
+@pytest.mark.parametrize("case, expected", [
+    ("exact", (True, True, True, True)),
+    ("nonzero composite", (True, True, False, True)),
+    ("image smaller than kernel", (True, True, True, False)),
+    ("rank-deficient first map", (False, True, True, True)),
+    ("non-surjective second map", (True, False, True, True)),
+])
+def test_exactness_fails_only_what_is_broken(case, expected):
+    f, h = _sequence(case, np.random.default_rng(5))
+    assert _verdicts(f, h) == expected
+    # the middle space in other units: F's rows and H's columns scaled by 2^40 and 2^-40 in turn leave H F as it is
+    d = 40 * (-1) ** np.arange(5)
+    assert _verdicts(np.ldexp(f, d[:, None]), np.ldexp(h, -d)) == expected
+
+
+def test_exactness_of_one_fibre_and_its_rank_table():
+    # a single pair runs through the same code as a stack; the table gives the dimensions and the smallest ranks
+    f, h = _sequence("image smaller than kernel", np.random.default_rng(6))
+    *_, image_kernel, ranks = exactness(f[0], h[0])
+    assert ranks == {"dims": [1, 5, 3], "rank_first": 1, "rank_second": 3}
+    assert 0.1 < image_kernel <= 1.0

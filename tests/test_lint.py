@@ -653,11 +653,11 @@ def test_exec_and_compile_only_in_codegen():
     assert generated_code_sites((SRC / "codegen.py").read_text(encoding="utf-8"), "codegen.py")
 
 
-RANK_FUNCTIONS = ("svd", "matrix_rank")
+RANK_FUNCTIONS = ("svd", "matrix_rank", "qr")
 
 
 def rank_sites(source: str, filename: str = "<src>") -> list[str]:
-    """References to ``svd`` and ``matrix_rank`` of a ``linalg`` module, and imports of them: the rank decisions that belong in ``linalg.py``."""
+    """References to ``svd``, ``matrix_rank`` and ``qr`` of a ``linalg`` module, and imports of them: the rank and exactness decisions that belong in ``linalg.py``."""
     found = []
     for node in ast.walk(ast.parse(source, filename)):
         if isinstance(node, ast.Attribute) and node.attr in RANK_FUNCTIONS and ast.unparse(node.value).split(".")[-1] == "linalg":
@@ -678,7 +678,7 @@ def test_rank_site_detector():
         "from .linalg import rank_gap\n"
         "u = obj.svd(a)\n"
     )
-    assert rank_sites(src) == ["<src>:1", "<src>:2", "<src>:3", "<src>:4"]
+    assert rank_sites(src) == ["<src>:1", "<src>:2", "<src>:3", "<src>:4", "<src>:5"]
 
 
 def test_rank_decided_only_in_linalg():

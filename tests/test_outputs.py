@@ -1,7 +1,10 @@
-"""tools/outputs.py diff on small synthetic run trees."""
+"""tools/outputs.py: diff on small synthetic run trees, and its in-process runs against one process per run."""
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -91,3 +94,21 @@ def test_least_headroom_leaves_out_flags_and_reads_drift(outputs, tmp_path):
         "  b@9001: 3e-06 bundle.momentum[B]:J_equivariance | 3e-06 bundle.momentum[B]:J_equivariance",
         "  c@1: - | 0.2 drift:energy",
     ]
+
+
+def test_in_process_runs_match_subprocess_runs(outputs, tmp_path):
+    # one child interpreter calls cli.main for each run: an argparse error (its SystemExit) and a built-in simulation
+    # must give the record and files of a `python -m gaugemech.cli` process each
+    tree = TOOL.parents[1]
+    runs = {"bad-seed": ["simulate", "heavy-top-free", "--seed", "x"], "heavy-top-free": ["simulate", "heavy-top-free", "--seed", "9003"]}
+    with outputs.cli_process(tree) as cli:
+        records = {name: cli([*args, "--out", str(tmp_path / "in" / name)]) for name, args in runs.items()}
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    for name, args in runs.items():
+        proc = subprocess.run([sys.executable, "-m", "gaugemech.cli", *args, "--out", str(tmp_path / "sub" / name)],
+                              env=env, capture_output=True, text=True, check=False)
+        assert records[name] == {"exit": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr}
+    assert records["bad-seed"]["exit"] == 2 and records["heavy-top-free"]["exit"] == 0
+    files = {side: {p.relative_to(tmp_path / side).as_posix(): p.read_bytes() for p in (tmp_path / side).rglob("*") if p.is_file()} for side in ("in", "sub")}
+    assert sorted(files["in"]) == ["heavy-top-free/report.json", "heavy-top-free/trajectory.csv", "heavy-top-free/trajectory.meta.json"]
+    assert files["in"] == files["sub"]

@@ -5,12 +5,15 @@ Usage:
     python tools/outputs.py diff OLD NEW
 
 ``run`` runs every built-in scenario of the checkout at PATH (by default the
-one holding this script) through its CLI, one process per run: at the
-scenario's own seed and at the held-out seeds 9001-9003, plus each seed of
-``--seeds`` (a range ``A-B`` or a comma list).  Run ``NAME@SEED`` keeps the
-CLI's output files in ``DIR/NAME@SEED/out`` and its exit code, stdout and
-stderr in ``DIR/NAME@SEED/run.json``; the checkout's path in stdout and
-stderr is written as ``<tree>``, so two checkouts compare.
+one holding this script) through its CLI: at the scenario's own seed and at
+the held-out seeds 9001-9003, plus each seed of ``--seeds`` (a range ``A-B``
+or a comma list).  One child interpreter, with the checkout's ``src`` on its
+path, calls ``cli.main`` for each run in turn and catches the run's exit code
+(a ``SystemExit`` included), stdout and stderr in process; runs made so are
+byte-identical to one ``python -m gaugemech.cli`` process per run.  Run
+``NAME@SEED`` keeps the CLI's output files in ``DIR/NAME@SEED/out`` and its
+exit code, stdout and stderr in ``DIR/NAME@SEED/run.json``; the checkout's
+path in stdout and stderr is written as ``<tree>``, so two checkouts compare.
 
 ``diff`` prints one line per run: whether its exit code, stdout, stderr,
 ``report.json``, CSVs and metadata (the other output files) are
@@ -32,7 +35,9 @@ import os
 import re
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Callable, Iterator
 
 HELD_OUT_SEEDS = (9001, 9002, 9003)
 PARTS = ("exit", "stdout", "stderr", "report.json", "csv", "metadata")
@@ -46,27 +51,60 @@ def parse_seeds(text: str) -> list[int]:
     return [int(s) for s in text.split(",")]
 
 
-def builtins(tree: Path) -> list[tuple[str, str]]:
-    """(name, command) of every built-in scenario of the checkout, from its ``--list-builtins``."""
-    listing = _cli(tree, ["--list-builtins"]).stdout
-    return re.findall(r"^(\S+)\s+\((\w+)\)$", listing, re.MULTILINE)
+# the child: one JSON argument list per stdin line, answered by one JSON line with the run's exit code, stdout and
+# stderr; an uncaught exception prints its traceback and exits 1, as the interpreter would, and the warnings
+# already shown are forgotten between runs, as they are between processes
+CHILD = """
+import contextlib, io, json, sys, traceback, warnings
+from gaugemech import cli
+
+answer = sys.stdout
+for line in sys.stdin:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        try:
+            code = cli.main(json.loads(line))
+        except SystemExit as exc:
+            code = exc.code
+            if not (code is None or isinstance(code, int)):
+                print(code, file=sys.stderr)
+                code = 1
+        except Exception:
+            traceback.print_exc()
+            code = 1
+    print(json.dumps({"exit": code or 0, "stdout": out.getvalue(), "stderr": err.getvalue()}), file=answer, flush=True)
+"""
 
 
-def _cli(tree: Path, args: list[str]) -> subprocess.CompletedProcess:
+@contextmanager
+def cli_process(tree: Path) -> Iterator[Callable[[list[str]], dict]]:
+    """A call that runs the checkout's CLI on an argument list in one child interpreter and returns its record:
+    exit code, stdout and stderr, the checkout's path in them written as ``<tree>``."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    return subprocess.run([sys.executable, "-m", "gaugemech.cli", *args], env=env, capture_output=True, text=True, check=False)
+    with subprocess.Popen([sys.executable, "-c", CHILD], env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True) as child:
+
+        def call(args: list[str]) -> dict:
+            child.stdin.write(json.dumps(args) + "\n")
+            child.stdin.flush()
+            line = child.stdout.readline()
+            if not line:
+                raise RuntimeError(f"the CLI process of {tree} ended with exit code {child.wait()} (its stderr is above)")
+            record = json.loads(line)
+            return record | {key: record[key].replace(str(tree), "<tree>") for key in ("stdout", "stderr")}
+
+        yield call
 
 
 def run(out: Path, tree: Path, seeds: list[int]) -> None:
     tree = tree.resolve()
-    for name, command in builtins(tree):
-        for seed in [None, *HELD_OUT_SEEDS, *seeds]:
-            run_dir = out / f"{name}@{'default' if seed is None else seed}"
-            (run_dir / "out").mkdir(parents=True, exist_ok=True)
-            proc = _cli(tree, [command, name, "--out", str((run_dir / "out").resolve()), *([] if seed is None else ["--seed", str(seed)])])
-            record = {"exit": proc.returncode, "stdout": proc.stdout.replace(str(tree), "<tree>"), "stderr": proc.stderr.replace(str(tree), "<tree>")}
-            (run_dir / "run.json").write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-            print(f"{run_dir.name}: exit {proc.returncode}")
+    with cli_process(tree) as cli:
+        for name, command in re.findall(r"^(\S+)\s+\((\w+)\)$", cli(["--list-builtins"])["stdout"], re.MULTILINE):
+            for seed in [None, *HELD_OUT_SEEDS, *seeds]:
+                run_dir = out / f"{name}@{'default' if seed is None else seed}"
+                (run_dir / "out").mkdir(parents=True, exist_ok=True)
+                record = cli([command, name, "--out", str((run_dir / "out").resolve()), *([] if seed is None else ["--seed", str(seed)])])
+                (run_dir / "run.json").write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+                print(f"{run_dir.name}: exit {record['exit']}")
 
 
 def _part(path: str) -> str:
